@@ -43,9 +43,17 @@ fn main() {
                 let sim = Simulation::new(&s.instance, &s.requests).expect("valid");
                 let mut a = OnsitePrimalDual::new(&s.instance, CapacityPolicy::Enforce)
                     .expect("valid policy");
-                alg1 += sim.run_ordered(&mut a, order).expect("run").metrics.revenue;
+                alg1 += sim
+                    .run_ordered(&mut a, order, None)
+                    .expect("run")
+                    .metrics
+                    .revenue;
                 let mut g = OnsiteGreedy::new(&s.instance);
-                greedy += sim.run_ordered(&mut g, order).expect("run").metrics.revenue;
+                greedy += sim
+                    .run_ordered(&mut g, order, None)
+                    .expect("run")
+                    .metrics
+                    .revenue;
             }
             let k = seeds.len() as f64;
             println!("{n:>9} {name:>10} {:>14.1} {:>14.1}", alg1 / k, greedy / k);

@@ -1,6 +1,6 @@
-//! Machine-readable performance baseline: races the optimized hot path
-//! and harness against the faithful pre-optimization copies in
-//! `vnfrel_bench::legacy` and emits `results/BENCH_schedule.json`.
+//! Machine-readable performance baseline of the production schedulers
+//! and figure harness; emits `results/BENCH_schedule.json`
+//! (`bench_schedule/v2`).
 //!
 //! Run with:
 //! `cargo run --release -p vnfrel-bench --bin bench_report [--quick]
@@ -8,43 +8,30 @@
 //!
 //! Measurements:
 //!
-//! * **decide() throughput** (requests/sec) for the four online
-//!   algorithms, optimized vs legacy, on one scarce scenario;
-//! * **end-to-end Figure 1 sweep** wall time: the legacy serial harness
-//!   (one scenario build per algorithm per seed, `Simulation`-based
-//!   revenue) vs the optimized harness at `--threads 1` and
-//!   `--threads N`;
+//! * **decide() throughput** (requests/sec) of the four online
+//!   algorithms at their `NoopSink` default, on one scarce scenario;
+//! * **end-to-end Figure 1 sweep** wall time of the harness at
+//!   `--threads 1` and `--threads N`;
 //! * **Monte-Carlo failure injection** trial throughput, serial vs the
 //!   chunked deterministic parallel injector.
 //!
-//! * **observability overhead**: the production schedulers at their
-//!   `NoopSink` default vs the sink-free copies in
-//!   `vnfrel_bench::uninstrumented` — the disabled trace hooks must
-//!   compile away. The primary proof is deterministic: the noop-sink
-//!   run must produce the identical schedule (revenue equality) with
-//!   the identical number of heap allocations (leaked decision events
-//!   must heap-allocate their `String`/`Vec` fields, so a hook that
-//!   survives codegen shows up as thousands of extra allocations). A
-//!   timed race is reported alongside and bounded by
-//!   [`MAX_OBS_TIMED_OVERHEAD`] as a gross-regression catch-all; it is
-//!   deliberately loose because wall-clock A/B between two separately
-//!   placed copies of the same instruction stream carries a persistent
-//!   code-placement bias (uop-cache and branch-alignment luck) of up to
-//!   ~20% on microsecond-scale kernels, which no amount of repetition
-//!   removes.
+//! The report also carries one frozen `legacy_baseline` block: the last
+//! race against the pre-optimization schedulers and serial harness
+//! (`crates/bench/src/legacy.rs`, which last exists at commit `647adb2`)
+//! and against the sink-free copies, copied verbatim from the v1 report
+//! measured there. Nothing in this binary re-measures it. That disabled
+//! trace hooks cost nothing is proved without timing, by
+//! `tests/sched_alloc.rs` and the `TripwireSink` runs of
+//! `tests/equivalence.rs`.
 //!
-//! `--check PATH` additionally compares the optimized decide()
-//! requests/sec against a previously emitted JSON and exits non-zero if
-//! any algorithm regressed by more than 30% — the CI perf smoke. The
-//! same flag arms the in-process observability gate: the deterministic
-//! equivalence asserts plus the timed bound above.
+//! `--check PATH` additionally compares the decide() requests/sec
+//! against a previously emitted JSON (v1 or v2) and exits non-zero if
+//! any algorithm regressed by more than 30% — the CI perf smoke.
 //!
 //! `--trace-sample PATH` writes a small decision-trace JSONL (Algorithm 1
 //! over the decide() scenario) for artifact upload and schema eyeballing.
 
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use mec_obs::{to_json, RingSink};
@@ -54,73 +41,48 @@ use rand_chacha::ChaCha8Rng;
 use vnfrel::offsite::{OffsiteGreedy, OffsitePrimalDual};
 use vnfrel::onsite::{CapacityPolicy, OnsiteGreedy, OnsitePrimalDual};
 use vnfrel::{run_online, OnlineScheduler};
-use vnfrel_bench::legacy::{
-    legacy_fig1_both, LegacyOffsiteGreedy, LegacyOffsitePrimalDual, LegacyOnsiteGreedy,
-    LegacyOnsitePrimalDual,
-};
-use vnfrel_bench::uninstrumented::{
-    UninstrumentedOffsiteGreedy, UninstrumentedOffsitePrimalDual, UninstrumentedOnsiteGreedy,
-    UninstrumentedOnsitePrimalDual,
-};
 use vnfrel_bench::{fig1_both_sweep, threads_from_args, Scenario, ScenarioParams};
 
 /// Maximum tolerated decide() throughput regression vs the baseline.
 const MAX_REGRESSION: f64 = 0.30;
 
-/// Maximum tolerated *timed* decide() slowdown of the noop-sink
-/// production schedulers vs their sink-free (`uninstrumented`) twins.
-///
-/// The zero-overhead claim itself is enforced deterministically (see
-/// `obs_overhead`): identical schedules and identical heap-allocation
-/// counts, which any surviving hook breaks by thousands. This timed
-/// bound only exists to catch gross non-allocating regressions, and is
-/// sized to sit above the measured code-placement noise between two
-/// separately placed copies of the same instruction stream (observed up
-/// to ~20% on these ~1ms kernels; an `objdump --disassemble` diff of
-/// the monomorphized `decide` symbols shows identical instructions
-/// modulo basic-block order and alignment padding). It mirrors the 30%
-/// [`MAX_REGRESSION`] margin used for the same reason.
-const MAX_OBS_TIMED_OVERHEAD: f64 = 0.25;
-
-/// Counts every heap allocation so the observability section can assert
-/// that a noop-sink run allocates *exactly* as often as its sink-free
-/// twin — the placement-immune form of "disabled hooks compile away"
-/// (leaked decision events must allocate for their `String`/`Vec`
-/// fields).
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: defers to `System` for every operation; only adds counting.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
+/// The v1 report's race results, measured at commit `647adb2` (the last
+/// one that holds the legacy and sink-free scheduler copies) by the full
+/// run on a one-CPU host. Emitted verbatim into every report so the
+/// recorded speed-up travels with the live numbers.
+const LEGACY_BASELINE: &str = r#"  "legacy_baseline": {
+    "commit": "647adb2",
+    "schema": "bench_schedule/v1",
+    "mode": "full",
+    "host_cpus": 1,
+    "decide_throughput": {
+      "alg1": { "optimized_rps": 14225509.9, "legacy_rps": 5497148.4, "speedup": 2.588 },
+      "greedy_onsite": { "optimized_rps": 29539915.8, "legacy_rps": 10432832.1, "speedup": 2.831 },
+      "alg2": { "optimized_rps": 13450125.3, "legacy_rps": 7119084.5, "speedup": 1.889 },
+      "greedy_offsite": { "optimized_rps": 50919737.8, "legacy_rps": 44775284.0, "speedup": 1.137 }
+    },
+    "obs_overhead": {
+      "deterministic_equivalence": "same revenue and same heap-allocation count as the sink-free copies",
+      "timed_threshold": 0.25,
+      "max_timed_gap": 0.1216,
+      "alg1": { "noop_rps": 16266007.8, "uninstrumented_rps": 18244413.1, "timed_gap": 0.1216 },
+      "greedy_onsite": { "noop_rps": 26085107.9, "uninstrumented_rps": 28348327.2, "timed_gap": 0.0868 },
+      "alg2": { "noop_rps": 15807739.9, "uninstrumented_rps": 15788160.8, "timed_gap": -0.0012 },
+      "greedy_offsite": { "noop_rps": 60443595.5, "uninstrumented_rps": 63013362.0, "timed_gap": 0.0425 }
+    },
+    "fig1_sweep": {
+      "sizes": [100, 200, 300, 400, 500, 600, 700, 800],
+      "seeds": [1, 2, 3],
+      "legacy_serial_ms": 11.706,
+      "optimized_serial_ms": 4.222,
+      "optimized_threaded_ms": 4.409,
+      "legacy_ms_per_point": 0.488,
+      "optimized_threaded_ms_per_point": 0.184,
+      "speedup_serial_vs_legacy": 2.772,
+      "speedup_threaded_vs_legacy": 2.655
     }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc_zeroed(layout)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-/// Request count for the observability-overhead race. Much larger than
-/// the decide() race so each timed run is ~1ms+ and per-rep timer noise
-/// amortizes; the residual persistent bias (instruction placement) is
-/// why the timed bound is loose — see [`MAX_OBS_TIMED_OVERHEAD`].
-const OBS_REQUESTS: usize = 20_000;
+  }
+"#;
 
 /// Wall time of the best of `reps` runs of `f`, in seconds.
 fn best_of<F: FnMut()>(reps: usize, mut f: F) -> f64 {
@@ -133,198 +95,27 @@ fn best_of<F: FnMut()>(reps: usize, mut f: F) -> f64 {
     best
 }
 
-/// Optimized-vs-legacy decide() throughput for one algorithm pair.
-struct DecidePair {
-    name: &'static str,
-    optimized_rps: f64,
-    legacy_rps: f64,
-}
-
-fn decide_throughput(scenario: &Scenario, reps: usize) -> Vec<DecidePair> {
+/// decide() throughput of the four production schedulers, as
+/// `(report name, requests/sec)`. Construction is inside the timed
+/// region, as a figure sweep pays it.
+fn decide_throughput(scenario: &Scenario, reps: usize) -> Vec<(&'static str, f64)> {
     let n = scenario.requests.len() as f64;
     let run = |alg: &mut dyn OnlineScheduler| {
         run_online(alg, &scenario.requests).expect("valid stream");
     };
-    let mut out = Vec::new();
-    let secs = best_of(reps, || {
-        let mut a = OnsitePrimalDual::new(&scenario.instance, CapacityPolicy::Enforce).unwrap();
-        run(&mut a);
+    let alg1 = best_of(reps, || {
+        run(&mut OnsitePrimalDual::new(&scenario.instance, CapacityPolicy::Enforce).unwrap());
     });
-    let legacy_secs = best_of(reps, || {
-        let mut a =
-            LegacyOnsitePrimalDual::new(&scenario.instance, CapacityPolicy::Enforce).unwrap();
-        run(&mut a);
+    let greedy_onsite = best_of(reps, || run(&mut OnsiteGreedy::new(&scenario.instance)));
+    let alg2 = best_of(reps, || {
+        run(&mut OffsitePrimalDual::new(&scenario.instance))
     });
-    out.push(DecidePair {
-        name: "alg1",
-        optimized_rps: n / secs,
-        legacy_rps: n / legacy_secs,
-    });
-    let secs = best_of(reps, || {
-        let mut a = OnsiteGreedy::new(&scenario.instance);
-        run(&mut a);
-    });
-    let legacy_secs = best_of(reps, || {
-        let mut a = LegacyOnsiteGreedy::new(&scenario.instance);
-        run(&mut a);
-    });
-    out.push(DecidePair {
-        name: "greedy_onsite",
-        optimized_rps: n / secs,
-        legacy_rps: n / legacy_secs,
-    });
-    let secs = best_of(reps, || {
-        let mut a = OffsitePrimalDual::new(&scenario.instance);
-        run(&mut a);
-    });
-    let legacy_secs = best_of(reps, || {
-        let mut a = LegacyOffsitePrimalDual::new(&scenario.instance);
-        run(&mut a);
-    });
-    out.push(DecidePair {
-        name: "alg2",
-        optimized_rps: n / secs,
-        legacy_rps: n / legacy_secs,
-    });
-    let secs = best_of(reps, || {
-        let mut a = OffsiteGreedy::new(&scenario.instance);
-        run(&mut a);
-    });
-    let legacy_secs = best_of(reps, || {
-        let mut a = LegacyOffsiteGreedy::new(&scenario.instance);
-        run(&mut a);
-    });
-    out.push(DecidePair {
-        name: "greedy_offsite",
-        optimized_rps: n / secs,
-        legacy_rps: n / legacy_secs,
-    });
-    out
-}
-
-/// Noop-sink production scheduler vs its sink-free twin.
-struct ObsPair {
-    name: &'static str,
-    noop_rps: f64,
-    uninstrumented_rps: f64,
-}
-
-impl ObsPair {
-    /// Fractional slowdown of the noop path (negative = noop faster).
-    /// Includes code-placement bias either way; the deterministic
-    /// equivalence asserts in `obs_overhead` carry the precision claim.
-    fn overhead(&self) -> f64 {
-        self.uninstrumented_rps / self.noop_rps - 1.0
-    }
-}
-
-/// Races the noop-sink schedulers against the uninstrumented copies.
-/// Measurements are interleaved per repetition so both sides see the
-/// same thermal/cache conditions.
-///
-/// Two placement-immune equivalence checks run first: both generations
-/// must produce the same schedule (same revenue) **and the same exact
-/// number of heap allocations** over the stream. The decision events
-/// heap-allocate by construction (`String` algorithm labels, per-site
-/// vectors), so instrumentation that fails to compile away under
-/// `NoopSink` shows up as thousands of extra allocations — a
-/// deterministic signal wall-clock timing cannot fake either way.
-fn obs_overhead(scenario: &Scenario, reps: usize) -> Vec<ObsPair> {
-    let n = scenario.requests.len() as f64;
-    let run = |alg: &mut dyn OnlineScheduler| {
-        run_online(alg, &scenario.requests).expect("valid stream");
-    };
-    macro_rules! assert_equivalent {
-        ($name:literal, $noop:expr, $base:expr) => {{
-            let mut a = $noop;
-            let a0 = ALLOCATIONS.load(Ordering::Relaxed);
-            let ra = run_online(&mut a, &scenario.requests).expect("valid stream");
-            let a1 = ALLOCATIONS.load(Ordering::Relaxed);
-            let mut b = $base;
-            let b0 = ALLOCATIONS.load(Ordering::Relaxed);
-            let rb = run_online(&mut b, &scenario.requests).expect("valid stream");
-            let b1 = ALLOCATIONS.load(Ordering::Relaxed);
-            assert_eq!(
-                ra.revenue(),
-                rb.revenue(),
-                "{}: noop-sink and uninstrumented schedules diverge",
-                $name
-            );
-            assert_eq!(
-                a1 - a0,
-                b1 - b0,
-                "{}: noop-sink run allocates {} times, uninstrumented {} — \
-                 trace hooks are not compiling away",
-                $name,
-                a1 - a0,
-                b1 - b0
-            );
-        }};
-    }
-    assert_equivalent!(
-        "alg1",
-        OnsitePrimalDual::new(&scenario.instance, CapacityPolicy::Enforce).unwrap(),
-        UninstrumentedOnsitePrimalDual::new(&scenario.instance, CapacityPolicy::Enforce).unwrap()
-    );
-    assert_equivalent!(
-        "greedy_onsite",
-        OnsiteGreedy::new(&scenario.instance),
-        UninstrumentedOnsiteGreedy::new(&scenario.instance)
-    );
-    assert_equivalent!(
-        "alg2",
-        OffsitePrimalDual::new(&scenario.instance),
-        UninstrumentedOffsitePrimalDual::new(&scenario.instance)
-    );
-    assert_equivalent!(
-        "greedy_offsite",
-        OffsiteGreedy::new(&scenario.instance),
-        UninstrumentedOffsiteGreedy::new(&scenario.instance)
-    );
-
-    macro_rules! race {
-        ($name:literal, $noop:expr, $base:expr) => {{
-            let mut noop_best = f64::INFINITY;
-            let mut base_best = f64::INFINITY;
-            for _ in 0..reps {
-                let t = Instant::now();
-                let mut a = $noop;
-                run(&mut a);
-                noop_best = noop_best.min(t.elapsed().as_secs_f64());
-                let t = Instant::now();
-                let mut b = $base;
-                run(&mut b);
-                base_best = base_best.min(t.elapsed().as_secs_f64());
-            }
-            ObsPair {
-                name: $name,
-                noop_rps: n / noop_best,
-                uninstrumented_rps: n / base_best,
-            }
-        }};
-    }
+    let greedy_offsite = best_of(reps, || run(&mut OffsiteGreedy::new(&scenario.instance)));
     vec![
-        race!(
-            "alg1",
-            OnsitePrimalDual::new(&scenario.instance, CapacityPolicy::Enforce).unwrap(),
-            UninstrumentedOnsitePrimalDual::new(&scenario.instance, CapacityPolicy::Enforce)
-                .unwrap()
-        ),
-        race!(
-            "greedy_onsite",
-            OnsiteGreedy::new(&scenario.instance),
-            UninstrumentedOnsiteGreedy::new(&scenario.instance)
-        ),
-        race!(
-            "alg2",
-            OffsitePrimalDual::new(&scenario.instance),
-            UninstrumentedOffsitePrimalDual::new(&scenario.instance)
-        ),
-        race!(
-            "greedy_offsite",
-            OffsiteGreedy::new(&scenario.instance),
-            UninstrumentedOffsiteGreedy::new(&scenario.instance)
-        ),
+        ("alg1", n / alg1),
+        ("greedy_onsite", n / greedy_onsite),
+        ("alg2", n / alg2),
+        ("greedy_offsite", n / greedy_offsite),
     ]
 }
 
@@ -375,43 +166,15 @@ fn main() {
         )
     };
 
-    // --- decide() throughput, optimized vs legacy -----------------------
+    // --- decide() throughput --------------------------------------------
     let scenario = Scenario::build(&ScenarioParams {
         requests: decide_requests,
         ..ScenarioParams::default()
     });
     let decide = decide_throughput(&scenario, decide_reps);
     println!("decide() throughput ({decide_requests} requests):");
-    for p in &decide {
-        println!(
-            "  {:<14} optimized {:>12.0} req/s   legacy {:>12.0} req/s   speedup {:.2}x",
-            p.name,
-            p.optimized_rps,
-            p.legacy_rps,
-            p.optimized_rps / p.legacy_rps
-        );
-    }
-
-    // --- observability overhead (noop sink vs no hooks at all) ----------
-    // Deterministic equivalence asserts (same revenue, same allocation
-    // count) run inside `obs_overhead` before the timing race. The race
-    // itself uses a much larger stream than the decide() race so each
-    // timed run lasts ~1ms and per-rep timer noise amortizes.
-    let obs_scenario = Scenario::build(&ScenarioParams {
-        requests: OBS_REQUESTS,
-        ..ScenarioParams::default()
-    });
-    let obs = obs_overhead(&obs_scenario, decide_reps.max(9));
-    println!("\nobservability overhead (noop sink vs uninstrumented):");
-    println!("  deterministic: schedules and allocation counts identical");
-    for p in &obs {
-        println!(
-            "  {:<14} noop {:>12.0} req/s   uninstrumented {:>12.0} req/s   timed gap {:>+6.2}%",
-            p.name,
-            p.noop_rps,
-            p.uninstrumented_rps,
-            p.overhead() * 100.0
-        );
+    for (name, rps) in &decide {
+        println!("  {name:<14} {rps:>12.0} req/s");
     }
 
     // --- optional decision-trace sample ---------------------------------
@@ -437,16 +200,6 @@ fn main() {
     }
 
     // --- end-to-end Figure 1 sweep --------------------------------------
-    // Correctness first: the two harness generations must produce the
-    // same tables, else the race is meaningless.
-    let (on_old, off_old) = legacy_fig1_both(&sizes, &seeds);
-    let (on_new, off_new) = fig1_both_sweep(&sizes, &seeds, 1);
-    assert_eq!(on_old, on_new, "legacy and optimized fig1 tables differ");
-    assert_eq!(off_old, off_new, "legacy and optimized fig1 tables differ");
-
-    let legacy_secs = best_of(sweep_reps, || {
-        let _ = legacy_fig1_both(&sizes, &seeds);
-    });
     let serial_secs = best_of(sweep_reps, || {
         let _ = fig1_both_sweep(&sizes, &seeds, 1);
     });
@@ -460,19 +213,14 @@ fn main() {
         seeds.len()
     );
     println!(
-        "  legacy serial       {:>9.1} ms   ({:.2} ms/point)",
-        legacy_secs * 1e3,
-        legacy_secs * 1e3 / points
-    );
-    println!(
-        "  optimized threads=1 {:>9.1} ms   speedup {:.2}x",
+        "  threads=1 {:>9.1} ms   ({:.2} ms/point)",
         serial_secs * 1e3,
-        legacy_secs / serial_secs
+        serial_secs * 1e3 / points
     );
     println!(
-        "  optimized threads={threads} {:>9.1} ms   speedup {:.2}x",
+        "  threads={threads} {:>9.1} ms   speedup {:.2}x",
         threaded_secs * 1e3,
-        legacy_secs / threaded_secs
+        serial_secs / threaded_secs
     );
 
     // --- Monte-Carlo failure injection ----------------------------------
@@ -513,7 +261,7 @@ fn main() {
 
     // --- JSON report ----------------------------------------------------
     let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"schema\": \"bench_schedule/v1\",");
+    let _ = writeln!(json, "  \"schema\": \"bench_schedule/v2\",");
     let _ = writeln!(
         json,
         "  \"mode\": \"{}\",",
@@ -527,33 +275,11 @@ fn main() {
         "  \"scenario\": {{ \"requests\": {decide_requests}, \"h_ratio\": 10.0, \"k_ratio\": 1.01, \"seed\": 1 }},"
     );
     json.push_str("  \"decide_throughput\": {\n");
-    for (i, p) in decide.iter().enumerate() {
+    for (i, (name, rps)) in decide.iter().enumerate() {
         let _ = writeln!(
             json,
-            "    \"{}\": {{ \"optimized_rps\": {:.1}, \"legacy_rps\": {:.1}, \"speedup\": {:.3} }}{}",
-            p.name,
-            p.optimized_rps,
-            p.legacy_rps,
-            p.optimized_rps / p.legacy_rps,
+            "    \"{name}\": {{ \"optimized_rps\": {rps:.1} }}{}",
             if i + 1 < decide.len() { "," } else { "" }
-        );
-    }
-    json.push_str("  },\n");
-    json.push_str("  \"obs_overhead\": {\n");
-    json.push_str("    \"deterministic_equivalence\": \"same revenue and same heap-allocation count as the sink-free copies\",\n");
-    let _ = writeln!(json, "    \"timed_threshold\": {MAX_OBS_TIMED_OVERHEAD},");
-    let max_overhead = obs.iter().map(ObsPair::overhead).fold(f64::MIN, f64::max);
-    let _ = writeln!(json, "    \"max_timed_gap\": {max_overhead:.4},");
-    for (i, p) in obs.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    \"{}\": {{ \"noop_rps\": {:.1}, \"uninstrumented_rps\": {:.1}, \
-             \"timed_gap\": {:.4} }}{}",
-            p.name,
-            p.noop_rps,
-            p.uninstrumented_rps,
-            p.overhead(),
-            if i + 1 < obs.len() { "," } else { "" }
         );
     }
     json.push_str("  },\n");
@@ -576,7 +302,6 @@ fn main() {
             .collect::<Vec<_>>()
             .join(", ")
     );
-    let _ = writeln!(json, "    \"legacy_serial_ms\": {:.3},", legacy_secs * 1e3);
     let _ = writeln!(
         json,
         "    \"optimized_serial_ms\": {:.3},",
@@ -589,23 +314,8 @@ fn main() {
     );
     let _ = writeln!(
         json,
-        "    \"legacy_ms_per_point\": {:.3},",
-        legacy_secs * 1e3 / points
-    );
-    let _ = writeln!(
-        json,
-        "    \"optimized_threaded_ms_per_point\": {:.3},",
+        "    \"optimized_threaded_ms_per_point\": {:.3}",
         threaded_secs * 1e3 / points
-    );
-    let _ = writeln!(
-        json,
-        "    \"speedup_serial_vs_legacy\": {:.3},",
-        legacy_secs / serial_secs
-    );
-    let _ = writeln!(
-        json,
-        "    \"speedup_threaded_vs_legacy\": {:.3}",
-        legacy_secs / threaded_secs
     );
     json.push_str("  },\n");
     json.push_str("  \"mc_injection\": {\n");
@@ -625,7 +335,9 @@ fn main() {
         "    \"speedup\": {:.3}",
         mc_serial_secs / mc_parallel_secs
     );
-    json.push_str("  }\n}\n");
+    json.push_str("  },\n");
+    json.push_str(LEGACY_BASELINE);
+    json.push_str("}\n");
 
     if let Some(parent) = std::path::Path::new(&out_path).parent() {
         std::fs::create_dir_all(parent).expect("create output directory");
@@ -638,51 +350,20 @@ fn main() {
         let baseline = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
         let mut failed = false;
-        for p in &decide {
-            let Some(base) = baseline_rps(&baseline, p.name) else {
-                panic!("baseline {path} lacks optimized_rps for {}", p.name);
+        for &(name, rps) in &decide {
+            let Some(base) = baseline_rps(&baseline, name) else {
+                panic!("baseline {path} lacks optimized_rps for {name}");
             };
             let floor = base * (1.0 - MAX_REGRESSION);
-            let ok = p.optimized_rps >= floor;
+            let ok = rps >= floor;
             println!(
-                "check {:<14} {:>12.0} req/s vs baseline {:>12.0} (floor {:>12.0}) {}",
-                p.name,
-                p.optimized_rps,
-                base,
-                floor,
+                "check {name:<14} {rps:>12.0} req/s vs baseline {base:>12.0} (floor {floor:>12.0}) {}",
                 if ok { "ok" } else { "REGRESSED" }
             );
             failed |= !ok;
         }
-        // The timed observability gate re-measures once before failing:
-        // the deterministic asserts inside `obs_overhead` already carry
-        // the compile-away proof, so this bound only has to catch gross
-        // consistent slowdowns, and one unlucky interleaving on a noisy
-        // host must not fail CI.
-        let mut worst = &obs;
-        let remeasured;
-        if worst.iter().any(|p| p.overhead() > MAX_OBS_TIMED_OVERHEAD) {
-            eprintln!("obs timed gap above threshold, re-measuring once");
-            remeasured = obs_overhead(&obs_scenario, decide_reps.max(9));
-            worst = &remeasured;
-        }
-        for p in worst {
-            let ok = p.overhead() <= MAX_OBS_TIMED_OVERHEAD;
-            println!(
-                "check obs {:<14} timed gap {:>+6.2}% (limit {:.0}%) {}",
-                p.name,
-                p.overhead() * 100.0,
-                MAX_OBS_TIMED_OVERHEAD * 100.0,
-                if ok { "ok" } else { "TOO SLOW" }
-            );
-            failed |= !ok;
-        }
         if failed {
-            eprintln!(
-                "perf check failed: decide() regressed more than 30% vs the baseline \
-                 or the noop-sink timed gap exceeded {:.0}%",
-                MAX_OBS_TIMED_OVERHEAD * 100.0
-            );
+            eprintln!("perf check failed: decide() regressed more than 30% vs the baseline");
             std::process::exit(1);
         }
         println!("perf check passed");

@@ -20,6 +20,7 @@
 
 use std::fmt::Write as _;
 
+use mec_obs::NoopSink;
 use mec_sim::{
     CascadeConfig, DegradationConfig, FailureConfig, FailureProcess, RecoveryPolicy, Simulation,
 };
@@ -154,21 +155,30 @@ fn main() {
                     let mut scheduler = make_scheduler(scheme, &scenario);
                     let report = match mode {
                         "none" => sim
-                            .run_with_failures(scheduler.as_mut(), trace, RecoveryPolicy::None)
+                            .run_faulted(
+                                scheduler.as_mut(),
+                                trace,
+                                RecoveryPolicy::None,
+                                None,
+                                &mut NoopSink,
+                            )
                             .expect("fault run"),
                         "recovery" => sim
-                            .run_with_failures(
+                            .run_faulted(
                                 scheduler.as_mut(),
                                 trace,
                                 RecoveryPolicy::SchemeMatching,
+                                None,
+                                &mut NoopSink,
                             )
                             .expect("fault run"),
                         _ => sim
-                            .run_degraded(
+                            .run_faulted(
                                 scheduler.as_mut(),
                                 trace,
                                 RecoveryPolicy::SchemeMatching,
-                                &degradation,
+                                Some(&degradation),
+                                &mut NoopSink,
                             )
                             .expect("degraded run"),
                     };

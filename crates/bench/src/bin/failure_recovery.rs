@@ -13,6 +13,7 @@
 
 use std::fmt::Write as _;
 
+use mec_obs::NoopSink;
 use mec_sim::{FailureConfig, FailureProcess, RecoveryPolicy, Simulation};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -103,7 +104,7 @@ fn main() {
                     Scheme::OffSite => Box::new(OffsitePrimalDual::new(&scenario.instance)),
                 };
                 let report = sim
-                    .run_with_failures(scheduler.as_mut(), &trace, policy)
+                    .run_faulted(scheduler.as_mut(), &trace, policy, None, &mut NoopSink)
                     .expect("fault run");
                 cell.admitted += report.metrics.admitted;
                 cell.violated += report.sla.violated_request_slots();

@@ -33,11 +33,17 @@
 //!   the scenario per algorithm);
 //! * tasks fan out over [`mec_sim::parallel::parallel_map`] scoped
 //!   threads with a deterministic ordered merge, so any `threads` value
-//!   yields the same tables ([`legacy`] keeps a faithful serial copy of
-//!   the old harness as the speedup baseline).
-
-pub mod legacy;
-pub mod uninstrumented;
+//!   yields the same tables.
+//!
+//! The crate holds no second copy of any scheduler. The serial
+//! pre-optimization harness and the four pre-optimization schedulers it
+//! raced last exist at commit `647adb2` (`crates/bench/src/legacy.rs`);
+//! what they proved is now pinned by fixtures under `tests/golden/`:
+//! `decision_streams.txt` holds every decision of every algorithm
+//! (`tests/equivalence.rs`) and `fig1_quick.txt` the `--quick` Figure 1
+//! tables that harness produced (`tests/figures_smoke.rs`). The measured
+//! speed-up is frozen as the `legacy_baseline` block of
+//! `results/BENCH_schedule.json`.
 
 use mec_sim::experiment::SweepTable;
 use mec_sim::parallel::parallel_map;

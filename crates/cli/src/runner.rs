@@ -216,40 +216,14 @@ fn build_setup(
     Ok((instance, requests, rng))
 }
 
-/// Instantiates the scheduler selected by `args`, borrowing `instance`.
-fn make_scheduler<'a>(
+/// Instantiates the scheduler selected by `args`, borrowing `instance`
+/// and tracing every `decide()` into `sink`. Pass [`NoopSink`] for an
+/// untraced scheduler; an enabled sink is only supported by the four
+/// instrumented schedulers (primal-dual and greedy, each scheme).
+fn make_scheduler<'a, K: TraceSink + 'a>(
     instance: &'a ProblemInstance,
     args: &SimulateArgs,
-) -> Result<Box<dyn OnlineScheduler + 'a>, CliError> {
-    Ok(match (args.scheme, args.algorithm) {
-        (Scheme::OnSite, AlgorithmChoice::PrimalDual) => Box::new(
-            OnsitePrimalDual::new(instance, CapacityPolicy::Enforce).map_err(CliError::config)?,
-        ),
-        (Scheme::OnSite, AlgorithmChoice::Greedy) => Box::new(OnsiteGreedy::new(instance)),
-        (Scheme::OffSite, AlgorithmChoice::PrimalDual) => {
-            Box::new(OffsitePrimalDual::new(instance))
-        }
-        (Scheme::OffSite, AlgorithmChoice::Greedy) => Box::new(OffsiteGreedy::new(instance)),
-        (scheme, AlgorithmChoice::Random) => {
-            Box::new(RandomPlacement::new(instance, scheme, args.seed))
-        }
-        (Scheme::OnSite, AlgorithmChoice::Density) => {
-            Box::new(DensityGreedy::new(instance, 0.0).map_err(CliError::config)?)
-        }
-        (Scheme::OffSite, AlgorithmChoice::Density) => {
-            return Err(CliError::Usage("density greedy is on-site only".into()))
-        }
-    })
-}
-
-/// Like [`make_scheduler`], but wires the shared CLI sink into the
-/// scheduler so every `decide()` emits one decision event. Only the four
-/// instrumented schedulers (primal-dual and greedy, each scheme) support
-/// this.
-fn make_traced_scheduler<'a>(
-    instance: &'a ProblemInstance,
-    args: &SimulateArgs,
-    sink: SharedSink<'a>,
+    sink: K,
 ) -> Result<Box<dyn OnlineScheduler + 'a>, CliError> {
     Ok(match (args.scheme, args.algorithm) {
         (Scheme::OnSite, AlgorithmChoice::PrimalDual) => Box::new(
@@ -265,10 +239,19 @@ fn make_traced_scheduler<'a>(
         (Scheme::OffSite, AlgorithmChoice::Greedy) => {
             Box::new(OffsiteGreedy::with_sink(instance, sink))
         }
-        (_, AlgorithmChoice::Random | AlgorithmChoice::Density) => {
+        (_, AlgorithmChoice::Random | AlgorithmChoice::Density) if K::ENABLED => {
             return Err(CliError::Usage(
                 "--trace/--metrics support the primal-dual and greedy algorithms only".into(),
             ))
+        }
+        (scheme, AlgorithmChoice::Random) => {
+            Box::new(RandomPlacement::new(instance, scheme, args.seed))
+        }
+        (Scheme::OnSite, AlgorithmChoice::Density) => {
+            Box::new(DensityGreedy::new(instance, 0.0).map_err(CliError::config)?)
+        }
+        (Scheme::OffSite, AlgorithmChoice::Density) => {
+            return Err(CliError::Usage("density greedy is on-site only".into()))
         }
     })
 }
@@ -298,9 +281,9 @@ pub fn simulate(args: &SimulateArgs, io: &mut Output<'_>) -> Result<(), CliError
             metrics: decision_ids.map(|ids| MetricsSink::new(registry, ids)),
             jsonl: args.trace.as_deref().map(open_trace).transpose()?,
         }));
-        let mut scheduler = make_traced_scheduler(&instance, args, Rc::clone(&sink))?;
+        let mut scheduler = make_scheduler(&instance, args, Rc::clone(&sink))?;
         let report = sim
-            .run_ordered_metered(
+            .run_ordered(
                 scheduler.as_mut(),
                 IntraSlotOrder::Arrival,
                 engine_metrics.as_ref(),
@@ -310,7 +293,7 @@ pub fn simulate(args: &SimulateArgs, io: &mut Output<'_>) -> Result<(), CliError
         finish_trace(sink, args.trace.as_deref(), io)?;
         report
     } else {
-        let mut scheduler = make_scheduler(&instance, args)?;
+        let mut scheduler = make_scheduler(&instance, args, NoopSink)?;
         sim.run(scheduler.as_mut()).map_err(CliError::internal)?
     };
 
@@ -559,20 +542,26 @@ pub fn failures(args: &FailuresArgs, io: &mut Output<'_>) -> Result<(), CliError
             metrics: decision_ids.map(|ids| MetricsSink::new(registry, ids)),
             jsonl: args.sim.trace.as_deref().map(open_trace).transpose()?,
         }));
-        let mut scheduler = make_traced_scheduler(&instance, &args.sim, Rc::clone(&sink))?;
+        let mut scheduler = make_scheduler(&instance, &args.sim, Rc::clone(&sink))?;
         // The engine appends fault-lifecycle events through its own
         // handle to the same stream.
         let mut engine_sink = Rc::clone(&sink);
         let report = sim
-            .run_with_failures_traced(scheduler.as_mut(), &trace, args.policy, &mut engine_sink)
+            .run_faulted(
+                scheduler.as_mut(),
+                &trace,
+                args.policy,
+                None,
+                &mut engine_sink,
+            )
             .map_err(CliError::internal)?;
         drop(scheduler);
         drop(engine_sink);
         finish_trace(sink, args.sim.trace.as_deref(), io)?;
         report
     } else {
-        let mut scheduler = make_scheduler(&instance, &args.sim)?;
-        sim.run_with_failures(scheduler.as_mut(), &trace, args.policy)
+        let mut scheduler = make_scheduler(&instance, &args.sim, NoopSink)?;
+        sim.run_faulted(scheduler.as_mut(), &trace, args.policy, None, &mut NoopSink)
             .map_err(CliError::internal)?
     };
 
@@ -596,9 +585,15 @@ pub fn failures(args: &FailuresArgs, io: &mut Output<'_>) -> Result<(), CliError
     ))?;
 
     if args.policy != RecoveryPolicy::None {
-        let mut baseline = make_scheduler(&instance, &args.sim)?;
+        let mut baseline = make_scheduler(&instance, &args.sim, NoopSink)?;
         let base = sim
-            .run_with_failures(baseline.as_mut(), &trace, RecoveryPolicy::None)
+            .run_faulted(
+                baseline.as_mut(),
+                &trace,
+                RecoveryPolicy::None,
+                None,
+                &mut NoopSink,
+            )
             .map_err(CliError::internal)?;
         io.table(format!("baseline {}: {}", base.policy, base.sla))?;
         io.table(format!(
@@ -666,14 +661,14 @@ pub fn degradation(args: &DegradationArgs, io: &mut Output<'_>) -> Result<(), Cl
             metrics: None,
             jsonl: fargs.sim.trace.as_deref().map(open_trace).transpose()?,
         }));
-        let mut scheduler = make_traced_scheduler(&instance, &fargs.sim, Rc::clone(&sink))?;
+        let mut scheduler = make_scheduler(&instance, &fargs.sim, Rc::clone(&sink))?;
         let mut engine_sink = Rc::clone(&sink);
         let report = sim
-            .run_degraded_traced(
+            .run_faulted(
                 scheduler.as_mut(),
                 &trace,
                 fargs.policy,
-                &args.config,
+                Some(&args.config),
                 &mut engine_sink,
             )
             .map_err(CliError::internal)?;
@@ -682,9 +677,15 @@ pub fn degradation(args: &DegradationArgs, io: &mut Output<'_>) -> Result<(), Cl
         finish_trace(sink, fargs.sim.trace.as_deref(), io)?;
         report
     } else {
-        let mut scheduler = make_scheduler(&instance, &fargs.sim)?;
-        sim.run_degraded(scheduler.as_mut(), &trace, fargs.policy, &args.config)
-            .map_err(CliError::internal)?
+        let mut scheduler = make_scheduler(&instance, &fargs.sim, NoopSink)?;
+        sim.run_faulted(
+            scheduler.as_mut(),
+            &trace,
+            fargs.policy,
+            Some(&args.config),
+            &mut NoopSink,
+        )
+        .map_err(CliError::internal)?
     };
 
     io.note(format!("{instance}"))?;
@@ -737,9 +738,15 @@ pub fn degradation(args: &DegradationArgs, io: &mut Output<'_>) -> Result<(), Cl
 
     // Same-trace baseline without recovery or degradation: what the
     // layer buys in violated slots and retained revenue.
-    let mut baseline = make_scheduler(&instance, &fargs.sim)?;
+    let mut baseline = make_scheduler(&instance, &fargs.sim, NoopSink)?;
     let base = sim
-        .run_with_failures(baseline.as_mut(), &trace, RecoveryPolicy::None)
+        .run_faulted(
+            baseline.as_mut(),
+            &trace,
+            RecoveryPolicy::None,
+            None,
+            &mut NoopSink,
+        )
         .map_err(CliError::config)?;
     io.table(format!("baseline {}: {}", base.policy, base.sla))?;
     io.table(format!(
@@ -762,36 +769,6 @@ pub fn degradation(args: &DegradationArgs, io: &mut Output<'_>) -> Result<(), Cl
         io.note(format!("SLA CSV -> {path}"))?;
     }
     Ok(())
-}
-
-/// Like [`make_traced_scheduler`], but wires the daemon's
-/// [`DecisionTap`] in as the sink so [`serve_daemon`] can pop each
-/// decision right after `decide()` returns.
-fn make_tapped_scheduler<'a>(
-    instance: &'a ProblemInstance,
-    args: &SimulateArgs,
-    tap: DecisionTap,
-) -> Result<Box<dyn OnlineScheduler + 'a>, CliError> {
-    Ok(match (args.scheme, args.algorithm) {
-        (Scheme::OnSite, AlgorithmChoice::PrimalDual) => Box::new(
-            OnsitePrimalDual::with_sink(instance, CapacityPolicy::Enforce, tap)
-                .map_err(CliError::config)?,
-        ),
-        (Scheme::OnSite, AlgorithmChoice::Greedy) => {
-            Box::new(OnsiteGreedy::with_sink(instance, tap))
-        }
-        (Scheme::OffSite, AlgorithmChoice::PrimalDual) => {
-            Box::new(OffsitePrimalDual::with_sink(instance, tap))
-        }
-        (Scheme::OffSite, AlgorithmChoice::Greedy) => {
-            Box::new(OffsiteGreedy::with_sink(instance, tap))
-        }
-        (_, AlgorithmChoice::Random | AlgorithmChoice::Density) => {
-            return Err(CliError::Usage(
-                "serve supports the primal-dual and greedy algorithms only".into(),
-            ))
-        }
-    })
 }
 
 /// A canonical string of everything that defines the daemon's instance
@@ -828,7 +805,7 @@ pub fn serve(args: &ServeArgs, io: &mut Output<'_>) -> Result<(), CliError> {
         return serve_shards(args, &instance, io);
     }
     let tap = DecisionTap::new();
-    let mut scheduler = make_tapped_scheduler(&instance, &args.sim, tap.clone())?;
+    let mut scheduler = make_scheduler(&instance, &args.sim, tap.clone())?;
     let mut registry = MetricsRegistry::new();
     let ids = ServeMetricIds::register(&mut registry, instance.cloudlet_count());
 
@@ -2999,15 +2976,17 @@ mod tests {
     }
 
     #[test]
-    fn trace_and_metrics_reject_uninstrumented_algorithms() {
-        let args = SimulateArgs {
-            algorithm: AlgorithmChoice::Random,
-            trace: Some(temp_path("never-written.jsonl")),
-            ..SimulateArgs::default()
-        };
-        let e = run_simulate(&args).unwrap_err();
-        assert!(matches!(e, CliError::Usage(_)), "{e}");
-        assert!(e.to_string().contains("primal-dual and greedy"), "{e}");
+    fn trace_and_metrics_reject_random_and_density() {
+        for algorithm in [AlgorithmChoice::Random, AlgorithmChoice::Density] {
+            let args = SimulateArgs {
+                algorithm,
+                trace: Some(temp_path("never-written.jsonl")),
+                ..SimulateArgs::default()
+            };
+            let e = run_simulate(&args).unwrap_err();
+            assert!(matches!(e, CliError::Usage(_)), "{e}");
+            assert!(e.to_string().contains("primal-dual and greedy"), "{e}");
+        }
     }
 
     #[test]

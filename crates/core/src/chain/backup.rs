@@ -89,6 +89,16 @@ struct Standby {
     subscribers: Vec<Subscriber>,
 }
 
+impl Standby {
+    /// Slots a subscriber over `[first, last]` adds to the charged hull:
+    /// the new hull `min(first)..=max(last)` minus the old one. The hull
+    /// is one interval, so a window that does not touch it also pays for
+    /// the gap in between — `release_chain` credits the whole hull back.
+    fn hull_extension(&self, first: TimeSlot, last: TimeSlot) -> impl Iterator<Item = TimeSlot> {
+        (first.min(self.first)..self.first).chain(self.last + 1..=last.max(self.last))
+    }
+}
+
 /// One stage's planned protection, produced by [`SharedBackupPool::plan`]
 /// and consumed by [`SharedBackupPool::commit`].
 #[derive(Debug, Clone, PartialEq)]
@@ -247,9 +257,7 @@ impl SharedBackupPool {
                         continue;
                     }
                     // Hull extension the join would charge.
-                    let ext: Vec<TimeSlot> = (first..=last)
-                        .filter(|&t| t < s.first || t > s.last)
-                        .collect();
+                    let ext: Vec<TimeSlot> = s.hull_extension(first, last).collect();
                     let fits = ext.iter().all(|&t| {
                         ledger.residual(need.cloudlet, t)
                             - pending(need.cloudlet, t)
@@ -341,10 +349,8 @@ impl SharedBackupPool {
                         .as_mut()
                         .expect("joined standby must be live at commit");
                     // Charge only the hull extension.
-                    for t in p.first..=p.last {
-                        if t < s.first || t > s.last {
-                            ledger.charge(s.cloudlet, t..=t, s.compute as f64);
-                        }
+                    for t in s.hull_extension(p.first, p.last) {
+                        ledger.charge(s.cloudlet, t..=t, s.compute as f64);
                     }
                     s.first = s.first.min(p.first);
                     s.last = s.last.max(p.last);
@@ -644,6 +650,93 @@ mod tests {
         assert_eq!(led.used_grid(), &baseline[..]);
         assert_eq!(pool.charged_compute_slots(), 0.0);
         assert_eq!(pool.standbys().count(), 0);
+    }
+
+    #[test]
+    fn gap_join_charges_the_whole_hull_extension() {
+        // Chain 0 over [0,2], chain 1 over [6,8]: the windows do not
+        // touch, the shared standby's hull becomes [0,8], and the join
+        // pays for the gap 3..=5 as well as its own window.
+        for release_order in [[0, 1], [1, 0]] {
+            let mut led = ledger(&[10]);
+            let baseline = led.used_grid().to_vec();
+            let mut pool = SharedBackupPool::new(0.1);
+            let p0 = pool
+                .plan(
+                    BackupMode::Shared,
+                    &[need(0, 2, 1, 0, 0.02)],
+                    0,
+                    2,
+                    &led,
+                    &NO_PENDING,
+                )
+                .unwrap();
+            pool.commit(&p0, 0, &mut led);
+            let p1 = pool
+                .plan(
+                    BackupMode::Shared,
+                    &[need(0, 2, 1, 0, 0.02)],
+                    6,
+                    8,
+                    &led,
+                    &NO_PENDING,
+                )
+                .unwrap();
+            assert_eq!(p1.new_compute_slots, 6.0, "gap 3..=5 plus window 6..=8");
+            let ids = pool.commit(&p1, 1, &mut led);
+            assert!(ids[0].1, "second chain joins across the gap");
+            assert_eq!(pool.standby_count(), 1);
+            assert_eq!(pool.charged_compute_slots(), 9.0);
+            for t in 0..=8 {
+                assert_eq!(led.used(CloudletId(0), t), 1.0, "slot {t}");
+            }
+            assert_eq!(led.used(CloudletId(0), 9), 0.0);
+
+            let [a, b] = release_order;
+            assert_eq!(pool.release_chain(a, &mut led), 1);
+            assert_eq!(pool.standby_count(), 1);
+            assert_eq!(pool.release_chain(a, &mut led), 0, "double release");
+            assert_eq!(pool.release_chain(b, &mut led), 1);
+            assert_eq!(pool.release_chain(b, &mut led), 0, "double release");
+            assert!(pool.is_empty());
+            assert_eq!(led.used_grid(), &baseline[..]);
+            assert_eq!(pool.charged_compute_slots(), 0.0);
+        }
+    }
+
+    #[test]
+    fn gap_join_is_refused_when_the_gap_has_no_room() {
+        // A foreign charge fills slot 4, inside the would-be gap 3..=5,
+        // so the join across it cannot be charged; a fresh standby over
+        // the joiner's own window is planned instead.
+        let mut led = ledger(&[1]);
+        let mut pool = SharedBackupPool::new(0.1);
+        let p0 = pool
+            .plan(
+                BackupMode::Shared,
+                &[need(0, 2, 1, 0, 0.02)],
+                0,
+                2,
+                &led,
+                &NO_PENDING,
+            )
+            .unwrap();
+        pool.commit(&p0, 0, &mut led);
+        led.charge(CloudletId(0), 4..=4, 1.0);
+        let p1 = pool
+            .plan(
+                BackupMode::Shared,
+                &[need(0, 2, 1, 0, 0.02)],
+                6,
+                8,
+                &led,
+                &NO_PENDING,
+            )
+            .unwrap();
+        assert_eq!(p1.stages[0].join, None);
+        assert_eq!(p1.new_compute_slots, 3.0);
+        pool.commit(&p1, 1, &mut led);
+        assert_eq!(led.max_overflow(), 0.0);
     }
 
     #[test]

@@ -62,9 +62,9 @@ impl<'a, S: TraceSink> OffsiteGreedy<'a, S> {
         });
         OffsiteGreedy {
             instance,
-            order,
             ledger: CapacityLedger::new(instance.network(), instance.horizon()),
-            selected: Vec::new(),
+            selected: Vec::with_capacity(order.len()),
+            order,
             sink,
         }
     }

@@ -35,5 +35,5 @@ pub use json::{parse_line, parse_trace, parse_value, to_json, JsonValue, ParseEr
 pub use metrics::{
     DecisionMetricIds, MetricId, MetricsRegistry, MetricsShard, MetricsSink, DUAL_COST_BUCKETS,
 };
-pub use sink::{JsonlSink, LastEventSink, NoopSink, RingSink, TraceSink};
+pub use sink::{JsonlSink, LastEventSink, NoopSink, RingSink, TraceSink, TripwireSink};
 pub use stage::{record_stage, PipelineStage, StageClock};

@@ -3,8 +3,14 @@
 //! Schedulers and the simulation engine are generic over `S: TraceSink`.
 //! The default [`NoopSink`] advertises `ENABLED = false`, so every
 //! instrumentation hook sits behind `if S::ENABLED { ... }` and the
-//! monomorphized no-op variant compiles to the exact pre-instrumentation
-//! code (verified by the `obs_overhead` section of `bench_report`).
+//! monomorphized no-op variant never builds an event. Two checks hold
+//! every hook to that, neither needing a sink-free copy of the code:
+//! [`TripwireSink`] (also disabled, but its `record` panics) is run
+//! through the golden decision streams and a faulted, degraded engine
+//! run, so an unguarded hook fails a test by name; and
+//! `tests/sched_alloc.rs` counts heap allocations per `decide()` under
+//! `NoopSink` (0 for a reject or an on-site admit, 1 for an off-site
+//! admit), which an event built and then dropped would exceed.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -34,6 +40,24 @@ impl TraceSink for NoopSink {
 
     #[inline(always)]
     fn record(&mut self, _event: TraceEvent) {}
+}
+
+/// A disabled sink that must never be reached: `ENABLED = false` like
+/// [`NoopSink`], but `record` panics, naming the event. Running code
+/// under it turns "every hook is behind `if S::ENABLED`" from a
+/// convention into a test failure.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TripwireSink;
+
+impl TraceSink for TripwireSink {
+    const ENABLED: bool = false;
+
+    fn record(&mut self, event: TraceEvent) {
+        panic!(
+            "unguarded trace hook: a `{}` event reached a disabled sink",
+            event.kind()
+        );
+    }
 }
 
 /// Keeps only the most recent event. Unlike the `Rc`-based decision tap
@@ -214,6 +238,14 @@ mod tests {
     fn noop_is_disabled() {
         const { assert!(!NoopSink::ENABLED) };
         assert!(RingSink::new(4).capacity >= 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "unguarded trace hook: a `sla-breach` event")]
+    fn tripwire_panics_on_an_unguarded_record() {
+        const { assert!(!TripwireSink::ENABLED) };
+        // Deliberately not behind `if TripwireSink::ENABLED`.
+        TripwireSink.record(breach(0));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 use std::time::Instant;
 
-use mec_obs::{NoopSink, TraceEvent, TraceSink};
+use mec_obs::{TraceEvent, TraceSink};
 use mec_topology::{CloudletId, Reliability};
 use mec_workload::{Request, TimeSlot};
 use vnfrel::reliability::onsite_availability;
@@ -48,7 +48,7 @@ pub struct RunReport {
 }
 
 /// Knobs of the graceful-degradation layer
-/// ([`Simulation::run_degraded`]).
+/// (the `degradation` argument of [`Simulation::run_faulted`]).
 ///
 /// The layer adds three mechanisms on top of a [`RecoveryPolicy`]:
 ///
@@ -139,7 +139,7 @@ pub struct DegradationStats {
     pub retries_exhausted: usize,
 }
 
-/// Result of one fault-aware run ([`Simulation::run_with_failures`]).
+/// Result of one fault-aware run ([`Simulation::run_faulted`]).
 ///
 /// There is no [`ValidationReport`] here: the static feasibility checker
 /// assumes placements persist over their full window, which dynamic
@@ -160,8 +160,8 @@ pub struct FaultRunReport {
     /// Invariant-auditor findings, when auditing was enabled
     /// ([`DegradationConfig::audit`]).
     pub audit: Option<AuditReport>,
-    /// Degradation-layer counters, when the run used
-    /// [`Simulation::run_degraded`].
+    /// Degradation-layer counters, when the run was given a
+    /// [`DegradationConfig`].
     pub degradation: Option<DegradationStats>,
 }
 
@@ -295,7 +295,8 @@ impl<'a> Simulation<'a> {
         self.requests
     }
 
-    /// Replays the stream through `scheduler` and validates the result.
+    /// Replays the stream through `scheduler` in arrival order and
+    /// validates the result: [`Simulation::run_ordered`] at its defaults.
     ///
     /// # Errors
     ///
@@ -305,33 +306,19 @@ impl<'a> Simulation<'a> {
         &self,
         scheduler: &mut S,
     ) -> Result<RunReport, SimError> {
-        self.run_ordered(scheduler, IntraSlotOrder::Arrival)
+        self.run_ordered(scheduler, IntraSlotOrder::Arrival, None)
     }
 
-    /// Like [`Simulation::run`], but each slot's batch of arrivals is
-    /// reordered by `order` before being offered to the scheduler.
+    /// The plain slot loop. Each slot's batch of arrivals is reordered
+    /// by `order` before being offered to the scheduler, and engine-side
+    /// metrics are recorded into `metrics` when given: a `decide()`
+    /// wall-clock latency histogram and, at the end of the run, one
+    /// mean-utilization gauge per cloudlet. `None` reads no clock.
     ///
     /// # Errors
     ///
     /// Propagates validation errors.
     pub fn run_ordered<S: OnlineScheduler + ?Sized>(
-        &self,
-        scheduler: &mut S,
-        order: IntraSlotOrder,
-    ) -> Result<RunReport, SimError> {
-        self.run_ordered_metered(scheduler, order, None)
-    }
-
-    /// Like [`Simulation::run_ordered`], but records engine-side metrics
-    /// into `metrics` when given: a `decide()` wall-clock latency
-    /// histogram and, at the end of the run, one mean-utilization gauge
-    /// per cloudlet. Pass `None` to get the exact behaviour (and cost)
-    /// of [`Simulation::run_ordered`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates validation errors.
-    pub fn run_ordered_metered<S: OnlineScheduler + ?Sized>(
         &self,
         scheduler: &mut S,
         order: IntraSlotOrder,
@@ -474,103 +461,42 @@ impl<'a> Simulation<'a> {
     /// unaffected by faults; the SLA ledger tracks what part of that
     /// revenue survives downtime refunds.
     ///
-    /// # Errors
+    /// `degradation = Some(config)` switches the graceful-degradation
+    /// layer on: degraded-mode admission headroom while a failure domain
+    /// (or cascade outage) is down (step 2), revenue-aware load shedding
+    /// when re-placements find no room and bounded retries with
+    /// exponential backoff per failure episode (step 4), and — when
+    /// [`DegradationConfig::audit`] is set — a per-slot invariant audit
+    /// attached to the report. See [`DegradationConfig`] for the knobs.
+    /// Cascade outages replay whenever the failure stream carries a
+    /// [`CascadeConfig`](crate::CascadeConfig), degradation or not, so
+    /// the same trace stresses every policy identically.
     ///
-    /// Returns [`SimError::Mismatch`] when the failure stream was
-    /// generated for a different horizon or topology, and propagates
-    /// ledger release failures (which would indicate double-release
-    /// bookkeeping bugs).
-    pub fn run_with_failures<S: OnlineScheduler + ?Sized>(
-        &self,
-        scheduler: &mut S,
-        failures: &FailureProcess,
-        policy: RecoveryPolicy,
-    ) -> Result<FaultRunReport, SimError> {
-        self.run_with_failures_traced(scheduler, failures, policy, &mut NoopSink)
-    }
-
-    /// Like [`Simulation::run_with_failures`], but records one
-    /// [`TraceEvent`] per fault-lifecycle transition into `sink`:
+    /// `sink` receives one [`TraceEvent`] per fault-lifecycle transition:
     /// [`TraceEvent::OutageStart`]/[`TraceEvent::OutageEnd`] when a
     /// cloudlet crashes or is repaired, [`TraceEvent::InstanceKill`] when
     /// an instance-kill resolves to a victim request,
-    /// [`TraceEvent::SlaBreach`] when a placement falls below `R_i`, and
+    /// [`TraceEvent::SlaBreach`] when a placement falls below `R_i`,
     /// [`TraceEvent::Recovery`] for every recovery attempt (successful or
-    /// not, with the re-placement cloudlets on success).
-    ///
-    /// Decision events are *not* emitted here — they belong to the
-    /// scheduler, which carries its own sink (see
-    /// `with_sink` on the scheduler types); share one sink between both
-    /// via `Rc<RefCell<_>>` to get a single interleaved stream.
-    ///
-    /// With `&mut NoopSink` this is exactly
-    /// [`Simulation::run_with_failures`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Simulation::run_with_failures`].
-    pub fn run_with_failures_traced<S: OnlineScheduler + ?Sized, K: TraceSink>(
-        &self,
-        scheduler: &mut S,
-        failures: &FailureProcess,
-        policy: RecoveryPolicy,
-        sink: &mut K,
-    ) -> Result<FaultRunReport, SimError> {
-        self.fault_run(scheduler, failures, policy, None, sink)
-    }
-
-    /// Like [`Simulation::run_with_failures`], with the graceful-
-    /// degradation layer active: degraded-mode admission headroom while
-    /// a failure domain (or cascade outage) is down, revenue-aware load
-    /// shedding when re-placements find no room, bounded retries with
-    /// exponential backoff per failure episode, and — when
-    /// [`DegradationConfig::audit`] is set — a per-slot invariant audit
-    /// attached to the report. See [`DegradationConfig`] for the knobs.
+    /// not, with the re-placement cloudlets on success), and from the
+    /// degradation layer [`TraceEvent::Eviction`],
+    /// [`TraceEvent::DegradedEnter`] / [`TraceEvent::DegradedExit`],
+    /// [`TraceEvent::Cascade`], [`TraceEvent::DomainOutageStart`] /
+    /// [`TraceEvent::DomainOutageEnd`] and
+    /// [`TraceEvent::AuditViolation`]. Decision events are *not* emitted
+    /// here — they belong to the scheduler, which carries its own sink
+    /// (see `with_sink` on the scheduler types); share one sink between
+    /// both via `Rc<RefCell<_>>` to get a single interleaved stream.
+    /// Pass `&mut NoopSink` for no tracing: every hook is behind
+    /// `K::ENABLED` and compiles away.
     ///
     /// # Errors
     ///
-    /// Same as [`Simulation::run_with_failures`], plus
-    /// [`SimError::Mismatch`] for invalid degradation knobs.
-    pub fn run_degraded<S: OnlineScheduler + ?Sized>(
-        &self,
-        scheduler: &mut S,
-        failures: &FailureProcess,
-        policy: RecoveryPolicy,
-        config: &DegradationConfig,
-    ) -> Result<FaultRunReport, SimError> {
-        self.fault_run(scheduler, failures, policy, Some(config), &mut NoopSink)
-    }
-
-    /// Like [`Simulation::run_degraded`], recording fault-lifecycle,
-    /// degradation ([`TraceEvent::Eviction`], [`TraceEvent::DegradedEnter`]
-    /// / [`TraceEvent::DegradedExit`], [`TraceEvent::Cascade`],
-    /// [`TraceEvent::DomainOutageStart`] / [`TraceEvent::DomainOutageEnd`])
-    /// and [`TraceEvent::AuditViolation`] events into `sink`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Simulation::run_degraded`].
-    pub fn run_degraded_traced<S: OnlineScheduler + ?Sized, K: TraceSink>(
-        &self,
-        scheduler: &mut S,
-        failures: &FailureProcess,
-        policy: RecoveryPolicy,
-        config: &DegradationConfig,
-        sink: &mut K,
-    ) -> Result<FaultRunReport, SimError> {
-        self.fault_run(scheduler, failures, policy, Some(config), sink)
-    }
-
-    /// The shared slot loop behind [`Simulation::run_with_failures`] and
-    /// [`Simulation::run_degraded`]. With `degradation = None` this is
-    /// exactly the five-step loop documented on
-    /// [`Simulation::run_with_failures`]; a config adds the headroom
-    /// veto (step 2), load shedding and backoff (step 4), and the
-    /// end-of-slot audit. Cascade outages replay whenever the failure
-    /// stream carries a [`CascadeConfig`](crate::CascadeConfig),
-    /// degradation or not, so the same trace stresses every policy
-    /// identically.
-    fn fault_run<S: OnlineScheduler + ?Sized, K: TraceSink>(
+    /// Returns [`SimError::Mismatch`] when the failure stream was
+    /// generated for a different horizon or topology or the degradation
+    /// knobs are invalid, and propagates ledger release failures (which
+    /// would indicate double-release bookkeeping bugs).
+    pub fn run_faulted<S: OnlineScheduler + ?Sized, K: TraceSink>(
         &self,
         scheduler: &mut S,
         failures: &FailureProcess,
@@ -1195,6 +1121,7 @@ impl<'a> Simulation<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mec_obs::NoopSink;
     use mec_topology::{NetworkBuilder, Reliability};
     use mec_workload::{Horizon, RequestGenerator, RequestId, VnfCatalog, VnfTypeId};
     use rand::SeedableRng;
@@ -1288,7 +1215,7 @@ mod tests {
             IntraSlotOrder::DensityDescending,
         ] {
             let mut g = OnsiteGreedy::new(&inst);
-            let report = sim.run_ordered(&mut g, order).unwrap();
+            let report = sim.run_ordered(&mut g, order, None).unwrap();
             assert_eq!(report.schedule.len(), 80, "{order:?}");
             assert!(report.validation.is_feasible(), "{order:?}");
         }
@@ -1296,7 +1223,9 @@ mod tests {
         let mut a = OnsiteGreedy::new(&inst);
         let ra = sim.run(&mut a).unwrap();
         let mut b = OnsiteGreedy::new(&inst);
-        let rb = sim.run_ordered(&mut b, IntraSlotOrder::Arrival).unwrap();
+        let rb = sim
+            .run_ordered(&mut b, IntraSlotOrder::Arrival, None)
+            .unwrap();
         assert_eq!(ra.schedule, rb.schedule);
     }
 
@@ -1335,7 +1264,7 @@ mod tests {
 
         let mut g = OnsiteGreedy::new(&inst);
         let paid = sim
-            .run_ordered(&mut g, IntraSlotOrder::PaymentDescending)
+            .run_ordered(&mut g, IntraSlotOrder::PaymentDescending, None)
             .unwrap();
         assert!(!paid.schedule.is_admitted(RequestId(0)));
         assert!(paid.schedule.is_admitted(RequestId(1)));
@@ -1399,7 +1328,13 @@ mod tests {
             let plain = sim.run(&mut a).unwrap();
             let mut b = OnsitePrimalDual::new(&inst, CapacityPolicy::Enforce).unwrap();
             let faulty = sim
-                .run_with_failures(&mut b, &empty, RecoveryPolicy::SchemeMatching)
+                .run_faulted(
+                    &mut b,
+                    &empty,
+                    RecoveryPolicy::SchemeMatching,
+                    None,
+                    &mut NoopSink,
+                )
                 .unwrap();
             assert_eq!(plain.schedule, faulty.schedule);
             assert_eq!(plain.metrics, faulty.metrics);
@@ -1425,7 +1360,7 @@ mod tests {
             let trace = outage_trace(inst.horizon());
             let mut g = OnsiteGreedy::new(&inst);
             let report = sim
-                .run_with_failures(&mut g, &trace, RecoveryPolicy::None)
+                .run_faulted(&mut g, &trace, RecoveryPolicy::None, None, &mut NoopSink)
                 .unwrap();
             assert!(report.schedule.is_admitted(RequestId(0)));
             let rec = &report.sla.records[0];
@@ -1454,7 +1389,13 @@ mod tests {
             let trace = outage_trace(inst.horizon());
             let mut g = OnsiteGreedy::new(&inst);
             let report = sim
-                .run_with_failures(&mut g, &trace, RecoveryPolicy::SchemeMatching)
+                .run_faulted(
+                    &mut g,
+                    &trace,
+                    RecoveryPolicy::SchemeMatching,
+                    None,
+                    &mut NoopSink,
+                )
                 .unwrap();
             let rec = &report.sla.records[0];
             assert_eq!(rec.failures, 1);
@@ -1470,7 +1411,7 @@ mod tests {
             // Strictly better than no recovery on the same trace.
             let mut g2 = OnsiteGreedy::new(&inst);
             let none = sim
-                .run_with_failures(&mut g2, &trace, RecoveryPolicy::None)
+                .run_faulted(&mut g2, &trace, RecoveryPolicy::None, None, &mut NoopSink)
                 .unwrap();
             assert!(report.sla.violated_request_slots() < none.sla.violated_request_slots());
             // The replacement landed on the repaired cloudlet 1 for the
@@ -1491,12 +1432,24 @@ mod tests {
             // The traced run must not change behaviour at all.
             let mut g0 = OnsiteGreedy::new(&inst);
             let plain = sim
-                .run_with_failures(&mut g0, &trace, RecoveryPolicy::SchemeMatching)
+                .run_faulted(
+                    &mut g0,
+                    &trace,
+                    RecoveryPolicy::SchemeMatching,
+                    None,
+                    &mut NoopSink,
+                )
                 .unwrap();
             let mut g = OnsiteGreedy::new(&inst);
             let mut sink = RingSink::new(64);
             let traced = sim
-                .run_with_failures_traced(&mut g, &trace, RecoveryPolicy::SchemeMatching, &mut sink)
+                .run_faulted(
+                    &mut g,
+                    &trace,
+                    RecoveryPolicy::SchemeMatching,
+                    None,
+                    &mut sink,
+                )
                 .unwrap();
             assert_eq!(plain, traced);
 
@@ -1543,7 +1496,7 @@ mod tests {
                 FailureProcess::from_events(Horizon::new(5), [], FailureConfig::default()).unwrap();
             let mut g = OnsiteGreedy::new(&inst);
             assert!(sim
-                .run_with_failures(&mut g, &short, RecoveryPolicy::None)
+                .run_faulted(&mut g, &short, RecoveryPolicy::None, None, &mut NoopSink)
                 .is_err());
             // Unknown cloudlet index.
             let alien = FailureProcess::from_events(
@@ -1557,7 +1510,7 @@ mod tests {
             .unwrap();
             let mut g = OnsiteGreedy::new(&inst);
             assert!(sim
-                .run_with_failures(&mut g, &alien, RecoveryPolicy::None)
+                .run_faulted(&mut g, &alien, RecoveryPolicy::None, None, &mut NoopSink)
                 .is_err());
         }
 
@@ -1594,7 +1547,13 @@ mod tests {
             .unwrap();
             let mut g = vnfrel::offsite::OffsiteGreedy::new(&inst);
             let report = sim
-                .run_with_failures(&mut g, &trace, RecoveryPolicy::SchemeMatching)
+                .run_faulted(
+                    &mut g,
+                    &trace,
+                    RecoveryPolicy::SchemeMatching,
+                    None,
+                    &mut NoopSink,
+                )
                 .unwrap();
             assert!(report.schedule.is_admitted(RequestId(0)));
             let rec = &report.sla.records[0];
@@ -1679,15 +1638,22 @@ mod tests {
                 FailureProcess::from_events(inst.horizon(), [], FailureConfig::default()).unwrap();
             let mut a = OnsiteGreedy::new(&inst);
             let plain = sim
-                .run_with_failures(&mut a, &empty, RecoveryPolicy::SchemeMatching)
+                .run_faulted(
+                    &mut a,
+                    &empty,
+                    RecoveryPolicy::SchemeMatching,
+                    None,
+                    &mut NoopSink,
+                )
                 .unwrap();
             let mut b = OnsiteGreedy::new(&inst);
             let deg = sim
-                .run_degraded(
+                .run_faulted(
                     &mut b,
                     &empty,
                     RecoveryPolicy::SchemeMatching,
-                    &DegradationConfig::default(),
+                    Some(&DegradationConfig::default()),
+                    &mut NoopSink,
                 )
                 .unwrap();
             assert_eq!(plain.schedule, deg.schedule);
@@ -1727,7 +1693,13 @@ mod tests {
                         .unwrap();
                 let mut g = OnsiteGreedy::new(&inst);
                 assert!(sim
-                    .run_degraded(&mut g, &empty, RecoveryPolicy::SchemeMatching, &cfg)
+                    .run_faulted(
+                        &mut g,
+                        &empty,
+                        RecoveryPolicy::SchemeMatching,
+                        Some(&cfg),
+                        &mut NoopSink
+                    )
                     .is_err());
             }
         }
@@ -1742,11 +1714,11 @@ mod tests {
             let mut g = OnsiteGreedy::new(&inst);
             let mut sink = RingSink::new(64);
             let report = sim
-                .run_degraded_traced(
+                .run_faulted(
                     &mut g,
                     &trace,
                     RecoveryPolicy::SchemeMatching,
-                    &DegradationConfig::default(),
+                    Some(&DegradationConfig::default()),
                     &mut sink,
                 )
                 .unwrap();
@@ -1781,7 +1753,7 @@ mod tests {
             // revenue than no recovery on the identical trace.
             let mut g2 = OnsiteGreedy::new(&inst);
             let none = sim
-                .run_with_failures(&mut g2, &trace, RecoveryPolicy::None)
+                .run_faulted(&mut g2, &trace, RecoveryPolicy::None, None, &mut NoopSink)
                 .unwrap();
             assert!(report.sla.violated_request_slots() < none.sla.violated_request_slots());
             assert!(report.sla.revenue_retained() > none.sla.revenue_retained());
@@ -1823,7 +1795,13 @@ mod tests {
             // Without degradation the second request is admitted.
             let mut g = OnsiteGreedy::new(&inst);
             let plain = sim
-                .run_with_failures(&mut g, &trace, RecoveryPolicy::SchemeMatching)
+                .run_faulted(
+                    &mut g,
+                    &trace,
+                    RecoveryPolicy::SchemeMatching,
+                    None,
+                    &mut NoopSink,
+                )
                 .unwrap();
             assert!(plain.schedule.is_admitted(RequestId(1)));
 
@@ -1836,7 +1814,13 @@ mod tests {
             };
             let mut g2 = OnsiteGreedy::new(&inst);
             let report = sim
-                .run_degraded(&mut g2, &trace, RecoveryPolicy::SchemeMatching, &cfg)
+                .run_faulted(
+                    &mut g2,
+                    &trace,
+                    RecoveryPolicy::SchemeMatching,
+                    Some(&cfg),
+                    &mut NoopSink,
+                )
                 .unwrap();
             assert!(report.schedule.is_admitted(RequestId(0)));
             assert!(!report.schedule.is_admitted(RequestId(1)));
@@ -1901,11 +1885,11 @@ mod tests {
             let mut g = OnsiteGreedy::new(&inst);
             let mut sink = RingSink::new(64);
             let report = sim
-                .run_degraded_traced(
+                .run_faulted(
                     &mut g,
                     &trace,
                     RecoveryPolicy::SchemeMatching,
-                    &DegradationConfig::default(),
+                    Some(&DegradationConfig::default()),
                     &mut sink,
                 )
                 .unwrap();
@@ -1950,7 +1934,13 @@ mod tests {
             };
             let mut g2 = OnsiteGreedy::new(&inst);
             let kept = sim
-                .run_degraded(&mut g2, &trace, RecoveryPolicy::SchemeMatching, &no_shed)
+                .run_faulted(
+                    &mut g2,
+                    &trace,
+                    RecoveryPolicy::SchemeMatching,
+                    Some(&no_shed),
+                    &mut NoopSink,
+                )
                 .unwrap();
             assert_eq!(kept.degradation.unwrap().evictions, 0);
             assert!(report.sla.revenue_retained() > kept.sla.revenue_retained());
@@ -1992,7 +1982,13 @@ mod tests {
             };
             let mut g = OnsiteGreedy::new(&inst);
             let report = sim
-                .run_degraded(&mut g, &trace, RecoveryPolicy::SchemeMatching, &spaced)
+                .run_faulted(
+                    &mut g,
+                    &trace,
+                    RecoveryPolicy::SchemeMatching,
+                    Some(&spaced),
+                    &mut NoopSink,
+                )
                 .unwrap();
             let rec = &report.sla.records[0];
             assert_eq!(rec.recovery_attempts, 2);
@@ -2008,7 +2004,13 @@ mod tests {
             };
             let mut g2 = OnsiteGreedy::new(&inst);
             let report = sim
-                .run_degraded(&mut g2, &trace, RecoveryPolicy::SchemeMatching, &single)
+                .run_faulted(
+                    &mut g2,
+                    &trace,
+                    RecoveryPolicy::SchemeMatching,
+                    Some(&single),
+                    &mut NoopSink,
+                )
                 .unwrap();
             let rec = &report.sla.records[0];
             assert_eq!(rec.recovery_attempts, 1);
@@ -2051,11 +2053,11 @@ mod tests {
             let mut g = OnsiteGreedy::new(&inst);
             let mut sink = RingSink::new(64);
             let report = sim
-                .run_degraded_traced(
+                .run_faulted(
                     &mut g,
                     &trace,
                     RecoveryPolicy::SchemeMatching,
-                    &DegradationConfig::default(),
+                    Some(&DegradationConfig::default()),
                     &mut sink,
                 )
                 .unwrap();

@@ -188,6 +188,7 @@ mod tests {
     fn fault_csvs_cover_every_slot_and_admitted_request() {
         use crate::fault::{FailureConfig, FailureEvent, FailureProcess};
         use crate::recovery::RecoveryPolicy;
+        use mec_obs::NoopSink;
 
         let mut b = NetworkBuilder::new();
         let a = b.add_ap("a");
@@ -216,7 +217,13 @@ mod tests {
         )
         .unwrap();
         let report = sim
-            .run_with_failures(&mut g, &trace, RecoveryPolicy::SchemeMatching)
+            .run_faulted(
+                &mut g,
+                &trace,
+                RecoveryPolicy::SchemeMatching,
+                None,
+                &mut NoopSink,
+            )
             .unwrap();
 
         let timeline = fault_timeline_csv(&report);

@@ -6,9 +6,12 @@
 //! injects component failures Monte-Carlo style to verify that admitted
 //! requests actually receive their promised availability.
 //!
-//! * [`Simulation`] — the engine ([`Simulation::run`] produces a
-//!   [`RunReport`] with metrics, a feasibility report, and a per-slot
-//!   timeline),
+//! * [`Simulation`] — the engine, with three run entry points over its
+//!   two slot loops: [`Simulation::run`] produces a [`RunReport`] with
+//!   metrics, a feasibility report, and a per-slot timeline;
+//!   [`Simulation::run_ordered`] is the same plain loop with the
+//!   intra-slot order and optional engine metrics spelled out; and
+//!   [`Simulation::run_faulted`] is the fault loop (see below),
 //! * [`failure::inject_failures`] — sampled cloudlet/VNF failures versus
 //!   each admitted request's requirement `R_i`,
 //! * [`MixedSimulation`] + [`chain_failure::inject_chain_failures`] —
@@ -17,14 +20,14 @@
 //!   *chain* reliability (standby rescues included) against `R_i`,
 //! * [`fault`] + [`recovery`] — *dynamic* fault injection: a seeded
 //!   per-slot outage trace ([`FailureProcess`]) replayed through
-//!   [`Simulation::run_with_failures`], which releases dead capacity,
+//!   [`Simulation::run_faulted`], which releases dead capacity,
 //!   re-places affected requests under a [`RecoveryPolicy`], and keeps
 //!   an SLA ledger ([`SlaReport`]) of downtime and refunds,
 //! * [`experiment`] — sweep tables used by the figure-regeneration
 //!   binaries in `vnfrel-bench`,
 //! * [`obs`] — engine-side observability: decide-latency/utilization
-//!   metrics for [`Simulation::run_ordered_metered`] and fault-lifecycle
-//!   trace events from [`Simulation::run_with_failures_traced`]
+//!   metrics for [`Simulation::run_ordered`] and fault-lifecycle
+//!   trace events from [`Simulation::run_faulted`]
 //!   (schedulers emit their own decision events via `mec_obs`).
 
 #![warn(missing_docs)]

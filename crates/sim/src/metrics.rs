@@ -68,7 +68,7 @@ pub struct SlotStats {
 }
 
 /// Per-slot counters of a fault-aware run
-/// ([`Simulation::run_with_failures`](crate::Simulation::run_with_failures)).
+/// ([`Simulation::run_faulted`](crate::Simulation::run_faulted)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FaultSlotStats {
     /// Requests that arrived in this slot.
@@ -86,8 +86,9 @@ pub struct FaultSlotStats {
     /// Active requests still without a valid placement at the end of the
     /// slot — each one is an SLA-violated request-slot.
     pub violated: usize,
-    /// Requests evicted by the load shedder in this slot (0 outside
-    /// [`Simulation::run_degraded`](crate::Simulation::run_degraded)).
+    /// Requests evicted by the load shedder in this slot (0 unless
+    /// [`Simulation::run_faulted`](crate::Simulation::run_faulted) was
+    /// given a degradation config).
     pub evicted: usize,
 }
 

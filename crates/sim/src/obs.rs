@@ -13,7 +13,7 @@
 //! let mut registry = MetricsRegistry::new();
 //! let ids = EngineMetricIds::register(&mut registry, 3); // 3 cloudlets
 //! let metrics = EngineMetrics::new(&registry, ids);
-//! // pass `Some(&metrics)` to `Simulation::run_ordered_metered`
+//! // pass `Some(&metrics)` to `Simulation::run_ordered`
 //! ```
 
 use mec_obs::{MetricId, MetricsRegistry};

@@ -1,7 +1,7 @@
 //! Online recovery policies: re-placement of requests whose placement
 //! was destroyed by dynamic faults.
 //!
-//! When [`Simulation::run_with_failures`](crate::Simulation::run_with_failures)
+//! When [`Simulation::run_faulted`](crate::Simulation::run_faulted)
 //! detects that a request's surviving placement no longer meets its
 //! requirement `R_i`, the dead capacity has already been
 //! [released](vnfrel::CapacityLedger::release); the request is then

@@ -6,6 +6,7 @@
 //! * SchemeMatching recovery replays are deterministic regardless of the
 //!   thread count used to fan the experiment out.
 
+use mec_obs::NoopSink;
 use mec_sim::{
     parallel, CascadeConfig, DegradationConfig, FailureConfig, FailureProcess, RecoveryPolicy,
     Simulation,
@@ -88,11 +89,12 @@ proptest! {
         let sim = Simulation::new(&inst, &requests).unwrap();
         let mut g = OnsiteGreedy::new(&inst);
         let report = sim
-            .run_degraded(
+            .run_faulted(
                 &mut g,
                 &trace,
                 RecoveryPolicy::SchemeMatching,
-                &DegradationConfig::default(),
+                Some(&DegradationConfig::default()),
+                &mut NoopSink,
             )
             .unwrap();
         let audit = report.audit.as_ref().expect("auditing on by default");
@@ -121,11 +123,12 @@ proptest! {
         let sim = Simulation::new(&inst, &requests).unwrap();
         let run = || {
             let mut g = OnsiteGreedy::new(&inst);
-            sim.run_degraded(
+            sim.run_faulted(
                 &mut g,
                 &trace,
                 RecoveryPolicy::SchemeMatching,
-                &DegradationConfig::default(),
+                Some(&DegradationConfig::default()),
+                &mut NoopSink,
             )
             .unwrap()
         };

@@ -6,11 +6,12 @@
 //!
 //! Part 2 — **dynamic fault-and-recovery walkthrough**: replay one
 //! seeded outage trace (cloudlet crashes/repairs plus instance deaths)
-//! through `Simulation::run_with_failures`, first with no recovery and
+//! through `Simulation::run_faulted`, first with no recovery and
 //! then with scheme-matching re-placement, and compare the SLA ledgers.
 //!
 //! Run with: `cargo run --example failure_injection`
 
+use mec_obs::NoopSink;
 use mec_sim::{failure, FailureConfig, FailureProcess, RecoveryPolicy, Simulation};
 use mec_topology::generators::{self, CloudletPlacement};
 use mec_workload::{Horizon, RequestGenerator, VnfCatalog};
@@ -105,7 +106,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut reports = Vec::new();
     for policy in [RecoveryPolicy::None, RecoveryPolicy::SchemeMatching] {
         let mut alg = OnsitePrimalDual::new(&instance, CapacityPolicy::Enforce)?;
-        let report = sim.run_with_failures(&mut alg, &trace, policy)?;
+        let report = sim.run_faulted(&mut alg, &trace, policy, None, &mut NoopSink)?;
         println!(
             "policy {policy}: {} | recovered {}/{} failures, mean repair latency {}",
             report.sla,

@@ -4,6 +4,7 @@
 //! to prove the ledger and the shared backup pool neither leak nor
 //! double-charge capacity.
 
+use mec_obs::NoopSink;
 use mec_sim::{inject_chain_failures, MixedSimulation};
 use mec_topology::generators::CloudletPlacement;
 use mec_topology::zoo;
@@ -17,6 +18,10 @@ use vnfrel::chain::{
 use vnfrel::ProblemInstance;
 
 fn instance(seed: u64) -> ProblemInstance {
+    instance_with(seed, VnfCatalog::standard(), 16)
+}
+
+fn instance_with(seed: u64, catalog: VnfCatalog, slots: usize) -> ProblemInstance {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let placement = CloudletPlacement {
         fraction: 0.5,
@@ -24,7 +29,7 @@ fn instance(seed: u64) -> ProblemInstance {
         reliability: (0.99, 0.9999),
     };
     let net = zoo::garr().into_network(&placement, &mut rng).unwrap();
-    ProblemInstance::new(net, VnfCatalog::standard(), Horizon::new(16)).unwrap()
+    ProblemInstance::new(net, catalog, Horizon::new(slots)).unwrap()
 }
 
 fn chains(inst: &ProblemInstance, n: usize, seed: u64) -> Vec<ChainRequest> {
@@ -74,6 +79,46 @@ fn referee_validates_every_backup_mode() {
     }
 }
 
+/// Runs `reqs` through a shared-mode `alg`, releases every admitted
+/// chain (oldest first, or newest first), and checks that the ledger is
+/// back at its baseline, the standby pool is drained, and a second
+/// release errors without touching the ledger.
+fn release_all_and_check(
+    label: &str,
+    mut alg: ChainPrimalDual<'_>,
+    reqs: &[ChainRequest],
+    newest_first: bool,
+) {
+    let baseline = alg.ledger().used_grid().to_vec();
+    let schedule = run_chain_online(&mut alg, reqs).unwrap();
+    let mut admitted: Vec<usize> = (0..reqs.len())
+        .filter(|&i| schedule.is_admitted(ChainRequestId(i)))
+        .collect();
+    assert!(!admitted.is_empty(), "{label}: nothing admitted");
+    assert_ne!(alg.ledger().used_grid(), &baseline[..]);
+    if newest_first {
+        admitted.reverse();
+    }
+
+    for &i in &admitted {
+        alg.release_chain(ChainRequestId(i)).unwrap();
+    }
+    assert_eq!(
+        alg.ledger().used_grid(),
+        &baseline[..],
+        "{label}: ledger did not return to baseline after releasing every chain"
+    );
+    assert!(
+        alg.pool().is_empty(),
+        "{label}: standby pool leaked instances"
+    );
+
+    // Double release is an error and must not disturb the ledger.
+    let grid_after = alg.ledger().used_grid().to_vec();
+    assert!(alg.release_chain(ChainRequestId(admitted[0])).is_err());
+    assert_eq!(alg.ledger().used_grid(), &grid_after[..]);
+}
+
 /// Releasing every admitted chain returns the ledger to its baseline and
 /// drains the standby pool: no leaked slots, no double-charged standbys,
 /// and releases are idempotent-checked (second release errors without
@@ -82,29 +127,36 @@ fn referee_validates_every_backup_mode() {
 fn pool_and_ledger_release_without_leak_or_double_charge() {
     let inst = instance(43);
     let reqs = chains(&inst, 60, 44);
-    let mut alg = ChainPrimalDual::new(&inst, BackupMode::Shared);
-    let baseline = alg.ledger().used_grid().to_vec();
-    let schedule = run_chain_online(&mut alg, &reqs).unwrap();
-    let admitted: Vec<usize> = (0..reqs.len())
-        .filter(|&i| schedule.is_admitted(ChainRequestId(i)))
-        .collect();
-    assert!(!admitted.is_empty());
-    assert_ne!(alg.ledger().used_grid(), &baseline[..]);
-
-    for &i in &admitted {
-        alg.release_chain(ChainRequestId(i)).unwrap();
+    for newest_first in [false, true] {
+        let alg = ChainPrimalDual::new(&inst, BackupMode::Shared);
+        release_all_and_check("standard catalog", alg, &reqs, newest_first);
     }
-    assert_eq!(
-        alg.ledger().used_grid(),
-        &baseline[..],
-        "ledger did not return to baseline after releasing every chain"
-    );
-    assert!(alg.pool().is_empty(), "standby pool leaked instances");
 
-    // Double release is an error and must not disturb the ledger.
-    let grid_after = alg.ledger().used_grid().to_vec();
-    assert!(alg.release_chain(ChainRequestId(admitted[0])).is_err());
-    assert_eq!(alg.ledger().used_grid(), &grid_after[..]);
+    // Streams on which chains actually share standbys, and share them
+    // across gaps: failure-prone VNF types at ε = 0.10 (the `chain_bench`
+    // setting) so joins happen, and windows of at most 4 slots spread
+    // over 96 so a joiner's window seldom touches the standby's hull.
+    // The chains stay where the generator put them. Before the gap was
+    // charged, seven of these twelve streams underflowed the ledger on
+    // release.
+    for stream in 0..12u64 {
+        let catalog = VnfCatalog::from_specs([
+            ("IDS", 3u64, 0.90),
+            ("DPI", 3, 0.92),
+            ("TranscoderV", 2, 0.93),
+            ("WanOptimizer", 3, 0.95),
+            ("SessionBorder", 2, 0.96),
+            ("VPNGateway", 2, 0.97),
+        ])
+        .unwrap();
+        let inst = instance_with(43 + 2 * stream, catalog, 96);
+        let reqs = chains(&inst, 60, 44 + 2 * stream);
+        for newest_first in [false, true] {
+            let alg = ChainPrimalDual::with_mass_cap(&inst, BackupMode::Shared, 0.10, NoopSink);
+            let label = format!("failure-prone stream {stream}");
+            release_all_and_check(&label, alg, &reqs, newest_first);
+        }
+    }
 }
 
 /// A chain whose ingress cannot reach any cloudlet within its budget is

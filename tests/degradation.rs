@@ -7,6 +7,7 @@
 //! backup schemes, and the runtime invariant auditor reports zero
 //! violations — the claims checked into `results/correlated_failures.txt`.
 
+use mec_obs::{NoopSink, TripwireSink};
 use mec_sim::{
     CascadeConfig, DegradationConfig, FailureConfig, FailureProcess, RecoveryPolicy, Simulation,
 };
@@ -74,7 +75,13 @@ fn degradation_beats_no_recovery_on_correlated_traces_for_both_schemes() {
     for scheme in [Scheme::OnSite, Scheme::OffSite] {
         let mut s = scheduler_for(scheme, &scenario);
         let none = sim
-            .run_with_failures(s.as_mut(), &trace, RecoveryPolicy::None)
+            .run_faulted(
+                s.as_mut(),
+                &trace,
+                RecoveryPolicy::None,
+                None,
+                &mut NoopSink,
+            )
             .unwrap();
         assert!(
             none.sla.total_failures() > 0,
@@ -83,11 +90,12 @@ fn degradation_beats_no_recovery_on_correlated_traces_for_both_schemes() {
 
         let mut s = scheduler_for(scheme, &scenario);
         let degraded = sim
-            .run_degraded(
+            .run_faulted(
                 s.as_mut(),
                 &trace,
                 RecoveryPolicy::SchemeMatching,
-                &DegradationConfig::default(),
+                Some(&DegradationConfig::default()),
+                &mut NoopSink,
             )
             .unwrap();
         assert!(
@@ -110,6 +118,22 @@ fn degradation_beats_no_recovery_on_correlated_traces_for_both_schemes() {
         );
         assert_eq!(audit.slots_checked, scenario.instance.horizon().len());
         assert!(degraded.degradation.unwrap().degraded_slots > 0);
+
+        // The same faulted, degraded run with a sink that is disabled
+        // like `NoopSink` but panics when reached: every lifecycle hook
+        // of the fault loop (outage, breach, recovery, eviction, cascade,
+        // degraded-mode, audit) must sit behind `K::ENABLED`.
+        let mut s = scheduler_for(scheme, &scenario);
+        let tripwired = sim
+            .run_faulted(
+                s.as_mut(),
+                &trace,
+                RecoveryPolicy::SchemeMatching,
+                Some(&DegradationConfig::default()),
+                &mut TripwireSink,
+            )
+            .unwrap();
+        assert_eq!(tripwired, degraded);
     }
 }
 
@@ -162,11 +186,12 @@ fn degraded_replay_is_deterministic() {
     let sim = Simulation::new(&scenario.instance, &scenario.requests).unwrap();
     let run = || {
         let mut s = scheduler_for(Scheme::OnSite, &scenario);
-        sim.run_degraded(
+        sim.run_faulted(
             s.as_mut(),
             &trace,
             RecoveryPolicy::SchemeMatching,
-            &DegradationConfig::default(),
+            Some(&DegradationConfig::default()),
+            &mut NoopSink,
         )
         .unwrap()
     };

@@ -2,6 +2,7 @@
 //! workloads, schedules, and sweep tables — the property every
 //! experiment in EXPERIMENTS.md relies on.
 
+use mec_obs::NoopSink;
 use mec_sim::Simulation;
 use mec_topology::generators::{self, CloudletPlacement};
 use mec_workload::{Horizon, RequestGenerator, VnfCatalog};
@@ -98,11 +99,23 @@ fn identical_seeds_identical_failure_streams_and_recovery() {
         let sim = Simulation::new(&scenario.instance, &scenario.requests).unwrap();
         let mut on = OnsitePrimalDual::new(&scenario.instance, CapacityPolicy::Enforce).unwrap();
         let r_on = sim
-            .run_with_failures(&mut on, &trace, RecoveryPolicy::SchemeMatching)
+            .run_faulted(
+                &mut on,
+                &trace,
+                RecoveryPolicy::SchemeMatching,
+                None,
+                &mut NoopSink,
+            )
             .unwrap();
         let mut off = OffsitePrimalDual::new(&scenario.instance);
         let r_off = sim
-            .run_with_failures(&mut off, &trace, RecoveryPolicy::SchemeMatching)
+            .run_faulted(
+                &mut off,
+                &trace,
+                RecoveryPolicy::SchemeMatching,
+                None,
+                &mut NoopSink,
+            )
             .unwrap();
         (events, r_on, r_off)
     };

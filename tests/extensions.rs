@@ -159,7 +159,7 @@ fn watts_strogatz_supports_full_pipeline() {
     let sim = Simulation::new(&inst, &reqs).unwrap();
     let mut alg = OnsitePrimalDual::new(&inst, CapacityPolicy::Enforce).unwrap();
     let report = sim
-        .run_ordered(&mut alg, IntraSlotOrder::DensityDescending)
+        .run_ordered(&mut alg, IntraSlotOrder::DensityDescending, None)
         .unwrap();
     assert!(report.validation.is_feasible());
 }

@@ -4,6 +4,7 @@
 //! [`RecoveryPolicy::None`] on the same event stream, for both backup
 //! schemes — the claim checked into `results/failure_recovery.txt`.
 
+use mec_obs::NoopSink;
 use mec_sim::{FailureConfig, FailureProcess, RecoveryPolicy, Simulation};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -34,7 +35,7 @@ fn fault_run(
         }
         Scheme::OffSite => Box::new(OffsitePrimalDual::new(&scenario.instance)),
     };
-    sim.run_with_failures(scheduler.as_mut(), trace, policy)
+    sim.run_faulted(scheduler.as_mut(), trace, policy, None, &mut NoopSink)
         .unwrap()
 }
 
@@ -103,7 +104,9 @@ fn fault_runs_never_oversubscribe_capacity() {
         RecoveryPolicy::SchemeMatching,
     ] {
         let mut alg = OnsitePrimalDual::new(&scenario.instance, CapacityPolicy::Enforce).unwrap();
-        let _ = sim.run_with_failures(&mut alg, &trace, policy).unwrap();
+        let _ = sim
+            .run_faulted(&mut alg, &trace, policy, None, &mut NoopSink)
+            .unwrap();
         assert_eq!(
             alg.ledger().max_overflow(),
             0.0,

@@ -2,8 +2,55 @@
 //! Figure 1/2 sweeps must build, be internally consistent, and show the
 //! paper's qualitative orderings where the theory guarantees them.
 
+use std::fmt::Write as _;
+
+use mec_sim::experiment::SweepTable;
 use vnfrel::Scheme;
-use vnfrel_bench::{fig1_sweep, fig2a_sweep, fig2b_sweep, Scenario, ScenarioParams};
+use vnfrel_bench::{
+    fig1_both_sweep, fig1_sweep, fig2a_sweep, fig2b_sweep, Scenario, ScenarioParams,
+};
+
+/// The `bench_report --quick` Figure 1 tables (sizes 50–200, seed 1,
+/// both panels) as the serial pre-optimization harness produced them at
+/// commit `647adb2`, the last one that holds it
+/// (`crates/bench/src/legacy.rs`). Floats are in `{:?}` form, which
+/// round-trips every bit.
+const FIG1_QUICK: &str = include_str!("../crates/bench/tests/golden/fig1_quick.txt");
+
+/// Renders both panels in the fixture's line format.
+fn render_fig1(on: &SweepTable, off: &SweepTable) -> String {
+    let mut out = String::new();
+    for (panel, table) in [("onsite", on), ("offsite", off)] {
+        let _ = writeln!(
+            out,
+            "# panel={panel} x={} y={} columns={}",
+            table.x_label,
+            table.y_label,
+            table.columns.join(",")
+        );
+        for (x, vals) in &table.rows {
+            let _ = write!(out, "{x:?}");
+            for v in vals {
+                let _ = write!(out, " {v:?}");
+            }
+            out.push('\n');
+        }
+    }
+    out
+}
+
+#[test]
+fn fig1_quick_tables_match_the_golden_at_one_and_four_threads() {
+    let sizes: Vec<usize> = (1..=4).map(|i| i * 50).collect();
+    for threads in [1, 4] {
+        let (on, off) = fig1_both_sweep(&sizes, &[1], threads);
+        assert_eq!(
+            render_fig1(&on, &off),
+            FIG1_QUICK,
+            "fig1_both_sweep at --threads {threads} diverged from fig1_quick.txt"
+        );
+    }
+}
 
 #[test]
 fn fig1a_smoke_opt_dominates() {

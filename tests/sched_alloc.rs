@@ -1,0 +1,190 @@
+//! Per-decision allocation budget of the four production schedulers.
+//!
+//! Under the default `NoopSink` every `decide()` call may allocate
+//! exactly what its answer needs and nothing else: **0** times for a
+//! reject, **0** for an on-site admit, **1** for an off-site admit (the
+//! placement's `cloudlets` vector) — from the first call on, with no
+//! warm-up exemption. A decision event owns a `String` and per-site
+//! vectors, so a trace hook that escaped its `if S::ENABLED` guard and
+//! built one would break the budget on that very call; the same streams
+//! through an enabled `RingSink` are run last to show the counter sees
+//! exactly that.
+//!
+//! Modelled on `tests/serve_alloc.rs`, with one difference: the counter
+//! is thread-local. Each call is measured once and held to an exact
+//! number, so the min-over-trials filter that file uses against the
+//! libtest harness thread's stray allocations is not available here;
+//! counting only this thread's allocations makes it unnecessary.
+//!
+//! Kept to a single `#[test]`, like `serve_alloc.rs`.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use mec_obs::{RingSink, TraceSink};
+use vnfrel::offsite::{OffsiteGreedy, OffsitePrimalDual};
+use vnfrel::onsite::{CapacityPolicy, OnsiteGreedy, OnsitePrimalDual};
+use vnfrel::{Decision, OnlineScheduler, Placement};
+use vnfrel_bench::{Scenario, ScenarioParams};
+
+struct CountingAlloc;
+
+thread_local! {
+    // `const` initialiser and no destructor: touching it never allocates
+    // and it is never torn down, so the allocator may use it at any time.
+    static ALLOC_CALLS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    ALLOC_CALLS.with(|c| c.set(c.get() + 1));
+}
+
+// SAFETY: defers to `System` for every operation; the counter is a
+// thread-local `Cell` with no allocation of its own.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_one();
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        System.alloc_zeroed(layout)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: CountingAlloc = CountingAlloc;
+
+fn allocations() -> u64 {
+    ALLOC_CALLS.with(Cell::get)
+}
+
+/// The golden scenarios A–D of `tests/equivalence.rs`, then the
+/// 20 000-request stream the retired `obs_overhead` race ran on:
+/// `(name, requests, h_ratio, k_ratio, seed)`.
+const CASES: [(&str, usize, f64, f64, u64); 5] = [
+    ("A", 250, 10.0, 1.01, 1),
+    ("B", 250, 10.0, 1.01, 2),
+    ("C", 200, 2.5, 1.08, 3),
+    ("D", 500, 10.0, 1.01, 4),
+    ("obs", 20_000, 10.0, 1.01, 1),
+];
+
+/// Decisions seen, by the class the budget distinguishes.
+#[derive(Default)]
+struct Seen {
+    rejects: u64,
+    onsite_admits: u64,
+    offsite_admits: u64,
+}
+
+/// Runs `alg` over the scenario holding every call to its budget;
+/// returns the budget of the whole stream.
+fn hold_to_budget<S: OnlineScheduler>(
+    case: &str,
+    s: &Scenario,
+    alg: &mut S,
+    seen: &mut Seen,
+) -> u64 {
+    let mut total = 0;
+    for (i, r) in s.requests.iter().enumerate() {
+        let before = allocations();
+        let decision = alg.decide(r);
+        let spent = allocations() - before;
+        let budget = match &decision {
+            Decision::Reject => {
+                seen.rejects += 1;
+                0
+            }
+            Decision::Admit(Placement::OnSite { .. }) => {
+                seen.onsite_admits += 1;
+                0
+            }
+            Decision::Admit(Placement::OffSite { .. }) => {
+                seen.offsite_admits += 1;
+                1
+            }
+        };
+        assert_eq!(
+            spent,
+            budget,
+            "scenario {case}: {} allocated {spent} times deciding request {i} ({decision:?}), \
+             budget {budget}",
+            alg.name()
+        );
+        total += budget;
+    }
+    total
+}
+
+/// Allocations of one whole stream through `alg`.
+fn stream_allocations<S: OnlineScheduler>(s: &Scenario, alg: &mut S) -> u64 {
+    let before = allocations();
+    for r in &s.requests {
+        alg.decide(r);
+    }
+    allocations() - before
+}
+
+/// The enabled-sink run must exceed the stream's budget, or the budget
+/// check above could not see a leaked hook.
+fn assert_tracing_is_seen<S: OnlineScheduler>(case: &str, s: &Scenario, alg: &mut S, budget: u64) {
+    let traced = stream_allocations(s, alg);
+    assert!(
+        traced > budget,
+        "scenario {case}: {} with an enabled sink allocated {traced} times, \
+         no more than the noop budget {budget}",
+        alg.name()
+    );
+}
+
+#[test]
+fn decide_holds_its_allocation_budget_under_the_noop_sink() {
+    const { assert!(RingSink::ENABLED) };
+    let mut seen = Seen::default();
+    for (case, requests, h_ratio, k_ratio, seed) in CASES {
+        let s = Scenario::build(&ScenarioParams {
+            requests,
+            h_ratio,
+            k_ratio,
+            seed,
+        });
+        let inst = &s.instance;
+        let ring = || RingSink::new(requests);
+
+        let mut alg1 = OnsitePrimalDual::new(inst, CapacityPolicy::Enforce).unwrap();
+        let budget = hold_to_budget(case, &s, &mut alg1, &mut seen);
+        let mut traced =
+            OnsitePrimalDual::with_sink(inst, CapacityPolicy::Enforce, ring()).unwrap();
+        assert_tracing_is_seen(case, &s, &mut traced, budget);
+
+        let budget = hold_to_budget(case, &s, &mut OnsiteGreedy::new(inst), &mut seen);
+        let mut traced = OnsiteGreedy::with_sink(inst, ring());
+        assert_tracing_is_seen(case, &s, &mut traced, budget);
+
+        let budget = hold_to_budget(case, &s, &mut OffsitePrimalDual::new(inst), &mut seen);
+        let mut traced = OffsitePrimalDual::with_sink(inst, ring());
+        assert_tracing_is_seen(case, &s, &mut traced, budget);
+
+        let budget = hold_to_budget(case, &s, &mut OffsiteGreedy::new(inst), &mut seen);
+        let mut traced = OffsiteGreedy::with_sink(inst, ring());
+        assert_tracing_is_seen(case, &s, &mut traced, budget);
+    }
+    assert!(
+        seen.rejects > 0 && seen.onsite_admits > 0 && seen.offsite_admits > 0,
+        "every budget class must be exercised: {} rejects, {} on-site, {} off-site admits",
+        seen.rejects,
+        seen.onsite_admits,
+        seen.offsite_admits
+    );
+}
