@@ -10,6 +10,11 @@
 //!
 //! * **decide() throughput** (requests/sec) of the four online
 //!   algorithms at their `NoopSink` default, on one scarce scenario;
+//! * **decide() throughput over a week** of the two primal-dual
+//!   algorithms on [`Scenario::week`] (10 080 slots, ≈ 13 requests per
+//!   slot, about a third admitted): the point where an admission whose
+//!   cost grows with the horizon shows, which the 16-slot scenario
+//!   cannot;
 //! * **end-to-end Figure 1 sweep** wall time of the harness at
 //!   `--threads 1` and `--threads N`;
 //! * **Monte-Carlo failure injection** trial throughput, serial vs the
@@ -24,9 +29,9 @@
 //! `tests/sched_alloc.rs` and the `TripwireSink` runs of
 //! `tests/equivalence.rs`.
 //!
-//! `--check PATH` additionally compares the decide() requests/sec
-//! against a previously emitted JSON (v1 or v2) and exits non-zero if
-//! any algorithm regressed by more than 30% — the CI perf smoke.
+//! `--check PATH` additionally compares the decide() requests/sec of
+//! both scenarios against a previously emitted JSON and exits non-zero
+//! if any algorithm regressed by more than 30% — the CI perf smoke.
 //!
 //! `--trace-sample PATH` writes a small decision-trace JSONL (Algorithm 1
 //! over the decide() scenario) for artifact upload and schema eyeballing.
@@ -40,11 +45,14 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use vnfrel::offsite::{OffsiteGreedy, OffsitePrimalDual};
 use vnfrel::onsite::{CapacityPolicy, OnsiteGreedy, OnsitePrimalDual};
-use vnfrel::{run_online, OnlineScheduler};
+use vnfrel::{run_online, OnlineScheduler, ProblemInstance};
 use vnfrel_bench::{fig1_both_sweep, threads_from_args, Scenario, ScenarioParams};
 
 /// Maximum tolerated decide() throughput regression vs the baseline.
 const MAX_REGRESSION: f64 = 0.30;
+
+/// Requests in the week stream: ≈ 13 per slot over 10 080 slots.
+const WEEK_REQUESTS: usize = 131_072;
 
 /// The v1 report's race results, measured at commit `647adb2` (the last
 /// one that holds the legacy and sink-free scheduler copies) by the full
@@ -95,35 +103,69 @@ fn best_of<F: FnMut()>(reps: usize, mut f: F) -> f64 {
     best
 }
 
+/// decide() requests/sec of the scheduler `fresh` builds, over
+/// `scenario`. Construction is inside the timed region, as a figure
+/// sweep pays it.
+fn decide_rps<'a, S: OnlineScheduler>(
+    scenario: &'a Scenario,
+    reps: usize,
+    fresh: impl Fn(&'a ProblemInstance) -> S,
+) -> f64 {
+    let secs = best_of(reps, || {
+        run_online(&mut fresh(&scenario.instance), &scenario.requests).expect("valid stream");
+    });
+    scenario.requests.len() as f64 / secs
+}
+
+fn fresh_alg1(instance: &ProblemInstance) -> OnsitePrimalDual<'_> {
+    OnsitePrimalDual::new(instance, CapacityPolicy::Enforce).expect("the enforce policy is valid")
+}
+
 /// decide() throughput of the four production schedulers, as
-/// `(report name, requests/sec)`. Construction is inside the timed
-/// region, as a figure sweep pays it.
+/// `(report name, requests/sec)`.
 fn decide_throughput(scenario: &Scenario, reps: usize) -> Vec<(&'static str, f64)> {
-    let n = scenario.requests.len() as f64;
-    let run = |alg: &mut dyn OnlineScheduler| {
-        run_online(alg, &scenario.requests).expect("valid stream");
-    };
-    let alg1 = best_of(reps, || {
-        run(&mut OnsitePrimalDual::new(&scenario.instance, CapacityPolicy::Enforce).unwrap());
-    });
-    let greedy_onsite = best_of(reps, || run(&mut OnsiteGreedy::new(&scenario.instance)));
-    let alg2 = best_of(reps, || {
-        run(&mut OffsitePrimalDual::new(&scenario.instance))
-    });
-    let greedy_offsite = best_of(reps, || run(&mut OffsiteGreedy::new(&scenario.instance)));
     vec![
-        ("alg1", n / alg1),
-        ("greedy_onsite", n / greedy_onsite),
-        ("alg2", n / alg2),
-        ("greedy_offsite", n / greedy_offsite),
+        ("alg1", decide_rps(scenario, reps, fresh_alg1)),
+        (
+            "greedy_onsite",
+            decide_rps(scenario, reps, OnsiteGreedy::new),
+        ),
+        ("alg2", decide_rps(scenario, reps, OffsitePrimalDual::new)),
+        (
+            "greedy_offsite",
+            decide_rps(scenario, reps, OffsiteGreedy::new),
+        ),
     ]
 }
 
-/// Pulls `"<name>": { "optimized_rps": <number>` out of a previously
-/// emitted report without a JSON dependency.
-fn baseline_rps(json: &str, name: &str) -> Option<f64> {
-    let start = json.find(&format!("\"{name}\""))?;
-    let tail = &json[start..];
+/// Share of `scenario`'s stream that `alg` admits.
+fn admitted_share<S: OnlineScheduler>(scenario: &Scenario, mut alg: S) -> f64 {
+    let schedule = run_online(&mut alg, &scenario.requests).expect("valid stream");
+    schedule.admitted_count() as f64 / scenario.requests.len() as f64
+}
+
+/// decide() throughput of the two primal-dual schedulers over the week
+/// scenario, as `(report name, requests/sec, admitted share)`.
+fn decide_throughput_week(scenario: &Scenario, reps: usize) -> Vec<(&'static str, f64, f64)> {
+    vec![
+        (
+            "alg1",
+            decide_rps(scenario, reps, fresh_alg1),
+            admitted_share(scenario, fresh_alg1(&scenario.instance)),
+        ),
+        (
+            "alg2",
+            decide_rps(scenario, reps, OffsitePrimalDual::new),
+            admitted_share(scenario, OffsitePrimalDual::new(&scenario.instance)),
+        ),
+    ]
+}
+
+/// Pulls `"<name>": { "optimized_rps": <number>` out of the `section`
+/// object of a previously emitted report without a JSON dependency.
+fn baseline_rps(json: &str, section: &str, name: &str) -> Option<f64> {
+    let tail = &json[json.find(&format!("\"{section}\""))?..];
+    let tail = &tail[tail.find(&format!("\"{name}\""))?..];
     let field = tail.find("\"optimized_rps\":")?;
     let tail = &tail[field + "\"optimized_rps\":".len()..];
     let end = tail.find([',', '}'])?;
@@ -144,17 +186,27 @@ fn main() {
     let check_path = arg_value("--check");
     let trace_sample_path = arg_value("--trace-sample");
 
-    let (sizes, seeds, decide_requests, sweep_reps, decide_reps, trials): (
+    let (sizes, seeds, decide_requests, sweep_reps, decide_reps, week_reps, trials): (
         Vec<usize>,
         Vec<u64>,
         usize,
         usize,
         usize,
         usize,
+        usize,
     ) = if quick {
-        // decide_requests stays at the full-mode value so the --check
-        // regression gate compares like-for-like scenarios.
-        ((1..=4).map(|i| i * 50).collect(), vec![1], 800, 3, 5, 4_000)
+        // decide_requests (and the week stream) stay at the full-mode
+        // value so the --check regression gate compares like-for-like
+        // scenarios.
+        (
+            (1..=4).map(|i| i * 50).collect(),
+            vec![1],
+            800,
+            3,
+            5,
+            2,
+            4_000,
+        )
     } else {
         (
             (1..=8).map(|i| i * 100).collect(),
@@ -162,6 +214,7 @@ fn main() {
             800,
             5,
             9,
+            5,
             20_000,
         )
     };
@@ -175,6 +228,17 @@ fn main() {
     println!("decide() throughput ({decide_requests} requests):");
     for (name, rps) in &decide {
         println!("  {name:<14} {rps:>12.0} req/s");
+    }
+
+    // --- decide() throughput over a week ---------------------------------
+    let week = Scenario::week(WEEK_REQUESTS, 1);
+    let decide_week = decide_throughput_week(&week, week_reps);
+    println!(
+        "\ndecide() throughput over a week ({WEEK_REQUESTS} requests, {} slots):",
+        week.instance.horizon().len()
+    );
+    for (name, rps, admitted) in &decide_week {
+        println!("  {name:<14} {rps:>12.0} req/s   ({admitted:.3} admitted)");
     }
 
     // --- optional decision-trace sample ---------------------------------
@@ -283,6 +347,19 @@ fn main() {
         );
     }
     json.push_str("  },\n");
+    let _ = writeln!(
+        json,
+        "  \"decide_throughput_week\": {{\n    \"scenario\": {{ \"slots\": {}, \"requests\": {WEEK_REQUESTS}, \"seed\": 1 }},",
+        week.instance.horizon().len()
+    );
+    for (i, (name, rps, admitted)) in decide_week.iter().enumerate() {
+        let _ = writeln!(
+            json,
+            "    \"{name}\": {{ \"optimized_rps\": {rps:.1}, \"admitted_share\": {admitted:.4} }}{}",
+            if i + 1 < decide_week.len() { "," } else { "" }
+        );
+    }
+    json.push_str("  },\n");
     json.push_str("  \"fig1_sweep\": {\n");
     let _ = writeln!(
         json,
@@ -350,14 +427,22 @@ fn main() {
         let baseline = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
         let mut failed = false;
-        for &(name, rps) in &decide {
-            let Some(base) = baseline_rps(&baseline, name) else {
-                panic!("baseline {path} lacks optimized_rps for {name}");
+        let points = decide
+            .iter()
+            .map(|&(name, rps)| ("decide_throughput", name, rps))
+            .chain(
+                decide_week
+                    .iter()
+                    .map(|&(name, rps, _)| ("decide_throughput_week", name, rps)),
+            );
+        for (section, name, rps) in points {
+            let Some(base) = baseline_rps(&baseline, section, name) else {
+                panic!("baseline {path} lacks {section}.{name}.optimized_rps");
             };
             let floor = base * (1.0 - MAX_REGRESSION);
             let ok = rps >= floor;
             println!(
-                "check {name:<14} {rps:>12.0} req/s vs baseline {base:>12.0} (floor {floor:>12.0}) {}",
+                "check {section}.{name:<14} {rps:>12.0} req/s vs baseline {base:>12.0} (floor {floor:>12.0}) {}",
                 if ok { "ok" } else { "REGRESSED" }
             );
             failed |= !ok;

@@ -188,6 +188,8 @@ fn main() {
         "  \"mode\": \"{}\",",
         if quick { "quick" } else { "full" }
     );
+    let host_cpus = thread::available_parallelism().map_or(0, usize::from);
+    let _ = writeln!(json, "  \"host_cpus\": {host_cpus},");
 
     // ---------------- closed-loop parity section ----------------
     let _ = writeln!(

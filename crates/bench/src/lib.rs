@@ -49,7 +49,7 @@ use mec_sim::experiment::SweepTable;
 use mec_sim::parallel::parallel_map;
 use mec_topology::generators::CloudletPlacement;
 use mec_topology::zoo;
-use mec_workload::{Horizon, Request, RequestGenerator, VnfCatalog};
+use mec_workload::{DurationModel, Horizon, Request, RequestGenerator, VnfCatalog};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use vnfrel::offsite::{OffsiteGreedy, OffsitePrimalDual};
@@ -63,6 +63,8 @@ pub const RC_MAX: f64 = 0.9999;
 pub const PR_MAX: f64 = 10.0;
 /// Slots in the monitoring horizon.
 pub const HORIZON: usize = 16;
+/// Slots in the week-long horizon of [`Scenario::week`] (one per minute).
+pub const WEEK_SLOTS: usize = 10_080;
 
 /// Scenario parameters for one experiment point.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -166,6 +168,41 @@ impl Scenario {
     /// compile-time constants in the harness, so failures indicate bugs.
     pub fn build(params: &ScenarioParams) -> Self {
         ScenarioBase::new(params.k_ratio, params.seed).scenario(params.requests, params.h_ratio)
+    }
+
+    /// The long-horizon scenario: Abilene with a cloudlet (40–56 units)
+    /// at every AP over a week of one-minute slots, `requests` arrivals
+    /// spread uniformly with durations of 5–120 minutes. At ≈ 13 requests
+    /// per slot demand runs near three times capacity, so about a third
+    /// of the stream is admitted and every admission prices a window far
+    /// shorter than the horizon.
+    ///
+    /// # Panics
+    ///
+    /// Panics on internal parameter errors, as [`Scenario::build`].
+    pub fn week(requests: usize, seed: u64) -> Self {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let placement = CloudletPlacement {
+            fraction: 1.0,
+            capacity: (40, 56),
+            reliability: (0.99, RC_MAX),
+        };
+        let network = zoo::abilene()
+            .into_network(&placement, &mut rng)
+            .expect("abilene materializes");
+        let instance =
+            ProblemInstance::new(network, VnfCatalog::standard(), Horizon::new(WEEK_SLOTS))
+                .expect("valid instance");
+        let requests = RequestGenerator::new(instance.horizon())
+            .durations(DurationModel::Uniform { lo: 5, hi: 120 })
+            .expect("durations fit the horizon")
+            .reliability_band(0.9, 0.95)
+            .expect("valid band")
+            .payment_rate_band(PR_MAX / 10.0, PR_MAX)
+            .expect("valid band")
+            .generate(requests, instance.catalog(), &mut rng)
+            .expect("valid workload");
+        Scenario { instance, requests }
     }
 
     /// Runs a scheduler over this scenario and returns its revenue,

@@ -8,7 +8,7 @@ use crate::instance::{ProblemInstance, Scheme};
 use crate::ledger::CapacityLedger;
 use crate::pricing::{CheapestFirst, DualPrices};
 use crate::schedule::{Decision, Placement};
-use crate::scheduler::{OnlineScheduler, SchedulerState};
+use crate::scheduler::{copy_grid_span, OnlineScheduler, SchedulerState};
 
 /// Algorithm 2 — online primal-dual scheduling under the off-site scheme.
 ///
@@ -320,8 +320,8 @@ impl<S: TraceSink> OnlineScheduler for OffsitePrimalDual<'_, S> {
         }
 
         // Admit: one instance per selected cloudlet; charge capacity and
-        // update prices (Eq. 67); each touched prefix row rebuilds in
-        // O(T).
+        // update prices (Eq. 67); each touched prefix row re-folds up to
+        // its high-water mark.
         let d = request.duration() as f64;
         let pay = request.payment();
         for i in 0..self.selected.len() {
@@ -371,6 +371,15 @@ impl<S: TraceSink> OnlineScheduler for OffsitePrimalDual<'_, S> {
                 self.rejections.reliability_unreachable as u64,
             ],
         }
+    }
+
+    fn export_state_span(&self, into: &mut SchedulerState, first: usize, last: usize) {
+        let slots = self.prices.slots();
+        copy_grid_span(&mut into.used, self.ledger.used_grid(), slots, first, last);
+        copy_grid_span(&mut into.lambda, self.prices.values(), slots, first, last);
+        into.sum_delta = self.sum_delta;
+        into.counters[0] = self.rejections.payment_test as u64;
+        into.counters[1] = self.rejections.reliability_unreachable as u64;
     }
 
     fn import_state(&mut self, state: &SchedulerState) -> Result<(), crate::VnfrelError> {

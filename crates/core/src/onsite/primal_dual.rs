@@ -8,7 +8,7 @@ use crate::instance::{ProblemInstance, Scheme};
 use crate::ledger::CapacityLedger;
 use crate::pricing::{CheapestFirst, DualPrices};
 use crate::schedule::{Decision, Placement};
-use crate::scheduler::{OnlineScheduler, SchedulerState};
+use crate::scheduler::{copy_grid_span, OnlineScheduler, SchedulerState};
 
 /// How Algorithm 1 treats cloudlet capacity.
 ///
@@ -359,7 +359,7 @@ impl<S: TraceSink> OnlineScheduler for OnsitePrimalDual<'_, S> {
         self.ledger
             .charge_window(CloudletId(j), first, last, weight);
         // Dual update (Eq. 34) on the chosen cloudlet over active slots;
-        // the prefix row rebuilds in O(T).
+        // the prefix row re-folds up to its high-water mark.
         let cap = self.ledger.capacity(CloudletId(j));
         let d = request.duration() as f64;
         let pay = request.payment();
@@ -406,6 +406,16 @@ impl<S: TraceSink> OnlineScheduler for OnsitePrimalDual<'_, S> {
                 self.rejections.payment_test as u64,
             ],
         }
+    }
+
+    fn export_state_span(&self, into: &mut SchedulerState, first: usize, last: usize) {
+        let slots = self.prices.slots();
+        copy_grid_span(&mut into.used, self.ledger.used_grid(), slots, first, last);
+        copy_grid_span(&mut into.lambda, self.prices.values(), slots, first, last);
+        into.sum_delta = self.sum_delta;
+        into.counters[0] = self.rejections.no_eligible_cloudlet as u64;
+        into.counters[1] = self.rejections.capacity_gate as u64;
+        into.counters[2] = self.rejections.payment_test as u64;
     }
 
     fn import_state(&mut self, state: &SchedulerState) -> Result<(), crate::VnfrelError> {

@@ -30,6 +30,20 @@ pub struct SchedulerState {
     pub counters: Vec<u64>,
 }
 
+/// Copies the slot columns `[first, last]` of every row of the row-major
+/// `slots`-wide grid `src` into the same-shaped `dst`.
+pub(crate) fn copy_grid_span(
+    dst: &mut [f64],
+    src: &[f64],
+    slots: usize,
+    first: usize,
+    last: usize,
+) {
+    for (d, s) in dst.chunks_exact_mut(slots).zip(src.chunks_exact(slots)) {
+        d[first..=last].copy_from_slice(&s[first..=last]);
+    }
+}
+
 /// An online request-admission algorithm.
 ///
 /// Implementations hold a reference to the
@@ -69,6 +83,20 @@ pub trait OnlineScheduler {
             sum_delta: 0.0,
             counters: Vec::new(),
         }
+    }
+
+    /// Brings `into` — an earlier export of *this* scheduler — up to
+    /// date, given that every grid cell mutated since lies in the
+    /// inclusive slot span `[first, last]` (of any cloudlet). Afterwards
+    /// `into` equals [`export_state`](OnlineScheduler::export_state).
+    ///
+    /// The default re-exports everything; the primal–dual schedulers
+    /// override it to copy only the span's columns, so a caller that
+    /// knows which windows it decided since the last export (the serving
+    /// tier's recovery log) pays for those, not for the horizon.
+    fn export_state_span(&self, into: &mut SchedulerState, first: usize, last: usize) {
+        let _ = (first, last);
+        *into = self.export_state();
     }
 
     /// Restores state previously produced by

@@ -325,14 +325,7 @@ pub fn run_loadgen(
                 std::thread::sleep(target - now);
             }
         }
-        let msg = ClientMsg::Submit(SubmitRequest {
-            id: request.id().index(),
-            vnf: request.vnf().index(),
-            reliability: request.reliability_requirement().value(),
-            arrival: request.arrival(),
-            duration: request.duration(),
-            payment: request.payment(),
-        });
+        let msg = ClientMsg::Submit(SubmitRequest::from(request));
         let mut out = encode_client(&msg);
         out.push('\n');
 
@@ -647,17 +640,6 @@ struct ConnOutcome {
     request_samples: Vec<f64>,
 }
 
-fn submit_of(request: &Request) -> SubmitRequest {
-    SubmitRequest {
-        id: request.id().index(),
-        vnf: request.vnf().index(),
-        reliability: request.reliability_requirement().value(),
-        arrival: request.arrival(),
-        duration: request.duration(),
-        payment: request.payment(),
-    }
-}
-
 /// Drives `requests` at the daemon open-loop: batched frames over
 /// `conns` parallel connections with a bounded in-flight window each.
 ///
@@ -693,7 +675,7 @@ pub fn run_open_loop(
     let mut open: Vec<Vec<SubmitRequest>> = vec![Vec::new(); config.conns];
     for request in requests {
         let c = (request.id().index() % config.shards) % config.conns;
-        open[c].push(submit_of(request));
+        open[c].push(SubmitRequest::from(request));
         if open[c].len() == config.batch {
             frames[c].push(std::mem::take(&mut open[c]));
         }

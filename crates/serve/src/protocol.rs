@@ -105,6 +105,19 @@ pub struct SubmitRequest {
     pub payment: f64,
 }
 
+impl From<&mec_workload::Request> for SubmitRequest {
+    fn from(request: &mec_workload::Request) -> Self {
+        SubmitRequest {
+            id: request.id().index(),
+            vnf: request.vnf().index(),
+            reliability: request.reliability_requirement().value(),
+            arrival: request.arrival(),
+            duration: request.duration(),
+            payment: request.payment(),
+        }
+    }
+}
+
 /// Daemon control verbs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ControlAction {

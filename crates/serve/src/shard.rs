@@ -19,8 +19,9 @@
 //!
 //! Off-site placements may span shards: when a shard's local cloudlets
 //! cannot accumulate the required log-reliability, the shard thread runs
-//! a *cross-shard rescue* — quote every shard's sites (one lock at a
-//! time), sort by price ratio, then two-phase reserve/commit capacity on
+//! a *cross-shard rescue* — quote the sites of every shard whose stream
+//! has reached the request's arrival slot (one lock at a time), sort by
+//! price ratio, then two-phase reserve/commit capacity on
 //! the foreign ledgers ([`CapacityLedger::try_reserve_window`] /
 //! [`CapacityLedger::commit_reservation`]). Reservations re-check
 //! capacity under the owner's lock, so concurrent rescues can never
@@ -112,6 +113,10 @@ pub struct ShardedReport {
     /// Decide threads restarted by the panic supervisor (one per
     /// `chaos-panic` frame honoured, or per genuine decide-thread bug).
     pub shard_restarts: u64,
+    /// Each shard's final scheduler state, dense by shard index (local
+    /// cloudlet `l` of shard `s` is global cloudlet `l·S + s`): the
+    /// shard's recovery base after one last compaction.
+    pub shard_states: Vec<SchedulerState>,
 }
 
 // Aggregate counters shared by every shard thread and the workers.
@@ -211,6 +216,11 @@ struct ShardCore<'a> {
     // are legal — an overloaded frame's ids are simply skipped, which is
     // what lets the open-loop driver keep going at saturation.
     next_id: usize,
+    // Arrival slot of the last request this shard decided: how far into
+    // the stream's time its prices and ledger have been driven. A
+    // cross-shard rescue only quotes shards whose frontier has reached
+    // the request's arrival (see `rescue_offsite`).
+    frontier: usize,
     recovery: ShardRecovery,
 }
 
@@ -228,6 +238,7 @@ const RECOVERY_COMPACT: usize = 64;
 struct ShardRecovery {
     base: SchedulerState,
     base_next_id: usize,
+    base_frontier: usize,
     suffix: Vec<RecoveryEntry>,
 }
 
@@ -252,15 +263,38 @@ enum RecoveryEntry {
 impl<'i> ShardCore<'i> {
     // Logs one locally-decided request and compacts the recovery base
     // once the suffix is long enough. Called under the shard lock right
-    // after the decide, so an export here captures exactly
+    // after the decide, so a compaction here captures exactly
     // base + suffix.
     fn note_local(&mut self, msg: &SubmitRequest) {
         self.recovery.suffix.push(RecoveryEntry::Local(*msg));
         if self.recovery.suffix.len() >= RECOVERY_COMPACT {
-            self.recovery.base = self.scheduler.export_state();
-            self.recovery.base_next_id = self.next_id;
-            self.recovery.suffix.clear();
+            self.compact();
         }
+    }
+
+    // Folds the suffix into the recovery base. The suffix *is* the dirty
+    // log: every grid cell that moved since the last compaction lies in
+    // the window of one of its entries, so the base is refreshed in
+    // place over the slot span those windows cover rather than
+    // re-exported over the whole horizon.
+    fn compact(&mut self) {
+        let span = self
+            .recovery
+            .suffix
+            .iter()
+            .map(|entry| match entry {
+                RecoveryEntry::Local(msg) => (msg.arrival, msg.arrival + msg.duration - 1),
+                RecoveryEntry::External { first, last, .. } => (*first, *last),
+            })
+            .reduce(|(a, b), (first, last)| (a.min(first), b.max(last)));
+        if let Some((first, last)) = span {
+            self.scheduler
+                .export_state_span(&mut self.recovery.base, first, last);
+        }
+        debug_assert_eq!(self.recovery.base, self.scheduler.export_state());
+        self.recovery.base_next_id = self.next_id;
+        self.recovery.base_frontier = self.frontier;
+        self.recovery.suffix.clear();
     }
 
     // Rebuilds the scheduler after a panic: fresh construction over the
@@ -279,11 +313,13 @@ impl<'i> ShardCore<'i> {
             .import_state(&self.recovery.base)
             .expect("the recovery base came from an identically-built scheduler");
         self.next_id = self.recovery.base_next_id;
+        self.frontier = self.recovery.base_frontier;
         let replayed = self.recovery.suffix.len();
         for entry in &self.recovery.suffix {
             match entry {
                 RecoveryEntry::Local(msg) => {
                     self.next_id = msg.id + shards;
+                    self.frontier = msg.arrival;
                     let request = build_request(msg, horizon)
                         .expect("suffix requests were validated before their first decide");
                     let _ = sched.decide_take(&request);
@@ -340,6 +376,13 @@ impl ShardSched<'_> {
         match self {
             ShardSched::Onsite(s) => s.export_state(),
             ShardSched::Offsite(s) => s.export_state(),
+        }
+    }
+
+    fn export_state_span(&self, into: &mut SchedulerState, first: usize, last: usize) {
+        match self {
+            ShardSched::Onsite(s) => s.export_state_span(into, first, last),
+            ShardSched::Offsite(s) => s.export_state_span(into, first, last),
         }
     }
 
@@ -441,9 +484,11 @@ pub fn serve_sharded(
         cores.push(Mutex::new(ShardCore {
             scheduler,
             next_id: cores.len(),
+            frontier: 0,
             recovery: ShardRecovery {
                 base,
                 base_next_id: cores.len(),
+                base_frontier: 0,
                 suffix: Vec::new(),
             },
         }));
@@ -547,6 +592,16 @@ pub fn serve_sharded(
             .collect(),
         cross_shard_admits: agg.cross_shard_admits.load(Ordering::Acquire),
         shard_restarts: agg.restarts.load(Ordering::Acquire),
+        shard_states: cores
+            .into_iter()
+            .map(|core| {
+                let mut core = core
+                    .into_inner()
+                    .unwrap_or_else(|poisoned| poisoned.into_inner());
+                core.compact();
+                core.recovery.base
+            })
+            .collect(),
     })
 }
 
@@ -1007,6 +1062,7 @@ fn decide_one(s: usize, msg: &SubmitRequest, shared: &Shared<'_, '_>) -> DecideO
             }
         };
         core.next_id = msg.id + shared.shards;
+        core.frontier = msg.arrival;
         let event = match core.scheduler.decide_take(&request) {
             Some(TraceEvent::Decision(ev)) => ev,
             _ => unreachable!("shard schedulers always record one decision event"),
@@ -1034,7 +1090,7 @@ fn decide_one(s: usize, msg: &SubmitRequest, shared: &Shared<'_, '_>) -> DecideO
         // deadlock).
     };
     let mut clock = StageClock::start();
-    let rescued = rescue_offsite(&request, shared);
+    let rescued = rescue_offsite(s, &request, shared);
     shared.stage_obs(s, PipelineStage::ReserveCommit, clock.lap_ns());
     let event = match rescued {
         Some(event) => {
@@ -1119,7 +1175,8 @@ struct RescueSite {
 //
 // 1. *Quote* (read-only, one shard lock at a time): every cloudlet's
 //    price ratio and ln-coefficient via `site_quote`, filtered by the
-//    payment test `pay + ln_target·compute·ratio > 0`.
+//    payment test `pay + ln_target·compute·ratio > 0`. Only shards whose
+//    frontier has reached the request's arrival are quoted.
 // 2. *Reserve*: scan survivors in (ratio, global id) order;
 //    `try_reserve_window` re-checks capacity under the owner's lock and
 //    places a hold, until the accumulated `Σ ln_coef` reaches
@@ -1133,7 +1190,11 @@ struct RescueSite {
 // have admitted in between) — that is the documented sharding
 // relaxation; capacity, by contrast, is never oversubscribed because
 // the reserve re-checks it.
-fn rescue_offsite(request: &Request, shared: &Shared<'_, '_>) -> Option<DecisionEvent> {
+fn rescue_offsite(
+    home: usize,
+    request: &Request,
+    shared: &Shared<'_, '_>,
+) -> Option<DecisionEvent> {
     let vnf = request.vnf();
     let first = request.arrival();
     let last = first + request.duration() - 1;
@@ -1142,10 +1203,17 @@ fn rescue_offsite(request: &Request, shared: &Shared<'_, '_>) -> Option<Decision
 
     let compute = shared.instance.catalog().get(vnf)?.compute() as f64;
 
-    // Phase 1: quotes, one shard lock at a time.
+    // Phase 1: quotes, one shard lock at a time. A shard whose frontier
+    // is behind this request's arrival has not been offered the window
+    // yet — its prices there are still zero and its capacity untouched,
+    // whatever its own stream is about to ask of them — so its quote
+    // would sell the slower shard's future at no price. Skip it.
     let mut sites: Vec<RescueSite> = Vec::new();
     for (s, &len) in shared.shard_lens.iter().enumerate() {
         let core = shared.cores[s].lock().unwrap();
+        if core.frontier < first {
+            continue;
+        }
         let ShardSched::Offsite(sched) = &core.scheduler else {
             return None;
         };
@@ -1162,6 +1230,12 @@ fn rescue_offsite(request: &Request, shared: &Shared<'_, '_>) -> Option<Decision
                 });
             }
         }
+    }
+    // The home shard just failed this request on its own sites, under
+    // the same payment test and a looser target than phase 2 applies:
+    // without a foreign quote there is nothing to add.
+    if sites.iter().all(|site| site.shard == home) {
+        return None;
     }
     sites.sort_by(|a, b| {
         a.ratio

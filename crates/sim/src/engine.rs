@@ -328,13 +328,35 @@ impl<'a> Simulation<'a> {
         let mut timeline = vec![SlotStats::default(); self.instance.horizon().len()];
         let mut cumulative_revenue = Vec::with_capacity(self.instance.horizon().len());
 
+        let mut decide = |i: usize| match metrics {
+            Some(m) => {
+                let start = Instant::now();
+                let d = scheduler.decide(&self.requests[i]);
+                m.observe_decide(start.elapsed().as_secs_f64());
+                d
+            }
+            None => scheduler.decide(&self.requests[i]),
+        };
+        let mut record =
+            |schedule: &mut Schedule, t: usize, i: usize, decision: vnfrel::Decision| {
+                let r = &self.requests[i];
+                timeline[t].arrivals += 1;
+                if decision.is_admit() {
+                    timeline[t].admitted += 1;
+                    for slot in r.slots() {
+                        timeline[slot].active += 1;
+                    }
+                }
+                schedule.record(r, decision);
+            };
+
         // Requests carry dense ids in arrival order, so iterating slots
         // and, within each slot, id order reproduces the arrival sequence.
         for t in self.instance.horizon().slots() {
-            let mut batch: Vec<usize> = self.by_slot[t].clone();
-            match order {
-                IntraSlotOrder::Arrival => {}
+            let reordered: Option<Vec<usize>> = match order {
+                IntraSlotOrder::Arrival => None,
                 IntraSlotOrder::PaymentDescending => {
+                    let mut batch = self.by_slot[t].clone();
                     batch.sort_by(|&a, &b| {
                         self.requests[b]
                             .payment()
@@ -342,6 +364,7 @@ impl<'a> Simulation<'a> {
                             .expect("payments are finite")
                             .then(a.cmp(&b))
                     });
+                    Some(batch)
                 }
                 IntraSlotOrder::DensityDescending => {
                     let density = |i: usize| {
@@ -354,39 +377,35 @@ impl<'a> Simulation<'a> {
                             .unwrap_or(1);
                         r.payment() / (c as f64 * r.duration() as f64)
                     };
+                    let mut batch = self.by_slot[t].clone();
                     batch.sort_by(|&a, &b| {
                         density(b)
                             .partial_cmp(&density(a))
                             .expect("densities are finite")
                             .then(a.cmp(&b))
                     });
+                    Some(batch)
                 }
-            }
-            // Decide in the chosen order, but record in id order (the
-            // Schedule requires dense recording).
-            let mut decisions: Vec<(usize, vnfrel::Decision)> = batch
-                .into_iter()
-                .map(|i| match metrics {
-                    Some(m) => {
-                        let start = Instant::now();
-                        let d = scheduler.decide(&self.requests[i]);
-                        m.observe_decide(start.elapsed().as_secs_f64());
-                        (i, d)
-                    }
-                    None => (i, scheduler.decide(&self.requests[i])),
-                })
-                .collect();
-            decisions.sort_by_key(|&(i, _)| i);
-            for (i, decision) in decisions {
-                let r = &self.requests[i];
-                timeline[t].arrivals += 1;
-                if decision.is_admit() {
-                    timeline[t].admitted += 1;
-                    for slot in r.slots() {
-                        timeline[slot].active += 1;
+            };
+            match reordered {
+                // Arrival order is id order is recording order: decide
+                // and record straight off the slot's list.
+                None => {
+                    for &i in &self.by_slot[t] {
+                        let decision = decide(i);
+                        record(&mut schedule, t, i, decision);
                     }
                 }
-                schedule.record(r, decision);
+                // Decide in the chosen order, but record in id order
+                // (the Schedule requires dense recording).
+                Some(batch) => {
+                    let mut decisions: Vec<(usize, vnfrel::Decision)> =
+                        batch.into_iter().map(|i| (i, decide(i))).collect();
+                    decisions.sort_by_key(|&(i, _)| i);
+                    for (i, decision) in decisions {
+                        record(&mut schedule, t, i, decision);
+                    }
+                }
             }
             cumulative_revenue.push(schedule.revenue());
         }

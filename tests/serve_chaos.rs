@@ -3,7 +3,9 @@
 //! reachability of every snapshot-I/O injection boundary through the
 //! real save pipeline, the typed loadgen deadline, and the sharded
 //! tier's self-healing contract (a supervised restart after an injected
-//! panic must end revenue-bit-identical to an un-chaosed run).
+//! panic must end revenue-bit-identical to an un-chaosed run, and — with
+//! span-compacted recovery bases and cross-shard charges in the replayed
+//! suffix — state-bit-identical too).
 
 #[path = "serve_common.rs"]
 mod common;
@@ -172,6 +174,7 @@ fn loadgen_deadline_fails_typed_against_a_dead_peer() {
 
 fn spawn_sharded(
     instance: vnfrel::ProblemInstance,
+    scheme: Scheme,
     shards: usize,
 ) -> (
     String,
@@ -184,14 +187,7 @@ fn spawn_sharded(
             ServeMetricIds::register_sharded(&mut registry, instance.cloudlet_count(), shards);
         let mut config = ShardedConfig::new("127.0.0.1:0");
         config.shards = shards;
-        serve_sharded(
-            &instance,
-            Scheme::OnSite,
-            &registry,
-            &ids,
-            &config,
-            Some(tx),
-        )
+        serve_sharded(&instance, scheme, &registry, &ids, &config, Some(tx))
     });
     let addr = rx
         .recv_timeout(Duration::from_secs(10))
@@ -226,14 +222,14 @@ fn supervised_restart_after_injected_panic_is_revenue_bit_identical() {
     let cut = reqs.len() / 2;
 
     // Golden: the whole trace, no chaos.
-    let (golden_addr, golden_daemon) = spawn_sharded(instance.clone(), shards);
+    let (golden_addr, golden_daemon) = spawn_sharded(instance.clone(), Scheme::OnSite, shards);
     drive(&reqs, &golden_addr, 0, true);
     let golden = golden_daemon.join().unwrap().unwrap();
     assert_eq!(golden.shard_restarts, 0);
 
     // Chaos: same trace, but both decide threads are killed at the
     // midpoint.
-    let (addr, daemon) = spawn_sharded(instance, shards);
+    let (addr, daemon) = spawn_sharded(instance, Scheme::OnSite, shards);
     drive(&reqs[..cut], &addr, 0, false);
     let stream = std::net::TcpStream::connect(&addr).unwrap();
     stream.set_nodelay(true).unwrap();
@@ -269,4 +265,108 @@ fn supervised_restart_after_injected_panic_is_revenue_bit_identical() {
         healed.stats.revenue,
         golden.stats.revenue
     );
+}
+
+/// What one shard's recovery log must hold, reconstructed from the
+/// replies alone: one Local entry per request decided on its home shard
+/// (the one that brings the suffix to `RECOVERY_COMPACT` folds it into
+/// the base), one External entry per site of a cross-shard admission on
+/// the site's owner. A local admission never leaves the home shard.
+#[derive(Default, Clone, Copy)]
+struct RecoveryLogModel {
+    suffix: usize,
+    externals: usize,
+    compactions: usize,
+}
+
+impl RecoveryLogModel {
+    // `RECOVERY_COMPACT` in shard.rs.
+    const COMPACT: usize = 64;
+
+    fn note(logs: &mut [Self], request: &mec_workload::Request, event: &mec_obs::DecisionEvent) {
+        let shards = logs.len();
+        let home = &mut logs[request.id().index() % shards];
+        home.suffix += 1;
+        if home.suffix >= Self::COMPACT {
+            *home = RecoveryLogModel {
+                compactions: home.compactions + 1,
+                ..Self::default()
+            };
+        }
+        let mec_obs::Outcome::Admit { sites, .. } = &event.outcome else {
+            return;
+        };
+        if sites
+            .iter()
+            .any(|s| s.cloudlet % shards != request.id().index() % shards)
+        {
+            for site in sites {
+                logs[site.cloudlet % shards].suffix += 1;
+                logs[site.cloudlet % shards].externals += 1;
+            }
+        }
+    }
+}
+
+/// The recovery base is refreshed in place over the slot span its suffix
+/// touched, never re-exported whole — so a base that missed a cell would
+/// only show after a restore. Drive an off-site S = 2 daemon in
+/// lock-step until both shards have compacted at least three times and
+/// both suffixes hold a cross-shard (`External`) charge, kill both
+/// decide threads, finish the stream, and compare every shard's final
+/// state with an unpanicked twin's, bit for bit.
+#[test]
+fn restore_after_span_compactions_rebuilds_the_twins_state_bit_for_bit() {
+    use mec_serve::ControlAction;
+
+    const SHARDS: usize = 2;
+    let (instance, reqs) = common::week_scenario(240, 83);
+
+    // Returns the final report and whether the panics were injected.
+    let run = |chaos: bool| {
+        let (addr, daemon) = spawn_sharded(instance.clone(), Scheme::OffSite, SHARDS);
+        let mut conn = common::LockStep::connect(addr.as_str());
+        let mut logs = [RecoveryLogModel::default(); SHARDS];
+        let mut panicked = false;
+        for request in &reqs {
+            let event = conn.submit(request);
+            RecoveryLogModel::note(&mut logs, request, &event);
+            let ripe = logs.iter().all(|l| l.compactions >= 3 && l.externals >= 1);
+            if chaos && ripe && !panicked {
+                for shard in 0..SHARDS {
+                    conn.control(ControlAction::ChaosPanic(shard));
+                }
+                panicked = true;
+            }
+        }
+        conn.control(ControlAction::Shutdown);
+        (daemon.join().unwrap().unwrap(), panicked)
+    };
+
+    let (healed, panicked) = run(true);
+    assert!(
+        panicked,
+        "the stream never left both suffixes holding an External entry after three compactions"
+    );
+    let (twin, _) = run(false);
+
+    assert_eq!(healed.shard_restarts, SHARDS as u64);
+    assert_eq!(twin.shard_restarts, 0);
+    assert_eq!(healed.stats.revenue.to_bits(), twin.stats.revenue.to_bits());
+    let bits = |grid: &[f64]| grid.iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
+    for (s, (a, b)) in healed
+        .shard_states
+        .iter()
+        .zip(&twin.shard_states)
+        .enumerate()
+    {
+        assert_eq!(bits(&a.used), bits(&b.used), "shard {s}: usage grid");
+        assert_eq!(bits(&a.lambda), bits(&b.lambda), "shard {s}: dual prices");
+        assert_eq!(a.sum_delta.to_bits(), b.sum_delta.to_bits(), "shard {s}");
+        assert_eq!(a.counters, b.counters, "shard {s}: rejection counters");
+        assert!(
+            a.lambda.iter().any(|&l| l != 0.0),
+            "shard {s} never priced anything"
+        );
+    }
 }
