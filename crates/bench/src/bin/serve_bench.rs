@@ -8,7 +8,7 @@
 //! schedule. Round-trip latency bounds this mode at roughly
 //! 1/RTT decisions/s no matter how fast the scheduler is.
 //!
-//! *Open-loop saturation*: the sharded daemon ([`serve_sharded`]) driven
+//! *Open-loop saturation*: the same daemon with `S` lanes driven
 //! with batched v3 frames over parallel connections and a bounded
 //! in-flight window ([`run_open_loop`]). Swept over shard counts and
 //! batch sizes; this is where the daemon/scheduler gap closes.
@@ -31,50 +31,21 @@ use std::thread;
 
 use mec_obs::MetricsRegistry;
 use mec_serve::{
-    run_loadgen, run_open_loop, serve, serve_sharded, DecisionTap, LatencySummary, LoadgenConfig,
-    OpenLoopConfig, ServeConfig, ServeError, ServeMetricIds, ServeReport, ShardedConfig,
-    ShardedReport,
+    run_loadgen, run_open_loop, serve_sharded, LatencySummary, LoadgenConfig, OpenLoopConfig,
+    ServeConfig, ServeError, ServeMetricIds, ShardedReport,
 };
 use mec_sim::Simulation;
 use vnfrel::offsite::OffsitePrimalDual;
 use vnfrel::onsite::{CapacityPolicy, OnsitePrimalDual};
-use vnfrel::{OnlineScheduler, ProblemInstance, Scheme};
+use vnfrel::{ProblemInstance, Scheme};
 use vnfrel_bench::{note, quiet_from_args, Scenario, ScenarioParams};
 
-/// Starts a classic (single-decide-thread) daemon on `127.0.0.1:0`,
-/// returning the bound address and the handle yielding the final report.
+/// Starts the daemon on `127.0.0.1:0` with `shards` lanes of the
+/// scheme's primal-dual scheduler, returning the bound address and the
+/// handle yielding the final report.
 fn spawn_daemon(
     instance: ProblemInstance,
-    onsite: bool,
-) -> (
-    SocketAddr,
-    thread::JoinHandle<Result<ServeReport, ServeError>>,
-) {
-    let (tx, rx) = mpsc::channel();
-    let handle = thread::spawn(move || {
-        let tap = DecisionTap::new();
-        let mut alg1;
-        let mut alg2;
-        let scheduler: &mut dyn OnlineScheduler = if onsite {
-            alg1 = OnsitePrimalDual::with_sink(&instance, CapacityPolicy::Enforce, tap.clone())
-                .expect("valid instance");
-            &mut alg1
-        } else {
-            alg2 = OffsitePrimalDual::with_sink(&instance, tap.clone());
-            &mut alg2
-        };
-        let mut registry = MetricsRegistry::new();
-        let ids = ServeMetricIds::register(&mut registry, scheduler.ledger().cloudlet_count());
-        let config = ServeConfig::new("127.0.0.1:0");
-        serve(scheduler, &tap, &registry, &ids, &config, Some(tx))
-    });
-    let addr = rx.recv().expect("daemon bound");
-    (addr, handle)
-}
-
-/// Starts a sharded daemon on `127.0.0.1:0` (off-site primal-dual).
-fn spawn_sharded(
-    instance: ProblemInstance,
+    scheme: Scheme,
     shards: usize,
 ) -> (
     SocketAddr,
@@ -84,19 +55,12 @@ fn spawn_sharded(
     let handle = thread::spawn(move || {
         let mut registry = MetricsRegistry::new();
         let ids = ServeMetricIds::register(&mut registry, instance.cloudlet_count());
-        let mut config = ShardedConfig::new("127.0.0.1:0");
+        let mut config = ServeConfig::new("127.0.0.1:0");
         config.shards = shards;
         config.queue_capacity = 4096;
-        serve_sharded(
-            &instance,
-            Scheme::OffSite,
-            &registry,
-            &ids,
-            &config,
-            Some(tx),
-        )
+        serve_sharded(&instance, scheme, &registry, &ids, &config, Some(tx))
     });
-    let addr = rx.recv().expect("sharded daemon bound");
+    let addr = rx.recv().expect("daemon bound");
     (addr, handle)
 }
 
@@ -116,7 +80,7 @@ struct OpenLoopPoint {
 /// drain, counters cross-checked between client and daemon.
 fn open_loop_point(s: &Scenario, shards: usize, batch: usize) -> OpenLoopPoint {
     let conns = shards.min(4);
-    let (addr, daemon) = spawn_sharded(s.instance.clone(), shards);
+    let (addr, daemon) = spawn_daemon(s.instance.clone(), Scheme::OffSite, shards);
     let mut config = OpenLoopConfig::new(addr.to_string());
     config.conns = conns;
     config.shards = shards;
@@ -226,7 +190,12 @@ fn main() {
             sim.run(&mut alg).expect("batch run")
         };
 
-        let (addr, daemon) = spawn_daemon(s.instance.clone(), onsite);
+        let scheme = if onsite {
+            Scheme::OnSite
+        } else {
+            Scheme::OffSite
+        };
+        let (addr, daemon) = spawn_daemon(s.instance.clone(), scheme, 1);
         let mut lg = LoadgenConfig::new(addr.to_string());
         lg.shutdown_when_done = true;
         let client = run_loadgen(&s.requests, &lg).expect("loadgen run");

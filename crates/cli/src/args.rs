@@ -212,9 +212,9 @@ pub struct ServeArgs {
     /// primary it has seen (`--auto-promote-ms`); `None` promotes only
     /// on an explicit `promote` control.
     pub auto_promote_ms: Option<u64>,
-    /// Region shards (`--shards`). 1 runs the classic single-decide-
-    /// thread daemon (bit-parity mode); >1 partitions the cloudlets
-    /// across that many independent decide threads.
+    /// Lanes (`--shards`): the cloudlets are partitioned across that
+    /// many schedulers, each with its own decide thread. 1 is the
+    /// bit-parity mode and the only one with snapshots and replication.
     pub shards: usize,
     /// Flight-recorder dump directory (`--flight-dir`); the daemon
     /// writes `flight-<epoch>-<shard>.jsonl` there on panic, fencing,
@@ -628,10 +628,11 @@ loadgen side — plus):
                         not-primary until promoted (vnfrel promote)
   --auto-promote-ms <N> standby self-promotes after N ms of primary
                         silence (requires --standby)
-  --shards <S>          partition the cloudlets across S independent
-                        decide threads (throughput tier; primal-dual
-                        only, no snapshots/replication; 1 = classic
-                        bit-parity daemon) [1]
+  --shards <S>          partition the cloudlets across S lanes, each
+                        with its own scheduler and decide thread (one
+                        daemon at any S; S > 1 is primal-dual only and
+                        refuses --snapshot/--resume/--standby/
+                        --replicate-to, which cover one scheduler) [1]
   --flight-dir <DIR>    keep a bounded in-memory flight recorder of
                         recent pipeline events per shard and dump it as
                         flight-<epoch>-<shard>.jsonl on panic, fencing,

@@ -36,8 +36,8 @@ use mec_serve::{
     encode_client, parse_server, referee, run_loadgen, run_open_loop, serve as serve_daemon,
     serve_sharded, ChaosArtifacts, ChaosConfig, ChaosPlan, ChaosProxy, ChaosSnapshotIo, ClientMsg,
     ControlAck, ControlAction, DecisionTap, LoadgenConfig, LoadgenReport, OpenLoopConfig,
-    ServeConfig, ServeError, ServeMetricIds, ServeReport, ServeStats, ServerMsg, ShardedConfig,
-    ShardedReport, Snapshot, SubmitRequest,
+    ServeConfig, ServeError, ServeMetricIds, ServeReport, ServeStats, ServerMsg, ShardedReport,
+    Snapshot, SubmitRequest,
 };
 
 /// Split output channels: result tables go to `out` (stdout), progress
@@ -790,9 +790,12 @@ fn scenario_fingerprint(args: &SimulateArgs) -> String {
     )
 }
 
-/// Runs the `serve` command: builds the scenario's instance, wires the
-/// selected scheduler to the daemon's decision tap, and blocks serving
-/// line-JSON admission requests until a shutdown control or signal.
+/// Runs the `serve` command: builds the scenario's instance and blocks
+/// serving line-JSON admission requests until a shutdown control or
+/// signal. `--shards 1` hands the daemon the selected scheduler wired to
+/// its decision tap; `--shards S` lets it build one primal-dual
+/// scheduler per cloudlet partition. Everything else — config, listener
+/// announcement, summary — is the same daemon.
 ///
 /// # Errors
 ///
@@ -801,15 +804,11 @@ fn scenario_fingerprint(args: &SimulateArgs) -> String {
 /// or mismatched snapshot, [`CliError::Config`] on invalid scenarios.
 pub fn serve(args: &ServeArgs, io: &mut Output<'_>) -> Result<(), CliError> {
     let (instance, _requests, _rng) = build_setup(&args.sim)?;
-    if args.shards > 1 {
-        return serve_shards(args, &instance, io);
-    }
-    let tap = DecisionTap::new();
-    let mut scheduler = make_scheduler(&instance, &args.sim, tap.clone())?;
     let mut registry = MetricsRegistry::new();
     let ids = ServeMetricIds::register(&mut registry, instance.cloudlet_count());
 
     let mut config = ServeConfig::new(args.addr.clone());
+    config.shards = args.shards;
     config.queue_capacity = args.queue;
     config.workers = args.workers;
     config.snapshot_path = args.snapshot.as_ref().map(PathBuf::from);
@@ -826,10 +825,12 @@ pub fn serve(args: &ServeArgs, io: &mut Output<'_>) -> Result<(), CliError> {
 
     io.note(format!("{instance}"))?;
     io.note(format!(
-        "serving {:?} {:?} as {} (fingerprint {})",
+        "serving {:?} {:?} as {} across {} shard(s) (cloudlet j -> shard j mod {}; fingerprint {})",
         args.sim.scheme,
         args.sim.algorithm,
         if args.standby { "standby" } else { "primary" },
+        args.shards,
+        args.shards,
         config.fingerprint
     ))?;
     if let Some(peer) = &args.replicate_to {
@@ -857,92 +858,57 @@ pub fn serve(args: &ServeArgs, io: &mut Output<'_>) -> Result<(), CliError> {
             }
         }
     });
-    let result = serve_daemon(scheduler.as_mut(), &tap, &registry, &ids, &config, Some(tx));
+    // Who builds the scheduler is all that differs.
+    let result = if args.shards == 1 {
+        let tap = DecisionTap::new();
+        let mut scheduler = make_scheduler(&instance, &args.sim, tap.clone())?;
+        serve_daemon(scheduler.as_mut(), &tap, &registry, &ids, &config, Some(tx)).map(|r| {
+            let tail = format!(
+                "final slot {}, epoch {}, role {}",
+                r.slot,
+                r.epoch,
+                r.role.as_str()
+            );
+            (r.stats, tail, r.snapshot_written, Vec::new())
+        })
+    } else {
+        serve_sharded(
+            &instance,
+            args.sim.scheme,
+            &registry,
+            &ids,
+            &config,
+            Some(tx),
+        )
+        .map(|r| {
+            let tail = format!(
+                "{} shards, {} cross-shard admits",
+                args.shards, r.cross_shard_admits
+            );
+            (r.stats, tail, false, r.per_shard_decided)
+        })
+    };
     announce.join().ok();
-    let report = result?;
+    let (stats, tail, snapshot_written, per_shard) = result?;
 
     io.table(format!(
-        "served: revenue {:.2}, admitted {}/{} ({} rejected, {} overloads), final slot {}, \
-         epoch {}, role {}",
-        report.stats.revenue,
-        report.stats.admitted,
-        report.stats.decided,
-        report.stats.rejected,
-        report.stats.overloaded,
-        report.slot,
-        report.epoch,
-        report.role.as_str()
+        "served: revenue {:.2}, admitted {}/{} ({} rejected, {} overloads), {tail}",
+        stats.revenue, stats.admitted, stats.decided, stats.rejected, stats.overloaded,
     ))?;
-    if report.snapshot_written {
+    if !per_shard.is_empty() {
+        let per_shard: Vec<String> = per_shard
+            .iter()
+            .enumerate()
+            .map(|(s, n)| format!("shard {s}: {n}"))
+            .collect();
+        io.table(format!("per-shard decided: {}", per_shard.join(", ")))?;
+    }
+    if snapshot_written {
         io.note(format!(
             "snapshot -> {}",
             args.snapshot.as_deref().unwrap_or("<none>")
         ))?;
     }
-    Ok(())
-}
-
-/// The `--shards > 1` arm of [`serve`]: region-sharded serving with one
-/// decide thread per cloudlet partition. No snapshots, replication or
-/// traces here — this is the saturation-throughput tier (DESIGN.md §14);
-/// `--shards 1` remains the bit-parity daemon.
-fn serve_shards(
-    args: &ServeArgs,
-    instance: &ProblemInstance,
-    io: &mut Output<'_>,
-) -> Result<(), CliError> {
-    let mut registry = MetricsRegistry::new();
-    let ids = ServeMetricIds::register(&mut registry, instance.cloudlet_count());
-    let mut config = ShardedConfig::new(args.addr.clone());
-    config.shards = args.shards;
-    config.queue_capacity = args.queue;
-    config.workers = args.workers;
-    config.flight_dir = args.flight_dir.as_ref().map(PathBuf::from);
-
-    io.note(format!("{instance}"))?;
-    io.note(format!(
-        "serving {:?} {:?} across {} shards (cloudlet j -> shard j mod {})",
-        args.sim.scheme, args.sim.algorithm, args.shards, args.shards
-    ))?;
-    let (tx, rx) = mpsc::channel();
-    let quiet = args.sim.quiet;
-    let announce = std::thread::spawn(move || {
-        if let Ok(addr) = rx.recv() {
-            if !quiet {
-                eprintln!("listening on {addr} (sharded; shutdown control to drain)");
-            }
-        }
-    });
-    let result = serve_sharded(
-        instance,
-        args.sim.scheme,
-        &registry,
-        &ids,
-        &config,
-        Some(tx),
-    );
-    announce.join().ok();
-    let report = result?;
-
-    io.table(format!(
-        "served: revenue {:.2}, admitted {}/{} ({} rejected, {} overloads), {} shards, \
-         {} cross-shard admits",
-        report.stats.revenue,
-        report.stats.admitted,
-        report.stats.decided,
-        report.stats.rejected,
-        report.stats.overloaded,
-        args.shards,
-        report.cross_shard_admits
-    ))?;
-    let per_shard = report
-        .per_shard_decided
-        .iter()
-        .enumerate()
-        .map(|(s, n)| format!("shard {s}: {n}"))
-        .collect::<Vec<_>>()
-        .join(", ");
-    io.table(format!("per-shard decided: {per_shard}"))?;
     Ok(())
 }
 
@@ -2176,9 +2142,24 @@ fn drill_submit(r: &Request) -> ClientMsg {
     })
 }
 
-/// Spawns an in-process single-shard daemon for a drill cell and
-/// returns the bound address plus the join handle. The drill always
-/// runs the primal-dual schedulers (enforced at parse time).
+/// Runs `daemon` on its own thread and waits for the address it binds.
+fn drill_spawn<R: Send + 'static>(
+    daemon: impl FnOnce(mpsc::Sender<std::net::SocketAddr>) -> Result<R, ServeError> + Send + 'static,
+) -> (
+    std::net::SocketAddr,
+    std::thread::JoinHandle<Result<R, ServeError>>,
+) {
+    let (tx, rx) = mpsc::channel();
+    let handle = std::thread::spawn(move || daemon(tx));
+    let addr = rx
+        .recv()
+        .expect("the drill daemon reports its bound address");
+    (addr, handle)
+}
+
+/// Spawns an in-process daemon over a drill-built scheduler for a drill
+/// cell. The drill always runs the primal-dual schedulers (enforced at
+/// parse time).
 fn drill_daemon(
     instance: ProblemInstance,
     scheme: Scheme,
@@ -2187,31 +2168,18 @@ fn drill_daemon(
     std::net::SocketAddr,
     std::thread::JoinHandle<Result<ServeReport, ServeError>>,
 ) {
-    let (tx, rx) = mpsc::channel();
-    let handle = std::thread::spawn(move || {
+    drill_spawn(move |tx| {
         let tap = DecisionTap::new();
-        let mut onsite;
-        let mut offsite;
-        let scheduler: &mut dyn OnlineScheduler = match scheme {
-            Scheme::OnSite => {
-                onsite =
-                    OnsitePrimalDual::with_sink(&instance, CapacityPolicy::Enforce, tap.clone())
-                        .expect("the drill scenario admits an on-site scheduler");
-                &mut onsite
-            }
-            Scheme::OffSite => {
-                offsite = OffsitePrimalDual::with_sink(&instance, tap.clone());
-                &mut offsite
-            }
+        let sim = SimulateArgs {
+            scheme,
+            ..SimulateArgs::default()
         };
+        let mut scheduler = make_scheduler(&instance, &sim, tap.clone())
+            .expect("the drill scenario admits a primal-dual scheduler");
         let mut registry = MetricsRegistry::new();
-        let ids = ServeMetricIds::register(&mut registry, scheduler.ledger().cloudlet_count());
-        serve_daemon(scheduler, &tap, &registry, &ids, &config, Some(tx))
-    });
-    let addr = rx
-        .recv()
-        .expect("the drill daemon reports its bound address");
-    (addr, handle)
+        let ids = ServeMetricIds::register(&mut registry, instance.cloudlet_count());
+        serve_daemon(scheduler.as_mut(), &tap, &registry, &ids, &config, Some(tx))
+    })
 }
 
 /// Spawns an in-process sharded daemon for the process cell. With a
@@ -2225,19 +2193,14 @@ fn drill_sharded(
     std::net::SocketAddr,
     std::thread::JoinHandle<Result<ShardedReport, ServeError>>,
 ) {
-    let (tx, rx) = mpsc::channel();
-    let handle = std::thread::spawn(move || {
+    drill_spawn(move |tx| {
         let mut registry = MetricsRegistry::new();
         let ids = ServeMetricIds::register(&mut registry, instance.cloudlet_count());
-        let mut config = ShardedConfig::new("127.0.0.1:0");
+        let mut config = ServeConfig::new("127.0.0.1:0");
         config.shards = DRILL_SHARDS;
         config.flight_dir = flight_dir;
         serve_sharded(&instance, scheme, &registry, &ids, &config, Some(tx))
-    });
-    let addr = rx
-        .recv()
-        .expect("the sharded drill daemon reports its bound address");
-    (addr, handle)
+    })
 }
 
 /// Closed-loop loadgen for drill cells, always collecting the acked

@@ -21,9 +21,9 @@
 //!   fails a scheduled save attempt at a scheduled [`SnapshotStep`]
 //!   boundary and counts coverage per boundary.
 //! - **process** — the `chaos-panic <shard>` control frame (see
-//!   [`crate::protocol::ControlAction::ChaosPanic`]) kills a sharded
-//!   daemon's decide thread mid-stream; the per-shard supervisor in
-//!   [`crate::shard`] is expected to heal it.
+//!   [`crate::protocol::ControlAction::ChaosPanic`]) kills a lane's
+//!   decide thread mid-stream; the lane's supervisor in
+//!   [`crate::daemon`] is expected to heal it.
 //!
 //! The module also hosts the shared full-jitter backoff helper used by
 //! the replication sender and the loadgen.

@@ -1,72 +1,68 @@
-//! The admission daemon: accept loop, worker pool, and the single decide
-//! thread.
+//! The admission daemon: one pipeline for every lane count.
 //!
-//! Threading model (see DESIGN.md §12):
+//! Threading model (see DESIGN.md §12 / §14):
 //!
 //! ```text
-//! accept thread ──► BoundedQueue<TcpStream> ──► worker pool (parse lines)
-//!                                                    │ try_push (overload on full)
-//!                                                    ▼
-//!                                        BoundedQueue<WorkItem> (ingress)
-//!                                                    │ pop (FIFO)
-//!                                                    ▼
-//!                                        decide thread (owns scheduler)
+//! accept ─► conns ─► workers (parse, route by id mod S) ─► lane[s] ─► decide thread s
+//!                       │  controls + replication lines ─► lane[0]      │
+//!                       └─ try_push (overload on a full lane)           └─ node (lane 0 only)
 //! ```
 //!
-//! Only the decide thread — the thread that calls [`serve`] — touches the
-//! scheduler, dual prices and ledger, so the hot path is exactly the
-//! batch engine's `decide()` with no locking. Workers block on socket
-//! reads with a short timeout so every thread observes shutdown promptly.
+//! Lane `s` owns one scheduler behind its own lock and decides the ids
+//! with residue `s` mod `S`. [`serve`] is one lane over a caller-owned
+//! scheduler; [`crate::shard::serve_sharded`] is `S` lanes over
+//! schedulers it builds — two constructors over one front end, one
+//! supervised lane loop and one `decide_one`. Lane 0 runs on the
+//! thread that called the constructor, which is what lets it hold a
+//! `!Send` scheduler; only `LaneSched::spawn_peers` asks for `Send`.
+//! What a node is besides its lanes — role, epoch, replication,
+//! snapshots, slot clock, trace tee — is the `Node` riding lane 0.
 
 use std::collections::VecDeque;
-use std::io::{self, BufRead as _, BufReader, BufWriter, Write as _};
+use std::io::{self, BufRead as _, BufReader, Write as _};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
+use std::thread::{Scope, ScopedJoinHandle};
 use std::time::{Duration, Instant};
 
 use mec_obs::{
-    DecisionEvent, JsonlSink, MetricsRegistry, MetricsSink, Outcome, PipelineStage, StageClock,
-    TraceEvent, TraceSink,
+    to_json, DecisionEvent, MetricsRegistry, Outcome, PipelineStage, RejectReason, StageClock,
+    TraceEvent,
 };
 use mec_sim::obs::EngineMetrics;
 use mec_topology::{CloudletId, Reliability};
 use mec_workload::{Horizon, Request, RequestId, VnfTypeId};
-use vnfrel::OnlineScheduler;
+use vnfrel::{OnlineScheduler, SchedulerState};
 
-use crate::epoch::{Epoch, FenceCheck};
+use crate::epoch::Epoch;
 use crate::error::ServeError;
 use crate::flight::{SharedFlight, FLIGHT_CAPACITY};
 use crate::metrics::ServeMetricIds;
+use crate::node::{Node, NodeItem};
 use crate::pool::{BoundedQueue, PopTimeout};
 use crate::protocol::{
-    encode_batch_reply_into, encode_client, encode_server, is_batch_frame, parse_batch_into,
-    parse_client, parse_server, ClientMsg, ControlAck, ControlAction, OverloadReject, ServeStats,
-    ServerMsg, SubmitRequest, BATCH_ADMIT, BATCH_ERROR, BATCH_OVERLOAD, BATCH_REJECT,
-    MAX_LINE_BYTES,
+    encode_batch_reply_into, encode_server, is_batch_frame, parse_batch_into, parse_client,
+    ClientMsg, ControlAck, OverloadReject, ServeStats, ServerMsg, SubmitRequest, BATCH_ADMIT,
+    BATCH_ERROR, BATCH_OVERLOAD, BATCH_REJECT, MAX_LINE_BYTES,
 };
-use crate::replica::{
-    encode_repl, is_repl_line, parse_repl, run_repl_sender, PendingReply, ReplHandle, ReplItem,
-    ReplMsg, ReplSenderConfig,
-};
-use crate::snapshot::Snapshot;
+use crate::replica::{is_repl_line, parse_repl};
 use crate::status::StatusShared;
 use crate::tap::DecisionTap;
 
-/// How long a promoting standby waits for the replication connection to
-/// drain naturally (EOF from a dead primary) before force-closing it —
-/// the split-brain guard for promotions against a still-live primary.
-const PROMOTE_DRAIN_GRACE: Duration = Duration::from_millis(500);
-
-/// How the daemon listens, queues, ticks and persists.
+/// How the daemon listens, queues, shards, ticks and persists.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Listen address, e.g. `"127.0.0.1:7070"` (port 0 picks a free
-    /// port; the bound address is in the [`ServeReport`]).
+    /// port; the bound address is in the report).
     pub addr: String,
-    /// Ingress queue bound; submits beyond it get typed overload
-    /// rejections.
+    /// Number of lanes `S` (decide threads) [`crate::serve_sharded`]
+    /// partitions the cloudlets across; must be in `1..=cloudlet_count`.
+    /// [`serve`] drives the one scheduler it is given, whatever this says.
+    pub shards: usize,
+    /// Per-lane ingress queue bound; submits beyond it get typed
+    /// overload rejections.
     pub queue_capacity: usize,
     /// Connection-handling worker threads.
     pub workers: usize,
@@ -77,8 +73,8 @@ pub struct ServeConfig {
     /// Advance the virtual slot clock every `tick` of wall time; `None`
     /// advances only on explicit `advance-slot` control messages.
     pub tick: Option<Duration>,
-    /// Opaque scenario fingerprint stored in snapshots and validated on
-    /// resume.
+    /// Opaque scenario fingerprint stored in snapshots, validated on
+    /// resume and shown by `/status`.
     pub fingerprint: String,
     /// Tee every decision event to this JSONL trace file.
     pub trace_path: Option<PathBuf>,
@@ -99,26 +95,26 @@ pub struct ServeConfig {
     /// from it for this long; `None` promotes only on an explicit
     /// `promote` control message.
     pub auto_promote_after: Option<Duration>,
-    /// How many recent decisions to remember for idempotent resubmits
-    /// (dedupe by request id after a client reconnects).
+    /// How many recent decisions each lane remembers for idempotent
+    /// resubmits (dedupe by request id after a client reconnects).
     pub dedupe_window: usize,
-    /// Directory the flight recorder dumps into (as
-    /// `flight-<epoch>-<shard>.jsonl`) on fencing, divergence, panic
-    /// (when signal handlers are installed) or a `dump-flight` control
-    /// frame; `None` disables flight recording entirely.
+    /// Directory the per-lane flight recorders dump into (as
+    /// `flight-<epoch>-<lane>.jsonl`) on fencing, divergence, panic or a
+    /// `dump-flight` control frame; `None` disables flight recording.
     pub flight_dir: Option<PathBuf>,
-    /// Seam over the snapshot write-temp/fsync/rename sequence. The
-    /// default [`crate::chaos::RealSnapshotIo`] never faults; chaos
-    /// drills swap in a [`crate::chaos::ChaosSnapshotIo`] to fail saves
-    /// at scheduled boundaries.
+    /// Seam over the snapshot write-temp/fsync/rename sequence: the
+    /// default [`crate::chaos::RealSnapshotIo`] never faults, chaos
+    /// drills swap in a [`crate::chaos::ChaosSnapshotIo`].
     pub snapshot_io: Arc<dyn crate::chaos::SnapshotIo>,
 }
 
 impl ServeConfig {
-    /// A config with conservative defaults on `addr`.
+    /// A config with conservative defaults on `addr`: one lane, no
+    /// persistence, no replication.
     pub fn new(addr: impl Into<String>) -> Self {
         ServeConfig {
             addr: addr.into(),
+            shards: 1,
             queue_capacity: 256,
             workers: 4,
             snapshot_path: None,
@@ -135,6 +131,39 @@ impl ServeConfig {
             flight_dir: None,
             snapshot_io: Arc::new(crate::chaos::RealSnapshotIo),
         }
+    }
+
+    // Start-up refusals, before the listener binds. Snapshots, the
+    // replication log and the trace tee cover lane 0's scheduler only;
+    // per-shard formats are parked (DESIGN.md §14).
+    fn check(&self, lanes: usize) -> Result<(), ServeError> {
+        if self.standby && self.replicate_to.is_some() {
+            return Err(ServeError::Config(
+                "a standby cannot also replicate onward (chained replication is not supported)"
+                    .to_string(),
+            ));
+        }
+        let one_lane = [
+            ("standby", self.standby),
+            ("replicate_to", self.replicate_to.is_some()),
+            ("snapshot_path", self.snapshot_path.is_some()),
+            ("resume", self.resume),
+            ("trace_path", self.trace_path.is_some()),
+        ];
+        let set: Vec<_> = (one_lane.iter().filter_map(|&(name, on)| on.then_some(name))).collect();
+        if lanes > 1 && !set.is_empty() {
+            return Err(ServeError::Config(format!(
+                "{} cover(s) one scheduler, and this daemon runs {lanes} lanes \
+                 (per-shard snapshots and replication logs are not implemented)",
+                set.join(", ")
+            )));
+        }
+        if self.resume && self.snapshot_path.is_none() {
+            return Err(ServeError::Config(
+                "resume requires a snapshot path".to_string(),
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -166,7 +195,7 @@ pub struct ServeReport {
     pub stats: ServeStats,
     /// Final virtual slot.
     pub slot: usize,
-    /// Dense id the next submission must carry.
+    /// Lowest id the next submission may carry.
     pub next_id: usize,
     /// Whether a final snapshot was written.
     pub snapshot_written: bool,
@@ -176,128 +205,47 @@ pub struct ServeReport {
     pub role: Role,
 }
 
-enum WorkItem {
-    Submit {
-        msg: SubmitRequest,
-        conn: Arc<Mutex<TcpStream>>,
-        enqueued: Instant,
-    },
-    // One v3 batch frame: decided as a unit, answered with one
-    // batch-reply line (one code per request).
-    Batch {
-        seq: u64,
-        reqs: Vec<SubmitRequest>,
-        conn: Arc<Mutex<TcpStream>>,
-        enqueued: Instant,
-    },
-    Control {
-        action: ControlAction,
-        conn: Option<Arc<Mutex<TcpStream>>>,
-    },
-    Repl {
-        msg: ReplMsg,
-        conn: Arc<Mutex<TcpStream>>,
-    },
-    // The connection that carried replication frames closed; FIFO
-    // ordering guarantees every frame it delivered is already ahead of
-    // this marker, which is what lets promotion drain before flipping.
-    ReplEof {
-        conn: Arc<Mutex<TcpStream>>,
-    },
-}
+pub(crate) type Conn = Arc<Mutex<TcpStream>>;
+
+/// Write timeout on client sockets: replies are small, so a write that
+/// cannot complete in this long means the peer stopped draining
+/// (slow-loris); the connection is dropped so it cannot pin a thread.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(2);
 
 // One write per line: two small writes would trip Nagle + delayed-ACK
 // (~40 ms per round trip) on peers without TCP_NODELAY.
-/// Write timeout on client sockets: replies are small, so a write that
-/// cannot complete in this long means the peer stopped draining while
-/// our send buffer is full (slow-loris); the connection is dropped so
-/// it cannot pin a worker.
-pub(crate) const WRITE_TIMEOUT: Duration = Duration::from_secs(2);
-
-pub(crate) fn write_line(conn: &Arc<Mutex<TcpStream>>, mut line: String) -> io::Result<()> {
+pub(crate) fn write_line(conn: &Conn, mut line: String) -> io::Result<()> {
     line.push('\n');
     let mut s = conn.lock().unwrap();
     let result = s.write_all(line.as_bytes());
     if result.is_err() {
-        condemn(&s);
+        // Condemn the whole connection: replies queued behind this one
+        // then fail at once instead of each burning the timeout on a
+        // decide thread, and the worker's blocked read sees EOF.
+        let _ = s.shutdown(Shutdown::Both);
     }
     result
 }
 
-// [`write_line`] over a reused buffer: appends the newline for the
-// write, then restores the buffer so the caller can keep reusing it.
-pub(crate) fn write_line_buf(conn: &Arc<Mutex<TcpStream>>, buf: &mut String) -> io::Result<()> {
-    buf.push('\n');
-    let result = {
-        let mut s = conn.lock().unwrap();
-        let result = s.write_all(buf.as_bytes());
-        if result.is_err() {
-            condemn(&s);
-        }
-        result
-    };
-    buf.pop();
-    result
+fn error_line(text: String) -> String {
+    encode_server(&ServerMsg::Error(text))
 }
 
-// A failed reply write (typically the write timeout firing against a
-// peer that stopped draining) condemns the whole connection: shut the
-// socket down so every reply queued behind this one fails instantly
-// instead of burning its own timeout — a slow-loris client would
-// otherwise stall the decide thread for WRITE_TIMEOUT per queued reply
-// — and so the worker's blocked read sees EOF and frees itself.
-fn condemn(s: &TcpStream) {
-    let _ = s.shutdown(Shutdown::Both);
+pub(crate) fn is_timeout(e: &io::Error) -> bool {
+    matches!(
+        e.kind(),
+        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+    )
 }
 
-#[cfg(unix)]
-mod signal {
-    use std::sync::atomic::{AtomicBool, Ordering};
-
-    static REQUESTED: AtomicBool = AtomicBool::new(false);
-
-    extern "C" fn on_signal(_signum: i32) {
-        REQUESTED.store(true, Ordering::Release);
-    }
-
-    extern "C" {
-        // Raw libc `signal(2)`; the handler only touches an atomic, which
-        // is async-signal-safe.
-        fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
-    }
-
-    pub(super) fn install() {
-        const SIGINT: i32 = 2;
-        const SIGTERM: i32 = 15;
-        unsafe {
-            signal(SIGINT, on_signal);
-            signal(SIGTERM, on_signal);
-        }
-    }
-
-    pub(super) fn requested() -> bool {
-        REQUESTED.load(Ordering::Acquire)
-    }
-}
-
-#[cfg(not(unix))]
-mod signal {
-    pub(super) fn install() {}
-    pub(super) fn requested() -> bool {
-        false
-    }
-}
-
-/// Runs the daemon until a `shutdown` control message or a termination
-/// signal, then drains the ingress queue, writes a final snapshot and
-/// returns.
+/// Runs the daemon over a caller-owned scheduler — one lane — until a
+/// `shutdown` control message or a termination signal, then drains the
+/// ingress queue, writes a final snapshot and returns.
 ///
 /// The scheduler must have been constructed with `tap.clone()` as its
-/// trace sink — the daemon reads the full decision event (reject reason,
-/// placement sites, dual cost) back out of the tap after every
-/// `decide()` call. `on_bound` (if given) receives the bound address
-/// once the listener is up, which is how tests and the CLI learn the
-/// port when binding to port 0.
+/// trace sink: the daemon reads the full decision event back out of the
+/// tap after every `decide()`. `on_bound` (if given) receives the bound
+/// address once the listener is up (how callers learn a port-0 bind).
 ///
 /// # Errors
 ///
@@ -311,12 +259,428 @@ pub fn serve(
     config: &ServeConfig,
     on_bound: Option<mpsc::Sender<SocketAddr>>,
 ) -> Result<ServeReport, ServeError> {
-    if config.standby && config.replicate_to.is_some() {
-        return Err(ServeError::Config(
-            "a standby cannot also replicate onward (chained replication is not supported)"
-                .to_string(),
-        ));
+    let lane = LaneCore::new(CallerSched { scheduler, tap }, 0);
+    Ok(run(vec![lane], registry, ids, config, on_bound)?.0)
+}
+
+/// What a lane's decide thread needs of its scheduler. Implemented by
+/// the caller-owned lane here and the built lanes in [`crate::shard`].
+pub(crate) trait LaneSched: Sized {
+    fn sched(&mut self) -> &mut dyn OnlineScheduler;
+    // The decision event the last `decide()` recorded.
+    fn take_event(&mut self) -> Option<TraceEvent>;
+    // Whether an infeasible reject here is worth offering to other lanes.
+    fn rescues(&self) -> bool {
+        false
     }
+    // The cross-lane rescue; runs with no lane lock held.
+    fn rescue(_home: usize, _request: &Request, _p: &Pipeline<'_, Self>) -> Option<DecisionEvent> {
+        None
+    }
+    // Replays a foreign rescue's charge on this lane after a panic.
+    fn apply_external(&mut self, _site: &ExternalSite) {
+        unreachable!("only built off-site lanes log external sites");
+    }
+    // Starts the decide threads of lanes 1..S: the one place that needs
+    // `Send` lanes, which a caller-owned (`!Send`) lane never reaches.
+    fn spawn_peers<'scope, 'env>(
+        _: &'scope Scope<'scope, 'env>,
+        _: &'env Pipeline<'_, Self>,
+    ) -> Vec<ScopedJoinHandle<'scope, ()>> {
+        Vec::new()
+    }
+}
+
+struct CallerSched<'a> {
+    scheduler: &'a mut dyn OnlineScheduler,
+    tap: &'a DecisionTap,
+}
+
+impl LaneSched for CallerSched<'_> {
+    fn sched(&mut self) -> &mut dyn OnlineScheduler {
+        self.scheduler
+    }
+    fn take_event(&mut self) -> Option<TraceEvent> {
+        self.tap.pop()
+    }
+}
+
+// The one `decide()` call site, for live decisions and recovery replay.
+fn decide_take<L: LaneSched>(
+    sched: &mut L,
+    request: &Request,
+) -> Result<DecisionEvent, ServeError> {
+    sched.sched().decide(request);
+    match sched.take_event() {
+        Some(TraceEvent::Decision(event)) => Ok(event),
+        _ => Err(ServeError::Config(
+            "scheduler was not constructed with the daemon's DecisionTap sink".to_string(),
+        )),
+    }
+}
+
+// A foreign rescue's committed site, as the owner lane's recovery log
+// keeps it (ids are lane-local).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ExternalSite {
+    pub local: CloudletId,
+    pub first: usize,
+    pub last: usize,
+    pub compute: f64,
+    pub ln_coef: f64,
+    pub ln_target: f64,
+    pub payment: f64,
+}
+
+pub(crate) enum RecoveryEntry {
+    // Decided under the home lock; replay re-decides it (same state +
+    // same input ⇒ same mutation and outcome).
+    Local(SubmitRequest),
+    // A foreign rescue's charge and price update; replay re-applies both
+    // directly (the rescuing request lives on another lane).
+    External(ExternalSite),
+}
+
+// Decisions between recovery-base compactions; bounds the replay a
+// panicked lane performs to at most this many re-decides.
+const RECOVERY_COMPACT: usize = 64;
+
+// One remembered decision: the code always, the line only where the
+// reply was a line (v2 singles) — keeping every batch decision's event
+// alive costs the codec-bound path more than the decide itself.
+pub(crate) struct Recent {
+    pub id: usize,
+    pub admitted: bool,
+    pub line: Option<String>,
+}
+
+/// One lane's state, all behind the lane lock. The owner thread takes
+/// the lock uncontended; foreign threads touch it only on the (rare)
+/// cross-lane rescue path.
+pub(crate) struct LaneCore<L> {
+    pub sched: L,
+    // Lowest id still accepted. Ids must increase, but gaps are legal:
+    // an overloaded frame's ids are simply skipped, which is what lets
+    // an open-loop driver keep going at saturation.
+    pub next_id: usize,
+    // Arrival slot of the last request decided here: how far into the
+    // stream its prices have been driven (the rescue's frontier rule).
+    pub frontier: usize,
+    // This lane's counters. Payments add up in decision order, so with
+    // one lane revenue is the batch engine's to the bit.
+    pub stats: ServeStats,
+    pub rescued: u64,
+    // Times the supervisor healed this lane after a panic.
+    pub restarts: u64,
+    // The crash-consistency log: a periodically compacted base state
+    // plus the operations applied since, always in step with the
+    // scheduler. After a panic the supervisor re-imports `base` and
+    // replays the suffix; the schedulers are deterministic, so the healed
+    // state is bit-identical to one that never panicked.
+    base: SchedulerState,
+    base_next_id: usize,
+    base_frontier: usize,
+    pub suffix: Vec<RecoveryEntry>,
+    // Recent decisions, oldest first, for idempotent resubmits.
+    pub recent: VecDeque<Recent>,
+}
+
+impl<L: LaneSched> LaneCore<L> {
+    pub fn new(mut sched: L, lane: usize) -> Self {
+        LaneCore {
+            base: sched.sched().export_state(),
+            sched,
+            next_id: lane,
+            frontier: 0,
+            stats: ServeStats::default(),
+            rescued: 0,
+            restarts: 0,
+            base_next_id: lane,
+            base_frontier: 0,
+            suffix: Vec::new(),
+            recent: VecDeque::new(),
+        }
+    }
+
+    // Adopts a snapshot's scheduler state and id rule; the recovery log
+    // restarts from it.
+    pub fn adopt(&mut self, state: &SchedulerState, next_id: usize) -> Result<(), ServeError> {
+        self.sched.sched().import_state(state)?;
+        self.base = state.clone();
+        self.suffix.clear();
+        (self.next_id, self.base_next_id) = (next_id, next_id);
+        Ok(())
+    }
+
+    // Folds the suffix into the base. The suffix *is* the dirty log: every cell that moved since the last compaction
+    // lies in one of its windows, so the base is refreshed over their
+    // slot span rather than re-exported over the horizon.
+    fn compact(&mut self) {
+        let span = self
+            .suffix
+            .iter()
+            .map(|entry| match entry {
+                RecoveryEntry::Local(msg) => (msg.arrival, msg.arrival + msg.duration - 1),
+                RecoveryEntry::External(site) => (site.first, site.last),
+            })
+            .reduce(|(a, b), (first, last)| (a.min(first), b.max(last)));
+        if let Some((first, last)) = span {
+            let sched = self.sched.sched();
+            sched.export_state_span(&mut self.base, first, last);
+        }
+        debug_assert_eq!(self.base, self.sched.sched().export_state());
+        self.base_next_id = self.next_id;
+        self.base_frontier = self.frontier;
+        self.suffix.clear();
+    }
+
+    // The lane's final state: its recovery base after one last compaction.
+    pub fn into_state(mut self) -> SchedulerState {
+        self.compact();
+        self.base
+    }
+
+    // Heals the scheduler after a panic: re-import the recovery base,
+    // replay the suffix. Returns how many entries were replayed.
+    fn restore(&mut self, horizon: Horizon, lanes: usize) -> usize {
+        self.restarts += 1;
+        let sched = self.sched.sched();
+        sched
+            .import_state(&self.base)
+            .expect("the recovery base came from this scheduler");
+        self.next_id = self.base_next_id;
+        self.frontier = self.base_frontier;
+        for entry in &self.suffix {
+            match entry {
+                RecoveryEntry::Local(msg) => {
+                    self.next_id = msg.id + lanes;
+                    self.frontier = msg.arrival;
+                    let request = build_request(msg, horizon)
+                        .expect("suffix requests were validated before their first decide");
+                    let _ = decide_take(&mut self.sched, &request);
+                }
+                RecoveryEntry::External(site) => self.sched.apply_external(site),
+            }
+        }
+        self.suffix.len()
+    }
+}
+
+// One v3 batch frame in flight across lanes: each part fills its
+// positions in `codes`; the last one to finish writes the single reply.
+pub(crate) struct BatchGather {
+    seq: u64,
+    // Pre-filled with BATCH_OVERLOAD, which is what a bounced part leaves.
+    codes: Vec<AtomicU8>,
+    remaining: AtomicUsize,
+}
+
+impl BatchGather {
+    fn finish_part(&self, conn: &Conn) {
+        if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
+            let codes: Vec<u8> = self
+                .codes
+                .iter()
+                .map(|c| c.load(Ordering::Acquire))
+                .collect();
+            let mut buf = String::with_capacity(48 + 2 * codes.len());
+            encode_batch_reply_into(&mut buf, self.seq, &codes);
+            let _ = write_line(conn, buf);
+        }
+    }
+}
+
+pub(crate) enum LaneItem {
+    // Requests for this lane, the connection they came in on, and when
+    // they were queued.
+    Work(Work, Conn, Instant),
+    // Lane 0 only: a control or replication input, FIFO with the submits
+    // around it.
+    Node(NodeItem),
+    // A control ack on its way through the lanes (see [`relay_ack`]).
+    Ack(ControlAck, Conn),
+    // Injected by `chaos-panic`: the decide thread panics on dequeuing
+    // it — a message boundary, no lock held, nothing poisoned.
+    Panic,
+}
+
+/// Sends a control ack on from lane `s`. The node issues it on lane 0;
+/// each lane passes it to the next one's queue, and the last lane — or
+/// the first to find the next queue closed — fills in the counters and
+/// writes it. So what an ack reports covers everything queued before it
+/// on every lane, and a control wakes every decide thread alike rather
+/// than lane 0's alone.
+pub(crate) fn relay_ack<L>(p: &Pipeline<'_, L>, s: usize, ack: ControlAck, conn: Conn) {
+    let passed_on = match p.front.queues.get(s + 1) {
+        Some(next) => next.push(LaneItem::Ack(ack, conn)),
+        None => Err(LaneItem::Ack(ack, conn)),
+    };
+    if let Err(LaneItem::Ack(mut ack, conn)) = passed_on {
+        ack.stats = p.stats();
+        let _ = write_line(&conn, encode_server(&ServerMsg::Ack(ack)));
+    }
+}
+
+pub(crate) enum Work {
+    // A single v2 frame; answered with a full decision line.
+    Single(SubmitRequest),
+    // This lane's slice of a v3 batch frame: (position, request) pairs,
+    // answered with one code each.
+    Part(Arc<BatchGather>, Vec<(usize, SubmitRequest)>),
+}
+
+// What one queue item adds to the registry's decision series:
+// accumulated locally, published once.
+#[derive(Default)]
+pub(crate) struct Tally {
+    admitted: u64,
+    rejected: [u64; RejectReason::ALL.len()],
+}
+
+impl Tally {
+    pub fn publish(self, front: &Front<'_>) {
+        let (reg, ids) = (front.registry, &front.ids.decisions);
+        reg.add(ids.admitted, self.admitted);
+        reg.add(ids.rejected, self.rejected.iter().sum());
+        for (id, &n) in ids.reject_by_reason.iter().zip(&self.rejected) {
+            if n > 0 {
+                reg.add(*id, n);
+            }
+        }
+    }
+}
+
+/// Everything the workers and every lane share (all `Sync`).
+pub(crate) struct Front<'a> {
+    pub config: &'a ServeConfig,
+    pub registry: &'a MetricsRegistry,
+    pub ids: &'a ServeMetricIds,
+    pub engine: EngineMetrics<'a>,
+    pub horizon: Horizon,
+    conns: BoundedQueue<TcpStream>,
+    pub queues: Vec<BoundedQueue<LaneItem>>,
+    // Requests bounced off a full lane.
+    pub overloaded: AtomicU64,
+    pub stop: AtomicBool,
+    // Role, epoch and snapshot stamp, mirrored from the node.
+    pub status: Arc<StatusShared>,
+    // One flight recorder per lane; `None` without a flight directory.
+    pub flights: Option<Vec<SharedFlight>>,
+}
+
+impl Front<'_> {
+    // Stop reading sockets, and close every lane so the decide threads
+    // drain what is queued, in order, and exit.
+    pub fn begin_shutdown(&self) {
+        self.stop.store(true, Ordering::Release);
+        self.conns.close();
+        self.queues.iter().for_each(BoundedQueue::close);
+    }
+
+    fn stopping(&self) -> bool {
+        self.stop.load(Ordering::Acquire)
+    }
+
+    // The metric lane of `s`: a registry registered for fewer lanes than
+    // the daemon runs folds the rest onto its last one.
+    fn lane(&self, s: usize) -> usize {
+        s.min(self.ids.stage.shard_count() - 1)
+    }
+
+    // One stage latency, into lane `s`'s histogram and flight ring.
+    #[inline]
+    pub fn stage_obs(&self, s: usize, stage: PipelineStage, ns: u64) {
+        self.ids
+            .observe_stage_ns(self.registry, self.lane(s), stage, ns);
+        self.flight(s, || TraceEvent::StageSample {
+            shard: s,
+            stage,
+            nanos: ns,
+        });
+    }
+
+    // One item's decide span, also the engine's decide-latency series.
+    fn decide_obs(&self, s: usize, ns: u64) {
+        self.stage_obs(s, PipelineStage::Decide, ns);
+        self.engine.observe_decide(ns as f64 * 1e-9);
+    }
+
+    #[inline]
+    pub fn flight(&self, s: usize, event: impl FnOnce() -> TraceEvent) {
+        if let Some(flights) = &self.flights {
+            flights[s].record(event());
+        }
+    }
+
+    // Dumps lane `s`'s flight ring into the configured directory.
+    pub fn dump_flight(&self, s: usize) {
+        if let (Some(flights), Some(dir)) = (&self.flights, &self.config.flight_dir) {
+            let _ = flights[s].dump(dir, self.status.epoch(), s);
+        }
+    }
+
+    // Mirrors lane `s`'s queue depth into its gauges.
+    fn lane_depth(&self, s: usize) {
+        let (q, lanes) = (&self.queues[s], &self.ids.lanes);
+        lanes.set_depth(self.registry, self.lane(s), q.len(), q.capacity());
+    }
+
+    // Counts `n` requests bounced off lane `s`'s full queue.
+    fn shed(&self, s: usize, n: u64) {
+        self.registry.add(self.ids.overloads, n);
+        self.overloaded.fetch_add(n, Ordering::AcqRel);
+        self.registry.inc(self.ids.lanes.shed[self.lane(s)]);
+    }
+
+    // Hands lane 0 a node item. Never dropped by backpressure: the push
+    // blocks, and fails only when the daemon is already going down.
+    fn to_node(&self, item: NodeItem, writer: &Conn) {
+        if self.queues[0].push(LaneItem::Node(item)).is_err() {
+            let _ = write_line(writer, error_line("daemon is shutting down".to_string()));
+        }
+    }
+
+    fn protocol_error(&self, conn: &Conn, text: String) -> io::Result<()> {
+        self.registry.inc(self.ids.protocol_errors);
+        write_line(conn, error_line(text))
+    }
+}
+
+/// The front end plus the lanes it feeds.
+pub(crate) struct Pipeline<'a, L> {
+    pub front: Front<'a>,
+    pub lanes: Vec<Mutex<LaneCore<L>>>,
+}
+
+impl<L> Pipeline<'_, L> {
+    /// Aggregate counters over all lanes (one lane lock at a time).
+    pub fn stats(&self) -> ServeStats {
+        let mut total = ServeStats {
+            overloaded: self.front.overloaded.load(Ordering::Acquire),
+            ..ServeStats::default()
+        };
+        for lane in &self.lanes {
+            let stats = lane.lock().unwrap_or_else(|e| e.into_inner()).stats;
+            total.decided += stats.decided;
+            total.admitted += stats.admitted;
+            total.rejected += stats.rejected;
+            total.revenue += stats.revenue;
+        }
+        total
+    }
+}
+
+/// The whole daemon over ready-made lanes: validate, bind, serve until
+/// shutdown, drain, persist. Hands the lanes back beside the report.
+pub(crate) fn run<L: LaneSched>(
+    mut lanes: Vec<LaneCore<L>>,
+    registry: &MetricsRegistry,
+    ids: &ServeMetricIds,
+    config: &ServeConfig,
+    on_bound: Option<mpsc::Sender<SocketAddr>>,
+) -> Result<(ServeReport, Vec<LaneCore<L>>), ServeError> {
+    let shards = lanes.len();
+    config.check(shards)?;
     let listener = TcpListener::bind(&config.addr).map_err(|source| ServeError::Net {
         action: "bind",
         addr: config.addr.clone(),
@@ -325,602 +689,288 @@ pub fn serve(
     let local_addr = listener.local_addr()?;
     listener.set_nonblocking(true)?;
 
-    let (repl, repl_rx) = match &config.replicate_to {
-        Some(_) => {
-            let (tx, rx) = mpsc::channel();
-            (
-                Some(ReplLink {
-                    tx: Some(tx),
-                    handle: Arc::new(ReplHandle::default()),
-                }),
-                Some(rx),
-            )
-        }
-        None => (None, None),
+    let role = match config.standby {
+        true => Role::Standby,
+        false => Role::Primary,
     };
-
-    let status = Arc::new(StatusShared::new(
-        if config.standby {
-            Role::Standby
-        } else {
-            Role::Primary
+    let status = StatusShared::new(role, Epoch::INITIAL.0, shards, &config.fingerprint);
+    let p = Pipeline {
+        front: Front {
+            config,
+            registry,
+            ids,
+            engine: EngineMetrics::new(registry, ids.engine.clone()),
+            horizon: lanes[0].sched.sched().ledger().horizon(),
+            conns: BoundedQueue::new(config.workers.max(1) * 2),
+            queues: (0..shards)
+                .map(|_| BoundedQueue::new(config.queue_capacity))
+                .collect(),
+            overloaded: AtomicU64::new(0),
+            stop: AtomicBool::new(false),
+            status: Arc::new(status),
+            flights: config.flight_dir.as_ref().map(|_| {
+                (0..shards)
+                    .map(|_| SharedFlight::new(FLIGHT_CAPACITY))
+                    .collect()
+            }),
         },
-        Epoch::INITIAL.0,
-        1,
-        &config.fingerprint,
-    ));
-    if let Some(link) = &repl {
-        // `/status` renders the replication-link state from the
-        // sender's atomics.
-        status.set_repl(Arc::clone(&link.handle));
-    }
-    let flight = config
-        .flight_dir
-        .as_ref()
-        .map(|_| SharedFlight::new(FLIGHT_CAPACITY));
-
-    let mut driver = Driver {
-        scheduler,
-        tap,
-        registry,
-        ids,
-        engine: EngineMetrics::new(registry, ids.engine.clone()),
-        decisions: MetricsSink::new(registry, ids.decisions),
-        trace: match &config.trace_path {
-            Some(path) => {
-                let file = std::fs::File::create(path)?;
-                Some(JsonlSink::new(BufWriter::new(file)))
-            }
-            None => None,
-        },
-        config,
-        horizon: Horizon::new(1),
-        stats: ServeStats::default(),
-        next_id: 0,
-        slot: 0,
-        pending_shutdown: None,
-        epoch: Epoch::INITIAL,
-        role: if config.standby {
-            Role::Standby
-        } else {
-            Role::Primary
-        },
-        seq: 0,
-        repl,
-        recent: VecDeque::new(),
-        promoting: None,
-        promote_deadline: None,
-        repl_conn: None,
-        last_heard: None,
-        seen_hello: false,
-        batch_codes: Vec::new(),
-        batch_buf: String::new(),
-        status: Arc::clone(&status),
-        flight: flight.clone(),
-        sent_times: VecDeque::new(),
+        lanes: lanes.into_iter().map(Mutex::new).collect(),
     };
-    driver.horizon = driver.scheduler.ledger().horizon();
-
-    if config.resume {
-        let path = config
-            .snapshot_path
-            .as_deref()
-            .ok_or_else(|| ServeError::Config("resume requires a snapshot path".to_string()))?;
-        if path.exists() {
-            let snap = Snapshot::load(path)?;
-            snap.validate(driver.scheduler.name(), &config.fingerprint)?;
-            driver.scheduler.import_state(&snap.state)?;
-            driver.stats = snap.stats;
-            driver.next_id = snap.next_id;
-            driver.slot = snap.slot;
-            driver.epoch = Epoch(snap.epoch);
-            driver.seq = snap.seq;
-            driver.recent = decode_recent(&snap.recent)?;
-        }
-    }
-    registry.set_gauge(ids.slot, driver.slot as f64);
-    registry.set_gauge(ids.epoch, driver.epoch.0 as f64);
-    registry.set_gauge(
-        ids.is_primary,
-        if driver.role == Role::Primary {
-            1.0
-        } else {
-            0.0
-        },
-    );
-    registry.set_gauge(ids.snapshot_age, -1.0);
-    status.set_epoch(driver.epoch.0);
-
-    if config.install_signal_handlers {
-        signal::install();
-        // The panic hook is as process-global as the signal handlers,
-        // so it rides the same gate: a crashing daemon leaves its
-        // recent history on disk before the default hook prints the
-        // panic message.
-        if let (Some(dir), Some(f)) = (&config.flight_dir, &flight) {
-            install_panic_dump(dir.clone(), f.clone(), Arc::clone(&status));
-        }
-    }
+    let mut node = Node::new(&p, role)?;
     if let Some(tx) = on_bound {
         let _ = tx.send(local_addr);
     }
 
-    let stop = AtomicBool::new(false);
-    let conns: BoundedQueue<TcpStream> = BoundedQueue::new(config.workers.max(1) * 2);
-    let ingress: BoundedQueue<WorkItem> = BoundedQueue::new(config.queue_capacity);
-
+    let front = &p.front;
     std::thread::scope(|scope| {
-        scope.spawn(|| accept_loop(&listener, &conns, &stop));
+        let mut threads = node.spawn_helpers(scope);
+        threads.extend(L::spawn_peers(scope, &p));
+        threads.push(scope.spawn(|| accept_loop(&listener, front)));
         for _ in 0..config.workers.max(1) {
-            scope.spawn(|| {
-                worker_loop(
-                    &conns,
-                    &ingress,
-                    &stop,
-                    registry,
-                    ids,
-                    flight.as_ref(),
-                    &status,
-                )
-            });
+            threads.push(scope.spawn(|| worker_loop(front)));
         }
-        if let Some(tick) = config.tick {
-            let (ingress, stop) = (&ingress, &stop);
-            scope.spawn(move || ticker_loop(tick, ingress, stop));
+        // Lane 0 is this thread. An error (fencing, divergence) skips the
+        // drain; a clean exit means the lane was closed and drained.
+        let result = supervise(0, &p, Some(&mut node));
+        front.begin_shutdown();
+        let result = node.hang_up(result);
+        // Joined, not merely finished: a caller that runs daemon after
+        // daemon sees every thread of the last one gone.
+        for thread in threads {
+            thread.join().expect("daemon thread panicked");
         }
-        if let Some(rx) = repl_rx {
-            let sender_cfg = ReplSenderConfig {
-                peer: config
-                    .replicate_to
-                    .clone()
-                    .expect("repl_rx exists only with replicate_to"),
-                strict: config.repl_strict,
-                availability_timeout: Duration::from_secs(1),
-            };
-            let handle = driver
-                .repl
-                .as_ref()
-                .map(|link| Arc::clone(&link.handle))
-                .expect("repl_rx exists only with a replication link");
-            let stop = &stop;
-            scope.spawn(move || run_repl_sender(&sender_cfg, &handle, &rx, stop));
-        }
-
-        let result = driver.run(&ingress, &stop);
-        stop.store(true, Ordering::Release);
-        conns.close();
-        ingress.close();
         result
     })?;
 
-    let snapshot_written = driver.finish()?;
-    Ok(ServeReport {
+    let snapshot_written = node.finish()?;
+    let report = ServeReport {
         local_addr,
-        stats: driver.stats,
-        slot: driver.slot,
-        next_id: driver.next_id,
+        stats: p.stats(),
+        slot: node.slot,
+        next_id: p.lanes[0].lock().unwrap().next_id,
         snapshot_written,
-        epoch: driver.epoch.0,
-        role: driver.role,
-    })
+        epoch: node.epoch.0,
+        role: node.role,
+    };
+    drop(node);
+    let lanes = p.lanes.into_iter();
+    let unlock = |lane: Mutex<LaneCore<L>>| lane.into_inner().unwrap_or_else(|e| e.into_inner());
+    Ok((report, lanes.map(unlock).collect()))
 }
 
-// The epoch stamped on a replication frame (every variant carries one).
-fn repl_epoch(msg: &ReplMsg) -> u64 {
-    match msg {
-        ReplMsg::Hello { epoch, .. }
-        | ReplMsg::State { epoch, .. }
-        | ReplMsg::Snapshot { epoch, .. }
-        | ReplMsg::Frame { epoch, .. }
-        | ReplMsg::Advance { epoch, .. }
-        | ReplMsg::Heartbeat { epoch, .. }
-        | ReplMsg::Ack { epoch, .. }
-        | ReplMsg::Refused { epoch, .. }
-        | ReplMsg::Fenced { epoch, .. } => *epoch,
-    }
-}
-
-/// Rebuilds the idempotent-resubmit ring from a snapshot's stored
-/// decision lines.
-fn decode_recent(lines: &[String]) -> Result<VecDeque<DecisionEvent>, ServeError> {
-    lines
-        .iter()
-        .map(|line| match parse_server(line)? {
-            ServerMsg::Decision(event) => Ok(event),
-            other => Err(ServeError::Snapshot(format!(
-                "snapshot 'recent' entry is not a decision line: {other:?}"
-            ))),
-        })
-        .collect()
-}
-
-pub(crate) fn accept_loop(
-    listener: &TcpListener,
-    conns: &BoundedQueue<TcpStream>,
-    stop: &AtomicBool,
-) {
-    while !stop.load(Ordering::Acquire) {
+fn accept_loop(listener: &TcpListener, front: &Front<'_>) {
+    while !front.stopping() {
         match listener.accept() {
+            // push blocks while all workers are busy; Err means the
+            // daemon is shutting down and the connection is dropped.
             Ok((stream, _)) => {
-                // push blocks while all workers are busy; Err means the
-                // daemon is shutting down and the connection is dropped.
-                if conns.push(stream).is_err() {
+                if front.conns.push(stream).is_err() {
                     return;
                 }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
             }
             Err(_) => std::thread::sleep(Duration::from_millis(10)),
         }
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn worker_loop(
-    conns: &BoundedQueue<TcpStream>,
-    ingress: &BoundedQueue<WorkItem>,
-    stop: &AtomicBool,
-    registry: &MetricsRegistry,
-    ids: &ServeMetricIds,
-    flight: Option<&SharedFlight>,
-    status: &StatusShared,
-) {
-    while let Some(stream) = conns.pop() {
-        registry.inc(ids.connections);
-        let _ = handle_conn(stream, ingress, stop, registry, ids, flight, status);
-        if stop.load(Ordering::Acquire) {
+fn worker_loop(front: &Front<'_>) {
+    while let Some(stream) = front.conns.pop() {
+        front.registry.inc(front.ids.connections);
+        let _ = handle_conn(stream, front);
+        if front.stopping() {
             return;
         }
     }
 }
 
-/// Installs a panic hook that dumps the flight recorder before the
-/// previous hook (normally the default backtrace printer) runs.
-/// Process-global, like the signal handlers it is gated with.
-fn install_panic_dump(dir: PathBuf, flight: SharedFlight, status: Arc<StatusShared>) {
-    let prev = std::panic::take_hook();
-    std::panic::set_hook(Box::new(move |info| {
-        let _ = flight.dump(&dir, status.epoch(), 0);
-        prev(info);
-    }));
-}
-
-// Records one pipeline-stage latency observed off the decide thread
-// (worker side): always into the per-shard histogram, and onto the
-// flight recorder's ring when one is attached.
-#[inline]
-fn stage_obs(
-    registry: &MetricsRegistry,
-    ids: &ServeMetricIds,
-    flight: Option<&SharedFlight>,
-    stage: PipelineStage,
-    ns: u64,
-) {
-    ids.observe_stage_ns(registry, 0, stage, ns);
-    if let Some(f) = flight {
-        f.record(TraceEvent::StageSample {
-            shard: 0,
-            stage,
-            nanos: ns,
-        });
-    }
-}
-
-pub(crate) fn is_timeout(e: &io::Error) -> bool {
-    matches!(
-        e.kind(),
-        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn handle_conn(
-    stream: TcpStream,
-    ingress: &BoundedQueue<WorkItem>,
-    stop: &AtomicBool,
-    registry: &MetricsRegistry,
-    ids: &ServeMetricIds,
-    flight: Option<&SharedFlight>,
-    status: &StatusShared,
-) -> io::Result<()> {
+fn handle_conn(stream: TcpStream, front: &Front<'_>) -> io::Result<()> {
     stream.set_read_timeout(Some(Duration::from_millis(100)))?;
-    // A client that stops draining replies must not pin this worker
-    // forever: once our send buffer fills, writes time out and the
-    // connection is dropped (see the slow-loris case in serve_torn).
+    // Set before the clone so both handles share the option.
     stream.set_write_timeout(Some(WRITE_TIMEOUT))?;
     let _ = stream.set_nodelay(true);
-    let writer = Arc::new(Mutex::new(stream.try_clone()?));
+    let writer: Conn = Arc::new(Mutex::new(stream.try_clone()?));
     let mut reader = BufReader::new(stream);
     let mut line = String::new();
+    let mut reqs: Vec<SubmitRequest> = Vec::new();
     let mut first = true;
-    let mut is_repl = false;
+    let mut carried_repl = false;
     let result = loop {
-        if stop.load(Ordering::Acquire) {
+        if front.stopping() {
             break Ok(());
         }
         // On a read timeout any partial line stays in `line` and the next
         // read_line call appends the rest — slow peers never tear lines.
-        match reader.read_line(&mut line) {
+        let torn = match reader.read_line(&mut line) {
             Ok(0) => break Ok(()),
-            Ok(_) => {
-                if !line.ends_with('\n') {
-                    // read_line returned without a newline and without
-                    // EOF-as-zero: the peer closed (or was killed)
-                    // mid-line. The fragment is a torn frame — reply
-                    // with a typed error (best effort; the peer is
-                    // likely gone) and never let it near the parser.
-                    registry.inc(ids.protocol_errors);
-                    let reply = ServerMsg::Error(format!(
-                        "torn frame: connection closed mid-line after {} bytes",
-                        line.len()
-                    ));
-                    let _ = write_line(&writer, encode_server(&reply));
-                    break Ok(());
-                }
-            }
-            Err(e) if is_timeout(&e) => {
-                if line.len() > MAX_LINE_BYTES {
-                    break oversized(&writer, line.len(), registry, ids);
-                }
-                continue;
-            }
-            Err(e) => break Err(e),
-        }
-        if line.len() > MAX_LINE_BYTES {
-            break oversized(&writer, line.len(), registry, ids);
+            // No newline, no EOF-as-zero: the peer closed mid-line. The
+            // fragment never goes near the parser.
+            Ok(_) => !line.ends_with('\n'),
+            Err(e) if !is_timeout(&e) => break Err(e),
+            Err(_) if line.len() <= MAX_LINE_BYTES => continue,
+            Err(_) => false,
+        };
+        if torn || line.len() > MAX_LINE_BYTES {
+            // Neither can be resynchronized (the frame boundary is lost):
+            // typed error (best effort), drop the connection.
+            let text = match torn {
+                true => format!(
+                    "torn frame: connection closed mid-line after {} bytes",
+                    line.len()
+                ),
+                false => format!(
+                    "oversized frame: {} bytes exceeds the {MAX_LINE_BYTES} byte line limit",
+                    line.len()
+                ),
+            };
+            let _ = front.protocol_error(&writer, text);
+            break Ok(());
         }
         if first && line.starts_with("GET ") {
-            return serve_http(&line, reader, &writer, registry, ids, status);
+            return serve_http(&line, reader, &writer, front);
         }
         first = false;
-        let outcome = handle_line(line.trim(), ingress, &writer, registry, ids, flight);
-        is_repl |= outcome.repl;
-        if outcome.drop_conn {
+        match route_line(line.trim(), &mut reqs, &writer, front) {
+            Ok(repl) => carried_repl |= repl,
             // A direct reply write failed (typically a write timeout
             // against a non-draining peer): free this worker.
-            break Ok(());
+            Err(_) => break Ok(()),
         }
         line.clear();
     };
-    if is_repl {
-        // Tell the decide thread the replication stream ended. FIFO
-        // ordering puts this marker behind every frame the connection
+    if carried_repl {
+        // FIFO puts this marker behind every frame the connection
         // delivered, so a pending promotion drains before flipping.
-        let _ = ingress.push(WorkItem::ReplEof {
-            conn: Arc::clone(&writer),
-        });
+        let _ = front.queues[0].push(LaneItem::Node(NodeItem::ReplEof(writer)));
     }
     result
 }
 
-// An oversized line cannot be resynchronized (the frame boundary is
-// lost), so the connection is dropped after a typed error.
-pub(crate) fn oversized(
-    writer: &Arc<Mutex<TcpStream>>,
-    len: usize,
-    registry: &MetricsRegistry,
-    ids: &ServeMetricIds,
-) -> io::Result<()> {
-    registry.inc(ids.protocol_errors);
-    let reply = ServerMsg::Error(format!(
-        "oversized frame: {len} bytes exceeds the {MAX_LINE_BYTES} byte line limit"
-    ));
-    let _ = write_line(writer, encode_server(&reply));
-    Ok(())
-}
-
-// What routing one line means for the connection that delivered it.
-#[derive(Default)]
-struct LineOutcome {
-    // The line was a replication frame (the caller then owes the decide
-    // thread a ReplEof marker when the connection ends).
-    repl: bool,
-    // A direct reply write failed — the peer is gone or not draining —
-    // so the connection should be dropped to free the worker.
-    drop_conn: bool,
-}
-
-impl LineOutcome {
-    fn repl() -> Self {
-        LineOutcome {
-            repl: true,
-            drop_conn: false,
-        }
-    }
-
-    fn wrote(result: io::Result<()>) -> Self {
-        LineOutcome {
-            repl: false,
-            drop_conn: result.is_err(),
-        }
-    }
-}
-
-fn handle_line(
+// Parses one frame and routes it: submits to lane `id mod S` (bounced
+// with a typed overload when full), controls and replication lines to
+// lane 0. `Ok(true)` for a replication line; `Err` when a direct reply
+// write failed.
+fn route_line(
     line: &str,
-    ingress: &BoundedQueue<WorkItem>,
-    writer: &Arc<Mutex<TcpStream>>,
-    registry: &MetricsRegistry,
-    ids: &ServeMetricIds,
-    flight: Option<&SharedFlight>,
-) -> LineOutcome {
+    reqs: &mut Vec<SubmitRequest>,
+    writer: &Conn,
+    front: &Front<'_>,
+) -> io::Result<bool> {
     if line.is_empty() {
-        return LineOutcome::default();
+        return Ok(false);
     }
+    let shards = front.queues.len();
+    let mut clock = StageClock::start();
     if is_batch_frame(line) {
-        let mut clock = StageClock::start();
-        let mut reqs = Vec::new();
-        let mut wrote: io::Result<()> = Ok(());
-        match parse_batch_into(line, &mut reqs) {
-            Ok(seq) => {
-                stage_obs(
-                    registry,
-                    ids,
-                    flight,
-                    PipelineStage::IngressParse,
-                    clock.lap_ns(),
-                );
-                registry.add(ids.submitted, reqs.len() as u64);
-                let n = reqs.len();
-                let item = WorkItem::Batch {
-                    seq,
-                    reqs,
-                    conn: Arc::clone(writer),
-                    enqueued: Instant::now(),
-                };
-                if ingress.try_push(item).is_err() {
-                    // The whole frame bounced off the full queue: one
-                    // all-overload reply, nothing reached the scheduler.
-                    registry.add(ids.overloads, n as u64);
-                    registry.inc(ids.lanes.shed[0]);
-                    let mut reply = String::with_capacity(48 + 2 * n);
-                    encode_batch_reply_into(&mut reply, seq, &vec![BATCH_OVERLOAD; n]);
-                    wrote = write_line(writer, reply);
-                }
-                stage_obs(
-                    registry,
-                    ids,
-                    flight,
-                    PipelineStage::Dispatch,
-                    clock.lap_ns(),
-                );
-                registry.set_gauge(ids.queue_depth, ingress.len() as f64);
-                ids.lanes
-                    .set_depth(registry, 0, ingress.len(), ingress.capacity());
-            }
-            Err(e) => {
-                registry.inc(ids.protocol_errors);
-                wrote = write_line(writer, encode_server(&ServerMsg::Error(e.to_string())));
-            }
-        }
-        return LineOutcome::wrote(wrote);
+        let seq = match parse_batch_into(line, reqs) {
+            Ok(seq) => seq,
+            Err(e) => return front.protocol_error(writer, e.to_string()).map(|()| false),
+        };
+        // Parse/dispatch work happens once per frame; attribute it to
+        // the home lane of the frame's first request.
+        let home = reqs.first().map_or(0, |r| r.id % shards);
+        front.stage_obs(home, PipelineStage::IngressParse, clock.lap_ns());
+        front.registry.add(front.ids.submitted, reqs.len() as u64);
+        route_batch(seq, reqs, writer, front);
+        front.stage_obs(home, PipelineStage::Dispatch, clock.lap_ns());
+        return Ok(false);
     }
     if is_repl_line(line) {
-        match parse_repl(line) {
+        return match parse_repl(line) {
             Ok(msg) => {
-                let item = WorkItem::Repl {
-                    msg,
-                    conn: Arc::clone(writer),
-                };
-                // Replication frames are never dropped by backpressure;
-                // block like controls do.
-                if ingress.push(item).is_err() {
-                    let reply = ServerMsg::Error("daemon is shutting down".to_string());
-                    let _ = write_line(writer, encode_server(&reply));
-                }
-                return LineOutcome::repl();
+                front.to_node(NodeItem::Repl(msg, Arc::clone(writer)), writer);
+                Ok(true)
             }
-            Err(e) => {
-                registry.inc(ids.protocol_errors);
-                let wrote = write_line(writer, encode_server(&ServerMsg::Error(e.to_string())));
-                return LineOutcome::wrote(wrote);
-            }
-        }
+            Err(e) => front.protocol_error(writer, e.to_string()).map(|()| false),
+        };
     }
-    let mut clock = StageClock::start();
-    let mut wrote: io::Result<()> = Ok(());
-    match parse_client(line) {
+    let wrote = match parse_client(line) {
         Ok(ClientMsg::Submit(msg)) => {
-            stage_obs(
-                registry,
-                ids,
-                flight,
-                PipelineStage::IngressParse,
-                clock.lap_ns(),
-            );
-            registry.inc(ids.submitted);
-            let id = msg.id;
-            let item = WorkItem::Submit {
-                msg,
-                conn: Arc::clone(writer),
-                enqueued: Instant::now(),
-            };
-            if ingress.try_push(item).is_err() {
-                registry.inc(ids.overloads);
-                registry.inc(ids.lanes.shed[0]);
+            let home = msg.id % shards;
+            front.stage_obs(home, PipelineStage::IngressParse, clock.lap_ns());
+            front.registry.inc(front.ids.submitted);
+            let queue = &front.queues[home];
+            let item = LaneItem::Work(Work::Single(msg), Arc::clone(writer), Instant::now());
+            let mut wrote = Ok(());
+            if queue.try_push(item).is_err() {
+                front.shed(home, 1);
                 let reply = ServerMsg::Overload(OverloadReject {
-                    id,
-                    queue_depth: ingress.len(),
-                    limit: ingress.capacity(),
+                    id: msg.id,
+                    queue_depth: queue.len(),
+                    limit: queue.capacity(),
                 });
                 wrote = write_line(writer, encode_server(&reply));
             }
-            stage_obs(
-                registry,
-                ids,
-                flight,
-                PipelineStage::Dispatch,
-                clock.lap_ns(),
-            );
-            registry.set_gauge(ids.queue_depth, ingress.len() as f64);
-            ids.lanes
-                .set_depth(registry, 0, ingress.len(), ingress.capacity());
+            front.stage_obs(home, PipelineStage::Dispatch, clock.lap_ns());
+            let depth = queue.len() as f64;
+            front.registry.set_gauge(front.ids.queue_depth, depth);
+            front.lane_depth(home);
+            wrote
         }
         Ok(ClientMsg::Control(action)) => {
-            let item = WorkItem::Control {
-                action,
-                conn: Some(Arc::clone(writer)),
-            };
-            // Controls must not be dropped by backpressure; block until
-            // there is room (Err only when the daemon is already gone).
-            if ingress.push(item).is_err() {
-                let reply = ServerMsg::Error("daemon is shutting down".to_string());
-                let _ = write_line(writer, encode_server(&reply));
-            }
+            front.to_node(NodeItem::Control(action, Some(Arc::clone(writer))), writer);
+            Ok(())
         }
-        Err(e) => {
-            registry.inc(ids.protocol_errors);
-            wrote = write_line(writer, encode_server(&ServerMsg::Error(e.to_string())));
-        }
-    }
-    LineOutcome::wrote(wrote)
+        Err(e) => front.protocol_error(writer, e.to_string()),
+    };
+    wrote.map(|()| false)
 }
 
-pub(crate) fn serve_http(
+// Splits a parsed batch into per-lane parts sharing one gather; a part
+// that bounces off a full lane finishes at once.
+fn route_batch(seq: u64, reqs: &[SubmitRequest], writer: &Conn, front: &Front<'_>) {
+    let shards = front.queues.len();
+    let mut parts: Vec<Vec<(usize, SubmitRequest)>> = vec![Vec::new(); shards];
+    for (pos, msg) in reqs.iter().enumerate() {
+        parts[msg.id % shards].push((pos, *msg));
+    }
+    let gather = Arc::new(BatchGather {
+        seq,
+        codes: reqs.iter().map(|_| AtomicU8::new(BATCH_OVERLOAD)).collect(),
+        remaining: AtomicUsize::new(parts.iter().filter(|p| !p.is_empty()).count()),
+    });
+    for (s, part) in parts.into_iter().enumerate() {
+        if part.is_empty() {
+            continue;
+        }
+        let n = part.len() as u64;
+        let work = Work::Part(Arc::clone(&gather), part);
+        let item = LaneItem::Work(work, Arc::clone(writer), Instant::now());
+        if front.queues[s].try_push(item).is_err() {
+            front.shed(s, n);
+            gather.finish_part(writer);
+        }
+        front.lane_depth(s);
+    }
+}
+
+fn serve_http(
     request_line: &str,
     mut reader: BufReader<TcpStream>,
-    writer: &Arc<Mutex<TcpStream>>,
-    registry: &MetricsRegistry,
-    ids: &ServeMetricIds,
-    node: &StatusShared,
+    writer: &Conn,
+    front: &Front<'_>,
 ) -> io::Result<()> {
     let path = request_line.split_whitespace().nth(1).unwrap_or("/");
+    // Skip the headers: up to the blank line, EOF or a read timeout.
     let mut header = String::new();
-    loop {
+    while reader.read_line(&mut header).is_ok_and(|n| n > 2) {
         header.clear();
-        match reader.read_line(&mut header) {
-            Ok(0) => break,
-            Ok(_) if header == "\r\n" || header == "\n" => break,
-            Ok(_) => {}
-            Err(e) if is_timeout(&e) => break,
-            Err(e) => return Err(e),
-        }
     }
-    let (status, content_type, body) = if path == "/metrics" {
-        // Derived at scrape time: the decide thread only stamps the
-        // snapshot instant, the age is computed when someone looks.
-        registry.set_gauge(
-            ids.snapshot_age,
-            node.snapshot_age_seconds().unwrap_or(-1.0),
-        );
-        (
-            "200 OK",
-            "text/plain; version=0.0.4",
-            registry.to_prometheus(),
-        )
-    } else if path == "/status" {
-        (
+    let (registry, ids, node) = (front.registry, front.ids, &front.status);
+    let text = "text/plain; version=0.0.4";
+    let (status, content_type, body) = match path {
+        "/metrics" => {
+            // Derived at scrape time: the node only stamps the snapshot
+            // instant, the age is computed when someone looks.
+            let age = node.snapshot_age_seconds().unwrap_or(-1.0);
+            registry.set_gauge(ids.snapshot_age, age);
+            ("200 OK", text, registry.to_prometheus())
+        }
+        "/status" => (
             "200 OK",
             "application/json",
             node.render_json(registry, ids),
-        )
-    } else {
-        (
-            "404 Not Found",
-            "text/plain; version=0.0.4",
-            "not found\n".to_string(),
-        )
+        ),
+        _ => ("404 Not Found", text, "not found\n".to_string()),
     };
     let response = format!(
         "HTTP/1.0 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
@@ -930,958 +980,298 @@ pub(crate) fn serve_http(
     w.write_all(response.as_bytes())
 }
 
-fn ticker_loop(tick: Duration, ingress: &BoundedQueue<WorkItem>, stop: &AtomicBool) {
-    let step = Duration::from_millis(25).min(tick);
+/// One lane's supervisor: runs the lane loop, and on a panic (the
+/// `chaos-panic` control frame, or a genuine decide-thread bug) dumps
+/// the lane's flight ring, heals the lane from its recovery log, and
+/// resumes draining the same queue, in order.
+pub(crate) fn supervise<L: LaneSched>(
+    s: usize,
+    p: &Pipeline<'_, L>,
+    mut node: Option<&mut Node<'_, L>>,
+) -> Result<(), ServeError> {
     loop {
-        let mut waited = Duration::ZERO;
-        while waited < tick {
-            if stop.load(Ordering::Acquire) {
-                return;
-            }
-            std::thread::sleep(step);
-            waited += step;
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            lane_loop(s, p, node.as_deref_mut())
+        }));
+        if let Ok(result) = run {
+            return result;
         }
-        let item = WorkItem::Control {
-            action: ControlAction::AdvanceSlot,
-            conn: None,
+        p.front.dump_flight(s);
+        let replayed = (p.lanes[s].lock())
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+            .restore(p.front.horizon, p.lanes.len());
+        p.front
+            .flight(s, || TraceEvent::ShardRestart { shard: s, replayed });
+    }
+}
+
+// One lane's decide thread: drains its queue until closed and empty,
+// waking at least every 50 ms for lane 0's node (signals, replication
+// link, promotion timers).
+fn lane_loop<L: LaneSched>(
+    s: usize,
+    p: &Pipeline<'_, L>,
+    mut node: Option<&mut Node<'_, L>>,
+) -> Result<(), ServeError> {
+    let front = &p.front;
+    loop {
+        if let Some(node) = node.as_deref_mut() {
+            node.tick()?;
+        }
+        let item = match front.queues[s].pop_timeout(Duration::from_millis(50)) {
+            PopTimeout::Item(item) => item,
+            PopTimeout::TimedOut => continue,
+            PopTimeout::Closed => return Ok(()),
         };
-        if ingress.push(item).is_err() {
-            return;
+        let (work, conn, enqueued) = match item {
+            LaneItem::Work(work, conn, enqueued) => (work, conn, enqueued),
+            LaneItem::Node(item) => {
+                let node = node.as_deref_mut().expect("node items route to lane 0");
+                node.handle(item)?;
+                continue;
+            }
+            LaneItem::Ack(ack, conn) => {
+                relay_ack(p, s, ack, conn);
+                continue;
+            }
+            LaneItem::Panic => panic!("chaos-panic control frame killed lane {s}'s decide thread"),
+        };
+        let waited = u64::try_from(enqueued.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        front.stage_obs(s, PipelineStage::QueueWait, waited);
+        if front.status.role() == Role::Standby {
+            front.registry.inc(front.ids.not_primary);
+            let epoch = front.status.epoch();
+            let id = match &work {
+                Work::Single(msg) => msg.id,
+                Work::Part(_, reqs) => reqs[0].1.id,
+            };
+            let refusal = ServerMsg::NotPrimary { epoch, id };
+            let _ = write_line(&conn, encode_server(&refusal));
+            continue;
         }
-    }
-}
-
-// The decide thread's half of the replication sender: the item channel
-// and the shared flags.
-struct ReplLink {
-    tx: Option<mpsc::Sender<ReplItem>>,
-    handle: Arc<ReplHandle>,
-}
-
-/// The decide thread's state: the only place scheduler state mutates.
-struct Driver<'a> {
-    scheduler: &'a mut dyn OnlineScheduler,
-    tap: &'a DecisionTap,
-    registry: &'a MetricsRegistry,
-    ids: &'a ServeMetricIds,
-    engine: EngineMetrics<'a>,
-    decisions: MetricsSink<'a>,
-    trace: Option<JsonlSink<BufWriter<std::fs::File>>>,
-    config: &'a ServeConfig,
-    horizon: Horizon,
-    stats: ServeStats,
-    next_id: usize,
-    slot: usize,
-    pending_shutdown: Option<Option<Arc<Mutex<TcpStream>>>>,
-    epoch: Epoch,
-    role: Role,
-    // Replication log position: one entry per decision or slot advance.
-    seq: u64,
-    // Primary side: the sender thread link (None when not replicating).
-    repl: Option<ReplLink>,
-    // Recent decisions, oldest first, for idempotent resubmits.
-    recent: VecDeque<DecisionEvent>,
-    // A promotion in progress: Some(ack connection) until the
-    // replication channel drains (ReplEof) or the drain grace expires.
-    promoting: Option<Option<Arc<Mutex<TcpStream>>>>,
-    promote_deadline: Option<Instant>,
-    // Standby side: the connection currently carrying frames.
-    repl_conn: Option<Arc<Mutex<TcpStream>>>,
-    last_heard: Option<Instant>,
-    seen_hello: bool,
-    // Reused across batch frames so the steady-state batch path does
-    // not allocate per reply.
-    batch_codes: Vec<u8>,
-    batch_buf: String,
-    // Live-introspection mirror read by the HTTP scrape path.
-    status: Arc<StatusShared>,
-    // Flight recorder (None unless a flight directory is configured).
-    flight: Option<SharedFlight>,
-    // Send instants of replicated-but-unacked frames, oldest first:
-    // drained against `acked_seq` to feed the ack-wait histogram and
-    // the lag-in-seconds gauge.
-    sent_times: VecDeque<(u64, Instant)>,
-}
-
-impl Driver<'_> {
-    fn run(
-        &mut self,
-        ingress: &BoundedQueue<WorkItem>,
-        stop: &AtomicBool,
-    ) -> Result<(), ServeError> {
-        let result = self.run_inner(ingress, stop);
-        // Any abnormal exit (fencing, replication divergence, protocol
-        // breakdown) leaves the recent history on disk for post-mortem.
-        if let Err(e) = &result {
-            if let ServeError::Fenced { epoch, by } = e {
-                if let Some(f) = &self.flight {
-                    f.record(TraceEvent::Fenced {
-                        epoch: *by,
-                        stale_epoch: *epoch,
-                    });
-                }
-            }
-            self.dump_flight();
+        if matches!(work, Work::Part(..)) && front.config.replicate_to.is_some() {
+            // The replication log is framed per decision line, which a
+            // code array cannot carry; rather than weaken the semi-sync
+            // guarantee, a replicating primary refuses v3 batches.
+            let text = "batch frames are not supported on a replicating primary; \
+                        use single-request frames";
+            let _ = front.protocol_error(&conn, text.to_string());
+            continue;
         }
-        // Disconnect the sender thread's channel so it drains its
-        // outbox and exits (it is joined by the caller's thread scope).
-        if let Some(link) = &mut self.repl {
-            link.tx = None;
-        }
-        result
-    }
-
-    // Dumps the flight recorder to the configured directory, returning
-    // the path written. None when recording is disabled — and on a
-    // failed dump, which must never mask the error being reported.
-    fn dump_flight(&self) -> Option<PathBuf> {
-        let dir = self.config.flight_dir.as_deref()?;
-        let flight = self.flight.as_ref()?;
-        flight.dump(dir, self.epoch.0, 0).ok()
-    }
-
-    // Driver-side twin of the free-function `stage_obs`.
-    #[inline]
-    fn stage_ns(&self, stage: PipelineStage, ns: u64) {
-        stage_obs(self.registry, self.ids, self.flight.as_ref(), stage, ns);
-    }
-
-    fn run_inner(
-        &mut self,
-        ingress: &BoundedQueue<WorkItem>,
-        stop: &AtomicBool,
-    ) -> Result<(), ServeError> {
-        loop {
-            if signal::requested() {
-                stop.store(true, Ordering::Release);
-            }
-            if stop.load(Ordering::Acquire) || self.pending_shutdown.is_some() {
-                break;
-            }
-            self.repl_tick()?;
-            match ingress.pop_timeout(Duration::from_millis(50)) {
-                PopTimeout::Item(item) => self.handle(item)?,
-                PopTimeout::TimedOut => {}
-                PopTimeout::Closed => break,
-            }
-        }
-        // Drain: decide everything already queued, in order.
-        while let Some(item) = ingress.try_pop() {
-            self.handle(item)?;
-        }
-        // One last look at the sender's flags so a snapshot request
-        // raised during the drain is answered before the channel drops.
-        self.repl_tick()?;
-        Ok(())
-    }
-
-    // Per-iteration replication housekeeping: fencing, snapshot
-    // requests, lag gauges, auto-promotion, and the promote drain
-    // deadline.
-    fn repl_tick(&mut self) -> Result<(), ServeError> {
-        if let Some(link) = &self.repl {
-            link.handle.epoch.store(self.epoch.0, Ordering::Release);
-            if link.handle.fenced.load(Ordering::Acquire) {
-                let by = link.handle.fenced_by.load(Ordering::Acquire);
-                // A standby at a newer epoch exists: this node must
-                // never ack another decision. The error skips the
-                // final snapshot and maps to exit code 7.
-                return Err(ServeError::Fenced {
-                    epoch: self.epoch.0,
-                    by,
-                });
-            }
-            if link.handle.need_snapshot.swap(false, Ordering::AcqRel) {
-                let frame = ReplMsg::Snapshot {
-                    epoch: self.epoch.0,
-                    seq: self.seq,
-                    data: self.snapshot_value().encode(),
-                };
-                let item = ReplItem {
-                    line: encode_repl(&frame),
-                    seq: self.seq,
-                    is_snapshot: true,
-                    reply: None,
-                };
-                if let Some(tx) = &link.tx {
-                    let _ = tx.send(item);
-                }
-                self.registry.inc(self.ids.repl_snapshots);
-            }
-            let sent = link.handle.sent_seq.load(Ordering::Acquire);
-            let acked = link.handle.acked_seq.load(Ordering::Acquire);
-            self.registry.set_gauge(self.ids.repl_sent_seq, sent as f64);
-            self.registry
-                .set_gauge(self.ids.repl_acked_seq, acked as f64);
-            self.registry
-                .set_gauge(self.ids.repl_lag, sent.saturating_sub(acked) as f64);
-            // Ack-wait: every send instant the standby's ack now covers
-            // becomes one histogram observation; the oldest still
-            // waiting is the replication lag in seconds. Observed here
-            // (not in the sender thread) so the decide thread stays the
-            // only metrics writer for serve-side series; the tick runs
-            // per ingress item, so the resolution under load is one
-            // queue pop.
-            while let Some(&(seq, at)) = self.sent_times.front() {
-                if seq > acked {
-                    break;
-                }
-                let wait = at.elapsed();
-                self.registry
-                    .observe(self.ids.repl_ack_wait, wait.as_secs_f64());
-                self.stage_ns(
-                    PipelineStage::ReplAckWait,
-                    u64::try_from(wait.as_nanos()).unwrap_or(u64::MAX),
-                );
-                self.sent_times.pop_front();
-            }
-            let lag_secs = self
-                .sent_times
-                .front()
-                .map(|&(_, at)| at.elapsed().as_secs_f64())
-                .unwrap_or(0.0);
-            self.registry.set_gauge(self.ids.repl_lag_seconds, lag_secs);
-            self.registry.set_gauge(
-                self.ids.repl_reconnects,
-                link.handle.reconnects.load(Ordering::Relaxed) as f64,
-            );
-            self.registry.set_gauge(
-                self.ids.unreplicated_acks,
-                link.handle.unreplicated_acks.load(Ordering::Relaxed) as f64,
-            );
-        }
-        if self.role == Role::Standby {
-            if self.promoting.is_none() {
-                if let (Some(after), Some(heard)) =
-                    (self.config.auto_promote_after, self.last_heard)
-                {
-                    if self.seen_hello && heard.elapsed() >= after {
-                        self.begin_promotion(None);
-                    }
-                }
-            }
-            if let Some(deadline) = self.promote_deadline {
-                if Instant::now() >= deadline {
-                    // The primary did not EOF within the grace window —
-                    // it is probably still alive (split brain). Force
-                    // the connection closed; its worker delivers the
-                    // ReplEof that completes the promotion.
-                    self.promote_deadline = None;
-                    if let Some(rc) = &self.repl_conn {
-                        if let Ok(s) = rc.lock() {
-                            let _ = s.shutdown(Shutdown::Both);
+        // One decide span, one publication and one latency observation
+        // per queue item, not per request: at a million decisions per
+        // second those are a measurable tax on the path they measure.
+        let mut clock = StageClock::start();
+        let mut tally = Tally::default();
+        match work {
+            Work::Single(msg) => {
+                let reply = match decide_one(s, &msg, p, &mut tally, true)? {
+                    Decided::Fresh { line, event, .. } => {
+                        front.flight(s, || TraceEvent::Decision(event.clone()));
+                        match node.as_deref_mut() {
+                            Some(node) => {
+                                node.trace(TraceEvent::Decision(event));
+                                node.replicate(&msg, line.expect("asked for the line"), &conn)
+                            }
+                            None => line,
                         }
                     }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn handle(&mut self, item: WorkItem) -> Result<(), ServeError> {
-        match item {
-            WorkItem::Submit {
-                msg,
-                conn,
-                enqueued,
-            } => self.handle_submit(msg, &conn, enqueued),
-            WorkItem::Batch {
-                seq,
-                reqs,
-                conn,
-                enqueued,
-            } => self.handle_batch(seq, &reqs, &conn, enqueued),
-            WorkItem::Control { action, conn } => self.handle_control(action, conn),
-            WorkItem::Repl { msg, conn } => self.handle_repl(msg, &conn),
-            WorkItem::ReplEof { conn } => {
-                let current = self
-                    .repl_conn
-                    .as_ref()
-                    .is_some_and(|rc| Arc::ptr_eq(rc, &conn));
-                if current {
-                    self.repl_conn = None;
-                    // Keep the loss-detection clock running: a dead
-                    // primary's EOF is when auto-promotion starts
-                    // counting, not when it stops.
-                    self.last_heard = Some(Instant::now());
-                    if self.promoting.is_some() {
-                        self.complete_promotion();
-                    }
-                }
-                Ok(())
-            }
-        }
-    }
-
-    fn handle_submit(
-        &mut self,
-        msg: SubmitRequest,
-        conn: &Arc<Mutex<TcpStream>>,
-        enqueued: Instant,
-    ) -> Result<(), ServeError> {
-        self.stage_ns(
-            PipelineStage::QueueWait,
-            u64::try_from(enqueued.elapsed().as_nanos()).unwrap_or(u64::MAX),
-        );
-        if self.role == Role::Standby {
-            self.registry.inc(self.ids.not_primary);
-            let _ = write_line(
-                conn,
-                encode_server(&ServerMsg::NotPrimary {
-                    epoch: self.epoch.0,
-                    id: msg.id,
-                }),
-            );
-            return Ok(());
-        }
-        if msg.id != self.next_id {
-            // A reconnecting client may resubmit a request whose reply it
-            // never saw: answer it from the recent-decision ring instead
-            // of re-deciding (idempotent resubmit).
-            if msg.id < self.next_id {
-                if let Some(event) = self.recent.iter().find(|e| e.request == msg.id) {
-                    self.registry.inc(self.ids.dedupe_hits);
-                    let _ = write_line(conn, encode_server(&ServerMsg::Decision(event.clone())));
-                    return Ok(());
-                }
-            }
-            self.reply_error(
-                conn,
-                format!(
-                    "out-of-order id {} (the daemon expects dense ids; next is {})",
-                    msg.id, self.next_id
-                ),
-            );
-            return Ok(());
-        }
-        let request = match self.build_request(&msg) {
-            Ok(r) => r,
-            Err(text) => {
-                self.reply_error(conn, text);
-                return Ok(());
-            }
-        };
-        let t0 = Instant::now();
-        let decision = self.scheduler.decide(&request);
-        let decide_time = t0.elapsed();
-        self.engine.observe_decide(decide_time.as_secs_f64());
-        self.stage_ns(
-            PipelineStage::Decide,
-            u64::try_from(decide_time.as_nanos()).unwrap_or(u64::MAX),
-        );
-        let event = match self.tap.pop() {
-            Some(TraceEvent::Decision(ev)) => ev,
-            _ => {
-                return Err(ServeError::Config(
-                    "scheduler was not constructed with the daemon's DecisionTap sink".to_string(),
-                ))
-            }
-        };
-        self.record_event(event.clone());
-        self.stats.decided += 1;
-        if decision.is_admit() {
-            self.stats.admitted += 1;
-            self.stats.revenue += request.payment();
-        } else {
-            self.stats.rejected += 1;
-        }
-        let reply = encode_server(&ServerMsg::Decision(event.clone()));
-        self.recent_push(event);
-        self.next_id += 1;
-        match self.repl.as_ref().and_then(|link| link.tx.clone()) {
-            Some(tx) => {
-                // Semi-synchronous replication: the reply travels to the
-                // sender thread, which releases it only after the frame
-                // reached the standby — in strict mode once the
-                // standby's ack covers this sequence (the decision is
-                // *applied* over there), in non-strict mode once the
-                // frame is written to the standby socket (or, past the
-                // availability timeout, unreplicated and counted in
-                // `unreplicated_acks`).
-                self.seq += 1;
-                let frame = ReplMsg::Frame {
-                    epoch: self.epoch.0,
-                    seq: self.seq,
-                    submit: encode_client(&ClientMsg::Submit(msg)),
-                    decision: reply.clone(),
+                    Decided::Replayed { line: None, .. } => Some(error_line(format!(
+                        "request {} was already decided in a batch frame; only its code was kept",
+                        msg.id
+                    ))),
+                    Decided::Replayed { line, .. } => line,
+                    Decided::Refused(text) => Some(error_line(text)),
                 };
-                let item = ReplItem {
-                    line: encode_repl(&frame),
-                    seq: self.seq,
-                    is_snapshot: false,
-                    reply: Some(PendingReply {
-                        conn: Arc::clone(conn),
-                        line: reply,
-                    }),
-                };
-                // A closed channel means the sender exited (fenced or
-                // shutting down): the reply is deliberately dropped, so
-                // nothing unreplicated is ever acked.
-                let _ = tx.send(item);
-                self.sent_times.push_back((self.seq, Instant::now()));
-            }
-            None => {
-                let clock = StageClock::start();
-                let _ = write_line(conn, reply);
-                self.stage_ns(PipelineStage::ReplyWrite, clock.elapsed_ns());
-            }
-        }
-        self.registry
-            .observe(self.ids.admission_latency, enqueued.elapsed().as_secs_f64());
-        Ok(())
-    }
-
-    // One v3 batch frame: every request decided in order, one
-    // batch-reply line with one code per request. The codes and reply
-    // buffers are reused across frames.
-    fn handle_batch(
-        &mut self,
-        seq: u64,
-        reqs: &[SubmitRequest],
-        conn: &Arc<Mutex<TcpStream>>,
-        enqueued: Instant,
-    ) -> Result<(), ServeError> {
-        self.stage_ns(
-            PipelineStage::QueueWait,
-            u64::try_from(enqueued.elapsed().as_nanos()).unwrap_or(u64::MAX),
-        );
-        if self.role == Role::Standby {
-            self.registry.inc(self.ids.not_primary);
-            let _ = write_line(
-                conn,
-                encode_server(&ServerMsg::Error(format!(
-                    "not-primary: standby at epoch {} refuses batch frames",
-                    self.epoch.0
-                ))),
-            );
-            return Ok(());
-        }
-        if self.repl.is_some() {
-            // The replication log is framed per decision (one submit +
-            // one decision line per frame), which a compact code array
-            // cannot carry. Rather than silently weakening the
-            // semi-sync guarantee, a replicating primary refuses v3
-            // batches outright.
-            self.reply_error(
-                conn,
-                "batch frames are not supported on a replicating primary; \
-                 use single-request frames"
-                    .to_string(),
-            );
-            return Ok(());
-        }
-        let mut codes = std::mem::take(&mut self.batch_codes);
-        codes.clear();
-        for msg in reqs {
-            match self.decide_code(msg) {
-                Ok(code) => codes.push(code),
-                Err(e) => {
-                    self.batch_codes = codes;
-                    return Err(e);
+                front.decide_obs(s, clock.lap_ns());
+                // `None`: the reply travels with its replication frame.
+                if let Some(line) = reply {
+                    let _ = write_line(&conn, line);
+                    front.stage_obs(s, PipelineStage::ReplyWrite, clock.lap_ns());
                 }
             }
-        }
-        let mut buf = std::mem::take(&mut self.batch_buf);
-        let clock = StageClock::start();
-        encode_batch_reply_into(&mut buf, seq, &codes);
-        let _ = write_line_buf(conn, &mut buf);
-        self.stage_ns(PipelineStage::ReplyWrite, clock.elapsed_ns());
-        self.batch_buf = buf;
-        self.batch_codes = codes;
-        self.registry
-            .observe(self.ids.admission_latency, enqueued.elapsed().as_secs_f64());
-        Ok(())
-    }
-
-    // One request inside a batch: same semantics as `handle_submit`
-    // (dense ids, dedupe ring, full event recording) compressed to a
-    // decision code.
-    fn decide_code(&mut self, msg: &SubmitRequest) -> Result<u8, ServeError> {
-        if msg.id != self.next_id {
-            if msg.id < self.next_id {
-                if let Some(event) = self.recent.iter().find(|e| e.request == msg.id) {
-                    self.registry.inc(self.ids.dedupe_hits);
-                    return Ok(if matches!(event.outcome, Outcome::Admit { .. }) {
-                        BATCH_ADMIT
-                    } else {
-                        BATCH_REJECT
-                    });
-                }
-            }
-            self.registry.inc(self.ids.protocol_errors);
-            return Ok(BATCH_ERROR);
-        }
-        let request = match self.build_request(msg) {
-            Ok(r) => r,
-            Err(_) => {
-                self.registry.inc(self.ids.protocol_errors);
-                return Ok(BATCH_ERROR);
-            }
-        };
-        let t0 = Instant::now();
-        let decision = self.scheduler.decide(&request);
-        let decide_time = t0.elapsed();
-        self.engine.observe_decide(decide_time.as_secs_f64());
-        self.stage_ns(
-            PipelineStage::Decide,
-            u64::try_from(decide_time.as_nanos()).unwrap_or(u64::MAX),
-        );
-        let event = match self.tap.pop() {
-            Some(TraceEvent::Decision(ev)) => ev,
-            _ => {
-                return Err(ServeError::Config(
-                    "scheduler was not constructed with the daemon's DecisionTap sink".to_string(),
-                ))
-            }
-        };
-        self.record_event(event.clone());
-        self.stats.decided += 1;
-        let code = if decision.is_admit() {
-            self.stats.admitted += 1;
-            self.stats.revenue += request.payment();
-            BATCH_ADMIT
-        } else {
-            self.stats.rejected += 1;
-            BATCH_REJECT
-        };
-        self.recent_push(event);
-        self.next_id += 1;
-        Ok(code)
-    }
-
-    // Records a decision on the metrics sink, the trace file and the
-    // flight recorder's ring.
-    fn record_event(&mut self, event: DecisionEvent) {
-        self.decisions.record(TraceEvent::Decision(event.clone()));
-        if let Some(flight) = &self.flight {
-            flight.record(TraceEvent::Decision(event.clone()));
-        }
-        if let Some(trace) = &mut self.trace {
-            trace.record(TraceEvent::Decision(event));
-        }
-    }
-
-    // Trace-only events (promotion, fencing, catch-up).
-    fn record_trace(&mut self, event: TraceEvent) {
-        if let Some(flight) = &self.flight {
-            flight.record(event.clone());
-        }
-        if let Some(trace) = &mut self.trace {
-            trace.record(event);
-        }
-    }
-
-    fn recent_push(&mut self, event: DecisionEvent) {
-        if self.config.dedupe_window == 0 {
-            return;
-        }
-        while self.recent.len() >= self.config.dedupe_window {
-            self.recent.pop_front();
-        }
-        self.recent.push_back(event);
-    }
-
-    fn build_request(&self, msg: &SubmitRequest) -> Result<Request, String> {
-        let reliability =
-            Reliability::new(msg.reliability).map_err(|e| format!("invalid reliability: {e}"))?;
-        Request::new(
-            RequestId(msg.id),
-            VnfTypeId(msg.vnf),
-            reliability,
-            msg.arrival,
-            msg.duration,
-            msg.payment,
-            self.horizon,
-        )
-        .map_err(|e| format!("invalid request: {e}"))
-    }
-
-    fn handle_control(
-        &mut self,
-        action: ControlAction,
-        conn: Option<Arc<Mutex<TcpStream>>>,
-    ) -> Result<(), ServeError> {
-        match action {
-            ControlAction::AdvanceSlot => {
-                if self.role == Role::Standby {
-                    // The slot clock is replicated state: only the
-                    // primary advances it, via `repl-advance` frames.
-                    if let Some(c) = conn.as_ref() {
-                        self.reply_error(
-                            c,
-                            "standby: the slot clock advances via replication".to_string(),
-                        );
-                    }
-                    return Ok(());
-                }
-                self.slot += 1;
-                self.registry.set_gauge(self.ids.slot, self.slot as f64);
-                if let Some(tx) = self.repl.as_ref().and_then(|link| link.tx.clone()) {
-                    self.seq += 1;
-                    let frame = ReplMsg::Advance {
-                        epoch: self.epoch.0,
-                        seq: self.seq,
-                        slot: self.slot,
+            Work::Part(gather, reqs) => {
+                for (pos, msg) in &reqs {
+                    let code = match decide_one(s, msg, p, &mut tally, false)? {
+                        Decided::Fresh {
+                            admitted, event, ..
+                        } => {
+                            if let Some(node) = node.as_deref_mut() {
+                                node.trace(TraceEvent::Decision(event));
+                            }
+                            BATCH_CODES[usize::from(admitted)]
+                        }
+                        Decided::Replayed { admitted, .. } => BATCH_CODES[usize::from(admitted)],
+                        Decided::Refused(_) => BATCH_ERROR,
                     };
-                    let _ = tx.send(ReplItem {
-                        line: encode_repl(&frame),
-                        seq: self.seq,
-                        is_snapshot: false,
-                        reply: None,
-                    });
+                    gather.codes[*pos].store(code, Ordering::Release);
                 }
-                self.ack(conn.as_ref(), action);
-            }
-            ControlAction::Promote => {
-                if self.role == Role::Primary {
-                    // Idempotent: promoting a primary is a no-op ack
-                    // (the ack carries epoch + role, so the caller can
-                    // tell nothing changed).
-                    self.ack(conn.as_ref(), action);
-                } else if self.promoting.is_some() {
-                    if let Some(c) = conn.as_ref() {
-                        self.reply_error(c, "promotion already in progress".to_string());
-                    }
-                } else {
-                    self.begin_promotion(conn);
-                }
-            }
-            ControlAction::Stats => self.ack(conn.as_ref(), action),
-            ControlAction::Snapshot => match self.write_snapshot() {
-                Ok(_) => self.ack(conn.as_ref(), action),
-                Err(e) => {
-                    if let Some(c) = conn.as_ref() {
-                        self.reply_error(c, format!("snapshot failed: {e}"));
-                    }
-                }
-            },
-            ControlAction::Shutdown => {
-                // Ack comes from finish() after the drain + final
-                // snapshot, so the client's ack means state is durable.
-                self.pending_shutdown = Some(conn);
-            }
-            ControlAction::DumpFlight => {
-                // Acked even without a flight directory: probing an
-                // unconfigured daemon is harmless, and the ack's role/
-                // epoch fields are useful on their own.
-                self.dump_flight();
-                self.ack(conn.as_ref(), action);
-            }
-            ControlAction::ChaosPanic(_) => {
-                // The single decide thread IS the daemon: killing it is
-                // process death, not a survivable shard fault. Only the
-                // sharded tier (with its per-shard supervisor) honours
-                // chaos-panic.
-                if let Some(c) = conn.as_ref() {
-                    self.reply_error(
-                        c,
-                        "chaos-panic requires the sharded daemon (--shards > 1)".to_string(),
-                    );
-                }
+                front.decide_obs(s, clock.lap_ns());
+                // A real socket write on the last lane to finish,
+                // near-zero on the others.
+                gather.finish_part(&conn);
+                front.stage_obs(s, PipelineStage::ReplyWrite, clock.lap_ns());
             }
         }
-        Ok(())
+        tally.publish(front);
+        let latency = enqueued.elapsed().as_secs_f64();
+        front.registry.observe(front.ids.admission_latency, latency);
+        front.lane_depth(s);
     }
+}
 
-    fn reply_error(&self, conn: &Arc<Mutex<TcpStream>>, text: String) {
-        self.registry.inc(self.ids.protocol_errors);
-        let _ = write_line(conn, encode_server(&ServerMsg::Error(text)));
-    }
+// The batch-reply code of a decision, indexed by "admitted".
+const BATCH_CODES: [u8; 2] = [BATCH_REJECT, BATCH_ADMIT];
 
-    fn ack(&self, conn: Option<&Arc<Mutex<TcpStream>>>, action: ControlAction) {
-        if let Some(c) = conn {
-            let msg = ServerMsg::Ack(ControlAck {
-                action,
-                slot: self.slot,
-                stats: self.stats,
-                epoch: self.epoch.0,
-                role: self.role.as_str().to_string(),
-                last_snapshot_unix_ms: self.status.last_snapshot_unix_ms(),
+pub(crate) enum Decided {
+    // Decided just now; the event is the caller's to tee or drop.
+    Fresh {
+        admitted: bool,
+        line: Option<String>,
+        event: DecisionEvent,
+    },
+    // Already decided inside the lane's dedupe window: the first answer.
+    Replayed {
+        admitted: bool,
+        line: Option<String>,
+    },
+    // Not decided (stale id outside the window, invalid request); counted.
+    Refused(String),
+}
+
+/// Decides one request on its home lane `s`: id rule → `build_request`
+/// → decide → recovery log → rescue if worthy → counters → dedupe ring.
+/// `want_line` asks for the encoded decision line (v2 replies,
+/// replication), which the ring then keeps too. The home lock is held
+/// throughout, except across a rescue.
+pub(crate) fn decide_one<L: LaneSched>(
+    s: usize,
+    msg: &SubmitRequest,
+    p: &Pipeline<'_, L>,
+    tally: &mut Tally,
+    want_line: bool,
+) -> Result<Decided, ServeError> {
+    let (front, lanes) = (&p.front, p.lanes.len());
+    let refuse = |text: String| {
+        front.registry.inc(front.ids.protocol_errors);
+        Ok(Decided::Refused(text))
+    };
+    let mut core = p.lanes[s].lock().unwrap();
+    if msg.id < core.next_id {
+        // A reconnecting client resubmits what it never saw answered:
+        // answer from the ring, never re-decide.
+        if let Some(hit) = core.recent.iter().rev().find(|r| r.id == msg.id) {
+            front.registry.inc(front.ids.dedupe_hits);
+            return Ok(Decided::Replayed {
+                admitted: hit.admitted,
+                line: hit.line.clone(),
             });
-            let _ = write_line(c, encode_server(&msg));
         }
+        return refuse(format!(
+            "out-of-order id {} (lane {s} accepts increasing ids with residue {s} mod {lanes}; \
+             lowest acceptable is {})",
+            msg.id, core.next_id
+        ));
     }
-
-    // The full durable/replicable state of this node, as one value:
-    // written to disk by `write_snapshot` and shipped over the wire for
-    // follower catch-up.
-    fn snapshot_value(&self) -> Snapshot {
-        Snapshot {
-            algorithm: self.scheduler.name().to_string(),
-            config: self.config.fingerprint.clone(),
-            next_id: self.next_id,
-            slot: self.slot,
-            stats: self.stats,
-            state: self.scheduler.export_state(),
-            epoch: self.epoch.0,
-            seq: self.seq,
-            recent: self
-                .recent
-                .iter()
-                .map(|e| encode_server(&ServerMsg::Decision(e.clone())))
-                .collect(),
-        }
+    let request = match build_request(msg, front.horizon) {
+        Ok(request) => request,
+        Err(text) => return refuse(text),
+    };
+    core.next_id = msg.id + lanes;
+    core.frontier = msg.arrival;
+    let mut event = decide_take(&mut core.sched, &request)?;
+    // Admit or reject, both mutate the scheduler: log it for replay. (A
+    // rescue logs its foreign charges on the owning lanes itself.)
+    core.suffix.push(RecoveryEntry::Local(*msg));
+    if core.suffix.len() >= RECOVERY_COMPACT {
+        core.compact();
     }
-
-    fn write_snapshot(&self) -> Result<bool, ServeError> {
-        let Some(path) = &self.config.snapshot_path else {
-            return Ok(false);
-        };
-        self.snapshot_value()
-            .save_with(path, &*self.config.snapshot_io)?;
-        self.status.mark_snapshot();
-        self.registry.set_gauge(self.ids.snapshot_age, 0.0);
-        Ok(true)
-    }
-
-    // ---- Standby / replication receive path -------------------------
-
-    fn handle_repl(
-        &mut self,
-        msg: ReplMsg,
-        conn: &Arc<Mutex<TcpStream>>,
-    ) -> Result<(), ServeError> {
-        let frame_epoch = repl_epoch(&msg);
-        if self.epoch.check(Epoch(frame_epoch)) == FenceCheck::Stale {
-            // A deposed primary is still streaming: refuse, and tell it
-            // so it exits (code 7) instead of acking admissions.
-            self.registry.inc(self.ids.fenced_peers);
-            self.record_trace(TraceEvent::Fenced {
-                epoch: self.epoch.0,
-                stale_epoch: frame_epoch,
-            });
-            let _ = write_line(
-                conn,
-                encode_repl(&ReplMsg::Fenced {
-                    epoch: self.epoch.0,
-                    stale_epoch: frame_epoch,
-                }),
-            );
-            return Ok(());
+    let infeasible = matches!(
+        event.outcome,
+        Outcome::Reject {
+            reason: RejectReason::ReliabilityInfeasible,
+            ..
         }
-        if self.role == Role::Primary {
-            // An equal-or-newer-epoch peer streaming at a primary is a
-            // topology error (two primaries configured at each other):
-            // never apply, answer with a plain error.
-            self.registry.inc(self.ids.protocol_errors);
-            let _ = write_line(
-                conn,
-                encode_server(&ServerMsg::Error(
-                    "not a standby: replication frames refused".to_string(),
-                )),
-            );
-            return Ok(());
-        }
-        if frame_epoch > self.epoch.0 {
-            self.epoch = self.epoch.merge(Epoch(frame_epoch));
-            self.registry.set_gauge(self.ids.epoch, self.epoch.0 as f64);
-            self.status.set_epoch(self.epoch.0);
-        }
-        self.last_heard = Some(Instant::now());
-        match msg {
-            ReplMsg::Hello { .. } => {
-                self.repl_conn = Some(Arc::clone(conn));
-                self.seen_hello = true;
-                let _ = write_line(
-                    conn,
-                    encode_repl(&ReplMsg::State {
-                        epoch: self.epoch.0,
-                        seq: self.seq,
-                    }),
-                );
-            }
-            ReplMsg::Snapshot { epoch, seq, data } => {
-                let snap = Snapshot::decode(&data)?;
-                snap.validate(self.scheduler.name(), &self.config.fingerprint)?;
-                self.scheduler.import_state(&snap.state)?;
-                self.stats = snap.stats;
-                self.next_id = snap.next_id;
-                self.slot = snap.slot;
-                self.registry.set_gauge(self.ids.slot, self.slot as f64);
-                self.recent = decode_recent(&snap.recent)?;
-                self.seq = seq;
-                self.registry.inc(self.ids.repl_snapshots);
-                self.record_trace(TraceEvent::ReplCatchup { epoch, seq });
-                self.repl_ack(conn);
-            }
-            ReplMsg::Frame {
-                seq,
-                submit,
-                decision,
-                ..
-            } => {
-                if seq <= self.seq {
-                    // Duplicate (e.g. covered by the snapshot that just
-                    // caught us up): acknowledge, don't re-apply.
-                    self.repl_ack(conn);
-                } else if seq != self.seq + 1 {
-                    self.registry.inc(self.ids.repl_refusals);
-                    let _ = write_line(
-                        conn,
-                        encode_repl(&ReplMsg::Refused {
-                            epoch: self.epoch.0,
-                            expected: self.seq + 1,
-                            got: seq,
-                        }),
-                    );
-                } else {
-                    self.apply_frame(&submit, &decision)?;
-                    self.seq = seq;
-                    self.registry.inc(self.ids.repl_applied);
-                    self.repl_ack(conn);
+    );
+    if infeasible && lanes > 1 && core.sched.rescues() {
+        // Never more than one lane lock at a time: no ordering, no deadlock.
+        drop(core);
+        let clock = StageClock::start();
+        let rescued = L::rescue(s, &request, p);
+        front.stage_obs(s, PipelineStage::ReserveCommit, clock.elapsed_ns());
+        core = p.lanes[s].lock().unwrap();
+        core.rescued += u64::from(rescued.is_some());
+        match rescued {
+            Some(rescued) => event = rescued,
+            None => {
+                event.outcome = Outcome::Reject {
+                    reason: RejectReason::ReliabilityInfeasible,
+                    dual_cost: None,
+                    margin: None,
                 }
             }
-            ReplMsg::Advance { seq, slot, .. } => {
-                if seq <= self.seq {
-                    self.repl_ack(conn);
-                } else if seq != self.seq + 1 {
-                    self.registry.inc(self.ids.repl_refusals);
-                    let _ = write_line(
-                        conn,
-                        encode_repl(&ReplMsg::Refused {
-                            epoch: self.epoch.0,
-                            expected: self.seq + 1,
-                            got: seq,
-                        }),
-                    );
-                } else {
-                    self.slot = slot;
-                    self.registry.set_gauge(self.ids.slot, self.slot as f64);
-                    self.seq = seq;
-                    self.registry.inc(self.ids.repl_applied);
-                    self.repl_ack(conn);
-                }
-            }
-            ReplMsg::Heartbeat { .. } => self.repl_ack(conn),
-            // Standby→primary messages have no business arriving on the
-            // daemon's ingress; count and ignore.
-            ReplMsg::State { .. }
-            | ReplMsg::Ack { .. }
-            | ReplMsg::Refused { .. }
-            | ReplMsg::Fenced { .. } => {
-                self.registry.inc(self.ids.protocol_errors);
-            }
         }
-        Ok(())
-    }
-
-    // Re-decides a replicated submit locally and insists the outcome is
-    // byte-identical to the primary's. Any divergence is fatal: a
-    // follower with different state must not be promoted.
-    fn apply_frame(&mut self, submit: &str, decision: &str) -> Result<(), ServeError> {
-        let msg = match parse_client(submit)? {
-            ClientMsg::Submit(m) => m,
-            ClientMsg::Control(_) => {
-                return Err(ServeError::Protocol(
-                    "replication frame payload is not a submit line".to_string(),
-                ))
-            }
-        };
-        if msg.id != self.next_id {
-            return Err(ServeError::Protocol(format!(
-                "replication divergence: frame carries submit id {} but this follower expects {}",
-                msg.id, self.next_id
-            )));
-        }
-        let request = self.build_request(&msg).map_err(|text| {
-            ServeError::Protocol(format!(
-                "replication divergence: the primary admitted a request this follower rejects: {text}"
-            ))
-        })?;
-        let t0 = Instant::now();
-        let d = self.scheduler.decide(&request);
-        self.engine.observe_decide(t0.elapsed().as_secs_f64());
-        let event = match self.tap.pop() {
-            Some(TraceEvent::Decision(ev)) => ev,
-            _ => {
-                return Err(ServeError::Config(
-                    "scheduler was not constructed with the daemon's DecisionTap sink".to_string(),
-                ))
-            }
-        };
-        let local = encode_server(&ServerMsg::Decision(event.clone()));
-        if local != decision {
-            return Err(ServeError::Protocol(format!(
-                "replication divergence on request {}: the follower's decision differs from the \
-                 primary's\n  primary:  {decision}\n  follower: {local}",
-                msg.id
-            )));
-        }
-        self.record_event(event.clone());
-        self.stats.decided += 1;
-        if d.is_admit() {
-            self.stats.admitted += 1;
-            self.stats.revenue += request.payment();
-        } else {
-            self.stats.rejected += 1;
-        }
-        self.recent_push(event);
-        self.next_id += 1;
-        Ok(())
-    }
-
-    fn repl_ack(&self, conn: &Arc<Mutex<TcpStream>>) {
-        let _ = write_line(
-            conn,
-            encode_repl(&ReplMsg::Ack {
-                epoch: self.epoch.0,
-                seq: self.seq,
-            }),
-        );
-    }
-
-    // Starts a promotion: the role flips only after the replication
-    // connection drains (its ReplEof marker arrives behind every frame
-    // it delivered), so no already-received decision is lost.
-    fn begin_promotion(&mut self, conn: Option<Arc<Mutex<TcpStream>>>) {
-        if self.repl_conn.is_some() {
-            self.promoting = Some(conn);
-            self.promote_deadline = Some(Instant::now() + PROMOTE_DRAIN_GRACE);
-        } else {
-            self.promoting = Some(conn);
-            self.complete_promotion();
+    } else if let Outcome::Admit { sites, .. } = &mut event.outcome {
+        // Lane-local site ids to global ones: `global = local·S + s`.
+        for site in sites {
+            site.cloudlet = site.cloudlet * lanes + s;
         }
     }
-
-    fn complete_promotion(&mut self) {
-        let conn = self.promoting.take().flatten();
-        self.promote_deadline = None;
-        self.epoch = self.epoch.next();
-        self.role = Role::Primary;
-        self.registry.set_gauge(self.ids.epoch, self.epoch.0 as f64);
-        self.registry.set_gauge(self.ids.is_primary, 1.0);
-        self.status.set_epoch(self.epoch.0);
-        self.status.set_role(Role::Primary);
-        self.record_trace(TraceEvent::Promotion {
-            epoch: self.epoch.0,
-            seq: self.seq,
-        });
-        self.ack(conn.as_ref(), ControlAction::Promote);
+    core.stats.decided += 1;
+    match &event.outcome {
+        Outcome::Admit { dual_cost, .. } => {
+            core.stats.admitted += 1;
+            core.stats.revenue += event.payment;
+            tally.admitted += 1;
+            let dual_cost_series = front.ids.decisions.dual_cost;
+            front.registry.observe(dual_cost_series, *dual_cost);
+        }
+        Outcome::Reject { reason, .. } => {
+            core.stats.rejected += 1;
+            let i = RejectReason::ALL.iter().position(|r| r == reason);
+            tally.rejected[i.expect("reason in ALL")] += 1;
+        }
     }
-
-    /// Final snapshot, utilization gauges, trace flush and (if a client
-    /// asked for the shutdown) the shutdown ack.
-    fn finish(&mut self) -> Result<bool, ServeError> {
-        let written = self.write_snapshot()?;
-        let ledger = self.scheduler.ledger();
-        let slots = ledger.horizon().len();
-        let grid = ledger.used_grid();
-        for j in 0..ledger.cloudlet_count() {
-            let capacity = ledger.capacity(CloudletId(j));
-            let used: f64 = grid[j * slots..(j + 1) * slots].iter().sum();
-            let mean = if capacity > 0.0 {
-                used / (capacity * slots as f64)
-            } else {
-                0.0
+    let admitted = event.outcome.is_admit();
+    let (line, event) = match want_line {
+        true => {
+            let wrapped = TraceEvent::Decision(event);
+            let line = to_json(&wrapped);
+            let TraceEvent::Decision(event) = wrapped else {
+                unreachable!("wrapped two lines up");
             };
-            self.engine.set_utilization(j, mean);
+            (Some(line), event)
         }
-        if let Some(trace) = self.trace.take() {
-            trace.finish()?;
+        false => (None, event),
+    };
+    if front.config.dedupe_window > 0 {
+        while core.recent.len() >= front.config.dedupe_window {
+            core.recent.pop_front();
         }
-        if let Some(conn) = self.pending_shutdown.take().flatten() {
-            self.ack(Some(&conn), ControlAction::Shutdown);
-        }
-        Ok(written)
+        core.recent.push_back(Recent {
+            id: msg.id,
+            admitted,
+            line: line.clone(),
+        });
     }
+    Ok(Decided::Fresh {
+        admitted,
+        line,
+        event,
+    })
+}
+
+fn build_request(msg: &SubmitRequest, horizon: Horizon) -> Result<Request, String> {
+    let reliability =
+        Reliability::new(msg.reliability).map_err(|e| format!("invalid reliability: {e}"))?;
+    Request::new(
+        RequestId(msg.id),
+        VnfTypeId(msg.vnf),
+        reliability,
+        msg.arrival,
+        msg.duration,
+        msg.payment,
+        horizon,
+    )
+    .map_err(|e| format!("invalid request: {e}"))
 }

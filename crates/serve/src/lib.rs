@@ -3,18 +3,23 @@
 //!
 //! The batch engine (`mec-sim`) replays a whole trace in one call; this
 //! crate runs the *same* schedulers against live traffic. Clients submit
-//! requests over line-delimited JSON on TCP ([`protocol`]); a bounded
-//! ingress queue feeds a single decide thread that owns the scheduler,
-//! dual prices and capacity ledger ([`daemon`]); decisions stream back
-//! with full reject reasons and placement sites. The daemon persists its
+//! requests over line-delimited JSON on TCP ([`protocol`]); workers route
+//! them to per-lane bounded queues, each feeding one decide thread that
+//! owns a scheduler, its dual prices and its capacity ledger
+//! ([`daemon`]); decisions stream back with full reject reasons and
+//! placement sites. There is one daemon: [`serve`] runs it with one lane
+//! over a scheduler the caller owns, [`serve_sharded`] with `S` lanes
+//! over schedulers it builds ([`shard`]). A one-lane daemon persists its
 //! state crash-consistently ([`snapshot`]) so a killed process resumes
-//! and continues the decision stream byte for byte, exposes Prometheus
-//! metrics over `GET /metrics`, and drains cleanly on SIGINT/SIGTERM or
-//! a `shutdown` control message.
+//! and continues the decision stream byte for byte, and replicates it to
+//! a hot standby ([`replica`]); every daemon exposes Prometheus metrics
+//! over `GET /metrics`, heals a panicked decide thread from its recovery
+//! log, and drains cleanly on SIGINT/SIGTERM or a `shutdown` control
+//! message.
 //!
 //! Everything is `std`-only: `std::net` sockets, `Mutex`/`Condvar`
-//! bounded queues ([`pool`]), scoped threads. See DESIGN.md §12 for the
-//! architecture and EXPERIMENTS.md for the throughput methodology.
+//! bounded queues ([`pool`]), scoped threads. See DESIGN.md §12–§14 for
+//! the architecture and EXPERIMENTS.md for the throughput methodology.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -35,6 +40,7 @@ pub mod status;
 mod tap;
 
 pub mod metrics;
+mod node;
 
 pub use chaos::{
     full_jitter_backoff, ChaosConfig, ChaosPlan, ChaosProxy, ChaosSnapshotIo, NetFault,

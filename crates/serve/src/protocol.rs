@@ -139,10 +139,10 @@ pub enum ControlAction {
     /// then skipped), so operators can probe safely.
     DumpFlight,
     /// Chaos injection: panic the decide thread of the given shard at
-    /// its next message boundary. Only the sharded daemon honours it
-    /// (its per-shard supervisor heals the shard); the single-shard
-    /// daemon refuses with an error reply. On the wire the shard rides
-    /// in an extra `"shard"` field next to `"action":"chaos-panic"`.
+    /// its next message boundary; the lane's supervisor heals it from
+    /// its recovery log (at any shard count, a caller-owned scheduler
+    /// included). On the wire the shard rides in an extra `"shard"`
+    /// field next to `"action":"chaos-panic"`.
     ChaosPanic(usize),
 }
 
@@ -446,25 +446,25 @@ fn perr(msg: impl Into<String>) -> ServeError {
     ServeError::Protocol(msg.into())
 }
 
-fn field<'a>(v: &'a JsonValue, key: &str) -> Result<&'a JsonValue, ServeError> {
+pub(crate) fn field<'a>(v: &'a JsonValue, key: &str) -> Result<&'a JsonValue, ServeError> {
     v.get(key)
         .ok_or_else(|| perr(format!("missing field '{key}'")))
 }
 
-fn field_usize(v: &JsonValue, key: &str) -> Result<usize, ServeError> {
+pub(crate) fn field_usize(v: &JsonValue, key: &str) -> Result<usize, ServeError> {
     field(v, key)?
         .as_usize()
         .ok_or_else(|| perr(format!("field '{key}' must be a non-negative integer")))
 }
 
-fn field_f64(v: &JsonValue, key: &str) -> Result<f64, ServeError> {
+pub(crate) fn field_f64(v: &JsonValue, key: &str) -> Result<f64, ServeError> {
     match field(v, key)? {
         JsonValue::Num(n) => Ok(*n),
         _ => Err(perr(format!("field '{key}' must be a number"))),
     }
 }
 
-fn field_str<'a>(v: &'a JsonValue, key: &str) -> Result<&'a str, ServeError> {
+pub(crate) fn field_str<'a>(v: &'a JsonValue, key: &str) -> Result<&'a str, ServeError> {
     field(v, key)?
         .as_str()
         .ok_or_else(|| perr(format!("field '{key}' must be a string")))

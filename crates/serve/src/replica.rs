@@ -49,7 +49,7 @@
 //! unreplicated (and are counted).
 
 use std::collections::VecDeque;
-use std::io::{self, Read as _, Write as _};
+use std::io::{Read as _, Write as _};
 use std::net::{TcpStream, ToSocketAddrs as _};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -57,8 +57,9 @@ use std::time::{Duration, Instant};
 
 use mec_obs::{parse_value, JsonValue};
 
+use crate::daemon::is_timeout;
 use crate::error::ServeError;
-use crate::protocol::MAX_LINE_BYTES;
+use crate::protocol::{field_str, field_usize, MAX_LINE_BYTES};
 
 /// One typed frame on the replication channel.
 #[derive(Debug, Clone, PartialEq)]
@@ -143,6 +144,23 @@ pub enum ReplMsg {
     },
 }
 
+impl ReplMsg {
+    /// The sender's epoch (every variant carries one).
+    pub fn epoch(&self) -> u64 {
+        match self {
+            ReplMsg::Hello { epoch, .. }
+            | ReplMsg::State { epoch, .. }
+            | ReplMsg::Snapshot { epoch, .. }
+            | ReplMsg::Frame { epoch, .. }
+            | ReplMsg::Advance { epoch, .. }
+            | ReplMsg::Heartbeat { epoch, .. }
+            | ReplMsg::Ack { epoch, .. }
+            | ReplMsg::Refused { epoch, .. }
+            | ReplMsg::Fenced { epoch, .. } => *epoch,
+        }
+    }
+}
+
 fn uint(out: &mut String, v: u64) {
     use std::fmt::Write as _;
     let _ = write!(out, "{v}");
@@ -210,21 +228,7 @@ fn perr(msg: impl Into<String>) -> ServeError {
 }
 
 fn get_u64(v: &JsonValue, key: &str) -> Result<u64, ServeError> {
-    v.get(key)
-        .and_then(JsonValue::as_usize)
-        .map(|n| n as u64)
-        .ok_or_else(|| {
-            perr(format!(
-                "replication field '{key}' must be a non-negative integer"
-            ))
-        })
-}
-
-fn get_str(v: &JsonValue, key: &str) -> Result<String, ServeError> {
-    v.get(key)
-        .and_then(JsonValue::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| perr(format!("replication field '{key}' must be a string")))
+    field_usize(v, key).map(|n| n as u64)
 }
 
 /// True when a line looks like a replication frame (used by the daemon
@@ -241,11 +245,7 @@ pub fn is_repl_line(line: &str) -> bool {
 /// mismatch, or missing/mistyped fields.
 pub fn parse_repl(line: &str) -> Result<ReplMsg, ServeError> {
     let v = parse_value(line).map_err(|e| perr(e.to_string()))?;
-    let kind = v
-        .get("type")
-        .and_then(JsonValue::as_str)
-        .ok_or_else(|| perr("replication frame is missing 'type'"))?
-        .to_string();
+    let kind = field_str(&v, "type")?.to_string();
     let version = get_u64(&v, "v")?;
     if version != 2 {
         return Err(perr(format!(
@@ -265,13 +265,13 @@ pub fn parse_repl(line: &str) -> Result<ReplMsg, ServeError> {
         "repl-snapshot" => ReplMsg::Snapshot {
             epoch,
             seq: get_u64(&v, "seq")?,
-            data: get_str(&v, "data")?,
+            data: field_str(&v, "data")?.to_string(),
         },
         "repl-frame" => ReplMsg::Frame {
             epoch,
             seq: get_u64(&v, "seq")?,
-            submit: get_str(&v, "submit")?,
-            decision: get_str(&v, "decision")?,
+            submit: field_str(&v, "submit")?.to_string(),
+            decision: field_str(&v, "decision")?.to_string(),
         },
         "repl-advance" => ReplMsg::Advance {
             epoch,
@@ -482,13 +482,6 @@ struct OutItem {
 enum Shake {
     Connected(Peer),
     Fenced { by: u64 },
-}
-
-fn is_timeout(e: &io::Error) -> bool {
-    matches!(
-        e.kind(),
-        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-    )
 }
 
 fn handshake(config: &ReplSenderConfig, handle: &ReplHandle) -> Result<Shake, ServeError> {

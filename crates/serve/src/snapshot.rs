@@ -29,7 +29,7 @@ use mec_obs::JsonValue;
 use vnfrel::SchedulerState;
 
 use crate::error::ServeError;
-use crate::protocol::ServeStats;
+use crate::protocol::{field, field_f64, field_str, field_usize, ServeStats};
 
 /// Snapshot schema version.
 pub const SNAPSHOT_VERSION: usize = 2;
@@ -89,24 +89,6 @@ fn obj(fields: Vec<(&str, JsonValue)>) -> JsonValue {
 
 fn serr(msg: impl Into<String>) -> ServeError {
     ServeError::Snapshot(msg.into())
-}
-
-fn field<'a>(v: &'a JsonValue, key: &str) -> Result<&'a JsonValue, ServeError> {
-    v.get(key)
-        .ok_or_else(|| serr(format!("missing field '{key}'")))
-}
-
-fn field_usize(v: &JsonValue, key: &str) -> Result<usize, ServeError> {
-    field(v, key)?
-        .as_usize()
-        .ok_or_else(|| serr(format!("field '{key}' must be a non-negative integer")))
-}
-
-fn field_f64(v: &JsonValue, key: &str) -> Result<f64, ServeError> {
-    match field(v, key)? {
-        JsonValue::Num(n) => Ok(*n),
-        _ => Err(serr(format!("field '{key}' must be a number"))),
-    }
 }
 
 fn field_f64_arr(v: &JsonValue, key: &str) -> Result<Vec<f64>, ServeError> {
@@ -180,11 +162,17 @@ impl Snapshot {
     /// [`ServeError::Snapshot`] on malformed JSON, wrong `type`, or an
     /// unsupported schema version.
     pub fn decode(text: &str) -> Result<Self, ServeError> {
-        let text = text.trim();
+        // The field readers are the wire protocol's; what they find
+        // wrong with a snapshot is a snapshot error.
+        Self::decode_fields(text.trim()).map_err(|e| match e {
+            ServeError::Protocol(msg) => ServeError::Snapshot(msg),
+            other => other,
+        })
+    }
+
+    fn decode_fields(text: &str) -> Result<Self, ServeError> {
         let v = mec_obs::parse_value(text).map_err(|e| serr(e.to_string()))?;
-        let ty = field(&v, "type")?
-            .as_str()
-            .ok_or_else(|| serr("field 'type' must be a string"))?;
+        let ty = field_str(&v, "type")?;
         if ty != "snapshot" {
             return Err(serr(format!("expected a snapshot line, got '{ty}'")));
         }
@@ -196,10 +184,7 @@ impl Snapshot {
             )));
         }
         if version >= 2 {
-            let want = field(&v, "crc")?
-                .as_str()
-                .ok_or_else(|| serr("field 'crc' must be a string"))?
-                .to_string();
+            let want = field_str(&v, "crc")?;
             let prefix_len = text
                 .rfind(",\"crc\":\"")
                 .ok_or_else(|| serr("v2 snapshot must end in the crc field"))?;
@@ -242,14 +227,8 @@ impl Snapshot {
             (1, next_id as u64, Vec::new())
         };
         Ok(Snapshot {
-            algorithm: field(&v, "algorithm")?
-                .as_str()
-                .ok_or_else(|| serr("field 'algorithm' must be a string"))?
-                .to_string(),
-            config: field(&v, "config")?
-                .as_str()
-                .ok_or_else(|| serr("field 'config' must be a string"))?
-                .to_string(),
+            algorithm: field_str(&v, "algorithm")?.to_string(),
+            config: field_str(&v, "config")?.to_string(),
             next_id,
             slot: field_usize(&v, "slot")?,
             stats: ServeStats {

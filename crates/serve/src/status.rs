@@ -25,9 +25,9 @@ pub fn now_unix_ms() -> u64 {
         .unwrap_or(0)
 }
 
-/// Node-level state shared between the decide thread (writer) and the
-/// HTTP scrape path (reader). One instance per daemon; the sharded tier
-/// keeps one for the whole listener with `shards` lanes.
+/// Node-level state shared between lane 0's node (writer) and every
+/// other thread (the HTTP scrape path, the lanes' not-primary check).
+/// One instance per daemon, whatever its lane count.
 #[derive(Debug)]
 pub struct StatusShared {
     // 0 = primary, 1 = standby; mirrors `Role`.
@@ -105,7 +105,7 @@ impl StatusShared {
         self.start.elapsed().as_secs_f64()
     }
 
-    /// Number of ingress lanes (1 for the single-shard daemon).
+    /// Number of ingress lanes.
     pub fn shard_count(&self) -> usize {
         self.shards
     }

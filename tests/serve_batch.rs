@@ -8,16 +8,13 @@
 mod common;
 
 use std::net::SocketAddr;
-use std::sync::mpsc;
 use std::thread;
 
 use common::scenario;
-use mec_obs::MetricsRegistry;
 use mec_serve::{
     encode_batch_into, encode_batch_reply_into, is_batch_frame, is_batch_reply, parse_batch_into,
-    parse_batch_reply_into, run_open_loop, serve_sharded, OpenLoopConfig, ServeError,
-    ServeMetricIds, ShardedConfig, ShardedReport, SubmitRequest, BATCH_ADMIT, BATCH_ERROR,
-    BATCH_OVERLOAD, BATCH_REJECT, MAX_BATCH,
+    parse_batch_reply_into, run_open_loop, OpenLoopConfig, ServeError, ShardedReport,
+    SubmitRequest, BATCH_ADMIT, BATCH_ERROR, BATCH_OVERLOAD, BATCH_REJECT, MAX_BATCH,
 };
 use mec_sim::Simulation;
 use proptest::prelude::*;
@@ -284,24 +281,7 @@ fn spawn_sharded(
     SocketAddr,
     thread::JoinHandle<Result<ShardedReport, ServeError>>,
 ) {
-    let (tx, rx) = mpsc::channel();
-    let handle = thread::spawn(move || {
-        let mut registry = MetricsRegistry::new();
-        let ids = ServeMetricIds::register(&mut registry, instance.cloudlet_count());
-        let mut config = ShardedConfig::new("127.0.0.1:0");
-        config.shards = shards;
-        config.queue_capacity = 4096;
-        serve_sharded(
-            &instance,
-            Scheme::OffSite,
-            &registry,
-            &ids,
-            &config,
-            Some(tx),
-        )
-    });
-    let addr = rx.recv().expect("sharded daemon bound");
-    (addr, handle)
+    common::spawn_sharded(instance, Scheme::OffSite, common::sharded_config(shards))
 }
 
 #[test]

@@ -10,14 +10,12 @@
 #[path = "serve_common.rs"]
 mod common;
 
-use std::sync::mpsc;
 use std::time::Duration;
 
 use common::scenario;
-use mec_obs::MetricsRegistry;
 use mec_serve::{
-    run_loadgen, serve_sharded, ChaosConfig, ChaosPlan, ChaosSnapshotIo, LoadgenConfig, ServeError,
-    ServeMetricIds, ShardedConfig, ShardedReport, Snapshot, SnapshotStep,
+    run_loadgen, ChaosConfig, ChaosPlan, ChaosSnapshotIo, LoadgenConfig, ServeError, ShardedConfig,
+    ShardedReport, Snapshot, SnapshotStep,
 };
 use proptest::prelude::*;
 use vnfrel::Scheme;
@@ -180,18 +178,9 @@ fn spawn_sharded(
     String,
     std::thread::JoinHandle<Result<ShardedReport, ServeError>>,
 ) {
-    let (tx, rx) = mpsc::channel();
-    let handle = std::thread::spawn(move || {
-        let mut registry = MetricsRegistry::new();
-        let ids =
-            ServeMetricIds::register_sharded(&mut registry, instance.cloudlet_count(), shards);
-        let mut config = ShardedConfig::new("127.0.0.1:0");
-        config.shards = shards;
-        serve_sharded(&instance, scheme, &registry, &ids, &config, Some(tx))
-    });
-    let addr = rx
-        .recv_timeout(Duration::from_secs(10))
-        .expect("sharded daemon bound");
+    let mut config = ShardedConfig::new("127.0.0.1:0");
+    config.shards = shards;
+    let (addr, handle) = common::spawn_sharded(instance, scheme, config);
     (addr.to_string(), handle)
 }
 

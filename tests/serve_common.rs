@@ -11,8 +11,9 @@ use std::thread;
 
 use mec_obs::{DecisionEvent, MetricsRegistry};
 use mec_serve::{
-    encode_client, parse_server, serve, ClientMsg, ControlAction, DecisionTap, ServeConfig,
-    ServeError, ServeMetricIds, ServeReport, ServerMsg, SubmitRequest,
+    encode_client, parse_server, serve, serve_sharded, ClientMsg, ControlAction, DecisionTap,
+    ServeConfig, ServeError, ServeMetricIds, ServeReport, ServerMsg, ShardedConfig, ShardedReport,
+    SubmitRequest,
 };
 use mec_topology::generators::{self, CloudletPlacement};
 use mec_topology::zoo;
@@ -20,8 +21,8 @@ use mec_workload::{DurationModel, Horizon, Request, RequestGenerator, VnfCatalog
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use vnfrel::offsite::OffsitePrimalDual;
-use vnfrel::onsite::{CapacityPolicy, OnsitePrimalDual};
-use vnfrel::{OnlineScheduler, ProblemInstance};
+use vnfrel::onsite::{CapacityPolicy, OnsiteGreedy, OnsitePrimalDual};
+use vnfrel::{OnlineScheduler, ProblemInstance, SchedulerState, Scheme};
 
 /// Deterministic scenario: a Waxman edge network plus a generated
 /// request stream, both derived from `seed`.
@@ -83,8 +84,8 @@ impl LockStep {
         }
     }
 
-    fn round_trip(&mut self, msg: &ClientMsg) -> ServerMsg {
-        let mut line = encode_client(msg);
+    /// Writes one line and returns the one reply line, as sent.
+    pub fn raw(&mut self, mut line: String) -> String {
         line.push('\n');
         self.writer.write_all(line.as_bytes()).unwrap();
         line.clear();
@@ -92,7 +93,19 @@ impl LockStep {
             self.reader.read_line(&mut line).unwrap() > 0,
             "daemon hung up"
         );
-        parse_server(line.trim()).unwrap()
+        line.trim().to_string()
+    }
+
+    /// Sends one message and parses its reply.
+    pub fn round_trip(&mut self, msg: &ClientMsg) -> ServerMsg {
+        parse_server(&self.raw(encode_client(msg))).unwrap()
+    }
+
+    /// Submits `request` as a v2 frame and returns the reply line.
+    pub fn submit_raw(&mut self, request: &Request) -> String {
+        self.raw(encode_client(&ClientMsg::Submit(SubmitRequest::from(
+            request,
+        ))))
     }
 
     /// Submits `request` and returns its decision.
@@ -112,6 +125,18 @@ impl LockStep {
     }
 }
 
+/// The value of counter `name` in the daemon's `GET /metrics` body.
+pub fn scrape_counter(addr: SocketAddr, name: &str) -> f64 {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream.write_all(b"GET /metrics HTTP/1.0\r\n\r\n").unwrap();
+    let mut response = String::new();
+    std::io::Read::read_to_string(&mut stream, &mut response).unwrap();
+    response
+        .lines()
+        .find_map(|l| l.strip_prefix(name)?.trim().parse().ok())
+        .unwrap_or_else(|| panic!("{name} not exported"))
+}
+
 /// Which scheduler the daemon runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Algo {
@@ -119,10 +144,38 @@ pub enum Algo {
     Onsite,
     /// Algorithm 2 (off-site).
     Offsite,
+    /// The on-site greedy baseline (ledger-only state, no prices).
+    OnsiteGreedy,
 }
 
-/// Starts a daemon thread on `127.0.0.1:0` and returns the bound
-/// address plus the join handle yielding the final [`ServeReport`].
+/// What a daemon over a caller-owned scheduler leaves behind: its report
+/// and the scheduler's final `export_state()`.
+pub type LaneExit = (Result<ServeReport, ServeError>, SchedulerState);
+
+// `serve` over a scheduler built on this thread.
+fn run_lane(
+    instance: &ProblemInstance,
+    algo: Algo,
+    config: &ServeConfig,
+    tx: mpsc::Sender<SocketAddr>,
+) -> LaneExit {
+    let tap = DecisionTap::new();
+    let mut scheduler: Box<dyn OnlineScheduler + '_> = match algo {
+        Algo::Onsite => Box::new(
+            OnsitePrimalDual::with_sink(instance, CapacityPolicy::Enforce, tap.clone()).unwrap(),
+        ),
+        Algo::Offsite => Box::new(OffsitePrimalDual::with_sink(instance, tap.clone())),
+        Algo::OnsiteGreedy => Box::new(OnsiteGreedy::with_sink(instance, tap.clone())),
+    };
+    let mut registry = MetricsRegistry::new();
+    let ids = ServeMetricIds::register(&mut registry, instance.cloudlet_count());
+    let report = serve(scheduler.as_mut(), &tap, &registry, &ids, config, Some(tx));
+    (report, scheduler.export_state())
+}
+
+/// Starts a daemon thread over one caller-owned scheduler on
+/// `127.0.0.1:0` and returns the bound address plus the join handle
+/// yielding the final [`ServeReport`].
 pub fn spawn_daemon(
     instance: ProblemInstance,
     algo: Algo,
@@ -132,26 +185,49 @@ pub fn spawn_daemon(
     thread::JoinHandle<Result<ServeReport, ServeError>>,
 ) {
     let (tx, rx) = mpsc::channel();
+    let handle = thread::spawn(move || run_lane(&instance, algo, &config, tx).0);
+    (rx.recv().expect("daemon bound"), handle)
+}
+
+/// [`spawn_daemon`] whose handle also yields the scheduler's final
+/// state.
+pub fn spawn_lane(
+    instance: ProblemInstance,
+    algo: Algo,
+    config: ServeConfig,
+) -> (SocketAddr, thread::JoinHandle<LaneExit>) {
+    let (tx, rx) = mpsc::channel();
+    let handle = thread::spawn(move || run_lane(&instance, algo, &config, tx));
+    (rx.recv().expect("daemon bound"), handle)
+}
+
+/// Starts a daemon thread with `config.shards` lanes over schedulers
+/// the daemon builds for `scheme`, on `config.addr`.
+pub fn spawn_sharded(
+    instance: ProblemInstance,
+    scheme: Scheme,
+    config: ShardedConfig,
+) -> (
+    SocketAddr,
+    thread::JoinHandle<Result<ShardedReport, ServeError>>,
+) {
+    let (tx, rx) = mpsc::channel();
     let handle = thread::spawn(move || {
-        let tap = DecisionTap::new();
-        let mut onsite;
-        let mut offsite;
-        let scheduler: &mut dyn OnlineScheduler = match algo {
-            Algo::Onsite => {
-                onsite =
-                    OnsitePrimalDual::with_sink(&instance, CapacityPolicy::Enforce, tap.clone())
-                        .unwrap();
-                &mut onsite
-            }
-            Algo::Offsite => {
-                offsite = OffsitePrimalDual::with_sink(&instance, tap.clone());
-                &mut offsite
-            }
-        };
         let mut registry = MetricsRegistry::new();
-        let ids = ServeMetricIds::register(&mut registry, scheduler.ledger().cloudlet_count());
-        serve(scheduler, &tap, &registry, &ids, &config, Some(tx))
+        let ids = ServeMetricIds::register_sharded(
+            &mut registry,
+            instance.cloudlet_count(),
+            config.shards,
+        );
+        serve_sharded(&instance, scheme, &registry, &ids, &config, Some(tx))
     });
-    let addr = rx.recv().expect("daemon bound");
-    (addr, handle)
+    (rx.recv().expect("sharded daemon bound"), handle)
+}
+
+/// `shards` lanes on `127.0.0.1:0` with room for open-loop windows.
+pub fn sharded_config(shards: usize) -> ShardedConfig {
+    let mut config = ShardedConfig::new("127.0.0.1:0");
+    config.shards = shards;
+    config.queue_capacity = 4096;
+    config
 }

@@ -7,11 +7,12 @@
 #[path = "serve_common.rs"]
 mod common;
 
-use common::{scenario, spawn_daemon, Algo};
-use mec_serve::{run_loadgen, LoadgenConfig, ServeConfig};
+use common::{scenario, sharded_config, spawn_daemon, spawn_lane, spawn_sharded, Algo, LockStep};
+use mec_serve::{run_loadgen, ControlAction, LoadgenConfig, ServeConfig};
 use mec_sim::Simulation;
 use vnfrel::offsite::OffsitePrimalDual;
-use vnfrel::onsite::{CapacityPolicy, OnsitePrimalDual};
+use vnfrel::onsite::{CapacityPolicy, OnsiteGreedy, OnsitePrimalDual};
+use vnfrel::Scheme;
 
 fn check_parity(algo: Algo, requests: usize, seed: u64) {
     let (instance, reqs) = scenario(requests, seed);
@@ -24,6 +25,10 @@ fn check_parity(algo: Algo, requests: usize, seed: u64) {
         }
         Algo::Offsite => {
             let mut alg = OffsitePrimalDual::new(&instance);
+            sim.run(&mut alg).unwrap()
+        }
+        Algo::OnsiteGreedy => {
+            let mut alg = OnsiteGreedy::new(&instance);
             sim.run(&mut alg).unwrap()
         }
     };
@@ -74,5 +79,51 @@ fn daemon_matches_batch_small_seeds() {
     for seed in [1, 2, 3] {
         check_parity(Algo::Onsite, 300, seed);
         check_parity(Algo::Offsite, 300, seed);
+    }
+}
+
+/// The two constructors are one daemon: the same 2 000-request trace,
+/// closed-loop, through `serve` over a caller-owned scheduler and through
+/// `serve_sharded` with one lane must give byte-identical decision lines,
+/// revenue bit-equal to `Simulation::run`, and the same final scheduler
+/// state.
+#[test]
+fn one_lane_is_one_daemon_whoever_builds_the_scheduler() {
+    let (instance, reqs) = scenario(2000, 7);
+    let sim = Simulation::new(&instance, &reqs).unwrap();
+    let drive = |addr: std::net::SocketAddr| {
+        let mut conn = LockStep::connect(addr);
+        let lines: Vec<String> = reqs.iter().map(|r| conn.submit_raw(r)).collect();
+        conn.control(ControlAction::Shutdown);
+        lines
+    };
+    for (algo, scheme) in [
+        (Algo::Onsite, Scheme::OnSite),
+        (Algo::Offsite, Scheme::OffSite),
+    ] {
+        let batch = match algo {
+            Algo::Onsite => sim
+                .run(&mut OnsitePrimalDual::new(&instance, CapacityPolicy::Enforce).unwrap())
+                .unwrap(),
+            _ => sim.run(&mut OffsitePrimalDual::new(&instance)).unwrap(),
+        };
+
+        let (addr, daemon) = spawn_lane(instance.clone(), algo, ServeConfig::new("127.0.0.1:0"));
+        let caller_lines = drive(addr);
+        let (caller, caller_state) = daemon.join().unwrap();
+        let caller = caller.unwrap();
+
+        let (addr, daemon) = spawn_sharded(instance.clone(), scheme, sharded_config(1));
+        let built_lines = drive(addr);
+        let built = daemon.join().unwrap().unwrap();
+
+        assert_eq!(caller_lines, built_lines, "{algo:?}: decision lines");
+        for stats in [&caller.stats, &built.stats] {
+            assert_eq!(stats.decided as usize, reqs.len());
+            assert_eq!(stats.admitted as usize, batch.metrics.admitted);
+            assert_eq!(stats.revenue.to_bits(), batch.metrics.revenue.to_bits());
+        }
+        assert_eq!(caller.next_id, reqs.len());
+        assert_eq!(built.shard_states[0], caller_state, "{algo:?}: final state");
     }
 }

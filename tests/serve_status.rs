@@ -448,30 +448,12 @@ fn status_reports_replication_link_state() {
 
 #[test]
 fn sharded_status_reports_every_lane() {
-    use mec_obs::MetricsRegistry;
-    use mec_serve::{serve_sharded, ServeMetricIds, ShardedConfig};
-
     let (instance, reqs) = scenario(4, 95);
     let shards = 2;
-    let mut registry = MetricsRegistry::new();
-    let ids = ServeMetricIds::register_sharded(&mut registry, instance.cloudlet_count(), shards);
-    let mut config = ShardedConfig::new("127.0.0.1:0");
-    config.shards = shards;
-    let (tx, rx) = std::sync::mpsc::channel();
-    let daemon = std::thread::spawn(move || {
-        serve_sharded(
-            &instance,
-            vnfrel::Scheme::OnSite,
-            &registry,
-            &ids,
-            &config,
-            Some(tx),
-        )
-    });
-    let addr = rx
-        .recv_timeout(Duration::from_secs(10))
-        .expect("sharded daemon bound")
-        .to_string();
+    let mut config = common::sharded_config(shards);
+    config.fingerprint = "status-lanes".to_string();
+    let (addr, daemon) = common::spawn_sharded(instance, vnfrel::Scheme::OnSite, config);
+    let addr = addr.to_string();
 
     let v = get_status(&addr);
     assert_eq!(v.get("role").and_then(|r| r.as_str()), Some("primary"));
@@ -484,13 +466,28 @@ fn sharded_status_reports_every_lane() {
         other => panic!("no shard table in /status: {other:?}"),
     };
     assert_eq!(lanes, shards);
-    // Sharded serving never snapshots (DESIGN.md §14).
+    // More than one lane never snapshots (DESIGN.md §14) — but the
+    // fingerprint is the node's, whatever the lane count.
     assert!(matches!(
         v.get("last_snapshot_unix_ms"),
         Some(JsonValue::Null)
     ));
+    assert_eq!(
+        v.get("snapshot_fingerprint").and_then(|f| f.as_str()),
+        Some("status-lanes")
+    );
 
     let mut client = Client::connect(&addr);
+    // Acks carry the node's role, epoch and slot, not constants.
+    for expected_slot in [1, 2] {
+        match client.send(&ClientMsg::Control(ControlAction::AdvanceSlot)) {
+            ServerMsg::Ack(ack) => {
+                assert_eq!((ack.role.as_str(), ack.epoch), ("primary", 1));
+                assert_eq!(ack.slot, expected_slot);
+            }
+            other => panic!("advance-slot not acked: {other:?}"),
+        }
+    }
     for r in &reqs {
         assert!(matches!(
             client.send(&submit_msg(r)),
