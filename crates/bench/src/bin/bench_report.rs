@@ -4,7 +4,7 @@
 //!
 //! Run with:
 //! `cargo run --release -p vnfrel-bench --bin bench_report [--quick]
-//!  [--threads N] [--out PATH] [--check PATH] [--trace-sample PATH]`
+//!  [--threads N] [--out PATH] [--trace-sample PATH]`
 //!
 //! Measurements:
 //!
@@ -29,9 +29,9 @@
 //! `tests/sched_alloc.rs` and the `TripwireSink` runs of
 //! `tests/equivalence.rs`.
 //!
-//! `--check PATH` additionally compares the decide() requests/sec of
-//! both scenarios against a previously emitted JSON and exits non-zero
-//! if any algorithm regressed by more than 30% — the CI perf smoke.
+//! This binary gates nothing: CI's perf smoke runs the repository
+//! benchmark against the last line of `results/BENCH_history.jsonl`
+//! (`.github/perf_smoke.sh`).
 //!
 //! `--trace-sample PATH` writes a small decision-trace JSONL (Algorithm 1
 //! over the decide() scenario) for artifact upload and schema eyeballing.
@@ -47,9 +47,6 @@ use vnfrel::offsite::{OffsiteGreedy, OffsitePrimalDual};
 use vnfrel::onsite::{CapacityPolicy, OnsiteGreedy, OnsitePrimalDual};
 use vnfrel::{run_online, OnlineScheduler, ProblemInstance};
 use vnfrel_bench::{fig1_both_sweep, threads_from_args, Scenario, ScenarioParams};
-
-/// Maximum tolerated decide() throughput regression vs the baseline.
-const MAX_REGRESSION: f64 = 0.30;
 
 /// Requests in the week stream: ≈ 13 per slot over 10 080 slots.
 const WEEK_REQUESTS: usize = 131_072;
@@ -161,17 +158,6 @@ fn decide_throughput_week(scenario: &Scenario, reps: usize) -> Vec<(&'static str
     ]
 }
 
-/// Pulls `"<name>": { "optimized_rps": <number>` out of the `section`
-/// object of a previously emitted report without a JSON dependency.
-fn baseline_rps(json: &str, section: &str, name: &str) -> Option<f64> {
-    let tail = &json[json.find(&format!("\"{section}\""))?..];
-    let tail = &tail[tail.find(&format!("\"{name}\""))?..];
-    let field = tail.find("\"optimized_rps\":")?;
-    let tail = &tail[field + "\"optimized_rps\":".len()..];
-    let end = tail.find([',', '}'])?;
-    tail[..end].trim().parse().ok()
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick");
@@ -183,7 +169,6 @@ fn main() {
             .cloned()
     };
     let out_path = arg_value("--out").unwrap_or_else(|| "results/BENCH_schedule.json".to_string());
-    let check_path = arg_value("--check");
     let trace_sample_path = arg_value("--trace-sample");
 
     let (sizes, seeds, decide_requests, sweep_reps, decide_reps, week_reps, trials): (
@@ -196,8 +181,8 @@ fn main() {
         usize,
     ) = if quick {
         // decide_requests (and the week stream) stay at the full-mode
-        // value so the --check regression gate compares like-for-like
-        // scenarios.
+        // value so a quick report's decide() rows compare like-for-like
+        // with the checked-in one.
         (
             (1..=4).map(|i| i * 50).collect(),
             vec![1],
@@ -421,36 +406,4 @@ fn main() {
     }
     std::fs::write(&out_path, &json).expect("write report");
     eprintln!("report written to {out_path}");
-
-    // --- regression gate -------------------------------------------------
-    if let Some(path) = check_path {
-        let baseline = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
-        let mut failed = false;
-        let points = decide
-            .iter()
-            .map(|&(name, rps)| ("decide_throughput", name, rps))
-            .chain(
-                decide_week
-                    .iter()
-                    .map(|&(name, rps, _)| ("decide_throughput_week", name, rps)),
-            );
-        for (section, name, rps) in points {
-            let Some(base) = baseline_rps(&baseline, section, name) else {
-                panic!("baseline {path} lacks {section}.{name}.optimized_rps");
-            };
-            let floor = base * (1.0 - MAX_REGRESSION);
-            let ok = rps >= floor;
-            println!(
-                "check {section}.{name:<14} {rps:>12.0} req/s vs baseline {base:>12.0} (floor {floor:>12.0}) {}",
-                if ok { "ok" } else { "REGRESSED" }
-            );
-            failed |= !ok;
-        }
-        if failed {
-            eprintln!("perf check failed: decide() regressed more than 30% vs the baseline");
-            std::process::exit(1);
-        }
-        println!("perf check passed");
-    }
 }

@@ -1,6 +1,4 @@
-use mec_obs::{
-    DecisionEvent, NoopSink, Outcome, RejectReason, SitePlacement, TraceEvent, TraceSink,
-};
+use mec_obs::{NoopSink, Outcome, RejectReason, SitePlacement, TraceSink};
 use mec_topology::CloudletId;
 use mec_workload::Request;
 
@@ -41,7 +39,7 @@ impl<'a> OffsiteGreedy<'a, NoopSink> {
 
 impl<'a, S: TraceSink> OffsiteGreedy<'a, S> {
     /// Like [`OffsiteGreedy::new`] but records one
-    /// [`TraceEvent::Decision`] per `decide()` call into `sink`.
+    /// [`mec_obs::TraceEvent::Decision`] per `decide()` call into `sink`.
     ///
     /// Greedy ignores dual prices, so admission events carry a zero
     /// `dual_cost` and the raw payment as `margin`.
@@ -78,14 +76,14 @@ impl<'a, S: TraceSink> OffsiteGreedy<'a, S> {
     /// Callers must gate on `S::ENABLED` so the disabled build never
     /// constructs the event.
     fn emit(&mut self, request: &Request, outcome: Outcome) {
-        self.sink.record(TraceEvent::Decision(DecisionEvent {
-            request: request.id().index(),
-            algorithm: "greedy-offsite".to_string(),
-            scheme: "offsite".to_string(),
-            slot: request.arrival(),
-            payment: request.payment(),
+        self.sink.record_decision(
+            request.id().index(),
+            "greedy-offsite",
+            "offsite",
+            request.arrival(),
+            request.payment(),
             outcome,
-        }));
+        );
     }
 }
 

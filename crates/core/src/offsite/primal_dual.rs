@@ -1,6 +1,4 @@
-use mec_obs::{
-    DecisionEvent, NoopSink, Outcome, RejectReason, SitePlacement, TraceEvent, TraceSink,
-};
+use mec_obs::{NoopSink, Outcome, RejectReason, SitePlacement, TraceSink};
 use mec_topology::CloudletId;
 use mec_workload::Request;
 
@@ -69,7 +67,7 @@ impl<'a> OffsitePrimalDual<'a, NoopSink> {
 
 impl<'a, S: TraceSink> OffsitePrimalDual<'a, S> {
     /// Like [`OffsitePrimalDual::new`] but records one
-    /// [`TraceEvent::Decision`] per `decide()` call into `sink`.
+    /// [`mec_obs::TraceEvent::Decision`] per `decide()` call into `sink`.
     pub fn with_sink(instance: &'a ProblemInstance, sink: S) -> Self {
         let m = instance.cloudlet_count();
         let t = instance.horizon().len();
@@ -156,14 +154,14 @@ impl<'a, S: TraceSink> OffsitePrimalDual<'a, S> {
     /// Callers must gate on `S::ENABLED` so the disabled build never
     /// constructs the event.
     fn emit(&mut self, request: &Request, outcome: Outcome) {
-        self.sink.record(TraceEvent::Decision(DecisionEvent {
-            request: request.id().index(),
-            algorithm: "alg2-primal-dual".to_string(),
-            scheme: "offsite".to_string(),
-            slot: request.arrival(),
-            payment: request.payment(),
+        self.sink.record_decision(
+            request.id().index(),
+            "alg2-primal-dual",
+            "offsite",
+            request.arrival(),
+            request.payment(),
             outcome,
-        }));
+        );
     }
 
     /// The accumulated dual objective `Σ cap_j·λ_{tj} + Σ δ_i` where

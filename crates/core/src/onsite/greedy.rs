@@ -1,6 +1,4 @@
-use mec_obs::{
-    DecisionEvent, NoopSink, Outcome, RejectReason, SitePlacement, TraceEvent, TraceSink,
-};
+use mec_obs::{NoopSink, Outcome, RejectReason, SitePlacement, TraceSink};
 use mec_topology::CloudletId;
 use mec_workload::Request;
 
@@ -38,7 +36,7 @@ impl<'a> OnsiteGreedy<'a, NoopSink> {
 
 impl<'a, S: TraceSink> OnsiteGreedy<'a, S> {
     /// Like [`OnsiteGreedy::new`] but records one
-    /// [`TraceEvent::Decision`] per `decide()` call into `sink`.
+    /// [`mec_obs::TraceEvent::Decision`] per `decide()` call into `sink`.
     ///
     /// Greedy ignores dual prices, so admission events carry a zero
     /// `dual_cost` and the raw payment as `margin`.
@@ -74,14 +72,14 @@ impl<'a, S: TraceSink> OnsiteGreedy<'a, S> {
     /// Callers must gate on `S::ENABLED` so the disabled build never
     /// constructs the event.
     fn emit(&mut self, request: &Request, outcome: Outcome) {
-        self.sink.record(TraceEvent::Decision(DecisionEvent {
-            request: request.id().index(),
-            algorithm: "greedy-onsite".to_string(),
-            scheme: "onsite".to_string(),
-            slot: request.arrival(),
-            payment: request.payment(),
+        self.sink.record_decision(
+            request.id().index(),
+            "greedy-onsite",
+            "onsite",
+            request.arrival(),
+            request.payment(),
             outcome,
-        }));
+        );
     }
 }
 

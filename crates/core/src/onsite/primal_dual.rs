@@ -1,6 +1,4 @@
-use mec_obs::{
-    DecisionEvent, NoopSink, Outcome, RejectReason, SitePlacement, TraceEvent, TraceSink,
-};
+use mec_obs::{NoopSink, Outcome, RejectReason, SitePlacement, TraceSink};
 use mec_topology::CloudletId;
 use mec_workload::Request;
 
@@ -120,7 +118,7 @@ impl<'a> OnsitePrimalDual<'a, NoopSink> {
 
 impl<'a, S: TraceSink> OnsitePrimalDual<'a, S> {
     /// Like [`OnsitePrimalDual::new`] but records one
-    /// [`TraceEvent::Decision`] per `decide()` call into `sink`.
+    /// [`mec_obs::TraceEvent::Decision`] per `decide()` call into `sink`.
     pub fn with_sink(
         instance: &'a ProblemInstance,
         policy: CapacityPolicy,
@@ -185,14 +183,14 @@ impl<'a, S: TraceSink> OnsitePrimalDual<'a, S> {
     /// Callers must gate on `S::ENABLED` so the disabled build never
     /// constructs the event.
     fn emit(&mut self, request: &Request, outcome: Outcome) {
-        self.sink.record(TraceEvent::Decision(DecisionEvent {
-            request: request.id().index(),
-            algorithm: self.algorithm_name().to_string(),
-            scheme: "onsite".to_string(),
-            slot: request.arrival(),
-            payment: request.payment(),
+        self.sink.record_decision(
+            request.id().index(),
+            self.algorithm_name(),
+            "onsite",
+            request.arrival(),
+            request.payment(),
             outcome,
-        }));
+        );
     }
 
     /// The dual objective `Σ_{t,j} cap_j·λ_{tj} + Σ_i δ_i` — by weak

@@ -17,7 +17,7 @@ use std::collections::VecDeque;
 use std::io::{self, Write};
 use std::rc::Rc;
 
-use crate::event::TraceEvent;
+use crate::event::{DecisionEvent, Outcome, TraceEvent};
 use crate::json::to_json;
 
 /// A consumer of trace events.
@@ -29,6 +29,28 @@ pub trait TraceSink {
 
     /// Consumes one event.
     fn record(&mut self, event: TraceEvent);
+
+    /// Consumes one scheduler decision, given by its parts: the names
+    /// are static, so only a sink that keeps the event has to own them.
+    /// The default builds the [`DecisionEvent`] and records it.
+    fn record_decision(
+        &mut self,
+        request: usize,
+        algorithm: &'static str,
+        scheme: &'static str,
+        slot: usize,
+        payment: f64,
+        outcome: Outcome,
+    ) {
+        self.record(TraceEvent::Decision(DecisionEvent {
+            request,
+            algorithm: algorithm.to_string(),
+            scheme: scheme.to_string(),
+            slot,
+            payment,
+            outcome,
+        }));
+    }
 }
 
 /// The default sink: drops everything, compiles to nothing.
@@ -67,6 +89,8 @@ impl TraceSink for TripwireSink {
 #[derive(Debug, Clone, Default)]
 pub struct LastEventSink {
     last: Option<TraceEvent>,
+    // A read event's two name strings, handed back to be refilled.
+    names: Option<(String, String)>,
 }
 
 impl LastEventSink {
@@ -79,12 +103,43 @@ impl LastEventSink {
     pub fn take(&mut self) -> Option<TraceEvent> {
         self.last.take()
     }
+
+    /// Hands a taken decision event back once it has been read: the next
+    /// decision reuses its strings, so a caller that only needed the
+    /// outcome pays no allocation per decision.
+    pub fn recycle(&mut self, event: DecisionEvent) {
+        self.names = Some((event.algorithm, event.scheme));
+    }
 }
 
 impl TraceSink for LastEventSink {
     #[inline]
     fn record(&mut self, event: TraceEvent) {
         self.last = Some(event);
+    }
+
+    fn record_decision(
+        &mut self,
+        request: usize,
+        algorithm: &'static str,
+        scheme: &'static str,
+        slot: usize,
+        payment: f64,
+        outcome: Outcome,
+    ) {
+        let (mut algorithm_buf, mut scheme_buf) = self.names.take().unwrap_or_default();
+        algorithm_buf.clear();
+        algorithm_buf.push_str(algorithm);
+        scheme_buf.clear();
+        scheme_buf.push_str(scheme);
+        self.last = Some(TraceEvent::Decision(DecisionEvent {
+            request,
+            algorithm: algorithm_buf,
+            scheme: scheme_buf,
+            slot,
+            payment,
+            outcome,
+        }));
     }
 }
 
@@ -246,6 +301,41 @@ mod tests {
         const { assert!(!TripwireSink::ENABLED) };
         // Deliberately not behind `if TripwireSink::ENABLED`.
         TripwireSink.record(breach(0));
+    }
+
+    #[test]
+    fn last_event_sink_refills_recycled_names() {
+        let reject = || Outcome::Reject {
+            reason: crate::event::RejectReason::PaymentTest,
+            dual_cost: None,
+            margin: None,
+        };
+        let mut by_parts = LastEventSink::new();
+        by_parts.record_decision(7, "alg2-primal-dual", "offsite", 3, 1.5, reject());
+        let Some(TraceEvent::Decision(first)) = by_parts.take() else {
+            panic!("a decision was recorded");
+        };
+        // Same event as the default (allocating) route builds.
+        let mut ring = RingSink::new(1);
+        ring.record_decision(7, "alg2-primal-dual", "offsite", 3, 1.5, reject());
+        assert_eq!(ring.into_events(), [TraceEvent::Decision(first.clone())]);
+
+        // The next decision reuses the recycled strings.
+        let name_at = first.algorithm.as_ptr();
+        by_parts.recycle(first);
+        by_parts.record_decision(8, "alg1", "onsite", 4, 2.5, reject());
+        let Some(TraceEvent::Decision(second)) = by_parts.take() else {
+            panic!("a decision was recorded");
+        };
+        assert_eq!(
+            (second.algorithm.as_str(), second.scheme.as_str()),
+            ("alg1", "onsite")
+        );
+        assert_eq!(
+            second.algorithm.as_ptr(),
+            name_at,
+            "the string was reallocated"
+        );
     }
 
     #[test]

@@ -8,6 +8,12 @@
 //!                       └─ try_push (overload on a full lane)           └─ node (lane 0 only)
 //! ```
 //!
+//! A decide thread works in bursts: it takes everything queued (up to
+//! [`LANE_CHUNK`] items) in one lock take, decides it, buffers each
+//! reply per connection, and writes each connection once — always
+//! before it parks, blocks on another queue or hands a reply to anyone
+//! else (the flush-before-block rule, DESIGN.md §12).
+//!
 //! Lane `s` owns one scheduler behind its own lock and decides the ids
 //! with residue `s` mod `S`. [`serve`] is one lane over a caller-owned
 //! scheduler; [`crate::shard::serve_sharded`] is `S` lanes over
@@ -41,7 +47,7 @@ use crate::error::ServeError;
 use crate::flight::{SharedFlight, FLIGHT_CAPACITY};
 use crate::metrics::ServeMetricIds;
 use crate::node::{Node, NodeItem};
-use crate::pool::{BoundedQueue, PopTimeout};
+use crate::pool::{BoundedQueue, Drained};
 use crate::protocol::{
     encode_batch_reply_into, encode_server, is_batch_frame, parse_batch_into, parse_client,
     ClientMsg, ControlAck, OverloadReject, ServeStats, ServerMsg, SubmitRequest, BATCH_ADMIT,
@@ -205,26 +211,101 @@ pub struct ServeReport {
     pub role: Role,
 }
 
-pub(crate) type Conn = Arc<Mutex<TcpStream>>;
+/// A client socket's write half. [`ClientConn::send`] is the only way
+/// the daemon puts bytes on a client socket, so per-connection order and
+/// what a failed write means are the same for every thread that answers:
+/// workers, decide threads, the node and the replication sender.
+#[derive(Debug)]
+pub struct ClientConn {
+    stream: Mutex<TcpStream>,
+    // A write failed and the socket is shut down. Publishes nothing but
+    // itself (a late reader merely pays one failing syscall), hence
+    // `Relaxed`.
+    condemned: AtomicBool,
+}
+
+pub(crate) type Conn = Arc<ClientConn>;
+
+impl ClientConn {
+    fn stream(&self) -> std::sync::MutexGuard<'_, TcpStream> {
+        // A `TcpStream` has no state a panicking holder could tear.
+        self.stream.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    // One write per flush, of whole lines only: two small writes would
+    // trip Nagle + delayed-ACK (~40 ms per round trip) on peers without
+    // TCP_NODELAY, and a reader never sees a line torn by another
+    // thread's.
+    pub(crate) fn send(&self, bytes: &[u8]) -> io::Result<()> {
+        if self.condemned.load(Ordering::Relaxed) {
+            return Err(io::ErrorKind::BrokenPipe.into());
+        }
+        let mut stream = self.stream();
+        let result = write_within(&mut stream, bytes, WRITE_TIMEOUT);
+        if result.is_err() {
+            // Condemn the whole connection: replies behind this one are
+            // then dropped without a syscall instead of each burning the
+            // timeout on a decide thread, and the worker's blocked read
+            // sees EOF.
+            self.condemned.store(true, Ordering::Relaxed);
+            let _ = stream.shutdown(Shutdown::Both);
+        }
+        result
+    }
+
+    pub(crate) fn shutdown(&self, how: Shutdown) {
+        let _ = self.stream().shutdown(how);
+    }
+}
 
 /// Write timeout on client sockets: replies are small, so a write that
 /// cannot complete in this long means the peer stopped draining
 /// (slow-loris); the connection is dropped so it cannot pin a thread.
 const WRITE_TIMEOUT: Duration = Duration::from_secs(2);
 
-// One write per line: two small writes would trip Nagle + delayed-ACK
-// (~40 ms per round trip) on peers without TCP_NODELAY.
+/// Most items a decide thread takes from its queue in one lock take. A
+/// chunk's replies wait for its last decision (or [`FLUSH_BYTES`]), and
+/// a control queued behind a chunk waits for all of it, so the bound is
+/// a latency bound: 64 frames of 64 requests are ≈ 1 ms of decide. The
+/// queues of the measured workloads never hold more than a client's
+/// window (8), so nothing is gained beyond it either.
+const LANE_CHUNK: usize = 64;
+
+/// Buffered reply bytes for one connection that trigger a flush before
+/// the chunk ends. 16 KiB is ≈ 8 000 batch decisions or ≈ 50 decision
+/// lines: the `write` it saves is by then under a percent of the work
+/// behind it, while the client could already be reading.
+const FLUSH_BYTES: usize = 16 << 10;
+
+/// `handle_conn`'s read buffer: a client's whole window in one `read`
+/// (8 frames of 64 requests are ≈ 27 KiB; the default 8 KiB held 2.4).
+const READ_BUF_BYTES: usize = 64 << 10;
+
+// `write_all` under one deadline. When the send timeout runs out with
+// part of the buffer already copied, the kernel ends the `write` short
+// but *successfully*, and `write_all` would go back in for another full
+// timeout — a peer that stopped draining could hold the thread for as
+// long as each flush gets a few bytes through. A short write past the
+// deadline is the stall it is; one cut short by a signal carries on.
+fn write_within(stream: &mut TcpStream, mut bytes: &[u8], limit: Duration) -> io::Result<()> {
+    let started = Instant::now();
+    loop {
+        match stream.write(bytes) {
+            Ok(n) if n == bytes.len() => return Ok(()),
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => bytes = &bytes[n..],
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+        if started.elapsed() >= limit {
+            return Err(io::ErrorKind::TimedOut.into());
+        }
+    }
+}
+
 pub(crate) fn write_line(conn: &Conn, mut line: String) -> io::Result<()> {
     line.push('\n');
-    let mut s = conn.lock().unwrap();
-    let result = s.write_all(line.as_bytes());
-    if result.is_err() {
-        // Condemn the whole connection: replies queued behind this one
-        // then fail at once instead of each burning the timeout on a
-        // decide thread, and the worker's blocked read sees EOF.
-        let _ = s.shutdown(Shutdown::Both);
-    }
-    result
+    conn.send(line.as_bytes())
 }
 
 fn error_line(text: String) -> String {
@@ -269,6 +350,8 @@ pub(crate) trait LaneSched: Sized {
     fn sched(&mut self) -> &mut dyn OnlineScheduler;
     // The decision event the last `decide()` recorded.
     fn take_event(&mut self) -> Option<TraceEvent>;
+    // Hands back an event nobody will read, for its buffers.
+    fn recycle(&mut self, _event: DecisionEvent) {}
     // Whether an infeasible reject here is worth offering to other lanes.
     fn rescues(&self) -> bool {
         false
@@ -467,7 +550,7 @@ impl<L: LaneSched> LaneCore<L> {
 }
 
 // One v3 batch frame in flight across lanes: each part fills its
-// positions in `codes`; the last one to finish writes the single reply.
+// positions in `codes`; the last one to finish sends the single reply.
 pub(crate) struct BatchGather {
     seq: u64,
     // Pre-filled with BATCH_OVERLOAD, which is what a bounced part leaves.
@@ -476,18 +559,109 @@ pub(crate) struct BatchGather {
 }
 
 impl BatchGather {
-    fn finish_part(&self, conn: &Conn) {
-        if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-            let codes: Vec<u8> = self
-                .codes
-                .iter()
-                .map(|c| c.load(Ordering::Acquire))
-                .collect();
-            let mut buf = String::with_capacity(48 + 2 * codes.len());
-            encode_batch_reply_into(&mut buf, self.seq, &codes);
-            let _ = write_line(conn, buf);
+    // Marks one part done. The last one gets `true` and the frame's
+    // codes in `out`: the reply is its to send.
+    fn finish_part(&self, out: &mut Vec<u8>) -> bool {
+        let last = self.remaining.fetch_sub(1, Ordering::AcqRel) == 1;
+        if last {
+            out.clear();
+            out.extend(self.codes.iter().map(|c| c.load(Ordering::Acquire)));
         }
+        last
     }
+}
+
+// Replies a decide thread has produced and not yet written, one buffer
+// per connection. Appending costs no syscall; `flush` issues one
+// `write` per connection. Lives in `supervise`, so a panic between two
+// items loses no reply.
+#[derive(Default)]
+struct Outbox {
+    // Connections with unwritten replies, in order of first append.
+    pending: Vec<Unsent>,
+    // Flushed buffers, kept for their capacity.
+    spare: Vec<(Vec<u8>, Vec<Instant>)>,
+    // Scratch for one batch reply: its codes, then its encoded line.
+    codes: Vec<u8>,
+    line: String,
+    // Time spent encoding and appending since the last flush; reported
+    // with the flush, so `reply-write` is everything a reply costs.
+    append_ns: u64,
+    // Some connection's buffer has passed `FLUSH_BYTES`.
+    full: bool,
+}
+
+struct Unsent {
+    conn: Conn,
+    bytes: Vec<u8>,
+    // When each buffered reply's item was queued: admission latency ends
+    // when the bytes reach the socket, not when they are buffered.
+    queued: Vec<Instant>,
+}
+
+impl Outbox {
+    // Buffers one reply line for `conn`, answering an item queued at
+    // `queued`.
+    fn append(&mut self, conn: &Conn, line: &str, queued: Instant) {
+        let held = self.pending.iter().position(|u| Arc::ptr_eq(&u.conn, conn));
+        let i = held.unwrap_or_else(|| {
+            let (bytes, queued) = self.spare.pop().unwrap_or_default();
+            self.pending.push(Unsent {
+                conn: Arc::clone(conn),
+                bytes,
+                queued,
+            });
+            self.pending.len() - 1
+        });
+        let unsent = &mut self.pending[i];
+        unsent.bytes.extend_from_slice(line.as_bytes());
+        unsent.bytes.push(b'\n');
+        unsent.queued.push(queued);
+        self.full |= unsent.bytes.len() >= FLUSH_BYTES;
+    }
+
+    // Buffers the batch reply for `seq` over the codes in `self.codes`.
+    fn append_codes(&mut self, conn: &Conn, seq: u64, queued: Instant) {
+        let mut line = std::mem::take(&mut self.line);
+        encode_batch_reply_into(&mut line, seq, &self.codes);
+        self.append(conn, &line, queued);
+        self.line = line;
+    }
+
+    // Writes every buffered reply, one `write` per connection, and
+    // accounts for it on lane `s`: the bytes' cost as `reply-write`, each
+    // reply's age as admission latency. A connection whose write fails is
+    // condemned by `ClientConn::send`; its later replies cost nothing.
+    fn flush(&mut self, front: &Front<'_>, s: usize) {
+        if self.pending.is_empty() {
+            return;
+        }
+        self.full = false;
+        let clock = StageClock::start();
+        for mut unsent in self.pending.drain(..) {
+            let _ = unsent.conn.send(&unsent.bytes);
+            let now = Instant::now();
+            for queued in unsent.queued.drain(..) {
+                let latency = now.duration_since(queued).as_secs_f64();
+                front.registry.observe(front.ids.admission_latency, latency);
+            }
+            unsent.bytes.clear();
+            self.spare.push((unsent.bytes, unsent.queued));
+        }
+        let ns = clock.elapsed_ns() + std::mem::take(&mut self.append_ns);
+        front.stage_obs(s, PipelineStage::ReplyWrite, ns);
+    }
+}
+
+// What a decide thread holds between two queue items: the rest of the
+// chunk it drained and the replies it has not written yet. Owned by
+// `supervise`, not by the loop's frame, so that a `LaneItem::Panic` or a
+// genuine decide panic in mid-chunk loses neither the items behind it
+// nor the replies before it.
+#[derive(Default)]
+struct LaneRun {
+    chunk: VecDeque<LaneItem>,
+    out: Outbox,
 }
 
 pub(crate) enum LaneItem {
@@ -509,7 +683,8 @@ pub(crate) enum LaneItem {
 /// the first to find the next queue closed — fills in the counters and
 /// writes it. So what an ack reports covers everything queued before it
 /// on every lane, and a control wakes every decide thread alike rather
-/// than lane 0's alone.
+/// than lane 0's alone. The push blocks on a full queue, so the caller
+/// must have flushed its outbox.
 pub(crate) fn relay_ack<L>(p: &Pipeline<'_, L>, s: usize, ack: ControlAck, conn: Conn) {
     let passed_on = match p.front.queues.get(s + 1) {
         Some(next) => next.push(LaneItem::Ack(ack, conn)),
@@ -524,8 +699,13 @@ pub(crate) fn relay_ack<L>(p: &Pipeline<'_, L>, s: usize, ack: ControlAck, conn:
 pub(crate) enum Work {
     // A single v2 frame; answered with a full decision line.
     Single(SubmitRequest),
-    // This lane's slice of a v3 batch frame: (position, request) pairs,
-    // answered with one code each.
+    // A whole v3 batch frame (sequence number, requests) whose ids all
+    // live on this lane — every frame at S = 1, and what sticky
+    // connection→lane clients send: the parsed vector as it is, answered
+    // by this lane alone.
+    Frame(u64, Vec<SubmitRequest>),
+    // This lane's slice of a v3 batch frame mixed across lanes:
+    // (position, request) pairs, one code each into the shared gather.
     Part(Arc<BatchGather>, Vec<(usize, SubmitRequest)>),
 }
 
@@ -557,6 +737,8 @@ pub(crate) struct Front<'a> {
     pub ids: &'a ServeMetricIds,
     pub engine: EngineMetrics<'a>,
     pub horizon: Horizon,
+    // The bound address: where `begin_shutdown` finds the accept loop.
+    local_addr: SocketAddr,
     conns: BoundedQueue<TcpStream>,
     pub queues: Vec<BoundedQueue<LaneItem>>,
     // Requests bounced off a full lane.
@@ -570,11 +752,24 @@ pub(crate) struct Front<'a> {
 
 impl Front<'_> {
     // Stop reading sockets, and close every lane so the decide threads
-    // drain what is queued, in order, and exit.
+    // drain what is queued, in order, and exit. Idempotent.
     pub fn begin_shutdown(&self) {
-        self.stop.store(true, Ordering::Release);
+        if self.stop.swap(true, Ordering::AcqRel) {
+            return;
+        }
         self.conns.close();
         self.queues.iter().for_each(BoundedQueue::close);
+        // The accept loop blocks in `accept`; a connection to ourselves
+        // is the wake-up `std` offers. Should it fail, the listener is
+        // already beyond accepting and the loop is not in `accept`.
+        let mut addr = self.local_addr;
+        if addr.ip().is_unspecified() {
+            addr.set_ip(match addr {
+                SocketAddr::V4(_) => std::net::Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => std::net::Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        let _ = TcpStream::connect_timeout(&addr, Duration::from_secs(1));
     }
 
     fn stopping(&self) -> bool {
@@ -619,7 +814,8 @@ impl Front<'_> {
         }
     }
 
-    // Mirrors lane `s`'s queue depth into its gauges.
+    // Mirrors lane `s`'s queue depth into its gauges (no lock: the queue
+    // keeps its depth in an atomic).
     fn lane_depth(&self, s: usize) {
         let (q, lanes) = (&self.queues[s], &self.ids.lanes);
         lanes.set_depth(self.registry, self.lane(s), q.len(), q.capacity());
@@ -687,7 +883,6 @@ pub(crate) fn run<L: LaneSched>(
         source,
     })?;
     let local_addr = listener.local_addr()?;
-    listener.set_nonblocking(true)?;
 
     let role = match config.standby {
         true => Role::Standby,
@@ -701,6 +896,7 @@ pub(crate) fn run<L: LaneSched>(
             ids,
             engine: EngineMetrics::new(registry, ids.engine.clone()),
             horizon: lanes[0].sched.sched().ledger().horizon(),
+            local_addr,
             conns: BoundedQueue::new(config.workers.max(1) * 2),
             queues: (0..shards)
                 .map(|_| BoundedQueue::new(config.queue_capacity))
@@ -758,16 +954,20 @@ pub(crate) fn run<L: LaneSched>(
     Ok((report, lanes.map(unlock).collect()))
 }
 
+// Blocks in `accept`, so a new connection waits for no poll;
+// `begin_shutdown` wakes it with a connection of its own.
 fn accept_loop(listener: &TcpListener, front: &Front<'_>) {
     while !front.stopping() {
         match listener.accept() {
             // push blocks while all workers are busy; Err means the
             // daemon is shutting down and the connection is dropped.
             Ok((stream, _)) => {
-                if front.conns.push(stream).is_err() {
+                if front.stopping() || front.conns.push(stream).is_err() {
                     return;
                 }
             }
+            // Out of descriptors, or a peer that reset before the accept:
+            // back off rather than spin on a persistent error.
             Err(_) => std::thread::sleep(Duration::from_millis(10)),
         }
     }
@@ -788,8 +988,11 @@ fn handle_conn(stream: TcpStream, front: &Front<'_>) -> io::Result<()> {
     // Set before the clone so both handles share the option.
     stream.set_write_timeout(Some(WRITE_TIMEOUT))?;
     let _ = stream.set_nodelay(true);
-    let writer: Conn = Arc::new(Mutex::new(stream.try_clone()?));
-    let mut reader = BufReader::new(stream);
+    let writer: Conn = Arc::new(ClientConn {
+        stream: Mutex::new(stream.try_clone()?),
+        condemned: AtomicBool::new(false),
+    });
+    let mut reader = BufReader::with_capacity(READ_BUF_BYTES, stream);
     let mut line = String::new();
     let mut reqs: Vec<SubmitRequest> = Vec::new();
     let mut first = true;
@@ -867,10 +1070,10 @@ fn route_line(
         };
         // Parse/dispatch work happens once per frame; attribute it to
         // the home lane of the frame's first request.
-        let home = reqs.first().map_or(0, |r| r.id % shards);
+        let home = reqs[0].id % shards;
         front.stage_obs(home, PipelineStage::IngressParse, clock.lap_ns());
         front.registry.add(front.ids.submitted, reqs.len() as u64);
-        route_batch(seq, reqs, writer, front);
+        route_batch(seq, reqs, home, writer, front);
         front.stage_obs(home, PipelineStage::Dispatch, clock.lap_ns());
         return Ok(false);
     }
@@ -915,10 +1118,36 @@ fn route_line(
     wrote.map(|()| false)
 }
 
-// Splits a parsed batch into per-lane parts sharing one gather; a part
-// that bounces off a full lane finishes at once.
-fn route_batch(seq: u64, reqs: &[SubmitRequest], writer: &Conn, front: &Front<'_>) {
+// Queues a parsed batch: whole, on the lane of its first request
+// (`home`), when every id lives there; otherwise split into per-lane
+// parts sharing one gather. What bounces off a full lane is answered
+// with overload codes at once.
+fn route_batch(
+    seq: u64,
+    reqs: &mut Vec<SubmitRequest>,
+    home: usize,
+    writer: &Conn,
+    front: &Front<'_>,
+) {
     let shards = front.queues.len();
+    let send_codes = |codes: &[u8]| {
+        let mut line = String::new();
+        encode_batch_reply_into(&mut line, seq, codes);
+        let _ = write_line(writer, line);
+    };
+    if shards == 1 || reqs.iter().all(|r| r.id % shards == home) {
+        // The lane gets the parsed vector itself; the next frame parses
+        // into one allocated at this frame's size.
+        let n = reqs.len();
+        let frame = std::mem::replace(reqs, Vec::with_capacity(n));
+        let item = LaneItem::Work(Work::Frame(seq, frame), Arc::clone(writer), Instant::now());
+        if front.queues[home].try_push(item).is_err() {
+            front.shed(home, n as u64);
+            send_codes(&vec![BATCH_OVERLOAD; n]);
+        }
+        front.lane_depth(home);
+        return;
+    }
     let mut parts: Vec<Vec<(usize, SubmitRequest)>> = vec![Vec::new(); shards];
     for (pos, msg) in reqs.iter().enumerate() {
         parts[msg.id % shards].push((pos, *msg));
@@ -937,7 +1166,10 @@ fn route_batch(seq: u64, reqs: &[SubmitRequest], writer: &Conn, front: &Front<'_
         let item = LaneItem::Work(work, Arc::clone(writer), Instant::now());
         if front.queues[s].try_push(item).is_err() {
             front.shed(s, n);
-            gather.finish_part(writer);
+            let mut codes = Vec::new();
+            if gather.finish_part(&mut codes) {
+                send_codes(&codes);
+            }
         }
         front.lane_depth(s);
     }
@@ -976,24 +1208,27 @@ fn serve_http(
         "HTTP/1.0 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
         body.len()
     );
-    let mut w = writer.lock().unwrap();
-    w.write_all(response.as_bytes())
+    writer.send(response.as_bytes())
 }
 
 /// One lane's supervisor: runs the lane loop, and on a panic (the
 /// `chaos-panic` control frame, or a genuine decide-thread bug) dumps
 /// the lane's flight ring, heals the lane from its recovery log, and
-/// resumes draining the same queue, in order.
+/// resumes where the loop stopped: the rest of the drained chunk, then
+/// the queue, in order, with the replies buffered so far still to send.
 pub(crate) fn supervise<L: LaneSched>(
     s: usize,
     p: &Pipeline<'_, L>,
     mut node: Option<&mut Node<'_, L>>,
 ) -> Result<(), ServeError> {
+    let mut run = LaneRun::default();
     loop {
-        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            lane_loop(s, p, node.as_deref_mut())
+        let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            lane_loop(s, p, node.as_deref_mut(), &mut run)
         }));
-        if let Ok(result) = run {
+        if let Ok(result) = attempt {
+            // Drained or failed, the lane leaves nothing buffered behind.
+            run.out.flush(&p.front, s);
             return result;
         }
         p.front.dump_flight(s);
@@ -1005,130 +1240,223 @@ pub(crate) fn supervise<L: LaneSched>(
     }
 }
 
-// One lane's decide thread: drains its queue until closed and empty,
-// waking at least every 50 ms for lane 0's node (signals, replication
-// link, promotion timers).
+// One lane's decide thread: drains its queue a chunk at a time until
+// closed and empty, waking at least every 50 ms for lane 0's node
+// (signals, replication link, promotion timers). Replies are buffered in
+// `run.out`; the flush-before-block rule puts them on their sockets
+// before the thread parks on its queue, blocks on the next lane's
+// (`relay_ack`), lets the node answer or hands a reply to the
+// replication sender, and when a buffer fills. `supervise` covers the
+// returns.
 fn lane_loop<L: LaneSched>(
     s: usize,
     p: &Pipeline<'_, L>,
     mut node: Option<&mut Node<'_, L>>,
+    run: &mut LaneRun,
 ) -> Result<(), ServeError> {
     let front = &p.front;
     loop {
         if let Some(node) = node.as_deref_mut() {
             node.tick()?;
         }
-        let item = match front.queues[s].pop_timeout(Duration::from_millis(50)) {
-            PopTimeout::Item(item) => item,
-            PopTimeout::TimedOut => continue,
-            PopTimeout::Closed => return Ok(()),
-        };
-        let (work, conn, enqueued) = match item {
-            LaneItem::Work(work, conn, enqueued) => (work, conn, enqueued),
+        if run.chunk.is_empty() {
+            run.out.flush(front, s);
+            let wait = Duration::from_millis(50);
+            match front.queues[s].drain_timeout(&mut run.chunk, LANE_CHUNK, wait) {
+                Drained::Items => front.lane_depth(s),
+                Drained::TimedOut => continue,
+                Drained::Closed => return Ok(()),
+            }
+        }
+        // Off the chunk before it is touched: a panic below loses this
+        // item at most, as it would have off the queue.
+        match run.chunk.pop_front().expect("the drain reported items") {
+            LaneItem::Work(work, conn, enqueued) => {
+                answer(
+                    s,
+                    p,
+                    node.as_deref_mut(),
+                    &mut run.out,
+                    work,
+                    &conn,
+                    enqueued,
+                )?;
+                if run.out.full {
+                    run.out.flush(front, s);
+                }
+            }
             LaneItem::Node(item) => {
+                run.out.flush(front, s);
                 let node = node.as_deref_mut().expect("node items route to lane 0");
                 node.handle(item)?;
-                continue;
             }
             LaneItem::Ack(ack, conn) => {
+                run.out.flush(front, s);
                 relay_ack(p, s, ack, conn);
-                continue;
             }
             LaneItem::Panic => panic!("chaos-panic control frame killed lane {s}'s decide thread"),
+        }
+    }
+}
+
+// Decides one work item on lane `s` and buffers its reply in `out`.
+fn answer<L: LaneSched>(
+    s: usize,
+    p: &Pipeline<'_, L>,
+    mut node: Option<&mut Node<'_, L>>,
+    out: &mut Outbox,
+    work: Work,
+    conn: &Conn,
+    enqueued: Instant,
+) -> Result<(), ServeError> {
+    let front = &p.front;
+    let waited = u64::try_from(enqueued.elapsed().as_nanos()).unwrap_or(u64::MAX);
+    front.stage_obs(s, PipelineStage::QueueWait, waited);
+    if front.status.role() == Role::Standby {
+        front.registry.inc(front.ids.not_primary);
+        let epoch = front.status.epoch();
+        let id = match &work {
+            Work::Single(msg) => msg.id,
+            Work::Frame(_, reqs) => reqs[0].id,
+            Work::Part(_, reqs) => reqs[0].1.id,
         };
-        let waited = u64::try_from(enqueued.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        front.stage_obs(s, PipelineStage::QueueWait, waited);
-        if front.status.role() == Role::Standby {
-            front.registry.inc(front.ids.not_primary);
-            let epoch = front.status.epoch();
-            let id = match &work {
-                Work::Single(msg) => msg.id,
-                Work::Part(_, reqs) => reqs[0].1.id,
-            };
-            let refusal = ServerMsg::NotPrimary { epoch, id };
-            let _ = write_line(&conn, encode_server(&refusal));
-            continue;
-        }
-        if matches!(work, Work::Part(..)) && front.config.replicate_to.is_some() {
-            // The replication log is framed per decision line, which a
-            // code array cannot carry; rather than weaken the semi-sync
-            // guarantee, a replicating primary refuses v3 batches.
-            let text = "batch frames are not supported on a replicating primary; \
-                        use single-request frames";
-            let _ = front.protocol_error(&conn, text.to_string());
-            continue;
-        }
-        // One decide span, one publication and one latency observation
-        // per queue item, not per request: at a million decisions per
-        // second those are a measurable tax on the path they measure.
-        let mut clock = StageClock::start();
-        let mut tally = Tally::default();
-        match work {
-            Work::Single(msg) => {
-                let reply = match decide_one(s, &msg, p, &mut tally, true)? {
-                    Decided::Fresh { line, event, .. } => {
-                        front.flight(s, || TraceEvent::Decision(event.clone()));
-                        match node.as_deref_mut() {
-                            Some(node) => {
-                                node.trace(TraceEvent::Decision(event));
-                                node.replicate(&msg, line.expect("asked for the line"), &conn)
+        let refusal = ServerMsg::NotPrimary { epoch, id };
+        out.append(conn, &encode_server(&refusal), enqueued);
+        return Ok(());
+    }
+    let replicating = front.config.replicate_to.is_some();
+    if !matches!(work, Work::Single(_)) && replicating {
+        // The replication log is framed per decision line, which a
+        // code array cannot carry; rather than weaken the semi-sync
+        // guarantee, a replicating primary refuses v3 batches.
+        let text = "batch frames are not supported on a replicating primary; \
+                    use single-request frames";
+        front.registry.inc(front.ids.protocol_errors);
+        out.append(conn, &error_line(text.to_string()), enqueued);
+        return Ok(());
+    }
+    // One decide span and one publication per queue item, not per
+    // request: at a million decisions per second those are a measurable
+    // tax on the path they measure.
+    let mut clock = StageClock::start();
+    let mut tally = Tally::default();
+    // Whether this lane's reply is in `out`, its latency still running.
+    let mut buffered = true;
+    match work {
+        Work::Single(msg) => {
+            let reply = match decide_one(s, &msg, p, &mut tally, Keep::Line)? {
+                Decided::Fresh { line, event, .. } => {
+                    let (line, event) = line.zip(event).expect("asked for both");
+                    front.flight(s, || TraceEvent::Decision(event.clone()));
+                    match node {
+                        Some(node) => {
+                            node.trace(TraceEvent::Decision(event));
+                            if replicating {
+                                // The sender writes this reply; nothing
+                                // older may still sit in a buffer here.
+                                out.flush(front, s);
                             }
-                            None => line,
+                            node.replicate(&msg, line, conn)
                         }
+                        None => Some(line),
                     }
-                    Decided::Replayed { line: None, .. } => Some(error_line(format!(
-                        "request {} was already decided in a batch frame; only its code was kept",
-                        msg.id
-                    ))),
-                    Decided::Replayed { line, .. } => line,
-                    Decided::Refused(text) => Some(error_line(text)),
-                };
-                front.decide_obs(s, clock.lap_ns());
-                // `None`: the reply travels with its replication frame.
-                if let Some(line) = reply {
-                    let _ = write_line(&conn, line);
-                    front.stage_obs(s, PipelineStage::ReplyWrite, clock.lap_ns());
                 }
-            }
-            Work::Part(gather, reqs) => {
-                for (pos, msg) in &reqs {
-                    let code = match decide_one(s, msg, p, &mut tally, false)? {
-                        Decided::Fresh {
-                            admitted, event, ..
-                        } => {
-                            if let Some(node) = node.as_deref_mut() {
-                                node.trace(TraceEvent::Decision(event));
-                            }
-                            BATCH_CODES[usize::from(admitted)]
-                        }
-                        Decided::Replayed { admitted, .. } => BATCH_CODES[usize::from(admitted)],
-                        Decided::Refused(_) => BATCH_ERROR,
-                    };
-                    gather.codes[*pos].store(code, Ordering::Release);
-                }
-                front.decide_obs(s, clock.lap_ns());
-                // A real socket write on the last lane to finish,
-                // near-zero on the others.
-                gather.finish_part(&conn);
-                front.stage_obs(s, PipelineStage::ReplyWrite, clock.lap_ns());
+                Decided::Replayed { line: None, .. } => Some(error_line(format!(
+                    "request {} was already decided in a batch frame; only its code was kept",
+                    msg.id
+                ))),
+                Decided::Replayed { line, .. } => line,
+                Decided::Refused(text) => Some(error_line(text)),
+            };
+            front.decide_obs(s, clock.lap_ns());
+            match reply {
+                Some(line) => out.append(conn, &line, enqueued),
+                // The reply travels with its replication frame.
+                None => buffered = false,
             }
         }
-        tally.publish(front);
+        Work::Frame(seq, reqs) => {
+            out.codes.clear();
+            for msg in &reqs {
+                let code = decide_code(s, msg, p, &mut tally, node.as_deref_mut())?;
+                out.codes.push(code);
+            }
+            front.decide_obs(s, clock.lap_ns());
+            out.append_codes(conn, seq, enqueued);
+        }
+        Work::Part(gather, reqs) => {
+            for (pos, msg) in &reqs {
+                let code = decide_code(s, msg, p, &mut tally, node.as_deref_mut())?;
+                gather.codes[*pos].store(code, Ordering::Release);
+            }
+            front.decide_obs(s, clock.lap_ns());
+            // The last lane to finish answers the frame.
+            buffered = gather.finish_part(&mut out.codes);
+            if buffered {
+                out.append_codes(conn, gather.seq, enqueued);
+            }
+        }
+    }
+    out.append_ns += clock.lap_ns();
+    tally.publish(front);
+    if !buffered {
         let latency = enqueued.elapsed().as_secs_f64();
         front.registry.observe(front.ids.admission_latency, latency);
-        front.lane_depth(s);
     }
+    Ok(())
+}
+
+// Decides one request of a batch frame: its reply code. The event is
+// kept only for the trace tee.
+fn decide_code<L: LaneSched>(
+    s: usize,
+    msg: &SubmitRequest,
+    p: &Pipeline<'_, L>,
+    tally: &mut Tally,
+    node: Option<&mut Node<'_, L>>,
+) -> Result<u8, ServeError> {
+    // A trace file implies one lane (`ServeConfig::check`): lane 0, the
+    // node's.
+    let keep = match p.front.config.trace_path {
+        Some(_) => Keep::Event,
+        None => Keep::Code,
+    };
+    Ok(match decide_one(s, msg, p, tally, keep)? {
+        Decided::Fresh {
+            admitted, event, ..
+        } => {
+            if let Some((node, event)) = node.zip(event) {
+                node.trace(TraceEvent::Decision(event));
+            }
+            BATCH_CODES[usize::from(admitted)]
+        }
+        Decided::Replayed { admitted, .. } => BATCH_CODES[usize::from(admitted)],
+        Decided::Refused(_) => BATCH_ERROR,
+    })
 }
 
 // The batch-reply code of a decision, indexed by "admitted".
 const BATCH_CODES: [u8; 2] = [BATCH_REJECT, BATCH_ADMIT];
 
+// What the caller of `decide_one` will read of a fresh decision; the
+// rest is not built, or goes back to the scheduler's sink for reuse.
+#[derive(Clone, Copy)]
+pub(crate) enum Keep {
+    // The admit/reject code only (a batch frame's reply).
+    Code,
+    // The decision event too (a batch frame under a trace tee).
+    Event,
+    // The event and its encoded line (v2 replies, replication); the
+    // dedupe ring then keeps the line as well.
+    Line,
+}
+
 pub(crate) enum Decided {
-    // Decided just now; the event is the caller's to tee or drop.
+    // Decided just now; `line` and `event` as far as `Keep` asked.
     Fresh {
         admitted: bool,
         line: Option<String>,
-        event: DecisionEvent,
+        event: Option<DecisionEvent>,
     },
     // Already decided inside the lane's dedupe window: the first answer.
     Replayed {
@@ -1141,15 +1469,13 @@ pub(crate) enum Decided {
 
 /// Decides one request on its home lane `s`: id rule → `build_request`
 /// → decide → recovery log → rescue if worthy → counters → dedupe ring.
-/// `want_line` asks for the encoded decision line (v2 replies,
-/// replication), which the ring then keeps too. The home lock is held
-/// throughout, except across a rescue.
+/// The home lock is held throughout, except across a rescue.
 pub(crate) fn decide_one<L: LaneSched>(
     s: usize,
     msg: &SubmitRequest,
     p: &Pipeline<'_, L>,
     tally: &mut Tally,
-    want_line: bool,
+    keep: Keep,
 ) -> Result<Decided, ServeError> {
     let (front, lanes) = (&p.front, p.lanes.len());
     let refuse = |text: String| {
@@ -1233,16 +1559,20 @@ pub(crate) fn decide_one<L: LaneSched>(
         }
     }
     let admitted = event.outcome.is_admit();
-    let (line, event) = match want_line {
-        true => {
+    let (line, event) = match keep {
+        Keep::Line => {
             let wrapped = TraceEvent::Decision(event);
             let line = to_json(&wrapped);
             let TraceEvent::Decision(event) = wrapped else {
                 unreachable!("wrapped two lines up");
             };
-            (Some(line), event)
+            (Some(line), Some(event))
         }
-        false => (None, event),
+        Keep::Event => (None, Some(event)),
+        Keep::Code => {
+            core.sched.recycle(event);
+            (None, None)
+        }
     };
     if front.config.dedupe_window > 0 {
         while core.recent.len() >= front.config.dedupe_window {

@@ -22,8 +22,8 @@ use mec_obs::{JsonlSink, PipelineStage, TraceEvent, TraceSink};
 use mec_topology::CloudletId;
 
 use crate::daemon::{
-    decide_one, relay_ack, write_line, Conn, Decided, Front, LaneItem, LaneSched, Pipeline, Recent,
-    Role, Tally,
+    decide_one, relay_ack, write_line, Conn, Decided, Front, Keep, LaneItem, LaneSched, Pipeline,
+    Recent, Role, Tally,
 };
 use crate::epoch::{Epoch, FenceCheck};
 use crate::error::ServeError;
@@ -350,8 +350,8 @@ impl<'a, L: LaneSched> Node<'a, L> {
                 // still alive (split brain). Force the connection closed;
                 // its worker delivers the ReplEof that completes this.
                 self.promote_deadline = None;
-                if let Some(s) = self.repl_conn.as_ref().and_then(|rc| rc.lock().ok()) {
-                    let _ = s.shutdown(Shutdown::Both);
+                if let Some(conn) = &self.repl_conn {
+                    conn.shutdown(Shutdown::Both);
                 }
             }
         }
@@ -378,7 +378,9 @@ impl<'a, L: LaneSched> Node<'a, L> {
     /// gives the line back to be written now. The sender releases the
     /// reply only after the frame reached the standby: in strict mode
     /// once the standby's ack covers it, otherwise once it is written to
-    /// the standby socket (or the availability timeout passed).
+    /// the standby socket (or the availability timeout passed). The
+    /// sender then writes `conn` itself, so the caller must have flushed
+    /// what it buffered for it.
     pub fn replicate(&mut self, msg: &SubmitRequest, line: String, conn: &Conn) -> Option<String> {
         let Some(link) = self.repl.as_mut() else {
             return Some(line);
@@ -456,8 +458,8 @@ impl<'a, L: LaneSched> Node<'a, L> {
                 // final snapshot: the ack means durable, final counters.
                 // The worker still reading this connection would otherwise
                 // sit out its read timeout before everything is joined.
-                if let Some(s) = conn.as_ref().and_then(|c| c.lock().ok()) {
-                    let _ = s.shutdown(Shutdown::Read);
+                if let Some(conn) = &conn {
+                    conn.shutdown(Shutdown::Read);
                 }
                 self.pending_shutdown = conn;
                 front.begin_shutdown();
@@ -688,10 +690,10 @@ impl<'a, L: LaneSched> Node<'a, L> {
             ServeError::Protocol(format!("replication divergence on request {id}: {what}"))
         };
         let mut tally = Tally::default();
-        let (local, event) = match decide_one(0, &msg, self.p, &mut tally, true)? {
+        let (local, event) = match decide_one(0, &msg, self.p, &mut tally, Keep::Line)? {
             Decided::Fresh {
                 line: Some(line),
-                event,
+                event: Some(event),
                 ..
             } => (line, event),
             Decided::Refused(text) => {

@@ -52,12 +52,12 @@ use std::collections::VecDeque;
 use std::io::{Read as _, Write as _};
 use std::net::{TcpStream, ToSocketAddrs as _};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use mec_obs::{parse_value, JsonValue};
 
-use crate::daemon::is_timeout;
+use crate::daemon::{is_timeout, write_line, ClientConn};
 use crate::error::ServeError;
 use crate::protocol::{field_str, field_usize, MAX_LINE_BYTES};
 
@@ -303,20 +303,17 @@ pub fn parse_repl(line: &str) -> Result<ReplMsg, ServeError> {
 #[derive(Debug)]
 pub struct PendingReply {
     /// The client connection the reply belongs to.
-    pub conn: Arc<Mutex<TcpStream>>,
+    pub conn: Arc<ClientConn>,
     /// The encoded reply line (no trailing newline).
     pub line: String,
 }
 
 impl PendingReply {
-    /// Writes the reply to the client (best effort — a vanished client
-    /// is its own problem).
+    /// Writes the reply to the client through the daemon's one writer
+    /// (best effort — a vanished client is its own problem, and a
+    /// non-draining one is condemned as anywhere else).
     pub fn flush(self) {
-        let mut line = self.line;
-        line.push('\n');
-        if let Ok(mut s) = self.conn.lock() {
-            let _ = s.write_all(line.as_bytes());
-        }
+        let _ = write_line(&self.conn, self.line);
     }
 }
 

@@ -83,6 +83,13 @@ impl LaneSched for BuiltSched<'_> {
         }
     }
 
+    fn recycle(&mut self, event: DecisionEvent) {
+        match self {
+            BuiltSched::Onsite(s) => s.sink_mut().recycle(event),
+            BuiltSched::Offsite(s, _) => s.sink_mut().recycle(event),
+        }
+    }
+
     fn rescues(&self) -> bool {
         matches!(self, BuiltSched::Offsite(..))
     }

@@ -9,16 +9,27 @@
 //! depend on (per-request serving cost is CPU, not allocator traffic)
 //! and the zero-overhead claim of the stage-span instrumentation.
 //!
-//! Kept to a single `#[test]` so no sibling test thread can allocate
-//! inside the measured window.
+//! The second test carries the audit through a live daemon: the same
+//! frames through socket, worker, lane queue, `decide()` and reply
+//! buffer of an in-process one-lane daemon must allocate per *frame*,
+//! never per decision.
+//!
+//! The two tests share one lock so neither allocates inside the other's
+//! measured window.
+
+#[path = "serve_common.rs"]
+mod common;
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::io::{BufRead as _, BufReader, Write as _};
+use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 use mec_obs::{record_stage, NoopSink, PipelineStage, StageClock};
 use mec_serve::{
     encode_batch_into, encode_batch_reply_into, parse_batch_into, parse_batch_reply_into,
-    SubmitRequest, BATCH_ADMIT, BATCH_OVERLOAD, BATCH_REJECT, MAX_BATCH,
+    ControlAction, SubmitRequest, BATCH_ADMIT, BATCH_OVERLOAD, BATCH_REJECT, MAX_BATCH,
 };
 
 struct CountingAlloc;
@@ -55,8 +66,12 @@ fn allocations() -> u64 {
     ALLOC_CALLS.load(Ordering::Relaxed)
 }
 
+// One measured window at a time.
+static MEASURING: Mutex<()> = Mutex::new(());
+
 #[test]
 fn steady_state_batch_codec_is_allocation_free() {
+    let _alone = MEASURING.lock().unwrap_or_else(|e| e.into_inner());
     // Max-size batch with floats that take the non-integral (`{:?}`)
     // encoding path, the longer of the two.
     let reqs: Vec<SubmitRequest> = (0..MAX_BATCH)
@@ -120,5 +135,83 @@ fn steady_state_batch_codec_is_allocation_free() {
         min_allocs, 0,
         "steady-state batch serving allocated {min_allocs} times over {ROUNDS} rounds \
          of {MAX_BATCH}-request frames (expected zero after warm-up)"
+    );
+}
+
+/// A thousand max-size frames through an in-process S = 1 daemon, every
+/// request rejected (the fleet is full after the warm-up): the daemon
+/// may allocate per frame — the parsed request vector it hands its lane
+/// — but not per decision. At the parent of the burst-shaped lane loop
+/// every decision cost two `String`s (2.17 allocations per decision
+/// end to end).
+#[test]
+fn a_one_lane_daemon_allocates_per_frame_not_per_decision() {
+    let _alone = MEASURING.lock().unwrap_or_else(|e| e.into_inner());
+    let (instance, template) = common::scenario(MAX_BATCH, 90);
+    let (addr, daemon) =
+        common::spawn_sharded(instance, vnfrel::Scheme::OffSite, common::sharded_config(1));
+    let stream = TcpStream::connect(addr).unwrap();
+    stream.set_nodelay(true).unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+
+    let mut reqs: Vec<SubmitRequest> = template.iter().map(SubmitRequest::from).collect();
+    let mut frame = String::new();
+    let mut reply = String::new();
+    let mut codes: Vec<u8> = Vec::new();
+    // One lock-step round trip; returns how many requests were admitted.
+    let mut round_trip = |seq: u64| {
+        for (i, r) in reqs.iter_mut().enumerate() {
+            r.id = seq as usize * MAX_BATCH + i;
+        }
+        encode_batch_into(&mut frame, seq, &reqs);
+        frame.push('\n');
+        writer.write_all(frame.as_bytes()).unwrap();
+        reply.clear();
+        assert!(reader.read_line(&mut reply).unwrap() > 0, "daemon hung up");
+        assert_eq!(parse_batch_reply_into(&reply, &mut codes).unwrap(), seq);
+        assert!(codes.iter().all(|&c| c == BATCH_ADMIT || c == BATCH_REJECT));
+        codes.iter().filter(|&&c| c == BATCH_ADMIT).count()
+    };
+
+    // Warm-up: the same thousand requests over and over fill the fleet;
+    // it is over once two whole frames were rejected (which also sizes
+    // every reusable buffer on both sides of the socket).
+    let mut seq = 0;
+    let mut quiet = 0;
+    while quiet < 2 {
+        assert!(seq < 64, "the fleet never filled up");
+        quiet = if round_trip(seq) == 0 { quiet + 1 } else { 0 };
+        seq += 1;
+    }
+
+    const FRAMES: u64 = 1_000;
+    let before = allocations();
+    let admitted: usize = (seq..seq + FRAMES).map(&mut round_trip).sum();
+    let allocated = allocations() - before;
+    assert_eq!(admitted, 0, "the measured window was not all-reject");
+
+    let mut shutdown =
+        mec_serve::encode_client(&mec_serve::ClientMsg::Control(ControlAction::Shutdown));
+    shutdown.push('\n');
+    writer.write_all(shutdown.as_bytes()).unwrap();
+    let report = daemon.join().unwrap().unwrap();
+    assert_eq!(report.stats.decided, (seq + FRAMES) * MAX_BATCH as u64);
+
+    // O(frames): 0.2 per decision would be 205 per frame here; the front
+    // end needs one (measured: exactly 1.00 in a release build). A debug
+    // build adds the recovery log's `debug_assert` — a whole-state export
+    // (3 allocations) at each compaction, every 64 decisions.
+    let budget = if cfg!(debug_assertions) {
+        4.0 + 3.0 * 16.0
+    } else {
+        4.0
+    };
+    let per_frame = allocated as f64 / FRAMES as f64;
+    assert!(
+        per_frame <= budget,
+        "{allocated} allocations over {FRAMES} frames of {MAX_BATCH} requests: \
+         {per_frame:.1} per frame (budget {budget}), {:.4} per decision",
+        per_frame / MAX_BATCH as f64
     );
 }

@@ -6,13 +6,16 @@
 #[path = "serve_common.rs"]
 mod common;
 
-use std::net::TcpListener;
+use std::collections::BTreeMap;
+use std::io::{BufRead as _, BufReader, Read as _, Write as _};
+use std::net::{TcpListener, TcpStream};
+use std::time::{Duration, Instant};
 
-use common::{scenario, sharded_config, spawn_lane, spawn_sharded, Algo, LockStep};
+use common::{scenario, sharded_config, spawn_daemon, spawn_lane, spawn_sharded, Algo, LockStep};
 use mec_serve::{
-    encode_batch_into, parse_batch_reply_into, referee, serve_sharded, AckRecord, ChaosArtifacts,
-    ClientMsg, ControlAction, ServeConfig, ServeError, ServeMetricIds, ServerMsg, SubmitRequest,
-    BATCH_ADMIT, BATCH_REJECT,
+    encode_batch_into, encode_client, is_batch_reply, parse_batch_reply_into, parse_server,
+    referee, serve_sharded, AckRecord, ChaosArtifacts, ClientMsg, ControlAction, ServeConfig,
+    ServeError, ServeMetricIds, ServeStats, ServerMsg, SubmitRequest, BATCH_ADMIT, BATCH_REJECT,
 };
 use vnfrel::{SchedulerState, Scheme};
 
@@ -192,4 +195,252 @@ fn single_scheduler_options_are_refused_with_two_lanes() {
     }
     conn.control(ControlAction::Shutdown);
     daemon.join().unwrap().unwrap();
+}
+
+/// What one pipelined burst read back, and what the daemon reported.
+struct Burst {
+    // Batch replies in arrival order: (sequence number, codes).
+    frames: Vec<(u64, Vec<u8>)>,
+    // The v2 single's decision line.
+    single: String,
+    // Acked control verbs, in arrival order.
+    acks: Vec<(ControlAction, ServeStats)>,
+    restarts: u64,
+    revenue: f64,
+    states: Vec<SchedulerState>,
+}
+
+// One connection writes 8 v3 frames, a v2 single, `chaos-panic <lane>`
+// (when `panic` names one), 8 more frames and a `stats` control in a
+// single `write`, and only then starts reading. At S = 2 frame `k`
+// carries ids of lane `k mod 2` only, except every fourth, which mixes
+// both lanes (the gather path).
+fn pipelined_burst(shards: usize, panic: Option<usize>) -> Burst {
+    const FRAME: usize = 16;
+    let (instance, reqs) = scenario(16 * FRAME + 1, 87);
+    let (addr, daemon) = spawn_sharded(instance, Scheme::OnSite, sharded_config(shards));
+
+    // Ids are the daemon's to route, so assign them here: lane `s` gets
+    // its own increasing ids of residue `s`.
+    let mut next_id: Vec<usize> = (0..shards).collect();
+    let mut submit = |lane: usize, request: &mec_workload::Request| {
+        let id = next_id[lane];
+        next_id[lane] += shards;
+        SubmitRequest {
+            id,
+            ..SubmitRequest::from(request)
+        }
+    };
+    let mut script = String::new();
+    let mut push = |line: &str| {
+        script.push_str(line);
+        script.push('\n');
+    };
+    let mut frame = String::new();
+    let mut single = None;
+    for (k, chunk) in reqs[..16 * FRAME].chunks(FRAME).enumerate() {
+        if k == 8 {
+            let submit = submit(0, &reqs[16 * FRAME]);
+            push(&encode_client(&ClientMsg::Submit(submit)));
+            single = Some(submit);
+            if let Some(lane) = panic {
+                let chaos = ControlAction::ChaosPanic(lane);
+                push(&encode_client(&ClientMsg::Control(chaos)));
+            }
+        }
+        let submits: Vec<SubmitRequest> = (chunk.iter().enumerate())
+            .map(|(i, r)| submit(if k % 4 == 3 { i % shards } else { k % shards }, r))
+            .collect();
+        encode_batch_into(&mut frame, k as u64, &submits);
+        push(&frame);
+    }
+    push(&encode_client(&ClientMsg::Control(ControlAction::Stats)));
+    let single = single.expect("sent between the two halves");
+
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream.write_all(script.as_bytes()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut burst = Burst {
+        frames: Vec::new(),
+        single: String::new(),
+        acks: Vec::new(),
+        restarts: 0,
+        revenue: 0.0,
+        states: Vec::new(),
+    };
+    let expected = 16 + 1 + 1 + usize::from(panic.is_some());
+    let mut line = String::new();
+    let mut codes = Vec::new();
+    for got in 0..expected {
+        line.clear();
+        let n = reader.read_line(&mut line).expect("a reply went missing");
+        assert!(n > 0, "daemon hung up after {got} of {expected} replies");
+        if is_batch_reply(&line) {
+            let seq = parse_batch_reply_into(&line, &mut codes).unwrap();
+            burst.frames.push((seq, codes.clone()));
+            continue;
+        }
+        match parse_server(line.trim()).unwrap() {
+            ServerMsg::Decision(event) => {
+                assert_eq!(event.request, single.id);
+                assert!(burst.single.is_empty(), "the single was answered twice");
+                burst.single = line.trim().to_string();
+            }
+            ServerMsg::Ack(ack) => burst.acks.push((ack.action, ack.stats)),
+            other => panic!("unexpected reply {other:?}"),
+        }
+    }
+    // Nothing more is owed: the shutdown ack is the next and last line.
+    let mut shutdown = encode_client(&ClientMsg::Control(ControlAction::Shutdown));
+    shutdown.push('\n');
+    stream.write_all(shutdown.as_bytes()).unwrap();
+    line.clear();
+    reader.read_line(&mut line).unwrap();
+    assert!(
+        matches!(parse_server(line.trim()), Ok(ServerMsg::Ack(_))),
+        "a reply arrived twice: {line}"
+    );
+    let report = daemon.join().unwrap().unwrap();
+    burst.restarts = report.shard_restarts;
+    burst.revenue = report.stats.revenue;
+    burst.states = report.shard_states;
+    burst
+}
+
+/// The burst-shaped lane loop owes every queued item its one reply, in
+/// lane order, across a panic in mid-burst: the items drained with the
+/// panic marker live in the supervisor, not in the loop that died. (How
+/// many items share the marker's chunk is the scheduler's call; with the
+/// whole script in one `write` the worker queues it far faster than a
+/// lane wakes, and at S = 1 the chunk typically holds the nine items
+/// behind the marker. The outbox is empty at a `chaos-panic` by
+/// construction — the ack that precedes the marker flushes it — so what
+/// this pins for replies is that none is lost or doubled around it.)
+#[test]
+fn a_pipelined_burst_is_answered_exactly_once_across_a_panic() {
+    for shards in [1, 2] {
+        let healed = pipelined_burst(shards, Some(shards - 1));
+        let twin = pipelined_burst(shards, None);
+
+        // Every frame exactly once, and the single (checked on arrival).
+        let by_seq: BTreeMap<u64, &Vec<u8>> = healed
+            .frames
+            .iter()
+            .map(|(seq, codes)| (*seq, codes))
+            .collect();
+        assert_eq!(healed.frames.len(), 16, "S = {shards}");
+        assert_eq!(
+            by_seq.keys().copied().collect::<Vec<_>>(),
+            (0..16).collect::<Vec<_>>()
+        );
+        assert!(!healed.single.is_empty());
+        for codes in by_seq.values() {
+            assert!(codes.iter().all(|&c| c == BATCH_ADMIT || c == BATCH_REJECT));
+        }
+        // Per-lane order: the frames one lane answers alone come back in
+        // the order they were sent.
+        for lane in 0..shards {
+            let seqs: Vec<u64> = (healed.frames.iter().map(|(seq, _)| *seq))
+                .filter(|seq| seq % 4 != 3 && *seq as usize % shards == lane)
+                .collect();
+            assert!(
+                seqs.windows(2).all(|w| w[0] < w[1]),
+                "lane {lane}: {seqs:?}"
+            );
+        }
+        // The acks: chaos-panic first, and the `stats` ack — queued
+        // behind everything — counts everything.
+        let actions: Vec<ControlAction> = healed.acks.iter().map(|(a, _)| *a).collect();
+        let chaos = ControlAction::ChaosPanic(shards - 1);
+        assert_eq!(actions, [chaos, ControlAction::Stats]);
+        assert_eq!(healed.acks[1].1.decided, 16 * 16 + 1, "S = {shards}");
+        assert_eq!(healed.restarts, 1);
+        assert_eq!(twin.restarts, 0);
+
+        // Same answers and the same state, to the bit, as the twin.
+        assert_eq!(healed.single, twin.single);
+        let twin_by_seq: BTreeMap<u64, &Vec<u8>> = twin
+            .frames
+            .iter()
+            .map(|(seq, codes)| (*seq, codes))
+            .collect();
+        assert_eq!(by_seq, twin_by_seq, "S = {shards}: reply codes");
+        assert_eq!(healed.acks[1].1, twin.acks[0].1, "S = {shards}: counters");
+        assert_eq!(healed.revenue.to_bits(), twin.revenue.to_bits());
+        for (lane, (a, b)) in healed.states.iter().zip(&twin.states).enumerate() {
+            assert_states_bit_equal(a, b, &format!("S = {shards}, lane {lane}"));
+        }
+    }
+}
+
+/// A connection that writes but never reads costs its lane one write
+/// timeout, not one per reply: the first flush that cannot complete
+/// condemns it, what is queued behind for it is dropped without a
+/// syscall, and a second connection on the same lane is answered as
+/// soon as that one timeout has passed.
+#[test]
+fn a_connection_that_never_reads_is_condemned_after_one_write_timeout() {
+    let (instance, reqs) = scenario(12, 88);
+    let mut config = ServeConfig::new("127.0.0.1:0");
+    config.workers = 2;
+    let (addr, daemon) = spawn_daemon(instance, Algo::Onsite, config);
+
+    // The hog resubmits request 0 without ever reading: dedupe answers
+    // every resubmit, so replies pile up until both socket buffers are
+    // full and the lane's flush blocks.
+    let mut hog = TcpStream::connect(addr).unwrap();
+    hog.set_write_timeout(Some(Duration::from_millis(500)))
+        .unwrap();
+    let mut line = encode_client(&ClientMsg::Submit(SubmitRequest::from(&reqs[0])));
+    line.push('\n');
+    let wedged = (0..500_000).any(|_| hog.write_all(line.as_bytes()).is_err());
+    assert!(wedged, "the hog never managed to fill the socket buffers");
+
+    // Up to a queue's worth (256) of the hog's submits are still waiting
+    // on the lane. One write timeout (2 s) is owed; one per queued reply
+    // would be minutes.
+    let started = Instant::now();
+    let mut fresh = LockStep::connect(addr);
+    for request in &reqs[1..] {
+        // While the lane sits in that one timeout its queue is full of
+        // the hog's submits and sheds; a shed id may be sent again.
+        let submit = SubmitRequest::from(request);
+        loop {
+            match fresh.round_trip(&ClientMsg::Submit(submit)) {
+                ServerMsg::Decision(event) => break assert_eq!(event.request, submit.id),
+                ServerMsg::Overload(_) => std::thread::sleep(Duration::from_millis(20)),
+                other => panic!("the second connection was answered {other:?}"),
+            }
+        }
+    }
+    assert!(
+        started.elapsed() < Duration::from_secs(8),
+        "the lane paid more than one write timeout: {:?}",
+        started.elapsed()
+    );
+
+    // Whichever daemon thread the hog wedged — the lane in a flush, or
+    // the hog's own worker in an overload reply while the lane stayed
+    // free and answered the fresh connection at once — condemns the
+    // connection one write timeout (2 s) after it blocked. Only then may
+    // the hog read (earlier, it would un-wedge the writer): what was
+    // already buffered, then a FIN or a reset, never silence.
+    std::thread::sleep(Duration::from_secs(3).saturating_sub(started.elapsed()));
+    hog.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let mut sink = Vec::new();
+    let end = hog.read_to_end(&mut sink).map_err(|e| e.kind());
+    assert!(
+        !matches!(
+            end,
+            Err(std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut)
+        ),
+        "the hog's connection is still open: {end:?}"
+    );
+
+    fresh.control(ControlAction::Shutdown);
+    let report = daemon.join().unwrap().unwrap();
+    assert_eq!(report.stats.decided as usize, reqs.len());
 }

@@ -370,18 +370,26 @@ fn slow_loris_client_cannot_pin_the_only_worker() {
         .unwrap();
     let mut fresh_writer = fresh.try_clone().unwrap();
     let mut fresh_reader = BufReader::new(fresh);
-    fresh_writer
-        .write_all(submit_line(&reqs[1]).as_bytes())
-        .unwrap();
     let mut reply = String::new();
-    assert!(
-        fresh_reader.read_line(&mut reply).unwrap() > 0,
-        "daemon never answered the fresh client: the hog pinned the worker"
-    );
-    assert!(
-        matches!(parse_server(reply.trim()).unwrap(), ServerMsg::Decision(_)),
-        "fresh client not decided: {reply}"
-    );
+    loop {
+        fresh_writer
+            .write_all(submit_line(&reqs[1]).as_bytes())
+            .unwrap();
+        reply.clear();
+        assert!(
+            fresh_reader.read_line(&mut reply).unwrap() > 0,
+            "daemon never answered the fresh client: the hog pinned the worker"
+        );
+        // The freed worker can reach the fresh client before the decide
+        // thread, freed in the same instant, has drained the hog's queued
+        // submits: an overload reply is an answer too (the worker is not
+        // pinned), and a shed id may be sent again.
+        match parse_server(reply.trim()).unwrap() {
+            ServerMsg::Overload(_) => std::thread::sleep(Duration::from_millis(10)),
+            ServerMsg::Decision(_) => break,
+            other => panic!("fresh client not decided: {other:?}"),
+        }
+    }
 
     drop(hog_writer);
     drop(hog);
