@@ -17,21 +17,29 @@
 //! least one), with zero referee violations in every mode — so
 //! regressions fail the binary, not just the table.
 //!
-//! Output goes to stdout, `results/chain_sharing.txt` (human table) and
-//! `results/BENCH_chain.json` (schema `bench_chain/v1`).
+//! Last, it times what the repository benchmark's `chain_mixed` workload
+//! times — `MixedSimulation::run` over a merged singles + chains stream,
+//! once per backup mode — so this artifact carries a decisions-per-second
+//! figure next to the admissions it was bought with.
+//!
+//! Output goes to stdout, `results/chain_sharing.txt` (human table, no
+//! timings: it is byte-stable) and `results/BENCH_chain.json` (schema
+//! `bench_chain/v2`: v1 plus the `throughput` block).
 
 use std::fmt::Write as _;
+use std::hint::black_box;
+use std::time::Instant;
 
 use mec_obs::NoopSink;
-use mec_sim::inject_chain_failures;
+use mec_sim::{inject_chain_failures, MixedSimulation};
 use mec_topology::generators::CloudletPlacement;
 use mec_topology::zoo;
-use mec_workload::{ChainGenerator, ChainRequest, Horizon, VnfCatalog};
+use mec_workload::{ChainGenerator, ChainRequest, Horizon};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use vnfrel::chain::{run_chain_online, BackupMode, ChainGreedy, ChainPrimalDual};
 use vnfrel::ProblemInstance;
-use vnfrel_bench::{note, quiet_from_args};
+use vnfrel_bench::{note, protection_hungry_catalog, quiet_from_args, MixedScenario};
 
 /// z-score for the referee's statistical-violation test (≈ 3σ).
 const Z: f64 = 3.0;
@@ -58,16 +66,8 @@ fn build_instance(seed: u64) -> ProblemInstance {
     let network = zoo::abilene()
         .into_network(&placement, &mut rng)
         .expect("abilene materializes");
-    let catalog = VnfCatalog::from_specs([
-        ("IDS", 3u64, 0.90),
-        ("DPI", 3, 0.92),
-        ("TranscoderV", 2, 0.93),
-        ("WanOptimizer", 3, 0.95),
-        ("SessionBorder", 2, 0.96),
-        ("VPNGateway", 2, 0.97),
-    ])
-    .expect("valid catalog");
-    ProblemInstance::new(network, catalog, Horizon::new(16)).expect("valid instance")
+    ProblemInstance::new(network, protection_hungry_catalog(), Horizon::new(16))
+        .expect("valid instance")
 }
 
 struct ModeOutcome {
@@ -113,6 +113,31 @@ fn greedy_outcome(instance: &ProblemInstance, chains: &[ChainRequest]) -> (usize
     let mut alg = ChainGreedy::new(instance);
     let schedule = run_chain_online(&mut alg, chains).expect("valid chain stream");
     (schedule.admitted_count(), schedule.revenue())
+}
+
+/// Slots and chains of the throughput scenario: the benchmark's density
+/// (about three chains and six singles per slot) on half its horizon.
+const THROUGHPUT_SLOTS: usize = 1_008;
+const THROUGHPUT_CHAINS: usize = 3_072;
+
+/// Median decisions per second of `MixedSimulation::run` over `reps`
+/// fresh schedulers in `mode` (library-default ε, as the benchmark).
+fn mixed_throughput(scenario: &MixedScenario, mode: BackupMode, reps: usize) -> f64 {
+    let sim = MixedSimulation::new(&scenario.instance, &scenario.singles, &scenario.chains)
+        .expect("valid mixed streams");
+    let decisions = (scenario.singles.len() + scenario.chains.len()) as f64;
+    let mut rates: Vec<f64> = (0..reps)
+        .map(|_| {
+            let mut alg = ChainPrimalDual::new(&scenario.instance, mode);
+            let start = Instant::now();
+            let report = black_box(sim.run(&mut alg));
+            let elapsed = start.elapsed().as_secs_f64();
+            assert_eq!(report.max_overflow, 0.0, "{} overflowed", mode.as_str());
+            decisions / elapsed
+        })
+        .collect();
+    rates.sort_by(f64::total_cmp);
+    rates[rates.len() / 2]
 }
 
 fn main() {
@@ -278,9 +303,22 @@ fn main() {
     println!("{win}");
     let _ = writeln!(out, "{win}");
 
+    let reps = if quick { 5 } else { 21 };
+    let scenario = MixedScenario::build(THROUGHPUT_SLOTS, THROUGHPUT_CHAINS, 1);
+    let throughput = [BackupMode::None, BackupMode::Dedicated, BackupMode::Shared].map(|mode| {
+        let rate = mixed_throughput(&scenario, mode, reps);
+        println!(
+            "throughput: {:>9} {:>10.0} decisions/s ({:.0} ns per decision)",
+            mode.as_str(),
+            rate,
+            1e9 / rate
+        );
+        (mode, rate)
+    });
+
     let mut json = String::new();
     let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"schema\": \"bench_chain/v1\",");
+    let _ = writeln!(json, "  \"schema\": \"bench_chain/v2\",");
     let _ = writeln!(json, "  \"quick\": {quick},");
     let _ = writeln!(json, "  \"trials\": {trials},");
     let _ = writeln!(json, "  \"z\": {Z},");
@@ -304,6 +342,32 @@ fn main() {
         "    \"shared\": {{\"admitted\": {}, \"revenue\": {:.3}}}",
         shr_t.0, shr_t.1
     );
+    let _ = writeln!(json, "  }},");
+    let _ = writeln!(json, "  \"throughput\": {{");
+    let _ = writeln!(
+        json,
+        "    \"what\": \"MixedSimulation::run, {} singles + {THROUGHPUT_CHAINS} chains over \
+         {THROUGHPUT_SLOTS} slots, median of {reps} fresh schedulers\",",
+        2 * THROUGHPUT_CHAINS
+    );
+    let _ = writeln!(
+        json,
+        "    \"host_cpus\": {},",
+        std::thread::available_parallelism().map_or(1, usize::from)
+    );
+    for (mode, rate) in throughput {
+        let _ = writeln!(
+            json,
+            "    \"{}\": {{\"decisions_per_s\": {rate:.0}, \"ns_per_decision\": {:.1}}}{}",
+            mode.as_str(),
+            1e9 / rate,
+            if matches!(mode, BackupMode::Shared) {
+                ""
+            } else {
+                ","
+            }
+        );
+    }
     let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "  \"worst_margin\": {worst_margin:.6},");
     let _ = writeln!(json, "  \"violations\": {total_violations}");

@@ -49,7 +49,9 @@ use mec_sim::experiment::SweepTable;
 use mec_sim::parallel::parallel_map;
 use mec_topology::generators::CloudletPlacement;
 use mec_topology::zoo;
-use mec_workload::{DurationModel, Horizon, Request, RequestGenerator, VnfCatalog};
+use mec_workload::{
+    ChainGenerator, ChainRequest, DurationModel, Horizon, Request, RequestGenerator, VnfCatalog,
+};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use vnfrel::offsite::{OffsiteGreedy, OffsitePrimalDual};
@@ -281,6 +283,128 @@ impl Scenario {
                     .revenue()
             }
         }
+    }
+}
+
+/// The chain experiments' catalog: mid-reliability, high-compute VNFs
+/// whose stages cannot meet chain targets with one replica, so every
+/// backup mode has to spend compute on protection (replicas or standbys).
+///
+/// # Panics
+///
+/// Panics on internal parameter errors, as [`Scenario::build`].
+pub fn protection_hungry_catalog() -> VnfCatalog {
+    VnfCatalog::from_specs([
+        ("IDS", 3u64, 0.90),
+        ("DPI", 3, 0.92),
+        ("TranscoderV", 2, 0.93),
+        ("WanOptimizer", 3, 0.95),
+        ("SessionBorder", 2, 0.96),
+        ("VPNGateway", 2, 0.97),
+    ])
+    .expect("valid catalog")
+}
+
+/// Seed of [`MixedScenario`]'s cloudlet capacities and reliabilities —
+/// the repository benchmark's, so the two run on the same fleet.
+const MIXED_TOPOLOGY_SEED: u64 = 2019;
+
+/// A mixed single-VNF + chain experiment point in the repository
+/// benchmark's chain shape: Abilene with a cloudlet (12–18 units) at every
+/// AP, [`protection_hungry_catalog`], chains of
+/// one to three stages lasting at most 12 slots, and two single-VNF
+/// requests per chain on the same horizon.
+#[derive(Debug)]
+pub struct MixedScenario {
+    /// The problem instance (network + catalog + horizon).
+    pub instance: ProblemInstance,
+    /// The single-VNF stream, in arrival order with dense ids.
+    pub singles: Vec<Request>,
+    /// The chain stream, in arrival order with dense ids.
+    pub chains: Vec<ChainRequest>,
+}
+
+/// One element of a [`MixedScenario`]'s merged stream.
+#[derive(Debug, Clone, Copy)]
+pub enum Arrival<'a> {
+    /// A single-VNF request.
+    Single(&'a Request),
+    /// A chain request.
+    Chain(&'a ChainRequest),
+}
+
+impl MixedScenario {
+    /// Builds `chains` chains and twice as many singles over `slots`
+    /// slots; `seed` draws the streams (singles first), the fleet is the
+    /// same for every seed.
+    ///
+    /// # Panics
+    ///
+    /// Panics on internal parameter errors, as [`Scenario::build`].
+    pub fn build(slots: usize, chains: usize, seed: u64) -> Self {
+        let placement = CloudletPlacement {
+            fraction: 1.0,
+            capacity: (12, 18),
+            reliability: (0.99, RC_MAX),
+        };
+        let network = zoo::abilene()
+            .into_network(
+                &placement,
+                &mut ChaCha8Rng::seed_from_u64(MIXED_TOPOLOGY_SEED),
+            )
+            .expect("abilene materializes");
+        let instance =
+            ProblemInstance::new(network, protection_hungry_catalog(), Horizon::new(slots))
+                .expect("valid instance");
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let singles = RequestGenerator::new(instance.horizon())
+            .durations(DurationModel::Uniform { lo: 1, hi: 12 })
+            .expect("durations fit the horizon")
+            .reliability_band(0.9, 0.95)
+            .expect("valid band")
+            .payment_rate_band(PR_MAX / 10.0, PR_MAX)
+            .expect("valid band")
+            .generate(2 * chains, instance.catalog(), &mut rng)
+            .expect("valid workload");
+        let chains = ChainGenerator::new(instance.horizon(), instance.network().ap_count())
+            .length_band(1, 3)
+            .expect("valid band")
+            .reliability_band(0.93, 0.97)
+            .expect("valid band")
+            .latency_budget_band(3.0, 12.0)
+            .expect("valid band")
+            .payment_rate_band(PR_MAX / 10.0, PR_MAX)
+            .expect("valid band")
+            .max_duration(12)
+            .expect("valid duration")
+            .generate(chains, instance.catalog(), &mut rng)
+            .expect("valid workload");
+        MixedScenario {
+            instance,
+            singles,
+            chains,
+        }
+    }
+
+    /// The two streams merged by arrival slot, singles before chains
+    /// within a slot — the order `MixedSimulation::run` decides them in.
+    pub fn arrivals(&self) -> impl Iterator<Item = Arrival<'_>> {
+        let (mut singles, mut chains) = (
+            self.singles.iter().peekable(),
+            self.chains.iter().peekable(),
+        );
+        std::iter::from_fn(move || {
+            let single_first = match (singles.peek(), chains.peek()) {
+                (Some(s), Some(c)) => s.arrival() <= c.arrival(),
+                (Some(_), None) => true,
+                (None, _) => false,
+            };
+            if single_first {
+                singles.next().map(Arrival::Single)
+            } else {
+                chains.next().map(Arrival::Chain)
+            }
+        })
     }
 }
 

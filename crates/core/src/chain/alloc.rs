@@ -27,7 +27,10 @@
 //!   `r(c_j) ≥ R`, infeasible otherwise. The stub returned `None`
 //!   unconditionally.
 
+use std::collections::HashMap;
+
 use mec_topology::Reliability;
+use mec_workload::VnfTypeId;
 
 /// An optimal replica vector for a chain at one cloudlet.
 #[derive(Debug, Clone, PartialEq)]
@@ -73,6 +76,225 @@ pub fn chain_availability(
     cloudlet.value() * product
 }
 
+/// The part of the replica DP that depends on the chain's stage types
+/// `(r(f_k), c(f_k))` alone: the best-gain array over compute cost and
+/// the back-pointers that reconstruct a replica vector from a cost.
+///
+/// The hosting cloudlet and the target enter only through
+/// `ln(R / r(c_j))` in [`ReplicaDp::solve_into`]'s "smallest cost whose
+/// gain meets the target" scan, so one table serves every route of a
+/// chain, every cloudlet a greedy scheduler tries, and every later chain
+/// with the same stage tuple.
+#[derive(Debug, Clone)]
+pub(crate) struct ReplicaDp {
+    /// Whether every stage reliability was in `(0, 1]`; an out-of-domain
+    /// tuple solves to `None` whatever the gate and target.
+    valid: bool,
+    /// `dp[cost]`: best total log-availability gain over all stages at
+    /// exactly `cost` compute units, `-inf` where unreachable.
+    dp: Vec<f64>,
+    /// `choice[k * width + cost]`: option index used at stage `k` to
+    /// reach `cost` after stages `0..=k` (`NO_CHOICE` where unreachable).
+    /// Option `oi` is `oi + 1` replicas, and options stop at
+    /// [`MAX_REPLICAS`], so a byte holds it.
+    choice: Vec<u8>,
+}
+
+const NO_CHOICE: u8 = u8::MAX;
+/// Largest replica count tried per stage.
+const MAX_REPLICAS: u32 = 80;
+
+fn in_unit(v: f64) -> bool {
+    v > 0.0 && v <= 1.0
+}
+
+/// Buffers a [`ReplicaDp`] build needs and its result does not keep.
+#[derive(Debug, Default)]
+struct DpBuildScratch {
+    /// Per-option log-availability gains, stage after stage.
+    gains: Vec<f64>,
+    option_counts: Vec<usize>,
+    /// The DP row being filled.
+    next: Vec<f64>,
+}
+
+impl ReplicaDp {
+    /// Builds the table for one stage tuple.
+    fn new(stages: &[(f64, u64)], scratch: &mut DpBuildScratch) -> Self {
+        if stages.iter().any(|&(r, _)| !in_unit(r)) {
+            return ReplicaDp {
+                valid: false,
+                dp: Vec::new(),
+                choice: Vec::new(),
+            };
+        }
+        // Enumerate per-stage options (n, cost, gain). Every stage must in
+        // fact reach at least the end-to-end target on its own (the other
+        // factors are ≤ 1), and may need to go beyond it to compensate for
+        // weaker stages — so options run until the stage's availability
+        // saturates numerically (additional replicas cannot change the
+        // product any more). A perfect stage saturates at n = 1 with gain
+        // exactly 0.
+        let DpBuildScratch {
+            gains,
+            option_counts,
+            next,
+        } = scratch;
+        gains.clear();
+        option_counts.clear();
+        let mut max_cost = 0u64;
+        for &(r, c) in stages {
+            let mut n = 1u32;
+            loop {
+                let avail = stage_availability_raw(r, n);
+                gains.push(avail.ln());
+                if 1.0 - avail < 1e-13 || n >= MAX_REPLICAS {
+                    break;
+                }
+                n += 1;
+            }
+            option_counts.push(n as usize);
+            max_cost += u64::from(n) * c;
+        }
+
+        // DP over integral compute cost.
+        let width = max_cost as usize + 1;
+        const NEG: f64 = f64::NEG_INFINITY;
+        let mut dp = vec![NEG; width];
+        dp[0] = 0.0;
+        next.resize(width, NEG);
+        let mut choice = vec![NO_CHOICE; stages.len() * width];
+        let mut gains = gains.as_slice();
+        for ((&(_, c), &count), pick) in stages
+            .iter()
+            .zip(option_counts.iter())
+            .zip(choice.chunks_exact_mut(width))
+        {
+            let (opts, rest) = gains.split_at(count);
+            gains = rest;
+            next.fill(NEG);
+            for (cost, &gain) in dp.iter().enumerate() {
+                if gain == NEG {
+                    continue;
+                }
+                for (oi, &g) in opts.iter().enumerate() {
+                    let nc = cost + (oi + 1) * c as usize;
+                    if nc < width && gain + g > next[nc] {
+                        next[nc] = gain + g;
+                        pick[nc] = oi as u8;
+                    }
+                }
+            }
+            dp.copy_from_slice(next);
+        }
+        ReplicaDp {
+            valid: true,
+            dp,
+            choice,
+        }
+    }
+
+    /// Solves for one `(cloudlet, req)` pair over the `stages` the table
+    /// was built from, writing the replica vector into `replicas` (its
+    /// old contents are dropped) and returning
+    /// `(total_compute, availability)`. `None` exactly when
+    /// [`allocate_replicas_raw`] returns `None`.
+    pub(crate) fn solve_into(
+        &self,
+        stages: &[(f64, u64)],
+        cloudlet: f64,
+        req: f64,
+        replicas: &mut Vec<u32>,
+    ) -> Option<(u64, f64)> {
+        replicas.clear();
+        if !in_unit(cloudlet) || !in_unit(req) || !self.valid {
+            return None;
+        }
+        // The cloudlet multiplies every stage product, so r(c_j) ≥ R is
+        // necessary; it is also sufficient for the empty chain.
+        if cloudlet < req {
+            return None;
+        }
+        if stages.is_empty() {
+            return Some((0, cloudlet));
+        }
+        let width = self.dp.len();
+        debug_assert_eq!(self.choice.len(), stages.len() * width);
+        // Per-stage target in log space: Σ ln(stage availability) ≥ ln(R/r_c).
+        let ln_target = (req / cloudlet).ln(); // ≤ 0
+
+        // Smallest cost meeting the target (with a tolerance for the
+        // log-space arithmetic).
+        let best_cost = self.dp.iter().position(|&g| g >= ln_target - 1e-12)?;
+
+        // Reconstruct replica counts; the log-space DP can land a hair
+        // short of the true product due to floating-point, in which case
+        // the cheapest stage is nudged below.
+        replicas.resize(stages.len(), 0);
+        let mut cost = best_cost;
+        for k in (0..stages.len()).rev() {
+            let n = u32::from(self.choice[k * width + cost]) + 1;
+            replicas[k] = n;
+            cost -= n as usize * stages[k].1 as usize;
+        }
+        debug_assert_eq!(cost, 0);
+
+        let availability = chain_availability_raw(stages, replicas, cloudlet);
+        let mut nudged = availability;
+        while nudged < req {
+            let k = (0..stages.len())
+                .min_by_key(|&k| stages[k].1)
+                .expect("non-empty");
+            replicas[k] += 1;
+            if replicas[k] > 128 {
+                // Saturated below the target (possible when R = r(c_j)
+                // exactly and some stage is imperfect): genuinely infeasible.
+                return None;
+            }
+            nudged = chain_availability_raw(stages, replicas, cloudlet);
+        }
+        let availability = availability.max(nudged);
+        let total_compute = stages
+            .iter()
+            .zip(replicas.iter())
+            .map(|(&(_, c), &n)| u64::from(n) * c)
+            .sum();
+        Some((total_compute, availability))
+    }
+}
+
+/// [`ReplicaDp`] tables memoised by the chain's stage VNF ids, one memo
+/// per scheduler. A scheduler's catalog is fixed, so the ids determine
+/// the `(r(f_k), c(f_k))` tuple. Nothing is ever evicted: the memo is
+/// bounded by the number of distinct stage tuples the scheduler has seen
+/// (at most `Σ_K |catalog|^K` over the chain lengths in use — 258 for six
+/// types and lengths 1–3), each table a `dp` of 8 bytes and a `choice` of
+/// `K` bytes per unit of the tuple's largest useful compute.
+#[derive(Debug, Default)]
+pub(crate) struct ReplicaDpMemo {
+    index: HashMap<Box<[VnfTypeId]>, usize>,
+    tables: Vec<ReplicaDp>,
+    build: DpBuildScratch,
+}
+
+impl ReplicaDpMemo {
+    /// Handle of the table for `vnfs`, whose resolved parameters are
+    /// `stages`; built on first sight.
+    pub(crate) fn lookup(&mut self, vnfs: &[VnfTypeId], stages: &[(f64, u64)]) -> usize {
+        if let Some(&i) = self.index.get(vnfs) {
+            return i;
+        }
+        self.tables.push(ReplicaDp::new(stages, &mut self.build));
+        self.index.insert(vnfs.into(), self.tables.len() - 1);
+        self.tables.len() - 1
+    }
+
+    /// The table behind a handle from [`ReplicaDpMemo::lookup`].
+    pub(crate) fn table(&self, handle: usize) -> &ReplicaDp {
+        &self.tables[handle]
+    }
+}
+
 /// Finds the minimum-compute replica vector (see module docs), raw-`f64`
 /// variant: stage reliabilities in `(0, 1]` (a perfect `1.0` stage is
 /// legal and gets one replica), cloudlet and requirement in `(0, 1]`.
@@ -84,119 +306,17 @@ pub fn chain_availability(
 /// Feasibility is judged in f64 arithmetic: at the `R = r(c_j)` boundary
 /// an imperfect stage saturates (`1 − (1−r)^n` rounds to 1.0) rather
 /// than failing.
+///
+/// One-shot form: builds the stage table and solves it once. The chain
+/// schedulers keep the table (see [`ReplicaDpMemo`]) and only solve.
 pub fn allocate_replicas_raw(
     stages: &[(f64, u64)],
     cloudlet: f64,
     req: f64,
 ) -> Option<ChainAllocation> {
-    let in_unit = |v: f64| v > 0.0 && v <= 1.0;
-    if !in_unit(cloudlet) || !in_unit(req) || stages.iter().any(|&(r, _)| !in_unit(r)) {
-        return None;
-    }
-    // The cloudlet multiplies every stage product, so r(c_j) ≥ R is
-    // necessary; it is also sufficient for the empty chain.
-    if cloudlet < req {
-        return None;
-    }
-    if stages.is_empty() {
-        return Some(ChainAllocation {
-            replicas: Vec::new(),
-            total_compute: 0,
-            availability: cloudlet,
-        });
-    }
-    // Per-stage target in log space: Σ ln(stage availability) ≥ ln(R/r_c).
-    let ln_target = (req / cloudlet).ln(); // ≤ 0
-
-    // Enumerate per-stage options (n, cost, gain). Every stage must in
-    // fact reach at least the end-to-end target on its own (the other
-    // factors are ≤ 1), and may need to go beyond it to compensate for
-    // weaker stages — so options run until the stage's availability
-    // saturates numerically (additional replicas cannot change the
-    // product any more). A perfect stage saturates at n = 1 with gain
-    // exactly 0.
-    let mut options: Vec<Vec<(u32, u64, f64)>> = Vec::with_capacity(stages.len());
-    for &(r, c) in stages {
-        let mut opts = Vec::new();
-        let mut n = 1u32;
-        loop {
-            let avail = stage_availability_raw(r, n);
-            opts.push((n, u64::from(n) * c, avail.ln()));
-            if 1.0 - avail < 1e-13 || n >= 80 {
-                break;
-            }
-            n += 1;
-        }
-        options.push(opts);
-    }
-
-    // DP over integral compute cost.
-    let max_cost: u64 = options
-        .iter()
-        .map(|o| o.last().expect("at least one option").1)
-        .sum();
-    let width = max_cost as usize + 1;
-    const NEG: f64 = f64::NEG_INFINITY;
-    // dp[cost] = (best total gain, chosen option index per processed stage
-    // is reconstructed via parent tracking).
-    let mut dp = vec![NEG; width];
-    dp[0] = 0.0;
-    // choice[k][cost] = option index used at stage k to reach `cost`.
-    let mut choice: Vec<Vec<u32>> = Vec::with_capacity(options.len());
-    for opts in &options {
-        let mut next = vec![NEG; width];
-        let mut pick = vec![u32::MAX; width];
-        for (cost, &gain) in dp.iter().enumerate() {
-            if gain == NEG {
-                continue;
-            }
-            for (oi, &(_, c, g)) in opts.iter().enumerate() {
-                let nc = cost + c as usize;
-                if nc < width && gain + g > next[nc] {
-                    next[nc] = gain + g;
-                    pick[nc] = oi as u32;
-                }
-            }
-        }
-        dp = next;
-        choice.push(pick);
-    }
-
-    // Smallest cost meeting the target (with a tolerance for the
-    // log-space arithmetic).
-    let best_cost = (0..width).find(|&c| dp[c] >= ln_target - 1e-12)?;
-
-    // Reconstruct replica counts; mutable because the log-space DP can
-    // land a hair short of the true product due to floating-point, in
-    // which case the cheapest stage is nudged below.
-    let mut replicas = vec![0u32; stages.len()];
-    let mut cost = best_cost;
-    for k in (0..stages.len()).rev() {
-        let oi = choice[k][cost] as usize;
-        let (n, c, _) = options[k][oi];
-        replicas[k] = n;
-        cost -= c as usize;
-    }
-    debug_assert_eq!(cost, 0);
-
-    let availability = chain_availability_raw(stages, &replicas, cloudlet);
-    while chain_availability_raw(stages, &replicas, cloudlet) < req {
-        let k = (0..stages.len())
-            .min_by_key(|&k| stages[k].1)
-            .expect("non-empty");
-        replicas[k] += 1;
-        if replicas[k] > 128 {
-            // Saturated below the target (possible when R = r(c_j)
-            // exactly and some stage is imperfect): genuinely infeasible.
-            return None;
-        }
-    }
-    let availability = availability.max(chain_availability_raw(stages, &replicas, cloudlet));
-    let total_compute = stages
-        .iter()
-        .zip(&replicas)
-        .map(|(&(_, c), &n)| u64::from(n) * c)
-        .sum();
+    let mut replicas = Vec::new();
+    let (total_compute, availability) = ReplicaDp::new(stages, &mut DpBuildScratch::default())
+        .solve_into(stages, cloudlet, req, &mut replicas)?;
     Some(ChainAllocation {
         replicas,
         total_compute,
@@ -383,6 +503,184 @@ mod tests {
         let a = allocate_replicas(&short, rel(0.999), rel(0.98)).unwrap();
         let b = allocate_replicas(&long, rel(0.999), rel(0.98)).unwrap();
         assert!(b.total_compute > a.total_compute);
+    }
+
+    /// The allocation as it was computed before the stage table was split
+    /// from the solve: options, DP rows and back-pointers rebuilt on every
+    /// call, `choice` as one `u32` vector per stage. Test-only reference
+    /// for [`ReplicaDp`].
+    fn allocate_in_one_pass(
+        stages: &[(f64, u64)],
+        cloudlet: f64,
+        req: f64,
+    ) -> Option<ChainAllocation> {
+        let in_unit = |v: f64| v > 0.0 && v <= 1.0;
+        if !in_unit(cloudlet) || !in_unit(req) || stages.iter().any(|&(r, _)| !in_unit(r)) {
+            return None;
+        }
+        // The cloudlet multiplies every stage product, so r(c_j) ≥ R is
+        // necessary; it is also sufficient for the empty chain.
+        if cloudlet < req {
+            return None;
+        }
+        if stages.is_empty() {
+            return Some(ChainAllocation {
+                replicas: Vec::new(),
+                total_compute: 0,
+                availability: cloudlet,
+            });
+        }
+        // Per-stage target in log space: Σ ln(stage availability) ≥ ln(R/r_c).
+        let ln_target = (req / cloudlet).ln(); // ≤ 0
+
+        // Enumerate per-stage options (n, cost, gain). Every stage must in
+        // fact reach at least the end-to-end target on its own (the other
+        // factors are ≤ 1), and may need to go beyond it to compensate for
+        // weaker stages — so options run until the stage's availability
+        // saturates numerically (additional replicas cannot change the
+        // product any more). A perfect stage saturates at n = 1 with gain
+        // exactly 0.
+        let mut options: Vec<Vec<(u32, u64, f64)>> = Vec::with_capacity(stages.len());
+        for &(r, c) in stages {
+            let mut opts = Vec::new();
+            let mut n = 1u32;
+            loop {
+                let avail = stage_availability_raw(r, n);
+                opts.push((n, u64::from(n) * c, avail.ln()));
+                if 1.0 - avail < 1e-13 || n >= 80 {
+                    break;
+                }
+                n += 1;
+            }
+            options.push(opts);
+        }
+
+        // DP over integral compute cost.
+        let max_cost: u64 = options
+            .iter()
+            .map(|o| o.last().expect("at least one option").1)
+            .sum();
+        let width = max_cost as usize + 1;
+        const NEG: f64 = f64::NEG_INFINITY;
+        // dp[cost] = (best total gain, chosen option index per processed stage
+        // is reconstructed via parent tracking).
+        let mut dp = vec![NEG; width];
+        dp[0] = 0.0;
+        // choice[k][cost] = option index used at stage k to reach `cost`.
+        let mut choice: Vec<Vec<u32>> = Vec::with_capacity(options.len());
+        for opts in &options {
+            let mut next = vec![NEG; width];
+            let mut pick = vec![u32::MAX; width];
+            for (cost, &gain) in dp.iter().enumerate() {
+                if gain == NEG {
+                    continue;
+                }
+                for (oi, &(_, c, g)) in opts.iter().enumerate() {
+                    let nc = cost + c as usize;
+                    if nc < width && gain + g > next[nc] {
+                        next[nc] = gain + g;
+                        pick[nc] = oi as u32;
+                    }
+                }
+            }
+            dp = next;
+            choice.push(pick);
+        }
+
+        // Smallest cost meeting the target (with a tolerance for the
+        // log-space arithmetic).
+        let best_cost = (0..width).find(|&c| dp[c] >= ln_target - 1e-12)?;
+
+        // Reconstruct replica counts; mutable because the log-space DP can
+        // land a hair short of the true product due to floating-point, in
+        // which case the cheapest stage is nudged below.
+        let mut replicas = vec![0u32; stages.len()];
+        let mut cost = best_cost;
+        for k in (0..stages.len()).rev() {
+            let oi = choice[k][cost] as usize;
+            let (n, c, _) = options[k][oi];
+            replicas[k] = n;
+            cost -= c as usize;
+        }
+        debug_assert_eq!(cost, 0);
+
+        let availability = chain_availability_raw(stages, &replicas, cloudlet);
+        while chain_availability_raw(stages, &replicas, cloudlet) < req {
+            let k = (0..stages.len())
+                .min_by_key(|&k| stages[k].1)
+                .expect("non-empty");
+            replicas[k] += 1;
+            if replicas[k] > 128 {
+                // Saturated below the target (possible when R = r(c_j)
+                // exactly and some stage is imperfect): genuinely infeasible.
+                return None;
+            }
+        }
+        let availability = availability.max(chain_availability_raw(stages, &replicas, cloudlet));
+        let total_compute = stages
+            .iter()
+            .zip(&replicas)
+            .map(|(&(_, c), &n)| u64::from(n) * c)
+            .sum();
+        Some(ChainAllocation {
+            replicas,
+            total_compute,
+            availability,
+        })
+    }
+
+    proptest! {
+        /// One table, many solves: whatever gates and targets share a
+        /// stage tuple's table — in any order, through one reused replica
+        /// buffer, through the memo — each solve equals the one-pass
+        /// allocation bit for bit. Perfect stages, the empty chain, the
+        /// `R = r(c_j)` boundary and gates below the target are all drawn.
+        #[test]
+        fn table_then_solve_equals_the_one_pass_allocation(
+            k in 0usize..=3,
+            seed in 0u64..u64::MAX,
+        ) {
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+            let stages: Vec<(f64, u64)> = (0..k)
+                .map(|_| {
+                    let r = if rng.gen_range(0u32..4) == 0 {
+                        1.0
+                    } else {
+                        rng.gen_range(0.85f64..0.995)
+                    };
+                    (r, rng.gen_range(1u64..=3))
+                })
+                .collect();
+            let vnfs: Vec<VnfTypeId> = (0..k).map(VnfTypeId).collect();
+            let mut memo = ReplicaDpMemo::default();
+            let handle = memo.lookup(&vnfs, &stages);
+            prop_assert_eq!(memo.lookup(&vnfs, &stages), handle);
+            let mut replicas = vec![7; 5];
+            for _ in 0..12 {
+                let gate = rng.gen_range(0.9f64..=1.0);
+                let target = match rng.gen_range(0u32..4) {
+                    0 => gate,
+                    1 => rng.gen_range(0.85f64..=1.0),
+                    _ => rng.gen_range(0.85f64..0.96),
+                };
+                let want = allocate_in_one_pass(&stages, gate, target);
+                let got = memo
+                    .table(handle)
+                    .solve_into(&stages, gate, target, &mut replicas)
+                    .map(|(total_compute, availability)| ChainAllocation {
+                        replicas: replicas.clone(),
+                        total_compute,
+                        availability,
+                    });
+                prop_assert_eq!(&got, &want, "gate {} target {}", gate, target);
+                prop_assert_eq!(
+                    got.map(|a| a.availability.to_bits()),
+                    want.as_ref().map(|a| a.availability.to_bits())
+                );
+                prop_assert_eq!(allocate_replicas_raw(&stages, gate, target), want);
+            }
+        }
     }
 
     proptest! {

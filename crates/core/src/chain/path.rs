@@ -7,12 +7,11 @@
 //! first query from a node pays `O(n²)` (the networks here are tens of
 //! nodes, so a simple selection-based Dijkstra beats heap bookkeeping and
 //! sidesteps float-ordering), later queries from the same source are
-//! array lookups.
+//! array lookups — rows are kept dense by source node, so a memoized
+//! query is two indexed reads and no hashing.
 //!
 //! Unreachable pairs report `f64::INFINITY`, which the latency budget
 //! check naturally rejects (a chain cannot traverse a partition).
-
-use std::collections::HashMap;
 
 use mec_topology::{Network, NodeId};
 
@@ -23,11 +22,15 @@ use mec_topology::{Network, NodeId};
 /// source node index only).
 #[derive(Debug, Clone, Default)]
 pub struct PathTable {
-    /// `source node index → (dist, parent)` rows; `parent[v]` is the
-    /// predecessor of `v` on the shortest path from the source, or
-    /// `usize::MAX` for the source itself and unreachable nodes.
-    rows: HashMap<usize, (Vec<f64>, Vec<usize>)>,
+    /// `(dist, parent)` rows dense by source node index, sized to the
+    /// network's node count on first touch; `None` until the source is
+    /// first queried. `parent[v]` is the predecessor of `v` on the
+    /// shortest path from the source, or `usize::MAX` for the source
+    /// itself and unreachable nodes.
+    rows: Vec<Option<Row>>,
 }
+
+type Row = (Vec<f64>, Vec<usize>);
 
 impl PathTable {
     /// Creates an empty table; rows fill in on first query per source.
@@ -35,9 +38,12 @@ impl PathTable {
         PathTable::default()
     }
 
-    fn row(&mut self, network: &Network, from: NodeId) -> &(Vec<f64>, Vec<usize>) {
-        self.rows.entry(from.index()).or_insert_with(|| {
-            let n = network.ap_count();
+    fn row(&mut self, network: &Network, from: NodeId) -> &Row {
+        let n = network.ap_count();
+        if self.rows.len() < n {
+            self.rows.resize_with(n, || None);
+        }
+        self.rows[from.index()].get_or_insert_with(|| {
             let mut dist = vec![f64::INFINITY; n];
             let mut parent = vec![usize::MAX; n];
             let mut done = vec![false; n];

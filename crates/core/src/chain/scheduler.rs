@@ -36,9 +36,23 @@
 //! sharing). Admission requires the payment to strictly exceed the
 //! total, and admitted chains push the prices of every touched cloudlet
 //! up by the usual multiplicative rule (Eq. 34).
+//!
+//! # Cost
+//!
+//! A decision costs what its own route search costs, whatever came
+//! before it. The replica DP's table is built once per stage tuple and
+//! memoised ([`ReplicaDpMemo`]); the beam runs over `Copy` labels in an
+//! arena, with the window prices hoisted per eligible cloudlet and
+//! distances read from the source label's [`PathTable`] row; the standby
+//! pool is visited one `(cloudlet, VNF)` bucket per stage; and every
+//! buffer lives in the scheduler, so a warm reject allocates nothing and
+//! an admit little beyond the [`ChainPlacement`] it returns. DESIGN §17
+//! (*Cost of a chain decision*) says what is computed per stage tuple,
+//! per chain and per route, and which orders are part of the result.
 
 use std::collections::HashMap;
 use std::fmt;
+use std::ops::Range;
 
 use mec_obs::{
     ChainDecisionEvent, ChainOutcome, ChainRejectReason, ChainStageTrace, NoopSink, TraceEvent,
@@ -47,8 +61,10 @@ use mec_obs::{
 use mec_topology::{CloudletId, NodeId};
 use mec_workload::{ChainRequest, ChainRequestId, Request, VnfTypeId};
 
-use crate::chain::alloc::allocate_replicas_raw;
-use crate::chain::backup::{BackupMode, BackupPlan, SharedBackupPool, StageNeed, StandbyId};
+use crate::chain::alloc::ReplicaDpMemo;
+use crate::chain::backup::{
+    BackupMode, BackupPlan, PlanScratch, SharedBackupPool, StageNeed, StandbyId,
+};
 use crate::chain::path::PathTable;
 use crate::error::VnfrelError;
 use crate::instance::ProblemInstance;
@@ -217,18 +233,21 @@ pub fn run_chain_online<S: ChainScheduler + ?Sized>(
     Ok(schedule)
 }
 
-/// Helper: resolve a chain's stage parameters against the catalog.
-fn stage_params(instance: &ProblemInstance, request: &ChainRequest) -> Option<Vec<(f64, u64)>> {
-    request
-        .stages()
-        .iter()
-        .map(|&s| {
-            instance
-                .catalog()
-                .get(s)
-                .map(|v| (v.reliability().value(), v.compute()))
-        })
-        .collect()
+/// Helper: resolve a chain's stage parameters `(r(f_k), c(f_k))` against
+/// the catalog into `out`; `false` when a stage's type is unknown.
+fn stage_params_into(
+    instance: &ProblemInstance,
+    request: &ChainRequest,
+    out: &mut Vec<(f64, u64)>,
+) -> bool {
+    out.clear();
+    for &s in request.stages() {
+        let Some(v) = instance.catalog().get(s) else {
+            return false;
+        };
+        out.push((v.reliability().value(), v.compute()));
+    }
+    true
 }
 
 /// Per-stage survival with a standby at the stage's own cloudlet:
@@ -240,15 +259,17 @@ fn backed_stage_survival(host_rel: f64, r_f: f64, n: u32, slack: f64) -> f64 {
 /// Greedy replica allocation when every stage is protected by a standby:
 /// start at `n_k = 1` and grow the stage with the best marginal
 /// log-availability gain per computing unit until the certificate
-/// `Π_k S_k` meets the target. Returns `(replicas, certificate)`.
+/// `Π_k S_k` meets the target. Writes the replica vector into `n` and
+/// returns the certificate.
 fn allocate_with_backups(
     stages: &[(f64, u64)],
     host_rel: &[f64],
     target: f64,
     slack: f64,
-) -> Option<(Vec<u32>, f64)> {
-    let k = stages.len();
-    let mut n = vec![1u32; k];
+    n: &mut Vec<u32>,
+) -> Option<f64> {
+    n.clear();
+    n.resize(stages.len(), 1);
     let cert = |n: &[u32]| -> f64 {
         stages
             .iter()
@@ -258,9 +279,9 @@ fn allocate_with_backups(
             .product()
     };
     loop {
-        let c = cert(&n);
+        let c = cert(n);
         if c >= target {
-            return Some((n, c));
+            return Some(c);
         }
         let mut best: Option<(f64, usize)> = None;
         for (i, &(r_f, compute)) in stages.iter().enumerate() {
@@ -294,7 +315,27 @@ fn distinct_host_gate(hosts: &[u32], host_rel: &[f64]) -> f64 {
     gate
 }
 
-/// A fully evaluated candidate route, ready to commit.
+/// One beam-search label: a partial route that ends at `node` after
+/// placing its last stage at cloudlet `host`. Labels of every layer stay
+/// in one arena and point at their predecessor, so extending a route
+/// copies 32 bytes instead of cloning a host vector; the hosts of a
+/// complete route are read back by walking `parent`.
+#[derive(Debug, Clone, Copy)]
+struct Label {
+    /// Cost proxy: `Σ_k c(f_k) · Σ_t λ_{t, j_k}` over the stages so far.
+    cost: f64,
+    latency: f64,
+    node: NodeId,
+    /// Arena index of the previous layer's label.
+    parent: u32,
+    host: u32,
+}
+
+/// A fully evaluated candidate route, ready to commit. The scheduler
+/// owns two — the route in hand and the best so far — and swaps them
+/// when a route wins, so evaluating allocates nothing once they are
+/// sized.
+#[derive(Debug, Default)]
 struct Evaluated {
     hosts: Vec<u32>,
     latency: f64,
@@ -308,6 +349,31 @@ struct Evaluated {
     stage_costs: Vec<f64>,
     dual_cost: f64,
     total_compute: u64,
+}
+
+/// Working memory of one `decide_chain`, kept between calls.
+#[derive(Debug, Default)]
+struct Scratch {
+    /// The chain's `(r(f_k), c(f_k))`.
+    stages: Vec<(f64, u64)>,
+    /// Cloudlets reliable enough to host a stage: `(id, node)`.
+    eligible: Vec<(u32, NodeId)>,
+    /// `Σ_{t∈V_i} λ_{tj}` per eligible cloudlet, parallel to `eligible`.
+    window_prices: Vec<f64>,
+    /// Kept labels of every beam layer, layer after layer.
+    arena: Vec<Label>,
+    /// One layer's candidates, in generation order.
+    candidates: Vec<Label>,
+    host_rel: Vec<f64>,
+    /// Option B's replica vector.
+    backed_replicas: Vec<u32>,
+    needs: Vec<StageNeed>,
+    plan: PlanScratch,
+    /// The route being evaluated, and the cheapest one so far.
+    current: Evaluated,
+    best: Evaluated,
+    standby_ids: Vec<(StandbyId, bool)>,
+    weight_per_cloudlet: Vec<(u32, f64)>,
 }
 
 /// What went wrong while evaluating one candidate route.
@@ -339,6 +405,12 @@ pub struct ChainPrimalDual<'a, S: TraceSink = NoopSink> {
     ledger: CapacityLedger,
     pool: SharedBackupPool,
     paths: PathTable,
+    /// Every cloudlet as `(id, node, r(c_j))`, in id order.
+    all_hosts: Vec<(u32, NodeId, f64)>,
+    /// Replica DP tables by stage tuple (see [`ReplicaDpMemo`] for what
+    /// bounds it).
+    dp: ReplicaDpMemo,
+    scratch: Scratch,
     committed: HashMap<usize, Committed>,
     admitted: usize,
     revenue: f64,
@@ -377,6 +449,19 @@ impl<'a, S: TraceSink> ChainPrimalDual<'a, S> {
             ledger: CapacityLedger::new(instance.network(), instance.horizon()),
             pool: SharedBackupPool::new(mass_cap),
             paths: PathTable::new(),
+            all_hosts: instance
+                .network()
+                .cloudlets()
+                .map(|c| {
+                    (
+                        c.id().index() as u32,
+                        c.node(),
+                        instance.cloudlet_reliability(c.id()),
+                    )
+                })
+                .collect(),
+            dp: ReplicaDpMemo::default(),
+            scratch: Scratch::default(),
             committed: HashMap::new(),
             admitted: 0,
             revenue: 0.0,
@@ -450,6 +535,12 @@ impl<'a, S: TraceSink> ChainPrimalDual<'a, S> {
         let vnf = self.instance.catalog().get(request.vnf())?;
         let req = request.reliability_requirement();
         let (first, last) = (*request.slots().start(), *request.slots().end());
+        let pay = request.payment();
+        // The cheapest fitting cloudlet that passes the payment test —
+        // which is the cheapest fitting cloudlet if that one passes, and
+        // nothing otherwise, since every dearer one then fails too. So
+        // the ledger scan (the expensive part) runs only for a cloudlet
+        // that would become the answer.
         let mut best: Option<(f64, usize, u32)> = None;
         for c in self.instance.network().cloudlets() {
             let j = c.id().index();
@@ -460,24 +551,20 @@ impl<'a, S: TraceSink> ChainPrimalDual<'a, S> {
                 continue;
             };
             let w = f64::from(n) * vnf.compute() as f64;
-            if !self.ledger.fits(c.id(), request.slots(), w) {
-                continue;
-            }
             let cost = w * self.prices.window_sum(j, first, last);
-            if best.is_none_or(|(bc, _, _)| cost < bc) {
+            if best.is_none_or(|(bc, _, _)| cost < bc)
+                && pay - cost > 0.0
+                && self.ledger.fits_window(c.id(), first, last, w)
+            {
                 best = Some((cost, j, n));
             }
         }
-        let (cost, j, n) = best?;
-        if request.payment() - cost <= 0.0 {
-            return None;
-        }
+        let (_, j, n) = best?;
         let vnf_compute = vnf.compute() as f64;
         let w = f64::from(n) * vnf_compute;
         self.ledger.charge(CloudletId(j), request.slots(), w);
         let cap = self.ledger.capacity(CloudletId(j));
         let d = request.duration() as f64;
-        let pay = request.payment();
         self.prices.update_window(j, first, last, |l| {
             l * (1.0 + w / cap) + w * pay / (d * cap)
         });
@@ -485,89 +572,149 @@ impl<'a, S: TraceSink> ChainPrimalDual<'a, S> {
         Some((CloudletId(j), n))
     }
 
-    /// Beam search over per-stage hosts; returns complete labels
-    /// `(cost proxy, latency, hosts)` sorted by cost, or an empty vector
-    /// when the latency budget prunes every route.
-    fn beam_routes(
-        &mut self,
-        request: &ChainRequest,
-        stages: &[(f64, u64)],
-        eligible: &[(u32, NodeId)],
-    ) -> Vec<(f64, f64, Vec<u32>)> {
+    /// Beam search over per-stage hosts, from `scratch.stages` and
+    /// `scratch.eligible`. Returns the arena range of the complete
+    /// routes' last labels, cheapest first, or an empty range when the
+    /// latency budget prunes every route.
+    ///
+    /// Each layer keeps the first [`BEAM`] labels of its candidates'
+    /// Pareto front, in `(cost, latency, generation)` order: a candidate
+    /// survives iff no cheaper-or-equal survivor is at least as fast. The
+    /// front is read off by selection — each pass takes the least
+    /// `(cost, latency)` candidate strictly faster than the last
+    /// survivor, the earliest generated on ties, which is the next
+    /// element a stable sort followed by the dominance filter would keep
+    /// (everything faster than the last survivor sorts after it, or it
+    /// would have been kept or dominated earlier). Generation order —
+    /// labels in arena order, eligible cloudlets in id order within a
+    /// label — is therefore part of the result: it decides which of two
+    /// equal-cost, equal-latency routes is evaluated, and so possibly
+    /// which hosts a chain lands on.
+    fn beam_routes(&mut self, request: &ChainRequest) -> Range<usize> {
         let (first, last) = (*request.slots().start(), *request.slots().end());
         let budget = request.latency_budget();
         let network = self.instance.network();
-        // (cost proxy, latency, at-node, hosts so far)
-        let mut labels: Vec<(f64, f64, NodeId, Vec<u32>)> =
-            vec![(0.0, 0.0, request.ingress(), Vec::new())];
-        for &(_, compute) in stages {
-            let mut next: Vec<(f64, f64, NodeId, Vec<u32>)> = Vec::new();
-            for (cost, lat, at, hosts) in &labels {
-                for &(j, node) in eligible {
-                    let hop = self.paths.distance(network, *at, node);
-                    let lat2 = lat + hop;
-                    if lat2.is_nan() || lat2 > budget || lat2.is_infinite() {
+        let Scratch {
+            stages,
+            eligible,
+            window_prices,
+            arena,
+            candidates,
+            ..
+        } = &mut self.scratch;
+        window_prices.clear();
+        window_prices.extend(
+            eligible
+                .iter()
+                .map(|&(j, _)| self.prices.window_sum(j as usize, first, last)),
+        );
+        arena.clear();
+        arena.push(Label {
+            cost: 0.0,
+            latency: 0.0,
+            node: request.ingress(),
+            parent: u32::MAX,
+            host: u32::MAX,
+        });
+        let mut layer = 0..1;
+        for &(_, compute) in stages.iter() {
+            candidates.clear();
+            for from in layer {
+                let label = arena[from];
+                let hops = self.paths.distances(network, label.node);
+                for (&(j, node), &unit) in eligible.iter().zip(window_prices.iter()) {
+                    let latency = label.latency + hops[node.index()];
+                    if latency.is_nan() || latency > budget || latency.is_infinite() {
                         continue;
                     }
-                    let cost2 =
-                        cost + compute as f64 * self.prices.window_sum(j as usize, first, last);
-                    let mut hosts2 = hosts.clone();
-                    hosts2.push(j);
-                    next.push((cost2, lat2, node, hosts2));
+                    candidates.push(Label {
+                        cost: label.cost + compute as f64 * unit,
+                        latency,
+                        node,
+                        parent: from as u32,
+                        host: j,
+                    });
                 }
             }
-            // Prune: sort by (cost, latency), drop dominated labels,
-            // keep at most BEAM.
-            next.sort_by(|a, b| {
-                a.0.partial_cmp(&b.0)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
-            });
-            let mut kept: Vec<(f64, f64, NodeId, Vec<u32>)> = Vec::new();
-            for cand in next {
-                if kept.len() >= BEAM {
-                    break;
+            let start = arena.len();
+            let mut faster_than = f64::INFINITY;
+            while arena.len() - start < BEAM {
+                let mut next: Option<&Label> = None;
+                for c in candidates.iter() {
+                    if c.latency < faster_than
+                        && next.is_none_or(|n| {
+                            c.cost < n.cost || (c.cost == n.cost && c.latency < n.latency)
+                        })
+                    {
+                        next = Some(c);
+                    }
                 }
-                // Dominated: an already-kept label is no worse on both
-                // axes (kept is cost-sorted, so only latency can save
-                // the candidate).
-                if kept.iter().any(|k| k.1 <= cand.1) {
-                    continue;
-                }
-                kept.push(cand);
+                let Some(&kept) = next else { break };
+                faster_than = kept.latency;
+                arena.push(kept);
             }
-            labels = kept;
-            if labels.is_empty() {
-                return Vec::new();
+            layer = start..arena.len();
+            if layer.is_empty() {
+                break;
             }
         }
-        labels
-            .into_iter()
-            .map(|(cost, lat, _, hosts)| (cost, lat, hosts))
-            .collect()
+        layer
     }
 
-    /// Fully evaluates one candidate route: replica allocation (with or
-    /// without standbys, whichever consumes less new compute), capacity
-    /// checks, backup plan, and dual cost.
+    /// Fully evaluates the complete route ending at arena label `route`
+    /// into `scratch.current`: replica allocation (with or without
+    /// standbys, whichever consumes less new compute), capacity checks,
+    /// backup plan, and dual cost. `dp` is the chain's replica table.
     fn evaluate(
         &mut self,
         request: &ChainRequest,
-        stages: &[(f64, u64)],
-        vnfs: &[VnfTypeId],
-        hosts: &[u32],
-        latency: f64,
-    ) -> Result<Evaluated, EvalFail> {
+        dp: usize,
+        route: usize,
+    ) -> Result<(), EvalFail> {
         let (first, last) = (*request.slots().start(), *request.slots().end());
         let target = request.reliability_requirement().value();
-        let host_rel: Vec<f64> = hosts
-            .iter()
-            .map(|&j| self.instance.cloudlet_reliability(CloudletId(j as usize)))
-            .collect();
+        let Scratch {
+            stages,
+            arena,
+            host_rel,
+            backed_replicas,
+            needs,
+            plan: plan_scratch,
+            current:
+                Evaluated {
+                    hosts,
+                    latency,
+                    replicas,
+                    availability,
+                    plan,
+                    primary_per_cloudlet,
+                    stage_costs,
+                    dual_cost,
+                    total_compute,
+                },
+            ..
+        } = &mut self.scratch;
+        let stages = stages.as_slice();
+
+        // The route's hosts, read back along the labels' parents.
+        *latency = arena[route].latency;
+        hosts.clear();
+        hosts.resize(stages.len(), 0);
+        let mut at = route;
+        for host in hosts.iter_mut().rev() {
+            *host = arena[at].host;
+            at = arena[at].parent as usize;
+        }
+        host_rel.clear();
+        host_rel.extend(
+            hosts
+                .iter()
+                .map(|&j| self.instance.cloudlet_reliability(CloudletId(j as usize))),
+        );
 
         // Option A: primaries only, exact distinct-host availability.
-        let gate = distinct_host_gate(hosts, &host_rel);
-        let no_backup = allocate_replicas_raw(stages, gate, target);
+        let gate = distinct_host_gate(hosts, host_rel);
+        let no_backup = self.dp.table(dp).solve_into(stages, gate, target, replicas);
 
         // Option B: every stage protected by a standby at its host.
         let with_backup = if matches!(self.mode, BackupMode::None) {
@@ -577,47 +724,73 @@ impl<'a, S: TraceSink> ChainPrimalDual<'a, S> {
                 BackupMode::Shared => 1.0 - self.pool.mass_cap(),
                 _ => 1.0,
             };
-            allocate_with_backups(stages, &host_rel, target, slack)
+            allocate_with_backups(stages, host_rel, target, slack, backed_replicas)
         };
+        // What option B would ask of the pool.
+        needs.clear();
+        if with_backup.is_some() {
+            needs.extend((0..stages.len()).map(|k| StageNeed {
+                stage: k,
+                vnf: request.stages()[k],
+                compute: stages[k].1,
+                cloudlet: CloudletId(hosts[k] as usize),
+                mass: (1.0 - stages[k].0).powi(backed_replicas[k] as i32),
+            }));
+        }
 
         // Pick the option with the smaller new-compute footprint; count
         // a standby create as one extra instance of the stage's type
         // (joins are free, which is what makes sharing win capacity).
         // Ties go to standbys (higher availability margin).
-        let choose_backup = match (&no_backup, &with_backup) {
+        let choose_backup = match (no_backup, with_backup) {
             (None, None) => return Err(EvalFail::Reliability),
             (None, Some(_)) => true,
             (Some(_), None) => false,
-            (Some(a), Some((n, _))) => {
+            (Some((a_compute, _)), Some(_)) => {
                 let primary_b: u64 = stages
                     .iter()
-                    .zip(n)
+                    .zip(backed_replicas.iter())
                     .map(|(&(_, c), &nk)| u64::from(nk) * c)
                     .sum();
                 // Upper bound on standby compute: every stage creates.
                 let standby_b: u64 = stages.iter().map(|&(_, c)| c).sum();
-                primary_b + standby_b <= a.total_compute || {
-                    // Sharing may still make B cheaper: count only the
-                    // creates the pool would actually perform.
-                    let plan_probe = self.probe_plan(stages, vnfs, hosts, n, first, last);
-                    match plan_probe {
-                        Some(created) => primary_b + created <= a.total_compute,
-                        None => false,
-                    }
-                }
+                primary_b + standby_b <= a_compute
+                    // Sharing may still make B cheaper: dry-run the pool
+                    // plan and count only the creates it would actually
+                    // perform (shared joins excluded). Dedicated standbys
+                    // are all creates, so there the bound above is exact
+                    // and has just failed.
+                    || (matches!(self.mode, BackupMode::Shared)
+                        && self.pool.plan_into(
+                            self.mode,
+                            needs,
+                            first,
+                            last,
+                            &self.ledger,
+                            |_, _| 0.0,
+                            plan_scratch,
+                            plan,
+                        )
+                        && primary_b
+                            + plan
+                                .stages
+                                .iter()
+                                .filter(|p| p.join.is_none())
+                                .map(|p| p.compute)
+                                .sum::<u64>()
+                            <= a_compute)
             }
         };
 
-        let (replicas, availability) = if choose_backup {
-            let (n, cert) = with_backup.expect("chosen");
-            (n, cert)
+        *availability = if choose_backup {
+            std::mem::swap(replicas, backed_replicas);
+            with_backup.expect("chosen")
         } else {
-            let a = no_backup.expect("chosen");
-            (a.replicas, a.availability)
+            no_backup.expect("chosen").1
         };
 
         // Aggregate primary compute per cloudlet and check capacity.
-        let mut primary_per_cloudlet: Vec<(u32, f64)> = Vec::new();
+        primary_per_cloudlet.clear();
         for (k, &j) in hosts.iter().enumerate() {
             let amount = f64::from(replicas[k]) * stages[k].1 as f64;
             match primary_per_cloudlet.iter_mut().find(|(cj, _)| *cj == j) {
@@ -625,47 +798,43 @@ impl<'a, S: TraceSink> ChainPrimalDual<'a, S> {
                 None => primary_per_cloudlet.push((j, amount)),
             }
         }
-        for &(j, amount) in &primary_per_cloudlet {
+        for &(j, amount) in primary_per_cloudlet.iter() {
             if !self
                 .ledger
-                .fits(CloudletId(j as usize), first..=last, amount)
+                .fits_window(CloudletId(j as usize), first, last, amount)
             {
                 return Err(EvalFail::Capacity);
             }
         }
 
         // Backup plan (accounting for the pending primary charges).
-        let plan = if choose_backup {
-            let needs: Vec<StageNeed> = (0..stages.len())
-                .map(|k| StageNeed {
-                    stage: k,
-                    vnf: vnfs[k],
-                    compute: stages[k].1,
-                    cloudlet: CloudletId(hosts[k] as usize),
-                    mass: (1.0 - stages[k].0).powi(replicas[k] as i32),
-                })
-                .collect();
-            let pending_list = primary_per_cloudlet.clone();
-            let pending = move |j: CloudletId, _t: usize| -> f64 {
-                pending_list
+        if choose_backup {
+            let pending = |j: CloudletId, _t: usize| -> f64 {
+                primary_per_cloudlet
                     .iter()
                     .find(|(cj, _)| *cj as usize == j.index())
                     .map_or(0.0, |&(_, a)| a)
             };
-            match self
-                .pool
-                .plan(self.mode, &needs, first, last, &self.ledger, &pending)
-            {
-                Some(p) => p,
-                None => return Err(EvalFail::Capacity),
+            if !self.pool.plan_into(
+                self.mode,
+                needs,
+                first,
+                last,
+                &self.ledger,
+                pending,
+                plan_scratch,
+                plan,
+            ) {
+                return Err(EvalFail::Capacity);
             }
         } else {
-            BackupPlan::default()
-        };
+            plan.stages.clear();
+            plan.new_compute_slots = 0.0;
+        }
 
         // Dual cost: primaries per stage plus each *created* standby.
-        let mut stage_costs = Vec::with_capacity(stages.len());
-        let mut dual_cost = 0.0;
+        stage_costs.clear();
+        *dual_cost = 0.0;
         for (k, &j) in hosts.iter().enumerate() {
             let unit = self.prices.window_sum(j as usize, first, last);
             let mut cost = f64::from(replicas[k]) * stages[k].1 as f64 * unit;
@@ -675,58 +844,15 @@ impl<'a, S: TraceSink> ChainPrimalDual<'a, S> {
                 }
             }
             stage_costs.push(cost);
-            dual_cost += cost;
+            *dual_cost += cost;
         }
 
-        let total_compute: u64 = stages
+        *total_compute = stages
             .iter()
-            .zip(&replicas)
+            .zip(replicas.iter())
             .map(|(&(_, c), &n)| u64::from(n) * c)
             .sum();
-        Ok(Evaluated {
-            hosts: hosts.to_vec(),
-            latency,
-            replicas,
-            availability,
-            plan,
-            primary_per_cloudlet,
-            stage_costs,
-            dual_cost,
-            total_compute,
-        })
-    }
-
-    /// Dry-runs the pool plan for option B and returns the compute of
-    /// the standbys it would *create* (shared joins excluded), or `None`
-    /// when the plan is infeasible.
-    fn probe_plan(
-        &self,
-        stages: &[(f64, u64)],
-        vnfs: &[VnfTypeId],
-        hosts: &[u32],
-        replicas: &[u32],
-        first: usize,
-        last: usize,
-    ) -> Option<u64> {
-        let needs: Vec<StageNeed> = (0..stages.len())
-            .map(|k| StageNeed {
-                stage: k,
-                vnf: vnfs[k],
-                compute: stages[k].1,
-                cloudlet: CloudletId(hosts[k] as usize),
-                mass: (1.0 - stages[k].0).powi(replicas[k] as i32),
-            })
-            .collect();
-        let plan = self
-            .pool
-            .plan(self.mode, &needs, first, last, &self.ledger, &|_, _| 0.0)?;
-        Some(
-            plan.stages
-                .iter()
-                .filter(|p| p.join.is_none())
-                .map(|p| p.compute)
-                .sum(),
-        )
+        Ok(())
     }
 
     fn emit_reject(
@@ -763,11 +889,12 @@ impl<S: TraceSink> ChainScheduler for ChainPrimalDual<'_, S> {
         &mut self,
         request: &ChainRequest,
     ) -> Result<ChainPlacement, ChainRejectReason> {
-        let network = self.instance.network();
-        let Some(stages) = stage_params(self.instance, request) else {
+        let instance = self.instance;
+        let network = instance.network();
+        if !stage_params_into(instance, request, &mut self.scratch.stages) {
             return Err(self.emit_reject(request, ChainRejectReason::UnknownVnf, None, None));
-        };
-        let vnfs: Vec<VnfTypeId> = request.stages().to_vec();
+        }
+        let vnfs = request.stages();
         if request.ingress().index() >= network.ap_count() {
             return Err(self.emit_reject(request, ChainRejectReason::BadIngress, None, None));
         }
@@ -775,13 +902,11 @@ impl<S: TraceSink> ChainScheduler for ChainPrimalDual<'_, S> {
 
         // Latency pre-check: if even the nearest cloudlet busts the
         // budget, no route exists regardless of reliability.
-        let all_hosts: Vec<(u32, NodeId)> = network
-            .cloudlets()
-            .map(|c| (c.id().index() as u32, c.node()))
-            .collect();
-        let nearest = all_hosts
+        let from_ingress = self.paths.distances(network, request.ingress());
+        let nearest = self
+            .all_hosts
             .iter()
-            .map(|&(_, node)| self.paths.distance(network, request.ingress(), node))
+            .map(|&(_, node, _)| from_ingress[node.index()])
             .fold(f64::INFINITY, f64::min);
         if nearest.is_nan() || nearest > budget || nearest.is_infinite() {
             return Err(self.emit_reject(
@@ -795,12 +920,14 @@ impl<S: TraceSink> ChainScheduler for ChainPrimalDual<'_, S> {
         // Reliability gate: every hosting cloudlet must individually
         // clear the end-to-end target (the certificate is ≤ min r(c_j)).
         let target = request.reliability_requirement().value();
-        let eligible: Vec<(u32, NodeId)> = all_hosts
-            .iter()
-            .copied()
-            .filter(|&(j, _)| self.instance.cloudlet_reliability(CloudletId(j as usize)) >= target)
-            .collect();
-        if eligible.is_empty() {
+        self.scratch.eligible.clear();
+        self.scratch.eligible.extend(
+            self.all_hosts
+                .iter()
+                .filter(|&&(_, _, rel)| rel >= target)
+                .map(|&(j, node, _)| (j, node)),
+        );
+        if self.scratch.eligible.is_empty() {
             return Err(self.emit_reject(
                 request,
                 ChainRejectReason::ReliabilityInfeasible,
@@ -809,7 +936,7 @@ impl<S: TraceSink> ChainScheduler for ChainPrimalDual<'_, S> {
             ));
         }
 
-        let routes = self.beam_routes(request, &stages, &eligible);
+        let routes = self.beam_routes(request);
         if routes.is_empty() {
             // Reliable hosts exist and at least one is within reach of
             // the ingress; the budget pruned every complete route.
@@ -821,49 +948,64 @@ impl<S: TraceSink> ChainScheduler for ChainPrimalDual<'_, S> {
             ));
         }
 
-        let mut best: Option<Evaluated> = None;
+        // One replica table serves every route of the chain.
+        let dp = self.dp.lookup(vnfs, &self.scratch.stages);
+        let mut have_best = false;
         let mut saw_capacity_fail = false;
-        for (_, latency, hosts) in &routes {
-            match self.evaluate(request, &stages, &vnfs, hosts, *latency) {
-                Ok(ev) => {
-                    if best.as_ref().is_none_or(|b| ev.dual_cost < b.dual_cost) {
-                        best = Some(ev);
+        for route in routes {
+            match self.evaluate(request, dp, route) {
+                Ok(()) => {
+                    let Scratch { current, best, .. } = &mut self.scratch;
+                    if !have_best || current.dual_cost < best.dual_cost {
+                        std::mem::swap(current, best);
+                        have_best = true;
                     }
                 }
                 Err(EvalFail::Capacity) => saw_capacity_fail = true,
                 Err(EvalFail::Reliability) => {}
             }
         }
-        let Some(ev) = best else {
+        if !have_best {
             let reason = if saw_capacity_fail {
                 ChainRejectReason::CapacityGate
             } else {
                 ChainRejectReason::ReliabilityInfeasible
             };
             return Err(self.emit_reject(request, reason, None, None));
-        };
+        }
 
         // Payment test, summed over stages.
         let pay = request.payment();
-        let margin = pay - ev.dual_cost;
+        let dual_cost = self.scratch.best.dual_cost;
+        let margin = pay - dual_cost;
         if margin <= 0.0 {
             return Err(self.emit_reject(
                 request,
                 ChainRejectReason::PaymentTest,
-                Some(ev.dual_cost),
+                Some(dual_cost),
                 Some(margin),
             ));
         }
 
         // Commit: primaries, standbys, prices.
+        let algorithm = self.name();
+        let Scratch {
+            best: ev,
+            standby_ids,
+            weight_per_cloudlet,
+            ..
+        } = &mut self.scratch;
         let (first, last) = (*request.slots().start(), *request.slots().end());
         for &(j, amount) in &ev.primary_per_cloudlet {
             self.ledger
                 .charge(CloudletId(j as usize), first..=last, amount);
         }
-        let standby_ids = self
-            .pool
-            .commit(&ev.plan, request.id().index(), &mut self.ledger);
+        self.pool.commit_into(
+            &ev.plan,
+            request.id().index(),
+            &mut self.ledger,
+            standby_ids,
+        );
         self.committed.insert(
             request.id().index(),
             Committed {
@@ -875,7 +1017,8 @@ impl<S: TraceSink> ChainScheduler for ChainPrimalDual<'_, S> {
 
         // Price updates per touched cloudlet: primaries plus created
         // standby compute.
-        let mut weight_per_cloudlet = ev.primary_per_cloudlet.clone();
+        weight_per_cloudlet.clear();
+        weight_per_cloudlet.extend_from_slice(&ev.primary_per_cloudlet);
         for p in &ev.plan.stages {
             if p.join.is_none() {
                 let j = p.cloudlet.index() as u32;
@@ -886,7 +1029,7 @@ impl<S: TraceSink> ChainScheduler for ChainPrimalDual<'_, S> {
             }
         }
         let d = request.duration() as f64;
-        for &(j, w) in &weight_per_cloudlet {
+        for &(j, w) in weight_per_cloudlet.iter() {
             let cap = self.ledger.capacity(CloudletId(j as usize));
             self.prices.update_window(j as usize, first, last, |l| {
                 l * (1.0 + w / cap) + w * pay / (d * cap)
@@ -897,7 +1040,7 @@ impl<S: TraceSink> ChainScheduler for ChainPrimalDual<'_, S> {
 
         // Assemble the placement (stage standby assignments from the
         // committed plan, which is in plan-stage order).
-        let mut stage_placements: Vec<StagePlacement> = (0..stages.len())
+        let mut stage_placements: Vec<StagePlacement> = (0..vnfs.len())
             .map(|k| StagePlacement {
                 vnf: vnfs[k],
                 cloudlet: CloudletId(ev.hosts[k] as usize),
@@ -906,19 +1049,16 @@ impl<S: TraceSink> ChainScheduler for ChainPrimalDual<'_, S> {
                 backup_shared: false,
             })
             .collect();
-        for (p, &(id, shared)) in ev.plan.stages.iter().zip(&standby_ids) {
+        for (p, &(id, shared)) in ev.plan.stages.iter().zip(standby_ids.iter()) {
             stage_placements[p.stage].standby = Some(id);
             stage_placements[p.stage].backup_shared = shared;
         }
 
         // Route segments: ingress → h_1 → … → h_K.
-        let mut segments = Vec::with_capacity(stages.len());
+        let mut segments = Vec::with_capacity(vnfs.len());
         let mut at = request.ingress();
         for &j in &ev.hosts {
-            let node = network
-                .cloudlet(CloudletId(j as usize))
-                .expect("valid id")
-                .node();
+            let node = self.all_hosts[j as usize].1;
             let (nodes, lat) = self
                 .paths
                 .path(network, at, node)
@@ -952,7 +1092,7 @@ impl<S: TraceSink> ChainScheduler for ChainPrimalDual<'_, S> {
                 .collect();
             let event = TraceEvent::ChainDecision(ChainDecisionEvent {
                 chain: request.id().index(),
-                algorithm: self.name().to_string(),
+                algorithm: algorithm.to_string(),
                 slot: request.arrival(),
                 payment: pay,
                 outcome: ChainOutcome::Admit {
@@ -986,6 +1126,9 @@ pub struct ChainGreedy<'a> {
     order: Vec<CloudletId>,
     ledger: CapacityLedger,
     paths: PathTable,
+    /// Replica DP tables by stage tuple: one table serves every cloudlet
+    /// a chain is tried at, and every later chain of the same types.
+    dp: ReplicaDpMemo,
 }
 
 impl<'a> ChainGreedy<'a> {
@@ -1010,6 +1153,7 @@ impl<'a> ChainGreedy<'a> {
             order,
             ledger: CapacityLedger::new(instance.network(), instance.horizon()),
             paths: PathTable::new(),
+            dp: ReplicaDpMemo::default(),
         }
     }
 
@@ -1029,12 +1173,17 @@ impl ChainScheduler for ChainGreedy<'_> {
         request: &ChainRequest,
     ) -> Result<ChainPlacement, ChainRejectReason> {
         let network = self.instance.network();
-        let stages = stage_params(self.instance, request).ok_or(ChainRejectReason::UnknownVnf)?;
+        let mut stages = Vec::with_capacity(request.len());
+        if !stage_params_into(self.instance, request, &mut stages) {
+            return Err(ChainRejectReason::UnknownVnf);
+        }
         if request.ingress().index() >= network.ap_count() {
             return Err(ChainRejectReason::BadIngress);
         }
         let budget = request.latency_budget();
         let target = request.reliability_requirement().value();
+        let dp = self.dp.lookup(request.stages(), &stages);
+        let mut replicas = Vec::new();
         let mut saw_in_budget = false;
         let mut saw_reliable = false;
         for &cid in &self.order {
@@ -1046,16 +1195,19 @@ impl ChainScheduler for ChainGreedy<'_> {
                 continue;
             }
             saw_in_budget = true;
-            let Some(alloc) =
-                allocate_replicas_raw(&stages, cloudlet.reliability().value(), target)
-            else {
+            let Some((total_compute, availability)) = self.dp.table(dp).solve_into(
+                &stages,
+                cloudlet.reliability().value(),
+                target,
+                &mut replicas,
+            ) else {
                 // Sorted by reliability: no later cloudlet can succeed,
                 // but a within-budget one may still exist for latency
                 // classification purposes.
                 continue;
             };
             saw_reliable = true;
-            let weight = alloc.total_compute as f64;
+            let weight = total_compute as f64;
             if !self.ledger.fits(cid, request.slots(), weight) {
                 continue;
             }
@@ -1071,7 +1223,7 @@ impl ChainScheduler for ChainGreedy<'_> {
             let stage_placements = request
                 .stages()
                 .iter()
-                .zip(&alloc.replicas)
+                .zip(&replicas)
                 .map(|(&vnf, &n)| StagePlacement {
                     vnf,
                     cloudlet: cid,
@@ -1082,9 +1234,9 @@ impl ChainScheduler for ChainGreedy<'_> {
                 .collect();
             return Ok(ChainPlacement {
                 stages: stage_placements,
-                total_compute: alloc.total_compute,
+                total_compute,
                 latency: lat,
-                availability: alloc.availability,
+                availability,
                 segments,
             });
         }

@@ -39,17 +39,12 @@
 use std::fmt::Write as _;
 
 use mec_obs::{ChainOutcome, NoopSink, RingSink, TraceEvent, TraceSink, TripwireSink};
-use mec_topology::generators::CloudletPlacement;
-use mec_topology::zoo;
-use mec_workload::{
-    ChainGenerator, ChainRequest, DurationModel, Horizon, Request, RequestGenerator, VnfCatalog,
-};
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
+use mec_workload::ChainRequest;
 use vnfrel::chain::{
     BackupMode, ChainGreedy, ChainPlacement, ChainPrimalDual, ChainRejectReason, ChainScheduler,
 };
-use vnfrel::{CapacityLedger, ProblemInstance};
+use vnfrel::CapacityLedger;
+use vnfrel_bench::{Arrival, MixedScenario};
 
 const GOLDEN: &str = include_str!("../crates/bench/tests/golden/chain_decision_streams.txt");
 
@@ -60,59 +55,8 @@ const CHAINS: usize = 2_048;
 const MASS_CAP: f64 = 0.10;
 const SINGLES: usize = 2 * CHAINS;
 
-struct Fixture {
-    instance: ProblemInstance,
-    singles: Vec<Request>,
-    chains: Vec<ChainRequest>,
-}
-
-fn fixture() -> Fixture {
-    let placement = CloudletPlacement {
-        fraction: 1.0,
-        capacity: (12, 18),
-        reliability: (0.99, 0.9999),
-    };
-    let network = zoo::abilene()
-        .into_network(&placement, &mut ChaCha8Rng::seed_from_u64(2019))
-        .unwrap();
-    let catalog = VnfCatalog::from_specs([
-        ("IDS", 3u64, 0.90),
-        ("DPI", 3, 0.92),
-        ("TranscoderV", 2, 0.93),
-        ("WanOptimizer", 3, 0.95),
-        ("SessionBorder", 2, 0.96),
-        ("VPNGateway", 2, 0.97),
-    ])
-    .unwrap();
-    let instance = ProblemInstance::new(network, catalog, Horizon::new(SLOTS)).unwrap();
-    let mut rng = ChaCha8Rng::seed_from_u64(17);
-    let singles = RequestGenerator::new(instance.horizon())
-        .durations(DurationModel::Uniform { lo: 1, hi: 12 })
-        .unwrap()
-        .reliability_band(0.9, 0.95)
-        .unwrap()
-        .payment_rate_band(1.0, 10.0)
-        .unwrap()
-        .generate(SINGLES, instance.catalog(), &mut rng)
-        .unwrap();
-    let chains = ChainGenerator::new(instance.horizon(), instance.network().ap_count())
-        .length_band(1, 3)
-        .unwrap()
-        .reliability_band(0.93, 0.97)
-        .unwrap()
-        .latency_budget_band(3.0, 12.0)
-        .unwrap()
-        .payment_rate_band(1.0, 10.0)
-        .unwrap()
-        .max_duration(12)
-        .unwrap()
-        .generate(CHAINS, instance.catalog(), &mut rng)
-        .unwrap();
-    Fixture {
-        instance,
-        singles,
-        chains,
-    }
+fn fixture() -> MixedScenario {
+    MixedScenario::build(SLOTS, CHAINS, 17)
 }
 
 /// FNV-1a over 64-bit words.
@@ -286,7 +230,7 @@ fn events_digest(events: &[TraceEvent]) -> u64 {
 /// The merged stream through `ChainPrimalDual` in `mode`, tracing into
 /// `sink`; `events_of` hands back what an enabled sink retained.
 fn primal_dual_section<K: TraceSink>(
-    fx: &Fixture,
+    fx: &MixedScenario,
     mode: BackupMode,
     sink: K,
     events_of: impl FnOnce(K) -> Option<Vec<TraceEvent>>,
@@ -294,39 +238,34 @@ fn primal_dual_section<K: TraceSink>(
     let mut alg = ChainPrimalDual::with_mass_cap(&fx.instance, mode, MASS_CAP, sink);
     let mut out = String::new();
     let mut admitted: Vec<usize> = Vec::new();
-    let (mut i, mut j) = (0, 0);
-    while i < fx.singles.len() || j < fx.chains.len() {
-        // Singles before chains within a slot, as `MixedSimulation::run`.
-        let take_single = match (fx.singles.get(i), fx.chains.get(j)) {
-            (Some(s), Some(c)) => s.arrival() <= c.arrival(),
-            (Some(_), None) => true,
-            (None, _) => false,
-        };
-        if take_single {
-            let r = &fx.singles[i];
-            match alg.decide_single(r) {
-                Some((cloudlet, n)) => {
-                    let _ = writeln!(out, "S {i} A {} {n}", cloudlet.index());
-                }
-                None => {
-                    let _ = writeln!(out, "S {i} R");
+    let mut decided = 0;
+    for arrival in fx.arrivals() {
+        match arrival {
+            Arrival::Single(r) => {
+                let id = r.id().index();
+                match alg.decide_single(r) {
+                    Some((cloudlet, n)) => {
+                        let _ = writeln!(out, "S {id} A {} {n}", cloudlet.index());
+                    }
+                    None => {
+                        let _ = writeln!(out, "S {id} R");
+                    }
                 }
             }
-            i += 1;
-        } else {
-            let c = &fx.chains[j];
-            let decision = alg.decide_chain(c);
-            if decision.is_ok() {
-                admitted.push(j);
-            }
-            chain_line(&mut out, c, &decision);
-            j += 1;
-            if j == fx.chains.len() / 2 {
-                let released: Vec<usize> = admitted.iter().copied().step_by(3).collect();
-                for &id in &released {
-                    alg.release_chain(fx.chains[id].id()).unwrap();
+            Arrival::Chain(c) => {
+                let decision = alg.decide_chain(c);
+                if decision.is_ok() {
+                    admitted.push(c.id().index());
                 }
-                let _ = writeln!(out, "= released {} chains", released.len());
+                chain_line(&mut out, c, &decision);
+                decided += 1;
+                if decided == fx.chains.len() / 2 {
+                    let released: Vec<usize> = admitted.iter().copied().step_by(3).collect();
+                    for &id in &released {
+                        alg.release_chain(fx.chains[id].id()).unwrap();
+                    }
+                    let _ = writeln!(out, "= released {} chains", released.len());
+                }
             }
         }
     }
@@ -362,7 +301,7 @@ fn primal_dual_section<K: TraceSink>(
     out
 }
 
-fn greedy_section(fx: &Fixture) -> String {
+fn greedy_section(fx: &MixedScenario) -> String {
     let mut alg = ChainGreedy::new(&fx.instance);
     let mut out = String::new();
     for c in &fx.chains {

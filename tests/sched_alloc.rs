@@ -1,4 +1,5 @@
-//! Per-decision allocation budget of the four production schedulers.
+//! Per-decision allocation budget of the four production schedulers and
+//! of the chain scheduler.
 //!
 //! Under the default `NoopSink` every `decide()` call may allocate
 //! exactly what its answer needs and nothing else: **0** times for a
@@ -9,6 +10,15 @@
 //! built one would break the budget on that very call; the same streams
 //! through an enabled `RingSink` are run last to show the counter sees
 //! exactly that.
+//!
+//! The chain scheduler is held to a budget of its own: over the second
+//! half of a mixed singles + chains stream, in all three backup modes,
+//! `decide_single` allocates **0** times, a chain reject **0** unless it
+//! is the first chain of its stage tuple (then the tuple's replica
+//! table, at most [`CHAIN_REJECT_BUDGET`]), and a chain admit what its
+//! `ChainPlacement` owns — `stages`, `segments`, a node list per segment
+//! — plus at most [`CHAIN_ADMIT_SLACK`]. The first half sizes the
+//! scheduler's scratch, which is the point of keeping it there.
 //!
 //! Modelled on `tests/serve_alloc.rs`, with one difference: the counter
 //! is thread-local. Each call is measured once and held to an exact
@@ -21,11 +31,12 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use mec_obs::{RingSink, TraceSink};
+use mec_obs::{NoopSink, RingSink, TraceSink};
+use vnfrel::chain::{BackupMode, ChainPrimalDual, ChainScheduler};
 use vnfrel::offsite::{OffsiteGreedy, OffsitePrimalDual};
 use vnfrel::onsite::{CapacityPolicy, OnsiteGreedy, OnsitePrimalDual};
 use vnfrel::{Decision, OnlineScheduler, Placement};
-use vnfrel_bench::{Scenario, ScenarioParams};
+use vnfrel_bench::{Arrival, MixedScenario, Scenario, ScenarioParams};
 
 struct CountingAlloc;
 
@@ -148,6 +159,136 @@ fn assert_tracing_is_seen<S: OnlineScheduler>(case: &str, s: &Scenario, alg: &mu
     );
 }
 
+/// Most a warm chain reject may allocate: nothing, unless it is the first
+/// chain of its stage tuple, which adds the tuple's replica table to the
+/// memo — the table's two arrays and its key, plus a growth step of each
+/// of the memo's two containers when one is due. (The parent averaged
+/// 143.5 per reject.)
+const CHAIN_REJECT_BUDGET: u64 = 5;
+/// Slack of a chain admit over what its `ChainPlacement` owns: a new
+/// tuple's table as above, the chain's release record, and growth steps
+/// of the pool's containers. This stream reaches 7.
+const CHAIN_ADMIT_SLACK: u64 = 8;
+
+/// What the chain stream's measured half allocated, by decision class.
+#[derive(Default)]
+struct ChainSeen {
+    singles: u64,
+    rejects: u64,
+    rejects_allocating: u64,
+    admits: u64,
+}
+
+/// Runs the mixed stream through a `ChainPrimalDual` in `mode`. The first
+/// half only sizes the scheduler's scratch; every decision of the second
+/// half is held to its budget.
+fn hold_chain_budget(s: &MixedScenario, mode: BackupMode) -> ChainSeen {
+    let mut alg = ChainPrimalDual::new(&s.instance, mode);
+    let warm = (s.singles.len() + s.chains.len()) / 2;
+    let mut seen = ChainSeen::default();
+    for (i, arrival) in s.arrivals().enumerate() {
+        let before = allocations();
+        match arrival {
+            Arrival::Single(r) => {
+                let decision = alg.decide_single(r);
+                let spent = allocations() - before;
+                if i >= warm {
+                    seen.singles += 1;
+                    assert_eq!(
+                        spent,
+                        0,
+                        "{}: decide_single allocated {spent} times on {decision:?}",
+                        mode.as_str()
+                    );
+                }
+            }
+            Arrival::Chain(c) => {
+                let decision = alg.decide_chain(c);
+                let spent = allocations() - before;
+                if i < warm {
+                    continue;
+                }
+                match &decision {
+                    Err(reason) => {
+                        seen.rejects += 1;
+                        seen.rejects_allocating += u64::from(spent > 0);
+                        assert!(
+                            spent <= CHAIN_REJECT_BUDGET,
+                            "{}: chain {} rejected ({}) after {spent} allocations, \
+                             budget {CHAIN_REJECT_BUDGET}",
+                            mode.as_str(),
+                            c.id().index(),
+                            reason.as_str()
+                        );
+                    }
+                    Ok(p) => {
+                        seen.admits += 1;
+                        // `stages`, `segments`, and a node list per segment.
+                        let owned = 2 + p.segments.len() as u64;
+                        assert!(
+                            spent <= CHAIN_ADMIT_SLACK + owned,
+                            "{}: chain {} admitted after {spent} allocations, its placement \
+                             owns {owned}, slack {CHAIN_ADMIT_SLACK}",
+                            mode.as_str(),
+                            c.id().index()
+                        );
+                    }
+                }
+            }
+        }
+    }
+    seen
+}
+
+/// Allocations of the whole mixed stream with tracing into `sink`.
+fn chain_stream_allocations<K: TraceSink>(s: &MixedScenario, mode: BackupMode, sink: K) -> u64 {
+    let mut alg = ChainPrimalDual::with_sink(&s.instance, mode, sink);
+    let before = allocations();
+    for arrival in s.arrivals() {
+        match arrival {
+            Arrival::Single(r) => {
+                alg.decide_single(r);
+            }
+            Arrival::Chain(c) => {
+                let _ = alg.decide_chain(c);
+            }
+        }
+    }
+    allocations() - before
+}
+
+fn chain_decisions_hold_their_allocation_budget() {
+    let s = MixedScenario::build(672, 2_048, 23);
+    for mode in [BackupMode::None, BackupMode::Dedicated, BackupMode::Shared] {
+        let seen = hold_chain_budget(&s, mode);
+        assert!(
+            seen.singles > 0 && seen.rejects > 0 && seen.admits > 0,
+            "{}: every budget class must be exercised: {} singles, {} rejects, {} admits",
+            mode.as_str(),
+            seen.singles,
+            seen.rejects,
+            seen.admits
+        );
+        // A warm reject allocates nothing; only the first chain of a stage
+        // tuple may, and after half the stream those are few.
+        assert!(
+            seen.rejects_allocating * 20 <= seen.rejects,
+            "{}: {} of {} warm chain rejects allocated",
+            mode.as_str(),
+            seen.rejects_allocating,
+            seen.rejects
+        );
+        let quiet = chain_stream_allocations(&s, mode, NoopSink);
+        let traced = chain_stream_allocations(&s, mode, RingSink::new(s.chains.len()));
+        assert!(
+            traced > quiet + s.chains.len() as u64,
+            "{}: an enabled sink allocated {traced} times over the stream against {quiet} \
+             without one — the counter must see an event per chain decision",
+            mode.as_str()
+        );
+    }
+}
+
 #[test]
 fn decide_holds_its_allocation_budget_under_the_noop_sink() {
     const { assert!(RingSink::ENABLED) };
@@ -180,6 +321,7 @@ fn decide_holds_its_allocation_budget_under_the_noop_sink() {
         let mut traced = OffsiteGreedy::with_sink(inst, ring());
         assert_tracing_is_seen(case, &s, &mut traced, budget);
     }
+    chain_decisions_hold_their_allocation_budget();
     assert!(
         seen.rejects > 0 && seen.onsite_admits > 0 && seen.offsite_admits > 0,
         "every budget class must be exercised: {} rejects, {} on-site, {} off-site admits",
