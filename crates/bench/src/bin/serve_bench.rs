@@ -25,14 +25,11 @@
 //! machine-readable record CI uploads).
 
 use std::fmt::Write as _;
-use std::net::SocketAddr;
-use std::sync::mpsc;
 use std::thread;
 
-use mec_obs::MetricsRegistry;
 use mec_serve::{
-    run_loadgen, run_open_loop, serve_sharded, LatencySummary, LoadgenConfig, OpenLoopConfig,
-    ServeConfig, ServeError, ServeMetricIds, ShardedReport,
+    run_loadgen, run_open_loop, spawn_sharded, LatencySummary, LoadgenConfig, OpenLoopConfig,
+    ServeConfig, ShardedReport, Spawned,
 };
 use mec_sim::Simulation;
 use vnfrel::offsite::OffsitePrimalDual;
@@ -47,21 +44,11 @@ fn spawn_daemon(
     instance: ProblemInstance,
     scheme: Scheme,
     shards: usize,
-) -> (
-    SocketAddr,
-    thread::JoinHandle<Result<ShardedReport, ServeError>>,
-) {
-    let (tx, rx) = mpsc::channel();
-    let handle = thread::spawn(move || {
-        let mut registry = MetricsRegistry::new();
-        let ids = ServeMetricIds::register(&mut registry, instance.cloudlet_count());
-        let mut config = ServeConfig::new("127.0.0.1:0");
-        config.shards = shards;
-        config.queue_capacity = 4096;
-        serve_sharded(&instance, scheme, &registry, &ids, &config, Some(tx))
-    });
-    let addr = rx.recv().expect("daemon bound");
-    (addr, handle)
+) -> Spawned<ShardedReport> {
+    let mut config = ServeConfig::new("127.0.0.1:0");
+    config.shards = shards;
+    config.queue_capacity = 4096;
+    spawn_sharded(instance, scheme, config).expect("daemon bound")
 }
 
 struct OpenLoopPoint {

@@ -9,6 +9,7 @@
 
 mod args;
 mod error;
+mod failover;
 mod runner;
 
 use std::process::ExitCode;
@@ -39,10 +40,12 @@ fn main() -> ExitCode {
         ),
         args::Command::Failures(failures_args) => runner::failures(
             failures_args,
+            None,
             &mut runner::Output::new(&mut stdout, &mut stderr, failures_args.sim.quiet),
         ),
-        args::Command::Degradation(deg_args) => runner::degradation(
-            deg_args,
+        args::Command::Degradation(deg_args) => runner::failures(
+            &deg_args.failures,
+            Some(deg_args),
             &mut runner::Output::new(&mut stdout, &mut stderr, deg_args.failures.sim.quiet),
         ),
         args::Command::Serve(serve_args) => runner::serve(
@@ -77,7 +80,7 @@ fn main() -> ExitCode {
             out.as_deref(),
             &mut runner::Output::new(&mut stdout, &mut stderr, *quiet),
         ),
-        args::Command::FailoverDrill(drill_args) => runner::failover_drill(
+        args::Command::FailoverDrill(drill_args) => failover::failover_drill(
             drill_args,
             &mut runner::Output::new(&mut stdout, &mut stderr, drill_args.sim.quiet),
         ),

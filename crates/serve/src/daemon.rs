@@ -101,9 +101,6 @@ pub struct ServeConfig {
     /// from it for this long; `None` promotes only on an explicit
     /// `promote` control message.
     pub auto_promote_after: Option<Duration>,
-    /// How many recent decisions each lane remembers for idempotent
-    /// resubmits (dedupe by request id after a client reconnects).
-    pub dedupe_window: usize,
     /// Directory the per-lane flight recorders dump into (as
     /// `flight-<epoch>-<lane>.jsonl`) on fencing, divergence, panic or a
     /// `dump-flight` control frame; `None` disables flight recording.
@@ -133,7 +130,6 @@ impl ServeConfig {
             replicate_to: None,
             repl_strict: false,
             auto_promote_after: None,
-            dedupe_window: 1024,
             flight_dir: None,
             snapshot_io: Arc::new(crate::chaos::RealSnapshotIo),
         }
@@ -427,6 +423,10 @@ pub(crate) enum RecoveryEntry {
 // Decisions between recovery-base compactions; bounds the replay a
 // panicked lane performs to at most this many re-decides.
 const RECOVERY_COMPACT: usize = 64;
+
+// Recent decisions each lane remembers for idempotent resubmits (a
+// reconnecting client resends what it never saw answered).
+const DEDUPE_WINDOW: usize = 1024;
 
 // One remembered decision: the code always, the line only where the
 // reply was a line (v2 singles) — keeping every batch decision's event
@@ -776,17 +776,10 @@ impl Front<'_> {
         self.stop.load(Ordering::Acquire)
     }
 
-    // The metric lane of `s`: a registry registered for fewer lanes than
-    // the daemon runs folds the rest onto its last one.
-    fn lane(&self, s: usize) -> usize {
-        s.min(self.ids.stage.shard_count() - 1)
-    }
-
     // One stage latency, into lane `s`'s histogram and flight ring.
     #[inline]
     pub fn stage_obs(&self, s: usize, stage: PipelineStage, ns: u64) {
-        self.ids
-            .observe_stage_ns(self.registry, self.lane(s), stage, ns);
+        self.ids.observe_stage_ns(self.registry, s, stage, ns);
         self.flight(s, || TraceEvent::StageSample {
             shard: s,
             stage,
@@ -818,14 +811,14 @@ impl Front<'_> {
     // keeps its depth in an atomic).
     fn lane_depth(&self, s: usize) {
         let (q, lanes) = (&self.queues[s], &self.ids.lanes);
-        lanes.set_depth(self.registry, self.lane(s), q.len(), q.capacity());
+        lanes.set_depth(self.registry, s, q.len(), q.capacity());
     }
 
     // Counts `n` requests bounced off lane `s`'s full queue.
     fn shed(&self, s: usize, n: u64) {
         self.registry.add(self.ids.overloads, n);
         self.overloaded.fetch_add(n, Ordering::AcqRel);
-        self.registry.inc(self.ids.lanes.shed[self.lane(s)]);
+        self.registry.inc(self.ids.lanes.shed[s]);
     }
 
     // Hands lane 0 a node item. Never dropped by backpressure: the push
@@ -877,6 +870,14 @@ pub(crate) fn run<L: LaneSched>(
 ) -> Result<(ServeReport, Vec<LaneCore<L>>), ServeError> {
     let shards = lanes.len();
     config.check(shards)?;
+    let metric_lanes = (ids.stage.shard_count(), ids.lanes.shard_count());
+    if metric_lanes != (shards, shards) {
+        return Err(ServeError::Config(format!(
+            "the metric ids cover {} stage lane(s) and {} queue lane(s), and this daemon runs \
+             {shards} lanes (register them with ServeMetricIds::register_sharded)",
+            metric_lanes.0, metric_lanes.1
+        )));
+    }
     let listener = TcpListener::bind(&config.addr).map_err(|source| ServeError::Net {
         action: "bind",
         addr: config.addr.clone(),
@@ -1574,16 +1575,14 @@ pub(crate) fn decide_one<L: LaneSched>(
             (None, None)
         }
     };
-    if front.config.dedupe_window > 0 {
-        while core.recent.len() >= front.config.dedupe_window {
-            core.recent.pop_front();
-        }
-        core.recent.push_back(Recent {
-            id: msg.id,
-            admitted,
-            line: line.clone(),
-        });
+    while core.recent.len() >= DEDUPE_WINDOW {
+        core.recent.pop_front();
     }
+    core.recent.push_back(Recent {
+        id: msg.id,
+        admitted,
+        line: line.clone(),
+    });
     Ok(Decided::Fresh {
         admitted,
         line,

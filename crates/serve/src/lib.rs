@@ -15,7 +15,9 @@
 //! a hot standby ([`replica`]); every daemon exposes Prometheus metrics
 //! over `GET /metrics`, heals a panicked decide thread from its recovery
 //! log, and drains cleanly on SIGINT/SIGTERM or a `shutdown` control
-//! message.
+//! message. [`harness`] brings either daemon up on a thread of its own
+//! and [`client`] is the one way to talk to it in lock-step; [`drill`]
+//! runs the chaos matrix on top of the two.
 //!
 //! Everything is `std`-only: `std::net` sockets, `Mutex`/`Condvar`
 //! bounded queues ([`pool`]), scoped threads. See DESIGN.md §12–§14 for
@@ -25,10 +27,13 @@
 #![warn(missing_debug_implementations)]
 
 pub mod chaos;
+pub mod client;
 pub mod daemon;
+pub mod drill;
 pub mod epoch;
 mod error;
 pub mod flight;
+pub mod harness;
 pub mod loadgen;
 pub mod pool;
 pub mod protocol;
@@ -46,10 +51,13 @@ pub use chaos::{
     full_jitter_backoff, ChaosConfig, ChaosPlan, ChaosProxy, ChaosSnapshotIo, NetFault,
     RealSnapshotIo, SnapshotIo, SnapshotStep,
 };
+pub use client::LineClient;
 pub use daemon::{serve, Role, ServeConfig, ServeReport};
+pub use drill::{chaos_matrix, ChaosCell, ChaosReport, ChaosScenario};
 pub use epoch::{Epoch, FenceCheck};
 pub use error::ServeError;
 pub use flight::{FlightRecorder, SharedFlight, FLIGHT_CAPACITY};
+pub use harness::{spawn_lane, spawn_sharded, Spawned};
 pub use loadgen::{
     run_loadgen, run_open_loop, LatencySummary, LoadgenConfig, LoadgenReport, OpenLoopConfig,
     OpenLoopReport,

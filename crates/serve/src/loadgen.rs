@@ -19,8 +19,7 @@
 //! submit was decided but its reply lost, the stored decision comes
 //! back — so no request is ever lost or decided twice.
 
-use std::io::{self, BufRead as _, BufReader, Write as _};
-use std::net::TcpStream;
+use std::io::{self, Write as _};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -28,11 +27,13 @@ use std::time::{Duration, Instant};
 use mec_workload::Request;
 
 use crate::chaos::full_jitter_backoff;
+use crate::client::{self, LineClient};
+use crate::daemon::is_timeout;
 use crate::error::ServeError;
 use crate::protocol::{
-    encode_batch_into, encode_client, is_batch_reply, parse_batch_reply_into, parse_server,
-    ClientMsg, ControlAction, ServeStats, ServerMsg, SubmitRequest, BATCH_ADMIT, BATCH_OVERLOAD,
-    BATCH_REJECT, MAX_BATCH,
+    encode_batch_into, is_batch_reply, parse_batch_reply_into, parse_server, ClientMsg,
+    ControlAction, ServeStats, ServerMsg, SubmitRequest, BATCH_ADMIT, BATCH_OVERLOAD, BATCH_REJECT,
+    MAX_BATCH,
 };
 use crate::referee::AckRecord;
 
@@ -224,32 +225,6 @@ impl LoadgenReport {
     }
 }
 
-struct Conn {
-    writer: TcpStream,
-    reader: BufReader<TcpStream>,
-}
-
-fn read_reply(conn: &mut Conn, line: &mut String) -> Result<ServerMsg, ServeError> {
-    line.clear();
-    let n = conn.reader.read_line(line)?;
-    if n == 0 {
-        return Err(ServeError::Protocol(
-            "daemon closed the connection".to_string(),
-        ));
-    }
-    parse_server(line.trim())
-}
-
-fn connect_one(addr: &str) -> io::Result<Conn> {
-    let stream = TcpStream::connect(addr)?;
-    let _ = stream.set_nodelay(true);
-    let writer = stream.try_clone()?;
-    Ok(Conn {
-        writer,
-        reader: BufReader::new(stream),
-    })
-}
-
 // Capped full-jitter backoff (shared helper, deterministic per attempt
 // counter): reruns of the drill take identical schedules, while the salt
 // keeps the loadgen's draws decorrelated from the replication sender's.
@@ -290,9 +265,8 @@ pub fn run_loadgen(
         return Err(ServeError::Config("no daemon address given".to_string()));
     }
     let mut addr_idx = 0usize;
-    let mut conn: Option<Conn> = None;
+    let mut conn: Option<LineClient> = None;
     let mut ever_connected = false;
-    let mut line = String::new();
 
     let mut report = LoadgenReport {
         sent: 0,
@@ -326,8 +300,6 @@ pub fn run_loadgen(
             }
         }
         let msg = ClientMsg::Submit(SubmitRequest::from(request));
-        let mut out = encode_client(&msg);
-        out.push('\n');
 
         let mut attempt = 0u32;
         report.sent += 1;
@@ -362,12 +334,7 @@ pub fn run_loadgen(
                 }
             };
             let sent_at = Instant::now();
-            let outcome = c
-                .writer
-                .write_all(out.as_bytes())
-                .map_err(ServeError::Io)
-                .and_then(|()| read_reply(c, &mut line));
-            match outcome {
+            match c.round_trip(&msg) {
                 Ok(ServerMsg::Decision(event)) => {
                     if event.request != request.id().index() {
                         return Err(ServeError::Protocol(format!(
@@ -437,8 +404,7 @@ pub fn run_loadgen(
     }
 
     if config.shutdown_when_done {
-        let mut out = encode_client(&ClientMsg::Control(ControlAction::Shutdown));
-        out.push('\n');
+        let shutdown = ClientMsg::Control(ControlAction::Shutdown);
         let mut attempt = 0u32;
         loop {
             check_deadline(started, config.deadline)?;
@@ -464,12 +430,7 @@ pub fn run_loadgen(
                     continue;
                 }
             };
-            let outcome = c
-                .writer
-                .write_all(out.as_bytes())
-                .map_err(ServeError::Io)
-                .and_then(|()| read_reply(c, &mut line));
-            match outcome {
+            match c.round_trip(&shutdown) {
                 Ok(ServerMsg::Ack(ack)) => {
                     report.final_stats = Some(ack.stats);
                     break;
@@ -499,15 +460,15 @@ pub fn run_loadgen(
 // none. `Ok(None)` means the dial failed in reconnect mode: the caller
 // backs off and retries (the address cursor has already rotated).
 fn ensure_conn<'a>(
-    conn: &'a mut Option<Conn>,
+    conn: &'a mut Option<LineClient>,
     addrs: &[&str],
     addr_idx: &mut usize,
     ever_connected: &mut bool,
     report: &mut LoadgenReport,
     config: &LoadgenConfig,
-) -> Result<Option<&'a mut Conn>, ServeError> {
+) -> Result<Option<&'a mut LineClient>, ServeError> {
     if conn.is_none() {
-        match connect_one(addrs[*addr_idx]) {
+        match LineClient::connect(addrs[*addr_idx]) {
             Ok(c) => {
                 if *ever_connected {
                     report.reconnects += 1;
@@ -515,14 +476,8 @@ fn ensure_conn<'a>(
                 *ever_connected = true;
                 *conn = Some(c);
             }
-            Err(source) => {
-                if !config.reconnect {
-                    return Err(ServeError::Net {
-                        action: "connect",
-                        addr: addrs[*addr_idx].to_string(),
-                        source,
-                    });
-                }
+            Err(e) if !config.reconnect => return Err(e),
+            Err(_) => {
                 *addr_idx = (*addr_idx + 1) % addrs.len();
                 return Ok(None);
             }
@@ -737,23 +692,8 @@ pub fn run_open_loop(
     report.per_request = LatencySummary::from_samples(request_samples);
 
     if config.shutdown_when_done {
-        let mut conn = connect_one(&config.addr).map_err(|source| ServeError::Net {
-            action: "connect",
-            addr: config.addr.clone(),
-            source,
-        })?;
-        let mut out = encode_client(&ClientMsg::Control(ControlAction::Shutdown));
-        out.push('\n');
-        conn.writer.write_all(out.as_bytes())?;
-        let mut line = String::new();
-        match read_reply(&mut conn, &mut line)? {
-            ServerMsg::Ack(ack) => report.final_stats = Some(ack.stats),
-            other => {
-                return Err(ServeError::Protocol(format!(
-                    "expected a shutdown ack, got {other:?}"
-                )))
-            }
-        }
+        let ack = client::control(&config.addr, ControlAction::Shutdown)?;
+        report.final_stats = Some(ack.stats);
     }
     Ok(report)
 }
@@ -771,13 +711,9 @@ fn drive_conn(
     if frames.is_empty() {
         return Ok(ConnOutcome::default());
     }
-    let conn = connect_one(&config.addr).map_err(|source| ServeError::Net {
-        action: "connect",
-        addr: config.addr.clone(),
-        source,
-    })?;
-    let mut writer = conn.writer;
-    let reader = conn.reader;
+    let reader = LineClient::connect(&config.addr)?;
+    // The sender's own handle: frames go out while replies come in.
+    let mut writer = reader.stream().try_clone()?;
 
     let in_flight = AtomicUsize::new(0);
     let frames_sent = AtomicUsize::new(0);
@@ -849,7 +785,7 @@ fn drive_conn(
 // answered (or the run fails). The socket read times out every 100 ms so
 // the loop can notice sender completion without a sentinel frame.
 fn receive_replies(
-    mut reader: BufReader<TcpStream>,
+    mut reader: LineClient,
     send_times: &Mutex<Vec<Instant>>,
     in_flight: &AtomicUsize,
     frames_sent: &AtomicUsize,
@@ -857,20 +793,16 @@ fn receive_replies(
     failed: &AtomicBool,
 ) -> Result<ConnOutcome, ServeError> {
     reader
-        .get_ref()
+        .stream()
         .set_read_timeout(Some(Duration::from_millis(100)))?;
     let mut outcome = ConnOutcome::default();
     let mut codes: Vec<u8> = Vec::new();
-    let mut line = String::new();
     let mut frames_done = 0usize;
     loop {
-        // A timed-out read may leave a partial line in `line`; keep
-        // accumulating instead of clearing.
-        match reader.read_line(&mut line) {
-            Ok(0) => break,
-            Ok(_) if !line.ends_with('\n') => break, // EOF mid-line
-            Ok(_) => {}
-            Err(e) if is_timeout_kind(&e) => {
+        // A timed-out read keeps its partial line for the next call.
+        let trimmed = match reader.read_line() {
+            Ok(line) => line,
+            Err(ServeError::Io(e)) if is_timeout(&e) => {
                 if sender_done.load(Ordering::Acquire)
                     && (frames_done >= frames_sent.load(Ordering::Acquire)
                         || failed.load(Ordering::Acquire))
@@ -879,13 +811,14 @@ fn receive_replies(
                 }
                 continue;
             }
+            // The daemon hung up, before or in mid-line.
+            Err(ServeError::Io(e)) if e.kind() == io::ErrorKind::UnexpectedEof => break,
             Err(_) => {
                 failed.store(true, Ordering::Release);
                 outcome.errors += 1;
                 break;
             }
-        }
-        let trimmed = line.trim();
+        };
         if is_batch_reply(trimmed) {
             match parse_batch_reply_into(trimmed, &mut codes) {
                 Ok(seq) => {
@@ -940,16 +873,8 @@ fn receive_replies(
                 Err(e) => return Err(ServeError::Protocol(format!("unparseable reply: {e}"))),
             }
         }
-        line.clear();
     }
     Ok(outcome)
-}
-
-fn is_timeout_kind(e: &io::Error) -> bool {
-    matches!(
-        e.kind(),
-        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-    )
 }
 
 #[cfg(test)]

@@ -150,30 +150,19 @@ impl StatusShared {
         out.push_str(",\"shard_count\":");
         push_u64(&mut out, self.shards as u64);
         out.push_str(",\"shards\":[");
-        let lanes = ids.lanes.shard_count();
+        // One lane series per lane: `daemon::run` refuses any other ids.
         for s in 0..self.shards {
             if s > 0 {
                 out.push(',');
             }
             out.push_str("{\"shard\":");
             push_u64(&mut out, s as u64);
-            // The lane series exist per registered shard; a mismatch
-            // (should not happen) renders zeros rather than panicking.
-            let (depth, shed, fill) = if s < lanes {
-                (
-                    registry.gauge_value(ids.lanes.queue_depth[s]),
-                    registry.counter_value(ids.lanes.shed[s]) as f64,
-                    registry.gauge_value(ids.lanes.backpressure[s]),
-                )
-            } else {
-                (0.0, 0.0, 0.0)
-            };
             out.push_str(",\"queue_depth\":");
-            push_num(&mut out, depth);
+            push_num(&mut out, registry.gauge_value(ids.lanes.queue_depth[s]));
             out.push_str(",\"shed\":");
-            push_num(&mut out, shed);
+            push_num(&mut out, registry.counter_value(ids.lanes.shed[s]) as f64);
             out.push_str(",\"backpressure\":");
-            push_num(&mut out, fill);
+            push_num(&mut out, registry.gauge_value(ids.lanes.backpressure[s]));
             out.push('}');
         }
         out.push_str("],\"replication\":");

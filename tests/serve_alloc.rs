@@ -21,15 +21,13 @@
 mod common;
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::io::{BufRead as _, BufReader, Write as _};
-use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use mec_obs::{record_stage, NoopSink, PipelineStage, StageClock};
 use mec_serve::{
     encode_batch_into, encode_batch_reply_into, parse_batch_into, parse_batch_reply_into,
-    ControlAction, SubmitRequest, BATCH_ADMIT, BATCH_OVERLOAD, BATCH_REJECT, MAX_BATCH,
+    ControlAction, LineClient, SubmitRequest, BATCH_ADMIT, BATCH_OVERLOAD, BATCH_REJECT, MAX_BATCH,
 };
 
 struct CountingAlloc;
@@ -150,14 +148,10 @@ fn a_one_lane_daemon_allocates_per_frame_not_per_decision() {
     let (instance, template) = common::scenario(MAX_BATCH, 90);
     let (addr, daemon) =
         common::spawn_sharded(instance, vnfrel::Scheme::OffSite, common::sharded_config(1));
-    let stream = TcpStream::connect(addr).unwrap();
-    stream.set_nodelay(true).unwrap();
-    let mut writer = stream.try_clone().unwrap();
-    let mut reader = BufReader::new(stream);
+    let mut conn = LineClient::connect(addr).unwrap();
 
     let mut reqs: Vec<SubmitRequest> = template.iter().map(SubmitRequest::from).collect();
     let mut frame = String::new();
-    let mut reply = String::new();
     let mut codes: Vec<u8> = Vec::new();
     // One lock-step round trip; returns how many requests were admitted.
     let mut round_trip = |seq: u64| {
@@ -165,11 +159,9 @@ fn a_one_lane_daemon_allocates_per_frame_not_per_decision() {
             r.id = seq as usize * MAX_BATCH + i;
         }
         encode_batch_into(&mut frame, seq, &reqs);
-        frame.push('\n');
-        writer.write_all(frame.as_bytes()).unwrap();
-        reply.clear();
-        assert!(reader.read_line(&mut reply).unwrap() > 0, "daemon hung up");
-        assert_eq!(parse_batch_reply_into(&reply, &mut codes).unwrap(), seq);
+        conn.send_line(&frame).unwrap();
+        let reply = conn.read_line().expect("daemon hung up");
+        assert_eq!(parse_batch_reply_into(reply, &mut codes).unwrap(), seq);
         assert!(codes.iter().all(|&c| c == BATCH_ADMIT || c == BATCH_REJECT));
         codes.iter().filter(|&&c| c == BATCH_ADMIT).count()
     };
@@ -191,10 +183,7 @@ fn a_one_lane_daemon_allocates_per_frame_not_per_decision() {
     let allocated = allocations() - before;
     assert_eq!(admitted, 0, "the measured window was not all-reject");
 
-    let mut shutdown =
-        mec_serve::encode_client(&mec_serve::ClientMsg::Control(ControlAction::Shutdown));
-    shutdown.push('\n');
-    writer.write_all(shutdown.as_bytes()).unwrap();
+    conn.control(ControlAction::Shutdown).unwrap();
     let report = daemon.join().unwrap().unwrap();
     assert_eq!(report.stats.decided, (seq + FRAMES) * MAX_BATCH as u64);
 

@@ -7,14 +7,11 @@
 #[path = "serve_common.rs"]
 mod common;
 
-use std::net::SocketAddr;
-use std::thread;
-
 use common::scenario;
 use mec_serve::{
     encode_batch_into, encode_batch_reply_into, is_batch_frame, is_batch_reply, parse_batch_into,
-    parse_batch_reply_into, run_open_loop, OpenLoopConfig, ServeError, ShardedReport,
-    SubmitRequest, BATCH_ADMIT, BATCH_ERROR, BATCH_OVERLOAD, BATCH_REJECT, MAX_BATCH,
+    parse_batch_reply_into, run_open_loop, LineClient, OpenLoopConfig, ServeError, ShardedReport,
+    Spawned, SubmitRequest, BATCH_ADMIT, BATCH_ERROR, BATCH_OVERLOAD, BATCH_REJECT, MAX_BATCH,
 };
 use mec_sim::Simulation;
 use proptest::prelude::*;
@@ -274,13 +271,7 @@ fn unknown_reply_codes_are_rejected() {
 // End-to-end: batch frames against the sharded daemon.
 // ---------------------------------------------------------------------
 
-fn spawn_sharded(
-    instance: ProblemInstance,
-    shards: usize,
-) -> (
-    SocketAddr,
-    thread::JoinHandle<Result<ShardedReport, ServeError>>,
-) {
+fn spawn_sharded(instance: ProblemInstance, shards: usize) -> Spawned<ShardedReport> {
     common::spawn_sharded(instance, Scheme::OffSite, common::sharded_config(shards))
 }
 
@@ -365,12 +356,12 @@ fn drive_checking_frontiers(
 ) -> ShardedReport {
     const SHARDS: usize = 2;
     let (addr, daemon) = spawn_sharded(instance, SHARDS);
-    let mut conn = common::LockStep::connect(addr);
+    let mut conn = LineClient::connect(addr).unwrap();
     let mut frontier = [0usize; SHARDS];
     for i in order {
         let request = &requests[i];
         let home = i % SHARDS;
-        let event = conn.submit(request);
+        let event = common::decide(&mut conn, request);
         frontier[home] = request.arrival();
         if let mec_obs::Outcome::Admit { sites, .. } = &event.outcome {
             for site in sites {
@@ -386,7 +377,7 @@ fn drive_checking_frontiers(
             }
         }
     }
-    conn.control(mec_serve::ControlAction::Shutdown);
+    conn.control(mec_serve::ControlAction::Shutdown).unwrap();
     daemon
         .join()
         .expect("daemon thread")

@@ -14,8 +14,8 @@ use std::time::Duration;
 
 use common::scenario;
 use mec_serve::{
-    run_loadgen, ChaosConfig, ChaosPlan, ChaosSnapshotIo, LoadgenConfig, ServeError, ShardedConfig,
-    ShardedReport, Snapshot, SnapshotStep,
+    chaos_matrix, run_loadgen, ChaosConfig, ChaosPlan, ChaosScenario, ChaosSnapshotIo, LineClient,
+    LoadgenConfig, ServeError, ShardedConfig, Snapshot, SnapshotStep,
 };
 use proptest::prelude::*;
 use vnfrel::Scheme;
@@ -147,13 +147,8 @@ fn every_snapshot_boundary_injects_and_never_tears_the_snapshot() {
 /// exit code 8).
 #[test]
 fn loadgen_deadline_fails_typed_against_a_dead_peer() {
-    // Bind-then-drop guarantees a connectable-to-nobody address.
-    let dead_addr = {
-        let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        l.local_addr().unwrap().to_string()
-    };
     let (_instance, reqs) = scenario(4, 81);
-    let mut config = LoadgenConfig::new(dead_addr);
+    let mut config = LoadgenConfig::new(common::unused_addr());
     config.reconnect = true;
     config.deadline = Some(Duration::from_millis(200));
     let started = std::time::Instant::now();
@@ -170,89 +165,33 @@ fn loadgen_deadline_fails_typed_against_a_dead_peer() {
     );
 }
 
-fn spawn_sharded(
-    instance: vnfrel::ProblemInstance,
-    scheme: Scheme,
-    shards: usize,
-) -> (
-    String,
-    std::thread::JoinHandle<Result<ShardedReport, ServeError>>,
-) {
-    let mut config = ShardedConfig::new("127.0.0.1:0");
-    config.shards = shards;
-    let (addr, handle) = common::spawn_sharded(instance, scheme, config);
-    (addr.to_string(), handle)
-}
-
-fn drive(
-    reqs: &[mec_workload::Request],
-    addr: &str,
-    start_at: usize,
-    shutdown: bool,
-) -> mec_serve::LoadgenReport {
-    let mut config = LoadgenConfig::new(addr.to_string());
-    config.start_at = start_at;
-    config.shutdown_when_done = shutdown;
-    run_loadgen(reqs, &config).unwrap()
-}
-
 /// The self-healing contract: killing every decide thread mid-stream
 /// with `chaos-panic` and letting the per-shard supervisors restore and
 /// replay must end with revenue *bit-identical* to the same trace served
 /// without any chaos. Replay re-derives state instead of re-charging, so
-/// even the float accumulation order must match.
+/// even the float accumulation order must match. This is the library's
+/// process cell — one restart per shard, and `decided`, `admitted` and
+/// `revenue` (`f64 ==`) equal to the sharded golden run's — over a
+/// scenario that is not the drill's own.
 #[test]
 fn supervised_restart_after_injected_panic_is_revenue_bit_identical() {
-    use mec_serve::{encode_client, parse_server, ClientMsg, ControlAction, ServerMsg};
-    use std::io::{BufRead as _, BufReader, Write as _};
-
-    let shards = 2;
-    let (instance, reqs) = scenario(40, 82);
-    let cut = reqs.len() / 2;
-
-    // Golden: the whole trace, no chaos.
-    let (golden_addr, golden_daemon) = spawn_sharded(instance.clone(), Scheme::OnSite, shards);
-    drive(&reqs, &golden_addr, 0, true);
-    let golden = golden_daemon.join().unwrap().unwrap();
-    assert_eq!(golden.shard_restarts, 0);
-
-    // Chaos: same trace, but both decide threads are killed at the
-    // midpoint.
-    let (addr, daemon) = spawn_sharded(instance, Scheme::OnSite, shards);
-    drive(&reqs[..cut], &addr, 0, false);
-    let stream = std::net::TcpStream::connect(&addr).unwrap();
-    stream.set_nodelay(true).unwrap();
-    let mut writer = stream.try_clone().unwrap();
-    let mut reader = BufReader::new(stream);
-    for shard in 0..shards {
-        let mut line = encode_client(&ClientMsg::Control(ControlAction::ChaosPanic(shard)));
-        line.push('\n');
-        writer.write_all(line.as_bytes()).unwrap();
-        let mut reply = String::new();
-        assert!(reader.read_line(&mut reply).unwrap() > 0);
-        assert!(
-            matches!(parse_server(reply.trim()).unwrap(), ServerMsg::Ack(_)),
-            "chaos-panic not acked: {reply}"
-        );
-    }
-    drive(&reqs, &addr, cut, true);
-    let healed = daemon.join().unwrap().unwrap();
-
-    assert_eq!(healed.shard_restarts, shards as u64);
-    assert_eq!(
-        healed.stats.decided, golden.stats.decided,
-        "healed run decided a different number of requests"
-    );
-    assert_eq!(
-        healed.stats.admitted, golden.stats.admitted,
-        "healed run admitted a different number of requests"
-    );
-    assert_eq!(
-        healed.stats.revenue.to_bits(),
-        golden.stats.revenue.to_bits(),
-        "healed revenue drifted from golden: {} vs {}",
-        healed.stats.revenue,
-        golden.stats.revenue
+    let (instance, requests) = scenario(40, 82);
+    let scenarios = [ChaosScenario {
+        scheme: Scheme::OnSite,
+        instance,
+        requests,
+        fingerprint: "supervised-restart".to_string(),
+    }];
+    let plan = ChaosPlan::new(7, ChaosConfig::default());
+    let report = chaos_matrix(String::new(), &scenarios, &plan, None, &mut |_| {}).unwrap();
+    let cell = (report.cells.iter())
+        .find(|cell| cell.family == "process")
+        .expect("the matrix has a process cell");
+    assert!(cell.clean, "{}", cell.line);
+    assert!(
+        cell.line.contains("2 decide threads killed and healed"),
+        "{}",
+        cell.line
     );
 }
 
@@ -313,22 +252,24 @@ fn restore_after_span_compactions_rebuilds_the_twins_state_bit_for_bit() {
 
     // Returns the final report and whether the panics were injected.
     let run = |chaos: bool| {
-        let (addr, daemon) = spawn_sharded(instance.clone(), Scheme::OffSite, SHARDS);
-        let mut conn = common::LockStep::connect(addr.as_str());
+        let mut config = ShardedConfig::new("127.0.0.1:0");
+        config.shards = SHARDS;
+        let (addr, daemon) = common::spawn_sharded(instance.clone(), Scheme::OffSite, config);
+        let mut conn = LineClient::connect(addr).unwrap();
         let mut logs = [RecoveryLogModel::default(); SHARDS];
         let mut panicked = false;
         for request in &reqs {
-            let event = conn.submit(request);
+            let event = common::decide(&mut conn, request);
             RecoveryLogModel::note(&mut logs, request, &event);
             let ripe = logs.iter().all(|l| l.compactions >= 3 && l.externals >= 1);
             if chaos && ripe && !panicked {
                 for shard in 0..SHARDS {
-                    conn.control(ControlAction::ChaosPanic(shard));
+                    conn.control(ControlAction::ChaosPanic(shard)).unwrap();
                 }
                 panicked = true;
             }
         }
-        conn.control(ControlAction::Shutdown);
+        conn.control(ControlAction::Shutdown).unwrap();
         (daemon.join().unwrap().unwrap(), panicked)
     };
 

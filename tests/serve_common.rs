@@ -4,16 +4,13 @@
 
 #![allow(dead_code)]
 
-use std::io::{BufRead as _, BufReader, Write as _};
-use std::net::{SocketAddr, TcpStream};
-use std::sync::mpsc;
-use std::thread;
+use std::io::Write as _;
+use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 
-use mec_obs::{DecisionEvent, MetricsRegistry};
+use mec_obs::DecisionEvent;
 use mec_serve::{
-    encode_client, parse_server, serve, serve_sharded, ClientMsg, ControlAction, DecisionTap,
-    ServeConfig, ServeError, ServeMetricIds, ServeReport, ServerMsg, ShardedConfig, ShardedReport,
-    SubmitRequest,
+    encode_client, parse_server, ClientMsg, LineClient, ServeConfig, ServeError, ServeReport,
+    ServerMsg, ShardedConfig, ShardedReport, Spawned, SubmitRequest,
 };
 use mec_topology::generators::{self, CloudletPlacement};
 use mec_topology::zoo;
@@ -22,7 +19,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use vnfrel::offsite::OffsitePrimalDual;
 use vnfrel::onsite::{CapacityPolicy, OnsiteGreedy, OnsitePrimalDual};
-use vnfrel::{OnlineScheduler, ProblemInstance, SchedulerState, Scheme};
+use vnfrel::{ProblemInstance, SchedulerState, Scheme};
 
 /// Deterministic scenario: a Waxman edge network plus a generated
 /// request stream, both derived from `seed`.
@@ -66,74 +63,68 @@ pub fn week_scenario(slots: usize, seed: u64) -> (ProblemInstance, Vec<Request>)
     (instance, reqs)
 }
 
-/// One connection driven in lock-step with v2 frames: every call writes
-/// one line and reads its one reply, so the caller knows exactly what
-/// the daemon has decided at every point.
-pub struct LockStep {
-    writer: TcpStream,
-    reader: BufReader<TcpStream>,
+/// Writes one line on `conn` and returns the one reply line, as sent.
+pub fn raw(conn: &mut LineClient, line: &str) -> String {
+    conn.send_line(line).unwrap();
+    conn.read_line().unwrap().to_string()
 }
 
-impl LockStep {
-    pub fn connect(addr: impl std::net::ToSocketAddrs) -> Self {
-        let stream = TcpStream::connect(addr).unwrap();
-        stream.set_nodelay(true).unwrap();
-        LockStep {
-            writer: stream.try_clone().unwrap(),
-            reader: BufReader::new(stream),
-        }
-    }
+/// Submits `request` on `conn` and returns the reply line as sent.
+pub fn submit_raw(conn: &mut LineClient, request: &Request) -> String {
+    let submit = ClientMsg::Submit(SubmitRequest::from(request));
+    raw(conn, &encode_client(&submit))
+}
 
-    /// Writes one line and returns the one reply line, as sent.
-    pub fn raw(&mut self, mut line: String) -> String {
-        line.push('\n');
-        self.writer.write_all(line.as_bytes()).unwrap();
-        line.clear();
+/// Submits every request in lock-step and returns the decision lines.
+pub fn submit_all(conn: &mut LineClient, requests: &[Request]) -> Vec<String> {
+    let lines = requests.iter().map(|r| {
+        let line = submit_raw(conn, r);
         assert!(
-            self.reader.read_line(&mut line).unwrap() > 0,
-            "daemon hung up"
+            matches!(parse_server(&line).unwrap(), ServerMsg::Decision(_)),
+            "expected a decision line, got: {line}"
         );
-        line.trim().to_string()
-    }
+        line
+    });
+    lines.collect()
+}
 
-    /// Sends one message and parses its reply.
-    pub fn round_trip(&mut self, msg: &ClientMsg) -> ServerMsg {
-        parse_server(&self.raw(encode_client(msg))).unwrap()
-    }
-
-    /// Submits `request` as a v2 frame and returns the reply line.
-    pub fn submit_raw(&mut self, request: &Request) -> String {
-        self.raw(encode_client(&ClientMsg::Submit(SubmitRequest::from(
-            request,
-        ))))
-    }
-
-    /// Submits `request` and returns its decision.
-    pub fn submit(&mut self, request: &Request) -> DecisionEvent {
-        match self.round_trip(&ClientMsg::Submit(SubmitRequest::from(request))) {
-            ServerMsg::Decision(event) => event,
-            other => panic!("request {} answered with {other:?}", request.id().index()),
-        }
-    }
-
-    /// Sends a control frame and expects its ack.
-    pub fn control(&mut self, action: ControlAction) {
-        match self.round_trip(&ClientMsg::Control(action)) {
-            ServerMsg::Ack(_) => {}
-            other => panic!("{action:?} not acked: {other:?}"),
-        }
+/// Submits `request` on `conn` and returns its decision.
+pub fn decide(conn: &mut LineClient, request: &Request) -> DecisionEvent {
+    match conn.submit(request).unwrap() {
+        ServerMsg::Decision(event) => event,
+        other => panic!("request {} answered with {other:?}", request.id().index()),
     }
 }
 
-/// The value of counter `name` in the daemon's `GET /metrics` body.
-pub fn scrape_counter(addr: SocketAddr, name: &str) -> f64 {
+/// A loopback address nothing listens on (bound, then released): a dead
+/// peer, or where a daemon that only boots later will listen.
+pub fn unused_addr() -> String {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    listener.local_addr().unwrap().to_string()
+}
+
+/// Minimal HTTP/1.0 GET against the daemon's scrape path; returns
+/// (status line, body).
+pub fn http_get(addr: impl ToSocketAddrs, path: &str) -> (String, String) {
     let mut stream = TcpStream::connect(addr).unwrap();
-    stream.write_all(b"GET /metrics HTTP/1.0\r\n\r\n").unwrap();
+    stream
+        .write_all(format!("GET {path} HTTP/1.0\r\n\r\n").as_bytes())
+        .unwrap();
     let mut response = String::new();
     std::io::Read::read_to_string(&mut stream, &mut response).unwrap();
-    response
-        .lines()
-        .find_map(|l| l.strip_prefix(name)?.trim().parse().ok())
+    let (head, body) = response
+        .split_once("\r\n\r\n")
+        .expect("HTTP response with a blank line");
+    let status = head.lines().next().unwrap_or("").to_string();
+    (status, body.to_string())
+}
+
+/// The value of series `name` in the daemon's `GET /metrics` body.
+pub fn scrape(addr: impl ToSocketAddrs, name: &str) -> f64 {
+    let (status, body) = http_get(addr, "/metrics");
+    assert!(status.contains("200"), "bad status line: {status}");
+    body.lines()
+        .find_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.trim().parse().ok())
         .unwrap_or_else(|| panic!("{name} not exported"))
 }
 
@@ -148,80 +139,44 @@ pub enum Algo {
     OnsiteGreedy,
 }
 
-/// What a daemon over a caller-owned scheduler leaves behind: its report
-/// and the scheduler's final `export_state()`.
-pub type LaneExit = (Result<ServeReport, ServeError>, SchedulerState);
+/// What a one-lane daemon's thread yields: the report and the
+/// scheduler's final `export_state()`.
+pub type LaneHandle = std::thread::JoinHandle<Result<(ServeReport, SchedulerState), ServeError>>;
 
-// `serve` over a scheduler built on this thread.
-fn run_lane(
-    instance: &ProblemInstance,
-    algo: Algo,
-    config: &ServeConfig,
-    tx: mpsc::Sender<SocketAddr>,
-) -> LaneExit {
-    let tap = DecisionTap::new();
-    let mut scheduler: Box<dyn OnlineScheduler + '_> = match algo {
-        Algo::Onsite => Box::new(
-            OnsitePrimalDual::with_sink(instance, CapacityPolicy::Enforce, tap.clone()).unwrap(),
-        ),
-        Algo::Offsite => Box::new(OffsitePrimalDual::with_sink(instance, tap.clone())),
-        Algo::OnsiteGreedy => Box::new(OnsiteGreedy::with_sink(instance, tap.clone())),
-    };
-    let mut registry = MetricsRegistry::new();
-    let ids = ServeMetricIds::register(&mut registry, instance.cloudlet_count());
-    let report = serve(scheduler.as_mut(), &tap, &registry, &ids, config, Some(tx));
-    (report, scheduler.export_state())
+/// A running one-lane daemon: its address and its handle.
+pub type Lane = (SocketAddr, LaneHandle);
+
+/// Starts a daemon over one caller-owned `algo` scheduler on
+/// `config.addr`.
+pub fn spawn_daemon(instance: ProblemInstance, algo: Algo, config: ServeConfig) -> Lane {
+    try_spawn_daemon(instance, algo, config).expect("daemon bound")
 }
 
-/// Starts a daemon thread over one caller-owned scheduler on
-/// `127.0.0.1:0` and returns the bound address plus the join handle
-/// yielding the final [`ServeReport`].
-pub fn spawn_daemon(
+/// [`spawn_daemon`], handing a start-up refusal back.
+pub fn try_spawn_daemon(
     instance: ProblemInstance,
     algo: Algo,
     config: ServeConfig,
-) -> (
-    SocketAddr,
-    thread::JoinHandle<Result<ServeReport, ServeError>>,
-) {
-    let (tx, rx) = mpsc::channel();
-    let handle = thread::spawn(move || run_lane(&instance, algo, &config, tx).0);
-    (rx.recv().expect("daemon bound"), handle)
+) -> Result<Lane, ServeError> {
+    mec_serve::spawn_lane(instance, config, move |instance, tap| {
+        Ok(match algo {
+            Algo::Onsite => Box::new(
+                OnsitePrimalDual::with_sink(instance, CapacityPolicy::Enforce, tap).unwrap(),
+            ),
+            Algo::Offsite => Box::new(OffsitePrimalDual::with_sink(instance, tap)),
+            Algo::OnsiteGreedy => Box::new(OnsiteGreedy::with_sink(instance, tap)),
+        })
+    })
 }
 
-/// [`spawn_daemon`] whose handle also yields the scheduler's final
-/// state.
-pub fn spawn_lane(
-    instance: ProblemInstance,
-    algo: Algo,
-    config: ServeConfig,
-) -> (SocketAddr, thread::JoinHandle<LaneExit>) {
-    let (tx, rx) = mpsc::channel();
-    let handle = thread::spawn(move || run_lane(&instance, algo, &config, tx));
-    (rx.recv().expect("daemon bound"), handle)
-}
-
-/// Starts a daemon thread with `config.shards` lanes over schedulers
-/// the daemon builds for `scheme`, on `config.addr`.
+/// Starts a daemon with `config.shards` lanes over schedulers the
+/// daemon builds for `scheme`, on `config.addr`.
 pub fn spawn_sharded(
     instance: ProblemInstance,
     scheme: Scheme,
     config: ShardedConfig,
-) -> (
-    SocketAddr,
-    thread::JoinHandle<Result<ShardedReport, ServeError>>,
-) {
-    let (tx, rx) = mpsc::channel();
-    let handle = thread::spawn(move || {
-        let mut registry = MetricsRegistry::new();
-        let ids = ServeMetricIds::register_sharded(
-            &mut registry,
-            instance.cloudlet_count(),
-            config.shards,
-        );
-        serve_sharded(&instance, scheme, &registry, &ids, &config, Some(tx))
-    });
-    (rx.recv().expect("sharded daemon bound"), handle)
+) -> Spawned<ShardedReport> {
+    mec_serve::spawn_sharded(instance, scheme, config).expect("sharded daemon bound")
 }
 
 /// `shards` lanes on `127.0.0.1:0` with room for open-loop windows.

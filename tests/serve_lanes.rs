@@ -7,15 +7,16 @@
 mod common;
 
 use std::collections::BTreeMap;
-use std::io::{BufRead as _, BufReader, Read as _, Write as _};
+use std::io::{Read as _, Write as _};
 use std::net::{TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
-use common::{scenario, sharded_config, spawn_daemon, spawn_lane, spawn_sharded, Algo, LockStep};
+use common::{raw, scenario, sharded_config, spawn_daemon, spawn_sharded, submit_raw, Algo};
 use mec_serve::{
     encode_batch_into, encode_client, is_batch_reply, parse_batch_reply_into, parse_server,
-    referee, serve_sharded, AckRecord, ChaosArtifacts, ClientMsg, ControlAction, ServeConfig,
-    ServeError, ServeMetricIds, ServeStats, ServerMsg, SubmitRequest, BATCH_ADMIT, BATCH_REJECT,
+    referee, serve_sharded, AckRecord, ChaosArtifacts, ClientMsg, ControlAction, LineClient,
+    ServeConfig, ServeError, ServeMetricIds, ServeStats, ServerMsg, SubmitRequest, BATCH_ADMIT,
+    BATCH_REJECT,
 };
 use vnfrel::{SchedulerState, Scheme};
 
@@ -42,18 +43,18 @@ fn chaos_panic_heals_a_caller_owned_lane_bit_for_bit() {
     for algo in [Algo::Onsite, Algo::Offsite, Algo::OnsiteGreedy] {
         let run = |panic_at: Option<usize>| {
             let (addr, daemon) =
-                spawn_lane(instance.clone(), algo, ServeConfig::new("127.0.0.1:0"));
-            let mut conn = LockStep::connect(addr);
+                spawn_daemon(instance.clone(), algo, ServeConfig::new("127.0.0.1:0"));
+            let mut conn = LineClient::connect(addr).unwrap();
             let mut lines = Vec::new();
             for (i, request) in reqs.iter().enumerate() {
                 if panic_at == Some(i) {
-                    conn.control(ControlAction::ChaosPanic(0));
+                    conn.control(ControlAction::ChaosPanic(0)).unwrap();
                 }
-                lines.push(conn.submit_raw(request));
+                lines.push(submit_raw(&mut conn, request));
             }
-            conn.control(ControlAction::Shutdown);
-            let (report, state) = daemon.join().unwrap();
-            (report.unwrap(), state, lines)
+            conn.control(ControlAction::Shutdown).unwrap();
+            let (report, state) = daemon.join().unwrap().unwrap();
+            (report, state, lines)
         };
         let (healed, healed_state, healed_lines) = run(Some(150));
         let (twin, twin_state, twin_lines) = run(None);
@@ -77,14 +78,14 @@ fn chaos_panic_heals_a_caller_owned_lane_bit_for_bit() {
 fn every_lane_answers_resubmits_from_its_dedupe_ring() {
     let (instance, reqs) = scenario(120, 85);
     let (addr, daemon) = spawn_sharded(instance, Scheme::OnSite, sharded_config(2));
-    let mut conn = LockStep::connect(addr);
+    let mut conn = LineClient::connect(addr).unwrap();
 
     // First half as v2 singles, second half as one v3 frame per 20.
     let cut = reqs.len() / 2;
     let mut acks = Vec::new();
     let mut first_lines = Vec::new();
     for request in &reqs[..cut] {
-        let line = conn.submit_raw(request);
+        let line = submit_raw(&mut conn, request);
         let ServerMsg::Decision(event) = mec_serve::parse_server(&line).unwrap() else {
             panic!("request {} answered with {line}", request.id().index());
         };
@@ -102,7 +103,7 @@ fn every_lane_answers_resubmits_from_its_dedupe_ring() {
     for (seq, chunk) in reqs[cut..].chunks(20).enumerate() {
         let submits: Vec<SubmitRequest> = chunk.iter().map(SubmitRequest::from).collect();
         encode_batch_into(&mut frame, seq as u64, &submits);
-        parse_batch_reply_into(&conn.raw(frame.clone()), &mut codes).unwrap();
+        parse_batch_reply_into(&raw(&mut conn, &frame), &mut codes).unwrap();
         for (request, &code) in chunk.iter().zip(&codes) {
             assert!(code == BATCH_ADMIT || code == BATCH_REJECT, "code {code}");
             let admitted = code == BATCH_ADMIT;
@@ -118,27 +119,27 @@ fn every_lane_answers_resubmits_from_its_dedupe_ring() {
     // Resubmit everything: singles as singles, batches as batches (ids
     // of both lanes in every frame).
     for (request, first) in reqs[..cut].iter().zip(&first_lines) {
-        assert_eq!(&conn.submit_raw(request), first);
+        assert_eq!(&submit_raw(&mut conn, request), first);
     }
     let mut second_codes = Vec::new();
     for (seq, chunk) in reqs[cut..].chunks(20).enumerate() {
         let submits: Vec<SubmitRequest> = chunk.iter().map(SubmitRequest::from).collect();
         encode_batch_into(&mut frame, 100 + seq as u64, &submits);
-        parse_batch_reply_into(&conn.raw(frame.clone()), &mut codes).unwrap();
+        parse_batch_reply_into(&raw(&mut conn, &frame), &mut codes).unwrap();
         second_codes.extend_from_slice(&codes);
     }
     assert_eq!(second_codes, first_codes);
     // A single decided in a batch kept only its code: the v3 answer is
     // the first one, the v2 answer is a typed error, neither re-decides.
-    let reply = conn.submit_raw(&reqs[cut]);
+    let reply = submit_raw(&mut conn, &reqs[cut]);
     assert!(
         matches!(mec_serve::parse_server(&reply), Ok(ServerMsg::Error(_))),
         "{reply}"
     );
 
-    let hits = common::scrape_counter(addr, "vnfrel_serve_dedupe_hits_total");
+    let hits = common::scrape(addr, "vnfrel_serve_dedupe_hits_total");
     assert_eq!(hits as usize, reqs.len() + 1);
-    conn.control(ControlAction::Shutdown);
+    conn.control(ControlAction::Shutdown).unwrap();
     let report = daemon.join().unwrap().unwrap();
     assert_eq!(
         report.stats.decided as usize,
@@ -154,9 +155,10 @@ fn every_lane_answers_resubmits_from_its_dedupe_ring() {
     assert!(verdict.is_clean(), "{:?}", verdict.violations);
 }
 
-/// Snapshots and replication cover one scheduler. With two lanes each of
-/// those options is one typed configuration error before the listener
-/// binds (the address below is taken, so binding first would fail with
+/// Snapshots and replication cover one scheduler, and every lane counts
+/// into metric series of its own. With two lanes each of those options —
+/// and metric ids registered for one lane — is one typed configuration
+/// error before the listener binds (the address below is taken, so binding first would fail with
 /// `ServeError::Net` instead), and a running two-lane daemon answers the
 /// matching controls with typed errors.
 #[test]
@@ -176,24 +178,31 @@ fn single_scheduler_options_are_refused_with_two_lanes() {
         with(|c| c.standby = true),
         with(|c| c.resume = true),
     ];
-    for config in &configs {
+    let refused = |config: &ServeConfig, metric_lanes: usize| {
         let mut registry = mec_obs::MetricsRegistry::new();
-        let ids = ServeMetricIds::register_sharded(&mut registry, instance.cloudlet_count(), 2);
+        let cloudlets = instance.cloudlet_count();
+        let ids = ServeMetricIds::register_sharded(&mut registry, cloudlets, metric_lanes);
         match serve_sharded(&instance, Scheme::OnSite, &registry, &ids, config, None) {
             Err(ServeError::Config(text)) => assert!(text.contains("2 lanes"), "{text}"),
             other => panic!("expected a configuration error, got {other:?}"),
         }
+    };
+    for config in &configs {
+        refused(config, 2);
     }
+    // So are metric ids registered for one lane: lane 1 would have
+    // nowhere to count.
+    refused(&with(|_| {}), 1);
 
     let (addr, daemon) = spawn_sharded(instance, Scheme::OnSite, sharded_config(2));
-    let mut conn = LockStep::connect(addr);
+    let mut conn = LineClient::connect(addr).unwrap();
     for action in [ControlAction::Snapshot, ControlAction::Promote] {
-        match conn.round_trip(&ClientMsg::Control(action)) {
+        match conn.round_trip(&ClientMsg::Control(action)).unwrap() {
             ServerMsg::Error(text) => assert!(text.contains("2 lanes"), "{text}"),
             other => panic!("{action:?} on two lanes answered {other:?}"),
         }
     }
-    conn.control(ControlAction::Shutdown);
+    conn.control(ControlAction::Shutdown).unwrap();
     daemon.join().unwrap().unwrap();
 }
 
@@ -257,12 +266,10 @@ fn pipelined_burst(shards: usize, panic: Option<usize>) -> Burst {
     push(&encode_client(&ClientMsg::Control(ControlAction::Stats)));
     let single = single.expect("sent between the two halves");
 
-    let mut stream = TcpStream::connect(addr).unwrap();
-    stream.write_all(script.as_bytes()).unwrap();
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .unwrap();
-    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut conn = LineClient::connect(addr).unwrap();
+    conn.stream().write_all(script.as_bytes()).unwrap();
+    let timeout = Some(Duration::from_secs(30));
+    conn.stream().set_read_timeout(timeout).unwrap();
     let mut burst = Burst {
         frames: Vec::new(),
         single: String::new(),
@@ -272,37 +279,27 @@ fn pipelined_burst(shards: usize, panic: Option<usize>) -> Burst {
         states: Vec::new(),
     };
     let expected = 16 + 1 + 1 + usize::from(panic.is_some());
-    let mut line = String::new();
     let mut codes = Vec::new();
     for got in 0..expected {
-        line.clear();
-        let n = reader.read_line(&mut line).expect("a reply went missing");
-        assert!(n > 0, "daemon hung up after {got} of {expected} replies");
-        if is_batch_reply(&line) {
-            let seq = parse_batch_reply_into(&line, &mut codes).unwrap();
+        let line = (conn.read_line())
+            .unwrap_or_else(|e| panic!("reply {got} of {expected} went missing: {e}"));
+        if is_batch_reply(line) {
+            let seq = parse_batch_reply_into(line, &mut codes).unwrap();
             burst.frames.push((seq, codes.clone()));
             continue;
         }
-        match parse_server(line.trim()).unwrap() {
+        match parse_server(line).unwrap() {
             ServerMsg::Decision(event) => {
                 assert_eq!(event.request, single.id);
                 assert!(burst.single.is_empty(), "the single was answered twice");
-                burst.single = line.trim().to_string();
+                burst.single = line.to_string();
             }
             ServerMsg::Ack(ack) => burst.acks.push((ack.action, ack.stats)),
             other => panic!("unexpected reply {other:?}"),
         }
     }
     // Nothing more is owed: the shutdown ack is the next and last line.
-    let mut shutdown = encode_client(&ClientMsg::Control(ControlAction::Shutdown));
-    shutdown.push('\n');
-    stream.write_all(shutdown.as_bytes()).unwrap();
-    line.clear();
-    reader.read_line(&mut line).unwrap();
-    assert!(
-        matches!(parse_server(line.trim()), Ok(ServerMsg::Ack(_))),
-        "a reply arrived twice: {line}"
-    );
+    (conn.control(ControlAction::Shutdown)).expect("a reply arrived twice");
     let report = daemon.join().unwrap().unwrap();
     burst.restarts = report.shard_restarts;
     burst.revenue = report.stats.revenue;
@@ -403,13 +400,13 @@ fn a_connection_that_never_reads_is_condemned_after_one_write_timeout() {
     // on the lane. One write timeout (2 s) is owed; one per queued reply
     // would be minutes.
     let started = Instant::now();
-    let mut fresh = LockStep::connect(addr);
+    let mut fresh = LineClient::connect(addr).unwrap();
     for request in &reqs[1..] {
         // While the lane sits in that one timeout its queue is full of
         // the hog's submits and sheds; a shed id may be sent again.
         let submit = SubmitRequest::from(request);
         loop {
-            match fresh.round_trip(&ClientMsg::Submit(submit)) {
+            match fresh.round_trip(&ClientMsg::Submit(submit)).unwrap() {
                 ServerMsg::Decision(event) => break assert_eq!(event.request, submit.id),
                 ServerMsg::Overload(_) => std::thread::sleep(Duration::from_millis(20)),
                 other => panic!("the second connection was answered {other:?}"),
@@ -440,7 +437,7 @@ fn a_connection_that_never_reads_is_condemned_after_one_write_timeout() {
         "the hog's connection is still open: {end:?}"
     );
 
-    fresh.control(ControlAction::Shutdown);
-    let report = daemon.join().unwrap().unwrap();
+    fresh.control(ControlAction::Shutdown).unwrap();
+    let (report, _) = daemon.join().unwrap().unwrap();
     assert_eq!(report.stats.decided as usize, reqs.len());
 }

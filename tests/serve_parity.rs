@@ -7,8 +7,8 @@
 #[path = "serve_common.rs"]
 mod common;
 
-use common::{scenario, sharded_config, spawn_daemon, spawn_lane, spawn_sharded, Algo, LockStep};
-use mec_serve::{run_loadgen, ControlAction, LoadgenConfig, ServeConfig};
+use common::{scenario, sharded_config, spawn_daemon, spawn_sharded, submit_raw, Algo};
+use mec_serve::{run_loadgen, ControlAction, LineClient, LoadgenConfig, ServeConfig};
 use mec_sim::Simulation;
 use vnfrel::offsite::OffsitePrimalDual;
 use vnfrel::onsite::{CapacityPolicy, OnsiteGreedy, OnsitePrimalDual};
@@ -37,7 +37,7 @@ fn check_parity(algo: Algo, requests: usize, seed: u64) {
     let mut lg = LoadgenConfig::new(addr.to_string());
     lg.shutdown_when_done = true;
     let client = run_loadgen(&reqs, &lg).unwrap();
-    let report = daemon.join().unwrap().unwrap();
+    let (report, _) = daemon.join().unwrap().unwrap();
 
     assert_eq!(client.sent, reqs.len());
     assert_eq!(client.decided, reqs.len());
@@ -92,9 +92,9 @@ fn one_lane_is_one_daemon_whoever_builds_the_scheduler() {
     let (instance, reqs) = scenario(2000, 7);
     let sim = Simulation::new(&instance, &reqs).unwrap();
     let drive = |addr: std::net::SocketAddr| {
-        let mut conn = LockStep::connect(addr);
-        let lines: Vec<String> = reqs.iter().map(|r| conn.submit_raw(r)).collect();
-        conn.control(ControlAction::Shutdown);
+        let mut conn = LineClient::connect(addr).unwrap();
+        let lines: Vec<String> = reqs.iter().map(|r| submit_raw(&mut conn, r)).collect();
+        conn.control(ControlAction::Shutdown).unwrap();
         lines
     };
     for (algo, scheme) in [
@@ -108,10 +108,9 @@ fn one_lane_is_one_daemon_whoever_builds_the_scheduler() {
             _ => sim.run(&mut OffsitePrimalDual::new(&instance)).unwrap(),
         };
 
-        let (addr, daemon) = spawn_lane(instance.clone(), algo, ServeConfig::new("127.0.0.1:0"));
+        let (addr, daemon) = spawn_daemon(instance.clone(), algo, ServeConfig::new("127.0.0.1:0"));
         let caller_lines = drive(addr);
-        let (caller, caller_state) = daemon.join().unwrap();
-        let caller = caller.unwrap();
+        let (caller, caller_state) = daemon.join().unwrap().unwrap();
 
         let (addr, daemon) = spawn_sharded(instance.clone(), scheme, sharded_config(1));
         let built_lines = drive(addr);

@@ -7,28 +7,16 @@
 #[path = "serve_common.rs"]
 mod common;
 
-use std::io::{BufRead as _, BufReader, Write as _};
-use std::net::{TcpListener, TcpStream};
+use std::io::Write as _;
 use std::time::{Duration, Instant};
 
-use common::{scenario, spawn_daemon, Algo};
+use common::{raw, scenario, spawn_daemon, submit_all, unused_addr, Algo};
 use mec_serve::{
-    encode_client, encode_repl, parse_repl, parse_server, ClientMsg, ControlAction, ReplMsg, Role,
-    ServeConfig, ServeError, ServerMsg, SubmitRequest,
+    encode_client, encode_repl, parse_repl, parse_server, ClientMsg, ControlAction, LineClient,
+    ReplMsg, Role, ServeConfig, ServeError, ServerMsg, SubmitRequest,
 };
 use mec_workload::Request;
 use proptest::prelude::*;
-
-fn submit_msg(r: &Request) -> ClientMsg {
-    ClientMsg::Submit(SubmitRequest {
-        id: r.id().index(),
-        vnf: r.vnf().index(),
-        reliability: r.reliability_requirement().value(),
-        arrival: r.arrival(),
-        duration: r.duration(),
-        payment: r.payment(),
-    })
-}
 
 fn base_config(fingerprint: &str) -> ServeConfig {
     let mut c = ServeConfig::new("127.0.0.1:0");
@@ -36,98 +24,31 @@ fn base_config(fingerprint: &str) -> ServeConfig {
     c
 }
 
-/// Reserves a loopback address that nothing listens on yet — lets a
-/// primary be configured to replicate to a standby that only boots
-/// later (the mid-stream join).
-fn reserve_addr() -> String {
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    listener.local_addr().unwrap().to_string()
-}
-
-/// A line client speaking the admission protocol (and, for the fake
-/// primary, raw replication lines).
-struct Client {
-    writer: TcpStream,
-    reader: BufReader<TcpStream>,
-    line: String,
-}
-
-impl Client {
-    fn connect(addr: &str) -> Self {
-        let stream = TcpStream::connect(addr).unwrap();
-        stream.set_nodelay(true).unwrap();
-        Client {
-            writer: stream.try_clone().unwrap(),
-            reader: BufReader::new(stream),
-            line: String::new(),
-        }
+/// Writes every submit first, then reads every reply — used when
+/// replies are withheld by the availability timeout so the holds
+/// overlap instead of serializing.
+fn submit_pipelined(conn: &mut LineClient, requests: &[Request]) -> Vec<String> {
+    let mut buf = String::new();
+    for r in requests {
+        buf.push_str(&encode_client(&ClientMsg::Submit(SubmitRequest::from(r))));
+        buf.push('\n');
     }
-
-    fn send_raw(&mut self, line: &str) {
-        let mut out = line.to_string();
-        out.push('\n');
-        self.writer.write_all(out.as_bytes()).unwrap();
-    }
-
-    fn read_reply(&mut self) -> String {
-        self.line.clear();
+    conn.stream().write_all(buf.as_bytes()).unwrap();
+    let lines = requests.iter().map(|_| {
+        let line = conn.read_line().unwrap().to_string();
         assert!(
-            self.reader.read_line(&mut self.line).unwrap() > 0,
-            "daemon closed the connection"
+            matches!(parse_server(&line).unwrap(), ServerMsg::Decision(_)),
+            "expected a decision line, got: {line}"
         );
-        self.line.trim().to_string()
-    }
+        line
+    });
+    lines.collect()
+}
 
-    fn send(&mut self, msg: &ClientMsg) -> String {
-        self.send_raw(&encode_client(msg));
-        self.read_reply()
-    }
-
-    fn submit_all(&mut self, requests: &[Request]) -> Vec<String> {
-        requests
-            .iter()
-            .map(|r| {
-                let line = self.send(&submit_msg(r));
-                assert!(
-                    matches!(parse_server(&line).unwrap(), ServerMsg::Decision(_)),
-                    "expected a decision line, got: {line}"
-                );
-                line
-            })
-            .collect()
-    }
-
-    /// Writes every submit first, then reads every reply — used when
-    /// replies are withheld by the availability timeout so the holds
-    /// overlap instead of serializing.
-    fn submit_pipelined(&mut self, requests: &[Request]) -> Vec<String> {
-        let mut buf = String::new();
-        for r in requests {
-            buf.push_str(&encode_client(&submit_msg(r)));
-            buf.push('\n');
-        }
-        self.writer.write_all(buf.as_bytes()).unwrap();
-        (0..requests.len())
-            .map(|_| {
-                let line = self.read_reply();
-                assert!(
-                    matches!(parse_server(&line).unwrap(), ServerMsg::Decision(_)),
-                    "expected a decision line, got: {line}"
-                );
-                line
-            })
-            .collect()
-    }
-
-    fn control(&mut self, action: ControlAction) -> ServerMsg {
-        let line = self.send(&ClientMsg::Control(action));
-        parse_server(&line).unwrap()
-    }
-
-    fn repl(&mut self, msg: &ReplMsg) -> ReplMsg {
-        self.send_raw(&encode_repl(msg));
-        parse_repl(&self.read_reply()).unwrap()
-    }
+/// Sends one raw replication line (the fake primary) and parses the
+/// standby's answer.
+fn repl(conn: &mut LineClient, msg: &ReplMsg) -> ReplMsg {
+    parse_repl(&raw(conn, &encode_repl(msg))).unwrap()
 }
 
 /// The uninterrupted single-daemon decision stream for `reqs`.
@@ -138,12 +59,9 @@ fn golden_stream(
     reqs: &[Request],
 ) -> Vec<String> {
     let (addr, daemon) = spawn_daemon(instance.clone(), algo, base_config(fingerprint));
-    let mut client = Client::connect(&addr.to_string());
-    let stream = client.submit_all(reqs);
-    assert!(matches!(
-        client.control(ControlAction::Shutdown),
-        ServerMsg::Ack(_)
-    ));
+    let mut client = LineClient::connect(addr).unwrap();
+    let stream = submit_all(&mut client, reqs);
+    client.control(ControlAction::Shutdown).unwrap();
     daemon.join().unwrap().unwrap();
     stream
 }
@@ -156,8 +74,8 @@ fn wait_for_ack(
 ) -> mec_serve::ControlAck {
     let deadline = Instant::now() + timeout;
     loop {
-        let mut c = Client::connect(addr);
-        if let ServerMsg::Ack(ack) = c.control(ControlAction::Stats) {
+        let mut c = LineClient::connect(addr).unwrap();
+        if let Ok(ack) = c.control(ControlAction::Stats) {
             if pred(&ack) {
                 return ack;
             }
@@ -197,33 +115,23 @@ fn check_handover(algo: Algo) {
         c
     });
 
-    let mut client = Client::connect(&primary_addr.to_string());
-    let mut stream = client.submit_all(&reqs[..cut]);
-    assert!(matches!(
-        client.control(ControlAction::Shutdown),
-        ServerMsg::Ack(_)
-    ));
-    let report = primary.join().unwrap().unwrap();
+    let mut client = LineClient::connect(primary_addr).unwrap();
+    let mut stream = submit_all(&mut client, &reqs[..cut]);
+    client.control(ControlAction::Shutdown).unwrap();
+    let (report, _) = primary.join().unwrap().unwrap();
     assert_eq!(report.role, Role::Primary);
     assert_eq!(report.epoch, 1);
     assert_eq!(report.stats.decided as usize, cut);
 
-    let mut sc = Client::connect(&standby_addr.to_string());
-    match sc.control(ControlAction::Promote) {
-        ServerMsg::Ack(ack) => {
-            assert_eq!(ack.role, "primary");
-            assert_eq!(ack.epoch, 2);
-            // Every decision the primary acked survived the handover.
-            assert_eq!(ack.stats.decided as usize, cut);
-        }
-        other => panic!("promote refused: {other:?}"),
-    }
-    stream.extend(sc.submit_all(&reqs[cut..]));
-    assert!(matches!(
-        sc.control(ControlAction::Shutdown),
-        ServerMsg::Ack(_)
-    ));
-    let survivor = standby.join().unwrap().unwrap();
+    let mut sc = LineClient::connect(standby_addr).unwrap();
+    let ack = sc.control(ControlAction::Promote).unwrap();
+    assert_eq!(ack.role, "primary");
+    assert_eq!(ack.epoch, 2);
+    // Every decision the primary acked survived the handover.
+    assert_eq!(ack.stats.decided as usize, cut);
+    stream.extend(submit_all(&mut sc, &reqs[cut..]));
+    sc.control(ControlAction::Shutdown).unwrap();
+    let (survivor, _) = standby.join().unwrap().unwrap();
     assert_eq!(survivor.role, Role::Primary);
     assert_eq!(survivor.epoch, 2);
     assert_eq!(survivor.stats.decided as usize, reqs.len());
@@ -260,15 +168,15 @@ fn standby_joining_mid_stream_catches_up_via_snapshot() {
     // The primary is told to replicate to an address nothing listens on
     // yet. Non-strict: the availability timeout releases the prefix
     // replies unreplicated (pipelined, so the holds overlap).
-    let standby_addr = reserve_addr();
+    let standby_addr = unused_addr();
     let (primary_addr, primary) = spawn_daemon(instance.clone(), Algo::Onsite, {
         let mut c = base_config(fp);
         c.replicate_to = Some(standby_addr.clone());
         c.repl_strict = false;
         c
     });
-    let mut client = Client::connect(&primary_addr.to_string());
-    let mut stream = client.submit_pipelined(&reqs[..cut_a]);
+    let mut client = LineClient::connect(primary_addr).unwrap();
+    let mut stream = submit_pipelined(&mut client, &reqs[..cut_a]);
 
     // Boot the standby on the reserved address; the sender's reconnect
     // loop finds it and catches it up with a snapshot covering the
@@ -286,28 +194,18 @@ fn standby_joining_mid_stream_catches_up_via_snapshot() {
     assert_eq!(caught_up.role, "standby");
 
     // Live frames from here on.
-    stream.extend(client.submit_all(&reqs[cut_a..cut_b]));
-    assert!(matches!(
-        client.control(ControlAction::Shutdown),
-        ServerMsg::Ack(_)
-    ));
+    stream.extend(submit_all(&mut client, &reqs[cut_a..cut_b]));
+    client.control(ControlAction::Shutdown).unwrap();
     primary.join().unwrap().unwrap();
 
-    let mut sc = Client::connect(&standby_addr);
-    match sc.control(ControlAction::Promote) {
-        ServerMsg::Ack(ack) => {
-            assert_eq!(ack.role, "primary");
-            assert_eq!(ack.epoch, 2);
-            assert_eq!(ack.stats.decided as usize, cut_b);
-        }
-        other => panic!("promote refused: {other:?}"),
-    }
-    stream.extend(sc.submit_all(&reqs[cut_b..]));
-    assert!(matches!(
-        sc.control(ControlAction::Shutdown),
-        ServerMsg::Ack(_)
-    ));
-    let survivor = standby.join().unwrap().unwrap();
+    let mut sc = LineClient::connect(&standby_addr).unwrap();
+    let ack = sc.control(ControlAction::Promote).unwrap();
+    assert_eq!(ack.role, "primary");
+    assert_eq!(ack.epoch, 2);
+    assert_eq!(ack.stats.decided as usize, cut_b);
+    stream.extend(submit_all(&mut sc, &reqs[cut_b..]));
+    sc.control(ControlAction::Shutdown).unwrap();
+    let (survivor, _) = standby.join().unwrap().unwrap();
     assert_eq!(survivor.stats.decided as usize, reqs.len());
 
     assert_eq!(stream.len(), golden.len());
@@ -329,17 +227,17 @@ fn capture_frames(
     reqs: &[Request],
 ) -> Vec<(String, String)> {
     let (addr, daemon) = spawn_daemon(instance.clone(), Algo::Onsite, base_config(fp));
-    let mut client = Client::connect(&addr.to_string());
-    let decisions = client.submit_all(&reqs[..2]);
-    assert!(matches!(
-        client.control(ControlAction::Shutdown),
-        ServerMsg::Ack(_)
-    ));
+    let mut client = LineClient::connect(addr).unwrap();
+    let decisions = submit_all(&mut client, &reqs[..2]);
+    client.control(ControlAction::Shutdown).unwrap();
     daemon.join().unwrap().unwrap();
     reqs[..2]
         .iter()
         .zip(decisions)
-        .map(|(r, d)| (encode_client(&submit_msg(r)), d))
+        .map(|(r, d)| {
+            let submit = ClientMsg::Submit(SubmitRequest::from(r));
+            (encode_client(&submit), d)
+        })
         .collect()
 }
 
@@ -355,9 +253,9 @@ fn standby_rejects_duplicate_and_out_of_order_frames() {
         c
     });
     let addr = addr.to_string();
-    let mut fake = Client::connect(&addr);
+    let mut fake = LineClient::connect(&addr).unwrap();
     assert_eq!(
-        fake.repl(&ReplMsg::Hello { epoch: 1, seq: 0 }),
+        repl(&mut fake, &ReplMsg::Hello { epoch: 1, seq: 0 }),
         ReplMsg::State { epoch: 1, seq: 0 }
     );
     let frame1 = ReplMsg::Frame {
@@ -366,17 +264,20 @@ fn standby_rejects_duplicate_and_out_of_order_frames() {
         submit: frames[0].0.clone(),
         decision: frames[0].1.clone(),
     };
-    assert_eq!(fake.repl(&frame1), ReplMsg::Ack { epoch: 1, seq: 1 });
+    assert_eq!(repl(&mut fake, &frame1), ReplMsg::Ack { epoch: 1, seq: 1 });
     // Exact duplicate: acked at the applied position, not re-applied.
-    assert_eq!(fake.repl(&frame1), ReplMsg::Ack { epoch: 1, seq: 1 });
+    assert_eq!(repl(&mut fake, &frame1), ReplMsg::Ack { epoch: 1, seq: 1 });
     // Gap: seq 3 when 2 is expected — refused, nothing applied.
     assert_eq!(
-        fake.repl(&ReplMsg::Frame {
-            epoch: 1,
-            seq: 3,
-            submit: frames[1].0.clone(),
-            decision: frames[1].1.clone(),
-        }),
+        repl(
+            &mut fake,
+            &ReplMsg::Frame {
+                epoch: 1,
+                seq: 3,
+                submit: frames[1].0.clone(),
+                decision: frames[1].1.clone(),
+            }
+        ),
         ReplMsg::Refused {
             epoch: 1,
             expected: 2,
@@ -385,12 +286,15 @@ fn standby_rejects_duplicate_and_out_of_order_frames() {
     );
     // The in-order frame still applies after the refusal.
     assert_eq!(
-        fake.repl(&ReplMsg::Frame {
-            epoch: 1,
-            seq: 2,
-            submit: frames[1].0.clone(),
-            decision: frames[1].1.clone(),
-        }),
+        repl(
+            &mut fake,
+            &ReplMsg::Frame {
+                epoch: 1,
+                seq: 2,
+                submit: frames[1].0.clone(),
+                decision: frames[1].1.clone(),
+            }
+        ),
         ReplMsg::Ack { epoch: 1, seq: 2 }
     );
 
@@ -400,18 +304,13 @@ fn standby_rejects_duplicate_and_out_of_order_frames() {
     assert_eq!(ack.epoch, 1);
 
     drop(fake);
-    let mut c = Client::connect(&addr);
+    let mut c = LineClient::connect(&addr).unwrap();
     // A standby accepts promote-then-shutdown; promotion is immediate
     // once the (closed) replication connection's EOF is processed.
-    match c.control(ControlAction::Promote) {
-        ServerMsg::Ack(ack) => assert_eq!(ack.epoch, 2),
-        other => panic!("promote refused: {other:?}"),
-    }
-    assert!(matches!(
-        c.control(ControlAction::Shutdown),
-        ServerMsg::Ack(_)
-    ));
-    let report = standby.join().unwrap().unwrap();
+    let ack = c.control(ControlAction::Promote).unwrap();
+    assert_eq!(ack.epoch, 2);
+    c.control(ControlAction::Shutdown).unwrap();
+    let (report, _) = standby.join().unwrap().unwrap();
     assert_eq!(report.stats.decided, 2);
 }
 
@@ -426,20 +325,21 @@ fn tampered_decision_line_is_fatal_divergence() {
         c.standby = true;
         c
     });
-    let mut fake = Client::connect(&addr.to_string());
+    let mut fake = LineClient::connect(addr).unwrap();
     assert_eq!(
-        fake.repl(&ReplMsg::Hello { epoch: 1, seq: 0 }),
+        repl(&mut fake, &ReplMsg::Hello { epoch: 1, seq: 0 }),
         ReplMsg::State { epoch: 1, seq: 0 }
     );
     // Request 0's submit paired with request 1's decision: the follower
     // re-decides, sees a different byte stream, and must refuse to
     // continue as a replica that could later be promoted.
-    fake.send_raw(&encode_repl(&ReplMsg::Frame {
+    fake.send_line(&encode_repl(&ReplMsg::Frame {
         epoch: 1,
         seq: 1,
         submit: frames[0].0.clone(),
         decision: frames[1].1.clone(),
-    }));
+    }))
+    .unwrap();
     match standby.join().unwrap() {
         Err(ServeError::Protocol(msg)) => {
             assert!(msg.contains("divergence"), "unexpected error: {msg}")
@@ -464,44 +364,48 @@ fn stale_hello_after_promotion_is_fenced() {
         c
     });
     let addr = addr.to_string();
-    let mut fake = Client::connect(&addr);
+    let mut fake = LineClient::connect(&addr).unwrap();
     assert_eq!(
-        fake.repl(&ReplMsg::Hello { epoch: 1, seq: 0 }),
+        repl(&mut fake, &ReplMsg::Hello { epoch: 1, seq: 0 }),
         ReplMsg::State { epoch: 1, seq: 0 }
     );
     assert_eq!(
-        fake.repl(&ReplMsg::Frame {
-            epoch: 1,
-            seq: 1,
-            submit: frames[0].0.clone(),
-            decision: frames[0].1.clone(),
-        }),
+        repl(
+            &mut fake,
+            &ReplMsg::Frame {
+                epoch: 1,
+                seq: 1,
+                submit: frames[0].0.clone(),
+                decision: frames[0].1.clone(),
+            }
+        ),
         ReplMsg::Ack { epoch: 1, seq: 1 }
     );
     // Drop the "primary" and promote the standby.
     drop(fake);
-    let mut c = Client::connect(&addr);
-    match c.control(ControlAction::Promote) {
-        ServerMsg::Ack(ack) => assert_eq!((ack.epoch, ack.role.as_str()), (2, "primary")),
-        other => panic!("promote refused: {other:?}"),
-    }
+    let mut c = LineClient::connect(&addr).unwrap();
+    let ack = c.control(ControlAction::Promote).unwrap();
+    assert_eq!((ack.epoch, ack.role.as_str()), (2, "primary"));
     // The deposed primary reconnects at its stale epoch: fenced, and
     // nothing it streams is applied.
-    let mut stale = Client::connect(&addr);
+    let mut stale = LineClient::connect(&addr).unwrap();
     assert_eq!(
-        stale.repl(&ReplMsg::Hello { epoch: 1, seq: 1 }),
+        repl(&mut stale, &ReplMsg::Hello { epoch: 1, seq: 1 }),
         ReplMsg::Fenced {
             epoch: 2,
             stale_epoch: 1
         }
     );
     assert_eq!(
-        stale.repl(&ReplMsg::Frame {
-            epoch: 1,
-            seq: 2,
-            submit: frames[1].0.clone(),
-            decision: frames[1].1.clone(),
-        }),
+        repl(
+            &mut stale,
+            &ReplMsg::Frame {
+                epoch: 1,
+                seq: 2,
+                submit: frames[1].0.clone(),
+                decision: frames[1].1.clone(),
+            }
+        ),
         ReplMsg::Fenced {
             epoch: 2,
             stale_epoch: 1
@@ -509,10 +413,7 @@ fn stale_hello_after_promotion_is_fenced() {
     );
     let ack = wait_for_ack(&addr, Duration::from_secs(5), |ack| ack.stats.decided == 1);
     assert_eq!(ack.epoch, 2);
-    assert!(matches!(
-        c.control(ControlAction::Shutdown),
-        ServerMsg::Ack(_)
-    ));
+    c.control(ControlAction::Shutdown).unwrap();
     standby.join().unwrap().unwrap();
 }
 
@@ -534,56 +435,46 @@ fn deposed_primary_never_acks_case(k: usize) {
         c.repl_strict = true;
         c
     });
-    let mut client = Client::connect(&primary_addr.to_string());
-    client.submit_all(&reqs[..k]);
+    let mut client = LineClient::connect(primary_addr).unwrap();
+    submit_all(&mut client, &reqs[..k]);
 
     // Split brain on purpose: promote while the primary lives. The
     // standby force-closes the replication connection after its drain
     // grace, so the promote ack itself proves the promotion completed.
-    let mut sc = Client::connect(&standby_addr.to_string());
-    match sc.control(ControlAction::Promote) {
-        ServerMsg::Ack(ack) => {
-            assert_eq!((ack.epoch, ack.role.as_str()), (2, "primary"));
-            assert_eq!(ack.stats.decided as usize, k);
-        }
-        other => panic!("promote refused: {other:?}"),
-    }
+    let mut sc = LineClient::connect(standby_addr).unwrap();
+    let ack = sc.control(ControlAction::Promote).unwrap();
+    assert_eq!((ack.epoch, ack.role.as_str()), (2, "primary"));
+    assert_eq!(ack.stats.decided as usize, k);
 
     // The deposed primary must never ack this submit: acceptable fates
     // are an error line, a closed connection, or silence — never a
     // decision.
-    client
-        .writer
+    let socket = client.stream();
+    socket
         .set_write_timeout(Some(Duration::from_secs(1)))
         .unwrap();
-    let mut line = encode_client(&submit_msg(&reqs[k]));
-    line.push('\n');
-    let _ = client.writer.write_all(line.as_bytes());
-    client
-        .reader
-        .get_mut()
+    socket
         .set_read_timeout(Some(Duration::from_secs(3)))
         .unwrap();
-    let mut reply = String::new();
-    match client.reader.read_line(&mut reply) {
-        Ok(0) => {} // daemon exited
-        Err(e) => assert!(
+    match client.submit(&reqs[k]) {
+        // The daemon exited (a hang-up reads as `UnexpectedEof`), went
+        // silent, or reset the connection.
+        Err(ServeError::Io(e)) => assert!(
             matches!(
                 e.kind(),
-                std::io::ErrorKind::WouldBlock
+                std::io::ErrorKind::UnexpectedEof
+                    | std::io::ErrorKind::WouldBlock
                     | std::io::ErrorKind::TimedOut
                     | std::io::ErrorKind::ConnectionReset
                     | std::io::ErrorKind::BrokenPipe
             ),
             "unexpected read error: {e}"
         ),
-        Ok(_) => {
-            let msg = parse_server(reply.trim()).unwrap();
-            assert!(
-                !matches!(msg, ServerMsg::Decision(_)),
-                "deposed primary acked a decision after the promotion: {reply}"
-            );
-        }
+        Err(e) => panic!("the deposed primary's reply does not parse: {e}"),
+        Ok(msg) => assert!(
+            !matches!(msg, ServerMsg::Decision(_)),
+            "deposed primary acked a decision after the promotion: {msg:?}"
+        ),
     }
 
     // The deposed primary exits with the typed fenced error (exit code
@@ -597,13 +488,10 @@ fn deposed_primary_never_acks_case(k: usize) {
     }
 
     // The survivor still serves and lost nothing it acked.
-    let tail = sc.submit_all(&reqs[k..]);
+    let tail = submit_all(&mut sc, &reqs[k..]);
     assert_eq!(tail.len(), reqs.len() - k);
-    assert!(matches!(
-        sc.control(ControlAction::Shutdown),
-        ServerMsg::Ack(_)
-    ));
-    let report = standby.join().unwrap().unwrap();
+    sc.control(ControlAction::Shutdown).unwrap();
+    let (report, _) = standby.join().unwrap().unwrap();
     assert_eq!(report.epoch, 2);
     assert_eq!(report.stats.decided as usize, reqs.len());
 }
@@ -632,9 +520,8 @@ fn standby_refuses_submits_with_not_primary() {
         c.standby = true;
         c
     });
-    let mut client = Client::connect(&addr.to_string());
-    let line = client.send(&submit_msg(&reqs[0]));
-    match parse_server(&line).unwrap() {
+    let mut client = LineClient::connect(addr).unwrap();
+    match client.submit(&reqs[0]).unwrap() {
         ServerMsg::NotPrimary { epoch, id } => {
             assert_eq!(epoch, 1);
             assert_eq!(id, reqs[0].id().index());
@@ -642,24 +529,21 @@ fn standby_refuses_submits_with_not_primary() {
         other => panic!("expected not-primary, got {other:?}"),
     }
     // The slot clock of a standby advances only via replication.
-    match client.control(ControlAction::AdvanceSlot) {
+    match client
+        .round_trip(&ClientMsg::Control(ControlAction::AdvanceSlot))
+        .unwrap()
+    {
         ServerMsg::Error(msg) => assert!(msg.contains("standby"), "{msg}"),
         other => panic!("expected an error, got {other:?}"),
     }
-    match client.control(ControlAction::Promote) {
-        ServerMsg::Ack(ack) => assert_eq!(ack.epoch, 2),
-        other => panic!("promote refused: {other:?}"),
-    }
+    let ack = client.control(ControlAction::Promote).unwrap();
+    assert_eq!(ack.epoch, 2);
     // Promoted: the same submit now gets a decision.
-    let line = client.send(&submit_msg(&reqs[0]));
     assert!(matches!(
-        parse_server(&line).unwrap(),
+        client.submit(&reqs[0]).unwrap(),
         ServerMsg::Decision(_)
     ));
-    assert!(matches!(
-        client.control(ControlAction::Shutdown),
-        ServerMsg::Ack(_)
-    ));
+    client.control(ControlAction::Shutdown).unwrap();
     standby.join().unwrap().unwrap();
 }
 
@@ -680,39 +564,31 @@ fn auto_promotion_waits_for_silence_then_fires() {
         c.repl_strict = true;
         c
     });
-    let mut client = Client::connect(&primary_addr.to_string());
-    client.submit_all(&reqs[..cut]);
+    let mut client = LineClient::connect(primary_addr).unwrap();
+    submit_all(&mut client, &reqs[..cut]);
 
     // An idle but living primary heartbeats; the standby must NOT
     // promote itself while it can still hear them.
     std::thread::sleep(Duration::from_millis(1200));
-    let mut sc = Client::connect(&standby_addr.to_string());
-    match sc.control(ControlAction::Stats) {
-        ServerMsg::Ack(ack) => assert_eq!(
-            (ack.role.as_str(), ack.epoch),
-            ("standby", 1),
-            "standby self-promoted under a living primary"
-        ),
-        other => panic!("stats refused: {other:?}"),
-    }
+    let mut sc = LineClient::connect(standby_addr).unwrap();
+    let ack = sc.control(ControlAction::Stats).unwrap();
+    assert_eq!(
+        (ack.role.as_str(), ack.epoch),
+        ("standby", 1),
+        "standby self-promoted under a living primary"
+    );
 
     // Primary gone: silence now means promotion, no operator needed.
-    assert!(matches!(
-        client.control(ControlAction::Shutdown),
-        ServerMsg::Ack(_)
-    ));
+    client.control(ControlAction::Shutdown).unwrap();
     primary.join().unwrap().unwrap();
     let ack = wait_for_ack(&standby_addr.to_string(), Duration::from_secs(10), |ack| {
         ack.role == "primary"
     });
     assert_eq!(ack.epoch, 2);
 
-    let tail = sc.submit_all(&reqs[cut..]);
+    let tail = submit_all(&mut sc, &reqs[cut..]);
     assert_eq!(tail.len(), reqs.len() - cut);
-    assert!(matches!(
-        sc.control(ControlAction::Shutdown),
-        ServerMsg::Ack(_)
-    ));
-    let report = standby.join().unwrap().unwrap();
+    sc.control(ControlAction::Shutdown).unwrap();
+    let (report, _) = standby.join().unwrap().unwrap();
     assert_eq!(report.stats.decided as usize, reqs.len());
 }

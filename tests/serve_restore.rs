@@ -12,69 +12,8 @@
 #[path = "serve_common.rs"]
 mod common;
 
-use std::io::{BufRead as _, BufReader, Write as _};
-use std::net::TcpStream;
-
-use common::{scenario, spawn_daemon, Algo};
-use mec_serve::{
-    encode_client, parse_server, ClientMsg, ControlAction, ServeConfig, ServerMsg, SubmitRequest,
-};
-use mec_workload::Request;
-
-/// Drives `requests` over one connection, returning the raw reply line
-/// per request (the golden decision stream).
-struct Client {
-    writer: TcpStream,
-    reader: BufReader<TcpStream>,
-    line: String,
-}
-
-impl Client {
-    fn connect(addr: &str) -> Self {
-        let stream = TcpStream::connect(addr).unwrap();
-        stream.set_nodelay(true).unwrap();
-        Client {
-            writer: stream.try_clone().unwrap(),
-            reader: BufReader::new(stream),
-            line: String::new(),
-        }
-    }
-
-    fn send(&mut self, msg: &ClientMsg) -> String {
-        let mut out = encode_client(msg);
-        out.push('\n');
-        self.writer.write_all(out.as_bytes()).unwrap();
-        self.line.clear();
-        assert!(self.reader.read_line(&mut self.line).unwrap() > 0);
-        self.line.trim().to_string()
-    }
-
-    fn submit_all(&mut self, requests: &[Request]) -> Vec<String> {
-        requests
-            .iter()
-            .map(|r| {
-                let line = self.send(&ClientMsg::Submit(SubmitRequest {
-                    id: r.id().index(),
-                    vnf: r.vnf().index(),
-                    reliability: r.reliability_requirement().value(),
-                    arrival: r.arrival(),
-                    duration: r.duration(),
-                    payment: r.payment(),
-                }));
-                assert!(
-                    matches!(parse_server(&line).unwrap(), ServerMsg::Decision(_)),
-                    "expected a decision line, got: {line}"
-                );
-                line
-            })
-            .collect()
-    }
-
-    fn control(&mut self, action: ControlAction) -> ServerMsg {
-        let line = self.send(&ClientMsg::Control(action));
-        parse_server(&line).unwrap()
-    }
-}
+use common::{scenario, spawn_daemon, submit_all, try_spawn_daemon, Algo};
+use mec_serve::{ControlAction, LineClient, ServeConfig};
 
 fn check_restore(algo: Algo) {
     let (instance, reqs) = scenario(1200, 11);
@@ -91,12 +30,9 @@ fn check_restore(algo: Algo) {
             c.fingerprint = fingerprint.to_string();
             c
         });
-        let mut client = Client::connect(&addr.to_string());
-        let stream = client.submit_all(&reqs);
-        assert!(matches!(
-            client.control(ControlAction::Shutdown),
-            ServerMsg::Ack(_)
-        ));
+        let mut client = LineClient::connect(addr).unwrap();
+        let stream = submit_all(&mut client, &reqs);
+        client.control(ControlAction::Shutdown).unwrap();
         daemon.join().unwrap().unwrap();
         stream
     };
@@ -113,19 +49,13 @@ fn check_restore(algo: Algo) {
             c.snapshot_path = Some(snap_live.clone());
             c
         });
-        let mut client = Client::connect(&addr.to_string());
-        let stream = client.submit_all(&reqs[..cut]);
-        assert!(matches!(
-            client.control(ControlAction::Snapshot),
-            ServerMsg::Ack(_)
-        ));
+        let mut client = LineClient::connect(addr).unwrap();
+        let stream = submit_all(&mut client, &reqs[..cut]);
+        client.control(ControlAction::Snapshot).unwrap();
         std::fs::copy(&snap_live, &snap_kept).unwrap();
         // Work the kill will lose.
-        client.submit_all(&reqs[cut..cut + lost]);
-        assert!(matches!(
-            client.control(ControlAction::Shutdown),
-            ServerMsg::Ack(_)
-        ));
+        submit_all(&mut client, &reqs[cut..cut + lost]);
+        client.control(ControlAction::Shutdown).unwrap();
         daemon.join().unwrap().unwrap();
         stream
     };
@@ -140,13 +70,10 @@ fn check_restore(algo: Algo) {
             c.resume = true;
             c
         });
-        let mut client = Client::connect(&addr.to_string());
-        let stream = client.submit_all(&reqs[cut..]);
-        assert!(matches!(
-            client.control(ControlAction::Shutdown),
-            ServerMsg::Ack(_)
-        ));
-        let report = daemon.join().unwrap().unwrap();
+        let mut client = LineClient::connect(addr).unwrap();
+        let stream = submit_all(&mut client, &reqs[cut..]);
+        client.control(ControlAction::Shutdown).unwrap();
+        let (report, _) = daemon.join().unwrap().unwrap();
         assert_eq!(report.next_id, reqs.len());
         assert_eq!(report.stats.decided as usize, reqs.len());
         stream
@@ -183,29 +110,20 @@ fn resume_refuses_mismatched_fingerprint() {
         c.snapshot_path = Some(snap.clone());
         c
     });
-    let mut client = Client::connect(&addr.to_string());
-    client.submit_all(&reqs);
-    assert!(matches!(
-        client.control(ControlAction::Shutdown),
-        ServerMsg::Ack(_)
-    ));
+    let mut client = LineClient::connect(addr).unwrap();
+    submit_all(&mut client, &reqs);
+    client.control(ControlAction::Shutdown).unwrap();
     daemon.join().unwrap().unwrap();
 
-    // A daemon with a different fingerprint must refuse the snapshot.
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let mut c = ServeConfig::new("127.0.0.1:0");
-        c.fingerprint = "config-b".to_string();
-        c.snapshot_path = Some(snap.clone());
-        c.resume = true;
-        let (_addr, daemon) = spawn_daemon(instance, Algo::Onsite, c);
-        daemon.join().unwrap()
-    }));
-    match result {
-        Ok(Err(e)) => assert!(e.to_string().contains("does not match")),
-        Ok(Ok(_)) => panic!("resume with a mismatched fingerprint succeeded"),
-        // spawn_daemon panics waiting for the bound address if serve()
-        // errored before binding — also an acceptable refusal.
-        Err(_) => {}
+    // A daemon with a different fingerprint must refuse the snapshot, and
+    // the refusal is the bring-up's error: it never bound for service.
+    let mut c = ServeConfig::new("127.0.0.1:0");
+    c.fingerprint = "config-b".to_string();
+    c.snapshot_path = Some(snap.clone());
+    c.resume = true;
+    match try_spawn_daemon(instance, Algo::Onsite, c) {
+        Err(e) => assert!(e.to_string().contains("does not match"), "{e}"),
+        Ok(_) => panic!("resume with a mismatched fingerprint succeeded"),
     }
     std::fs::remove_dir_all(&dir).ok();
 }

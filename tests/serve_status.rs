@@ -8,29 +8,12 @@
 #[path = "serve_common.rs"]
 mod common;
 
-use std::io::{BufRead as _, BufReader, Read as _, Write as _};
-use std::net::TcpStream;
 use std::path::Path;
 use std::time::Duration;
 
-use common::{scenario, spawn_daemon, Algo};
+use common::{http_get, scenario, scrape, spawn_daemon, Algo};
 use mec_obs::{JsonValue, TraceEvent};
-use mec_serve::{
-    encode_client, parse_server, ClientMsg, ControlAction, ServeConfig, ServeError, ServerMsg,
-    SubmitRequest,
-};
-use mec_workload::Request;
-
-fn submit_msg(r: &Request) -> ClientMsg {
-    ClientMsg::Submit(SubmitRequest {
-        id: r.id().index(),
-        vnf: r.vnf().index(),
-        reliability: r.reliability_requirement().value(),
-        arrival: r.arrival(),
-        duration: r.duration(),
-        payment: r.payment(),
-    })
-}
+use mec_serve::{ControlAction, LineClient, ServeConfig, ServeError, ServerMsg};
 
 fn base_config(fingerprint: &str) -> ServeConfig {
     let mut c = ServeConfig::new("127.0.0.1:0");
@@ -38,68 +21,11 @@ fn base_config(fingerprint: &str) -> ServeConfig {
     c
 }
 
-/// Minimal HTTP/1.0 GET against the daemon's scrape path; returns
-/// (status line, body).
-fn http_get(addr: &str, path: &str) -> (String, String) {
-    let mut stream = TcpStream::connect(addr).unwrap();
-    stream
-        .write_all(format!("GET {path} HTTP/1.0\r\n\r\n").as_bytes())
-        .unwrap();
-    let mut response = String::new();
-    stream.read_to_string(&mut response).unwrap();
-    let (head, body) = response
-        .split_once("\r\n\r\n")
-        .expect("HTTP response with a blank line");
-    let status = head.lines().next().unwrap_or("").to_string();
-    (status, body.to_string())
-}
-
 /// GET /status, asserting 200 and valid JSON.
 fn get_status(addr: &str) -> JsonValue {
     let (status, body) = http_get(addr, "/status");
     assert!(status.contains("200"), "bad status line: {status}");
     mec_obs::parse_value(body.trim()).expect("/status body is JSON")
-}
-
-/// The scraped value of `vnfrel_serve_snapshot_age_seconds`.
-fn scrape_snapshot_age(addr: &str) -> f64 {
-    let (status, body) = http_get(addr, "/metrics");
-    assert!(status.contains("200"), "bad status line: {status}");
-    body.lines()
-        .find_map(|l| l.strip_prefix("vnfrel_serve_snapshot_age_seconds "))
-        .expect("snapshot age gauge exported")
-        .trim()
-        .parse()
-        .unwrap()
-}
-
-/// One protocol client (submit + control lines).
-struct Client {
-    writer: TcpStream,
-    reader: BufReader<TcpStream>,
-}
-
-impl Client {
-    fn connect(addr: &str) -> Self {
-        let stream = TcpStream::connect(addr).unwrap();
-        stream.set_nodelay(true).unwrap();
-        Client {
-            writer: stream.try_clone().unwrap(),
-            reader: BufReader::new(stream),
-        }
-    }
-
-    fn send(&mut self, msg: &ClientMsg) -> ServerMsg {
-        let mut line = encode_client(msg);
-        line.push('\n');
-        self.writer.write_all(line.as_bytes()).unwrap();
-        let mut reply = String::new();
-        assert!(
-            self.reader.read_line(&mut reply).unwrap() > 0,
-            "daemon closed the connection"
-        );
-        parse_server(reply.trim()).unwrap()
-    }
 }
 
 /// Asserts the dump file parses as a JSONL trace with at least one
@@ -139,26 +65,19 @@ fn status_and_snapshot_age_track_the_snapshot_control() {
         Some(JsonValue::Null)
     ));
     // The age gauge holds its -1 "never snapshotted" sentinel.
-    assert_eq!(scrape_snapshot_age(&addr), -1.0);
+    assert_eq!(scrape(&*addr, "vnfrel_serve_snapshot_age_seconds"), -1.0);
 
-    let mut client = Client::connect(&addr);
+    let mut client = LineClient::connect(&addr).unwrap();
     for r in &reqs[..3] {
-        assert!(matches!(
-            client.send(&submit_msg(r)),
-            ServerMsg::Decision(_)
-        ));
+        assert!(matches!(client.submit(r).unwrap(), ServerMsg::Decision(_)));
     }
 
     // The snapshot control stamps the wall clock: the ack carries it,
     // the gauge resets from -1 to a fresh age, /status mirrors it.
-    match client.send(&ClientMsg::Control(ControlAction::Snapshot)) {
-        ServerMsg::Ack(ack) => {
-            let ms = ack.last_snapshot_unix_ms.expect("ack carries the stamp");
-            assert!(ms > 0);
-        }
-        other => panic!("snapshot refused: {other:?}"),
-    }
-    let age = scrape_snapshot_age(&addr);
+    let ack = client.control(ControlAction::Snapshot).unwrap();
+    let ms = ack.last_snapshot_unix_ms.expect("ack carries the stamp");
+    assert!(ms > 0);
+    let age = scrape(&*addr, "vnfrel_serve_snapshot_age_seconds");
     assert!((0.0..60.0).contains(&age), "stale snapshot age {age}");
     let v = get_status(&addr);
     assert!(
@@ -172,10 +91,8 @@ fn status_and_snapshot_age_track_the_snapshot_control() {
     let (status, _) = http_get(&addr, "/nope");
     assert!(status.contains("404"), "bad status line: {status}");
 
-    match client.send(&ClientMsg::Control(ControlAction::Shutdown)) {
-        ServerMsg::Ack(ack) => assert!(ack.last_snapshot_unix_ms.is_some()),
-        other => panic!("shutdown refused: {other:?}"),
-    }
+    let ack = client.control(ControlAction::Shutdown).unwrap();
+    assert!(ack.last_snapshot_unix_ms.is_some());
     daemon.join().unwrap().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -209,21 +126,16 @@ fn status_tracks_roles_across_promotion_and_fencing_dumps_the_flight() {
     assert_eq!(v.get("role").and_then(|r| r.as_str()), Some("standby"));
     assert_eq!(v.get("epoch").and_then(|e| e.as_usize()), Some(1));
 
-    let mut client = Client::connect(&primary_addr);
+    let mut client = LineClient::connect(&primary_addr).unwrap();
     for r in &reqs[..4] {
-        assert!(matches!(
-            client.send(&submit_msg(r)),
-            ServerMsg::Decision(_)
-        ));
+        assert!(matches!(client.submit(r).unwrap(), ServerMsg::Decision(_)));
     }
 
     // Split brain on purpose: promote the standby under a living
     // primary.
-    let mut sc = Client::connect(&standby_addr);
-    match sc.send(&ClientMsg::Control(ControlAction::Promote)) {
-        ServerMsg::Ack(ack) => assert_eq!((ack.epoch, ack.role.as_str()), (2, "primary")),
-        other => panic!("promote refused: {other:?}"),
-    }
+    let mut sc = LineClient::connect(&standby_addr).unwrap();
+    let ack = sc.control(ControlAction::Promote).unwrap();
+    assert_eq!((ack.epoch, ack.role.as_str()), (2, "primary"));
     // Post-promotion survivor: /status now says primary at epoch 2.
     let v = get_status(&standby_addr);
     assert_eq!(v.get("role").and_then(|r| r.as_str()), Some("primary"));
@@ -246,10 +158,7 @@ fn status_tracks_roles_across_promotion_and_fencing_dumps_the_flight() {
         "flight dump holds neither decisions nor stage samples"
     );
 
-    assert!(matches!(
-        sc.send(&ClientMsg::Control(ControlAction::Shutdown)),
-        ServerMsg::Ack(_)
-    ));
+    sc.control(ControlAction::Shutdown).unwrap();
     standby.join().unwrap().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -265,17 +174,12 @@ fn dump_flight_control_writes_a_parseable_ring() {
         c
     });
 
-    let mut client = Client::connect(&addr.to_string());
+    let mut client = LineClient::connect(addr).unwrap();
     for r in &reqs {
-        assert!(matches!(
-            client.send(&submit_msg(r)),
-            ServerMsg::Decision(_)
-        ));
+        assert!(matches!(client.submit(r).unwrap(), ServerMsg::Decision(_)));
     }
-    match client.send(&ClientMsg::Control(ControlAction::DumpFlight)) {
-        ServerMsg::Ack(ack) => assert_eq!(ack.action, ControlAction::DumpFlight),
-        other => panic!("dump-flight refused: {other:?}"),
-    }
+    let ack = client.control(ControlAction::DumpFlight).unwrap();
+    assert_eq!(ack.action, ControlAction::DumpFlight);
 
     let events = parseable_dump(&dir.join("flight-1-0.jsonl"));
     // The ring saw both the decision stream and the pipeline spans.
@@ -284,10 +188,7 @@ fn dump_flight_control_writes_a_parseable_ring() {
         .iter()
         .any(|e| matches!(e, TraceEvent::StageSample { .. })));
 
-    assert!(matches!(
-        client.send(&ClientMsg::Control(ControlAction::Shutdown)),
-        ServerMsg::Ack(_)
-    ));
+    client.control(ControlAction::Shutdown).unwrap();
     daemon.join().unwrap().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -296,15 +197,10 @@ fn dump_flight_control_writes_a_parseable_ring() {
 fn dump_flight_without_a_flight_dir_still_acks() {
     let (instance, _reqs) = scenario(2, 94);
     let (addr, daemon) = spawn_daemon(instance, Algo::Onsite, base_config("status-nodir"));
-    let mut client = Client::connect(&addr.to_string());
-    match client.send(&ClientMsg::Control(ControlAction::DumpFlight)) {
-        ServerMsg::Ack(ack) => assert_eq!(ack.action, ControlAction::DumpFlight),
-        other => panic!("dump-flight refused: {other:?}"),
-    }
-    assert!(matches!(
-        client.send(&ClientMsg::Control(ControlAction::Shutdown)),
-        ServerMsg::Ack(_)
-    ));
+    let mut client = LineClient::connect(addr).unwrap();
+    let ack = client.control(ControlAction::DumpFlight).unwrap();
+    assert_eq!(ack.action, ControlAction::DumpFlight);
+    client.control(ControlAction::Shutdown).unwrap();
     daemon.join().unwrap().unwrap();
 }
 
@@ -320,31 +216,24 @@ fn status_reports_replication_link_state() {
         matches!(v.get("replication"), Some(JsonValue::Null)),
         "unlinked primary should report replication: null"
     );
-    let mut sc = Client::connect(&solo_addr.to_string());
-    assert!(matches!(
-        sc.send(&ClientMsg::Control(ControlAction::Shutdown)),
-        ServerMsg::Ack(_)
-    ));
+    let mut sc = LineClient::connect(solo_addr).unwrap();
+    sc.control(ControlAction::Shutdown).unwrap();
     solo.join().unwrap().unwrap();
 
     // Point the link at a port that was just freed: every connect is
     // refused, so the sender walks backoff → partitioned and /status
     // must render the decay live.
-    let dead_addr = {
-        let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        l.local_addr().unwrap().to_string()
-    };
     let (addr, daemon) = spawn_daemon(instance.clone(), Algo::Onsite, {
         let mut c = base_config(fp);
-        c.replicate_to = Some(dead_addr);
+        c.replicate_to = Some(common::unused_addr());
         c
     });
     let addr = addr.to_string();
 
     // The daemon stays serviceable while its link flaps.
-    let mut client = Client::connect(&addr);
+    let mut client = LineClient::connect(&addr).unwrap();
     assert!(matches!(
-        client.send(&submit_msg(&reqs[0])),
+        client.submit(&reqs[0]).unwrap(),
         ServerMsg::Decision(_)
     ));
 
@@ -384,10 +273,7 @@ fn status_reports_replication_link_state() {
         Some("connect"),
         "refused connects should classify as connect errors"
     );
-    assert!(matches!(
-        client.send(&ClientMsg::Control(ControlAction::Shutdown)),
-        ServerMsg::Ack(_)
-    ));
+    client.control(ControlAction::Shutdown).unwrap();
     daemon.join().unwrap().unwrap();
 
     // With a live standby the same object flips to connected and the
@@ -404,12 +290,9 @@ fn status_reports_replication_link_state() {
         c
     });
     let primary_addr = primary_addr.to_string();
-    let mut client = Client::connect(&primary_addr);
+    let mut client = LineClient::connect(&primary_addr).unwrap();
     for r in &reqs[..3] {
-        assert!(matches!(
-            client.send(&submit_msg(r)),
-            ServerMsg::Decision(_)
-        ));
+        assert!(matches!(client.submit(r).unwrap(), ServerMsg::Decision(_)));
     }
     // Strict mode already held each ack for replication, so the link
     // must render connected with zero lag by the time submits return.
@@ -433,16 +316,10 @@ fn status_reports_replication_link_state() {
         );
         std::thread::sleep(Duration::from_millis(50));
     }
-    assert!(matches!(
-        client.send(&ClientMsg::Control(ControlAction::Shutdown)),
-        ServerMsg::Ack(_)
-    ));
+    client.control(ControlAction::Shutdown).unwrap();
     primary.join().unwrap().unwrap();
-    let mut sc = Client::connect(&standby_addr.to_string());
-    assert!(matches!(
-        sc.send(&ClientMsg::Control(ControlAction::Shutdown)),
-        ServerMsg::Ack(_)
-    ));
+    let mut sc = LineClient::connect(standby_addr).unwrap();
+    sc.control(ControlAction::Shutdown).unwrap();
     standby.join().unwrap().unwrap();
 }
 
@@ -477,26 +354,30 @@ fn sharded_status_reports_every_lane() {
         Some("status-lanes")
     );
 
-    let mut client = Client::connect(&addr);
+    let mut client = LineClient::connect(&addr).unwrap();
     // Acks carry the node's role, epoch and slot, not constants.
     for expected_slot in [1, 2] {
-        match client.send(&ClientMsg::Control(ControlAction::AdvanceSlot)) {
-            ServerMsg::Ack(ack) => {
-                assert_eq!((ack.role.as_str(), ack.epoch), ("primary", 1));
-                assert_eq!(ack.slot, expected_slot);
-            }
-            other => panic!("advance-slot not acked: {other:?}"),
-        }
+        let ack = client.control(ControlAction::AdvanceSlot).unwrap();
+        assert_eq!((ack.role.as_str(), ack.epoch), ("primary", 1));
+        assert_eq!(ack.slot, expected_slot);
     }
     for r in &reqs {
-        assert!(matches!(
-            client.send(&submit_msg(r)),
-            ServerMsg::Decision(_)
-        ));
+        assert!(matches!(client.submit(r).unwrap(), ServerMsg::Decision(_)));
     }
-    assert!(matches!(
-        client.send(&ClientMsg::Control(ControlAction::Shutdown)),
-        ServerMsg::Ack(_)
-    ));
+    // Every lane counts into metric series of its own: lane 1 decided
+    // the odd ids, and its stage histogram and `/status` row say so.
+    let decides = scrape(
+        &*addr,
+        "vnfrel_serve_stage_seconds_count{shard=\"1\",stage=\"decide\"}",
+    );
+    assert!(decides >= 1.0, "lane 1 decided {decides} items");
+    let v = get_status(&addr);
+    let Some(JsonValue::Arr(lanes)) = v.get("shards") else {
+        panic!("no shard table in /status: {v:?}");
+    };
+    for key in ["queue_depth", "shed", "backpressure"] {
+        assert!(lanes[1].get(key).is_some(), "lane 1 reports no {key}");
+    }
+    client.control(ControlAction::Shutdown).unwrap();
     daemon.join().unwrap().unwrap();
 }

@@ -6,324 +6,239 @@
 #[path = "serve_common.rs"]
 mod common;
 
-use std::io::{BufRead as _, BufReader, Write as _};
+use std::io::Write as _;
 use std::net::{Shutdown, TcpStream};
 use std::time::Duration;
 
 use common::{scenario, spawn_daemon, Algo};
 use mec_serve::{
     encode_batch_into, encode_client, is_batch_reply, parse_batch_reply_into, parse_server,
-    ClientMsg, ControlAction, ServeConfig, ServerMsg, SubmitRequest, MAX_LINE_BYTES,
+    ClientMsg, ControlAction, LineClient, ServeConfig, ServeError, ServeReport, ServerMsg,
+    SubmitRequest, MAX_LINE_BYTES,
 };
 use mec_workload::Request;
 
 fn submit_line(r: &Request) -> String {
-    let mut line = encode_client(&ClientMsg::Submit(SubmitRequest {
-        id: r.id().index(),
-        vnf: r.vnf().index(),
-        reliability: r.reliability_requirement().value(),
-        arrival: r.arrival(),
-        duration: r.duration(),
-        payment: r.payment(),
-    }));
+    let mut line = encode_client(&ClientMsg::Submit(SubmitRequest::from(r)));
     line.push('\n');
     line
 }
 
-struct Client {
-    writer: TcpStream,
-    reader: BufReader<TcpStream>,
-    line: String,
+/// Writes bytes that are deliberately not (yet) a line.
+fn write_bytes(conn: &LineClient, bytes: &[u8]) {
+    let mut socket = conn.stream();
+    socket.write_all(bytes).unwrap();
+    socket.flush().unwrap();
 }
 
-impl Client {
-    fn connect(addr: &str) -> Self {
-        let stream = TcpStream::connect(addr).unwrap();
-        stream.set_nodelay(true).unwrap();
-        Client {
-            writer: stream.try_clone().unwrap(),
-            reader: BufReader::new(stream),
-            line: String::new(),
-        }
-    }
-
-    /// Reads one reply line; panics if the daemon closed the connection.
-    fn read_reply(&mut self) -> String {
-        self.line.clear();
-        assert!(
-            self.reader.read_line(&mut self.line).unwrap() > 0,
-            "daemon closed the connection"
-        );
-        self.line.trim().to_string()
-    }
-
-    /// Reads until EOF, asserting the daemon closed the connection.
-    fn expect_closed(&mut self) {
-        self.reader
-            .get_mut()
-            .set_read_timeout(Some(Duration::from_secs(5)))
-            .unwrap();
-        self.line.clear();
-        assert_eq!(
-            self.reader.read_line(&mut self.line).unwrap(),
-            0,
-            "expected the daemon to drop the connection, got: {}",
-            self.line
-        );
-    }
-
-    fn submit(&mut self, r: &Request) -> ServerMsg {
-        self.writer.write_all(submit_line(r).as_bytes()).unwrap();
-        parse_server(&self.read_reply()).unwrap()
-    }
-
-    fn shutdown_daemon(&mut self) {
-        let mut line = encode_client(&ClientMsg::Control(ControlAction::Shutdown));
-        line.push('\n');
-        self.writer.write_all(line.as_bytes()).unwrap();
-        let reply = self.read_reply();
-        assert!(
-            matches!(parse_server(&reply).unwrap(), ServerMsg::Ack(_)),
-            "shutdown not acked: {reply}"
-        );
+/// Reads one reply, which must be a typed error, and returns its text.
+fn read_error(conn: &mut LineClient) -> String {
+    match parse_server(conn.read_line().unwrap()).unwrap() {
+        ServerMsg::Error(msg) => msg,
+        other => panic!("expected an error line, got {other:?}"),
     }
 }
 
-fn boot(
-    n: usize,
-    seed: u64,
-    fp: &str,
-) -> (
-    Vec<Request>,
-    String,
-    std::thread::JoinHandle<Result<mec_serve::ServeReport, mec_serve::ServeError>>,
-) {
+/// Asserts the daemon dropped the connection without another line.
+fn expect_closed(conn: &mut LineClient) {
+    let timeout = Some(Duration::from_secs(5));
+    conn.stream().set_read_timeout(timeout).unwrap();
+    match conn.read_line() {
+        Err(ServeError::Io(e)) if e.kind() == std::io::ErrorKind::UnexpectedEof => {}
+        other => panic!("expected the daemon to drop the connection, got: {other:?}"),
+    }
+}
+
+/// One ordinary submit on `conn`, which must be decided.
+fn submit_decides(conn: &mut LineClient, r: &Request) {
+    assert!(matches!(conn.submit(r).unwrap(), ServerMsg::Decision(_)));
+}
+
+/// A one-lane daemon over `scenario(n, seed)`: its requests, a way to
+/// connect to it, and a way to shut it down and collect its report.
+struct Booted {
+    reqs: Vec<Request>,
+    addr: std::net::SocketAddr,
+    daemon: common::LaneHandle,
+}
+
+fn boot(n: usize, seed: u64, fp: &str) -> Booted {
     let (instance, reqs) = scenario(n, seed);
     let mut config = ServeConfig::new("127.0.0.1:0");
     config.fingerprint = fp.to_string();
     let (addr, daemon) = spawn_daemon(instance, Algo::Onsite, config);
-    (reqs, addr.to_string(), daemon)
+    Booted { reqs, addr, daemon }
+}
+
+impl Booted {
+    fn connect(&self) -> LineClient {
+        LineClient::connect(self.addr).unwrap()
+    }
+
+    /// A fresh client gets ordinary service for request 0, then shuts
+    /// the daemon down.
+    fn serves_then_shuts_down(self) -> ServeReport {
+        let mut client = self.connect();
+        submit_decides(&mut client, &self.reqs[0]);
+        self.shuts_down(client)
+    }
+
+    fn shuts_down(self, mut client: LineClient) -> ServeReport {
+        client.control(ControlAction::Shutdown).unwrap();
+        self.daemon.join().unwrap().unwrap().0
+    }
 }
 
 #[test]
 fn torn_frame_gets_an_error_and_daemon_survives() {
-    let (reqs, addr, daemon) = boot(4, 31, "torn");
+    let booted = boot(4, 31, "torn");
 
     // Write half a submit line and hang up the write side: the daemon
     // must call out the torn frame rather than silently discarding it
     // or treating the fragment as a request.
-    let mut torn = Client::connect(&addr);
-    let line = submit_line(&reqs[0]);
-    let half = &line.as_bytes()[..line.len() / 2];
-    torn.writer.write_all(half).unwrap();
-    torn.writer.flush().unwrap();
-    torn.writer.shutdown(Shutdown::Write).unwrap();
-    let reply = torn.read_reply();
-    match parse_server(&reply).unwrap() {
-        ServerMsg::Error(msg) => {
-            assert!(msg.contains("torn frame"), "unexpected error: {msg}")
-        }
-        other => panic!("expected a torn-frame error, got {other:?}"),
-    }
-    torn.expect_closed();
+    let mut torn = booted.connect();
+    let line = submit_line(&booted.reqs[0]);
+    write_bytes(&torn, &line.as_bytes()[..line.len() / 2]);
+    torn.stream().shutdown(Shutdown::Write).unwrap();
+    let msg = read_error(&mut torn);
+    assert!(msg.contains("torn frame"), "unexpected error: {msg}");
+    expect_closed(&mut torn);
 
     // The fragment left no trace: a fresh client gets ordinary service
     // and the torn bytes were not counted as a decision.
-    let mut client = Client::connect(&addr);
-    assert!(matches!(client.submit(&reqs[0]), ServerMsg::Decision(_)));
-    client.shutdown_daemon();
-    let report = daemon.join().unwrap().unwrap();
-    assert_eq!(report.stats.decided, 1);
+    assert_eq!(booted.serves_then_shuts_down().stats.decided, 1);
 }
 
 #[test]
 fn oversized_line_is_rejected_and_connection_dropped() {
-    let (reqs, addr, daemon) = boot(4, 32, "oversized");
+    let booted = boot(4, 32, "oversized");
 
-    let mut hog = Client::connect(&addr);
     // No newline in sight: the daemon must bail out once the line
     // exceeds the limit instead of buffering without bound.
-    let blob = vec![b'x'; MAX_LINE_BYTES + 10];
-    hog.writer.write_all(&blob).unwrap();
-    hog.writer.flush().unwrap();
-    let reply = hog.read_reply();
-    match parse_server(&reply).unwrap() {
-        ServerMsg::Error(msg) => {
-            assert!(msg.contains("oversized"), "unexpected error: {msg}");
-            assert!(
-                msg.contains(&MAX_LINE_BYTES.to_string()),
-                "error should state the limit: {msg}"
-            );
-        }
-        other => panic!("expected an oversized-frame error, got {other:?}"),
-    }
-    hog.expect_closed();
+    let mut hog = booted.connect();
+    write_bytes(&hog, &vec![b'x'; MAX_LINE_BYTES + 10]);
+    let msg = read_error(&mut hog);
+    assert!(msg.contains("oversized"), "unexpected error: {msg}");
+    assert!(
+        msg.contains(&MAX_LINE_BYTES.to_string()),
+        "error should state the limit: {msg}"
+    );
+    expect_closed(&mut hog);
 
-    let mut client = Client::connect(&addr);
-    assert!(matches!(client.submit(&reqs[0]), ServerMsg::Decision(_)));
-    client.shutdown_daemon();
-    daemon.join().unwrap().unwrap();
+    booted.serves_then_shuts_down();
 }
 
 #[test]
 fn slow_two_part_write_still_decides() {
-    let (reqs, addr, daemon) = boot(4, 33, "slow");
+    let booted = boot(4, 33, "slow");
 
     // A client that stalls mid-line for longer than the daemon's read
     // timeout is slow, not torn: the fragment must be kept and the
     // completed line decided.
-    let mut slow = Client::connect(&addr);
-    let line = submit_line(&reqs[0]);
+    let mut slow = booted.connect();
+    let line = submit_line(&booted.reqs[0]);
     let (head, tail) = line.as_bytes().split_at(line.len() / 2);
-    slow.writer.write_all(head).unwrap();
-    slow.writer.flush().unwrap();
+    write_bytes(&slow, head);
     std::thread::sleep(Duration::from_millis(250));
-    slow.writer.write_all(tail).unwrap();
-    slow.writer.flush().unwrap();
-    let reply = slow.read_reply();
+    write_bytes(&slow, tail);
+    let reply = parse_server(slow.read_line().unwrap()).unwrap();
     assert!(
-        matches!(parse_server(&reply).unwrap(), ServerMsg::Decision(_)),
-        "slow continuation not decided: {reply}"
+        matches!(reply, ServerMsg::Decision(_)),
+        "slow continuation not decided: {reply:?}"
     );
-    slow.shutdown_daemon();
-    let report = daemon.join().unwrap().unwrap();
-    assert_eq!(report.stats.decided, 1);
+    assert_eq!(booted.shuts_down(slow).stats.decided, 1);
 }
 
 #[test]
 fn garbage_json_errors_but_connection_survives() {
-    let (reqs, addr, daemon) = boot(4, 34, "garbage");
+    let booted = boot(4, 34, "garbage");
 
-    let mut client = Client::connect(&addr);
+    let mut client = booted.connect();
     client
-        .writer
-        .write_all(b"{\"type\":\"submit\",\"v\":2,\"id\":oops}\n")
+        .send_line("{\"type\":\"submit\",\"v\":2,\"id\":oops}")
         .unwrap();
-    let reply = client.read_reply();
-    assert!(
-        matches!(parse_server(&reply).unwrap(), ServerMsg::Error(_)),
-        "expected an error line, got: {reply}"
-    );
+    read_error(&mut client);
     // A complete-but-malformed line costs a reply, not the connection.
-    assert!(matches!(client.submit(&reqs[0]), ServerMsg::Decision(_)));
-    client.shutdown_daemon();
-    daemon.join().unwrap().unwrap();
-}
-
-fn submit_of(r: &Request) -> SubmitRequest {
-    SubmitRequest {
-        id: r.id().index(),
-        vnf: r.vnf().index(),
-        reliability: r.reliability_requirement().value(),
-        arrival: r.arrival(),
-        duration: r.duration(),
-        payment: r.payment(),
-    }
+    submit_decides(&mut client, &booted.reqs[0]);
+    booted.shuts_down(client);
 }
 
 #[test]
 fn torn_batch_frame_gets_an_error_and_daemon_survives() {
-    let (reqs, addr, daemon) = boot(8, 36, "torn-batch");
+    let booted = boot(8, 36, "torn-batch");
 
     // Half a v3 batch frame followed by a write-side hangup: the torn
     // frame costs an error line and the connection, never the daemon
     // and never a partial batch decided.
-    let mut torn = Client::connect(&addr);
-    let batch: Vec<SubmitRequest> = reqs.iter().take(4).map(submit_of).collect();
+    let mut torn = booted.connect();
+    let batch: Vec<SubmitRequest> = (booted.reqs.iter().take(4))
+        .map(SubmitRequest::from)
+        .collect();
     let mut line = String::new();
     encode_batch_into(&mut line, 1, &batch);
-    line.push('\n');
-    let half = &line.as_bytes()[..line.len() / 2];
-    torn.writer.write_all(half).unwrap();
-    torn.writer.flush().unwrap();
-    torn.writer.shutdown(Shutdown::Write).unwrap();
-    let reply = torn.read_reply();
-    match parse_server(&reply).unwrap() {
-        ServerMsg::Error(msg) => {
-            assert!(msg.contains("torn frame"), "unexpected error: {msg}")
-        }
-        other => panic!("expected a torn-frame error, got {other:?}"),
-    }
-    torn.expect_closed();
+    write_bytes(&torn, &line.as_bytes()[..line.len() / 2]);
+    torn.stream().shutdown(Shutdown::Write).unwrap();
+    let msg = read_error(&mut torn);
+    assert!(msg.contains("torn frame"), "unexpected error: {msg}");
+    expect_closed(&mut torn);
 
     // Nothing from the fragment reached the scheduler: id 0 is still
     // the next expected request.
-    let mut client = Client::connect(&addr);
-    assert!(matches!(client.submit(&reqs[0]), ServerMsg::Decision(_)));
-    client.shutdown_daemon();
-    let report = daemon.join().unwrap().unwrap();
-    assert_eq!(report.stats.decided, 1);
+    assert_eq!(booted.serves_then_shuts_down().stats.decided, 1);
 }
 
 #[test]
 fn malformed_batch_frame_errors_but_connection_survives() {
-    let (reqs, addr, daemon) = boot(8, 37, "bad-batch");
+    let booted = boot(8, 37, "bad-batch");
 
-    let mut client = Client::connect(&addr);
+    let mut client = booted.connect();
     // Complete line, hostile payload: header claims two requests but
     // carries one. Must earn a typed error, not a partial decision.
     client
-        .writer
-        .write_all(b"{\"type\":\"batch\",\"v\":3,\"b\":0,\"n\":2,\"reqs\":[[0,1,0.9,0,1,2.5]]}\n")
+        .send_line("{\"type\":\"batch\",\"v\":3,\"b\":0,\"n\":2,\"reqs\":[[0,1,0.9,0,1,2.5]]}")
         .unwrap();
-    let reply = client.read_reply();
-    assert!(
-        matches!(parse_server(&reply).unwrap(), ServerMsg::Error(_)),
-        "expected an error line, got: {reply}"
-    );
+    read_error(&mut client);
 
     // An empty batch is malformed too, on the same still-open
     // connection.
     client
-        .writer
-        .write_all(b"{\"type\":\"batch\",\"v\":3,\"b\":1,\"n\":0,\"reqs\":[]}\n")
+        .send_line("{\"type\":\"batch\",\"v\":3,\"b\":1,\"n\":0,\"reqs\":[]}")
         .unwrap();
-    let reply = client.read_reply();
-    match parse_server(&reply).unwrap() {
-        ServerMsg::Error(msg) => assert!(msg.contains("empty batch"), "unexpected error: {msg}"),
-        other => panic!("expected an empty-batch error, got {other:?}"),
-    }
+    let msg = read_error(&mut client);
+    assert!(msg.contains("empty batch"), "unexpected error: {msg}");
 
     // A well-formed batch on the same connection still decides: the
     // malformed frames consumed no ids.
-    let batch: Vec<SubmitRequest> = reqs.iter().take(3).map(submit_of).collect();
+    let batch: Vec<SubmitRequest> = (booted.reqs.iter().take(3))
+        .map(SubmitRequest::from)
+        .collect();
     let mut line = String::new();
     encode_batch_into(&mut line, 2, &batch);
-    line.push('\n');
-    client.writer.write_all(line.as_bytes()).unwrap();
-    let reply = client.read_reply();
-    assert!(is_batch_reply(&reply), "expected a batch reply: {reply}");
+    client.send_line(&line).unwrap();
+    let reply = client.read_line().unwrap();
+    assert!(is_batch_reply(reply), "expected a batch reply: {reply}");
     let mut codes = Vec::new();
-    assert_eq!(parse_batch_reply_into(&reply, &mut codes).unwrap(), 2);
+    assert_eq!(parse_batch_reply_into(reply, &mut codes).unwrap(), 2);
     assert_eq!(codes.len(), 3);
 
-    client.shutdown_daemon();
-    let report = daemon.join().unwrap().unwrap();
-    assert_eq!(report.stats.decided, 3);
+    assert_eq!(booted.shuts_down(client).stats.decided, 3);
 }
 
 #[test]
 fn oversized_batch_frame_is_rejected_like_any_oversized_line() {
-    let (reqs, addr, daemon) = boot(4, 38, "big-batch");
+    let booted = boot(4, 38, "big-batch");
 
     // A batch-frame prefix that never ends: the shared line-length
     // guard must fire before the parser ever sees it.
-    let mut hog = Client::connect(&addr);
+    let mut hog = booted.connect();
     let mut blob = b"{\"type\":\"batch\",\"v\":3,\"b\":0,\"n\":1,\"reqs\":[[".to_vec();
     blob.resize(MAX_LINE_BYTES + 10, b'1');
-    hog.writer.write_all(&blob).unwrap();
-    hog.writer.flush().unwrap();
-    let reply = hog.read_reply();
-    match parse_server(&reply).unwrap() {
-        ServerMsg::Error(msg) => assert!(msg.contains("oversized"), "unexpected error: {msg}"),
-        other => panic!("expected an oversized-frame error, got {other:?}"),
-    }
-    hog.expect_closed();
+    write_bytes(&hog, &blob);
+    let msg = read_error(&mut hog);
+    assert!(msg.contains("oversized"), "unexpected error: {msg}");
+    expect_closed(&mut hog);
 
-    let mut client = Client::connect(&addr);
-    assert!(matches!(client.submit(&reqs[0]), ServerMsg::Decision(_)));
-    client.shutdown_daemon();
-    daemon.join().unwrap().unwrap();
+    booted.serves_then_shuts_down();
 }
 
 #[test]
@@ -335,87 +250,54 @@ fn slow_loris_client_cannot_pin_the_only_worker() {
     // every other client.
     config.workers = 1;
     let (addr, daemon) = spawn_daemon(instance, Algo::Onsite, config);
-    let addr = addr.to_string();
 
     // The hog submits the same request over and over without ever
     // draining a reply. Dedupe answers each resubmit, so the daemon
     // keeps writing into a connection nobody reads; once both socket
     // buffers fill, the daemon's reply write blocks until its write
     // timeout fires and the connection is dropped.
-    let hog = TcpStream::connect(&addr).unwrap();
+    let mut hog = TcpStream::connect(addr).unwrap();
     hog.set_nodelay(true).unwrap();
     hog.set_write_timeout(Some(Duration::from_millis(500)))
         .unwrap();
-    let mut hog_writer = hog.try_clone().unwrap();
     let line = submit_line(&reqs[0]);
-    let mut wedged = false;
-    for _ in 0..500_000 {
-        if hog_writer.write_all(line.as_bytes()).is_err() {
-            // Either our own 500ms write timeout fired (buffers full —
-            // the daemon worker is now stuck in its reply write) or the
-            // daemon already dropped us.
-            wedged = true;
-            break;
-        }
-    }
+    // An error is either our own 500ms write timeout (buffers full —
+    // the daemon worker is now stuck in its reply write) or the daemon
+    // having dropped us already.
+    let wedged = (0..500_000).any(|_| hog.write_all(line.as_bytes()).is_err());
     assert!(wedged, "the hog never managed to fill the socket buffers");
 
     // The worker must shake the hog loose within WRITE_TIMEOUT (2s) and
     // serve a fresh client. The generous read timeout is the test's
     // failure detector, not the expected latency.
-    let fresh = TcpStream::connect(&addr).unwrap();
-    fresh.set_nodelay(true).unwrap();
-    fresh
-        .set_read_timeout(Some(Duration::from_secs(20)))
-        .unwrap();
-    let mut fresh_writer = fresh.try_clone().unwrap();
-    let mut fresh_reader = BufReader::new(fresh);
-    let mut reply = String::new();
+    let mut fresh = LineClient::connect(addr).unwrap();
+    let timeout = Some(Duration::from_secs(20));
+    fresh.stream().set_read_timeout(timeout).unwrap();
     loop {
-        fresh_writer
-            .write_all(submit_line(&reqs[1]).as_bytes())
-            .unwrap();
-        reply.clear();
-        assert!(
-            fresh_reader.read_line(&mut reply).unwrap() > 0,
-            "daemon never answered the fresh client: the hog pinned the worker"
-        );
         // The freed worker can reach the fresh client before the decide
         // thread, freed in the same instant, has drained the hog's queued
         // submits: an overload reply is an answer too (the worker is not
         // pinned), and a shed id may be sent again.
-        match parse_server(reply.trim()).unwrap() {
-            ServerMsg::Overload(_) => std::thread::sleep(Duration::from_millis(10)),
-            ServerMsg::Decision(_) => break,
-            other => panic!("fresh client not decided: {other:?}"),
+        match fresh.submit(&reqs[1]) {
+            Ok(ServerMsg::Overload(_)) => std::thread::sleep(Duration::from_millis(10)),
+            Ok(ServerMsg::Decision(_)) => break,
+            Ok(other) => panic!("fresh client not decided: {other:?}"),
+            Err(e) => panic!("the hog pinned the worker, the fresh client got: {e}"),
         }
     }
 
-    drop(hog_writer);
     drop(hog);
-    let mut shutdown_line = encode_client(&ClientMsg::Control(ControlAction::Shutdown));
-    shutdown_line.push('\n');
-    fresh_writer.write_all(shutdown_line.as_bytes()).unwrap();
-    reply.clear();
-    assert!(fresh_reader.read_line(&mut reply).unwrap() > 0);
-    assert!(
-        matches!(parse_server(reply.trim()).unwrap(), ServerMsg::Ack(_)),
-        "shutdown not acked: {reply}"
-    );
+    fresh.control(ControlAction::Shutdown).unwrap();
     daemon.join().unwrap().unwrap();
 }
 
 #[test]
 fn invalid_utf8_drops_the_connection_only() {
-    let (reqs, addr, daemon) = boot(4, 35, "utf8");
+    let booted = boot(4, 35, "utf8");
 
-    let mut bad = Client::connect(&addr);
-    bad.writer.write_all(b"\xff\xfe\n").unwrap();
-    bad.writer.flush().unwrap();
-    bad.expect_closed();
+    let mut bad = booted.connect();
+    write_bytes(&bad, b"\xff\xfe\n");
+    expect_closed(&mut bad);
 
-    let mut client = Client::connect(&addr);
-    assert!(matches!(client.submit(&reqs[0]), ServerMsg::Decision(_)));
-    client.shutdown_daemon();
-    daemon.join().unwrap().unwrap();
+    booted.serves_then_shuts_down();
 }
