@@ -11,7 +11,9 @@
 //! *Open-loop saturation*: the same daemon with `S` lanes driven
 //! with batched v3 frames over parallel connections and a bounded
 //! in-flight window ([`run_open_loop`]). Swept over shard counts and
-//! batch sizes; this is where the daemon/scheduler gap closes.
+//! batch sizes; this is where the daemon/scheduler gap closes. Lanes
+//! share nothing, so parity is asserted here too, lane by lane, and the
+//! `admitted` and `revenue` columns move with `S` and with nothing else.
 //!
 //! Run with: `cargo run --release -p vnfrel-bench --bin serve_bench [--quick] [--best-of N]`
 //!
@@ -21,20 +23,22 @@
 //! and only the envelope is a stable property of the code.
 //!
 //! Output goes to stdout, `results/serve_throughput.txt` (human table)
-//! and `results/BENCH_serve.json` (schema `bench_serve/v1`, the
+//! and `results/BENCH_serve.json` (schema `bench_serve/v2`, the
 //! machine-readable record CI uploads).
 
 use std::fmt::Write as _;
 use std::thread;
 
+use mec_serve::shard::build_shard_instances;
 use mec_serve::{
     run_loadgen, run_open_loop, spawn_sharded, LatencySummary, LoadgenConfig, OpenLoopConfig,
     ServeConfig, ShardedReport, Spawned,
 };
 use mec_sim::Simulation;
+use mec_workload::{Request, RequestId};
 use vnfrel::offsite::OffsitePrimalDual;
 use vnfrel::onsite::{CapacityPolicy, OnsitePrimalDual};
-use vnfrel::{ProblemInstance, Scheme};
+use vnfrel::{OnlineScheduler, ProblemInstance, Scheme};
 use vnfrel_bench::{note, quiet_from_args, Scenario, ScenarioParams};
 
 /// Starts the daemon on `127.0.0.1:0` with `shards` lanes of the
@@ -51,20 +55,93 @@ fn spawn_daemon(
     spawn_sharded(instance, scheme, config).expect("daemon bound")
 }
 
+/// The parity hard-assert, at any `S`: lane `l` must end in the state of
+/// a batch [`Simulation`] run over the cloudlets `j ≡ l (mod S)` and the
+/// requests with ids `≡ l` (renumbered: the engine wants dense ids, no
+/// scheduler reads them), and the daemon's admissions and revenue must
+/// be those runs' summed in lane order, to the bit.
+fn assert_batch_parity(s: &Scenario, scheme: Scheme, report: &ShardedReport) {
+    let shards = report.shard_states.len();
+    let subs = build_shard_instances(&s.instance, shards).expect("valid shard count");
+    let (mut admitted, mut revenue) = (0, 0.0);
+    for (l, sub) in subs.iter().enumerate() {
+        let reqs: Vec<Request> = (s.requests.iter().skip(l).step_by(shards).enumerate())
+            .map(|(k, r)| {
+                Request::new(
+                    RequestId(k),
+                    r.vnf(),
+                    r.reliability_requirement(),
+                    r.arrival(),
+                    r.duration(),
+                    r.payment(),
+                    sub.horizon(),
+                )
+                .expect("a valid request under a new id")
+            })
+            .collect();
+        let mut alg: Box<dyn OnlineScheduler> = match scheme {
+            Scheme::OnSite => Box::new(
+                OnsitePrimalDual::new(sub, CapacityPolicy::Enforce).expect("valid instance"),
+            ),
+            Scheme::OffSite => Box::new(OffsitePrimalDual::new(sub)),
+        };
+        let sim = Simulation::new(sub, &reqs).expect("valid lane scenario");
+        let batch = sim.run(alg.as_mut()).expect("batch run");
+        assert!(
+            report.shard_states[l] == alg.export_state(),
+            "S = {shards}: lane {l}'s final state diverged from its batch run"
+        );
+        admitted += batch.metrics.admitted;
+        revenue += batch.metrics.revenue;
+    }
+    assert_eq!(
+        report.stats.admitted as usize, admitted,
+        "S = {shards}: daemon/batch admission count diverged"
+    );
+    assert_eq!(
+        report.stats.revenue.to_bits(),
+        revenue.to_bits(),
+        "S = {shards}: daemon/batch revenue diverged"
+    );
+}
+
 struct OpenLoopPoint {
     shards: usize,
     conns: usize,
     batch: usize,
     rps: f64,
     decided: usize,
-    overloaded: usize,
+    admitted: u64,
+    revenue: f64,
     latency: LatencySummary,
     per_request: LatencySummary,
-    cross_shard_admits: u64,
+}
+
+impl OpenLoopPoint {
+    fn json(&self) -> String {
+        format!(
+            "{{ \"shards\": {}, \"conns\": {}, \"batch\": {}, \"rps\": {:.1}, \
+             \"decided\": {}, \"admitted\": {}, \"revenue\": {:.2}, \
+             \"rtt_p50_us\": {:.2}, \"rtt_p99_us\": {:.2}, \"req_p50_us\": {:.3}, \
+             \"req_p99_us\": {:.3} }}",
+            self.shards,
+            self.conns,
+            self.batch,
+            self.rps,
+            self.decided,
+            self.admitted,
+            self.revenue,
+            self.latency.p50 * 1e6,
+            self.latency.p99 * 1e6,
+            self.per_request.p50 * 1e6,
+            self.per_request.p99 * 1e6,
+        )
+    }
 }
 
 /// One open-loop measurement: fresh sharded daemon, full drive, clean
-/// drain, counters cross-checked between client and daemon.
+/// drain, counters cross-checked between client and daemon, and every
+/// lane held to its batch replay.
 fn open_loop_point(s: &Scenario, shards: usize, batch: usize) -> OpenLoopPoint {
     let conns = shards.min(4);
     let (addr, daemon) = spawn_daemon(s.instance.clone(), Scheme::OffSite, shards);
@@ -79,26 +156,22 @@ fn open_loop_point(s: &Scenario, shards: usize, batch: usize) -> OpenLoopPoint {
         .join()
         .expect("sharded daemon thread")
         .expect("clean shutdown");
-    assert_eq!(client.errors, 0, "open-loop run produced error codes");
-    assert_eq!(
-        client.decided as u64, report.stats.decided,
-        "client/daemon decided counts diverged"
-    );
-    assert_eq!(
-        client.decided + client.overloaded,
-        s.requests.len(),
-        "every request must be decided or shed"
-    );
+    // A window of 8 frames per connection never fills a 4096-frame lane
+    // queue, so nothing is shed and each lane saw its whole sub-stream.
+    assert_eq!(client.errors + client.overloaded, 0, "errors or shedding");
+    assert_eq!(client.decided, s.requests.len());
+    assert_eq!(report.stats.decided as usize, s.requests.len());
+    assert_batch_parity(s, Scheme::OffSite, &report);
     OpenLoopPoint {
         shards,
         conns,
         batch,
         rps: client.throughput(),
         decided: client.decided,
-        overloaded: client.overloaded,
+        admitted: report.stats.admitted,
+        revenue: report.stats.revenue,
         latency: client.latency,
         per_request: client.per_request,
-        cross_shard_admits: report.cross_shard_admits,
     }
 }
 
@@ -133,7 +206,7 @@ fn main() {
     let mut out = String::new();
     let mut json = String::new();
     let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"schema\": \"bench_serve/v1\",");
+    let _ = writeln!(json, "  \"schema\": \"bench_serve/v2\",");
     let _ = writeln!(
         json,
         "  \"mode\": \"{}\",",
@@ -162,26 +235,15 @@ fn main() {
     let _ = writeln!(json, "  \"closed_loop\": {{");
     let _ = writeln!(json, "    \"requests\": {requests},");
     let mut closed_loop_offsite_rps = 0.0f64;
-    for onsite in [true, false] {
+    for (scheme, key, label, algorithm) in [
+        (Scheme::OnSite, "onsite", "on-site", "alg1-primal-dual"),
+        (Scheme::OffSite, "offsite", "off-site", "alg2-primal-dual"),
+    ] {
+        let onsite = scheme == Scheme::OnSite;
         let s = Scenario::build(&ScenarioParams {
             requests,
             ..ScenarioParams::default()
         });
-        let sim = Simulation::new(&s.instance, &s.requests).expect("valid scenario");
-        let batch = if onsite {
-            let mut alg =
-                OnsitePrimalDual::new(&s.instance, CapacityPolicy::Enforce).expect("valid");
-            sim.run(&mut alg).expect("batch run")
-        } else {
-            let mut alg = OffsitePrimalDual::new(&s.instance);
-            sim.run(&mut alg).expect("batch run")
-        };
-
-        let scheme = if onsite {
-            Scheme::OnSite
-        } else {
-            Scheme::OffSite
-        };
         let (addr, daemon) = spawn_daemon(s.instance.clone(), scheme, 1);
         let mut lg = LoadgenConfig::new(addr.to_string());
         lg.shutdown_when_done = true;
@@ -191,28 +253,18 @@ fn main() {
             .expect("daemon thread")
             .expect("clean shutdown");
 
-        // Parity hard-asserts: same decisions, same money, to the bit.
+        // What the client read is what the daemon counted, and that is
+        // the batch engine's, to the bit.
         assert_eq!(client.decided, requests, "every request must be decided");
-        assert_eq!(
-            client.admitted, batch.metrics.admitted,
-            "daemon/batch admission count diverged"
-        );
-        assert_eq!(
-            client.revenue.to_bits(),
-            batch.metrics.revenue.to_bits(),
-            "daemon/batch revenue diverged"
-        );
         assert_eq!(report.stats.decided as usize, requests);
+        assert_eq!(client.admitted as u64, report.stats.admitted);
+        assert_eq!(client.revenue.to_bits(), report.stats.revenue.to_bits());
+        assert_batch_parity(&s, scheme, &report);
 
-        let (scheme, algorithm) = if onsite {
-            ("on-site", "alg1-primal-dual")
-        } else {
-            ("off-site", "alg2-primal-dual")
-        };
         let _ = writeln!(
             out,
             "{:>9} {:>18} {:>13.0} {:>9.1} {:>9.1} {:>9.1} {:>9.1}",
-            scheme,
+            label,
             algorithm,
             client.throughput(),
             client.latency.p50 * 1e6,
@@ -227,7 +279,7 @@ fn main() {
             json,
             "    \"{}\": {{ \"parity\": \"bit-identical\", \"rps\": {:.1}, \
              \"p50_us\": {:.2}, \"p99_us\": {:.2} }}{}",
-            if onsite { "onsite" } else { "offsite" },
+            key,
             client.throughput(),
             client.latency.p50 * 1e6,
             client.latency.p99 * 1e6,
@@ -257,20 +309,22 @@ fn main() {
         out,
         "(conns = min(shards, 4), window 8 frames/conn; each point = best of {best_of} \
          run(s);\n\
-         overloaded = shed by backpressure; frame RTT under load is queueing delay,\n\
-         not decide cost; req_* = frame RTT divided by its batch size — the\n\
-         per-request cost comparable to closed loop)"
+         nothing shed; admitted and revenue bit-identical to per-lane batch runs: they\n\
+         move with the partition (S) and with nothing else; frame RTT under load is\n\
+         queueing delay, not decide cost; req_* = frame RTT divided by its batch\n\
+         size — the per-request cost comparable to closed loop)"
     );
     let _ = writeln!(out);
     let _ = writeln!(
         out,
-        "{:>7} {:>6} {:>6} {:>13} {:>9} {:>10} {:>11} {:>11} {:>11} {:>11}",
+        "{:>7} {:>6} {:>6} {:>13} {:>9} {:>9} {:>10} {:>11} {:>11} {:>11} {:>11}",
         "shards",
         "conns",
         "batch",
         "decisions/s",
         "decided",
-        "overload",
+        "admitted",
+        "revenue",
         "rtt_p50_us",
         "rtt_p99_us",
         "req_p50_us",
@@ -293,13 +347,14 @@ fn main() {
     for p in points.iter().chain(batch_points.iter()) {
         let _ = writeln!(
             out,
-            "{:>7} {:>6} {:>6} {:>13.0} {:>9} {:>10} {:>11.1} {:>11.1} {:>11.2} {:>11.2}",
+            "{:>7} {:>6} {:>6} {:>13.0} {:>9} {:>9} {:>10.2} {:>11.1} {:>11.1} {:>11.2} {:>11.2}",
             p.shards,
             p.conns,
             p.batch,
             p.rps,
             p.decided,
-            p.overloaded,
+            p.admitted,
+            p.revenue,
             p.latency.p50 * 1e6,
             p.latency.p99 * 1e6,
             p.per_request.p50 * 1e6,
@@ -312,47 +367,15 @@ fn main() {
     let _ = writeln!(json, "    \"scheme\": \"offsite\",");
     let _ = writeln!(json, "    \"window\": 8,");
     let _ = writeln!(json, "    \"best_of\": {best_of},");
-    let _ = writeln!(json, "    \"shard_sweep\": [");
-    for (i, p) in points.iter().enumerate() {
+    // Both sweeps carry every column of a point (`bench_serve/v2`).
+    for (name, sweep) in [("shard_sweep", &points), ("batch_sweep", &batch_points)] {
+        let rows: Vec<String> = sweep.iter().map(OpenLoopPoint::json).collect();
         let _ = writeln!(
             json,
-            "      {{ \"shards\": {}, \"conns\": {}, \"batch\": {}, \"rps\": {:.1}, \
-             \"decided\": {}, \"overloaded\": {}, \"rtt_p50_us\": {:.2}, \
-             \"rtt_p99_us\": {:.2}, \"req_p50_us\": {:.3}, \"req_p99_us\": {:.3}, \
-             \"cross_shard_admits\": {} }}{}",
-            p.shards,
-            p.conns,
-            p.batch,
-            p.rps,
-            p.decided,
-            p.overloaded,
-            p.latency.p50 * 1e6,
-            p.latency.p99 * 1e6,
-            p.per_request.p50 * 1e6,
-            p.per_request.p99 * 1e6,
-            p.cross_shard_admits,
-            if i + 1 < points.len() { "," } else { "" }
+            "    \"{name}\": [\n      {}\n    ],",
+            rows.join(",\n      ")
         );
     }
-    let _ = writeln!(json, "    ],");
-    let _ = writeln!(json, "    \"batch_sweep\": [");
-    for (i, p) in batch_points.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "      {{ \"shards\": {}, \"batch\": {}, \"rps\": {:.1}, \
-             \"rtt_p50_us\": {:.2}, \"rtt_p99_us\": {:.2}, \
-             \"req_p50_us\": {:.3}, \"req_p99_us\": {:.3} }}{}",
-            p.shards,
-            p.batch,
-            p.rps,
-            p.latency.p50 * 1e6,
-            p.latency.p99 * 1e6,
-            p.per_request.p50 * 1e6,
-            p.per_request.p99 * 1e6,
-            if i + 1 < batch_points.len() { "," } else { "" }
-        );
-    }
-    let _ = writeln!(json, "    ],");
     let best_rps = points
         .iter()
         .chain(batch_points.iter())

@@ -213,8 +213,10 @@ pub struct ServeArgs {
     /// on an explicit `promote` control.
     pub auto_promote_ms: Option<u64>,
     /// Lanes (`--shards`): the cloudlets are partitioned across that
-    /// many schedulers, each with its own decide thread. 1 is the
-    /// bit-parity mode and the only one with snapshots and replication.
+    /// many schedulers, each with its own decide thread and sharing
+    /// nothing with the others. Each lane is bit-parity with the batch
+    /// engine over its own cloudlets and ids; 1 is the only count with
+    /// snapshots and replication.
     pub shards: usize,
     /// Flight-recorder dump directory (`--flight-dir`); the daemon
     /// writes `flight-<epoch>-<shard>.jsonl` there on panic, fencing,
@@ -629,7 +631,9 @@ loadgen side — plus):
   --auto-promote-ms <N> standby self-promotes after N ms of primary
                         silence (requires --standby)
   --shards <S>          partition the cloudlets across S lanes, each
-                        with its own scheduler and decide thread (one
+                        with its own scheduler and decide thread: lane
+                        s places ids = s (mod S) on cloudlets = s
+                        (mod S) and shares nothing with the others (one
                         daemon at any S; S > 1 is primal-dual only and
                         refuses --snapshot/--resume/--standby/
                         --replicate-to, which cover one scheduler) [1]

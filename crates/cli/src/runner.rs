@@ -786,10 +786,7 @@ pub fn serve(args: &ServeArgs, io: &mut Output<'_>) -> Result<(), CliError> {
         let (addr, daemon) = spawn_sharded(instance, args.sim.scheme, config)?;
         listening(io, addr)?;
         let r = join_daemon(daemon)?;
-        let tail = format!(
-            "{} shards, {} cross-shard admits",
-            args.shards, r.cross_shard_admits
-        );
+        let tail = format!("{} shards", args.shards);
         (r.stats, tail, false, r.per_shard_decided)
     };
 

@@ -237,6 +237,10 @@ impl CapacityLedger {
     /// [`CapacityLedger::commit_reservation`] and evaporates on
     /// [`CapacityLedger::cancel_reservation`].
     ///
+    /// Self-contained: no scheduler or daemon in this workspace reserves;
+    /// `tests/reserve_commit.rs` audits the protocol and the benchmark
+    /// times it (`core.ledger.reserve_commit_ns`).
+    ///
     /// Returns `None` (ledger untouched) when the window does not fit
     /// or `amount` is non-positive or non-finite.
     ///

@@ -105,51 +105,6 @@ impl<'a, S: TraceSink> OffsitePrimalDual<'a, S> {
         &mut self.sink
     }
 
-    /// Quote for placing one instance of `vnf` on `cloudlet` over the
-    /// inclusive window `[first, last]`: `(ratio, ln_coef)` where
-    /// `ratio = Σ_{t} λ_{tj} / (−ln_coef)` is the price per unit of
-    /// log-reliability (Alg. 2 line 4) and `ln_coef = ln(1 − r_f·r_c)`.
-    /// Lets an external coordinator (the sharded serving tier's
-    /// cross-shard step) run the payment test and ratio ordering against
-    /// this scheduler's prices without mutating anything.
-    pub fn site_quote(
-        &self,
-        vnf: mec_workload::VnfTypeId,
-        cloudlet: CloudletId,
-        first: usize,
-        last: usize,
-    ) -> (f64, f64) {
-        let ln_coef = self.instance.offsite_ln_coef(vnf, cloudlet);
-        let lambda_sum = self.prices.window_sum(cloudlet.index(), first, last);
-        (lambda_sum / (-ln_coef), ln_coef)
-    }
-
-    /// Applies the Eq. 67 dual-price update for one instance that an
-    /// external coordinator placed on `cloudlet` over the inclusive
-    /// window `(first, last)`. The capacity charge has already happened
-    /// through the ledger's reserve/commit path; this brings the dual
-    /// prices in line with it. `ln_coef` is the value
-    /// [`OffsitePrimalDual::site_quote`] returned for the site and
-    /// `ln_target = ln(1 − R_i)` for the placed request.
-    pub fn record_external_site(
-        &mut self,
-        cloudlet: CloudletId,
-        window: (usize, usize),
-        compute: f64,
-        ln_coef: f64,
-        ln_target: f64,
-        payment: f64,
-    ) {
-        let (first, last) = window;
-        let cap = self.ledger.capacity(cloudlet);
-        let factor = ln_target * compute / (ln_coef * cap);
-        let d = (last - first + 1) as f64;
-        self.prices
-            .update_window(cloudlet.index(), first, last, |l| {
-                l * (1.0 + factor) + factor * payment / d
-            });
-    }
-
     /// Emits the one decision event for the current `decide()` call.
     /// Callers must gate on `S::ENABLED` so the disabled build never
     /// constructs the event.

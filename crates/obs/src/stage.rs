@@ -2,10 +2,10 @@
 //! time them.
 //!
 //! A request travelling through the admission daemon crosses a fixed
-//! set of stages — parse, queue, dispatch, decide, cross-shard
-//! reserve/commit, replication-ack wait, reply write. Each stage is
-//! identified by a [`PipelineStage`] with a stable wire name, timed with
-//! a [`StageClock`], and recorded both as a per-shard latency histogram
+//! set of stages — parse, queue, dispatch, decide, replication-ack
+//! wait, reply write. Each stage is identified by a [`PipelineStage`]
+//! with a stable wire name, timed with a [`StageClock`], and recorded
+//! both as a per-shard latency histogram
 //! (always on; lock-free atomics) and, when a real [`crate::TraceSink`]
 //! is attached, as a [`crate::TraceEvent::StageSample`] on the trace
 //! stream. The `vnfrel serve-report` subcommand aggregates those
@@ -50,8 +50,9 @@ pub enum PipelineStage {
     Dispatch,
     /// The scheduler's `decide()` call itself.
     Decide,
-    /// Cross-shard rescue: quoting, reserving and committing capacity on
-    /// a remote shard's ledger.
+    /// Never observed: lanes share nothing, so no request reserves
+    /// capacity on another lane's ledger. The variant and its wire name
+    /// stay because the benchmark adapter names them.
     ReserveCommit,
     /// Waiting for the standby to ack the replicated decision frame
     /// before releasing the client reply.

@@ -38,7 +38,7 @@ use mec_obs::{
     TraceEvent,
 };
 use mec_sim::obs::EngineMetrics;
-use mec_topology::{CloudletId, Reliability};
+use mec_topology::Reliability;
 use mec_workload::{Horizon, Request, RequestId, VnfTypeId};
 use vnfrel::{OnlineScheduler, SchedulerState};
 
@@ -348,18 +348,6 @@ pub(crate) trait LaneSched: Sized {
     fn take_event(&mut self) -> Option<TraceEvent>;
     // Hands back an event nobody will read, for its buffers.
     fn recycle(&mut self, _event: DecisionEvent) {}
-    // Whether an infeasible reject here is worth offering to other lanes.
-    fn rescues(&self) -> bool {
-        false
-    }
-    // The cross-lane rescue; runs with no lane lock held.
-    fn rescue(_home: usize, _request: &Request, _p: &Pipeline<'_, Self>) -> Option<DecisionEvent> {
-        None
-    }
-    // Replays a foreign rescue's charge on this lane after a panic.
-    fn apply_external(&mut self, _site: &ExternalSite) {
-        unreachable!("only built off-site lanes log external sites");
-    }
     // Starts the decide threads of lanes 1..S: the one place that needs
     // `Send` lanes, which a caller-owned (`!Send`) lane never reaches.
     fn spawn_peers<'scope, 'env>(
@@ -398,28 +386,6 @@ fn decide_take<L: LaneSched>(
     }
 }
 
-// A foreign rescue's committed site, as the owner lane's recovery log
-// keeps it (ids are lane-local).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct ExternalSite {
-    pub local: CloudletId,
-    pub first: usize,
-    pub last: usize,
-    pub compute: f64,
-    pub ln_coef: f64,
-    pub ln_target: f64,
-    pub payment: f64,
-}
-
-pub(crate) enum RecoveryEntry {
-    // Decided under the home lock; replay re-decides it (same state +
-    // same input ⇒ same mutation and outcome).
-    Local(SubmitRequest),
-    // A foreign rescue's charge and price update; replay re-applies both
-    // directly (the rescuing request lives on another lane).
-    External(ExternalSite),
-}
-
 // Decisions between recovery-base compactions; bounds the replay a
 // panicked lane performs to at most this many re-decides.
 const RECOVERY_COMPACT: usize = 64;
@@ -437,33 +403,28 @@ pub(crate) struct Recent {
     pub line: Option<String>,
 }
 
-/// One lane's state, all behind the lane lock. The owner thread takes
-/// the lock uncontended; foreign threads touch it only on the (rare)
-/// cross-lane rescue path.
+/// One lane's state, all behind the lane lock. Only the owner thread
+/// decides on it; other threads take the lock to read its counters
+/// ([`Pipeline::stats`]).
 pub(crate) struct LaneCore<L> {
     pub sched: L,
     // Lowest id still accepted. Ids must increase, but gaps are legal:
     // an overloaded frame's ids are simply skipped, which is what lets
     // an open-loop driver keep going at saturation.
     pub next_id: usize,
-    // Arrival slot of the last request decided here: how far into the
-    // stream its prices have been driven (the rescue's frontier rule).
-    pub frontier: usize,
     // This lane's counters. Payments add up in decision order, so with
     // one lane revenue is the batch engine's to the bit.
     pub stats: ServeStats,
-    pub rescued: u64,
     // Times the supervisor healed this lane after a panic.
     pub restarts: u64,
     // The crash-consistency log: a periodically compacted base state
-    // plus the operations applied since, always in step with the
+    // plus the requests decided since, always in step with the
     // scheduler. After a panic the supervisor re-imports `base` and
-    // replays the suffix; the schedulers are deterministic, so the healed
-    // state is bit-identical to one that never panicked.
+    // re-decides the suffix; the schedulers are deterministic, so the
+    // healed state is bit-identical to one that never panicked.
     base: SchedulerState,
     base_next_id: usize,
-    base_frontier: usize,
-    pub suffix: Vec<RecoveryEntry>,
+    suffix: Vec<SubmitRequest>,
     // Recent decisions, oldest first, for idempotent resubmits.
     pub recent: VecDeque<Recent>,
 }
@@ -474,12 +435,9 @@ impl<L: LaneSched> LaneCore<L> {
             base: sched.sched().export_state(),
             sched,
             next_id: lane,
-            frontier: 0,
             stats: ServeStats::default(),
-            rescued: 0,
             restarts: 0,
             base_next_id: lane,
-            base_frontier: 0,
             suffix: Vec::new(),
             recent: VecDeque::new(),
         }
@@ -502,10 +460,7 @@ impl<L: LaneSched> LaneCore<L> {
         let span = self
             .suffix
             .iter()
-            .map(|entry| match entry {
-                RecoveryEntry::Local(msg) => (msg.arrival, msg.arrival + msg.duration - 1),
-                RecoveryEntry::External(site) => (site.first, site.last),
-            })
+            .map(|msg| (msg.arrival, msg.arrival + msg.duration - 1))
             .reduce(|(a, b), (first, last)| (a.min(first), b.max(last)));
         if let Some((first, last)) = span {
             let sched = self.sched.sched();
@@ -513,7 +468,6 @@ impl<L: LaneSched> LaneCore<L> {
         }
         debug_assert_eq!(self.base, self.sched.sched().export_state());
         self.base_next_id = self.next_id;
-        self.base_frontier = self.frontier;
         self.suffix.clear();
     }
 
@@ -532,18 +486,11 @@ impl<L: LaneSched> LaneCore<L> {
             .import_state(&self.base)
             .expect("the recovery base came from this scheduler");
         self.next_id = self.base_next_id;
-        self.frontier = self.base_frontier;
-        for entry in &self.suffix {
-            match entry {
-                RecoveryEntry::Local(msg) => {
-                    self.next_id = msg.id + lanes;
-                    self.frontier = msg.arrival;
-                    let request = build_request(msg, horizon)
-                        .expect("suffix requests were validated before their first decide");
-                    let _ = decide_take(&mut self.sched, &request);
-                }
-                RecoveryEntry::External(site) => self.sched.apply_external(site),
-            }
+        for msg in &self.suffix {
+            self.next_id = msg.id + lanes;
+            let request = build_request(msg, horizon)
+                .expect("suffix requests were validated before their first decide");
+            let _ = decide_take(&mut self.sched, &request);
         }
         self.suffix.len()
     }
@@ -1469,8 +1416,8 @@ pub(crate) enum Decided {
 }
 
 /// Decides one request on its home lane `s`: id rule → `build_request`
-/// → decide → recovery log → rescue if worthy → counters → dedupe ring.
-/// The home lock is held throughout, except across a rescue.
+/// → decide → recovery log → counters → dedupe ring, all under one take
+/// of the home lock.
 pub(crate) fn decide_one<L: LaneSched>(
     s: usize,
     msg: &SubmitRequest,
@@ -1505,40 +1452,13 @@ pub(crate) fn decide_one<L: LaneSched>(
         Err(text) => return refuse(text),
     };
     core.next_id = msg.id + lanes;
-    core.frontier = msg.arrival;
     let mut event = decide_take(&mut core.sched, &request)?;
-    // Admit or reject, both mutate the scheduler: log it for replay. (A
-    // rescue logs its foreign charges on the owning lanes itself.)
-    core.suffix.push(RecoveryEntry::Local(*msg));
+    // Admit or reject, both mutate the scheduler: log it for replay.
+    core.suffix.push(*msg);
     if core.suffix.len() >= RECOVERY_COMPACT {
         core.compact();
     }
-    let infeasible = matches!(
-        event.outcome,
-        Outcome::Reject {
-            reason: RejectReason::ReliabilityInfeasible,
-            ..
-        }
-    );
-    if infeasible && lanes > 1 && core.sched.rescues() {
-        // Never more than one lane lock at a time: no ordering, no deadlock.
-        drop(core);
-        let clock = StageClock::start();
-        let rescued = L::rescue(s, &request, p);
-        front.stage_obs(s, PipelineStage::ReserveCommit, clock.elapsed_ns());
-        core = p.lanes[s].lock().unwrap();
-        core.rescued += u64::from(rescued.is_some());
-        match rescued {
-            Some(rescued) => event = rescued,
-            None => {
-                event.outcome = Outcome::Reject {
-                    reason: RejectReason::ReliabilityInfeasible,
-                    dual_cost: None,
-                    margin: None,
-                }
-            }
-        }
-    } else if let Outcome::Admit { sites, .. } = &mut event.outcome {
+    if let Outcome::Admit { sites, .. } = &mut event.outcome {
         // Lane-local site ids to global ones: `global = local·S + s`.
         for site in sites {
             site.cloudlet = site.cloudlet * lanes + s;

@@ -6,32 +6,29 @@
 //! belongs to lane `j mod S`, and each lane runs its *own* primal-dual
 //! scheduler (own `DualPrices`, own `CapacityLedger`) over a
 //! sub-instance of only its cloudlets. Everything else is the daemon's;
-//! this module adds what exists because there is more than one
-//! scheduler: building them, and the cross-lane rescue — when a lane's
-//! own cloudlets cannot accumulate the required log-reliability, its
-//! decide thread quotes the sites of every lane whose stream has reached
-//! the request's arrival slot, then two-phase reserves and commits
-//! capacity on the foreign ledgers (see `rescue_offsite`).
+//! this module only builds the schedulers.
 //!
-//! What `S > 1` relaxes (DESIGN.md §14): arrival-order bit-parity with
-//! the batch engine becomes *per-lane* arrival order, a rescue prices
-//! foreign sites against `λ` that may be stale by the time it commits,
-//! and snapshots and replication — which cover one scheduler — are
-//! refused at start-up. `shards = 1` relaxes nothing and is bit-identical
-//! to [`crate::serve`] over the same scheduler.
+//! Lanes share nothing: lane `s` is Algorithm 1 or 2 over the cloudlets
+//! `j ≡ s (mod S)`, fed the ids `≡ s (mod S)`, so its final state and
+//! revenue are a batch `Simulation::run` over [`build_shard_instances`]`[s]`
+//! and that sub-stream, to the bit, however the lanes' threads interleave.
+//! What `S > 1` relaxes (DESIGN.md §14): arrival-order bit-parity with the
+//! batch engine becomes *per-lane*, a request is placed on its home lane's
+//! cloudlets or not at all, and snapshots and replication — which cover
+//! one scheduler — are refused at start-up. `shards = 1` relaxes nothing
+//! and is bit-identical to [`crate::serve`] over the same scheduler.
 
 use std::net::SocketAddr;
 use std::sync::mpsc;
 use std::thread::{Scope, ScopedJoinHandle};
 
-use mec_obs::{DecisionEvent, LastEventSink, MetricsRegistry, Outcome, SitePlacement, TraceEvent};
-use mec_topology::{CloudletId, NetworkBuilder};
-use mec_workload::{Request, VnfCatalog};
+use mec_obs::{DecisionEvent, LastEventSink, MetricsRegistry, TraceEvent};
+use mec_topology::NetworkBuilder;
 use vnfrel::offsite::OffsitePrimalDual;
 use vnfrel::onsite::{CapacityPolicy, OnsitePrimalDual};
 use vnfrel::{OnlineScheduler, ProblemInstance, SchedulerState, Scheme};
 
-use crate::daemon::{run, supervise, ExternalSite, LaneCore, LaneSched, Pipeline, RecoveryEntry};
+use crate::daemon::{run, supervise, LaneCore, LaneSched, Pipeline};
 use crate::error::ServeError;
 use crate::metrics::ServeMetricIds;
 use crate::protocol::ServeStats;
@@ -49,8 +46,8 @@ pub struct ShardedReport {
     pub stats: ServeStats,
     /// Requests decided per shard, dense by shard index.
     pub per_shard_decided: Vec<u64>,
-    /// Off-site admissions completed by the cross-shard
-    /// reserve/commit rescue path.
+    /// Always 0: lanes share nothing, so no admission crosses one. Kept
+    /// because the benchmark adapter reads the field.
     pub cross_shard_admits: u64,
     /// Decide threads restarted by the panic supervisor (one per
     /// `chaos-panic` frame honoured, or per genuine decide-thread bug).
@@ -65,46 +62,29 @@ pub struct ShardedReport {
 // decision event readable without a shared tap.
 enum BuiltSched<'i> {
     Onsite(OnsitePrimalDual<'i, LastEventSink>),
-    Offsite(OffsitePrimalDual<'i, LastEventSink>, &'i VnfCatalog),
+    Offsite(OffsitePrimalDual<'i, LastEventSink>),
 }
 
 impl LaneSched for BuiltSched<'_> {
     fn sched(&mut self) -> &mut dyn OnlineScheduler {
         match self {
             BuiltSched::Onsite(s) => s,
-            BuiltSched::Offsite(s, _) => s,
+            BuiltSched::Offsite(s) => s,
         }
     }
 
     fn take_event(&mut self) -> Option<TraceEvent> {
         match self {
             BuiltSched::Onsite(s) => s.sink_mut().take(),
-            BuiltSched::Offsite(s, _) => s.sink_mut().take(),
+            BuiltSched::Offsite(s) => s.sink_mut().take(),
         }
     }
 
     fn recycle(&mut self, event: DecisionEvent) {
         match self {
             BuiltSched::Onsite(s) => s.sink_mut().recycle(event),
-            BuiltSched::Offsite(s, _) => s.sink_mut().recycle(event),
+            BuiltSched::Offsite(s) => s.sink_mut().recycle(event),
         }
-    }
-
-    fn rescues(&self) -> bool {
-        matches!(self, BuiltSched::Offsite(..))
-    }
-
-    fn rescue(home: usize, request: &Request, p: &Pipeline<'_, Self>) -> Option<DecisionEvent> {
-        rescue_offsite(home, request, p)
-    }
-
-    fn apply_external(&mut self, site: &ExternalSite) {
-        let BuiltSched::Offsite(s, _) = self else {
-            unreachable!("external sites only exist in off-site mode");
-        };
-        s.ledger_mut()
-            .charge(site.local, site.first..site.last + 1, site.compute);
-        price_external(s, site);
     }
 
     fn spawn_peers<'scope, 'env>(
@@ -119,11 +99,15 @@ impl LaneSched for BuiltSched<'_> {
     }
 }
 
-// The per-shard sub-instances: shard `s` holds every cloudlet `j` with
-// `j mod shards == s`, keeping its capacity and reliability; local id `l`
-// on shard `s` is global cloudlet `l·S + s`. A shard with no cloudlets
-// cannot schedule anything, hence the bound on `shards`.
-fn build_shard_instances(
+/// The per-shard sub-instances: shard `s` holds every cloudlet `j` with
+/// `j mod shards == s`, keeping its capacity and reliability; local id `l`
+/// on shard `s` is global cloudlet `l·S + s`.
+///
+/// # Errors
+///
+/// [`ServeError::Config`] unless `1 <= shards <= cloudlet_count`: a shard
+/// with no cloudlets cannot schedule anything.
+pub fn build_shard_instances(
     instance: &ProblemInstance,
     shards: usize,
 ) -> Result<Vec<ProblemInstance>, ServeError> {
@@ -185,10 +169,9 @@ pub fn serve_sharded(
                 OnsitePrimalDual::with_sink(sub, CapacityPolicy::Enforce, LastEventSink::new())
                     .map_err(|e| ServeError::Config(e.to_string()))?,
             ),
-            Scheme::OffSite => BuiltSched::Offsite(
-                OffsitePrimalDual::with_sink(sub, LastEventSink::new()),
-                sub.catalog(),
-            ),
+            Scheme::OffSite => {
+                BuiltSched::Offsite(OffsitePrimalDual::with_sink(sub, LastEventSink::new()))
+            }
         };
         lanes.push(LaneCore::new(sched, s));
     }
@@ -197,176 +180,8 @@ pub fn serve_sharded(
         local_addr: report.local_addr,
         stats: report.stats,
         per_shard_decided: lanes.iter().map(|l| l.stats.decided).collect(),
-        cross_shard_admits: lanes.iter().map(|l| l.rescued).sum(),
+        cross_shard_admits: 0,
         shard_restarts: lanes.iter().map(|l| l.restarts).sum(),
         shard_states: lanes.into_iter().map(LaneCore::into_state).collect(),
-    })
-}
-
-// The owner's Eq. 67 price update for a site a foreign rescue charged.
-fn price_external(sched: &mut OffsitePrimalDual<'_, LastEventSink>, site: &ExternalSite) {
-    sched.record_external_site(
-        site.local,
-        (site.first, site.last),
-        site.compute,
-        site.ln_coef,
-        site.ln_target,
-        site.payment,
-    );
-}
-
-// A quoted off-site candidate during a cross-shard rescue.
-struct RescueSite {
-    shard: usize,
-    local: CloudletId,
-    global: usize,
-    ratio: f64,
-    ln_coef: f64,
-}
-
-// The cross-shard rescue: Algorithm 2's selection re-run over the whole
-// fleet with two-phase capacity holds, one lane lock at a time.
-//
-// 1. *Quote* (read-only): every cloudlet's price ratio and
-//    ln-coefficient, filtered by `pay + ln_target·compute·ratio > 0`.
-// 2. *Reserve*: scan survivors in (ratio, global id) order;
-//    `try_reserve_window` re-checks capacity under the owner's lock and
-//    places a hold, until `Σ ln_coef` reaches `ln_target = ln(1 − R_i)`.
-// 3. *Commit or cancel*: every hold becomes a charge and the owner's
-//    prices take the Eq. 67 update, or every hold is cancelled.
-//
-// Prices quoted in step 1 may be stale by step 3 (the documented
-// relaxation); capacity is never oversubscribed, the reserve re-checks it.
-fn rescue_offsite(
-    home: usize,
-    request: &Request,
-    p: &Pipeline<'_, BuiltSched<'_>>,
-) -> Option<DecisionEvent> {
-    let shards = p.lanes.len();
-    let vnf = request.vnf();
-    let first = request.arrival();
-    let last = first + request.duration() - 1;
-    let payment = request.payment();
-    let ln_target = request.reliability_requirement().ln_failure();
-    let compute = match &p.lanes[home].lock().unwrap().sched {
-        BuiltSched::Offsite(_, catalog) => catalog.get(vnf)?.compute() as f64,
-        BuiltSched::Onsite(_) => return None,
-    };
-
-    // Phase 1. A shard whose frontier is behind this request's arrival
-    // has not been offered the window yet — its prices there are still
-    // zero, whatever its own stream is about to ask of them — so its
-    // quote would sell the slower shard's future at no price. Skip it.
-    let mut sites: Vec<RescueSite> = Vec::new();
-    for (s, lane) in p.lanes.iter().enumerate() {
-        let core = lane.lock().unwrap();
-        if core.frontier < first {
-            continue;
-        }
-        let BuiltSched::Offsite(sched, _) = &core.sched else {
-            return None;
-        };
-        for l in 0..sched.ledger().cloudlet_count() {
-            let local = CloudletId(l);
-            let (ratio, ln_coef) = sched.site_quote(vnf, local, first, last);
-            if payment + ln_target * compute * ratio > 0.0 {
-                sites.push(RescueSite {
-                    shard: s,
-                    local,
-                    global: l * shards + s,
-                    ratio,
-                    ln_coef,
-                });
-            }
-        }
-    }
-    // The home shard just failed on its own sites under a looser target:
-    // without a foreign quote there is nothing to add.
-    if sites.iter().all(|site| site.shard == home) {
-        return None;
-    }
-    sites.sort_by(|a, b| {
-        a.ratio
-            .partial_cmp(&b.ratio)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.global.cmp(&b.global))
-    });
-
-    // Phase 2: reserve until the log-reliability target is met.
-    let mut ln_sum = 0.0f64;
-    let mut held: Vec<(vnfrel::ReservationId, RescueSite)> = Vec::new();
-    for site in sites {
-        if ln_sum <= ln_target {
-            break;
-        }
-        let mut core = p.lanes[site.shard].lock().unwrap();
-        let ledger = core.sched.sched().ledger_mut();
-        if let Some(rid) = ledger.try_reserve_window(site.local, first, last, compute) {
-            ln_sum += site.ln_coef;
-            drop(core);
-            held.push((rid, site));
-        }
-    }
-
-    if ln_sum > ln_target {
-        // Unreachable target: cancel every hold, reject.
-        for (rid, site) in held {
-            let mut core = p.lanes[site.shard].lock().unwrap();
-            core.sched
-                .sched()
-                .ledger_mut()
-                .cancel_reservation(rid)
-                .expect("rescue holds are cancelled exactly once");
-        }
-        return None;
-    }
-
-    // Phase 3: commit every hold and bring the owners' prices in line.
-    let mut placements: Vec<SitePlacement> = Vec::with_capacity(held.len());
-    let mut total_cost = 0.0f64;
-    let mut worst_ratio = 0.0f64;
-    for (rid, site) in held {
-        let mut core = p.lanes[site.shard].lock().unwrap();
-        let BuiltSched::Offsite(sched, _) = &mut core.sched else {
-            unreachable!("rescue only runs in off-site mode");
-        };
-        sched
-            .ledger_mut()
-            .commit_reservation(rid)
-            .expect("rescue holds are committed exactly once");
-        let charged = ExternalSite {
-            local: site.local,
-            first,
-            last,
-            compute,
-            ln_coef: site.ln_coef,
-            ln_target,
-            payment,
-        };
-        price_external(sched, &charged);
-        // Logged under the owner's lock, so a panicked owner replays it.
-        core.suffix.push(RecoveryEntry::External(charged));
-        let dual_cost = site.ratio * (-site.ln_coef);
-        total_cost += dual_cost;
-        worst_ratio = worst_ratio.max(site.ratio);
-        placements.push(SitePlacement {
-            cloudlet: site.global,
-            instances: 1,
-            dual_cost,
-        });
-    }
-    Some(DecisionEvent {
-        request: request.id().index(),
-        algorithm: "alg2-primal-dual".to_string(),
-        scheme: "offsite".to_string(),
-        slot: request.arrival(),
-        payment,
-        outcome: Outcome::Admit {
-            dual_cost: total_cost,
-            // Algorithm 2's margin is its δ_i bookkeeping value (Eq. 66,
-            // computed from the worst accepted ratio), not pay − cost.
-            margin: payment + ln_target * compute * worst_ratio,
-            sites: placements,
-        },
     })
 }

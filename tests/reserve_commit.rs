@@ -1,5 +1,6 @@
-//! Two-phase reservation audit: the reserve/commit protocol behind the
-//! sharded daemon's cross-shard rescue must never double-charge a
+//! Two-phase reservation audit: `CapacityLedger`'s reserve/commit
+//! protocol (a self-contained primitive; the daemon's lanes share
+//! nothing and never call it) must never double-charge a
 //! cloudlet, never leak a hold, and never persist an in-flight hold as
 //! a committed charge across snapshot/restore (the kill-mid-reserve
 //! case). Exercised three ways: a multi-threaded hammer over one shared

@@ -4,8 +4,8 @@
 //! real save pipeline, the typed loadgen deadline, and the sharded
 //! tier's self-healing contract (a supervised restart after an injected
 //! panic must end revenue-bit-identical to an un-chaosed run, and — with
-//! span-compacted recovery bases and cross-shard charges in the replayed
-//! suffix — state-bit-identical too).
+//! span-compacted recovery bases under the replayed suffix —
+//! state-bit-identical too).
 
 #[path = "serve_common.rs"]
 mod common;
@@ -196,43 +196,31 @@ fn supervised_restart_after_injected_panic_is_revenue_bit_identical() {
 }
 
 /// What one shard's recovery log must hold, reconstructed from the
-/// replies alone: one Local entry per request decided on its home shard
-/// (the one that brings the suffix to `RECOVERY_COMPACT` folds it into
-/// the base), one External entry per site of a cross-shard admission on
-/// the site's owner. A local admission never leaves the home shard.
+/// stream alone: one entry per request decided on its home shard; the
+/// one that brings the suffix to `RECOVERY_COMPACT` folds it into the
+/// base. Nothing a request does ever leaves its home shard.
 #[derive(Default, Clone, Copy)]
 struct RecoveryLogModel {
     suffix: usize,
-    externals: usize,
     compactions: usize,
 }
 
 impl RecoveryLogModel {
-    // `RECOVERY_COMPACT` in shard.rs.
+    // `RECOVERY_COMPACT` in daemon.rs.
     const COMPACT: usize = 64;
 
-    fn note(logs: &mut [Self], request: &mec_workload::Request, event: &mec_obs::DecisionEvent) {
-        let shards = logs.len();
-        let home = &mut logs[request.id().index() % shards];
+    fn note(logs: &mut [Self], request: &mec_workload::Request) {
+        let home = &mut logs[request.id().index() % logs.len()];
         home.suffix += 1;
         if home.suffix >= Self::COMPACT {
-            *home = RecoveryLogModel {
-                compactions: home.compactions + 1,
-                ..Self::default()
-            };
+            home.suffix = 0;
+            home.compactions += 1;
         }
-        let mec_obs::Outcome::Admit { sites, .. } = &event.outcome else {
-            return;
-        };
-        if sites
-            .iter()
-            .any(|s| s.cloudlet % shards != request.id().index() % shards)
-        {
-            for site in sites {
-                logs[site.cloudlet % shards].suffix += 1;
-                logs[site.cloudlet % shards].externals += 1;
-            }
-        }
+    }
+
+    // Span-compacted three times, with half a suffix to replay on top.
+    fn ripe(&self) -> bool {
+        self.compactions >= 3 && self.suffix >= Self::COMPACT / 2
     }
 }
 
@@ -240,9 +228,9 @@ impl RecoveryLogModel {
 /// touched, never re-exported whole — so a base that missed a cell would
 /// only show after a restore. Drive an off-site S = 2 daemon in
 /// lock-step until both shards have compacted at least three times and
-/// both suffixes hold a cross-shard (`External`) charge, kill both
-/// decide threads, finish the stream, and compare every shard's final
-/// state with an unpanicked twin's, bit for bit.
+/// hold half a suffix each, kill both decide threads, finish the stream,
+/// and compare every shard's final state with an unpanicked twin's, bit
+/// for bit.
 #[test]
 fn restore_after_span_compactions_rebuilds_the_twins_state_bit_for_bit() {
     use mec_serve::ControlAction;
@@ -259,10 +247,9 @@ fn restore_after_span_compactions_rebuilds_the_twins_state_bit_for_bit() {
         let mut logs = [RecoveryLogModel::default(); SHARDS];
         let mut panicked = false;
         for request in &reqs {
-            let event = common::decide(&mut conn, request);
-            RecoveryLogModel::note(&mut logs, request, &event);
-            let ripe = logs.iter().all(|l| l.compactions >= 3 && l.externals >= 1);
-            if chaos && ripe && !panicked {
+            common::decide(&mut conn, request);
+            RecoveryLogModel::note(&mut logs, request);
+            if chaos && !panicked && logs.iter().all(RecoveryLogModel::ripe) {
                 for shard in 0..SHARDS {
                     conn.control(ControlAction::ChaosPanic(shard)).unwrap();
                 }
@@ -276,24 +263,20 @@ fn restore_after_span_compactions_rebuilds_the_twins_state_bit_for_bit() {
     let (healed, panicked) = run(true);
     assert!(
         panicked,
-        "the stream never left both suffixes holding an External entry after three compactions"
+        "the stream never left both shards three compactions in with half a suffix to replay"
     );
     let (twin, _) = run(false);
 
     assert_eq!(healed.shard_restarts, SHARDS as u64);
     assert_eq!(twin.shard_restarts, 0);
     assert_eq!(healed.stats.revenue.to_bits(), twin.stats.revenue.to_bits());
-    let bits = |grid: &[f64]| grid.iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
     for (s, (a, b)) in healed
         .shard_states
         .iter()
         .zip(&twin.shard_states)
         .enumerate()
     {
-        assert_eq!(bits(&a.used), bits(&b.used), "shard {s}: usage grid");
-        assert_eq!(bits(&a.lambda), bits(&b.lambda), "shard {s}: dual prices");
-        assert_eq!(a.sum_delta.to_bits(), b.sum_delta.to_bits(), "shard {s}");
-        assert_eq!(a.counters, b.counters, "shard {s}: rejection counters");
+        common::assert_states_bit_equal(a, b, &format!("shard {s}"));
         assert!(
             a.lambda.iter().any(|&l| l != 0.0),
             "shard {s} never priced anything"

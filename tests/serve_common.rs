@@ -96,6 +96,16 @@ pub fn decide(conn: &mut LineClient, request: &Request) -> DecisionEvent {
     }
 }
 
+/// Two scheduler states equal to the bit: both grids and `Σ δ` by
+/// `to_bits`, and the rejection counters.
+pub fn assert_states_bit_equal(a: &SchedulerState, b: &SchedulerState, what: &str) {
+    let bits = |grid: &[f64]| grid.iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
+    assert_eq!(bits(&a.used), bits(&b.used), "{what}: usage grid");
+    assert_eq!(bits(&a.lambda), bits(&b.lambda), "{what}: dual prices");
+    assert_eq!(a.sum_delta.to_bits(), b.sum_delta.to_bits(), "{what}");
+    assert_eq!(a.counters, b.counters, "{what}: rejection counters");
+}
+
 /// A loopback address nothing listens on (bound, then released): a dead
 /// peer, or where a daemon that only boots later will listen.
 pub fn unused_addr() -> String {

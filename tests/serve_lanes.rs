@@ -11,7 +11,10 @@ use std::io::{Read as _, Write as _};
 use std::net::{TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
-use common::{raw, scenario, sharded_config, spawn_daemon, spawn_sharded, submit_raw, Algo};
+use common::{
+    assert_states_bit_equal, raw, scenario, sharded_config, spawn_daemon, spawn_sharded,
+    submit_raw, Algo,
+};
 use mec_serve::{
     encode_batch_into, encode_client, is_batch_reply, parse_batch_reply_into, parse_server,
     referee, serve_sharded, AckRecord, ChaosArtifacts, ClientMsg, ControlAction, LineClient,
@@ -19,17 +22,6 @@ use mec_serve::{
     BATCH_REJECT,
 };
 use vnfrel::{SchedulerState, Scheme};
-
-fn bits(grid: &[f64]) -> Vec<u64> {
-    grid.iter().map(|v| v.to_bits()).collect()
-}
-
-fn assert_states_bit_equal(a: &SchedulerState, b: &SchedulerState, what: &str) {
-    assert_eq!(bits(&a.used), bits(&b.used), "{what}: usage grid");
-    assert_eq!(bits(&a.lambda), bits(&b.lambda), "{what}: dual prices");
-    assert_eq!(a.sum_delta.to_bits(), b.sum_delta.to_bits(), "{what}");
-    assert_eq!(a.counters, b.counters, "{what}: rejection counters");
-}
 
 /// `chaos-panic 0` against `serve()`: the supervisor re-imports lane 0's
 /// recovery base into the caller's scheduler and replays the suffix. The
