@@ -4,7 +4,10 @@ use mec_obs::{TraceEvent, TraceSink};
 use mec_topology::{CloudletId, Reliability};
 use mec_workload::{Request, TimeSlot};
 use vnfrel::reliability::onsite_availability;
-use vnfrel::{validate_schedule, OnlineScheduler, ProblemInstance, Schedule, ValidationReport};
+use vnfrel::{
+    validate_schedule, CapacityLedger, OnlineScheduler, ProblemInstance, Schedule, Scheme,
+    ValidationReport,
+};
 
 use crate::audit::{AuditReport, Auditor, LiveView};
 use crate::fault::{DomainEvent, FailureEvent, FailureProcess};
@@ -29,6 +32,21 @@ pub enum IntraSlotOrder {
     PaymentDescending,
     /// Largest payment per unit-slot of demand first (`pay/(c·d)`).
     DensityDescending,
+}
+
+impl IntraSlotOrder {
+    /// What a slot's batch is sorted by, largest first and ties in id
+    /// order; `None` for arrival order, which needs no sort.
+    fn sort_key(self) -> Option<fn(&ProblemInstance, &Request) -> f64> {
+        match self {
+            IntraSlotOrder::Arrival => None,
+            IntraSlotOrder::PaymentDescending => Some(|_, r| r.payment()),
+            IntraSlotOrder::DensityDescending => Some(|instance, r| {
+                let c = instance.catalog().get(r.vnf()).map_or(1, |v| v.compute());
+                r.payment() / (c as f64 * r.duration() as f64)
+            }),
+        }
+    }
 }
 
 /// Result of one simulated run.
@@ -166,7 +184,8 @@ pub struct FaultRunReport {
 }
 
 /// Live placement state of one admitted request during a fault-aware run.
-struct LiveReq {
+struct LiveReq<'r> {
+    request: &'r Request,
     /// Surviving instances per hosting cloudlet index.
     sites: Vec<(usize, u32)>,
     /// Computing units one instance consumes per slot.
@@ -175,20 +194,15 @@ struct LiveReq {
     vnf_rel: Reliability,
     /// Slot of the unrecovered failure, `None` while the placement holds.
     down_since: Option<TimeSlot>,
-    downtime_slots: usize,
-    failures: usize,
-    recovery_attempts: usize,
-    recoveries: usize,
-    repair_latency_slots: usize,
-    /// The load shedder evicted this request; it stays down for good.
-    evicted: bool,
+    /// The SLA record being kept; an evicted request stays down for good.
+    sla: SlaRecord,
     /// Re-placement attempts spent on the current failure episode.
     episode_attempts: usize,
     /// Earliest slot the next re-placement attempt may run (backoff).
     retry_at: TimeSlot,
 }
 
-impl LiveReq {
+impl LiveReq<'_> {
     fn sites_of(placement: &vnfrel::Placement) -> Vec<(usize, u32)> {
         match placement {
             vnfrel::Placement::OnSite {
@@ -199,6 +213,60 @@ impl LiveReq {
                 cloudlets.iter().map(|c| (c.index(), 1)).collect()
             }
         }
+    }
+
+    /// Position in `sites` of the site on cloudlet `j`.
+    fn site_on(&self, j: usize) -> Option<usize> {
+        self.sites.iter().position(|&(c, _)| c == j)
+    }
+
+    /// Returns to the ledger what `sites` (of this request) hold from
+    /// slot `t` to the end of the window.
+    fn release(
+        &self,
+        ledger: &mut CapacityLedger,
+        sites: &[(usize, u32)],
+        t: TimeSlot,
+    ) -> Result<(), SimError> {
+        for &(j, n) in sites {
+            let amount = f64::from(n) * self.per_instance;
+            ledger.release(CloudletId(j), t..=self.request.end_slot(), amount)?;
+        }
+        Ok(())
+    }
+
+    /// Releases every surviving site from `t` on and marks the request
+    /// down since `t`.
+    fn tear_down(&mut self, ledger: &mut CapacityLedger, t: TimeSlot) -> Result<(), SimError> {
+        self.release(ledger, &self.sites, t)?;
+        self.sites.clear();
+        self.down_since = Some(t);
+        Ok(())
+    }
+}
+
+/// Aggregate statistics at the end of either slot loop.
+fn run_metrics<S: OnlineScheduler + ?Sized>(
+    scheduler: &S,
+    schedule: &Schedule,
+    total: usize,
+) -> RunMetrics {
+    RunMetrics {
+        algorithm: scheduler.name().to_string(),
+        revenue: schedule.revenue(),
+        admitted: schedule.admitted_count(),
+        total,
+        mean_utilization: scheduler.ledger().mean_utilization(),
+        max_overflow: scheduler.ledger().max_overflow(),
+        dual_bound: None,
+    }
+}
+
+/// Records a trace event, building it only when the sink listens.
+#[inline]
+fn emit<K: TraceSink>(sink: &mut K, event: impl FnOnce() -> TraceEvent) {
+    if K::ENABLED {
+        sink.record(event());
     }
 }
 
@@ -261,8 +329,9 @@ pub(crate) fn surviving_availability(
 pub struct Simulation<'a> {
     instance: &'a ProblemInstance,
     requests: &'a [Request],
-    /// Request indices grouped by arrival slot.
-    by_slot: Vec<Vec<usize>>,
+    /// `T + 1` offsets into the arrival-sorted stream: slot `t`'s
+    /// arrivals are `requests[slot_start[t]..slot_start[t + 1]]`.
+    slot_start: Vec<usize>,
 }
 
 impl<'a> Simulation<'a> {
@@ -271,17 +340,26 @@ impl<'a> Simulation<'a> {
     /// # Errors
     ///
     /// Returns a wrapped [`vnfrel::VnfrelError`] when the requests do not
-    /// fit the instance (non-dense ids, unknown VNFs, bad windows).
+    /// fit the instance (non-dense ids, unknown VNFs, bad windows) and
+    /// [`SimError::Mismatch`] when their arrivals decrease: ids are the
+    /// arrival order, and every run records decisions in it.
     pub fn new(instance: &'a ProblemInstance, requests: &'a [Request]) -> Result<Self, SimError> {
         instance.check_requests(requests)?;
-        let mut by_slot = vec![Vec::new(); instance.horizon().len()];
-        for (i, r) in requests.iter().enumerate() {
-            by_slot[r.arrival()].push(i);
+        if requests.windows(2).any(|w| w[0].arrival() > w[1].arrival()) {
+            return Err(SimError::Mismatch("requests must be sorted by arrival"));
+        }
+        let slots = instance.horizon().len();
+        let mut slot_start = vec![0; slots + 1];
+        for r in requests {
+            slot_start[r.arrival() + 1] += 1;
+        }
+        for t in 0..slots {
+            slot_start[t + 1] += slot_start[t];
         }
         Ok(Simulation {
             instance,
             requests,
-            by_slot,
+            slot_start,
         })
     }
 
@@ -293,6 +371,11 @@ impl<'a> Simulation<'a> {
     /// The request stream.
     pub fn requests(&self) -> &[Request] {
         self.requests
+    }
+
+    /// The requests arriving in slot `t`, in id order.
+    fn arrivals(&self, t: TimeSlot) -> &'a [Request] {
+        &self.requests[self.slot_start[t]..self.slot_start[t + 1]]
     }
 
     /// Replays the stream through `scheduler` in arrival order and
@@ -328,18 +411,17 @@ impl<'a> Simulation<'a> {
         let mut timeline = vec![SlotStats::default(); self.instance.horizon().len()];
         let mut cumulative_revenue = Vec::with_capacity(self.instance.horizon().len());
 
-        let mut decide = |i: usize| match metrics {
+        let mut decide = |r: &Request| match metrics {
             Some(m) => {
                 let start = Instant::now();
-                let d = scheduler.decide(&self.requests[i]);
+                let d = scheduler.decide(r);
                 m.observe_decide(start.elapsed().as_secs_f64());
                 d
             }
-            None => scheduler.decide(&self.requests[i]),
+            None => scheduler.decide(r),
         };
         let mut record =
-            |schedule: &mut Schedule, t: usize, i: usize, decision: vnfrel::Decision| {
-                let r = &self.requests[i];
+            |schedule: &mut Schedule, t: usize, r: &Request, decision: vnfrel::Decision| {
                 timeline[t].arrivals += 1;
                 if decision.is_admit() {
                     timeline[t].admitted += 1;
@@ -350,60 +432,32 @@ impl<'a> Simulation<'a> {
                 schedule.record(r, decision);
             };
 
-        // Requests carry dense ids in arrival order, so iterating slots
-        // and, within each slot, id order reproduces the arrival sequence.
+        let sort_key = order.sort_key();
         for t in self.instance.horizon().slots() {
-            let reordered: Option<Vec<usize>> = match order {
-                IntraSlotOrder::Arrival => None,
-                IntraSlotOrder::PaymentDescending => {
-                    let mut batch = self.by_slot[t].clone();
-                    batch.sort_by(|&a, &b| {
-                        self.requests[b]
-                            .payment()
-                            .partial_cmp(&self.requests[a].payment())
-                            .expect("payments are finite")
-                            .then(a.cmp(&b))
-                    });
-                    Some(batch)
-                }
-                IntraSlotOrder::DensityDescending => {
-                    let density = |i: usize| {
-                        let r = &self.requests[i];
-                        let c = self
-                            .instance
-                            .catalog()
-                            .get(r.vnf())
-                            .map(|v| v.compute())
-                            .unwrap_or(1);
-                        r.payment() / (c as f64 * r.duration() as f64)
-                    };
-                    let mut batch = self.by_slot[t].clone();
-                    batch.sort_by(|&a, &b| {
-                        density(b)
-                            .partial_cmp(&density(a))
-                            .expect("densities are finite")
-                            .then(a.cmp(&b))
-                    });
-                    Some(batch)
-                }
-            };
-            match reordered {
+            match sort_key {
                 // Arrival order is id order is recording order: decide
-                // and record straight off the slot's list.
+                // and record straight off the slot's arrivals.
                 None => {
-                    for &i in &self.by_slot[t] {
-                        let decision = decide(i);
-                        record(&mut schedule, t, i, decision);
+                    for r in self.arrivals(t) {
+                        let decision = decide(r);
+                        record(&mut schedule, t, r, decision);
                     }
                 }
                 // Decide in the chosen order, but record in id order
                 // (the Schedule requires dense recording).
-                Some(batch) => {
-                    let mut decisions: Vec<(usize, vnfrel::Decision)> =
-                        batch.into_iter().map(|i| (i, decide(i))).collect();
-                    decisions.sort_by_key(|&(i, _)| i);
-                    for (i, decision) in decisions {
-                        record(&mut schedule, t, i, decision);
+                Some(key) => {
+                    let mut batch: Vec<&Request> = self.arrivals(t).iter().collect();
+                    batch.sort_by(|a, b| {
+                        key(self.instance, b)
+                            .partial_cmp(&key(self.instance, a))
+                            .expect("sort keys are finite")
+                            .then(a.id().index().cmp(&b.id().index()))
+                    });
+                    let mut decisions: Vec<(&Request, vnfrel::Decision)> =
+                        batch.into_iter().map(|r| (r, decide(r))).collect();
+                    decisions.sort_by_key(|(r, _)| r.id().index());
+                    for (r, decision) in decisions {
+                        record(&mut schedule, t, r, decision);
                     }
                 }
             }
@@ -431,18 +485,9 @@ impl<'a> Simulation<'a> {
                 m.set_utilization(j, mean);
             }
         }
-        let metrics = RunMetrics {
-            algorithm: scheduler.name().to_string(),
-            revenue: schedule.revenue(),
-            admitted: schedule.admitted_count(),
-            total: self.requests.len(),
-            mean_utilization: scheduler.ledger().mean_utilization(),
-            max_overflow: scheduler.ledger().max_overflow(),
-            dual_bound: None,
-        };
         Ok(RunReport {
+            metrics: run_metrics(scheduler, &schedule, self.requests.len()),
             schedule,
-            metrics,
             validation,
             timeline,
             cumulative_revenue,
@@ -452,29 +497,47 @@ impl<'a> Simulation<'a> {
     /// Replays the stream through `scheduler` while the outage trace in
     /// `failures` unfolds, reacting online with `policy`.
     ///
-    /// Each slot proceeds in five steps:
+    /// The loop keeps one *active set* — the admitted requests whose
+    /// window has not ended, in id order. A request joins it on
+    /// admission and leaves it at the top of the first slot past its
+    /// window, and every step walks that set: a slot costs in proportion
+    /// to the requests alive in it, not to the requests offered. Each
+    /// slot runs nine steps, one private function each:
     ///
-    /// 1. **Events** — this slot's [`FailureEvent`]s are applied. A
-    ///    crashed cloudlet takes every instance hosted there down with
-    ///    it; the dead placement's remaining capacity is
-    ///    [released](vnfrel::CapacityLedger::release) so survivors and
-    ///    future arrivals can reuse it. An [`FailureEvent::InstanceKill`]
-    ///    resolves its selector against the instances actually hosted on
-    ///    that cloudlet (in request-id order) and kills exactly one.
-    /// 2. **Arrivals** — the slot's requests are offered to the
-    ///    (outage-blind) scheduler one by one, exactly as in
-    ///    [`Simulation::run`]; sites that an admission places on a
+    /// 1. **Lift cascades** (`lift_cascades`) — cascade outages whose
+    ///    forced window ended are lifted, unless the base process still
+    ///    holds the cloudlet down.
+    /// 2. **Events** (`apply_events`) — this slot's [`FailureEvent`]s are
+    ///    applied. A crashed cloudlet takes every instance hosted there
+    ///    down with it (`take_down`); the dead placement's remaining
+    ///    capacity is [released](vnfrel::CapacityLedger::release) so
+    ///    survivors and future arrivals can reuse it. An
+    ///    [`FailureEvent::InstanceKill`] resolves its selector against
+    ///    the instances actually hosted on that cloudlet (in request-id
+    ///    order) and kills exactly one (`kill_instance`).
+    /// 3. **Cascade check** (`cascade_check`) — in a slot where a domain
+    ///    crashed, a surviving cloudlet loaded above the cascade
+    ///    threshold may fail too, and is taken down the same way.
+    /// 4. **Degraded tracking** (`track_degraded`) — degraded mode holds
+    ///    while any failure domain or cascade outage is unrepaired.
+    /// 5. **Arrivals** (`offer_arrivals`) — the slot's requests are
+    ///    offered to the (outage-blind) scheduler one by one, exactly as
+    ///    in [`Simulation::run`]; sites that an admission places on a
     ///    currently-down cloudlet are stripped and refunded immediately.
-    /// 3. **Violation detection** — every active request's surviving
-    ///    placement is re-checked against its requirement `R_i`. A
-    ///    placement that fell below `R_i` is torn down entirely (its
-    ///    remaining charges released) and the request is marked down.
-    /// 4. **Recovery** — each down request is handed to `policy`, which
-    ///    may re-place it on the up cloudlets for the *rest* of its
-    ///    window, charging the ledger like a fresh admission. Recovery
-    ///    within the failure slot itself counts as zero downtime.
-    /// 5. **Accounting** — every active request still down after
-    ///    recovery accrues one SLA-violated request-slot.
+    /// 6. **Violation detection** (`detect_breaches`) — every active
+    ///    request's surviving placement is re-checked against its
+    ///    requirement `R_i`. A placement that fell below `R_i` is torn
+    ///    down entirely (its remaining charges released) and the request
+    ///    is marked down.
+    /// 7. **Recovery** (`recover`) — each down request is handed to
+    ///    `policy`, which may re-place it on the up cloudlets for the
+    ///    *rest* of its window, charging the ledger like a fresh
+    ///    admission. Recovery within the failure slot itself counts as
+    ///    zero downtime.
+    /// 8. **Accounting** (`account`) — every active request still down
+    ///    after recovery accrues one SLA-violated request-slot.
+    /// 9. **Audit** (`audit`) — with [`DegradationConfig::audit`], the
+    ///    invariant auditor checks the end-of-slot books.
     ///
     /// The admission-time [`Schedule`] (and thus gross revenue) is
     /// unaffected by faults; the SLA ledger tracks what part of that
@@ -482,11 +545,10 @@ impl<'a> Simulation<'a> {
     ///
     /// `degradation = Some(config)` switches the graceful-degradation
     /// layer on: degraded-mode admission headroom while a failure domain
-    /// (or cascade outage) is down (step 2), revenue-aware load shedding
-    /// when re-placements find no room and bounded retries with
-    /// exponential backoff per failure episode (step 4), and — when
-    /// [`DegradationConfig::audit`] is set — a per-slot invariant audit
-    /// attached to the report. See [`DegradationConfig`] for the knobs.
+    /// (or cascade outage) is down (step 5), revenue-aware load shedding
+    /// (`shed_one`) when re-placements find no room and bounded retries
+    /// with exponential backoff per failure episode (step 7), and the
+    /// audit of step 9. See [`DegradationConfig`] for the knobs.
     /// Cascade outages replay whenever the failure stream carries a
     /// [`CascadeConfig`](crate::CascadeConfig), degradation or not, so
     /// the same trace stresses every policy identically.
@@ -543,597 +605,508 @@ impl<'a> Simulation<'a> {
         if let Some(cfg) = degradation {
             cfg.validate()?;
         }
-        let cascade_cfg = failures.cascade().copied();
         let recovery_scheme = policy.scheme_for(scheduler.scheme());
-        let mut schedule = Schedule::new();
-        let mut timeline = vec![FaultSlotStats::default(); self.instance.horizon().len()];
-        // `up` is the effective state (base process AND cascade overlay);
-        // `base_up` replays the trace's net transitions alone.
-        let mut up = vec![true; m];
-        let mut base_up = vec![true; m];
-        let mut cascade_until: Vec<Option<TimeSlot>> = vec![None; m];
-        let mut domain_down = vec![false; failures.domain_count()];
-        let mut degraded = false;
-        let mut deg_stats = DegradationStats::default();
-        let mut auditor = match degradation {
-            Some(cfg) if cfg.audit => Some(Auditor::new(m)),
-            _ => None,
+        let mut run = FaultRun {
+            instance: self.instance,
+            scheduler,
+            failures,
+            degradation,
+            sink,
+            up: vec![true; m],
+            base_up: vec![true; m],
+            cascade_until: vec![None; m],
+            domain_down: vec![false; failures.domain_count()],
+            degraded: false,
+            deg_stats: DegradationStats::default(),
+            auditor: degradation.filter(|cfg| cfg.audit).map(|_| Auditor::new(m)),
+            live: Vec::new(),
+            active: Vec::new(),
+            schedule: Schedule::new(),
+            timeline: vec![FaultSlotStats::default(); self.instance.horizon().len()],
         };
-        let mut live: Vec<Option<LiveReq>> = (0..self.requests.len()).map(|_| None).collect();
 
         for t in self.instance.horizon().slots() {
-            let stats = &mut timeline[t];
-            if let Some(a) = auditor.as_mut() {
+            // The one liveness test of the loop: a request whose window
+            // ended before `t` leaves the active set for good.
+            let live = &run.live;
+            run.active.retain(|&a| t <= live[a].request.end_slot());
+            if let Some(a) = run.auditor.as_mut() {
                 a.begin_slot(t);
             }
+            run.lift_cascades(t);
+            run.apply_events(t)?;
+            run.cascade_check(t)?;
+            run.track_degraded(t);
+            run.offer_arrivals(t, self.arrivals(t))?;
+            run.detect_breaches(t)?;
+            if let Some(scheme) = recovery_scheme {
+                run.recover(t, scheme)?;
+            }
+            run.account(t);
+            run.audit(t);
+        }
+        let records = run.live.into_iter().map(|lr| SlaRecord {
+            unrecovered: lr.down_since.is_some(),
+            ..lr.sla
+        });
+        Ok(FaultRunReport {
+            metrics: run_metrics(run.scheduler, &run.schedule, self.requests.len()),
+            schedule: run.schedule,
+            sla: SlaReport {
+                records: records.collect(),
+            },
+            timeline: run.timeline,
+            policy,
+            audit: run.auditor.map(Auditor::finish),
+            degradation: degradation.map(|_| run.deg_stats),
+        })
+    }
+}
 
-            // 0. Cascade outages whose forced window ended are lifted
-            //    (unless the base process still holds the cloudlet down).
-            for j in 0..m {
-                if matches!(cascade_until[j], Some(end) if end <= t) {
-                    cascade_until[j] = None;
-                    if base_up[j] && !up[j] {
-                        up[j] = true;
-                        if K::ENABLED {
-                            sink.record(TraceEvent::OutageEnd {
-                                slot: t,
-                                cloudlet: j,
-                            });
-                        }
-                    }
-                }
-            }
+/// State of one [`Simulation::run_faulted`] replay. Each numbered step
+/// of that method's documentation is one method here.
+struct FaultRun<'r, S: ?Sized, K> {
+    instance: &'r ProblemInstance,
+    scheduler: &'r mut S,
+    failures: &'r FailureProcess,
+    degradation: Option<&'r DegradationConfig>,
+    sink: &'r mut K,
+    /// Effective cloudlet state: base process AND cascade overlay.
+    up: Vec<bool>,
+    /// The trace's net transitions alone.
+    base_up: Vec<bool>,
+    cascade_until: Vec<Option<TimeSlot>>,
+    domain_down: Vec<bool>,
+    degraded: bool,
+    deg_stats: DegradationStats,
+    auditor: Option<Auditor>,
+    /// Every admitted request, in id order (arrivals are offered in id
+    /// order); kept to the end of the run for the SLA records.
+    live: Vec<LiveReq<'r>>,
+    /// Positions in `live` of the requests whose window has not ended,
+    /// ascending: what every per-slot step iterates.
+    active: Vec<usize>,
+    schedule: Schedule,
+    timeline: Vec<FaultSlotStats>,
+}
 
-            // 1. Apply this slot's outage events. Domain markers first —
-            //    they carry the shared-risk grouping for tracing and
-            //    degraded-mode tracking; the matching net per-cloudlet
-            //    transitions arrive through the event stream itself.
-            for de in failures.domain_events_at(t) {
-                match *de {
-                    DomainEvent::Down { domain, .. } => {
-                        domain_down[domain] = true;
-                        if K::ENABLED {
-                            sink.record(TraceEvent::DomainOutageStart {
-                                slot: t,
-                                domain,
-                                cloudlets: failures.domain_members(domain).to_vec(),
-                            });
-                        }
-                    }
-                    DomainEvent::Up { domain, .. } => {
-                        domain_down[domain] = false;
-                        if K::ENABLED {
-                            sink.record(TraceEvent::DomainOutageEnd { slot: t, domain });
-                        }
-                    }
-                }
+impl<'r, S: OnlineScheduler + ?Sized, K: TraceSink> FaultRun<'r, S, K> {
+    /// Cloudlet `j` goes down at `t`: every active request loses its
+    /// site there, and the rest of that site's window is released.
+    fn take_down(&mut self, j: usize, t: TimeSlot) -> Result<(), SimError> {
+        self.up[j] = false;
+        emit(self.sink, || TraceEvent::OutageStart {
+            slot: t,
+            cloudlet: j,
+        });
+        for &a in &self.active {
+            let lr = &mut self.live[a];
+            if let Some(pos) = lr.site_on(j) {
+                let site = lr.sites.remove(pos);
+                lr.release(self.scheduler.ledger_mut(), &[site], t)?;
             }
-            for e in failures.events_at(t) {
-                stats.events += 1;
-                match *e {
-                    FailureEvent::CloudletDown { cloudlet: j, .. } => {
-                        base_up[j] = false;
-                        if !up[j] {
-                            // Already held down by a cascade overlay; its
-                            // sites were released when the cascade fired.
-                            continue;
-                        }
-                        up[j] = false;
-                        if K::ENABLED {
-                            sink.record(TraceEvent::OutageStart {
-                                slot: t,
-                                cloudlet: j,
-                            });
-                        }
-                        for (i, entry) in live.iter_mut().enumerate() {
-                            let Some(lr) = entry else { continue };
-                            let r = &self.requests[i];
-                            if t > r.end_slot() {
-                                continue;
-                            }
-                            if let Some(pos) = lr.sites.iter().position(|&(c, _)| c == j) {
-                                let (_, n) = lr.sites.remove(pos);
-                                scheduler.ledger_mut().release(
-                                    CloudletId(j),
-                                    t..=r.end_slot(),
-                                    f64::from(n) * lr.per_instance,
-                                )?;
-                            }
-                        }
-                    }
-                    FailureEvent::CloudletUp { cloudlet: j, .. } => {
-                        base_up[j] = true;
-                        if cascade_until[j].is_none() && !up[j] {
-                            up[j] = true;
-                            if K::ENABLED {
-                                sink.record(TraceEvent::OutageEnd {
-                                    slot: t,
-                                    cloudlet: j,
-                                });
-                            }
-                        }
-                    }
-                    FailureEvent::InstanceKill {
-                        cloudlet: j,
-                        selector,
-                        ..
-                    } => {
-                        if !up[j] {
-                            continue;
-                        }
-                        let total: u64 = live
-                            .iter()
-                            .enumerate()
-                            .filter_map(|(i, entry)| {
-                                let lr = entry.as_ref()?;
-                                if t > self.requests[i].end_slot() {
-                                    return None;
-                                }
-                                lr.sites
-                                    .iter()
-                                    .find(|&&(c, _)| c == j)
-                                    .map(|&(_, n)| u64::from(n))
-                            })
-                            .sum();
-                        if total == 0 {
-                            continue;
-                        }
-                        let mut victim = selector % total;
-                        for (i, entry) in live.iter_mut().enumerate() {
-                            let Some(lr) = entry else { continue };
-                            let r = &self.requests[i];
-                            if t > r.end_slot() {
-                                continue;
-                            }
-                            let Some(pos) = lr.sites.iter().position(|&(c, _)| c == j) else {
-                                continue;
-                            };
-                            let n = u64::from(lr.sites[pos].1);
-                            if victim < n {
-                                lr.sites[pos].1 -= 1;
-                                if lr.sites[pos].1 == 0 {
-                                    lr.sites.remove(pos);
-                                }
-                                scheduler.ledger_mut().release(
-                                    CloudletId(j),
-                                    t..=r.end_slot(),
-                                    lr.per_instance,
-                                )?;
-                                if K::ENABLED {
-                                    sink.record(TraceEvent::InstanceKill {
-                                        slot: t,
-                                        cloudlet: j,
-                                        request: i,
-                                    });
-                                }
-                                break;
-                            }
-                            victim -= n;
-                        }
-                    }
-                }
-            }
-            if let Some(a) = auditor.as_mut() {
-                a.apply_events(failures.events_at(t));
-            }
+        }
+        Ok(())
+    }
 
-            // 1b. Cascade check: when a domain crashed this slot, every
-            //     surviving cloudlet whose committed load exceeds the
-            //     threshold faces the elevated secondary hazard. The
-            //     uniform deciding each (slot, cloudlet) was pre-drawn at
-            //     generation time, so replays stay seed-deterministic.
-            let domain_crashed = failures
-                .domain_events_at(t)
-                .iter()
-                .any(|e| matches!(e, DomainEvent::Down { .. }));
-            if let (Some(cc), true) = (&cascade_cfg, domain_crashed) {
-                for j in 0..m {
-                    if !up[j] {
-                        continue;
+    /// Cloudlet `j` is back at `t`, if anything was holding it down.
+    fn bring_up(&mut self, j: usize, t: TimeSlot) {
+        if !self.up[j] {
+            self.up[j] = true;
+            emit(self.sink, || TraceEvent::OutageEnd {
+                slot: t,
+                cloudlet: j,
+            });
+        }
+    }
+
+    fn lift_cascades(&mut self, t: TimeSlot) {
+        for j in 0..self.up.len() {
+            if matches!(self.cascade_until[j], Some(end) if end <= t) {
+                self.cascade_until[j] = None;
+                if self.base_up[j] {
+                    self.bring_up(j, t);
+                }
+            }
+        }
+    }
+
+    fn apply_events(&mut self, t: TimeSlot) -> Result<(), SimError> {
+        let failures = self.failures;
+        // Domain markers first — they carry the shared-risk grouping for
+        // tracing and degraded-mode tracking; the matching net
+        // per-cloudlet transitions arrive through the event stream itself.
+        for de in failures.domain_events_at(t) {
+            match *de {
+                DomainEvent::Down { domain, .. } => {
+                    self.domain_down[domain] = true;
+                    emit(self.sink, || TraceEvent::DomainOutageStart {
+                        slot: t,
+                        domain,
+                        cloudlets: failures.domain_members(domain).to_vec(),
+                    });
+                }
+                DomainEvent::Up { domain, .. } => {
+                    self.domain_down[domain] = false;
+                    emit(self.sink, || TraceEvent::DomainOutageEnd {
+                        slot: t,
+                        domain,
+                    });
+                }
+            }
+        }
+        for e in failures.events_at(t) {
+            self.timeline[t].events += 1;
+            match *e {
+                FailureEvent::CloudletDown { cloudlet: j, .. } => {
+                    self.base_up[j] = false;
+                    // A cloudlet already held down by a cascade overlay
+                    // had its sites released when the cascade fired.
+                    if self.up[j] {
+                        self.take_down(j, t)?;
                     }
-                    let cap = scheduler.ledger().capacity(CloudletId(j));
-                    if cap <= 0.0 {
-                        continue;
+                }
+                FailureEvent::CloudletUp { cloudlet: j, .. } => {
+                    self.base_up[j] = true;
+                    if self.cascade_until[j].is_none() {
+                        self.bring_up(j, t);
                     }
-                    let util = scheduler.ledger().used(CloudletId(j), t) / cap;
-                    if util <= cc.utilization_threshold || failures.cascade_draw(t, j) >= cc.hazard
-                    {
-                        continue;
-                    }
-                    up[j] = false;
-                    cascade_until[j] = Some(t + cc.outage_slots);
-                    deg_stats.cascades += 1;
-                    stats.events += 1;
-                    if let Some(a) = auditor.as_mut() {
-                        a.note_cascade(j, t + cc.outage_slots);
-                    }
-                    if K::ENABLED {
-                        sink.record(TraceEvent::Cascade {
-                            slot: t,
-                            cloudlet: j,
-                            utilization: util,
-                        });
-                        sink.record(TraceEvent::OutageStart {
-                            slot: t,
-                            cloudlet: j,
-                        });
-                    }
-                    for (i, entry) in live.iter_mut().enumerate() {
-                        let Some(lr) = entry else { continue };
-                        let r = &self.requests[i];
-                        if t > r.end_slot() {
-                            continue;
-                        }
-                        if let Some(pos) = lr.sites.iter().position(|&(c, _)| c == j) {
-                            let (_, n) = lr.sites.remove(pos);
-                            scheduler.ledger_mut().release(
-                                CloudletId(j),
-                                t..=r.end_slot(),
-                                f64::from(n) * lr.per_instance,
-                            )?;
-                        }
+                }
+                FailureEvent::InstanceKill {
+                    cloudlet: j,
+                    selector,
+                    ..
+                } => {
+                    if self.up[j] {
+                        self.kill_instance(j, selector, t)?;
                     }
                 }
             }
+        }
+        if let Some(a) = self.auditor.as_mut() {
+            a.apply_events(failures.events_at(t));
+        }
+        Ok(())
+    }
 
-            // 1c. Degraded-mode tracking: active while any failure domain
-            //     or cascade outage is unrepaired.
-            if degradation.is_some() {
-                let now =
-                    domain_down.iter().any(|&d| d) || cascade_until.iter().any(Option::is_some);
-                if now != degraded {
-                    degraded = now;
-                    if K::ENABLED {
-                        sink.record(if now {
-                            TraceEvent::DegradedEnter { slot: t }
-                        } else {
-                            TraceEvent::DegradedExit { slot: t }
-                        });
-                    }
-                }
-                if degraded {
-                    deg_stats.degraded_slots += 1;
-                }
+    /// Kills the `selector`-th (modulo their count) of the instances the
+    /// active requests host on cloudlet `j`, counted in request-id order.
+    fn kill_instance(&mut self, j: usize, selector: u64, t: TimeSlot) -> Result<(), SimError> {
+        let on_j = |lr: &LiveReq| lr.site_on(j).map_or(0, |pos| u64::from(lr.sites[pos].1));
+        let total: u64 = self.active.iter().map(|&a| on_j(&self.live[a])).sum();
+        if total == 0 {
+            return Ok(());
+        }
+        let mut victim = selector % total;
+        for &a in &self.active {
+            let lr = &mut self.live[a];
+            let n = on_j(lr);
+            if victim >= n {
+                victim -= n;
+                continue;
             }
+            let pos = lr.site_on(j).expect("the victim has an instance on j");
+            lr.sites[pos].1 -= 1;
+            if lr.sites[pos].1 == 0 {
+                lr.sites.remove(pos);
+            }
+            lr.release(self.scheduler.ledger_mut(), &[(j, 1)], t)?;
+            emit(self.sink, || TraceEvent::InstanceKill {
+                slot: t,
+                cloudlet: j,
+                request: lr.sla.request.index(),
+            });
+            break;
+        }
+        Ok(())
+    }
 
-            // 2. Offer this slot's arrivals to the scheduler.
-            for &i in &self.by_slot[t] {
-                let r = &self.requests[i];
-                let mut decision = scheduler.decide(r);
-                stats.arrivals += 1;
-                // Degraded mode: overturn admissions that would eat into
-                // the recovery headroom on any of their hosting cloudlets.
-                if degraded && decision.is_admit() {
-                    if let Some(cfg) = degradation {
-                        let vnf = self
-                            .instance
-                            .catalog()
-                            .get(r.vnf())
-                            .ok_or(SimError::Mismatch("request references unknown vnf type"))?;
-                        let per = vnf.compute() as f64;
-                        let sites = decision
-                            .placement()
-                            .map(LiveReq::sites_of)
-                            .unwrap_or_default();
-                        let breaches = sites.iter().any(|&(j, _)| {
-                            let limit =
-                                (1.0 - cfg.headroom) * scheduler.ledger().capacity(CloudletId(j));
-                            (t..=r.end_slot())
-                                .any(|s| scheduler.ledger().used(CloudletId(j), s) > limit + 1e-9)
-                        });
-                        if breaches {
-                            for &(j, n) in &sites {
-                                scheduler.ledger_mut().release(
-                                    CloudletId(j),
-                                    t..=r.end_slot(),
-                                    f64::from(n) * per,
-                                )?;
-                            }
-                            decision = vnfrel::Decision::Reject;
-                            deg_stats.vetoed_admissions += 1;
-                        }
-                    }
-                }
-                let placement = decision.placement().cloned();
-                schedule.record(r, decision);
-                let Some(p) = placement else { continue };
-                stats.admitted += 1;
+    /// The uniform deciding each (slot, cloudlet) was pre-drawn at
+    /// generation time, so replays stay seed-deterministic.
+    fn cascade_check(&mut self, t: TimeSlot) -> Result<(), SimError> {
+        let failures = self.failures;
+        let domain_crashed = failures
+            .domain_events_at(t)
+            .iter()
+            .any(|e| matches!(e, DomainEvent::Down { .. }));
+        let (Some(cc), true) = (failures.cascade(), domain_crashed) else {
+            return Ok(());
+        };
+        for j in 0..self.up.len() {
+            if !self.up[j] {
+                continue;
+            }
+            let ledger = self.scheduler.ledger();
+            let cap = ledger.capacity(CloudletId(j));
+            if cap <= 0.0 {
+                continue;
+            }
+            let util = ledger.used(CloudletId(j), t) / cap;
+            if util <= cc.utilization_threshold || failures.cascade_draw(t, j) >= cc.hazard {
+                continue;
+            }
+            self.cascade_until[j] = Some(t + cc.outage_slots);
+            self.deg_stats.cascades += 1;
+            self.timeline[t].events += 1;
+            if let Some(a) = self.auditor.as_mut() {
+                a.note_cascade(j, t + cc.outage_slots);
+            }
+            emit(self.sink, || TraceEvent::Cascade {
+                slot: t,
+                cloudlet: j,
+                utilization: util,
+            });
+            self.take_down(j, t)?;
+        }
+        Ok(())
+    }
+
+    fn track_degraded(&mut self, t: TimeSlot) {
+        if self.degradation.is_none() {
+            return;
+        }
+        let now =
+            self.domain_down.iter().any(|&d| d) || self.cascade_until.iter().any(Option::is_some);
+        if now != self.degraded {
+            self.degraded = now;
+            emit(self.sink, || match now {
+                true => TraceEvent::DegradedEnter { slot: t },
+                false => TraceEvent::DegradedExit { slot: t },
+            });
+        }
+        if self.degraded {
+            self.deg_stats.degraded_slots += 1;
+        }
+    }
+
+    fn offer_arrivals(&mut self, t: TimeSlot, arrivals: &'r [Request]) -> Result<(), SimError> {
+        // Degraded mode overturns admissions that would eat into the
+        // recovery headroom on any of their hosting cloudlets.
+        let headroom = self.degradation.filter(|_| self.degraded);
+        for r in arrivals {
+            let mut decision = self.scheduler.decide(r);
+            self.timeline[t].arrivals += 1;
+            let mut admitted = None;
+            if let Some(p) = decision.placement() {
                 let vnf = self
                     .instance
                     .catalog()
                     .get(r.vnf())
                     .ok_or(SimError::Mismatch("request references unknown vnf type"))?;
-                let mut lr = LiveReq {
-                    sites: LiveReq::sites_of(&p),
+                let lr = LiveReq {
+                    request: r,
+                    sites: LiveReq::sites_of(p),
                     per_instance: vnf.compute() as f64,
                     vnf_rel: vnf.reliability(),
                     down_since: None,
-                    downtime_slots: 0,
-                    failures: 0,
-                    recovery_attempts: 0,
-                    recoveries: 0,
-                    repair_latency_slots: 0,
-                    evicted: false,
+                    sla: SlaRecord {
+                        request: r.id(),
+                        payment: r.payment(),
+                        duration: r.duration(),
+                        downtime_slots: 0,
+                        failures: 0,
+                        recovery_attempts: 0,
+                        recoveries: 0,
+                        repair_latency_slots: 0,
+                        unrecovered: false,
+                        evicted: false,
+                    },
                     episode_attempts: 0,
                     retry_at: t,
                 };
-                // The scheduler is outage-blind: strip (and refund) any
-                // site it placed on a cloudlet that is currently down.
-                let mut k = 0;
-                while k < lr.sites.len() {
-                    let (j, n) = lr.sites[k];
-                    if up[j] {
-                        k += 1;
-                    } else {
-                        scheduler.ledger_mut().release(
-                            CloudletId(j),
-                            t..=r.end_slot(),
-                            f64::from(n) * lr.per_instance,
-                        )?;
-                        lr.sites.remove(k);
-                    }
+                let ledger = self.scheduler.ledger();
+                let vetoed = headroom.is_some_and(|cfg| {
+                    lr.sites.iter().any(|&(j, _)| {
+                        let limit = (1.0 - cfg.headroom) * ledger.capacity(CloudletId(j));
+                        (t..=r.end_slot()).any(|s| ledger.used(CloudletId(j), s) > limit + 1e-9)
+                    })
+                });
+                if vetoed {
+                    lr.release(self.scheduler.ledger_mut(), &lr.sites, t)?;
+                    decision = vnfrel::Decision::Reject;
+                    self.deg_stats.vetoed_admissions += 1;
+                } else {
+                    admitted = Some(lr);
                 }
-                live[i] = Some(lr);
             }
+            self.schedule.record(r, decision);
+            let Some(mut lr) = admitted else { continue };
+            self.timeline[t].admitted += 1;
+            // The scheduler is outage-blind: strip (and refund) any
+            // site it placed on a cloudlet that is currently down.
+            for &site in lr.sites.iter().filter(|&&(j, _)| !self.up[j]) {
+                lr.release(self.scheduler.ledger_mut(), &[site], t)?;
+            }
+            lr.sites.retain(|&(j, _)| self.up[j]);
+            self.active.push(self.live.len());
+            self.live.push(lr);
+        }
+        Ok(())
+    }
 
-            // 3. Re-check every active placement against R_i.
-            for (i, entry) in live.iter_mut().enumerate() {
-                let Some(lr) = entry else { continue };
-                let r = &self.requests[i];
-                if t > r.end_slot() {
+    fn detect_breaches(&mut self, t: TimeSlot) -> Result<(), SimError> {
+        self.timeline[t].active = self.active.len();
+        for &a in &self.active {
+            let lr = &mut self.live[a];
+            if lr.down_since.is_some() {
+                continue;
+            }
+            let avail = surviving_availability(self.instance, lr.vnf_rel, &lr.sites);
+            if avail + 1e-12 < lr.request.reliability_requirement().value() {
+                lr.tear_down(self.scheduler.ledger_mut(), t)?;
+                lr.sla.failures += 1;
+                lr.episode_attempts = 0;
+                lr.retry_at = t;
+                self.timeline[t].newly_failed += 1;
+                emit(self.sink, || TraceEvent::SlaBreach {
+                    slot: t,
+                    request: lr.sla.request.index(),
+                });
+            }
+        }
+        Ok(())
+    }
+
+    /// Down requests are attempted in id order. The degradation layer
+    /// adds bounded retries with exponential backoff and, when an attempt
+    /// finds no room, sheds cheaper requests until the re-placement fits.
+    fn recover(&mut self, t: TimeSlot, scheme: Scheme) -> Result<(), SimError> {
+        for k in 0..self.active.len() {
+            let a = self.active[k];
+            let lr = &mut self.live[a];
+            let Some(fail_slot) = lr.down_since.filter(|_| !lr.sla.evicted) else {
+                continue;
+            };
+            if let Some(cfg) = self.degradation {
+                if lr.episode_attempts >= cfg.max_retries || t < lr.retry_at {
                     continue;
                 }
-                stats.active += 1;
-                if lr.down_since.is_some() {
-                    continue;
+            }
+            lr.sla.recovery_attempts += 1;
+            let r = lr.request;
+            let replace = |run: &mut Self| {
+                recovery::try_replace(
+                    run.instance,
+                    run.scheduler.ledger_mut(),
+                    r,
+                    t,
+                    &run.up,
+                    scheme,
+                )
+            };
+            let mut placed = replace(self);
+            if self.degradation.is_some_and(|cfg| cfg.shed) {
+                while placed.is_none() && self.shed_one(a, t)? {
+                    placed = replace(self);
                 }
-                let avail = surviving_availability(self.instance, lr.vnf_rel, &lr.sites);
-                if avail + 1e-12 < r.reliability_requirement().value() {
-                    for &(j, n) in &lr.sites {
-                        scheduler.ledger_mut().release(
-                            CloudletId(j),
-                            t..=r.end_slot(),
-                            f64::from(n) * lr.per_instance,
-                        )?;
-                    }
-                    lr.sites.clear();
-                    lr.down_since = Some(t);
-                    lr.failures += 1;
+            }
+            let lr = &mut self.live[a];
+            match placed {
+                Some(p) => {
+                    lr.sites = LiveReq::sites_of(&p);
+                    lr.sla.recoveries += 1;
+                    lr.sla.repair_latency_slots += t - fail_slot;
+                    lr.down_since = None;
                     lr.episode_attempts = 0;
                     lr.retry_at = t;
-                    stats.newly_failed += 1;
-                    if K::ENABLED {
-                        sink.record(TraceEvent::SlaBreach {
-                            slot: t,
-                            request: i,
-                        });
-                    }
+                    self.timeline[t].recovered += 1;
                 }
-            }
-
-            // 4. Attempt recovery for every down request, id order. The
-            //    degradation layer adds bounded retries with exponential
-            //    backoff and, when an attempt finds no room, evicts
-            //    retained requests of strictly lower payment density
-            //    (ascending) until the re-placement fits.
-            if let Some(scheme) = recovery_scheme {
-                for i in 0..live.len() {
-                    let r = &self.requests[i];
-                    let Some(fail_slot) = live[i].as_ref().and_then(|lr| {
-                        if t > r.end_slot() || lr.evicted {
-                            None
+                None => {
+                    if let Some(cfg) = self.degradation {
+                        lr.episode_attempts += 1;
+                        if lr.episode_attempts >= cfg.max_retries {
+                            self.deg_stats.retries_exhausted += 1;
                         } else {
-                            lr.down_since
-                        }
-                    }) else {
-                        continue;
-                    };
-                    let per_instance = live[i].as_ref().map(|lr| lr.per_instance).unwrap_or(0.0);
-                    if let Some(cfg) = degradation {
-                        let lr = live[i].as_ref().expect("down request is live");
-                        if lr.episode_attempts >= cfg.max_retries || t < lr.retry_at {
-                            continue;
-                        }
-                    }
-                    live[i]
-                        .as_mut()
-                        .expect("down request is live")
-                        .recovery_attempts += 1;
-                    let mut placed = recovery::try_replace(
-                        self.instance,
-                        scheduler.ledger_mut(),
-                        r,
-                        t,
-                        &up,
-                        scheme,
-                    );
-                    if placed.is_none() && degradation.is_some_and(|cfg| cfg.shed) {
-                        let my_density =
-                            r.payment() / (r.duration() as f64 * per_instance).max(1e-12);
-                        loop {
-                            // Cheapest healthy victim strictly below the
-                            // recovering request's density, id tie-break.
-                            let mut best: Option<(f64, usize)> = None;
-                            for (k, entry) in live.iter().enumerate() {
-                                if k == i {
-                                    continue;
-                                }
-                                let Some(l2) = entry else { continue };
-                                let rk = &self.requests[k];
-                                if t > rk.end_slot()
-                                    || l2.down_since.is_some()
-                                    || l2.sites.is_empty()
-                                {
-                                    continue;
-                                }
-                                let d2 = rk.payment()
-                                    / (rk.duration() as f64 * l2.per_instance).max(1e-12);
-                                if d2 + 1e-12 < my_density
-                                    && best.is_none_or(|(bd, bk)| (d2, k) < (bd, bk))
-                                {
-                                    best = Some((d2, k));
-                                }
-                            }
-                            let Some((d2, k)) = best else { break };
-                            let rk = &self.requests[k];
-                            let l2 = live[k].as_mut().expect("victim is live");
-                            for &(j, n) in &l2.sites {
-                                scheduler.ledger_mut().release(
-                                    CloudletId(j),
-                                    t..=rk.end_slot(),
-                                    f64::from(n) * l2.per_instance,
-                                )?;
-                            }
-                            l2.sites.clear();
-                            l2.evicted = true;
-                            l2.down_since = Some(t);
-                            deg_stats.evictions += 1;
-                            stats.evicted += 1;
-                            if K::ENABLED {
-                                sink.record(TraceEvent::Eviction {
-                                    slot: t,
-                                    request: k,
-                                    density: d2,
-                                });
-                            }
-                            placed = recovery::try_replace(
-                                self.instance,
-                                scheduler.ledger_mut(),
-                                r,
-                                t,
-                                &up,
-                                scheme,
-                            );
-                            if placed.is_some() {
-                                break;
-                            }
-                        }
-                    }
-                    let lr = live[i].as_mut().expect("down request is live");
-                    match placed {
-                        Some(p) => {
-                            lr.sites = LiveReq::sites_of(&p);
-                            lr.recoveries += 1;
-                            lr.repair_latency_slots += t - fail_slot;
-                            lr.down_since = None;
-                            lr.episode_attempts = 0;
-                            lr.retry_at = t;
-                            stats.recovered += 1;
-                            if K::ENABLED {
-                                sink.record(TraceEvent::Recovery {
-                                    slot: t,
-                                    request: i,
-                                    success: true,
-                                    cloudlets: lr.sites.iter().map(|&(c, _)| c).collect(),
-                                });
-                            }
-                        }
-                        None => {
-                            if let Some(cfg) = degradation {
-                                lr.episode_attempts += 1;
-                                if lr.episode_attempts >= cfg.max_retries {
-                                    deg_stats.retries_exhausted += 1;
-                                } else {
-                                    let shift = (lr.episode_attempts - 1).min(16) as u32;
-                                    lr.retry_at =
-                                        t + cfg.backoff_base.saturating_mul(1usize << shift);
-                                }
-                            }
-                            if K::ENABLED {
-                                sink.record(TraceEvent::Recovery {
-                                    slot: t,
-                                    request: i,
-                                    success: false,
-                                    cloudlets: Vec::new(),
-                                });
-                            }
+                            let shift = (lr.episode_attempts - 1).min(16) as u32;
+                            lr.retry_at = t + cfg.backoff_base.saturating_mul(1usize << shift);
                         }
                     }
                 }
             }
-
-            // 5. SLA accounting: a slot spent down is a violated slot.
-            for (i, entry) in live.iter_mut().enumerate() {
-                let Some(lr) = entry else { continue };
-                if t > self.requests[i].end_slot() {
-                    continue;
-                }
-                if lr.down_since.is_some() {
-                    lr.downtime_slots += 1;
-                    stats.violated += 1;
-                }
-            }
-
-            // 6. Invariant audit over the end-of-slot state.
-            if let Some(a) = auditor.as_mut() {
-                let views: Vec<LiveView<'_>> = live
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, entry)| {
-                        let lr = entry.as_ref()?;
-                        let r = &self.requests[i];
-                        if t > r.end_slot() {
-                            return None;
-                        }
-                        Some(LiveView {
-                            request: i,
-                            end_slot: r.end_slot(),
-                            requirement: r.reliability_requirement().value(),
-                            vnf_rel: lr.vnf_rel,
-                            per_instance: lr.per_instance,
-                            sites: &lr.sites,
-                            healthy: lr.down_since.is_none(),
-                        })
-                    })
-                    .collect();
-                let first = a.check_slot(t, self.instance, scheduler.ledger(), &up, &views);
-                if K::ENABLED {
-                    for v in a.violations_since(first) {
-                        sink.record(TraceEvent::AuditViolation {
-                            slot: t,
-                            invariant: v.invariant.as_str().to_string(),
-                            detail: v.detail.clone(),
-                        });
-                    }
-                }
-            }
-        }
-
-        let mut records = Vec::new();
-        for (i, entry) in live.iter().enumerate() {
-            let Some(lr) = entry else { continue };
-            let r = &self.requests[i];
-            records.push(SlaRecord {
-                request: r.id(),
-                payment: r.payment(),
-                duration: r.duration(),
-                downtime_slots: lr.downtime_slots,
-                failures: lr.failures,
-                recovery_attempts: lr.recovery_attempts,
-                recoveries: lr.recoveries,
-                repair_latency_slots: lr.repair_latency_slots,
-                unrecovered: lr.down_since.is_some(),
-                evicted: lr.evicted,
+            // A request that stays down holds no sites.
+            emit(self.sink, || TraceEvent::Recovery {
+                slot: t,
+                request: lr.sla.request.index(),
+                success: lr.down_since.is_none(),
+                cloudlets: lr.sites.iter().map(|&(c, _)| c).collect(),
             });
         }
-        let metrics = RunMetrics {
-            algorithm: scheduler.name().to_string(),
-            revenue: schedule.revenue(),
-            admitted: schedule.admitted_count(),
-            total: self.requests.len(),
-            mean_utilization: scheduler.ledger().mean_utilization(),
-            max_overflow: scheduler.ledger().max_overflow(),
-            dual_bound: None,
+        Ok(())
+    }
+
+    /// Evicts the cheapest healthy active request whose payment density
+    /// is strictly below that of the recovering `live[a]` (id
+    /// tie-break); `false` when no such victim remains.
+    fn shed_one(&mut self, a: usize, t: TimeSlot) -> Result<bool, SimError> {
+        let density =
+            |lr: &LiveReq| lr.sla.payment / (lr.sla.duration as f64 * lr.per_instance).max(1e-12);
+        let mine = density(&self.live[a]);
+        let mut best: Option<(f64, usize)> = None;
+        for &v in &self.active {
+            let lr = &self.live[v];
+            if v == a || lr.down_since.is_some() || lr.sites.is_empty() {
+                continue;
+            }
+            let d = density(lr);
+            if d + 1e-12 < mine && best.is_none_or(|b| (d, v) < b) {
+                best = Some((d, v));
+            }
+        }
+        let Some((d, v)) = best else {
+            return Ok(false);
         };
-        Ok(FaultRunReport {
-            schedule,
-            metrics,
-            sla: SlaReport { records },
-            timeline,
-            policy,
-            audit: auditor.map(Auditor::finish),
-            degradation: degradation.map(|_| deg_stats),
-        })
+        let lr = &mut self.live[v];
+        lr.tear_down(self.scheduler.ledger_mut(), t)?;
+        lr.sla.evicted = true;
+        self.deg_stats.evictions += 1;
+        self.timeline[t].evicted += 1;
+        emit(self.sink, || TraceEvent::Eviction {
+            slot: t,
+            request: lr.sla.request.index(),
+            density: d,
+        });
+        Ok(true)
+    }
+
+    /// A slot spent down is a violated slot.
+    fn account(&mut self, t: TimeSlot) {
+        for &a in &self.active {
+            let lr = &mut self.live[a];
+            if lr.down_since.is_some() {
+                lr.sla.downtime_slots += 1;
+                self.timeline[t].violated += 1;
+            }
+        }
+    }
+
+    fn audit(&mut self, t: TimeSlot) {
+        let Some(auditor) = self.auditor.as_mut() else {
+            return;
+        };
+        let views: Vec<LiveView<'_>> = self
+            .active
+            .iter()
+            .map(|&a| {
+                let lr = &self.live[a];
+                LiveView {
+                    request: lr.sla.request.index(),
+                    end_slot: lr.request.end_slot(),
+                    requirement: lr.request.reliability_requirement().value(),
+                    vnf_rel: lr.vnf_rel,
+                    per_instance: lr.per_instance,
+                    sites: &lr.sites,
+                    healthy: lr.down_since.is_none(),
+                }
+            })
+            .collect();
+        let first = auditor.check_slot(t, self.instance, self.scheduler.ledger(), &self.up, &views);
+        for v in auditor.violations_since(first) {
+            emit(self.sink, || TraceEvent::AuditViolation {
+                slot: t,
+                invariant: v.invariant.as_str().to_string(),
+                detail: v.detail.clone(),
+            });
+        }
     }
 }
 
@@ -2127,5 +2100,24 @@ mod tests {
         )
         .unwrap();
         assert!(Simulation::new(&inst, &[r]).is_err());
+
+        // Dense ids whose arrivals decrease: a typed error from `new`,
+        // not a panic from the first run.
+        let mk = |id: usize, arrival: usize| {
+            Request::new(
+                RequestId(id),
+                VnfTypeId(0),
+                Reliability::new(0.9).unwrap(),
+                arrival,
+                1,
+                1.0,
+                inst.horizon(),
+            )
+            .unwrap()
+        };
+        assert!(matches!(
+            Simulation::new(&inst, &[mk(0, 3), mk(1, 1)]),
+            Err(SimError::Mismatch("requests must be sorted by arrival"))
+        ));
     }
 }

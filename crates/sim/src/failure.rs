@@ -334,49 +334,19 @@ pub fn inject_failures_windowed<R: Rng + ?Sized>(
     trials: usize,
     rng: &mut R,
 ) -> Result<FailureReport, SimError> {
-    if schedule.len() != requests.len() {
-        return Err(SimError::Mismatch(
-            "schedule length differs from request count",
-        ));
-    }
-    let m = instance.cloudlet_count();
-    let admitted: Vec<&Request> = requests
-        .iter()
-        .filter(|r| schedule.is_admitted(r.id()))
-        .collect();
-    let mut survived = vec![0usize; admitted.len()];
-    let cloudlet_rel: Vec<f64> = instance
-        .network()
-        .cloudlets()
-        .map(|c| c.reliability().value())
-        .collect();
-
-    // As in `inject_failures`: one catalog lookup per admitted request,
-    // not one per (trial, request).
-    let mut placed: Vec<(f64, &Placement)> = Vec::with_capacity(admitted.len());
-    for r in &admitted {
-        let vnf = instance
-            .catalog()
-            .get(r.vnf())
-            .ok_or(SimError::Mismatch("request references unknown vnf type"))?;
-        placed.push((
-            vnf.reliability().value(),
-            schedule.placement(r.id()).expect("admitted"),
-        ));
-    }
-
+    let campaign = prepare(instance, requests, schedule)?;
+    let (m, cloudlet_rel) = (campaign.m, &campaign.cloudlet_rel);
+    let mut survived = vec![0usize; campaign.placed.len()];
     for _ in 0..trials {
-        for (k, r) in admitted.iter().enumerate() {
-            let (r_f, placement) = placed[k];
+        let placed = campaign.admitted.iter().zip(&campaign.placed);
+        for ((r, &(r_f, placement)), count) in placed.zip(&mut survived) {
             // Independent component states per slot of the window.
             let all_slots_alive = r.slots().all(|_t| match placement {
                 Placement::OnSite {
                     cloudlet,
                     instances,
                 } => {
-                    let j = cloudlet.index();
-                    j < m
-                        && rng.gen_bool(cloudlet_rel[j])
+                    rng.gen_bool(cloudlet_rel[cloudlet.index()])
                         && (0..*instances).any(|_| rng.gen_bool(r_f))
                 }
                 Placement::OffSite { cloudlets } => cloudlets.iter().any(|c| {
@@ -385,27 +355,18 @@ pub fn inject_failures_windowed<R: Rng + ?Sized>(
                 }),
             });
             if all_slots_alive {
-                survived[k] += 1;
+                *count += 1;
             }
         }
     }
 
-    let requests = admitted
-        .iter()
-        .zip(&survived)
-        .map(|(r, &s)| RequestAvailability {
-            request: r.id(),
-            // The window target is the per-slot target compounded over
-            // the duration.
-            required: r
-                .reliability_requirement()
-                .value()
-                .powi(r.duration() as i32),
-            measured: s as f64 / trials.max(1) as f64,
-            trials,
-        })
-        .collect();
-    Ok(FailureReport { requests, trials })
+    let mut report = assemble(&campaign, &survived, trials);
+    // The window target is the per-slot target compounded over the
+    // duration.
+    for (a, r) in report.requests.iter_mut().zip(&campaign.admitted) {
+        a.required = a.required.powi(r.duration() as i32);
+    }
+    Ok(report)
 }
 
 #[cfg(test)]
@@ -604,6 +565,21 @@ mod tests {
             .unwrap();
         let s = Schedule::new(); // empty ≠ 3 requests
         assert!(inject_failures(&inst, &reqs, &s, 10, &mut rng).is_err());
+        assert!(inject_failures_windowed(&inst, &reqs, &s, 10, &mut rng).is_err());
+
+        // An on-site placement on a cloudlet the instance does not have
+        // is rejected up front by both entry points.
+        let mut s = Schedule::new();
+        s.record(
+            &reqs[0],
+            vnfrel::Decision::Admit(Placement::OnSite {
+                cloudlet: mec_topology::CloudletId(99),
+                instances: 1,
+            }),
+        );
+        let one = &reqs[..1];
+        assert!(inject_failures(&inst, one, &s, 10, &mut rng).is_err());
+        assert!(inject_failures_windowed(&inst, one, &s, 10, &mut rng).is_err());
     }
 
     #[test]

@@ -22,7 +22,12 @@
 //!   per-slot outage trace ([`FailureProcess`]) replayed through
 //!   [`Simulation::run_faulted`], which releases dead capacity,
 //!   re-places affected requests under a [`RecoveryPolicy`], and keeps
-//!   an SLA ledger ([`SlaReport`]) of downtime and refunds,
+//!   an SLA ledger ([`SlaReport`]) of downtime and refunds. The loop
+//!   walks one id-ordered set of the admitted requests still inside
+//!   their window, so a slot costs what is alive in it; its steps are
+//!   the private `lift_cascades`, `apply_events`, `cascade_check`,
+//!   `track_degraded`, `offer_arrivals`, `detect_breaches`, `recover`,
+//!   `account` and `audit` of `engine.rs`, in that order,
 //! * [`experiment`] — sweep tables used by the figure-regeneration
 //!   binaries in `vnfrel-bench`,
 //! * [`obs`] — engine-side observability: decide-latency/utilization

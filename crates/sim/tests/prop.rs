@@ -3,6 +3,8 @@
 //! * Overlapping and back-to-back domain outages must never
 //!   double-release capacity: the runtime auditor's ledger-balance and
 //!   non-negativity invariants stay clean for every sampled trace.
+//! * The fault loop's active set holds exactly the admitted requests
+//!   whose window covers the slot.
 //! * SchemeMatching recovery replays are deterministic regardless of the
 //!   thread count used to fan the experiment out.
 
@@ -110,6 +112,39 @@ proptest! {
         for rec in &report.sla.records {
             prop_assert!(rec.recoveries <= rec.recovery_attempts);
             prop_assert!(rec.refund() <= rec.payment + 1e-9);
+        }
+    }
+
+    /// The active set retires a request exactly one slot past its window:
+    /// in every slot the engine counts as active precisely the admitted
+    /// requests whose window covers it — outages, evictions and
+    /// recoveries change a request's health, never its membership.
+    #[test]
+    fn active_count_is_the_admitted_windows_covering_the_slot(
+        seed in 0u64..300,
+        mttf in 2.0f64..6.0,
+        degrade in 0u8..2,
+    ) {
+        let (inst, requests, trace) = scenario(seed, mttf, 2.0);
+        let sim = Simulation::new(&inst, &requests).unwrap();
+        let mut g = OnsiteGreedy::new(&inst);
+        let config = DegradationConfig::default();
+        let report = sim
+            .run_faulted(
+                &mut g,
+                &trace,
+                RecoveryPolicy::SchemeMatching,
+                (degrade == 1).then_some(&config),
+                &mut NoopSink,
+            )
+            .unwrap();
+        for (t, stats) in report.timeline.iter().enumerate() {
+            let covering = requests
+                .iter()
+                .filter(|r| report.schedule.is_admitted(r.id()))
+                .filter(|r| r.arrival() <= t && t <= r.end_slot())
+                .count();
+            prop_assert_eq!(stats.active, covering, "slot {}", t);
         }
     }
 
