@@ -4,7 +4,7 @@
 //!
 //! Run with:
 //! `cargo run --release -p vnfrel-bench --bin bench_report [--quick]
-//!  [--threads N] [--out PATH] [--trace-sample PATH]`
+//!  [--threads N] [--out PATH] [--trace-sample PATH] [--check]`
 //!
 //! Measurements:
 //!
@@ -15,6 +15,12 @@
 //!   slot, about a third admitted): the point where an admission whose
 //!   cost grows with the horizon shows, which the 16-slot scenario
 //!   cannot;
+//! * **engine overhead**: Σ `Simulation::run` ÷ Σ `run_online` over the
+//!   four schedulers on the first 6 144 requests of that week (they end
+//!   near slot 590 of 10 080) — what the slot loop, the validator and
+//!   the end-of-run statistics add to the decisions. A ratio of two
+//!   times taken back to back, so host speed cancels: a pass that costs
+//!   the horizon rather than the stream reads 2.6 here, none reads 1.45;
 //! * **end-to-end Figure 1 sweep** wall time of the harness at
 //!   `--threads 1` and `--threads N`;
 //! * **Monte-Carlo failure injection** trial throughput, serial vs the
@@ -29,9 +35,10 @@
 //! `tests/sched_alloc.rs` and the `TripwireSink` runs of
 //! `tests/equivalence.rs`.
 //!
-//! This binary gates nothing: CI's perf smoke runs the repository
-//! benchmark against the last line of `results/BENCH_history.jsonl`
-//! (`.github/perf_smoke.sh`).
+//! `--check` exits non-zero when the engine overhead is above
+//! [`ENGINE_OVERHEAD_LIMIT`]; no throughput is gated here: CI's perf
+//! smoke runs the repository benchmark against the last line of
+//! `results/BENCH_history.jsonl` (`.github/perf_smoke.sh`).
 //!
 //! `--trace-sample PATH` writes a small decision-trace JSONL (Algorithm 1
 //! over the decide() scenario) for artifact upload and schema eyeballing.
@@ -41,6 +48,7 @@ use std::time::Instant;
 
 use mec_obs::{to_json, RingSink};
 use mec_sim::failure::{inject_failures, inject_failures_parallel};
+use mec_sim::Simulation;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use vnfrel::offsite::{OffsiteGreedy, OffsitePrimalDual};
@@ -50,6 +58,15 @@ use vnfrel_bench::{fig1_both_sweep, threads_from_args, Scenario, ScenarioParams}
 
 /// Requests in the week stream: ≈ 13 per slot over 10 080 slots.
 const WEEK_REQUESTS: usize = 131_072;
+
+/// Requests of the week stream the engine-overhead figure replays: the
+/// prefix the repository benchmark's `sched_batch` runs.
+const ENGINE_PREFIX: usize = 6_144;
+
+/// `--check` fails above this run ÷ decide ratio: clear of a run that
+/// costs what its decisions cost (1.45) and of one with the four
+/// whole-grid passes back in it (2.6).
+const ENGINE_OVERHEAD_LIMIT: f64 = 1.8;
 
 /// The v1 report's race results, measured at commit `647adb2` (the last
 /// one that holds the legacy and sink-free scheduler copies) by the full
@@ -158,9 +175,56 @@ fn decide_throughput_week(scenario: &Scenario, reps: usize) -> Vec<(&'static str
     ]
 }
 
+/// Best `Simulation::run` and best bare `run_online` wall time, in
+/// seconds, of the scheduler `fresh` builds over `sim`'s stream, the two
+/// alternating so a host that slows mid-way slows both.
+fn run_and_decide_secs<'a, S: OnlineScheduler>(
+    sim: &Simulation<'a>,
+    instance: &'a ProblemInstance,
+    reps: usize,
+    fresh: impl Fn(&'a ProblemInstance) -> S,
+) -> (f64, f64) {
+    let (mut run, mut decide) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..reps {
+        run = run.min(best_of(1, || {
+            sim.run(&mut fresh(instance)).expect("valid stream");
+        }));
+        decide = decide.min(best_of(1, || {
+            run_online(&mut fresh(instance), sim.requests()).expect("valid stream");
+        }));
+    }
+    (run, decide)
+}
+
+/// `(report name, (run seconds, decide seconds))` of the four production
+/// schedulers over the first [`ENGINE_PREFIX`] requests of `week`.
+fn engine_overhead(week: &Scenario, reps: usize) -> Vec<(&'static str, (f64, f64))> {
+    let instance = &week.instance;
+    let sim = Simulation::new(instance, &week.requests[..ENGINE_PREFIX]).expect("valid stream");
+    vec![
+        (
+            "alg1",
+            run_and_decide_secs(&sim, instance, reps, fresh_alg1),
+        ),
+        (
+            "greedy_onsite",
+            run_and_decide_secs(&sim, instance, reps, OnsiteGreedy::new),
+        ),
+        (
+            "alg2",
+            run_and_decide_secs(&sim, instance, reps, OffsitePrimalDual::new),
+        ),
+        (
+            "greedy_offsite",
+            run_and_decide_secs(&sim, instance, reps, OffsiteGreedy::new),
+        ),
+    ]
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick");
+    let check = args.iter().any(|a| a == "--check");
     let threads = threads_from_args().max(4);
     let arg_value = |flag: &str| -> Option<String> {
         args.iter()
@@ -225,6 +289,21 @@ fn main() {
     for (name, rps, admitted) in &decide_week {
         println!("  {name:<14} {rps:>12.0} req/s   ({admitted:.3} admitted)");
     }
+
+    // --- engine overhead --------------------------------------------------
+    let engine = engine_overhead(&week, decide_reps);
+    let engine_ratio =
+        engine.iter().map(|(_, t)| t.0).sum::<f64>() / engine.iter().map(|(_, t)| t.1).sum::<f64>();
+    println!("\nSimulation::run vs bare decide ({ENGINE_PREFIX} week requests), ns per request:");
+    let per_req = |secs: f64| secs * 1e9 / ENGINE_PREFIX as f64;
+    for (name, (run, decide)) in &engine {
+        println!(
+            "  {name:<14} run {:>6.1}   decide {:>6.1}",
+            per_req(*run),
+            per_req(*decide)
+        );
+    }
+    println!("  engine overhead {engine_ratio:.2}x");
 
     // --- optional decision-trace sample ---------------------------------
     if let Some(path) = &trace_sample_path {
@@ -345,6 +424,23 @@ fn main() {
         );
     }
     json.push_str("  },\n");
+    let _ = writeln!(
+        json,
+        "  \"engine_overhead\": {{\n    \"scenario\": {{ \"slots\": {}, \"requests\": {ENGINE_PREFIX}, \"seed\": 1 }},",
+        week.instance.horizon().len()
+    );
+    for (name, (run, decide)) in &engine {
+        let _ = writeln!(
+            json,
+            "    \"{name}\": {{ \"run_ns_per_req\": {:.1}, \"decide_ns_per_req\": {:.1} }},",
+            per_req(*run),
+            per_req(*decide)
+        );
+    }
+    let _ = writeln!(
+        json,
+        "    \"run_over_decide\": {engine_ratio:.3},\n    \"check_limit\": {ENGINE_OVERHEAD_LIMIT}\n  }},"
+    );
     json.push_str("  \"fig1_sweep\": {\n");
     let _ = writeln!(
         json,
@@ -406,4 +502,11 @@ fn main() {
     }
     std::fs::write(&out_path, &json).expect("write report");
     eprintln!("report written to {out_path}");
+
+    if check && engine_ratio > ENGINE_OVERHEAD_LIMIT {
+        eprintln!(
+            "check failed: Simulation::run costs {engine_ratio:.2}x its decisions (limit {ENGINE_OVERHEAD_LIMIT}): a horizon-sized pass is back in the run"
+        );
+        std::process::exit(1);
+    }
 }

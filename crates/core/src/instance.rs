@@ -224,17 +224,29 @@ impl ProblemInstance {
                 });
             }
             self.catalog.require(r.vnf())?;
-            if !self.horizon.contains_window(r.arrival(), r.duration()) {
-                return Err(VnfrelError::Workload(
-                    mec_workload::WorkloadError::WindowOutsideHorizon {
-                        arrival: r.arrival(),
-                        duration: r.duration(),
-                        horizon: self.horizon.len(),
-                    },
-                ));
-            }
+            self.check_window(r)?;
         }
         Ok(())
+    }
+
+    /// Checks one request's window against this instance's horizon (the
+    /// request may have been built against a longer one).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`VnfrelError::Workload`] for an out-of-horizon window.
+    pub(crate) fn check_window(&self, r: &Request) -> Result<(), VnfrelError> {
+        if self.horizon.contains_window(r.arrival(), r.duration()) {
+            Ok(())
+        } else {
+            Err(VnfrelError::Workload(
+                mec_workload::WorkloadError::WindowOutsideHorizon {
+                    arrival: r.arrival(),
+                    duration: r.duration(),
+                    horizon: self.horizon.len(),
+                },
+            ))
+        }
     }
 }
 

@@ -36,17 +36,41 @@ struct Reservation {
 /// The ledger supports deliberate over-commitment: the *raw* Algorithm 1
 /// may violate capacity by a bounded amount (Lemma 8), and
 /// [`CapacityLedger::max_overflow`] reports the worst violation observed.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// # The high-water invariant
+///
+/// Each row `j` carries a mark `high[j]`, one past the furthest slot any
+/// charge ever touched: `used` is zero (`±0.0`) at every slot
+/// `t ≥ high[j]`. Every charging call raises the mark once to cover its
+/// window, [`CapacityLedger::restore_used`] sets it to one past the last
+/// non-zero cell, and [`CapacityLedger::release`] never lowers it (a
+/// mark that sits too high only costs reads of zeros). The whole-grid
+/// reads — [`CapacityLedger::max_overflow`],
+/// [`CapacityLedger::mean_utilization`] — stop at the mark and return
+/// the bits a full sweep would: a skipped cell adds `0/cap = 0.0` to a
+/// non-negative sum and offers `0/cap − 1 < 0` to a maximum that starts
+/// at zero.
+///
+/// Equality compares state — capacities, shape, `used` and the
+/// outstanding reservations: the marks and the hold grid's allocation
+/// are bookkeeping, so a ledger restored from
+/// [`CapacityLedger::used_grid`] equals the live one and one that
+/// reserved and cancelled equals one that never reserved.
+#[derive(Debug, Clone)]
 pub struct CapacityLedger {
     caps: Vec<f64>,
     /// Row-major residual grid: `used[cloudlet * slots + slot]`. One
     /// contiguous buffer keeps the per-request window scans of the hot
     /// scheduling path on a single cache line per cloudlet.
     used: Vec<f64>,
+    /// Per row, one past the furthest slot ever charged; `used` is zero
+    /// from there on.
+    high: Vec<usize>,
     /// Row-major grid of capacity held by in-flight two-phase
-    /// reservations (same shape as `used`). All-zero whenever
-    /// `reservations` is empty, so the single-owner scheduling hot path
-    /// never pays for the feature (see `fits_window`).
+    /// reservations (same shape as `used`), allocated by the first
+    /// [`CapacityLedger::try_reserve_window`]: no scheduler or daemon
+    /// reserves, so a run never pays for it. All-zero whenever
+    /// `reservations` is empty, and read only when it is not.
     reserved: Vec<f64>,
     /// Outstanding reservations by id. Committing moves the held
     /// capacity into `used`; cancelling returns it.
@@ -56,17 +80,28 @@ pub struct CapacityLedger {
     horizon: Horizon,
 }
 
+impl PartialEq for CapacityLedger {
+    fn eq(&self, other: &Self) -> bool {
+        self.caps == other.caps
+            && self.slots == other.slots
+            && self.horizon == other.horizon
+            && self.used == other.used
+            && self.reservations == other.reservations
+    }
+}
+
 impl CapacityLedger {
     /// Creates a ledger covering every cloudlet of `network` over `horizon`.
     pub fn new(network: &Network, horizon: Horizon) -> Self {
         let caps: Vec<f64> = network.cloudlets().map(|c| c.capacity() as f64).collect();
         let slots = horizon.len();
         let used = vec![0.0; slots * caps.len()];
-        let reserved = vec![0.0; slots * caps.len()];
+        let high = vec![0; caps.len()];
         CapacityLedger {
             caps,
             used,
-            reserved,
+            high,
+            reserved: Vec::new(),
             reservations: HashMap::new(),
             next_reservation: 0,
             slots,
@@ -104,7 +139,27 @@ impl CapacityLedger {
     /// Capacity held by outstanding reservations on a cloudlet in a slot.
     #[inline]
     pub fn reserved(&self, cloudlet: CloudletId, slot: TimeSlot) -> f64 {
-        self.reserved[cloudlet.index() * self.slots + slot]
+        self.held(cloudlet.index() * self.slots + slot)
+    }
+
+    /// The charged prefix of a cloudlet's row: committed usage in slots
+    /// `0..high`, where `high` is one past the furthest slot ever
+    /// charged. Every slot beyond the slice holds zero.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cloudlet` is out of range.
+    #[inline]
+    pub fn charged_row(&self, cloudlet: CloudletId) -> &[f64] {
+        let j = cloudlet.index();
+        &self.used[j * self.slots..][..self.high[j]]
+    }
+
+    /// Raises row `j`'s high-water mark to at least `end`, one past the
+    /// last slot a charge touched.
+    #[inline]
+    fn mark(&mut self, j: usize, end: usize) {
+        self.high[j] = self.high[j].max(end);
     }
 
     /// Reservation hold on a raw grid cell; `0.0` without the grid read
@@ -144,6 +199,7 @@ impl CapacityLedger {
         last: TimeSlot,
         amount: f64,
     ) -> bool {
+        debug_assert!(last < self.slots);
         let cap = self.caps[cloudlet.index()];
         let base = cloudlet.index() * self.slots;
         if self.reservations.is_empty() {
@@ -167,9 +223,13 @@ impl CapacityLedger {
         I: IntoIterator<Item = TimeSlot>,
     {
         let base = cloudlet.index() * self.slots;
+        let mut end = 0;
         for t in slots {
+            debug_assert!(t < self.slots);
             self.used[base + t] += amount;
+            end = end.max(t + 1);
         }
+        self.mark(cloudlet.index(), end);
     }
 
     /// [`CapacityLedger::charge`] over the inclusive window
@@ -182,10 +242,12 @@ impl CapacityLedger {
         last: TimeSlot,
         amount: f64,
     ) {
+        debug_assert!(last < self.slots);
         let base = cloudlet.index() * self.slots;
         for u in &mut self.used[base + first..=base + last] {
             *u += amount;
         }
+        self.mark(cloudlet.index(), last + 1);
     }
 
     /// Returns `amount` units in every slot of `slots` — the inverse of
@@ -260,6 +322,9 @@ impl CapacityLedger {
         if !self.fits_window(cloudlet, first, last, amount) {
             return None;
         }
+        if self.reserved.is_empty() {
+            self.reserved = vec![0.0; self.used.len()];
+        }
         let base = cloudlet.index() * self.slots;
         for r in &mut self.reserved[base + first..=base + last] {
             *r += amount;
@@ -297,6 +362,7 @@ impl CapacityLedger {
             self.reserved[idx] = (self.reserved[idx] - rsv.amount).max(0.0);
             self.used[idx] += rsv.amount;
         }
+        self.mark(rsv.cloudlet, rsv.last + 1);
         Ok(())
     }
 
@@ -363,6 +429,9 @@ impl CapacityLedger {
             ));
         }
         self.used.copy_from_slice(grid);
+        for (high, row) in self.high.iter_mut().zip(grid.chunks_exact(self.slots)) {
+            *high = row.iter().rposition(|&u| u != 0.0).map_or(0, |t| t + 1);
+        }
         // Restore adopts a snapshot's committed world: any reservation
         // still in flight belongs to the pre-crash incarnation and must
         // not survive as a hold (kill-mid-reserve drops, never charges).
@@ -375,9 +444,9 @@ impl CapacityLedger {
     /// cloudlets and slots.
     pub fn max_overflow(&self) -> f64 {
         let mut worst: f64 = 0.0;
-        for (j, row) in self.used.chunks_exact(self.slots.max(1)).enumerate() {
-            for &u in row {
-                worst = worst.max(u / self.caps[j] - 1.0);
+        for (j, &cap) in self.caps.iter().enumerate() {
+            for &u in self.charged_row(CloudletId(j)) {
+                worst = worst.max(u / cap - 1.0);
             }
         }
         worst.max(0.0)
@@ -387,13 +456,13 @@ impl CapacityLedger {
     /// counting over-committed slots at their real ratio.
     pub fn mean_utilization(&self) -> f64 {
         let mut total = 0.0;
-        let mut cells = 0usize;
-        for (j, row) in self.used.chunks_exact(self.slots.max(1)).enumerate() {
-            for &u in row {
-                total += u / self.caps[j];
-                cells += 1;
+        for (j, &cap) in self.caps.iter().enumerate() {
+            for &u in self.charged_row(CloudletId(j)) {
+                total += u / cap;
             }
         }
+        // The uncharged cells count as the zeros they hold.
+        let cells = self.used.len();
         if cells == 0 {
             0.0
         } else {
@@ -431,6 +500,11 @@ mod tests {
     use mec_topology::{NetworkBuilder, Reliability};
 
     fn ledger() -> CapacityLedger {
+        ledger_over(5)
+    }
+
+    /// Two cloudlets of capacity 10 and 4 over `slots` slots.
+    fn ledger_over(slots: usize) -> CapacityLedger {
         let mut b = NetworkBuilder::new();
         let a = b.add_ap("a");
         let c = b.add_ap("b");
@@ -438,7 +512,38 @@ mod tests {
             .unwrap();
         b.add_cloudlet(c, 4, Reliability::new(0.95).unwrap())
             .unwrap();
-        CapacityLedger::new(&b.build().unwrap(), Horizon::new(5))
+        CapacityLedger::new(&b.build().unwrap(), Horizon::new(slots))
+    }
+
+    /// The whole-grid sweeps `max_overflow` and `mean_utilization` were
+    /// before the high-water mark bounded them — the oracle the bounded
+    /// reads must match bit for bit.
+    fn whole_grid_reads(l: &CapacityLedger) -> (f64, f64) {
+        let mut worst: f64 = 0.0;
+        let mut total = 0.0;
+        let mut cells = 0usize;
+        for (j, row) in l.used.chunks_exact(l.slots).enumerate() {
+            for &u in row {
+                worst = worst.max(u / l.caps[j] - 1.0);
+                total += u / l.caps[j];
+                cells += 1;
+            }
+        }
+        (worst.max(0.0), total / cells as f64)
+    }
+
+    fn assert_bounded_reads_match(l: &CapacityLedger, ctx: &str) {
+        let (overflow, mean) = whole_grid_reads(l);
+        assert_eq!(l.max_overflow().to_bits(), overflow.to_bits(), "{ctx}");
+        assert_eq!(l.mean_utilization().to_bits(), mean.to_bits(), "{ctx}");
+        for (j, row) in l.used.chunks_exact(l.slots).enumerate() {
+            assert!(l.high[j] <= l.slots, "{ctx}: mark past the row");
+            assert!(
+                row[l.high[j]..].iter().all(|&u| u == 0.0),
+                "{ctx}: row {j} is charged beyond its mark {}",
+                l.high[j]
+            );
+        }
     }
 
     #[test]
@@ -618,6 +723,146 @@ mod tests {
             l.commit_reservation(rsv),
             Err(crate::VnfrelError::UnknownReservation { .. })
         ));
+    }
+
+    #[test]
+    fn the_mark_follows_charges_and_survives_releases() {
+        let mut l = ledger_over(12);
+        let (c0, c1) = (CloudletId(0), CloudletId(1));
+        assert_eq!(l.high, [0, 0]);
+        l.charge_window(c0, 2, 5, 3.0);
+        assert_eq!(l.high, [6, 0]);
+        l.charge(c1, [7, 1, 4], 6.0); // not in slot order; overflows cap 4
+        assert_eq!(l.high, [6, 8]);
+        l.charge_window(c0, 0, 1, 1.0);
+        assert_eq!(l.high, [6, 8], "a window below the mark leaves it");
+        assert_eq!(l.charged_row(c0), [1.0, 1.0, 3.0, 3.0, 3.0, 3.0]);
+        assert_bounded_reads_match(&l, "charged");
+        assert!((l.max_overflow() - 0.5).abs() < 1e-12);
+
+        // Emptying the furthest slot never lowers the mark…
+        l.release(c1, [7], 6.0).unwrap();
+        assert_eq!(l.high, [6, 8]);
+        assert_bounded_reads_match(&l, "released");
+        // …a restore of that grid, trailing zeros and all, does.
+        let saved = l.used_grid().to_vec();
+        let mut restored = ledger_over(12);
+        restored.restore_used(&saved).unwrap();
+        assert_eq!(restored.high, [6, 5]);
+        assert_bounded_reads_match(&restored, "restored");
+        assert_eq!(restored, l, "equality is on state, not on the marks");
+
+        let rsv = l.try_reserve_window(c0, 9, 11, 2.0).unwrap();
+        assert_eq!(l.high, [6, 8], "a hold is not a charge");
+        l.commit_reservation(rsv).unwrap();
+        assert_eq!(l.high, [12, 8]);
+        assert_bounded_reads_match(&l, "committed");
+    }
+
+    #[test]
+    fn equality_ignores_the_hold_grid_allocation() {
+        let mut reserved = ledger();
+        let never = ledger();
+        assert!(never.reserved.is_empty(), "new allocates one grid");
+        let rsv = reserved
+            .try_reserve_window(CloudletId(0), 1, 3, 2.0)
+            .unwrap();
+        assert_ne!(reserved, never, "an outstanding hold is state");
+        reserved.cancel_reservation(rsv).unwrap();
+        assert!(!reserved.reserved.is_empty());
+        assert_eq!(reserved, never);
+        assert_eq!(reserved.reserved(CloudletId(0), 2), 0.0);
+        assert_eq!(never.reserved(CloudletId(0), 2), 0.0);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// `max_overflow` and `mean_utilization` return the bits of a
+        /// whole-grid sweep, and nothing is charged at or beyond a row's
+        /// mark, under random schedules of every mutating call.
+        #[test]
+        fn bounded_reads_are_bit_identical_to_a_whole_grid_sweep(
+            seed in 0u64..u64::MAX,
+            slots in 1usize..40,
+            steps in 1usize..80,
+        ) {
+            let mut l = ledger_over(slots);
+            let mut state = seed | 1;
+            let mut next = move || {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state
+            };
+            // What a later step may release or resolve. Amounts are
+            // multiples of 1/4 so charges and releases cancel exactly.
+            let mut charges: Vec<(CloudletId, Vec<TimeSlot>, f64)> = Vec::new();
+            let mut holds: Vec<ReservationId> = Vec::new();
+            for step in 0..steps {
+                let c = CloudletId((next() % 2) as usize);
+                let first = (next() % slots as u64) as usize;
+                let last = first + (next() % (slots - first) as u64) as usize;
+                let amount = (1 + next() % 12) as f64 / 4.0;
+                match next() % 8 {
+                    0 => {
+                        l.charge_window(c, first, last, amount);
+                        charges.push((c, (first..=last).collect(), amount));
+                    }
+                    // The window's slots, furthest first.
+                    1 => {
+                        let order: Vec<TimeSlot> = (first..=last).rev().collect();
+                        l.charge(c, order.iter().copied(), amount);
+                        charges.push((c, order, amount));
+                    }
+                    // Release a live charge — the one reaching furthest
+                    // every other time, so marks end up above their rows.
+                    2 | 3 if !charges.is_empty() => {
+                        let i = if next() % 2 == 0 {
+                            let reach = |(_, s, _): &(_, Vec<TimeSlot>, _)| s.iter().copied().max();
+                            (0..charges.len()).max_by_key(|&i| reach(&charges[i])).unwrap()
+                        } else {
+                            (next() % charges.len() as u64) as usize
+                        };
+                        let (c, order, amount) = charges.swap_remove(i);
+                        l.release(c, order, amount).unwrap();
+                    }
+                    4 => holds.extend(l.try_reserve_window(c, first, last, amount)),
+                    5 if !holds.is_empty() => {
+                        let id = holds.swap_remove((next() % holds.len() as u64) as usize);
+                        if next() % 2 == 0 {
+                            let rsv = l.reservations[&id.0];
+                            l.commit_reservation(id).unwrap();
+                            charges.push((
+                                CloudletId(rsv.cloudlet),
+                                (rsv.first..=rsv.last).collect(),
+                                rsv.amount,
+                            ));
+                        } else {
+                            l.cancel_reservation(id).unwrap();
+                        }
+                    }
+                    // Restore from the live grid (trailing zeros where
+                    // releases emptied the furthest slots); drops holds.
+                    6 => {
+                        let saved = l.used_grid().to_vec();
+                        let live = l.clone();
+                        l.restore_used(&saved).unwrap();
+                        holds.clear();
+                        for (j, row) in saved.chunks_exact(slots).enumerate() {
+                            let end = row.iter().rposition(|&u| u != 0.0).map_or(0, |t| t + 1);
+                            proptest::prop_assert_eq!(l.high[j], end);
+                            proptest::prop_assert!(l.high[j] <= live.high[j]);
+                        }
+                        if live.reservation_count() == 0 {
+                            proptest::prop_assert_eq!(&l, &live);
+                        }
+                    }
+                    _ => {}
+                }
+                assert_bounded_reads_match(&l, &format!("seed {seed} step {step}"));
+            }
+        }
     }
 
     #[test]

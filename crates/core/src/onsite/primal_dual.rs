@@ -4,7 +4,7 @@ use mec_workload::Request;
 
 use crate::instance::{ProblemInstance, Scheme};
 use crate::ledger::CapacityLedger;
-use crate::pricing::{CheapestFirst, DualPrices};
+use crate::pricing::DualPrices;
 use crate::schedule::{Decision, Placement};
 use crate::scheduler::{copy_grid_span, OnlineScheduler, SchedulerState};
 
@@ -302,27 +302,39 @@ impl<S: TraceSink> OnlineScheduler for OnsitePrimalDual<'_, S> {
             }
         }
 
-        // Cheapest candidate passing the capacity gate. Candidates are
-        // drawn lazily in ascending (cost, id) order — identical to the
-        // old full argmin (ties toward the lower id) but the common case
-        // stops after ordering one small block.
+        // Cheapest candidate passing the capacity gate, ties toward the
+        // lower id — `min_j` over the gated cloudlets. The unrestricted
+        // minimum is asked first: on a clean admit that is the only
+        // window scan. Only if the gate excludes it, one pass over the
+        // other keys (ascending id) asks the gate of a candidate only
+        // when its cost is strictly below the incumbent's, so the first
+        // of several equally cheap fits is the one kept.
         let policy = self.policy;
-        let mut best: Option<usize> = None;
-        let mut it = CheapestFirst::new(&mut self.keys);
-        while let Some(j32) = it.next() {
-            let j = j32 as usize;
+        let (ledger, weight_for) = (&self.ledger, &self.weight_for);
+        let passes = |j: usize| {
             let gate = match policy {
-                CapacityPolicy::Enforce => self.weight_for[j],
+                CapacityPolicy::Enforce => weight_for[j],
                 CapacityPolicy::AllowViolations => 0.0,
-                CapacityPolicy::Scaled(s) => self.weight_for[j] * s,
+                CapacityPolicy::Scaled(s) => weight_for[j] * s,
             };
-            if gate > 0.0 && !self.ledger.fits_window(CloudletId(j), first, last, gate) {
-                continue;
+            gate <= 0.0 || ledger.fits_window(CloudletId(j), first, last, gate)
+        };
+        let mut cheapest = self.keys[0];
+        for &key in &self.keys[1..] {
+            if key.0 < cheapest.0 {
+                cheapest = key;
             }
-            best = Some(j);
-            break;
         }
-        let Some(j) = best else {
+        let mut best = passes(cheapest.1 as usize).then_some(cheapest);
+        if best.is_none() {
+            for &key in &self.keys {
+                if key.1 != cheapest.1 && best.is_none_or(|b| key.0 < b.0) && passes(key.1 as usize)
+                {
+                    best = Some(key);
+                }
+            }
+        }
+        let Some((_, j)) = best else {
             self.rejections.capacity_gate += 1;
             if S::ENABLED {
                 self.emit(
@@ -336,6 +348,7 @@ impl<S: TraceSink> OnlineScheduler for OnsitePrimalDual<'_, S> {
             }
             return Decision::Reject;
         };
+        let j = j as usize;
         let (n, weight, cost) = (self.n_for[j], self.weight_for[j], self.cost_for[j]);
         // Admission rule: pay_i − min_j cost_j > 0.
         if request.payment() - cost <= 0.0 {
@@ -643,6 +656,175 @@ mod tests {
                 assert_eq!(cloudlet, CloudletId(1), "should prefer unloaded cloudlet");
             }
             other => panic!("{other:?}"),
+        }
+    }
+
+    /// What the ascending `(cost, id)` draw decides for `request` on
+    /// `alg`'s current prices and ledger: sort the eligible keys, take
+    /// the first that passes the gate. Returns the decision, the
+    /// counters `decide` must show afterwards, and whether the selection
+    /// went past the unrestricted minimum or broke an exact cost tie.
+    fn ordered_draw(
+        alg: &OnsitePrimalDual<'_>,
+        request: &Request,
+    ) -> (Decision, RejectionCounters, bool, bool) {
+        let compute = alg.instance.catalog().get(request.vnf()).unwrap().compute() as f64;
+        let (first, last) = (request.arrival(), request.end_slot());
+        let mut keys: Vec<(f64, usize, u32, f64)> = (0..alg.instance.cloudlet_count())
+            .filter_map(|j| {
+                let n = alg.instance.onsite_instances_for(
+                    request.vnf(),
+                    CloudletId(j),
+                    request.reliability_requirement(),
+                )?;
+                let weight = f64::from(n) * compute;
+                Some((weight * alg.prices.window_sum(j, first, last), j, n, weight))
+            })
+            .collect();
+        keys.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        let mut counters = alg.rejections;
+        let Some(&(min_cost, ..)) = keys.first() else {
+            counters.no_eligible_cloudlet += 1;
+            return (Decision::Reject, counters, false, false);
+        };
+        if request.payment() - min_cost <= 0.0 {
+            counters.payment_test += 1;
+            return (Decision::Reject, counters, false, false);
+        }
+        let drawn = keys.iter().position(|&(_, j, _, weight)| {
+            let gate = match alg.policy {
+                CapacityPolicy::Enforce => weight,
+                CapacityPolicy::AllowViolations => 0.0,
+                CapacityPolicy::Scaled(s) => weight * s,
+            };
+            gate <= 0.0 || alg.ledger.fits(CloudletId(j), first..=last, gate)
+        });
+        let Some(at) = drawn else {
+            counters.capacity_gate += 1;
+            return (Decision::Reject, counters, true, false);
+        };
+        let (cost, j, n, _) = keys[at];
+        let tie = keys.iter().filter(|k| k.0 == cost).count() > 1;
+        if request.payment() - cost <= 0.0 {
+            counters.payment_test += 1;
+            return (Decision::Reject, counters, at > 0, tie);
+        }
+        let placement = Placement::OnSite {
+            cloudlet: CloudletId(j),
+            instances: n,
+        };
+        (Decision::Admit(placement), counters, at > 0, tie)
+    }
+
+    /// Runs a random stream through Algorithm 1 on a partly saturated
+    /// ledger with price plateaus shared by twin cloudlets (exact cost
+    /// ties, at zero and above it), holding every decision and the
+    /// counters to [`ordered_draw`]. Returns how many selections went
+    /// past the unrestricted minimum and how many broke a tie.
+    fn selection_matches_ordered_draw(seed: u64, policy: CapacityPolicy) -> (usize, usize) {
+        const T: usize = 24;
+        // Twins (equal capacity and reliability, hence equal `N_ij`)
+        // price alike until an admission tells them apart.
+        let inst = instance(
+            &[
+                (8, 0.999),
+                (8, 0.999),
+                (12, 0.995),
+                (12, 0.995),
+                (6, 0.97),
+                (8, 0.999),
+            ],
+            T,
+        );
+        let mut alg = OnsitePrimalDual::new(&inst, policy).unwrap();
+        let mut state = seed | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let window = |next: &mut dyn FnMut() -> u64| {
+            let first = (next() % T as u64) as usize;
+            (first, first + (next() % (T - first).min(6) as u64) as usize)
+        };
+        // Load the prices know nothing about: the gate misses on
+        // cloudlets that still look cheapest.
+        for _ in 0..10 {
+            let j = (next() % 6) as usize;
+            let (first, last) = window(&mut next);
+            let amount = (1 + next() % 8) as f64;
+            alg.ledger.charge_window(CloudletId(j), first, last, amount);
+        }
+        for _ in 0..4 {
+            let (first, last) = window(&mut next);
+            let price = (1 + next() % 3) as f64 / 8.0;
+            let twins: &[usize] = if next() % 2 == 0 { &[0, 1, 5] } else { &[2, 3] };
+            for &j in twins {
+                alg.prices.update_window(j, first, last, |_| price);
+            }
+        }
+        let (mut past_minimum, mut ties) = (0, 0);
+        for id in 0..80 {
+            let (first, last) = window(&mut next);
+            let r = Request::new(
+                RequestId(id),
+                VnfTypeId((next() % 10) as usize),
+                rel([0.9, 0.96, 0.98, 0.996][(next() % 4) as usize]),
+                first,
+                last - first + 1,
+                (1 + next() % 40) as f64 / 4.0,
+                Horizon::new(T),
+            )
+            .unwrap();
+            let (decision, counters, past, tie) = ordered_draw(&alg, &r);
+            assert_eq!(alg.decide(&r), decision, "seed {seed} request {id}");
+            assert_eq!(alg.rejections(), counters, "seed {seed} request {id}");
+            past_minimum += usize::from(past);
+            ties += usize::from(tie);
+        }
+        (past_minimum, ties)
+    }
+
+    const POLICIES: [CapacityPolicy; 3] = [
+        CapacityPolicy::Enforce,
+        CapacityPolicy::AllowViolations,
+        CapacityPolicy::Scaled(1.5),
+    ];
+
+    #[test]
+    fn selection_streams_reach_the_fallback_pass_and_exact_ties() {
+        for policy in POLICIES {
+            let (mut past_minimum, mut ties) = (0, 0);
+            for seed in 0..32 {
+                let (p, t) = selection_matches_ordered_draw(seed * 0x9E37_79B9 + 1, policy);
+                past_minimum += p;
+                ties += t;
+            }
+            assert!(ties > 100, "{policy:?}: {ties} tied selections");
+            if policy == CapacityPolicy::AllowViolations {
+                assert_eq!(past_minimum, 0, "no gate, no second candidate");
+            } else {
+                assert!(
+                    past_minimum > 100,
+                    "{policy:?}: {past_minimum} past the minimum"
+                );
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// The argmin selection decides what the ascending `(cost, id)`
+        /// draw decides — decision, placement and rejection counters —
+        /// under every capacity policy.
+        #[test]
+        fn selection_is_the_first_gated_key_in_cost_id_order(
+            seed in 0u64..u64::MAX,
+            policy in 0usize..3,
+        ) {
+            selection_matches_ordered_draw(seed, POLICIES[policy]);
         }
     }
 

@@ -1,7 +1,9 @@
 //! Independent verification of a finished [`Schedule`] against the
 //! problem's constraints — defense in depth for every scheduler: the
 //! validator recomputes capacity usage and achieved reliability from
-//! scratch, sharing no code path with the schedulers' own ledgers.
+//! scratch, on a ledger of its own that no scheduler has touched, and
+//! sweeps it up to a bound of its own — the furthest end slot among the
+//! placements *it* charged — not up to any mark a ledger keeps.
 
 use std::fmt;
 
@@ -114,7 +116,10 @@ impl ValidationReport {
 /// # Errors
 ///
 /// Returns [`VnfrelError::InvalidParameter`] when the schedule does not
-/// cover exactly the given requests, and propagates catalog lookups.
+/// cover exactly the given requests, [`VnfrelError::Workload`] when an
+/// admitted request names an unknown VNF type or its window leaves the
+/// instance's horizon (the errors [`ProblemInstance::check_requests`]
+/// returns for the same stream).
 pub fn validate_schedule(
     instance: &ProblemInstance,
     requests: &[Request],
@@ -126,8 +131,11 @@ pub fn validate_schedule(
             "schedule length differs from request count",
         ));
     }
+    let network = instance.network();
     let mut violations = Vec::new();
-    let mut ledger = CapacityLedger::new(instance.network(), instance.horizon());
+    let mut ledger = CapacityLedger::new(network, instance.horizon());
+    // One past the furthest slot charged below: the capacity sweep's bound.
+    let mut charged_end = 0;
     let mut revenue = 0.0;
 
     for r in requests {
@@ -136,7 +144,15 @@ pub fn validate_schedule(
         };
         revenue += r.payment();
         let vnf = instance.catalog().require(r.vnf())?;
-        match (scheme, placement) {
+        instance.check_window(r)?;
+        let required = r.reliability_requirement().value();
+        let mut malformed = |reason| {
+            violations.push(Violation::Malformed {
+                request: r.id(),
+                reason,
+            });
+        };
+        let achieved = match (scheme, placement) {
             (
                 Scheme::OnSite,
                 Placement::OnSite {
@@ -144,94 +160,71 @@ pub fn validate_schedule(
                     instances,
                 },
             ) => {
-                let Some(c) = instance.network().cloudlet(*cloudlet) else {
-                    violations.push(Violation::Malformed {
-                        request: r.id(),
-                        reason: "unknown cloudlet",
-                    });
+                let Some(c) = network.cloudlet(*cloudlet) else {
+                    malformed("unknown cloudlet");
                     continue;
                 };
                 if *instances == 0 {
-                    violations.push(Violation::Malformed {
-                        request: r.id(),
-                        reason: "zero instances",
-                    });
+                    malformed("zero instances");
                     continue;
                 }
-                let achieved = onsite_availability(vnf.reliability(), c.reliability(), *instances);
-                if achieved + 1e-9 < r.reliability_requirement().value() {
-                    violations.push(Violation::Reliability {
-                        request: r.id(),
-                        achieved,
-                        required: r.reliability_requirement().value(),
-                    });
-                }
-                ledger.charge(
+                ledger.charge_window(
                     c.id(),
-                    r.slots(),
+                    r.arrival(),
+                    r.end_slot(),
                     f64::from(*instances) * vnf.compute() as f64,
                 );
+                onsite_availability(vnf.reliability(), c.reliability(), *instances)
             }
             (Scheme::OffSite, Placement::OffSite { cloudlets }) => {
                 if cloudlets.is_empty() {
-                    violations.push(Violation::Malformed {
-                        request: r.id(),
-                        reason: "empty cloudlet set",
-                    });
+                    malformed("empty cloudlet set");
                     continue;
                 }
-                let mut sorted = cloudlets.clone();
-                sorted.sort();
-                sorted.dedup();
-                if sorted.len() != cloudlets.len() {
-                    violations.push(Violation::Malformed {
-                        request: r.id(),
-                        reason: "duplicate cloudlet (off-site allows one instance per cloudlet)",
-                    });
+                // Placements hold a handful of cloudlets: pairwise
+                // comparison needs no sorted copy.
+                if (1..cloudlets.len()).any(|i| cloudlets[..i].contains(&cloudlets[i])) {
+                    malformed("duplicate cloudlet (off-site allows one instance per cloudlet)");
                     continue;
                 }
-                let mut rels = Vec::with_capacity(cloudlets.len());
-                let mut ok = true;
-                for &cid in cloudlets {
-                    match instance.network().cloudlet(cid) {
-                        Some(c) => rels.push(c.reliability()),
-                        None => {
-                            violations.push(Violation::Malformed {
-                                request: r.id(),
-                                reason: "unknown cloudlet",
-                            });
-                            ok = false;
-                            break;
-                        }
-                    }
-                }
-                if !ok {
+                if cloudlets.iter().any(|&cid| network.cloudlet(cid).is_none()) {
+                    malformed("unknown cloudlet");
                     continue;
-                }
-                let achieved = offsite_availability(vnf.reliability(), rels);
-                if achieved + 1e-9 < r.reliability_requirement().value() {
-                    violations.push(Violation::Reliability {
-                        request: r.id(),
-                        achieved,
-                        required: r.reliability_requirement().value(),
-                    });
                 }
                 for &cid in cloudlets {
-                    ledger.charge(cid, r.slots(), vnf.compute() as f64);
+                    ledger.charge_window(cid, r.arrival(), r.end_slot(), vnf.compute() as f64);
                 }
+                offsite_availability(
+                    vnf.reliability(),
+                    cloudlets.iter().map(|&cid| {
+                        let c = network.cloudlet(cid).expect("every cloudlet checked above");
+                        c.reliability()
+                    }),
+                )
             }
-            _ => violations.push(Violation::Malformed {
+            _ => {
+                malformed("placement kind does not match the scheme");
+                continue;
+            }
+        };
+        charged_end = charged_end.max(r.end_slot() + 1);
+        if achieved + 1e-9 < required {
+            violations.push(Violation::Reliability {
                 request: r.id(),
-                reason: "placement kind does not match the scheme",
-            }),
+                achieved,
+                required,
+            });
         }
     }
 
-    // Capacity sweep.
-    for cloudlet in instance.network().cloudlets() {
-        for t in instance.horizon().slots() {
+    // Capacity sweep over the slots charged above; the rest of the
+    // ledger was never written.
+    let mut worst: f64 = 0.0;
+    for cloudlet in network.cloudlets() {
+        let cap = cloudlet.capacity() as f64;
+        for t in 0..charged_end {
             let used = ledger.used(cloudlet.id(), t);
-            let cap = cloudlet.capacity() as f64;
+            worst = worst.max(used / cap - 1.0);
             if used > cap + 1e-9 {
                 violations.push(Violation::Capacity {
                     cloudlet: cloudlet.id().index(),
@@ -241,12 +234,15 @@ pub fn validate_schedule(
                 });
             }
         }
+        debug_assert!(
+            (charged_end..instance.horizon().len()).all(|t| ledger.used(cloudlet.id(), t) == 0.0)
+        );
     }
 
     Ok(ValidationReport {
         violations,
         recomputed_revenue: revenue,
-        max_overflow: ledger.max_overflow(),
+        max_overflow: worst.max(0.0),
     })
 }
 
@@ -365,6 +361,170 @@ mod tests {
             .violations
             .iter()
             .all(|v| matches!(v, Violation::Malformed { .. })));
+    }
+
+    fn malformed_reasons(rep: &ValidationReport) -> Vec<&'static str> {
+        rep.violations
+            .iter()
+            .map(|v| match v {
+                Violation::Malformed { reason, .. } => *reason,
+                other => panic!("expected a malformed placement, got {other:?}"),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn offsite_duplicates_and_unknown_cloudlets_keep_their_reasons() {
+        let inst = instance();
+        let reqs: Vec<Request> = (0..4).map(|i| request(i, 0.9)).collect();
+        let offsite = |cloudlets: &[usize]| {
+            Decision::Admit(Placement::OffSite {
+                cloudlets: cloudlets.iter().map(|&j| CloudletId(j)).collect(),
+            })
+        };
+        let mut s = Schedule::new();
+        s.record(&reqs[0], offsite(&[1, 0, 1]));
+        s.record(&reqs[1], offsite(&[0, 7]));
+        // Duplicates are looked for first, among unknown ids too.
+        s.record(&reqs[2], offsite(&[7, 7]));
+        s.record(&reqs[3], offsite(&[]));
+        let rep = validate_schedule(&inst, &reqs, &s, Scheme::OffSite).unwrap();
+        assert_eq!(
+            malformed_reasons(&rep),
+            [
+                "duplicate cloudlet (off-site allows one instance per cloudlet)",
+                "unknown cloudlet",
+                "duplicate cloudlet (off-site allows one instance per cloudlet)",
+                "empty cloudlet set",
+            ]
+        );
+        // A malformed placement is counted but never charged.
+        assert_eq!(rep.recomputed_revenue, 12.0);
+        assert_eq!(rep.max_overflow, 0.0);
+    }
+
+    /// A request of `instances` NAT instances (one unit each) on
+    /// cloudlet 0 over `[arrival, arrival + duration)`.
+    fn onsite_at(
+        s: &mut Schedule,
+        reqs: &mut Vec<Request>,
+        arrival: usize,
+        duration: usize,
+        instances: u32,
+    ) {
+        let r = Request::new(
+            RequestId(reqs.len()),
+            VnfTypeId(1),
+            rel(0.9),
+            arrival,
+            duration,
+            3.0,
+            Horizon::new(6),
+        )
+        .unwrap();
+        s.record(
+            &r,
+            Decision::Admit(Placement::OnSite {
+                cloudlet: CloudletId(0),
+                instances,
+            }),
+        );
+        reqs.push(r);
+    }
+
+    #[test]
+    fn a_violation_in_the_last_slot_of_the_horizon_is_reported() {
+        let inst = instance();
+        let (mut s, mut reqs) = (Schedule::new(), Vec::new());
+        onsite_at(&mut s, &mut reqs, 0, 6, 3);
+        onsite_at(&mut s, &mut reqs, 5, 1, 2); // 5 > cap 4 in slot 5 only
+        let rep = validate_schedule(&inst, &reqs, &s, Scheme::OnSite).unwrap();
+        assert_eq!(
+            rep.violations,
+            [Violation::Capacity {
+                cloudlet: 0,
+                slot: 5,
+                used: 5.0,
+                capacity: 4.0,
+            }]
+        );
+        assert_eq!(rep.max_overflow, 0.25);
+    }
+
+    #[test]
+    fn a_violation_in_the_furthest_charged_slot_is_reported() {
+        let inst = instance();
+        let (mut s, mut reqs) = (Schedule::new(), Vec::new());
+        // The request reaching furthest is not the last one recorded.
+        onsite_at(&mut s, &mut reqs, 1, 3, 6); // slots 1..=3, 6 > cap 4
+        onsite_at(&mut s, &mut reqs, 2, 1, 1);
+        let rep = validate_schedule(&inst, &reqs, &s, Scheme::OnSite).unwrap();
+        let slots: Vec<usize> = rep
+            .violations
+            .iter()
+            .map(|v| match v {
+                Violation::Capacity {
+                    cloudlet: 0, slot, ..
+                } => *slot,
+                other => panic!("{other:?}"),
+            })
+            .collect();
+        assert_eq!(slots, [1, 2, 3]);
+        assert_eq!(rep.max_overflow, 0.75);
+    }
+
+    #[test]
+    fn a_window_outside_the_instance_horizon_is_a_typed_error() {
+        // Two cloudlets of capacity 4 and 1 over four slots; the request
+        // was built against a longer horizon. Charged unchecked, its
+        // slots 4..=6 would land in cloudlet 1's row as slots 0..=2.
+        let mut b = NetworkBuilder::new();
+        let a = b.add_ap("a");
+        let c = b.add_ap("b");
+        b.add_link(a, c, 1.0).unwrap();
+        b.add_cloudlet(a, 4, rel(0.999)).unwrap();
+        b.add_cloudlet(c, 1, rel(0.95)).unwrap();
+        let inst =
+            ProblemInstance::new(b.build().unwrap(), VnfCatalog::standard(), Horizon::new(4))
+                .unwrap();
+        let long = Request::new(
+            RequestId(0),
+            VnfTypeId(1),
+            rel(0.9),
+            2,
+            5,
+            3.0,
+            Horizon::new(8),
+        )
+        .unwrap();
+        let reqs = [long];
+        let expected = inst.check_requests(&reqs).unwrap_err();
+        assert!(matches!(
+            expected,
+            VnfrelError::Workload(mec_workload::WorkloadError::WindowOutsideHorizon {
+                arrival: 2,
+                duration: 5,
+                horizon: 4,
+            })
+        ));
+        for cloudlet in [CloudletId(0), CloudletId(1)] {
+            let mut s = Schedule::new();
+            s.record(
+                &reqs[0],
+                Decision::Admit(Placement::OnSite {
+                    cloudlet,
+                    instances: 2,
+                }),
+            );
+            let err = validate_schedule(&inst, &reqs, &s, Scheme::OnSite).unwrap_err();
+            assert_eq!(err, expected);
+        }
+        // A rejected request is not looked at, as before.
+        let mut s = Schedule::new();
+        s.record(&reqs[0], Decision::Reject);
+        assert!(validate_schedule(&inst, &reqs, &s, Scheme::OnSite)
+            .unwrap()
+            .is_feasible());
     }
 
     #[test]

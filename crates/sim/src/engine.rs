@@ -473,12 +473,9 @@ impl<'a> Simulation<'a> {
                 let cid = CloudletId(j);
                 let cap = ledger.capacity(cid);
                 let mean = if cap > 0.0 {
-                    self.instance
-                        .horizon()
-                        .slots()
-                        .map(|t| ledger.used(cid, t))
-                        .sum::<f64>()
-                        / (cap * slots)
+                    // Folded from +0.0: `sum()` of an empty prefix is -0.0,
+                    // which an untouched cloudlet's gauge would print.
+                    ledger.charged_row(cid).iter().fold(0.0, |sum, u| sum + u) / (cap * slots)
                 } else {
                     0.0
                 };
