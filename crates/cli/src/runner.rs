@@ -737,7 +737,6 @@ pub fn serve(args: &ServeArgs, io: &mut Output<'_>) -> Result<(), CliError> {
     config.install_signal_handlers = true;
     config.standby = args.standby;
     config.replicate_to = args.replicate_to.clone();
-    config.repl_strict = args.repl_strict;
     config.auto_promote_after = args.auto_promote_ms.map(Duration::from_millis);
     config.flight_dir = args.flight_dir.as_ref().map(PathBuf::from);
 
@@ -753,12 +752,7 @@ pub fn serve(args: &ServeArgs, io: &mut Output<'_>) -> Result<(), CliError> {
     ))?;
     if let Some(peer) = &args.replicate_to {
         io.note(format!(
-            "replicating the decision log to {peer}{}",
-            if args.repl_strict {
-                " (strict: acks wait for the standby)"
-            } else {
-                ""
-            }
+            "replicating the decision log to {peer} (acks wait for the standby)"
         ))?;
     }
     let listening = |io: &mut Output<'_>, addr: SocketAddr| {

@@ -91,12 +91,9 @@ pub struct ServeConfig {
     /// apply replication frames from a primary, and wait for promotion.
     pub standby: bool,
     /// Stream the decision log to a standby at this address (primary
-    /// role). Mutually exclusive with `standby`.
+    /// role); each decision reply waits for the standby's ack. Mutually
+    /// exclusive with `standby`.
     pub replicate_to: Option<String>,
-    /// Never release a client reply before the standby has acknowledged
-    /// its frame — no availability escape hatch. Only meaningful with
-    /// `replicate_to`.
-    pub repl_strict: bool,
     /// Auto-promote a standby that has seen a primary but heard nothing
     /// from it for this long; `None` promotes only on an explicit
     /// `promote` control message.
@@ -128,7 +125,6 @@ impl ServeConfig {
             install_signal_handlers: false,
             standby: false,
             replicate_to: None,
-            repl_strict: false,
             auto_promote_after: None,
             flight_dir: None,
             snapshot_io: Arc::new(crate::chaos::RealSnapshotIo),

@@ -289,7 +289,7 @@ impl Cell<'_> {
         }
     }
 
-    // The network cell: a strict replicated pair with fault-injecting
+    // The network cell: a replicated pair with fault-injecting
     // proxies on both the client and replication links, a reconnecting
     // load generator riding out every injected close, then a deliberate
     // split brain — promote the standby under the living primary and
@@ -307,10 +307,7 @@ impl Cell<'_> {
         let (standby_addr, standby) = self.daemon(|c| c.standby = true)?;
         let mut repl_proxy = proxy(standby_addr, 2, "proxy the replication link to")?;
         let repl_addr = repl_proxy.local_addr().to_string();
-        let (primary_addr, primary) = self.daemon(|c| {
-            c.replicate_to = Some(repl_addr);
-            c.repl_strict = true;
-        })?;
+        let (primary_addr, primary) = self.daemon(|c| c.replicate_to = Some(repl_addr))?;
         let mut client_proxy = proxy(primary_addr, 1, "proxy the client link to")?;
 
         // The whole trace rides through the chaos proxy; the reconnecting
@@ -319,9 +316,9 @@ impl Cell<'_> {
         let lg = drive(self.work, client_proxy.local_addr(), 0, true, false)?;
 
         // Split brain on purpose: promote the standby while the primary is
-        // alive. Strict replication means the deposed primary can never
-        // release another ack — the probe and the typed fenced exit are
-        // the proof.
+        // alive. Every reply waits for the standby's ack, so the deposed
+        // primary can never release another one — the probe and the
+        // typed fenced exit are the proof.
         client::control(standby_addr, ControlAction::Promote)?;
         let deposed_acks = probe_deposed(primary_addr, probe);
         let fenced = matches!(primary.join(), Ok(Err(ServeError::Fenced { .. })));

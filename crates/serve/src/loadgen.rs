@@ -69,10 +69,10 @@ pub struct LoadgenConfig {
     /// roughly two minutes of unavailability).
     pub max_attempts: u32,
     /// Overall wall-clock budget for the whole run. Checked between
-    /// delivery attempts (a single blocked read is bounded by the
-    /// connection, not this); when it elapses the run fails with
-    /// [`ServeError::Deadline`] instead of spinning against a dead
-    /// cluster forever.
+    /// delivery attempts and bounding every blocked read; when it
+    /// elapses the run fails with [`ServeError::Deadline`] instead of
+    /// spinning against a dead cluster, or waiting on a primary that
+    /// holds its replies for a standby that is not there, forever.
     pub deadline: Option<Duration>,
     /// Record one [`AckRecord`] per decided request into
     /// [`LoadgenReport::acks`] — the chaos referee's evidence log.
@@ -243,6 +243,21 @@ fn check_deadline(started: Instant, deadline: Option<Duration>) -> Result<(), Se
     }
 }
 
+// Bounds the next blocked read by what is left of the budget; a read
+// that times out then fails `check_deadline`.
+fn bound_read(
+    c: &LineClient,
+    started: Instant,
+    deadline: Option<Duration>,
+) -> Result<(), ServeError> {
+    if let Some(budget) = deadline {
+        let left = budget.saturating_sub(started.elapsed());
+        c.stream()
+            .set_read_timeout(Some(left.max(Duration::from_millis(1))))?;
+    }
+    Ok(())
+}
+
 /// Replays `requests` (dense-id arrival order) against the daemon.
 ///
 /// # Errors
@@ -333,6 +348,7 @@ pub fn run_loadgen(
                     continue;
                 }
             };
+            bound_read(c, started, config.deadline)?;
             let sent_at = Instant::now();
             match c.round_trip(&msg) {
                 Ok(ServerMsg::Decision(event)) => {
@@ -389,6 +405,7 @@ pub fn run_loadgen(
                     ))
                 }
                 Err(e) => {
+                    check_deadline(started, config.deadline)?;
                     // Connection lost mid-request. The submit may or may
                     // not have been decided; resubmitting under the same
                     // id is safe because the daemon's recent-decision
@@ -430,6 +447,7 @@ pub fn run_loadgen(
                     continue;
                 }
             };
+            bound_read(c, started, config.deadline)?;
             match c.round_trip(&shutdown) {
                 Ok(ServerMsg::Ack(ack)) => {
                     report.final_stats = Some(ack.stats);
@@ -441,6 +459,7 @@ pub fn run_loadgen(
                     )))
                 }
                 Err(e) => {
+                    check_deadline(started, config.deadline)?;
                     if !config.reconnect {
                         return Err(e);
                     }

@@ -194,10 +194,6 @@ pub struct ServeMetricIds {
     /// `vnfrel_serve_not_primary_total`: submits refused because this
     /// node is a standby.
     pub not_primary: MetricId,
-    /// `vnfrel_serve_unreplicated_acks`: replies released by the
-    /// availability timeout before replication (gauge, mirrored from
-    /// the sender; always 0 in strict mode).
-    pub unreplicated_acks: MetricId,
     /// `vnfrel_serve_snapshot_age_seconds`: seconds since the last
     /// snapshot write (gauge; `-1` until the first snapshot).
     pub snapshot_age: MetricId,
@@ -302,10 +298,6 @@ impl ServeMetricIds {
                 "vnfrel_serve_not_primary_total",
                 "Submits refused because this node is a standby",
             ),
-            unreplicated_acks: reg.register_gauge(
-                "vnfrel_serve_unreplicated_acks",
-                "Replies released by the availability timeout before replication",
-            ),
             snapshot_age: reg.register_gauge(
                 "vnfrel_serve_snapshot_age_seconds",
                 "Seconds since the last snapshot write (-1 until the first)",
@@ -350,41 +342,61 @@ mod tests {
         reg.set_gauge(ids.slot, 3.0);
         reg.observe(ids.admission_latency, 20e-6);
         let text = reg.to_prometheus();
-        for name in [
-            "vnfrel_admissions_total",
-            "vnfrel_decide_latency_seconds",
-            "vnfrel_cloudlet_utilization",
-            "vnfrel_serve_submitted_total",
-            "vnfrel_serve_overload_total",
-            "vnfrel_serve_protocol_errors_total",
-            "vnfrel_serve_connections_total",
-            "vnfrel_serve_slot",
-            "vnfrel_serve_queue_depth",
-            "vnfrel_serve_admission_latency_seconds",
-            "vnfrel_serve_epoch",
-            "vnfrel_serve_is_primary",
-            "vnfrel_serve_repl_sent_seq",
-            "vnfrel_serve_repl_acked_seq",
-            "vnfrel_serve_repl_lag",
-            "vnfrel_serve_repl_applied_total",
-            "vnfrel_serve_repl_snapshots_total",
-            "vnfrel_serve_repl_refusals_total",
-            "vnfrel_serve_repl_reconnects",
-            "vnfrel_serve_fenced_total",
-            "vnfrel_serve_dedupe_hits_total",
-            "vnfrel_serve_not_primary_total",
-            "vnfrel_serve_unreplicated_acks",
-            "vnfrel_serve_snapshot_age_seconds",
-            "vnfrel_serve_repl_lag_seconds",
-            "vnfrel_serve_repl_ack_wait_seconds",
-            "vnfrel_serve_stage_seconds_sum{shard=\"0\",stage=\"decide\"}",
-            "vnfrel_serve_shard_queue_depth{shard=\"0\"}",
-            "vnfrel_serve_shard_shed_total{shard=\"0\"}",
-            "vnfrel_serve_shard_backpressure{shard=\"0\"}",
-        ] {
+        for name in SERIES {
             assert!(text.contains(name), "missing series {name} in:\n{text}");
         }
     }
+
+    #[test]
+    fn serve_exports_no_series_beyond_these() {
+        // With the test above, exact: a series whose code is gone (the
+        // replies-released-without-replication gauge, say) fails here.
+        let mut reg = MetricsRegistry::new();
+        ServeMetricIds::register(&mut reg, 1);
+        let text = reg.to_prometheus();
+        let exported = text
+            .lines()
+            .filter(|l| l.starts_with("# TYPE vnfrel_serve_"));
+        let listed = SERIES.iter().filter(|n| n.starts_with("vnfrel_serve_"));
+        assert_eq!(
+            exported.count(),
+            listed.count(),
+            "unlisted series in:\n{text}"
+        );
+    }
+
+    // One series of every family the daemon exports.
+    const SERIES: [&str; 29] = [
+        "vnfrel_admissions_total",
+        "vnfrel_decide_latency_seconds",
+        "vnfrel_cloudlet_utilization",
+        "vnfrel_serve_submitted_total",
+        "vnfrel_serve_overload_total",
+        "vnfrel_serve_protocol_errors_total",
+        "vnfrel_serve_connections_total",
+        "vnfrel_serve_slot",
+        "vnfrel_serve_queue_depth",
+        "vnfrel_serve_admission_latency_seconds",
+        "vnfrel_serve_epoch",
+        "vnfrel_serve_is_primary",
+        "vnfrel_serve_repl_sent_seq",
+        "vnfrel_serve_repl_acked_seq",
+        "vnfrel_serve_repl_lag",
+        "vnfrel_serve_repl_applied_total",
+        "vnfrel_serve_repl_snapshots_total",
+        "vnfrel_serve_repl_refusals_total",
+        "vnfrel_serve_repl_reconnects",
+        "vnfrel_serve_fenced_total",
+        "vnfrel_serve_dedupe_hits_total",
+        "vnfrel_serve_not_primary_total",
+        "vnfrel_serve_snapshot_age_seconds",
+        "vnfrel_serve_repl_lag_seconds",
+        "vnfrel_serve_repl_ack_wait_seconds",
+        "vnfrel_serve_stage_seconds_sum{shard=\"0\",stage=\"decide\"}",
+        "vnfrel_serve_shard_queue_depth{shard=\"0\"}",
+        "vnfrel_serve_shard_shed_total{shard=\"0\"}",
+        "vnfrel_serve_shard_backpressure{shard=\"0\"}",
+    ];
 
     #[test]
     fn sharded_registration_covers_every_shard_and_stage() {

@@ -32,9 +32,7 @@ use crate::protocol::{
     encode_client, encode_server, parse_client, parse_server, ClientMsg, ControlAck, ControlAction,
     ServerMsg, SubmitRequest,
 };
-use crate::replica::{
-    encode_repl, run_repl_sender, PendingReply, ReplHandle, ReplItem, ReplMsg, ReplSenderConfig,
-};
+use crate::replica::{encode_repl, run_repl_sender, PendingReply, ReplHandle, ReplItem, ReplMsg};
 use crate::snapshot::Snapshot;
 
 /// How long a promoting standby waits for the replication connection to
@@ -200,11 +198,6 @@ impl<'a, L: LaneSched> Node<'a, L> {
             }));
         }
         if let Some(peer) = &front.config.replicate_to {
-            let sender = ReplSenderConfig {
-                peer: peer.clone(),
-                strict: front.config.repl_strict,
-                availability_timeout: Duration::from_secs(1),
-            };
             let (tx, rx) = mpsc::channel();
             let handle = Arc::new(ReplHandle::default());
             // `/status` renders the link state from the sender's atomics.
@@ -214,7 +207,7 @@ impl<'a, L: LaneSched> Node<'a, L> {
                 handle: Arc::clone(&handle),
                 sent_times: VecDeque::new(),
             });
-            let sender = move || run_repl_sender(&sender, &handle, &rx, &front.stop);
+            let sender = move || run_repl_sender(peer, &handle, &rx, &front.stop);
             threads.push(scope.spawn(sender));
         }
         threads
@@ -321,10 +314,6 @@ impl<'a, L: LaneSched> Node<'a, L> {
                 ids.repl_reconnects,
                 link.handle.reconnects.load(Ordering::Relaxed) as f64,
             );
-            registry.set_gauge(
-                ids.unreplicated_acks,
-                link.handle.unreplicated_acks.load(Ordering::Relaxed) as f64,
-            );
         }
         if snapshot_wanted {
             // The sender (re)connected or was refused: catch-up is
@@ -360,7 +349,7 @@ impl<'a, L: LaneSched> Node<'a, L> {
 
     // Queues one frame at the current log position. A closed channel
     // means the sender exited (fenced or shutting down): a withheld
-    // reply is then dropped, so nothing unreplicated is ever acked.
+    // reply is then dropped, so no decision the standby lacks is acked.
     fn send_repl(&mut self, frame: ReplMsg, is_snapshot: bool, reply: Option<PendingReply>) {
         let item = ReplItem {
             line: encode_repl(&frame),
@@ -376,11 +365,9 @@ impl<'a, L: LaneSched> Node<'a, L> {
     /// On a replicating primary, hands a fresh decision's reply to the
     /// sender thread with its log frame and returns `None`; otherwise
     /// gives the line back to be written now. The sender releases the
-    /// reply only after the frame reached the standby: in strict mode
-    /// once the standby's ack covers it, otherwise once it is written to
-    /// the standby socket (or the availability timeout passed). The
-    /// sender then writes `conn` itself, so the caller must have flushed
-    /// what it buffered for it.
+    /// reply only once the standby's ack covers the frame, and then
+    /// writes `conn` itself, so the caller must have flushed what it
+    /// buffered for it.
     pub fn replicate(&mut self, msg: &SubmitRequest, line: String, conn: &Conn) -> Option<String> {
         let Some(link) = self.repl.as_mut() else {
             return Some(line);

@@ -8,9 +8,9 @@
 //! checks the durability contract the serving tier advertises:
 //!
 //! 1. **No acked admit lost** — every admission the client saw
-//!    acknowledged is present in the survivor's state. Under strict
-//!    replication an ack implies the decision reached the standby, so a
-//!    survivor missing one has broken the contract.
+//!    acknowledged is present in the survivor's state. A replicating
+//!    primary acks only what the standby has applied, so a survivor
+//!    missing one has broken the contract.
 //! 2. **No double charge** — connection loss makes the loadgen resubmit
 //!    under the same id; the daemon's dedupe ring must decide each id
 //!    exactly once and replay the original decision on resubmit.

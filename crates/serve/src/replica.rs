@@ -35,18 +35,16 @@
 //! gap all the same code path.
 //!
 //! **Ack ordering is the safety invariant.** For a replicated submit
-//! the client's decision reply is *withheld* by the sender. In strict
-//! mode it is released only once the standby's `repl-ack` covers the
-//! frame's sequence number — a write alone is not enough, because a
-//! freshly promoted standby force-closes the replication connection and
-//! the kernel happily accepts writes into a dead socket until the RST
-//! arrives. A strict-mode ack therefore means the decision is *applied*
-//! on the standby, and a deposed primary can never ack a decision the
-//! survivor does not carry. In non-strict mode the reply is released as
-//! soon as the frame is written (the kernel owns both buffers from then
-//! on), and availability wins over an unreachable standby after
-//! [`ReplSenderConfig::availability_timeout`]: held replies go out
-//! unreplicated (and are counted).
+//! the client's decision reply is *withheld* by the sender and released
+//! only once the standby's `repl-ack` covers the frame's sequence number
+//! — a write alone is not enough, because a freshly promoted standby
+//! force-closes the replication connection and the kernel happily
+//! accepts writes into a dead socket until the RST arrives. An ack
+//! therefore means the decision is *applied* on the standby, and a
+//! deposed primary can never ack a decision the survivor does not
+//! carry. While no standby is reachable the replies wait: reconnect is
+//! snapshot-first, and that snapshot's ack releases them. On shutdown
+//! or fencing, replies still held are dropped, never released.
 
 use std::collections::VecDeque;
 use std::io::{Read as _, Write as _};
@@ -299,7 +297,7 @@ pub fn parse_repl(line: &str) -> Result<ReplMsg, ServeError> {
     })
 }
 
-/// A client reply withheld until its frame reaches the standby socket.
+/// A client reply withheld until the standby acknowledges its frame.
 #[derive(Debug)]
 pub struct PendingReply {
     /// The client connection the reply belongs to.
@@ -322,11 +320,11 @@ impl PendingReply {
 pub struct ReplItem {
     /// Fully encoded replication frame line (no trailing newline).
     pub line: String,
-    /// The frame's log position (used for lag metrics).
+    /// The frame's log position (matched against the standby's acks).
     pub seq: u64,
     /// True for `repl-snapshot` frames — they end catch-up mode.
     pub is_snapshot: bool,
-    /// Client reply to release once the frame is on the peer socket.
+    /// Client reply to release once the standby's ack covers `seq`.
     pub reply: Option<PendingReply>,
 }
 
@@ -352,9 +350,6 @@ pub struct ReplHandle {
     pub acked_seq: AtomicU64,
     /// Successful re-handshakes after the first connect.
     pub reconnects: AtomicU64,
-    /// Replies released by the availability timeout before their frame
-    /// was replicated (non-strict mode only).
-    pub unreplicated_acks: AtomicU64,
     /// Total failed connect/handshake attempts since start (the link's
     /// retry count; never reset).
     pub connect_failures: AtomicU64,
@@ -429,7 +424,6 @@ impl Default for ReplHandle {
             sent_seq: AtomicU64::new(0),
             acked_seq: AtomicU64::new(0),
             reconnects: AtomicU64::new(0),
-            unreplicated_acks: AtomicU64::new(0),
             connect_failures: AtomicU64::new(0),
             consecutive_failures: AtomicU64::new(0),
             last_error_kind: AtomicU8::new(LINK_ERR_NONE),
@@ -439,21 +433,6 @@ impl Default for ReplHandle {
 
 fn store_max(cell: &AtomicU64, v: u64) {
     cell.fetch_max(v, Ordering::AcqRel);
-}
-
-/// How the primary-side sender connects and trades off safety vs
-/// availability.
-#[derive(Debug, Clone)]
-pub struct ReplSenderConfig {
-    /// The standby's listen address (the sender dials it).
-    pub peer: String,
-    /// Hold client replies until the standby's ack covers their frame,
-    /// with no availability escape hatch. The failover drill runs
-    /// strict so "acked" always implies "applied on the standby".
-    pub strict: bool,
-    /// In non-strict mode, release a held reply after this long even if
-    /// the standby is unreachable (availability over replication).
-    pub availability_timeout: Duration,
 }
 
 const BACKOFF_MIN: Duration = Duration::from_millis(50);
@@ -468,34 +447,25 @@ struct Peer {
     inbox: Vec<u8>,
 }
 
-struct OutItem {
-    line: String,
-    seq: u64,
-    is_snapshot: bool,
-    reply: Option<PendingReply>,
-    queued: Instant,
-}
-
 enum Shake {
     Connected(Peer),
     Fenced { by: u64 },
 }
 
-fn handshake(config: &ReplSenderConfig, handle: &ReplHandle) -> Result<Shake, ServeError> {
-    let addr = config
-        .peer
+fn handshake(peer: &str, handle: &ReplHandle) -> Result<Shake, ServeError> {
+    let addr = peer
         .to_socket_addrs()
         .map_err(|source| ServeError::Net {
             action: "resolve",
-            addr: config.peer.clone(),
+            addr: peer.to_string(),
             source,
         })?
         .next()
-        .ok_or_else(|| ServeError::Config(format!("peer '{}' resolves to nothing", config.peer)))?;
+        .ok_or_else(|| ServeError::Config(format!("peer '{peer}' resolves to nothing")))?;
     let mut stream =
         TcpStream::connect_timeout(&addr, CONNECT_TIMEOUT).map_err(|source| ServeError::Net {
             action: "connect",
-            addr: config.peer.clone(),
+            addr: peer.to_string(),
             source,
         })?;
     let _ = stream.set_nodelay(true);
@@ -592,26 +562,24 @@ fn pump_incoming(peer: &mut Peer, handle: &ReplHandle, awaiting_snapshot: &mut b
 /// drops its `ReplItem` channel (normal shutdown) or the node is
 /// fenced.
 ///
-/// Owns the connection to the standby: dial + handshake with
-/// exponential backoff, snapshot-first catch-up, frame streaming with
-/// withheld client replies (released on write in non-strict mode, on
-/// the standby's covering ack in strict mode), heartbeats when idle,
-/// and ack/refusal/fence processing. On channel close it makes a
-/// bounded best effort to finish replicating, then releases (non-strict)
-/// or drops (strict) any still-held replies — and never releases after
-/// fencing.
+/// Owns the connection to `peer` (the standby's listen address): dial +
+/// handshake with exponential backoff, snapshot-first catch-up, frame
+/// streaming with withheld client replies (released on the standby's
+/// covering ack), heartbeats when idle, and ack/refusal/fence
+/// processing. On channel close it makes a bounded best effort to
+/// finish replicating, then drops any still-held replies.
 pub fn run_repl_sender(
-    config: &ReplSenderConfig,
+    peer: &str,
     handle: &ReplHandle,
     rx: &mpsc::Receiver<ReplItem>,
     stop: &AtomicBool,
 ) {
-    let mut outbox: VecDeque<OutItem> = VecDeque::new();
-    // Strict mode: replies for frames already written, waiting for the
-    // standby's ack to cover their sequence number. Kept in write order,
-    // so sequence numbers are non-decreasing front to back.
+    let mut outbox: VecDeque<ReplItem> = VecDeque::new();
+    // Replies for frames already written, waiting for the standby's ack
+    // to cover their sequence number. Kept in write order, so sequence
+    // numbers are non-decreasing front to back.
     let mut held: VecDeque<(u64, PendingReply)> = VecDeque::new();
-    let mut peer: Option<Peer> = None;
+    let mut link: Option<Peer> = None;
     let mut awaiting_snapshot = false;
     let mut next_attempt = Instant::now();
     // Capped full-jitter backoff between connect attempts: the delay
@@ -647,19 +615,8 @@ pub fn run_repl_sender(
         if rx_open {
             match rx.recv_timeout(Duration::from_millis(20)) {
                 Ok(item) => {
-                    let mut push = |item: ReplItem| {
-                        outbox.push_back(OutItem {
-                            line: item.line,
-                            seq: item.seq,
-                            is_snapshot: item.is_snapshot,
-                            reply: item.reply,
-                            queued: Instant::now(),
-                        });
-                    };
-                    push(item);
-                    while let Ok(more) = rx.try_recv() {
-                        push(more);
-                    }
+                    outbox.push_back(item);
+                    outbox.extend(rx.try_iter());
                 }
                 Err(mpsc::RecvTimeoutError::Timeout) => {}
                 Err(mpsc::RecvTimeoutError::Disconnected) => {
@@ -669,14 +626,14 @@ pub fn run_repl_sender(
             }
         }
 
-        if peer.is_none() && Instant::now() >= next_attempt {
-            match handshake(config, handle) {
+        if link.is_none() && Instant::now() >= next_attempt {
+            match handshake(peer, handle) {
                 Ok(Shake::Connected(p)) => {
                     if ever_connected {
                         handle.reconnects.fetch_add(1, Ordering::Relaxed);
                     }
                     ever_connected = true;
-                    peer = Some(p);
+                    link = Some(p);
                     handle.connected.store(true, Ordering::Release);
                     // Catch-up is always snapshot-first: ask the decide
                     // thread for a fresh full-state frame.
@@ -695,21 +652,8 @@ pub fn run_repl_sender(
             }
         }
 
-        if !config.strict {
-            // Availability over replication: a reply held longer than
-            // the timeout goes out unreplicated.
-            for item in outbox.iter_mut() {
-                if item.reply.is_some() && item.queued.elapsed() >= config.availability_timeout {
-                    if let Some(reply) = item.reply.take() {
-                        reply.flush();
-                        handle.unreplicated_acks.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            }
-        }
-
         let mut io_err = false;
-        if let Some(p) = peer.as_mut() {
+        if let Some(p) = link.as_mut() {
             while let Some(front) = outbox.front() {
                 if awaiting_snapshot && !front.is_snapshot {
                     // The snapshot answering this catch-up may have been
@@ -733,22 +677,16 @@ pub fn run_repl_sender(
                     io_err = true;
                     break;
                 }
-                let mut item = outbox.pop_front().expect("front() just succeeded");
+                let item = outbox.pop_front().expect("front() just succeeded");
                 if item.is_snapshot {
                     awaiting_snapshot = false;
                 }
                 store_max(&handle.sent_seq, item.seq);
-                if let Some(reply) = item.reply.take() {
-                    if config.strict {
-                        // Strict: the write is necessary but not
-                        // sufficient — the reply waits for the
-                        // standby's ack to cover this sequence.
-                        held.push_back((item.seq, reply));
-                    } else {
-                        // The frame is on the standby socket — the
-                        // client may learn the decision now.
-                        reply.flush();
-                    }
+                if let Some(reply) = item.reply {
+                    // The write is necessary but not sufficient: the
+                    // reply waits for the standby's ack to cover this
+                    // sequence.
+                    held.push_back((item.seq, reply));
                 }
                 last_sent = Instant::now();
             }
@@ -769,7 +707,7 @@ pub fn run_repl_sender(
                 io_err = pump_incoming(p, handle, &mut awaiting_snapshot);
             }
         }
-        if config.strict && !held.is_empty() && !handle.fenced.load(Ordering::Acquire) {
+        if !held.is_empty() && !handle.fenced.load(Ordering::Acquire) {
             // Release every reply the standby has acknowledged (a
             // snapshot ack covers all frames it subsumes). After a
             // disconnect the held replies simply wait: reconnect is
@@ -781,7 +719,7 @@ pub fn run_repl_sender(
             }
         }
         if io_err {
-            peer = None;
+            link = None;
             handle.connected.store(false, Ordering::Release);
             next_attempt = Instant::now() + fail(handle, LINK_ERR_IO);
         }
@@ -794,22 +732,9 @@ pub fn run_repl_sender(
         if !rx_open || stop.load(Ordering::Acquire) {
             let grace_over = close_deadline.is_some_and(|d| Instant::now() >= d);
             if (outbox.is_empty() && held.is_empty()) || grace_over {
-                if handle.fenced.load(Ordering::Acquire) {
-                    // Fencing raced the farewell: never ack.
-                    return;
-                }
-                if !config.strict {
-                    // Bounded farewell: release whatever is still held
-                    // so no client hangs on a daemon that is exiting
-                    // anyway. Strict mode instead drops the replies —
-                    // the client sees the connection close and retries
-                    // (idempotent resubmit) against whoever is primary.
-                    for item in outbox.drain(..) {
-                        if let Some(reply) = item.reply {
-                            reply.flush();
-                        }
-                    }
-                }
+                // Whatever is still queued or held is dropped: the client
+                // sees the connection close and retries (idempotent
+                // resubmit) against whoever is primary.
                 return;
             }
         }

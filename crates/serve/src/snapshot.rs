@@ -13,13 +13,14 @@
 //! a caller-supplied configuration fingerprint before any state touches
 //! the scheduler, so a snapshot from a different scenario fails cleanly.
 //!
-//! Version 2 appends an FNV-1a 64-bit checksum as the final `crc`
-//! field (computed over every byte before it), plus the replication
-//! epoch/seq position and the recent-decision ring used for idempotent
-//! resubmits after a failover. Version 1 files still load, with the
-//! pre-replication defaults and no checksum to verify; any corruption
-//! of a v2 file — a flipped byte, a truncation — fails decode with a
-//! typed [`ServeError::Snapshot`] (exit code 6 at the CLI).
+//! There is one format, version [`SNAPSHOT_VERSION`]. It carries the
+//! replication epoch/seq position and the recent-decision ring used for
+//! idempotent resubmits after a failover, and ends in an FNV-1a 64-bit
+//! checksum as the final `crc` field (computed over every byte before
+//! it). Decode reads `type` and `v`, refuses any other version, and
+//! verifies the checksum before it reads any other field, so any
+//! corruption — a flipped byte, a truncation, a rewritten version —
+//! fails with a typed [`ServeError::Snapshot`] (exit code 6 at the CLI).
 
 use std::fs;
 use std::io::Write as _;
@@ -31,11 +32,8 @@ use vnfrel::SchedulerState;
 use crate::error::ServeError;
 use crate::protocol::{field, field_f64, field_str, field_usize, ServeStats};
 
-/// Snapshot schema version.
+/// Snapshot schema version, the only one that loads.
 pub const SNAPSHOT_VERSION: usize = 2;
-
-/// Oldest snapshot schema version that still loads.
-pub const MIN_SNAPSHOT_VERSION: usize = 1;
 
 /// FNV-1a 64-bit hash — tiny, dependency-free, and plenty to catch
 /// torn writes and bit rot (this is an integrity check, not a MAC).
@@ -64,13 +62,12 @@ pub struct Snapshot {
     pub stats: ServeStats,
     /// The scheduler's mutable state.
     pub state: SchedulerState,
-    /// Fencing epoch at snapshot time (v1 files load as 1).
+    /// Fencing epoch at snapshot time.
     pub epoch: u64,
-    /// Replication log position the snapshot covers (v1 files load as
-    /// `next_id`: one log entry per decision, no advances).
+    /// Replication log position the snapshot covers.
     pub seq: u64,
     /// Recent decision lines, oldest first, for the idempotent-resubmit
-    /// ring (v1 files load empty).
+    /// ring.
     pub recent: Vec<String>,
 }
 
@@ -159,8 +156,9 @@ impl Snapshot {
     ///
     /// # Errors
     ///
-    /// [`ServeError::Snapshot`] on malformed JSON, wrong `type`, or an
-    /// unsupported schema version.
+    /// [`ServeError::Snapshot`] on malformed JSON, wrong `type`, a
+    /// version other than [`SNAPSHOT_VERSION`], a checksum mismatch, or
+    /// a missing or mistyped field.
     pub fn decode(text: &str) -> Result<Self, ServeError> {
         // The field readers are the wire protocol's; what they find
         // wrong with a snapshot is a snapshot error.
@@ -177,24 +175,22 @@ impl Snapshot {
             return Err(serr(format!("expected a snapshot line, got '{ty}'")));
         }
         let version = field_usize(&v, "v")?;
-        if !(MIN_SNAPSHOT_VERSION..=SNAPSHOT_VERSION).contains(&version) {
+        if version != SNAPSHOT_VERSION {
             return Err(serr(format!(
-                "unsupported snapshot version {version} \
-                 (expected {MIN_SNAPSHOT_VERSION}..={SNAPSHOT_VERSION})"
+                "unsupported snapshot version {version} (expected {SNAPSHOT_VERSION})"
             )));
         }
-        if version >= 2 {
-            let want = field_str(&v, "crc")?;
-            let prefix_len = text
-                .rfind(",\"crc\":\"")
-                .ok_or_else(|| serr("v2 snapshot must end in the crc field"))?;
-            let got = format!("{:016x}", fnv1a64(&text.as_bytes()[..prefix_len]));
-            if got != want {
-                return Err(serr(format!(
-                    "snapshot checksum mismatch (stored {want}, computed {got}): \
-                     the file is corrupt or truncated"
-                )));
-            }
+        // No other field is read before the checksum passes.
+        let want = field_str(&v, "crc")?;
+        let prefix_len = text
+            .rfind(",\"crc\":\"")
+            .ok_or_else(|| serr("snapshot must end in the crc field"))?;
+        let got = format!("{:016x}", fnv1a64(&text.as_bytes()[..prefix_len]));
+        if got != want {
+            return Err(serr(format!(
+                "snapshot checksum mismatch (stored {want}, computed {got}): \
+                 the file is corrupt or truncated"
+            )));
         }
         let counters = field(&v, "counters")?
             .as_array()
@@ -206,30 +202,20 @@ impl Snapshot {
                     .ok_or_else(|| serr("field 'counters' must contain non-negative integers"))
             })
             .collect::<Result<Vec<u64>, ServeError>>()?;
-        let next_id = field_usize(&v, "next_id")?;
-        let (epoch, seq, recent) = if version >= 2 {
-            let recent = field(&v, "recent")?
-                .as_array()
-                .ok_or_else(|| serr("field 'recent' must be an array"))?
-                .iter()
-                .map(|item| {
-                    item.as_str()
-                        .map(str::to_string)
-                        .ok_or_else(|| serr("field 'recent' must contain only strings"))
-                })
-                .collect::<Result<Vec<String>, ServeError>>()?;
-            (
-                field_usize(&v, "epoch")? as u64,
-                field_usize(&v, "seq")? as u64,
-                recent,
-            )
-        } else {
-            (1, next_id as u64, Vec::new())
-        };
+        let recent = field(&v, "recent")?
+            .as_array()
+            .ok_or_else(|| serr("field 'recent' must be an array"))?
+            .iter()
+            .map(|item| {
+                item.as_str()
+                    .map(str::to_string)
+                    .ok_or_else(|| serr("field 'recent' must contain only strings"))
+            })
+            .collect::<Result<Vec<String>, ServeError>>()?;
         Ok(Snapshot {
             algorithm: field_str(&v, "algorithm")?.to_string(),
             config: field_str(&v, "config")?.to_string(),
-            next_id,
+            next_id: field_usize(&v, "next_id")?,
             slot: field_usize(&v, "slot")?,
             stats: ServeStats {
                 decided: field_usize(&v, "decided")? as u64,
@@ -244,8 +230,8 @@ impl Snapshot {
                 sum_delta: field_f64(&v, "sum_delta")?,
                 counters,
             },
-            epoch,
-            seq,
+            epoch: field_usize(&v, "epoch")? as u64,
+            seq: field_usize(&v, "seq")? as u64,
             recent,
         })
     }
@@ -422,18 +408,36 @@ mod tests {
         assert!(Snapshot::decode(&cut).is_err());
     }
 
+    fn assert_unsupported_v1(text: &str) {
+        match Snapshot::decode(text) {
+            Err(ServeError::Snapshot(msg)) => assert!(
+                msg.contains("unsupported snapshot version 1"),
+                "unexpected refusal: {msg}"
+            ),
+            other => panic!("a v1 line must be refused, got {other:?}"),
+        }
+    }
+
     #[test]
-    fn v1_snapshots_still_load_with_defaults() {
+    fn v1_snapshots_are_refused() {
         // A v1 line as PR 2 wrote it: no epoch/seq/recent, no crc.
         let v1 = "{\"type\":\"snapshot\",\"v\":1,\"algorithm\":\"alg1-primal-dual\",\
                   \"config\":\"zoo:seed=42\",\"next_id\":17,\"slot\":4,\"decided\":17,\
                   \"admitted\":11,\"rejected\":6,\"overloaded\":2,\"revenue\":123.5,\
                   \"sum_delta\":42.125,\"used\":[0.0,1.5],\"lambda\":[0.25,0.0],\
                   \"counters\":[3,0,3]}";
-        let snap = Snapshot::decode(v1).unwrap();
-        assert_eq!(snap.epoch, 1);
-        assert_eq!(snap.seq, 17, "v1 seq defaults to next_id");
-        assert!(snap.recent.is_empty());
-        assert_eq!(snap.next_id, 17);
+        assert_unsupported_v1(v1);
+    }
+
+    #[test]
+    fn a_rewritten_version_byte_is_refused() {
+        // One byte turns a checksummed line into a "v1" one; it must not
+        // load with its epoch reset and its ring dropped, nor let a
+        // second corruption past the checksum it no longer declares.
+        let encoded = sample().encode();
+        let v1 = encoded.replacen("\"v\":2", "\"v\":1", 1);
+        assert_ne!(v1, encoded, "the rewrite must land");
+        assert_unsupported_v1(&v1);
+        assert_unsupported_v1(&v1.replace("1.5", "9.5"));
     }
 }

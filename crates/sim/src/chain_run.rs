@@ -11,9 +11,9 @@
 
 use mec_obs::TraceSink;
 use mec_topology::CloudletId;
-use mec_workload::{ChainRequest, Request};
+use mec_workload::{ChainRequest, Request, WorkloadError};
 use vnfrel::chain::{BackupMode, ChainPrimalDual, ChainSchedule, ChainScheduler};
-use vnfrel::ProblemInstance;
+use vnfrel::{ProblemInstance, VnfrelError};
 
 use crate::SimError;
 
@@ -62,34 +62,42 @@ pub struct MixedSimulation<'a> {
 
 impl<'a> MixedSimulation<'a> {
     /// Creates the simulation, validating both streams: ids must be
-    /// dense in position and arrivals must be sorted (the generators
-    /// guarantee both).
+    /// dense in position, arrivals must be sorted (the generators
+    /// guarantee both), and every window must fit the instance's horizon
+    /// (a stream may have been built against a longer one).
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::Mismatch`] on non-dense ids or unsorted
-    /// arrivals in either stream.
+    /// Returns a wrapped [`VnfrelError`] when the singles do not fit the
+    /// instance (non-dense ids, unknown VNFs, bad windows) or a chain's
+    /// window leaves the horizon, and [`SimError::Mismatch`] on non-dense
+    /// chain ids or unsorted arrivals in either stream.
     pub fn new(
         instance: &'a ProblemInstance,
         singles: &'a [Request],
         chains: &'a [ChainRequest],
     ) -> Result<Self, SimError> {
-        for (i, r) in singles.iter().enumerate() {
-            if r.id().index() != i {
-                return Err(SimError::Mismatch("single-VNF request ids must be dense"));
-            }
-            if i > 0 && singles[i - 1].arrival() > r.arrival() {
-                return Err(SimError::Mismatch(
-                    "single-VNF requests must be sorted by arrival",
-                ));
-            }
+        instance.check_requests(singles)?;
+        if singles.windows(2).any(|w| w[0].arrival() > w[1].arrival()) {
+            return Err(SimError::Mismatch(
+                "single-VNF requests must be sorted by arrival",
+            ));
         }
+        let horizon = instance.horizon();
         for (i, c) in chains.iter().enumerate() {
             if c.id().index() != i {
                 return Err(SimError::Mismatch("chain request ids must be dense"));
             }
             if i > 0 && chains[i - 1].arrival() > c.arrival() {
                 return Err(SimError::Mismatch("chains must be sorted by arrival"));
+            }
+            if !horizon.contains_window(c.arrival(), c.duration()) {
+                let e = WorkloadError::WindowOutsideHorizon {
+                    arrival: c.arrival(),
+                    duration: c.duration(),
+                    horizon: horizon.len(),
+                };
+                return Err(VnfrelError::Workload(e).into());
             }
         }
         Ok(MixedSimulation {
@@ -223,6 +231,58 @@ mod tests {
         let (mut singles, chains) = workloads(&inst);
         singles.swap(0, 1);
         assert!(MixedSimulation::new(&inst, &singles, &chains).is_err());
+    }
+
+    // Two cloudlets of capacity 40 over four slots, and a request of
+    // either kind (VNF 8, R = 0.9, slots 2..=6) built against eight: a
+    // run would charge the tail of its window into the next cloudlet's
+    // row (without the check, the single is admitted and does just that).
+    #[test]
+    fn windows_outside_the_horizon_are_refused() {
+        use mec_topology::{NetworkBuilder, NodeId, Reliability};
+        use mec_workload::{ChainRequestId, RequestId, VnfTypeId};
+        let mut b = NetworkBuilder::new();
+        let (a, c) = (b.add_ap("a"), b.add_ap("b"));
+        b.add_link(a, c, 1.0).unwrap();
+        for ap in [a, c] {
+            b.add_cloudlet(ap, 40, Reliability::new(0.999).unwrap())
+                .unwrap();
+        }
+        let short = Horizon::new(4);
+        let inst = ProblemInstance::new(b.build().unwrap(), VnfCatalog::standard(), short).unwrap();
+        let (rel, long, vnf) = (
+            Reliability::new(0.9).unwrap(),
+            Horizon::new(8),
+            VnfTypeId(8),
+        );
+        let single = Request::new(RequestId(0), vnf, rel, 2, 5, 1.0, long).unwrap();
+        let chain = ChainRequest::new(
+            ChainRequestId(0),
+            vec![vnf],
+            rel,
+            f64::INFINITY,
+            NodeId(0),
+            2,
+            5,
+            1.0,
+            long,
+        )
+        .unwrap();
+        for result in [
+            MixedSimulation::new(&inst, std::slice::from_ref(&single), &[]),
+            MixedSimulation::new(&inst, &[], std::slice::from_ref(&chain)),
+        ] {
+            match result {
+                Err(SimError::Vnfrel(VnfrelError::Workload(
+                    WorkloadError::WindowOutsideHorizon {
+                        arrival: 2,
+                        duration: 5,
+                        horizon: 4,
+                    },
+                ))) => {}
+                other => panic!("expected WindowOutsideHorizon {{ 2, 5, 4 }}, got {other:?}"),
+            }
+        }
     }
 
     #[test]

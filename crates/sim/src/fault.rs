@@ -444,6 +444,8 @@ impl FailureProcess {
             cascade_width: if cascade.is_some() { m } else { 0 },
         })
     }
+
+    /// Builds a process from an explicit event list — a recorded trace
     /// or a handcrafted scenario. Events are bucketed by slot; relative
     /// order within a slot is preserved.
     ///

@@ -113,6 +113,25 @@ pub fn unused_addr() -> String {
     listener.local_addr().unwrap().to_string()
 }
 
+/// Asserts that nothing arrives on `conn` for `quiet` (a peek that
+/// times out), then clears the read timeout again.
+pub fn assert_silent(conn: &LineClient, quiet: std::time::Duration) {
+    let socket = conn.stream();
+    socket.set_read_timeout(Some(quiet)).unwrap();
+    match socket.peek(&mut [0u8; 1]) {
+        Err(e) => assert!(
+            matches!(
+                e.kind(),
+                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+            ),
+            "unexpected read error: {e}"
+        ),
+        Ok(0) => panic!("the daemon closed the connection"),
+        Ok(_) => panic!("a reply arrived within {quiet:?}"),
+    }
+    socket.set_read_timeout(None).unwrap();
+}
+
 /// Minimal HTTP/1.0 GET against the daemon's scrape path; returns
 /// (status line, body).
 pub fn http_get(addr: impl ToSocketAddrs, path: &str) -> (String, String) {

@@ -10,10 +10,10 @@ mod common;
 use std::io::Write as _;
 use std::time::{Duration, Instant};
 
-use common::{raw, scenario, spawn_daemon, submit_all, unused_addr, Algo};
+use common::{assert_silent, raw, scenario, spawn_daemon, submit_all, unused_addr, Algo};
 use mec_serve::{
-    encode_client, encode_repl, parse_repl, parse_server, ClientMsg, ControlAction, LineClient,
-    ReplMsg, Role, ServeConfig, ServeError, ServerMsg, SubmitRequest,
+    encode_client, encode_repl, parse_repl, parse_server, run_loadgen, ClientMsg, ControlAction,
+    LineClient, LoadgenConfig, ReplMsg, Role, ServeConfig, ServeError, ServerMsg, SubmitRequest,
 };
 use mec_workload::Request;
 use proptest::prelude::*;
@@ -24,16 +24,19 @@ fn base_config(fingerprint: &str) -> ServeConfig {
     c
 }
 
-/// Writes every submit first, then reads every reply — used when
-/// replies are withheld by the availability timeout so the holds
-/// overlap instead of serializing.
-fn submit_pipelined(conn: &mut LineClient, requests: &[Request]) -> Vec<String> {
+/// Writes every submit without waiting for a reply — used while no
+/// standby can ack, so the replies are held.
+fn send_pipelined(conn: &mut LineClient, requests: &[Request]) {
     let mut buf = String::new();
     for r in requests {
         buf.push_str(&encode_client(&ClientMsg::Submit(SubmitRequest::from(r))));
         buf.push('\n');
     }
     conn.stream().write_all(buf.as_bytes()).unwrap();
+}
+
+/// Reads one decision reply per request, in order.
+fn read_decisions(conn: &mut LineClient, requests: &[Request]) -> Vec<String> {
     let lines = requests.iter().map(|_| {
         let line = conn.read_line().unwrap().to_string();
         assert!(
@@ -92,7 +95,7 @@ fn wait_for_ack(
 }
 
 // ---------------------------------------------------------------------
-// Handover parity: primary + strict standby, clean primary exit,
+// Handover parity: primary + standby, clean primary exit,
 // promote, finish the stream on the survivor — byte-identical to the
 // uninterrupted run.
 // ---------------------------------------------------------------------
@@ -111,7 +114,6 @@ fn check_handover(algo: Algo) {
     let (primary_addr, primary) = spawn_daemon(instance.clone(), algo, {
         let mut c = base_config(&fp);
         c.replicate_to = Some(standby_addr.to_string());
-        c.repl_strict = true;
         c
     });
 
@@ -154,8 +156,9 @@ fn handover_preserves_decision_stream_offsite() {
 
 // ---------------------------------------------------------------------
 // Mid-stream join: the standby boots only after the primary has decided
-// a prefix. Catch-up must go snapshot-first, then frames, and the
-// handover must still be byte-identical.
+// a prefix. The prefix replies wait for it; catch-up goes snapshot-first,
+// the snapshot's ack releases them, then frames, and the handover must
+// still be byte-identical.
 // ---------------------------------------------------------------------
 
 #[test]
@@ -166,21 +169,21 @@ fn standby_joining_mid_stream_catches_up_via_snapshot() {
     let golden = golden_stream(&instance, Algo::Onsite, fp, &reqs);
 
     // The primary is told to replicate to an address nothing listens on
-    // yet. Non-strict: the availability timeout releases the prefix
-    // replies unreplicated (pipelined, so the holds overlap).
+    // yet: it decides the prefix, but no standby acks it, so no reply
+    // may go out — not even after 1.5 s of waiting.
     let standby_addr = unused_addr();
     let (primary_addr, primary) = spawn_daemon(instance.clone(), Algo::Onsite, {
         let mut c = base_config(fp);
         c.replicate_to = Some(standby_addr.clone());
-        c.repl_strict = false;
         c
     });
     let mut client = LineClient::connect(primary_addr).unwrap();
-    let mut stream = submit_pipelined(&mut client, &reqs[..cut_a]);
+    send_pipelined(&mut client, &reqs[..cut_a]);
+    assert_silent(&client, Duration::from_millis(1500));
 
     // Boot the standby on the reserved address; the sender's reconnect
     // loop finds it and catches it up with a snapshot covering the
-    // prefix.
+    // prefix, whose ack releases every held reply.
     let (bound, standby) = spawn_daemon(instance.clone(), Algo::Onsite, {
         let mut c = base_config(fp);
         c.addr = standby_addr.clone();
@@ -188,6 +191,7 @@ fn standby_joining_mid_stream_catches_up_via_snapshot() {
         c
     });
     assert_eq!(bound.to_string(), standby_addr);
+    let mut stream = read_decisions(&mut client, &reqs[..cut_a]);
     let caught_up = wait_for_ack(&standby_addr, Duration::from_secs(10), |ack| {
         ack.stats.decided as usize >= cut_a
     });
@@ -212,6 +216,33 @@ fn standby_joining_mid_stream_catches_up_via_snapshot() {
     for (i, (a, b)) in golden.iter().zip(stream.iter()).enumerate() {
         assert_eq!(a, b, "decision stream diverged at request {i}");
     }
+}
+
+/// A primary whose standby never appears holds every reply; the one
+/// thing that ends a client's wait is its own budget, as the typed
+/// deadline (exit code 8 at the CLI), not a hang.
+#[test]
+fn loadgen_deadline_bounds_the_wait_for_a_missing_standby() {
+    let (instance, reqs) = scenario(4, 29);
+    let (addr, primary) = spawn_daemon(instance, Algo::Onsite, {
+        let mut c = base_config("repl-deadline");
+        c.replicate_to = Some(unused_addr());
+        c
+    });
+    let mut config = LoadgenConfig::new(addr.to_string());
+    config.deadline = Some(Duration::from_millis(300));
+    let started = Instant::now();
+    match run_loadgen(&reqs, &config) {
+        Err(ServeError::Deadline { budget_ms: 300, .. }) => {}
+        other => panic!("expected the typed deadline, got {other:?}"),
+    }
+    assert!(
+        started.elapsed() < Duration::from_secs(10),
+        "the deadline did not bound the blocked read"
+    );
+    let mut control = LineClient::connect(addr).unwrap();
+    control.control(ControlAction::Shutdown).unwrap();
+    primary.join().unwrap().unwrap();
 }
 
 // ---------------------------------------------------------------------
@@ -419,8 +450,8 @@ fn stale_hello_after_promotion_is_fenced() {
 
 /// One split-brain case: promote the standby while the primary is still
 /// alive after `k` replicated decisions, then prove the deposed primary
-/// can never ack another submit (strict mode: the held reply dies with
-/// the fencing) and exits with the typed fenced error.
+/// can never ack another submit (the held reply dies with the fencing)
+/// and exits with the typed fenced error.
 fn deposed_primary_never_acks_case(k: usize) {
     let (instance, reqs) = scenario(16, 26);
     let fp = format!("repl-fence-{k}");
@@ -432,7 +463,6 @@ fn deposed_primary_never_acks_case(k: usize) {
     let (primary_addr, primary) = spawn_daemon(instance.clone(), Algo::Onsite, {
         let mut c = base_config(&fp);
         c.replicate_to = Some(standby_addr.to_string());
-        c.repl_strict = true;
         c
     });
     let mut client = LineClient::connect(primary_addr).unwrap();
@@ -561,7 +591,6 @@ fn auto_promotion_waits_for_silence_then_fires() {
     let (primary_addr, primary) = spawn_daemon(instance.clone(), Algo::Onsite, {
         let mut c = base_config(fp);
         c.replicate_to = Some(standby_addr.to_string());
-        c.repl_strict = true;
         c
     });
     let mut client = LineClient::connect(primary_addr).unwrap();

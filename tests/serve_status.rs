@@ -1,5 +1,5 @@
 //! Live-introspection coverage: the `/status` JSON endpoint across the
-//! role lifecycle (primary, strict primary, standby, post-promotion
+//! role lifecycle (primary, replicating primary, standby, post-promotion
 //! survivor), the `snapshot_age_seconds` gauge flipping from its -1
 //! "never" sentinel to a fresh age after the snapshot control, the
 //! `dump-flight` control, and the flight-recorder dump a fenced primary
@@ -13,7 +13,10 @@ use std::time::Duration;
 
 use common::{http_get, scenario, scrape, spawn_daemon, Algo};
 use mec_obs::{JsonValue, TraceEvent};
-use mec_serve::{ControlAction, LineClient, ServeConfig, ServeError, ServerMsg};
+use mec_serve::{
+    encode_client, ClientMsg, ControlAction, LineClient, ServeConfig, ServeError, ServerMsg,
+    SubmitRequest,
+};
 
 fn base_config(fingerprint: &str) -> ServeConfig {
     let mut c = ServeConfig::new("127.0.0.1:0");
@@ -111,14 +114,13 @@ fn status_tracks_roles_across_promotion_and_fencing_dumps_the_flight() {
     let (primary_addr, primary) = spawn_daemon(instance, Algo::Onsite, {
         let mut c = base_config(fp);
         c.replicate_to = Some(standby_addr.to_string());
-        c.repl_strict = true;
         c.flight_dir = Some(dir.clone());
         c
     });
     let primary_addr = primary_addr.to_string();
     let standby_addr = standby_addr.to_string();
 
-    // Strict replicating primary and its standby, as /status sees them.
+    // Replicating primary and its standby, as /status sees them.
     let v = get_status(&primary_addr);
     assert_eq!(v.get("role").and_then(|r| r.as_str()), Some("primary"));
     assert_eq!(v.get("epoch").and_then(|e| e.as_usize()), Some(1));
@@ -230,18 +232,22 @@ fn status_reports_replication_link_state() {
     });
     let addr = addr.to_string();
 
-    // The daemon stays serviceable while its link flaps.
+    // The submit is decided, but no standby ever acks its frame, so its
+    // reply is never written.
     let mut client = LineClient::connect(&addr).unwrap();
-    assert!(matches!(
-        client.submit(&reqs[0]).unwrap(),
-        ServerMsg::Decision(_)
-    ));
+    let submit = ClientMsg::Submit(SubmitRequest::from(&reqs[0]));
+    client.send_line(&encode_client(&submit)).unwrap();
 
     // Poll until the failure counter crosses the partition threshold
     // (4 refused connects under capped jittered backoff: well under the
-    // deadline).
+    // deadline). Controls and /status keep answering throughout.
     let deadline = std::time::Instant::now() + Duration::from_secs(20);
     let repl = loop {
+        let ack = LineClient::connect(&addr)
+            .unwrap()
+            .control(ControlAction::Stats)
+            .unwrap();
+        assert_eq!((ack.role.as_str(), ack.epoch), ("primary", 1));
         let v = get_status(&addr);
         let repl = v.get("replication").cloned().expect("repl link rendered");
         let state = repl.get("state").and_then(|s| s.as_str()).unwrap_or("");
@@ -273,8 +279,23 @@ fn status_reports_replication_link_state() {
         Some("connect"),
         "refused connects should classify as connect errors"
     );
-    client.control(ControlAction::Shutdown).unwrap();
+    common::assert_silent(&client, Duration::from_millis(200));
+
+    // Shutdown drops the held reply: the submit's connection closes
+    // without it.
+    let mut control = LineClient::connect(&addr).unwrap();
+    control.control(ControlAction::Shutdown).unwrap();
     daemon.join().unwrap().unwrap();
+    match client.read_line() {
+        Err(ServeError::Io(e)) => assert!(
+            matches!(
+                e.kind(),
+                std::io::ErrorKind::UnexpectedEof | std::io::ErrorKind::ConnectionReset
+            ),
+            "unexpected read error: {e}"
+        ),
+        other => panic!("the held reply was written at shutdown: {other:?}"),
+    }
 
     // With a live standby the same object flips to connected and the
     // acked sequence follows the sent sequence.
@@ -286,7 +307,6 @@ fn status_reports_replication_link_state() {
     let (primary_addr, primary) = spawn_daemon(instance, Algo::Onsite, {
         let mut c = base_config(fp);
         c.replicate_to = Some(standby_addr.to_string());
-        c.repl_strict = true;
         c
     });
     let primary_addr = primary_addr.to_string();
@@ -294,7 +314,7 @@ fn status_reports_replication_link_state() {
     for r in &reqs[..3] {
         assert!(matches!(client.submit(r).unwrap(), ServerMsg::Decision(_)));
     }
-    // Strict mode already held each ack for replication, so the link
+    // Each reply was already held for the standby's ack, so the link
     // must render connected with zero lag by the time submits return.
     let deadline = std::time::Instant::now() + Duration::from_secs(20);
     loop {
