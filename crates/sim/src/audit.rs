@@ -26,7 +26,7 @@ use mec_topology::CloudletId;
 use mec_workload::TimeSlot;
 use vnfrel::{CapacityLedger, ProblemInstance};
 
-use crate::engine::surviving_availability;
+use crate::engine::{surviving_availability, LiveReq};
 use crate::fault::FailureEvent;
 
 /// Absolute tolerance for ledger balance comparisons.
@@ -119,25 +119,6 @@ impl fmt::Display for AuditReport {
     }
 }
 
-/// The engine's per-slot snapshot of one admitted request, as the
-/// auditor sees it.
-pub(crate) struct LiveView<'a> {
-    /// Dense request id.
-    pub(crate) request: usize,
-    /// Last slot of the request's window.
-    pub(crate) end_slot: TimeSlot,
-    /// Requirement `R_i`.
-    pub(crate) requirement: f64,
-    /// Reliability of the request's VNF type.
-    pub(crate) vnf_rel: mec_topology::Reliability,
-    /// Computing units one instance consumes per slot.
-    pub(crate) per_instance: f64,
-    /// Surviving instances per hosting cloudlet index.
-    pub(crate) sites: &'a [(usize, u32)],
-    /// True while the placement is intact (not down, not evicted).
-    pub(crate) healthy: bool,
-}
-
 /// Slot-stepped invariant checker; owned by the engine during a run.
 pub(crate) struct Auditor {
     /// Independent replay of the base (non-cascade) trace.
@@ -198,7 +179,7 @@ impl Auditor {
         instance: &ProblemInstance,
         ledger: &CapacityLedger,
         engine_up: &[bool],
-        views: &[LiveView<'_>],
+        live: &[LiveReq<'_>],
     ) -> usize {
         let first_new = self.report.violations.len();
         self.report.slots_checked += 1;
@@ -223,12 +204,9 @@ impl Auditor {
         // 2. Balance: for s >= t, committed usage must equal the sum of
         //    surviving healthy placements covering s.
         let mut expected = vec![0.0_f64; m * (horizon - t)];
-        for v in views {
-            if !v.healthy {
-                continue;
-            }
-            for &(j, n) in v.sites {
-                for s in t..=v.end_slot.min(horizon - 1) {
+        for v in live.iter().filter(|v| v.down_since.is_none()) {
+            for &(j, n) in &v.sites {
+                for s in t..=v.request.end_slot().min(horizon - 1) {
                     expected[j * (horizon - t) + (s - t)] += f64::from(n) * v.per_instance;
                 }
             }
@@ -248,27 +226,29 @@ impl Auditor {
         }
 
         // 3. Availability and site liveness of every healthy placement.
-        for v in views {
-            if !v.healthy {
-                continue;
-            }
-            for &(j, _) in v.sites {
+        for v in live.iter().filter(|v| v.down_since.is_none()) {
+            let (request, requirement) = (v.request.id(), v.request.reliability_requirement());
+            for &(j, _) in &v.sites {
                 if !engine_up.get(j).copied().unwrap_or(false) {
                     self.violate(
                         t,
                         AuditInvariant::SiteLiveness,
-                        format!("request {} keeps a site on down cloudlet {j}", v.request),
+                        format!(
+                            "request {} keeps a site on down cloudlet {j}",
+                            request.index()
+                        ),
                     );
                 }
             }
-            let avail = surviving_availability(instance, v.vnf_rel, v.sites);
-            if avail + AVAIL_TOL < v.requirement {
+            let avail = surviving_availability(instance, v.vnf_rel, &v.sites);
+            if avail + AVAIL_TOL < requirement.value() {
                 self.violate(
                     t,
                     AuditInvariant::Availability,
                     format!(
                         "request {} availability {avail} below requirement {}",
-                        v.request, v.requirement
+                        request.index(),
+                        requirement.value()
                     ),
                 );
             }
@@ -303,7 +283,8 @@ impl Auditor {
 mod tests {
     use super::*;
     use mec_topology::{NetworkBuilder, Reliability};
-    use mec_workload::{Horizon, VnfCatalog};
+    use mec_workload::{Horizon, Request, RequestId, VnfCatalog, VnfTypeId};
+    use vnfrel::Placement;
 
     fn instance() -> ProblemInstance {
         let mut b = NetworkBuilder::new();
@@ -317,16 +298,23 @@ mod tests {
         ProblemInstance::new(b.build().unwrap(), VnfCatalog::standard(), Horizon::new(8)).unwrap()
     }
 
-    fn view(sites: &[(usize, u32)], healthy: bool) -> LiveView<'_> {
-        LiveView {
-            request: 0,
-            end_slot: 7,
-            requirement: 0.9,
-            vnf_rel: Reliability::new(0.98).unwrap(),
-            per_instance: 2.0,
-            sites,
-            healthy,
-        }
+    /// Request 0 over slots 0..=7 with requirement 0.9.
+    fn request() -> Request {
+        let r09 = Reliability::new(0.9).unwrap();
+        Request::new(RequestId(0), VnfTypeId(0), r09, 0, 8, 1.0, Horizon::new(8)).unwrap()
+    }
+
+    /// A healthy live request holding `sites` of 2-unit instances.
+    fn view<'r>(inst: &ProblemInstance, r: &'r Request, sites: &[(usize, u32)]) -> LiveReq<'r> {
+        let p = Placement::OnSite {
+            cloudlet: CloudletId(0),
+            instances: 1,
+        };
+        let mut lr = LiveReq::new(inst, r, &p);
+        lr.sites = sites.to_vec();
+        lr.per_instance = 2.0;
+        lr.vnf_rel = Reliability::new(0.98).unwrap();
+        lr
     }
 
     #[test]
@@ -334,11 +322,11 @@ mod tests {
         let inst = instance();
         let mut ledger = CapacityLedger::new(inst.network(), inst.horizon());
         ledger.charge(CloudletId(0), 0..8, 4.0);
-        let sites = vec![(0usize, 2u32)];
-        let views = vec![view(&sites, true)];
+        let r = request();
+        let live = view(&inst, &r, &[(0, 2)]);
         let mut a = Auditor::new(2);
         a.begin_slot(0);
-        let first = a.check_slot(0, &inst, &ledger, &[true, true], &views);
+        let first = a.check_slot(0, &inst, &ledger, &[true, true], &[live]);
         assert!(a.violations_since(first).is_empty());
         let report = a.finish();
         assert!(report.is_clean());
@@ -371,16 +359,13 @@ mod tests {
         let ledger = CapacityLedger::new(inst.network(), inst.horizon());
         // A "healthy" view with no surviving site: availability 0 < 0.9,
         // and a site pinned on a down cloudlet.
-        let empty: Vec<(usize, u32)> = Vec::new();
-        let on_down = vec![(1usize, 1u32)];
-        let mut views = vec![view(&empty, true)];
-        views.push(LiveView {
-            per_instance: 0.0, // no charge, keeps the balance check quiet
-            ..view(&on_down, true)
-        });
+        let r = request();
+        let empty = view(&inst, &r, &[]);
+        let mut on_down = view(&inst, &r, &[(1, 1)]);
+        on_down.per_instance = 0.0; // no charge, keeps the balance check quiet
         let mut a = Auditor::new(2);
         a.begin_slot(0);
-        a.check_slot(0, &inst, &ledger, &[true, false], &views);
+        a.check_slot(0, &inst, &ledger, &[true, false], &[empty, on_down]);
         let report = a.finish();
         let kinds: Vec<_> = report.violations.iter().map(|v| v.invariant).collect();
         assert!(kinds.contains(&AuditInvariant::Availability));

@@ -25,13 +25,6 @@ impl Comparison {
             .iter()
             .max_by(|a, b| a.revenue.partial_cmp(&b.revenue).expect("finite revenue"))
     }
-
-    /// Revenue of `name` relative to the best scheduler (1.0 = best).
-    pub fn relative(&self, name: &str) -> Option<f64> {
-        let best = self.best()?.revenue;
-        let row = self.rows.iter().find(|r| r.algorithm == name)?;
-        (best > 0.0).then(|| row.revenue / best)
-    }
 }
 
 impl fmt::Display for Comparison {
@@ -119,11 +112,6 @@ mod tests {
             assert!(r.revenue <= best + 1e-9);
             assert!(r.revenue <= cmp.total_payment + 1e-9);
         }
-        assert_eq!(
-            cmp.relative(&cmp.best().unwrap().algorithm.clone()),
-            Some(1.0)
-        );
-        assert!(cmp.relative("nope").is_none());
         let table = cmp.to_string();
         assert!(table.contains("alg1-primal-dual"));
         assert!(table.contains("greedy-onsite"));

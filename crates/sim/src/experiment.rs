@@ -117,17 +117,6 @@ impl fmt::Display for SweepTable {
     }
 }
 
-/// Averages `f` over `seeds`, producing one number.
-pub fn mean_over_seeds<F>(seeds: &[u64], mut f: F) -> f64
-where
-    F: FnMut(u64) -> f64,
-{
-    if seeds.is_empty() {
-        return 0.0;
-    }
-    seeds.iter().map(|&s| f(s)).sum::<f64>() / seeds.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -163,12 +152,5 @@ mod tests {
     fn arity_mismatch_panics() {
         let mut t = table();
         t.push_row(300.0, vec![1.0]);
-    }
-
-    #[test]
-    fn mean_over_seeds_averages() {
-        let m = mean_over_seeds(&[1, 2, 3], |s| s as f64);
-        assert!((m - 2.0).abs() < 1e-12);
-        assert_eq!(mean_over_seeds(&[], |_| 1.0), 0.0);
     }
 }

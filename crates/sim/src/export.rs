@@ -1,13 +1,11 @@
 //! Plain-text/CSV export of simulation artifacts, for plotting outside
 //! Rust (gnuplot, matplotlib, spreadsheets).
 //!
-//! Each table has two forms: a streaming `write_*` function that renders
-//! straight into any [`io::Write`] and propagates the first IO error
-//! (no silently truncated tables on a full disk), and a `*_csv`
-//! convenience wrapper returning a `String` for callers that want the
-//! whole table in memory. The CLI uses the streaming forms so a failed
-//! export surfaces as an error naming the target path instead of a
-//! half-written file.
+//! Each table is a streaming `write_*` function that renders straight
+//! into any [`io::Write`] and propagates the first IO error (no silently
+//! truncated tables on a full disk), so a failed CLI export surfaces as
+//! an error naming the target path instead of a half-written file.
+//! [`timeline_csv`] renders the plain timeline into a `String`.
 
 use std::io::{self, Write};
 
@@ -61,12 +59,6 @@ pub fn write_fault_timeline_csv<W: Write>(out: &mut W, report: &FaultRunReport) 
     Ok(())
 }
 
-/// Renders a fault-aware run's per-slot timeline as CSV
-/// (`slot,arrivals,admitted,active,events,newly_failed,recovered,violated,evicted`).
-pub fn fault_timeline_csv(report: &FaultRunReport) -> String {
-    into_string(|buf| write_fault_timeline_csv(buf, report))
-}
-
 /// Streams the SLA ledger as CSV, one row per admitted request
 /// (`request,payment,duration,downtime_slots,failures,recovery_attempts,recoveries,repair_latency_slots,unrecovered,evicted,refund,retained`).
 ///
@@ -100,11 +92,6 @@ pub fn write_sla_csv<W: Write>(out: &mut W, report: &FaultRunReport) -> io::Resu
     Ok(())
 }
 
-/// Renders the SLA ledger as CSV, one row per admitted request.
-pub fn sla_csv(report: &FaultRunReport) -> String {
-    into_string(|buf| write_sla_csv(buf, report))
-}
-
 /// Streams a sweep table as CSV with the x-label as the first column.
 ///
 /// # Errors
@@ -130,11 +117,6 @@ pub fn write_sweep_csv<W: Write>(out: &mut W, table: &SweepTable) -> io::Result<
         out.write_all(b"\n")?;
     }
     Ok(())
-}
-
-/// Renders a sweep table as CSV with the x-label as the first column.
-pub fn sweep_csv(table: &SweepTable) -> String {
-    into_string(|buf| write_sweep_csv(buf, table))
 }
 
 /// Runs a streaming renderer into an in-memory buffer. Writes to a
@@ -226,7 +208,7 @@ mod tests {
             )
             .unwrap();
 
-        let timeline = fault_timeline_csv(&report);
+        let timeline = into_string(|buf| write_fault_timeline_csv(buf, &report));
         let lines: Vec<&str> = timeline.trim_end().lines().collect();
         assert_eq!(lines.len(), 7); // header + 6 slots
         assert_eq!(
@@ -236,7 +218,7 @@ mod tests {
         // The injected event shows up in slot 2's events column.
         assert_eq!(lines[3].split(',').nth(4).unwrap(), "1");
 
-        let sla = sla_csv(&report);
+        let sla = into_string(|buf| write_sla_csv(buf, &report));
         let rows: Vec<&str> = sla.trim_end().lines().collect();
         assert_eq!(rows.len() - 1, report.metrics.admitted);
         assert!(rows[0].starts_with("request,payment,duration,downtime_slots"));
@@ -249,7 +231,7 @@ mod tests {
     fn sweep_csv_quotes_commas() {
         let mut t = SweepTable::new("x", "y", vec!["plain".into(), "with,comma".into()]);
         t.push_row(1.0, vec![2.0, 3.0]);
-        let csv = sweep_csv(&t);
+        let csv = into_string(|buf| write_sweep_csv(buf, &t));
         assert!(csv.starts_with("x,plain,\"with,comma\"\n"));
         assert!(csv.contains("1,2,3\n"));
     }

@@ -304,10 +304,7 @@ impl FailureProcess {
             by_slot,
             config: *config,
             domains_by_slot: vec![Vec::new(); horizon.len()],
-            domain_members: Vec::new(),
-            cascade: None,
-            cascade_draws: Vec::new(),
-            cascade_width: 0,
+            ..Self::empty()
         })
     }
 
@@ -474,11 +471,22 @@ impl FailureProcess {
             by_slot,
             config,
             domains_by_slot: vec![Vec::new(); slots],
+            ..Self::empty()
+        })
+    }
+
+    /// The trace of a run without faults: every slot reads back empty,
+    /// and nothing is allocated. The other constructors start from it.
+    pub(crate) fn empty() -> Self {
+        FailureProcess {
+            by_slot: Vec::new(),
+            config: FailureConfig::default(),
+            domains_by_slot: Vec::new(),
             domain_members: Vec::new(),
             cascade: None,
             cascade_draws: Vec::new(),
             cascade_width: 0,
-        })
+        }
     }
 
     /// Adds handcrafted domain-level events (and the member lists they

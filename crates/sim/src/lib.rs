@@ -6,28 +6,22 @@
 //! injects component failures Monte-Carlo style to verify that admitted
 //! requests actually receive their promised availability.
 //!
-//! * [`Simulation`] — the engine, with three run entry points over its
-//!   two slot loops: [`Simulation::run`] produces a [`RunReport`] with
-//!   metrics, a feasibility report, and a per-slot timeline;
-//!   [`Simulation::run_ordered`] is the same plain loop with the
-//!   intra-slot order and optional engine metrics spelled out; and
-//!   [`Simulation::run_faulted`] is the fault loop (see below),
+//! * [`Simulation`] — the engine: one slot loop behind three entry
+//!   points. [`Simulation::run`] and [`Simulation::run_ordered`] (the
+//!   intra-slot order and engine metrics spelled out) replay the stream
+//!   over an outage trace with no events and validate the schedule;
+//!   [`Simulation::run_faulted`] replays it under a seeded outage trace
+//!   ([`FailureProcess`], [`fault`]), releasing dead capacity,
+//!   re-placing affected requests under a [`RecoveryPolicy`]
+//!   ([`recovery`]) and keeping an SLA ledger ([`SlaReport`]). An
+//!   admitted request costs the loop nothing until a fault touches a
+//!   cloudlet it sits on; the steps walk only the touched ones,
 //! * [`failure::inject_failures`] — sampled cloudlet/VNF failures versus
 //!   each admitted request's requirement `R_i`,
 //! * [`MixedSimulation`] + [`chain_failure::inject_chain_failures`] —
 //!   mixed single-VNF/chain workloads through the chain primal-dual
 //!   scheduler, and the Monte-Carlo referee that verifies delivered
 //!   *chain* reliability (standby rescues included) against `R_i`,
-//! * [`fault`] + [`recovery`] — *dynamic* fault injection: a seeded
-//!   per-slot outage trace ([`FailureProcess`]) replayed through
-//!   [`Simulation::run_faulted`], which releases dead capacity,
-//!   re-places affected requests under a [`RecoveryPolicy`], and keeps
-//!   an SLA ledger ([`SlaReport`]) of downtime and refunds. The loop
-//!   walks one id-ordered set of the admitted requests still inside
-//!   their window, so a slot costs what is alive in it; its steps are
-//!   the private `lift_cascades`, `apply_events`, `cascade_check`,
-//!   `track_degraded`, `offer_arrivals`, `detect_breaches`, `recover`,
-//!   `account` and `audit` of `engine.rs`, in that order,
 //! * [`experiment`] — sweep tables used by the figure-regeneration
 //!   binaries in `vnfrel-bench`,
 //! * [`obs`] — engine-side observability: decide-latency/utilization
@@ -62,6 +56,6 @@ pub use engine::{
 };
 pub use error::SimError;
 pub use fault::{CascadeConfig, DomainEvent, FailureConfig, FailureEvent, FailureProcess};
-pub use metrics::{FaultSlotStats, RunMetrics, SlaRecord, SlaReport, SlotStats};
+pub use metrics::{RunMetrics, SlaRecord, SlaReport, SlotStats};
 pub use obs::{EngineMetricIds, EngineMetrics, InjectionMetricIds};
 pub use recovery::RecoveryPolicy;

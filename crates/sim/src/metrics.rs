@@ -56,21 +56,11 @@ impl fmt::Display for RunMetrics {
     }
 }
 
-/// Per-slot activity counters produced by the slot-stepped engine.
+/// Per-slot counters of the slot-stepped engine. The five fault counters
+/// stay zero in a run without faults
+/// ([`Simulation::run`](crate::Simulation::run)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SlotStats {
-    /// Requests that arrived in this slot.
-    pub arrivals: usize,
-    /// Arrivals admitted in this slot.
-    pub admitted: usize,
-    /// Admitted requests whose execution window covers this slot.
-    pub active: usize,
-}
-
-/// Per-slot counters of a fault-aware run
-/// ([`Simulation::run_faulted`](crate::Simulation::run_faulted)).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct FaultSlotStats {
     /// Requests that arrived in this slot.
     pub arrivals: usize,
     /// Arrivals admitted in this slot.

@@ -20,6 +20,14 @@
 //! — plus at most [`CHAIN_ADMIT_SLACK`]. The first half sizes the
 //! scheduler's scratch, which is the point of keeping it there.
 //!
+//! A whole run is held to the same standard: `Simulation::run` and
+//! `Simulation::run_faulted` over an outage trace with no events may
+//! allocate at most [`RUN_GROWTH_BUDGET`] more times over the first 6 144
+//! requests of `Scenario::week` than over the first 3 072, for Algorithm
+//! 1 and on-site greedy, whose admissions allocate nothing themselves. A
+//! loop that kept per-admission state (a site list, an SLA record) before
+//! a fault touched the request would spend thousands.
+//!
 //! Modelled on `tests/serve_alloc.rs`, with one difference: the counter
 //! is thread-local. Each call is measured once and held to an exact
 //! number, so the min-over-trials filter that file uses against the
@@ -32,10 +40,12 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use mec_obs::{NoopSink, RingSink, TraceSink};
+use mec_sim::{FailureConfig, FailureProcess, RecoveryPolicy, Simulation};
+use mec_workload::Request;
 use vnfrel::chain::{BackupMode, ChainPrimalDual, ChainScheduler};
 use vnfrel::offsite::{OffsiteGreedy, OffsitePrimalDual};
 use vnfrel::onsite::{CapacityPolicy, OnsiteGreedy, OnsitePrimalDual};
-use vnfrel::{Decision, OnlineScheduler, Placement};
+use vnfrel::{Decision, OnlineScheduler, Placement, ProblemInstance};
 use vnfrel_bench::{Arrival, MixedScenario, Scenario, ScenarioParams};
 
 struct CountingAlloc;
@@ -289,6 +299,66 @@ fn chain_decisions_hold_their_allocation_budget() {
     }
 }
 
+/// Most a run over the 6 144-request week prefix may allocate beyond one
+/// over its first half: growth steps of the schedule and of the loop's
+/// expiry structures, and the validator's per-run bookkeeping.
+const RUN_GROWTH_BUDGET: u64 = 32;
+
+/// Allocations of a plain and of a fault-free faulted run of `fresh`'s
+/// scheduler over `requests`, the scheduler built before counting.
+fn run_allocations<'a, S: OnlineScheduler>(
+    instance: &'a ProblemInstance,
+    requests: &'a [Request],
+    fresh: impl Fn() -> S,
+) -> (u64, u64) {
+    let sim = Simulation::new(instance, requests).unwrap();
+    let no_faults =
+        FailureProcess::from_events(instance.horizon(), [], FailureConfig::default()).unwrap();
+    let mut alg = fresh();
+    let before = allocations();
+    sim.run(&mut alg).unwrap();
+    let plain = allocations() - before;
+    let mut alg = fresh();
+    let before = allocations();
+    let policy = RecoveryPolicy::SchemeMatching;
+    sim.run_faulted(&mut alg, &no_faults, policy, None, &mut NoopSink)
+        .unwrap();
+    (plain, allocations() - before)
+}
+
+fn runs_allocate_what_the_stream_length_does_not_set() {
+    let week = Scenario::week(131_072, 1);
+    let inst = &week.instance;
+    let alg1 = || OnsitePrimalDual::new(inst, CapacityPolicy::Enforce).unwrap();
+    let greedy = || OnsiteGreedy::new(inst);
+    let half = &week.requests[..3_072];
+    let whole = &week.requests[..6_144];
+    let cases = [
+        (
+            "alg1",
+            run_allocations(inst, half, alg1),
+            run_allocations(inst, whole, alg1),
+        ),
+        (
+            "greedy",
+            run_allocations(inst, half, greedy),
+            run_allocations(inst, whole, greedy),
+        ),
+    ];
+    for (name, (plain_half, faulted_half), (plain, faulted)) in cases {
+        for (run, short, long) in [
+            ("run", plain_half, plain),
+            ("run_faulted", faulted_half, faulted),
+        ] {
+            assert!(
+                long <= short + RUN_GROWTH_BUDGET,
+                "{name}: {run} allocated {long} times over 6 144 week requests and {short} over \
+                 3 072; budget {RUN_GROWTH_BUDGET} more"
+            );
+        }
+    }
+}
+
 #[test]
 fn decide_holds_its_allocation_budget_under_the_noop_sink() {
     const { assert!(RingSink::ENABLED) };
@@ -322,6 +392,7 @@ fn decide_holds_its_allocation_budget_under_the_noop_sink() {
         assert_tracing_is_seen(case, &s, &mut traced, budget);
     }
     chain_decisions_hold_their_allocation_budget();
+    runs_allocate_what_the_stream_length_does_not_set();
     assert!(
         seen.rejects > 0 && seen.onsite_admits > 0 && seen.offsite_admits > 0,
         "every budget class must be exercised: {} rejects, {} on-site, {} off-site admits",
