@@ -416,6 +416,7 @@ fn main() {
             trials,
             11,
             threads,
+            None,
         )
         .unwrap();
     });

@@ -98,7 +98,8 @@ fn run_mode(
     let standby_compute = alg.pool().charged_compute_slots();
     let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xc4a1_0000);
     let report = inject_chain_failures(instance, chains, &schedule, trials, &mut rng)
-        .expect("referee accepts the schedule");
+        .expect("referee accepts the schedule")
+        .availability;
     ModeOutcome {
         admitted: schedule.admitted_count(),
         revenue: schedule.revenue(),

@@ -324,15 +324,6 @@ pub struct MixedScenario {
     pub chains: Vec<ChainRequest>,
 }
 
-/// One element of a [`MixedScenario`]'s merged stream.
-#[derive(Debug, Clone, Copy)]
-pub enum Arrival<'a> {
-    /// A single-VNF request.
-    Single(&'a Request),
-    /// A chain request.
-    Chain(&'a ChainRequest),
-}
-
 impl MixedScenario {
     /// Builds `chains` chains and twice as many singles over `slots`
     /// slots; `seed` draws the streams (singles first), the fleet is the
@@ -384,27 +375,6 @@ impl MixedScenario {
             singles,
             chains,
         }
-    }
-
-    /// The two streams merged by arrival slot, singles before chains
-    /// within a slot — the order `MixedSimulation::run` decides them in.
-    pub fn arrivals(&self) -> impl Iterator<Item = Arrival<'_>> {
-        let (mut singles, mut chains) = (
-            self.singles.iter().peekable(),
-            self.chains.iter().peekable(),
-        );
-        std::iter::from_fn(move || {
-            let single_first = match (singles.peek(), chains.peek()) {
-                (Some(s), Some(c)) => s.arrival() <= c.arrival(),
-                (Some(_), None) => true,
-                (None, _) => false,
-            };
-            if single_first {
-                singles.next().map(Arrival::Single)
-            } else {
-                chains.next().map(Arrival::Chain)
-            }
-        })
     }
 }
 

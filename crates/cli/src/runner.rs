@@ -356,25 +356,15 @@ pub fn simulate(args: &SimulateArgs, io: &mut Output<'_>) -> Result<(), CliError
     if args.failure_trials > 0 {
         // Trials are chunk-seeded from the workload seed, so the report
         // is identical for any --threads value.
-        let fr = match inject_ids {
-            Some(ids) => failure::inject_failures_parallel_metered(
-                &instance,
-                &requests,
-                &report.schedule,
-                args.failure_trials,
-                args.seed,
-                args.threads,
-                (registry, ids),
-            ),
-            None => failure::inject_failures_parallel(
-                &instance,
-                &requests,
-                &report.schedule,
-                args.failure_trials,
-                args.seed,
-                args.threads,
-            ),
-        }
+        let fr = failure::inject_failures_parallel(
+            &instance,
+            &requests,
+            &report.schedule,
+            args.failure_trials,
+            args.seed,
+            args.threads,
+            inject_ids.map(|ids| (registry, ids)),
+        )
         .map_err(CliError::internal)?;
         io.table(format!(
             "failure injection: {} trials, worst margin {:+.4}, statistical violations {}",
@@ -497,6 +487,7 @@ pub fn chain(args: &ChainArgs, io: &mut Output<'_>) -> Result<(), CliError> {
             &mut mc_rng,
         )
         .map_err(CliError::internal)?;
+        let fr = fr.availability;
         let violations = fr.statistical_violations(3.0);
         io.table(format!(
             "chain failure injection: {} trials, worst margin {:+.4}, statistical violations {}",

@@ -35,7 +35,10 @@
 //! existing standby is free — that is exactly the economic advantage of
 //! sharing). Admission requires the payment to strictly exceed the
 //! total, and admitted chains push the prices of every touched cloudlet
-//! up by the usual multiplicative rule (Eq. 34).
+//! up by the usual multiplicative rule (Eq. 34). The grid and the ledger
+//! belong to an owned Algorithm 1 ([`OnsitePrimalDual`]), which decides
+//! a mixed stream's single-VNF requests
+//! ([`ChainPrimalDual::decide_single`]).
 //!
 //! # Cost
 //!
@@ -69,7 +72,9 @@ use crate::chain::path::PathTable;
 use crate::error::VnfrelError;
 use crate::instance::ProblemInstance;
 use crate::ledger::CapacityLedger;
-use crate::pricing::DualPrices;
+use crate::onsite::{CapacityPolicy, OnsitePrimalDual};
+use crate::schedule::{Decision, Placement};
+use crate::scheduler::OnlineScheduler;
 
 /// Labels kept per beam-search layer.
 const BEAM: usize = 8;
@@ -401,8 +406,10 @@ pub struct ChainPrimalDual<'a, S: TraceSink = NoopSink> {
     instance: &'a ProblemInstance,
     mode: BackupMode,
     sink: S,
-    prices: DualPrices,
-    ledger: CapacityLedger,
+    /// Algorithm 1 itself: it decides the single-VNF requests, and its
+    /// price grid and ledger are the ones chains are priced and charged
+    /// against.
+    alg1: OnsitePrimalDual<'a>,
     pool: SharedBackupPool,
     paths: PathTable,
     /// Every cloudlet as `(id, node, r(c_j))`, in id order.
@@ -445,8 +452,8 @@ impl<'a, S: TraceSink> ChainPrimalDual<'a, S> {
             instance,
             mode,
             sink,
-            prices: DualPrices::new(instance.cloudlet_count(), instance.horizon().len()),
-            ledger: CapacityLedger::new(instance.network(), instance.horizon()),
+            alg1: OnsitePrimalDual::new(instance, CapacityPolicy::Enforce)
+                .expect("Enforce takes no scaling factor"),
             pool: SharedBackupPool::new(mass_cap),
             paths: PathTable::new(),
             all_hosts: instance
@@ -470,7 +477,7 @@ impl<'a, S: TraceSink> ChainPrimalDual<'a, S> {
 
     /// The scheduler's capacity ledger.
     pub fn ledger(&self) -> &CapacityLedger {
-        &self.ledger
+        &self.alg1.ledger
     }
 
     /// The shared standby pool.
@@ -520,56 +527,28 @@ impl<'a, S: TraceSink> ChainPrimalDual<'a, S> {
                 "chain not admitted or already released",
             ))?;
         for &(j, amount) in &c.primaries {
-            self.ledger
+            self.alg1
+                .ledger
                 .release(CloudletId(j as usize), c.first..=c.last, amount)?;
         }
-        self.pool.release_chain(id.index(), &mut self.ledger);
+        self.pool.release_chain(id.index(), &mut self.alg1.ledger);
         Ok(())
     }
 
-    /// Decides one *single-VNF* request against the same ledger and
-    /// price grid (on-site semantics), so mixed workloads contend for
-    /// the same capacity. Returns the chosen cloudlet and instance
-    /// count, or `None` on rejection.
+    /// Decides one *single-VNF* request by Algorithm 1 (capacity
+    /// enforced) on the chains' own ledger and price grid, so mixed
+    /// workloads contend for the same capacity. Returns the chosen
+    /// cloudlet and instance count, or `None` on rejection.
     pub fn decide_single(&mut self, request: &Request) -> Option<(CloudletId, u32)> {
-        let vnf = self.instance.catalog().get(request.vnf())?;
-        let req = request.reliability_requirement();
-        let (first, last) = (*request.slots().start(), *request.slots().end());
-        let pay = request.payment();
-        // The cheapest fitting cloudlet that passes the payment test —
-        // which is the cheapest fitting cloudlet if that one passes, and
-        // nothing otherwise, since every dearer one then fails too. So
-        // the ledger scan (the expensive part) runs only for a cloudlet
-        // that would become the answer.
-        let mut best: Option<(f64, usize, u32)> = None;
-        for c in self.instance.network().cloudlets() {
-            let j = c.id().index();
-            let Some(n) = self
-                .instance
-                .onsite_instances_for(request.vnf(), c.id(), req)
-            else {
-                continue;
-            };
-            let w = f64::from(n) * vnf.compute() as f64;
-            let cost = w * self.prices.window_sum(j, first, last);
-            if best.is_none_or(|(bc, _, _)| cost < bc)
-                && pay - cost > 0.0
-                && self.ledger.fits_window(c.id(), first, last, w)
-            {
-                best = Some((cost, j, n));
-            }
-        }
-        let (_, j, n) = best?;
-        let vnf_compute = vnf.compute() as f64;
-        let w = f64::from(n) * vnf_compute;
-        self.ledger.charge(CloudletId(j), request.slots(), w);
-        let cap = self.ledger.capacity(CloudletId(j));
-        let d = request.duration() as f64;
-        self.prices.update_window(j, first, last, |l| {
-            l * (1.0 + w / cap) + w * pay / (d * cap)
-        });
-        self.revenue += pay;
-        Some((CloudletId(j), n))
+        let Decision::Admit(Placement::OnSite {
+            cloudlet,
+            instances,
+        }) = self.alg1.decide(request)
+        else {
+            return None;
+        };
+        self.revenue += request.payment();
+        Some((cloudlet, instances))
     }
 
     /// Beam search over per-stage hosts, from `scratch.stages` and
@@ -606,7 +585,7 @@ impl<'a, S: TraceSink> ChainPrimalDual<'a, S> {
         window_prices.extend(
             eligible
                 .iter()
-                .map(|&(j, _)| self.prices.window_sum(j as usize, first, last)),
+                .map(|&(j, _)| self.alg1.prices.window_sum(j as usize, first, last)),
         );
         arena.clear();
         arena.push(Label {
@@ -766,7 +745,7 @@ impl<'a, S: TraceSink> ChainPrimalDual<'a, S> {
                             needs,
                             first,
                             last,
-                            &self.ledger,
+                            &self.alg1.ledger,
                             |_, _| 0.0,
                             plan_scratch,
                             plan,
@@ -800,6 +779,7 @@ impl<'a, S: TraceSink> ChainPrimalDual<'a, S> {
         }
         for &(j, amount) in primary_per_cloudlet.iter() {
             if !self
+                .alg1
                 .ledger
                 .fits_window(CloudletId(j as usize), first, last, amount)
             {
@@ -820,7 +800,7 @@ impl<'a, S: TraceSink> ChainPrimalDual<'a, S> {
                 needs,
                 first,
                 last,
-                &self.ledger,
+                &self.alg1.ledger,
                 pending,
                 plan_scratch,
                 plan,
@@ -836,7 +816,7 @@ impl<'a, S: TraceSink> ChainPrimalDual<'a, S> {
         stage_costs.clear();
         *dual_cost = 0.0;
         for (k, &j) in hosts.iter().enumerate() {
-            let unit = self.prices.window_sum(j as usize, first, last);
+            let unit = self.alg1.prices.window_sum(j as usize, first, last);
             let mut cost = f64::from(replicas[k]) * stages[k].1 as f64 * unit;
             if let Some(p) = plan.stages.iter().find(|p| p.stage == k) {
                 if p.join.is_none() {
@@ -997,13 +977,14 @@ impl<S: TraceSink> ChainScheduler for ChainPrimalDual<'_, S> {
         } = &mut self.scratch;
         let (first, last) = (*request.slots().start(), *request.slots().end());
         for &(j, amount) in &ev.primary_per_cloudlet {
-            self.ledger
+            self.alg1
+                .ledger
                 .charge(CloudletId(j as usize), first..=last, amount);
         }
         self.pool.commit_into(
             &ev.plan,
             request.id().index(),
-            &mut self.ledger,
+            &mut self.alg1.ledger,
             standby_ids,
         );
         self.committed.insert(
@@ -1030,10 +1011,12 @@ impl<S: TraceSink> ChainScheduler for ChainPrimalDual<'_, S> {
         }
         let d = request.duration() as f64;
         for &(j, w) in weight_per_cloudlet.iter() {
-            let cap = self.ledger.capacity(CloudletId(j as usize));
-            self.prices.update_window(j as usize, first, last, |l| {
-                l * (1.0 + w / cap) + w * pay / (d * cap)
-            });
+            let cap = self.alg1.ledger.capacity(CloudletId(j as usize));
+            self.alg1
+                .prices
+                .update_window(j as usize, first, last, |l| {
+                    l * (1.0 + w / cap) + w * pay / (d * cap)
+                });
         }
         self.admitted += 1;
         self.revenue += pay;

@@ -70,8 +70,10 @@ pub struct OnsitePrimalDual<'a, S: TraceSink = NoopSink> {
     /// Decision-event consumer; `NoopSink` (the default) compiles the
     /// instrumentation away entirely.
     sink: S,
-    prices: DualPrices,
-    ledger: CapacityLedger,
+    /// The price grid and ledger; the chain scheduler prices and charges
+    /// chains against the same two.
+    pub(crate) prices: DualPrices,
+    pub(crate) ledger: CapacityLedger,
     /// Σ δ_i accumulated over all processed requests.
     sum_delta: f64,
     rejections: RejectionCounters,

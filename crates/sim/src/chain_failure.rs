@@ -29,73 +29,19 @@ use mec_workload::{ChainRequest, ChainRequestId};
 use vnfrel::chain::ChainSchedule;
 use vnfrel::ProblemInstance;
 
+use crate::failure::{FailureReport, RequestAvailability};
 use crate::SimError;
-
-/// Measured availability of one admitted chain.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ChainAvailability {
-    /// The chain.
-    pub chain: ChainRequestId,
-    /// Required end-to-end availability `R_i`.
-    pub required: f64,
-    /// Fraction of trials in which every stage survived (or was
-    /// rescued by a standby).
-    pub measured: f64,
-    /// Number of trials.
-    pub trials: usize,
-    /// Fraction of trials in which a standby rescue was needed and
-    /// granted.
-    pub rescued: f64,
-}
-
-impl ChainAvailability {
-    /// Measured minus required; negative = empirical shortfall.
-    pub fn margin(&self) -> f64 {
-        self.measured - self.required
-    }
-
-    /// Approximate standard error (`√(p(1−p)/n)`; 0 with no trials).
-    pub fn standard_error(&self) -> f64 {
-        if self.trials == 0 {
-            return 0.0;
-        }
-        (self.measured * (1.0 - self.measured) / self.trials as f64).sqrt()
-    }
-
-    /// Whether the measurement is consistent with meeting the
-    /// requirement: `measured + z·SE ≥ required`.
-    pub fn meets_requirement(&self, z: f64) -> bool {
-        self.measured + z * self.standard_error() >= self.required
-    }
-}
 
 /// Result of a chain failure-injection campaign.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChainFailureReport {
-    /// One entry per admitted chain, in id order.
-    pub chains: Vec<ChainAvailability>,
-    /// Number of trials run.
-    pub trials: usize,
-}
-
-impl ChainFailureReport {
-    /// Smallest margin across admitted chains (`None` if none admitted).
-    pub fn worst_margin(&self) -> Option<f64> {
-        self.chains
-            .iter()
-            .map(|c| c.margin())
-            .min_by(|a, b| a.total_cmp(b))
-    }
-
-    /// Chains whose measurement is statistically below requirement at
-    /// the given z-score (3.0 ≈ 99.7% confidence).
-    pub fn statistical_violations(&self, z: f64) -> Vec<ChainRequestId> {
-        self.chains
-            .iter()
-            .filter(|c| !c.meets_requirement(z))
-            .map(|c| c.chain)
-            .collect()
-    }
+    /// Measured availability of each admitted chain, in id order: the
+    /// fraction of trials in which every stage survived (or was rescued
+    /// by a standby).
+    pub availability: FailureReport<ChainRequestId>,
+    /// Per entry of `availability.requests`: the fraction of trials in which a
+    /// standby rescue was needed and granted.
+    pub rescued: Vec<f64>,
 }
 
 /// One placed stage, resolved for the trial loop.
@@ -254,21 +200,20 @@ pub fn inject_chain_failures<R: Rng + ?Sized>(
     }
 
     let denom = trials.max(1) as f64;
-    let report_chains = c
+    let requests = c
         .admitted
         .iter()
-        .zip(survived.iter().zip(&rescued))
-        .map(|((id, required, _), (&s, &r))| ChainAvailability {
-            chain: *id,
-            required: *required,
+        .zip(&survived)
+        .map(|(&(request, required, _), &s)| RequestAvailability {
+            request,
+            required,
             measured: s as f64 / denom,
             trials,
-            rescued: r as f64 / denom,
         })
         .collect();
     Ok(ChainFailureReport {
-        chains: report_chains,
-        trials,
+        availability: FailureReport { requests, trials },
+        rescued: rescued.iter().map(|&r| r as f64 / denom).collect(),
     })
 }
 
@@ -315,12 +260,12 @@ mod tests {
             assert!(schedule.admitted_count() > 0, "{mode:?}: nothing admitted");
             let mut rng = ChaCha8Rng::seed_from_u64(99);
             let report = inject_chain_failures(&inst, &reqs, &schedule, 20_000, &mut rng).unwrap();
-            let violations = report.statistical_violations(3.0);
+            let violations = report.availability.statistical_violations(3.0);
             assert!(
                 violations.is_empty(),
                 "{mode:?}: measured availability below target for {violations:?} \
                  (worst margin {:?})",
-                report.worst_margin()
+                report.availability.worst_margin()
             );
         }
     }
@@ -335,7 +280,7 @@ mod tests {
         let report = inject_chain_failures(&inst, &reqs, &schedule, 20_000, &mut rng).unwrap();
         // If any standbys were committed, some trials must have used one.
         if alg.pool().standby_count() > 0 {
-            let total_rescued: f64 = report.chains.iter().map(|c| c.rescued).sum();
+            let total_rescued: f64 = report.rescued.iter().sum();
             assert!(total_rescued > 0.0, "standbys exist but never rescued");
         }
     }

@@ -3,11 +3,13 @@
 //! The paper's engine ([`crate::Simulation`]) replays single-VNF
 //! requests; [`MixedSimulation`] replays a *mixed* workload — single-VNF
 //! requests and service function chains contending for the same cloudlet
-//! capacity and dual prices. Both streams are merged by arrival slot
-//! (singles first within a slot, matching the engine's intra-slot
-//! convention that cheap decisions land before expensive ones) and fed
-//! to one [`ChainPrimalDual`], whose `decide_single`/`decide_chain`
-//! entry points share a ledger and price grid.
+//! capacity and dual prices. [`MixedSimulation::demands`] merges both
+//! streams by arrival slot into one [`Demand`] order (singles first
+//! within a slot, matching the engine's intra-slot convention that cheap
+//! decisions land before expensive ones), and `run` feeds it to one
+//! [`ChainPrimalDual`]: singles through `decide_single`, which is
+//! Algorithm 1 itself, and chains through `decide_chain`, priced and
+//! charged on that Algorithm 1's grid and ledger.
 
 use mec_obs::TraceSink;
 use mec_topology::CloudletId;
@@ -15,7 +17,17 @@ use mec_workload::{ChainRequest, Request, WorkloadError};
 use vnfrel::chain::{BackupMode, ChainPrimalDual, ChainSchedule, ChainScheduler};
 use vnfrel::{ProblemInstance, VnfrelError};
 
-use crate::SimError;
+use crate::{SimError, Simulation};
+
+/// One request of a mixed stream, in the order
+/// [`MixedSimulation::demands`] yields them.
+#[derive(Debug, Clone, Copy)]
+pub enum Demand<'a> {
+    /// A single-VNF request.
+    Single(&'a Request),
+    /// A service function chain.
+    Chain(&'a ChainRequest),
+}
 
 /// Outcome of a mixed-workload run.
 #[derive(Debug, Clone)]
@@ -61,28 +73,23 @@ pub struct MixedSimulation<'a> {
 }
 
 impl<'a> MixedSimulation<'a> {
-    /// Creates the simulation, validating both streams: ids must be
-    /// dense in position, arrivals must be sorted (the generators
-    /// guarantee both), and every window must fit the instance's horizon
-    /// (a stream may have been built against a longer one).
+    /// Creates the simulation, validating both streams: the singles as
+    /// [`Simulation::new`] does, and the chains alike — ids dense in
+    /// position, arrivals sorted (the generators guarantee both), and
+    /// every window inside the instance's horizon (a stream may have been
+    /// built against a longer one).
     ///
     /// # Errors
     ///
-    /// Returns a wrapped [`VnfrelError`] when the singles do not fit the
-    /// instance (non-dense ids, unknown VNFs, bad windows) or a chain's
-    /// window leaves the horizon, and [`SimError::Mismatch`] on non-dense
-    /// chain ids or unsorted arrivals in either stream.
+    /// Returns [`Simulation::new`]'s errors for the singles; for the
+    /// chains, a wrapped [`VnfrelError`] when a window leaves the horizon
+    /// and [`SimError::Mismatch`] on non-dense ids or unsorted arrivals.
     pub fn new(
         instance: &'a ProblemInstance,
         singles: &'a [Request],
         chains: &'a [ChainRequest],
     ) -> Result<Self, SimError> {
-        instance.check_requests(singles)?;
-        if singles.windows(2).any(|w| w[0].arrival() > w[1].arrival()) {
-            return Err(SimError::Mismatch(
-                "single-VNF requests must be sorted by arrival",
-            ));
-        }
+        Simulation::new(instance, singles)?;
         let horizon = instance.horizon();
         for (i, c) in chains.iter().enumerate() {
             if c.id().index() != i {
@@ -112,33 +119,34 @@ impl<'a> MixedSimulation<'a> {
         self.instance
     }
 
-    /// Runs the merged stream through the scheduler: requests are
-    /// decided in arrival order, singles before chains within a slot.
+    /// The two streams merged by arrival slot, singles before chains
+    /// within a slot: the order [`MixedSimulation::run`] decides them in.
+    pub fn demands(&self) -> impl Iterator<Item = Demand<'a>> {
+        let mut singles = self.singles.iter().peekable();
+        let mut chains = self.chains.iter().peekable();
+        std::iter::from_fn(move || match (singles.peek(), chains.peek()) {
+            (Some(s), Some(c)) if s.arrival() > c.arrival() => chains.next().map(Demand::Chain),
+            (Some(_), _) => singles.next().map(Demand::Single),
+            (None, _) => chains.next().map(Demand::Chain),
+        })
+    }
+
+    /// Runs [`MixedSimulation::demands`] through the scheduler.
     pub fn run<S: TraceSink>(&self, scheduler: &mut ChainPrimalDual<'_, S>) -> MixedReport {
         let mut singles_out: Vec<Option<(CloudletId, u32)>> =
             Vec::with_capacity(self.singles.len());
         let mut chain_schedule = ChainSchedule::new();
         let mut single_revenue = 0.0;
-        let (mut i, mut j) = (0, 0);
-        while i < self.singles.len() || j < self.chains.len() {
-            let take_single = match (self.singles.get(i), self.chains.get(j)) {
-                (Some(s), Some(c)) => s.arrival() <= c.arrival(),
-                (Some(_), None) => true,
-                (None, _) => false,
-            };
-            if take_single {
-                let r = &self.singles[i];
-                let d = scheduler.decide_single(r);
-                if d.is_some() {
-                    single_revenue += r.payment();
+        for demand in self.demands() {
+            match demand {
+                Demand::Single(r) => {
+                    let d = scheduler.decide_single(r);
+                    if d.is_some() {
+                        single_revenue += r.payment();
+                    }
+                    singles_out.push(d);
                 }
-                singles_out.push(d);
-                i += 1;
-            } else {
-                let c = &self.chains[j];
-                let d = scheduler.decide_chain(c);
-                chain_schedule.record(c, d);
-                j += 1;
+                Demand::Chain(c) => chain_schedule.record(c, scheduler.decide_chain(c)),
             }
         }
         MixedReport {

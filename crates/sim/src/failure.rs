@@ -16,20 +16,21 @@ use vnfrel::{Placement, ProblemInstance, Schedule};
 
 use crate::SimError;
 
-/// Measured availability of one admitted request.
+/// Measured availability of one admitted request: a single-VNF request
+/// by default, or a chain ([`crate::inject_chain_failures`]).
 #[derive(Debug, Clone, PartialEq)]
-pub struct RequestAvailability {
+pub struct RequestAvailability<Id = RequestId> {
     /// The request.
-    pub request: RequestId,
+    pub request: Id,
     /// Required availability `R_i`.
     pub required: f64,
-    /// Fraction of trials in which at least one instance survived.
+    /// Fraction of trials in which the request survived.
     pub measured: f64,
     /// Number of trials.
     pub trials: usize,
 }
 
-impl RequestAvailability {
+impl<Id> RequestAvailability<Id> {
     /// Measured minus required; negative = empirical shortfall.
     pub fn margin(&self) -> f64 {
         self.measured - self.required
@@ -54,14 +55,14 @@ impl RequestAvailability {
 
 /// Result of a failure-injection campaign.
 #[derive(Debug, Clone, PartialEq)]
-pub struct FailureReport {
+pub struct FailureReport<Id = RequestId> {
     /// One entry per admitted request, in id order.
-    pub requests: Vec<RequestAvailability>,
+    pub requests: Vec<RequestAvailability<Id>>,
     /// Number of trials run.
     pub trials: usize,
 }
 
-impl FailureReport {
+impl<Id: Copy> FailureReport<Id> {
     /// Smallest margin across admitted requests (`None` if none admitted).
     ///
     /// NaN margins (possible only from hand-built reports with NaN
@@ -76,7 +77,7 @@ impl FailureReport {
 
     /// Requests whose measurement is statistically below requirement at
     /// the given z-score (3.0 ≈ 99.7% confidence).
-    pub fn statistical_violations(&self, z: f64) -> Vec<RequestId> {
+    pub fn statistical_violations(&self, z: f64) -> Vec<Id> {
         self.requests
             .iter()
             .filter(|r| !r.meets_requirement(z))
@@ -88,7 +89,6 @@ impl FailureReport {
 /// Admitted requests with placements and reliabilities resolved once,
 /// shared by the serial and chunk-parallel trial loops.
 struct Campaign<'a> {
-    m: usize,
     cloudlet_rel: Vec<f64>,
     admitted: Vec<&'a Request>,
     /// `(r(f_i), placement)` per admitted request, in id order.
@@ -105,7 +105,6 @@ fn prepare<'a>(
             "schedule length differs from request count",
         ));
     }
-    let m = instance.cloudlet_count();
     let admitted: Vec<&Request> = requests
         .iter()
         .filter(|r| schedule.is_admitted(r.id()))
@@ -126,15 +125,16 @@ fn prepare<'a>(
             .get(r.vnf())
             .ok_or(SimError::Mismatch("request references unknown vnf type"))?;
         let placement = schedule.placement(r.id()).expect("admitted");
-        if let Placement::OnSite { cloudlet, .. } = placement {
-            if cloudlet.index() >= m {
-                return Err(SimError::Mismatch("placement references unknown cloudlet"));
-            }
+        let sites = match placement {
+            Placement::OnSite { cloudlet, .. } => std::slice::from_ref(cloudlet),
+            Placement::OffSite { cloudlets } => cloudlets,
+        };
+        if sites.iter().any(|c| c.index() >= cloudlet_rel.len()) {
+            return Err(SimError::Mismatch("placement references unknown cloudlet"));
         }
         placed.push((vnf.reliability().value(), placement));
     }
     Ok(Campaign {
-        m,
         cloudlet_rel,
         admitted,
         placed,
@@ -151,7 +151,7 @@ fn run_trials<R: Rng + ?Sized>(
     rng: &mut R,
     survived: &mut [usize],
 ) {
-    let mut cloudlet_up = vec![false; c.m];
+    let mut cloudlet_up = vec![false; c.cloudlet_rel.len()];
     for _ in 0..trials {
         for (j, up) in cloudlet_up.iter_mut().enumerate() {
             *up = rng.gen_bool(c.cloudlet_rel[j]);
@@ -165,10 +165,9 @@ fn run_trials<R: Rng + ?Sized>(
                     let j = cloudlet.index();
                     cloudlet_up[j] && (0..*instances).any(|_| rng.gen_bool(r_f))
                 }
-                Placement::OffSite { cloudlets } => cloudlets.iter().any(|c2| {
-                    let j = c2.index();
-                    j < c.m && cloudlet_up[j] && rng.gen_bool(r_f)
-                }),
+                Placement::OffSite { cloudlets } => cloudlets
+                    .iter()
+                    .any(|j| cloudlet_up[j.index()] && rng.gen_bool(r_f)),
             };
             if alive {
                 survived[k] += 1;
@@ -227,54 +226,15 @@ const TRIAL_CHUNK: usize = 512;
 /// the serial entry point is a different (chunked) stream layout, so
 /// counts match `inject_failures` statistically but not sample-by-sample.
 ///
+/// With `metered`, each worker chunk also accumulates trial/survival
+/// counts into a private [`mec_obs::MetricsShard`] (no shared cache lines
+/// inside the trial loop), absorbed into the registry as results are
+/// folded in, in chunk order. The returned report is the same either way.
+///
 /// # Errors
 ///
 /// Returns [`SimError`] for the same mismatches as [`inject_failures`].
 pub fn inject_failures_parallel(
-    instance: &ProblemInstance,
-    requests: &[Request],
-    schedule: &Schedule,
-    trials: usize,
-    seed: u64,
-    threads: usize,
-) -> Result<FailureReport, SimError> {
-    inject_chunked(instance, requests, schedule, trials, seed, threads, None)
-}
-
-/// [`inject_failures_parallel`] with shard-and-merge telemetry: each
-/// worker chunk accumulates trial/survival counts into a private
-/// [`mec_obs::MetricsShard`] (no shared cache lines inside the trial
-/// loop) which is absorbed into `registry` as results are folded in, in
-/// deterministic chunk order.
-///
-/// Survival counts — and therefore the returned [`FailureReport`] — are
-/// bit-identical to [`inject_failures_parallel`] at the same
-/// `(inputs, seed)`; only the registry side effect is added.
-///
-/// # Errors
-///
-/// Returns [`SimError`] for the same mismatches as [`inject_failures`].
-pub fn inject_failures_parallel_metered(
-    instance: &ProblemInstance,
-    requests: &[Request],
-    schedule: &Schedule,
-    trials: usize,
-    seed: u64,
-    threads: usize,
-    telemetry: (&mec_obs::MetricsRegistry, crate::obs::InjectionMetricIds),
-) -> Result<FailureReport, SimError> {
-    inject_chunked(
-        instance,
-        requests,
-        schedule,
-        trials,
-        seed,
-        threads,
-        Some(telemetry),
-    )
-}
-
-fn inject_chunked(
     instance: &ProblemInstance,
     requests: &[Request],
     schedule: &Schedule,
@@ -335,7 +295,7 @@ pub fn inject_failures_windowed<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> Result<FailureReport, SimError> {
     let campaign = prepare(instance, requests, schedule)?;
-    let (m, cloudlet_rel) = (campaign.m, &campaign.cloudlet_rel);
+    let cloudlet_rel = &campaign.cloudlet_rel;
     let mut survived = vec![0usize; campaign.placed.len()];
     for _ in 0..trials {
         let placed = campaign.admitted.iter().zip(&campaign.placed);
@@ -349,10 +309,9 @@ pub fn inject_failures_windowed<R: Rng + ?Sized>(
                     rng.gen_bool(cloudlet_rel[cloudlet.index()])
                         && (0..*instances).any(|_| rng.gen_bool(r_f))
                 }
-                Placement::OffSite { cloudlets } => cloudlets.iter().any(|c| {
-                    let j = c.index();
-                    j < m && rng.gen_bool(cloudlet_rel[j]) && rng.gen_bool(r_f)
-                }),
+                Placement::OffSite { cloudlets } => cloudlets
+                    .iter()
+                    .any(|j| rng.gen_bool(cloudlet_rel[j.index()]) && rng.gen_bool(r_f)),
             });
             if all_slots_alive {
                 *count += 1;
@@ -503,9 +462,10 @@ mod tests {
         let mut alg = OnsitePrimalDual::new(&inst, CapacityPolicy::Enforce).unwrap();
         let schedule = run_online(&mut alg, &reqs).unwrap();
         // 2500 trials → 5 chunks: results must not depend on threads.
-        let t1 = inject_failures_parallel(&inst, &reqs, &schedule, 2500, 99, 1).unwrap();
+        let t1 = inject_failures_parallel(&inst, &reqs, &schedule, 2500, 99, 1, None).unwrap();
         for threads in [2, 4, 8] {
-            let tn = inject_failures_parallel(&inst, &reqs, &schedule, 2500, 99, threads).unwrap();
+            let tn =
+                inject_failures_parallel(&inst, &reqs, &schedule, 2500, 99, threads, None).unwrap();
             assert_eq!(t1, tn, "threads={threads}");
         }
         // And it agrees statistically with the serial injector.
@@ -532,9 +492,9 @@ mod tests {
         let mut reg = MetricsRegistry::new();
         let ids = InjectionMetricIds::register(&mut reg);
         let metered =
-            inject_failures_parallel_metered(&inst, &reqs, &schedule, 1500, 42, 4, (&reg, ids))
+            inject_failures_parallel(&inst, &reqs, &schedule, 1500, 42, 4, Some((&reg, ids)))
                 .unwrap();
-        let plain = inject_failures_parallel(&inst, &reqs, &schedule, 1500, 42, 4).unwrap();
+        let plain = inject_failures_parallel(&inst, &reqs, &schedule, 1500, 42, 4, None).unwrap();
         assert_eq!(metered, plain);
         assert_eq!(reg.counter_value(ids.trials), 1500);
         let expected_survivals: u64 = metered
@@ -553,7 +513,7 @@ mod tests {
             .generate(3, inst.catalog(), &mut rng)
             .unwrap();
         let s = Schedule::new();
-        assert!(inject_failures_parallel(&inst, &reqs, &s, 10, 0, 4).is_err());
+        assert!(inject_failures_parallel(&inst, &reqs, &s, 10, 0, 4, None).is_err());
     }
 
     #[test]
@@ -567,19 +527,35 @@ mod tests {
         assert!(inject_failures(&inst, &reqs, &s, 10, &mut rng).is_err());
         assert!(inject_failures_windowed(&inst, &reqs, &s, 10, &mut rng).is_err());
 
-        // An on-site placement on a cloudlet the instance does not have
-        // is rejected up front by both entry points.
-        let mut s = Schedule::new();
-        s.record(
-            &reqs[0],
-            vnfrel::Decision::Admit(Placement::OnSite {
-                cloudlet: mec_topology::CloudletId(99),
+        // A placement on a cloudlet the instance does not have, on-site
+        // or off-site, is rejected up front by every entry point rather
+        // than sampled as a dead site.
+        let unknown = mec_topology::CloudletId(99);
+        let placements = [
+            Placement::OnSite {
+                cloudlet: unknown,
                 instances: 1,
-            }),
-        );
+            },
+            Placement::OffSite {
+                cloudlets: vec![mec_topology::CloudletId(0), unknown],
+            },
+        ];
         let one = &reqs[..1];
-        assert!(inject_failures(&inst, one, &s, 10, &mut rng).is_err());
-        assert!(inject_failures_windowed(&inst, one, &s, 10, &mut rng).is_err());
+        for placement in placements {
+            let mut s = Schedule::new();
+            s.record(&reqs[0], vnfrel::Decision::Admit(placement.clone()));
+            let what = format!("{placement:?}");
+            assert!(
+                inject_failures(&inst, one, &s, 10, &mut rng).is_err(),
+                "{what}"
+            );
+            assert!(
+                inject_failures_windowed(&inst, one, &s, 10, &mut rng).is_err(),
+                "{what}"
+            );
+            let parallel = inject_failures_parallel(&inst, one, &s, 10, 0, 1, None);
+            assert!(parallel.is_err(), "{what}");
+        }
     }
 
     #[test]
@@ -630,7 +606,7 @@ mod tests {
         assert!((worst + 0.05).abs() < 1e-12);
 
         // And an empty report still reports no margin at all.
-        let empty = FailureReport {
+        let empty: FailureReport = FailureReport {
             requests: Vec::new(),
             trials: 0,
         };

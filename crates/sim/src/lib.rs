@@ -19,9 +19,10 @@
 //! * [`failure::inject_failures`] — sampled cloudlet/VNF failures versus
 //!   each admitted request's requirement `R_i`,
 //! * [`MixedSimulation`] + [`chain_failure::inject_chain_failures`] —
-//!   mixed single-VNF/chain workloads through the chain primal-dual
-//!   scheduler, and the Monte-Carlo referee that verifies delivered
-//!   *chain* reliability (standby rescues included) against `R_i`,
+//!   mixed single-VNF/chain workloads, one [`Demand`] order, through the
+//!   chain primal-dual scheduler, and the Monte-Carlo referee that
+//!   verifies delivered *chain* reliability (standby rescues included)
+//!   against `R_i`,
 //! * [`experiment`] — sweep tables used by the figure-regeneration
 //!   binaries in `vnfrel-bench`,
 //! * [`obs`] — engine-side observability: decide-latency/utilization
@@ -48,8 +49,8 @@ pub mod parallel;
 pub mod recovery;
 
 pub use audit::{AuditInvariant, AuditReport, AuditViolation};
-pub use chain_failure::{inject_chain_failures, ChainAvailability, ChainFailureReport};
-pub use chain_run::{MixedReport, MixedSimulation};
+pub use chain_failure::{inject_chain_failures, ChainFailureReport};
+pub use chain_run::{Demand, MixedReport, MixedSimulation};
 pub use compare::{compare, Comparison};
 pub use engine::{
     DegradationConfig, DegradationStats, FaultRunReport, IntraSlotOrder, RunReport, Simulation,

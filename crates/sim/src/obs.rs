@@ -96,7 +96,7 @@ impl<'r> EngineMetrics<'r> {
 }
 
 /// Series recorded by the metered Monte-Carlo injector
-/// ([`crate::failure::inject_failures_parallel_metered`]).
+/// ([`crate::failure::inject_failures_parallel`]).
 #[derive(Debug, Clone, Copy)]
 pub struct InjectionMetricIds {
     /// `vnfrel_injection_trials_total`: trials sampled.

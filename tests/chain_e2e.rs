@@ -2,20 +2,23 @@
 //! real topology, driven through the chain primal-dual in every backup
 //! mode, validated by the Monte-Carlo chain referee, and torn down again
 //! to prove the ledger and the shared backup pool neither leak nor
-//! double-charge capacity.
+//! double-charge capacity. A mixed run without chains is held to the
+//! batch engine's Algorithm 1 run of the same stream.
 
 use mec_obs::NoopSink;
-use mec_sim::{inject_chain_failures, MixedSimulation};
+use mec_sim::{inject_chain_failures, MixedSimulation, Simulation};
 use mec_topology::generators::CloudletPlacement;
 use mec_topology::zoo;
-use mec_topology::{NodeId, Reliability};
+use mec_topology::{CloudletId, NodeId, Reliability};
 use mec_workload::{ChainGenerator, ChainRequest, ChainRequestId, Horizon, VnfCatalog, VnfTypeId};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use vnfrel::chain::{
     run_chain_online, BackupMode, ChainGreedy, ChainPrimalDual, ChainRejectReason, ChainScheduler,
 };
-use vnfrel::ProblemInstance;
+use vnfrel::onsite::{CapacityPolicy, OnsitePrimalDual};
+use vnfrel::{OnlineScheduler, Placement, ProblemInstance};
+use vnfrel_bench::{MixedScenario, Scenario};
 
 fn instance(seed: u64) -> ProblemInstance {
     instance_with(seed, VnfCatalog::standard(), 16)
@@ -70,7 +73,7 @@ fn referee_validates_every_backup_mode() {
         );
         let mut rng = ChaCha8Rng::seed_from_u64(7 ^ 0xc4a1_0000);
         let report = inject_chain_failures(&inst, &reqs, &schedule, 12_000, &mut rng).unwrap();
-        let violations = report.statistical_violations(3.0);
+        let violations = report.availability.statistical_violations(3.0);
         assert!(
             violations.is_empty(),
             "{}: delivered availability violations: {violations:?}",
@@ -218,9 +221,10 @@ fn chain_pipeline_is_deterministic_for_a_seed() {
         let mut mc = ChaCha8Rng::seed_from_u64(49);
         let referee = inject_chain_failures(&inst, &reqs, &report.chains, 4_000, &mut mc).unwrap();
         let margins: Vec<String> = referee
-            .chains
+            .availability
+            .requests
             .iter()
-            .map(|c| format!("{}:{:.6}", c.chain.index(), c.measured))
+            .map(|c| format!("{}:{:.6}", c.request.index(), c.measured))
             .collect();
         (
             report.singles,
@@ -230,4 +234,57 @@ fn chain_pipeline_is_deterministic_for_a_seed() {
         )
     };
     assert_eq!(run(), run());
+}
+
+/// `MixedSimulation::run` over singles alone decides what
+/// `Simulation::run` with Algorithm 1 (capacity enforced) decides, on the
+/// chain benchmark's single-VNF stream and on a week-shaped one: the same
+/// placements, the same revenue and the same ledger, bit for bit.
+#[test]
+fn singles_only_mixed_run_matches_the_batch_engine() {
+    let mixed = MixedScenario::build(672, 2_048, 17);
+    let week = Scenario::week(131_072, 1);
+    let bits = |grid: &[f64]| grid.iter().map(|u| u.to_bits()).collect::<Vec<u64>>();
+    for (name, instance, singles) in [
+        ("MixedScenario", &mixed.instance, &mixed.singles[..]),
+        ("week prefix", &week.instance, &week.requests[..12_288]),
+    ] {
+        let mut chain_alg = ChainPrimalDual::new(instance, BackupMode::None);
+        let mixed_run = MixedSimulation::new(instance, singles, &[])
+            .unwrap()
+            .run(&mut chain_alg);
+        let mut alg1 = OnsitePrimalDual::new(instance, CapacityPolicy::Enforce).unwrap();
+        let batch = Simulation::new(instance, singles)
+            .unwrap()
+            .run(&mut alg1)
+            .unwrap();
+
+        let placements: Vec<Option<(CloudletId, u32)>> = singles
+            .iter()
+            .map(|r| match batch.schedule.placement(r.id()) {
+                Some(&Placement::OnSite {
+                    cloudlet,
+                    instances,
+                }) => Some((cloudlet, instances)),
+                Some(other) => panic!("{name}: Algorithm 1 placed off-site: {other:?}"),
+                None => None,
+            })
+            .collect();
+        let admitted = mixed_run.admitted_singles();
+        assert!(
+            admitted > 0 && admitted < singles.len(),
+            "{name}: {admitted} of {} admitted — the stream must contend",
+            singles.len()
+        );
+        assert!(mixed_run.singles == placements, "{name}: placements differ");
+        assert_eq!(
+            mixed_run.single_revenue.to_bits(),
+            batch.schedule.revenue().to_bits(),
+            "{name}: revenue"
+        );
+        assert!(
+            bits(chain_alg.ledger().used_grid()) == bits(alg1.ledger().used_grid()),
+            "{name}: ledgers differ"
+        );
+    }
 }

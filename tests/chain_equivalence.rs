@@ -39,12 +39,13 @@
 use std::fmt::Write as _;
 
 use mec_obs::{ChainOutcome, NoopSink, RingSink, TraceEvent, TraceSink, TripwireSink};
+use mec_sim::{Demand, MixedSimulation};
 use mec_workload::ChainRequest;
 use vnfrel::chain::{
     BackupMode, ChainGreedy, ChainPlacement, ChainPrimalDual, ChainRejectReason, ChainScheduler,
 };
 use vnfrel::CapacityLedger;
-use vnfrel_bench::{Arrival, MixedScenario};
+use vnfrel_bench::MixedScenario;
 
 const GOLDEN: &str = include_str!("../crates/bench/tests/golden/chain_decision_streams.txt");
 
@@ -239,9 +240,10 @@ fn primal_dual_section<K: TraceSink>(
     let mut out = String::new();
     let mut admitted: Vec<usize> = Vec::new();
     let mut decided = 0;
-    for arrival in fx.arrivals() {
-        match arrival {
-            Arrival::Single(r) => {
+    let sim = MixedSimulation::new(&fx.instance, &fx.singles, &fx.chains).unwrap();
+    for demand in sim.demands() {
+        match demand {
+            Demand::Single(r) => {
                 let id = r.id().index();
                 match alg.decide_single(r) {
                     Some((cloudlet, n)) => {
@@ -252,7 +254,7 @@ fn primal_dual_section<K: TraceSink>(
                     }
                 }
             }
-            Arrival::Chain(c) => {
+            Demand::Chain(c) => {
                 let decision = alg.decide_chain(c);
                 if decision.is_ok() {
                     admitted.push(c.id().index());

@@ -192,6 +192,7 @@ fn monte_carlo_injection_is_thread_count_invariant() {
             2_000,
             123,
             threads,
+            None,
         )
         .unwrap()
     };

@@ -40,13 +40,13 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use mec_obs::{NoopSink, RingSink, TraceSink};
-use mec_sim::{FailureConfig, FailureProcess, RecoveryPolicy, Simulation};
+use mec_sim::{Demand, FailureConfig, FailureProcess, MixedSimulation, RecoveryPolicy, Simulation};
 use mec_workload::Request;
 use vnfrel::chain::{BackupMode, ChainPrimalDual, ChainScheduler};
 use vnfrel::offsite::{OffsiteGreedy, OffsitePrimalDual};
 use vnfrel::onsite::{CapacityPolicy, OnsiteGreedy, OnsitePrimalDual};
 use vnfrel::{Decision, OnlineScheduler, Placement, ProblemInstance};
-use vnfrel_bench::{Arrival, MixedScenario, Scenario, ScenarioParams};
+use vnfrel_bench::{MixedScenario, Scenario, ScenarioParams};
 
 struct CountingAlloc;
 
@@ -196,10 +196,11 @@ fn hold_chain_budget(s: &MixedScenario, mode: BackupMode) -> ChainSeen {
     let mut alg = ChainPrimalDual::new(&s.instance, mode);
     let warm = (s.singles.len() + s.chains.len()) / 2;
     let mut seen = ChainSeen::default();
-    for (i, arrival) in s.arrivals().enumerate() {
+    let sim = MixedSimulation::new(&s.instance, &s.singles, &s.chains).unwrap();
+    for (i, demand) in sim.demands().enumerate() {
         let before = allocations();
-        match arrival {
-            Arrival::Single(r) => {
+        match demand {
+            Demand::Single(r) => {
                 let decision = alg.decide_single(r);
                 let spent = allocations() - before;
                 if i >= warm {
@@ -212,7 +213,7 @@ fn hold_chain_budget(s: &MixedScenario, mode: BackupMode) -> ChainSeen {
                     );
                 }
             }
-            Arrival::Chain(c) => {
+            Demand::Chain(c) => {
                 let decision = alg.decide_chain(c);
                 let spent = allocations() - before;
                 if i < warm {
@@ -253,13 +254,14 @@ fn hold_chain_budget(s: &MixedScenario, mode: BackupMode) -> ChainSeen {
 /// Allocations of the whole mixed stream with tracing into `sink`.
 fn chain_stream_allocations<K: TraceSink>(s: &MixedScenario, mode: BackupMode, sink: K) -> u64 {
     let mut alg = ChainPrimalDual::with_sink(&s.instance, mode, sink);
+    let sim = MixedSimulation::new(&s.instance, &s.singles, &s.chains).unwrap();
     let before = allocations();
-    for arrival in s.arrivals() {
-        match arrival {
-            Arrival::Single(r) => {
+    for demand in sim.demands() {
+        match demand {
+            Demand::Single(r) => {
                 alg.decide_single(r);
             }
-            Arrival::Chain(c) => {
+            Demand::Chain(c) => {
                 let _ = alg.decide_chain(c);
             }
         }
