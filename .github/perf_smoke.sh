@@ -1,11 +1,13 @@
 #!/usr/bin/env bash
 # CI perf smoke: a short run of the repository benchmark on the two
 # workloads that bracket the code — `sched_batch` (no sockets) and
-# `serve_codec_sat` (nearly all sockets) — and on `chain_mixed`, the only
-# one that enters the chain path (a lost replica-table memo or a pool
-# scan that grows with history again shows there, at 2× or more),
-# checked against the last line of results/BENCH_history.jsonl, the most
-# recent recorded run.
+# `serve_codec_sat` (nearly all sockets) — on `serve_week_s2`, the one
+# where Algorithm 2's exhausted searches mix with admissions (a filter
+# or cut that speeds the scarce stream by taxing admitting windows shows
+# there), and on `chain_mixed`, the only one that enters the chain path
+# (a lost replica-table memo or a pool scan that grows with history
+# again shows there, at 2× or more), checked against the last line of
+# results/BENCH_history.jsonl, the most recent recorded run.
 #
 # The floor is the benchmark's own bound on `decisions_per_s`
 # (BENCHMARK.json: the worsening it tolerates between two runs on one
@@ -26,7 +28,7 @@ root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 cd "$root"
 
 status=0
-for workload in sched_batch serve_codec_sat chain_mixed; do
+for workload in sched_batch serve_codec_sat serve_week_s2 chain_mixed; do
     line="$(bash benchmark/run.sh --workload "$workload" --seed 1 \
         --seconds "$seconds" --trace 0 | tail -n 1)"
     python3 - "$workload" "$CI_HOST_ALLOWANCE" "$line" <<'PY' || status=1

@@ -214,6 +214,16 @@ impl CapacityLedger {
         }
     }
 
+    /// [`CapacityLedger::fits_window`] over the one slot `slot`: the
+    /// first cell of its scan, with the same holds and tolerance, as a
+    /// direct cell read. Algorithm 2 asks it of every priced cloudlet at
+    /// the arrival slot, so a cloudlet full there is never ordered.
+    #[inline]
+    pub(crate) fn fits_slot(&self, cloudlet: CloudletId, slot: TimeSlot, amount: f64) -> bool {
+        let idx = cloudlet.index() * self.slots + slot;
+        self.caps[cloudlet.index()] - self.used[idx] - self.held(idx) + 1e-9 >= amount
+    }
+
     /// Commits `amount` units in every slot of `slots`, allowing
     /// over-commitment (callers that must not overflow check
     /// [`CapacityLedger::fits`] first).
@@ -578,6 +588,35 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn one_slot_read_agrees_with_the_window_scan_at_the_tolerance_edge() {
+        let c1 = CloudletId(1); // cap 4
+        let mut l = ledger();
+        l.charge_window(c1, 0, 4, 2.5);
+        // With no hold, then with a hold outstanding on slot 2 only.
+        for hold in [None, Some(0.25)] {
+            if let Some(h) = hold {
+                l.try_reserve_window(c1, 2, 2, h).unwrap();
+            }
+            let free = 4.0 - 2.5 - hold.unwrap_or(0.0);
+            for amount in [free - 1e-9, free, free + 5e-10, free + 1e-9, free + 2e-9] {
+                for t in 0..5 {
+                    assert_eq!(
+                        l.fits_slot(c1, t, amount),
+                        l.fits_window(c1, t, t, amount),
+                        "slot {t}, amount {amount}, hold {hold:?}"
+                    );
+                }
+            }
+            assert!(l.fits_slot(c1, 2, free + 5e-10), "inside the tolerance");
+            assert!(!l.fits_slot(c1, 2, free + 2e-9), "past the tolerance");
+        }
+        assert!(
+            l.fits_slot(c1, 1, 1.5) && !l.fits_slot(c1, 2, 1.5),
+            "holds count"
+        );
     }
 
     #[test]

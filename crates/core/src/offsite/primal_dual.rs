@@ -21,7 +21,11 @@ use crate::scheduler::{copy_grid_span, OnlineScheduler, SchedulerState};
 ///    going non-positive),
 /// 3. scans the survivors in non-decreasing ratio order, accumulating
 ///    those with residual capacity in every active slot, until the
-///    accumulated log-reliability meets the target,
+///    accumulated log-reliability meets the target. A survivor with no
+///    room at the arrival slot is dropped while pricing, before any
+///    ordering: the scan would skip it at its first cell, so the
+///    selection is the same and a search that cannot fit anywhere
+///    orders nothing,
 /// 4. admits (one instance per selected cloudlet, Eq. 67 price update) or
 ///    rejects if the target is unreachable.
 ///
@@ -167,6 +171,7 @@ impl<S: TraceSink> OnlineScheduler for OffsitePrimalDual<'_, S> {
         // table; the window sum of λ is O(1) from the prefix rows.
         self.keys.clear();
         let mut min_ratio = f64::INFINITY;
+        let mut paid = false;
         for j in 0..self.prices.cloudlet_count() {
             let ln_coef = self.instance.offsite_ln_coef(request.vnf(), CloudletId(j));
             let lambda_sum = self.prices.window_sum(j, first, last);
@@ -176,6 +181,14 @@ impl<S: TraceSink> OnlineScheduler for OffsitePrimalDual<'_, S> {
             if request.payment() + ln_target * compute * ratio <= 0.0 {
                 continue;
             }
+            paid = true;
+            // A survivor full at the arrival slot would be drawn only to
+            // fail `fits_window` on that first cell, so it is not ordered
+            // at all: the rest keep their (ratio, id) order, and the
+            // selection below is the one the unfiltered list yields.
+            if !self.ledger.fits_slot(CloudletId(j), first, compute) {
+                continue;
+            }
             self.keys.push((ratio, j as u32));
         }
         // Dual bookkeeping (Eq. 66): δ_i from the cheapest cloudlet,
@@ -183,7 +196,7 @@ impl<S: TraceSink> OnlineScheduler for OffsitePrimalDual<'_, S> {
         if min_ratio.is_finite() {
             self.sum_delta += (request.payment() + ln_target * compute * min_ratio).max(0.0);
         }
-        if self.keys.is_empty() {
+        if !paid {
             self.rejections.payment_test += 1;
             if S::ENABLED {
                 // The would-be dual cost of the cheapest site path is
@@ -212,7 +225,9 @@ impl<S: TraceSink> OnlineScheduler for OffsitePrimalDual<'_, S> {
         // lazily in ascending (price per unit of log-reliability, id)
         // order — the same order the old full sort produced, but a
         // request that admits on the first few sites never pays for
-        // ordering the rest.
+        // ordering the rest. With no candidate left (every survivor full
+        // at the arrival slot) nothing is drawn and the request falls
+        // through to the reliability reject.
         self.selected.clear();
         let mut ln_sum = 0.0;
         {
@@ -370,6 +385,7 @@ impl<S: TraceSink> OnlineScheduler for OffsitePrimalDual<'_, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ledger::ReservationId;
     use crate::reliability::offsite_availability;
     use crate::scheduler::run_online;
     use mec_topology::{NetworkBuilder, Reliability};
@@ -533,6 +549,286 @@ mod tests {
             alg.dual_objective()
         );
         assert!(alg.dual_objective().is_finite());
+    }
+
+    /// Algorithm 2 without the arrival-slot filter: every payment
+    /// survivor sorted by `(ratio, id)`, then first-fit accumulation,
+    /// over prices and a ledger of its own that the stream drives in
+    /// lockstep with the scheduler under test.
+    struct Reference<'a> {
+        instance: &'a ProblemInstance,
+        prices: DualPrices,
+        ledger: CapacityLedger,
+        sum_delta: f64,
+        rejections: RejectionCounters,
+    }
+
+    /// What the reference's decisions went through, summed over a stream.
+    #[derive(Debug, Default)]
+    struct Coverage {
+        /// Payment survivors with no room at the arrival slot.
+        dropped: usize,
+        /// Drawn candidates with room at the arrival slot but not over
+        /// their whole window.
+        window_misses: usize,
+        /// Reliability rejects that had selected some cloudlets.
+        partial_exhausted: usize,
+        /// Admissions of a request that had a survivor dropped.
+        admits_after_drop: usize,
+        /// Payment survivors whose arrival-slot room equals the demand
+        /// exactly at the ledger's `1e-9` tolerance.
+        at_tolerance: usize,
+    }
+
+    impl<'a> Reference<'a> {
+        fn new(instance: &'a ProblemInstance) -> Self {
+            Reference {
+                instance,
+                prices: DualPrices::new(instance.cloudlet_count(), instance.horizon().len()),
+                ledger: CapacityLedger::new(instance.network(), instance.horizon()),
+                sum_delta: 0.0,
+                rejections: RejectionCounters::default(),
+            }
+        }
+
+        fn dual_objective(&self) -> f64 {
+            let lambda_part: f64 = (0..self.prices.cloudlet_count())
+                .map(|j| self.ledger.capacity(CloudletId(j)) * self.prices.row_total(j))
+                .sum();
+            lambda_part + self.sum_delta
+        }
+
+        /// Decides `request`, returning the decision and the ids of the
+        /// survivors with room at the arrival slot — the candidates the
+        /// filtered scheduler must have ordered.
+        fn decide(&mut self, request: &Request, seen: &mut Coverage) -> (Decision, Vec<u32>) {
+            let compute = self
+                .instance
+                .catalog()
+                .get(request.vnf())
+                .unwrap()
+                .compute() as f64;
+            let ln_target = request.reliability_requirement().failure().ln();
+            let first = request.arrival();
+            let last = first + request.duration() - 1;
+            let mut survivors = Vec::new();
+            let mut min_ratio = f64::INFINITY;
+            for j in 0..self.prices.cloudlet_count() {
+                let ln_coef = self.instance.offsite_ln_coef(request.vnf(), CloudletId(j));
+                let ratio = self.prices.window_sum(j, first, last) / (-ln_coef);
+                min_ratio = min_ratio.min(ratio);
+                if request.payment() + ln_target * compute * ratio > 0.0 {
+                    survivors.push((ratio, j as u32));
+                }
+            }
+            if min_ratio.is_finite() {
+                self.sum_delta += (request.payment() + ln_target * compute * min_ratio).max(0.0);
+            }
+            let room = |l: &CapacityLedger, j: u32| {
+                l.fits_window(CloudletId(j as usize), first, first, compute)
+            };
+            let fitting: Vec<u32> = survivors
+                .iter()
+                .map(|&(_, j)| j)
+                .filter(|&j| room(&self.ledger, j))
+                .collect();
+            let dropped = survivors.len() - fitting.len();
+            seen.dropped += dropped;
+            seen.at_tolerance += survivors
+                .iter()
+                .filter(|&&(_, j)| {
+                    let c = CloudletId(j as usize);
+                    self.ledger.residual(c, first) - self.ledger.reserved(c, first) + 1e-9
+                        == compute
+                })
+                .count();
+            if survivors.is_empty() {
+                self.rejections.payment_test += 1;
+                return (Decision::Reject, fitting);
+            }
+            survivors.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            let mut selected = Vec::new();
+            let mut ln_sum = 0.0;
+            for &(_, j) in &survivors {
+                if !self
+                    .ledger
+                    .fits_window(CloudletId(j as usize), first, last, compute)
+                {
+                    seen.window_misses += usize::from(room(&self.ledger, j));
+                    continue;
+                }
+                let ln_coef = self
+                    .instance
+                    .offsite_ln_coef(request.vnf(), CloudletId(j as usize));
+                selected.push((j as usize, ln_coef));
+                ln_sum += ln_coef;
+                if ln_sum <= ln_target + 1e-12 {
+                    break;
+                }
+            }
+            if ln_sum > ln_target + 1e-12 {
+                self.rejections.reliability_unreachable += 1;
+                seen.partial_exhausted += usize::from(!selected.is_empty());
+                return (Decision::Reject, fitting);
+            }
+            seen.admits_after_drop += usize::from(dropped > 0);
+            let d = request.duration() as f64;
+            let pay = request.payment();
+            for &(j, ln_coef) in &selected {
+                self.ledger
+                    .charge_window(CloudletId(j), first, last, compute);
+                let cap = self.ledger.capacity(CloudletId(j));
+                let factor = ln_target * compute / (ln_coef * cap);
+                self.prices
+                    .update_window(j, first, last, |l| l * (1.0 + factor) + factor * pay / d);
+            }
+            let cloudlets = selected.iter().map(|&(j, _)| CloudletId(j)).collect();
+            (Decision::Admit(Placement::OffSite { cloudlets }), fitting)
+        }
+    }
+
+    fn bits(grid: &[f64]) -> Vec<u64> {
+        grid.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Runs a random stream over `m` small cloudlets (capacities 1–4,
+    /// twins with equal capacity, reliability and price plateaus, so
+    /// ratios tie exactly) through the scheduler and [`Reference`] side
+    /// by side, with reservation holds placed, committed and cancelled on
+    /// both ledgers between decisions. After every decision it holds the
+    /// decision, the counters, the dual objective and the `λ` and `used`
+    /// grids to the reference bit for bit, and the scheduler's ordered
+    /// candidates to the survivors with room at the arrival slot. Adds
+    /// what the stream went through to `seen`.
+    fn filtered_matches_reference(seed: u64, m: usize, seen: &mut Coverage) {
+        const T: usize = 12;
+        let mut state = seed | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut specs: Vec<(u64, f64)> = Vec::with_capacity(m);
+        let mut twins = Vec::new();
+        for j in 0..m {
+            if j > 0 && next() % 2 == 0 {
+                specs.push(specs[j - 1]);
+                twins.push(j);
+            } else {
+                let r = [0.9, 0.95, 0.99, 0.999][(next() % 4) as usize];
+                specs.push((1 + next() % 4, r));
+            }
+        }
+        let inst = instance(&specs, T);
+        let mut alg = OffsitePrimalDual::new(&inst);
+        let mut reference = Reference::new(&inst);
+        let window = |next: &mut dyn FnMut() -> u64| {
+            let first = (next() % T as u64) as usize;
+            (first, first + (next() % (T - first).min(5) as u64) as usize)
+        };
+        // A twin and its original share price plateaus until an
+        // admission tells them apart.
+        for _ in 0..m / 2 {
+            let Some(&j) = twins.get((next() % twins.len().max(1) as u64) as usize) else {
+                break;
+            };
+            let (first, last) = window(&mut next);
+            let price = (1 + next() % 3) as f64 / 8.0;
+            for k in [j - 1, j] {
+                alg.prices.update_window(k, first, last, |_| price);
+                reference.prices.update_window(k, first, last, |_| price);
+            }
+        }
+        let mut holds: Vec<(ReservationId, ReservationId)> = Vec::new();
+        for id in 0..120 {
+            match next() % 8 {
+                0 | 1 => {
+                    let c = CloudletId((next() % m as u64) as usize);
+                    let (first, last) = window(&mut next);
+                    let amount = [1e-9, 0.5, 1.0, 2.0][(next() % 4) as usize];
+                    let a = alg.ledger_mut().try_reserve_window(c, first, last, amount);
+                    let b = reference.ledger.try_reserve_window(c, first, last, amount);
+                    assert_eq!(a.is_some(), b.is_some(), "seed {seed} request {id}");
+                    holds.extend(a.zip(b));
+                }
+                2 if !holds.is_empty() => {
+                    let (a, b) = holds.swap_remove((next() % holds.len() as u64) as usize);
+                    if next() % 2 == 0 {
+                        alg.ledger_mut().commit_reservation(a).unwrap();
+                        reference.ledger.commit_reservation(b).unwrap();
+                    } else {
+                        alg.ledger_mut().cancel_reservation(a).unwrap();
+                        reference.ledger.cancel_reservation(b).unwrap();
+                    }
+                }
+                _ => {}
+            }
+            let (first, last) = window(&mut next);
+            let r = Request::new(
+                RequestId(id),
+                VnfTypeId((next() % 10) as usize),
+                rel([0.9, 0.99, 0.999, 0.9999, 0.99999][(next() % 5) as usize]),
+                first,
+                last - first + 1,
+                (1 + next() % 40) as f64 / 4.0,
+                Horizon::new(T),
+            )
+            .unwrap();
+            let (decision, mut fitting) = reference.decide(&r, seen);
+            let ctx = format!("seed {seed}, {m} cloudlets, request {id}");
+            assert_eq!(alg.decide(&r), decision, "{ctx}");
+            assert_eq!(alg.rejections(), reference.rejections, "{ctx}");
+            assert_eq!(
+                alg.dual_objective().to_bits(),
+                reference.dual_objective().to_bits(),
+                "{ctx}"
+            );
+            assert_eq!(
+                bits(alg.prices.values()),
+                bits(reference.prices.values()),
+                "{ctx}"
+            );
+            assert_eq!(
+                bits(alg.ledger.used_grid()),
+                bits(reference.ledger.used_grid()),
+                "{ctx}"
+            );
+            let mut ordered: Vec<u32> = alg.keys.iter().map(|&(_, j)| j).collect();
+            ordered.sort_unstable();
+            fitting.sort_unstable();
+            assert_eq!(ordered, fitting, "{ctx}: ordered candidates");
+        }
+    }
+
+    #[test]
+    fn reference_streams_reach_every_filter_case() {
+        let mut seen = Coverage::default();
+        for seed in 0..80u64 {
+            let m = 1 + (seed % 40) as usize;
+            filtered_matches_reference(seed * 0x9E37_79B9 + 1, m, &mut seen);
+        }
+        assert!(seen.dropped > 100, "{seen:?}");
+        assert!(seen.window_misses > 100, "{seen:?}");
+        assert!(seen.partial_exhausted > 100, "{seen:?}");
+        assert!(seen.admits_after_drop > 100, "{seen:?}");
+        assert!(seen.at_tolerance > 100, "{seen:?}");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Dropping the survivors with no room at the arrival slot leaves
+        /// every decision, counter, price and charge of the unfiltered
+        /// sort-then-first-fit algorithm unchanged, and orders exactly
+        /// the survivors with room.
+        #[test]
+        fn arrival_slot_filter_matches_the_unfiltered_reference(
+            seed in 0u64..u64::MAX,
+            m in 1usize..=40,
+        ) {
+            filtered_matches_reference(seed, m, &mut Coverage::default());
+        }
     }
 
     #[test]

@@ -59,6 +59,14 @@ pub trait OnlineScheduler {
     fn scheme(&self) -> Scheme;
 
     /// Decides admission for the next request and commits any resources.
+    ///
+    /// Precondition: the request's window lies inside
+    /// [`ledger().horizon()`](CapacityLedger::horizon). `decide` does not
+    /// check it (the ledger's window reads assert it only in debug
+    /// builds), so a window past the horizon would be charged into the
+    /// next cloudlet's row. The drivers check it before calling:
+    /// [`run_online`], `Simulation::new`, `MixedSimulation::new` and the
+    /// serving daemon's `build_request`.
     fn decide(&mut self, request: &Request) -> Decision;
 
     /// The scheduler's capacity ledger (for utilization/violation stats).
@@ -130,11 +138,14 @@ pub trait OnlineScheduler {
 /// # Errors
 ///
 /// Returns [`VnfrelError::NonDenseRequestIds`] if ids are not dense in
-/// arrival order.
+/// arrival order, and [`VnfrelError::Workload`] for a request whose
+/// window leaves the scheduler's horizon (one built against a longer
+/// horizon). Requests before the offending one have been decided.
 pub fn run_online<S: OnlineScheduler + ?Sized>(
     scheduler: &mut S,
     requests: &[Request],
 ) -> Result<Schedule, VnfrelError> {
+    let horizon = scheduler.ledger().horizon();
     let mut schedule = Schedule::new();
     for (i, r) in requests.iter().enumerate() {
         if r.id().index() != i {
@@ -142,6 +153,15 @@ pub fn run_online<S: OnlineScheduler + ?Sized>(
                 position: i,
                 found: r.id().index(),
             });
+        }
+        if !horizon.contains_window(r.arrival(), r.duration()) {
+            return Err(VnfrelError::Workload(
+                mec_workload::WorkloadError::WindowOutsideHorizon {
+                    arrival: r.arrival(),
+                    duration: r.duration(),
+                    horizon: horizon.len(),
+                },
+            ));
         }
         let decision = scheduler.decide(r);
         schedule.record(r, decision);
@@ -215,6 +235,58 @@ mod tests {
         assert_eq!(s.name(), "admit-all");
         assert_eq!(s.scheme(), Scheme::OnSite);
         assert_eq!(s.ledger().cloudlet_count(), 1);
+    }
+
+    #[test]
+    fn run_online_refuses_a_window_past_the_schedulers_horizon() {
+        use crate::offsite::{OffsiteGreedy, OffsitePrimalDual};
+        use crate::onsite::{CapacityPolicy, OnsitePrimalDual};
+        use crate::ProblemInstance;
+        use mec_workload::{VnfCatalog, WorkloadError};
+
+        // Two cloudlets over four slots; the request was built against a
+        // ten-slot horizon and covers slots 2..=5. Decided unchecked, its
+        // slots 4..=5 would be charged to cloudlet 1's slots 0..=1.
+        let mut b = NetworkBuilder::new();
+        let a = b.add_ap("a");
+        let c = b.add_ap("b");
+        b.add_link(a, c, 1.0).unwrap();
+        for ap in [a, c] {
+            b.add_cloudlet(ap, 10, Reliability::new(0.999).unwrap())
+                .unwrap();
+        }
+        let inst =
+            ProblemInstance::new(b.build().unwrap(), VnfCatalog::standard(), Horizon::new(4))
+                .unwrap();
+        let long = Request::new(
+            RequestId(0),
+            VnfTypeId(8),
+            Reliability::new(0.9).unwrap(),
+            2,
+            4,
+            10.0,
+            Horizon::new(10),
+        )
+        .unwrap();
+        let mut schedulers: Vec<Box<dyn OnlineScheduler>> = vec![
+            Box::new(OnsitePrimalDual::new(&inst, CapacityPolicy::Enforce).unwrap()),
+            Box::new(OffsitePrimalDual::new(&inst)),
+            Box::new(OffsiteGreedy::new(&inst)),
+        ];
+        for s in &mut schedulers {
+            let err = run_online(s.as_mut(), std::slice::from_ref(&long)).unwrap_err();
+            assert_eq!(
+                err,
+                VnfrelError::Workload(WorkloadError::WindowOutsideHorizon {
+                    arrival: 2,
+                    duration: 4,
+                    horizon: 4,
+                }),
+                "{}",
+                s.name()
+            );
+            assert_eq!(s.ledger().mean_utilization(), 0.0, "{} charged", s.name());
+        }
     }
 
     #[test]
