@@ -37,7 +37,7 @@ use mec_topology::zoo;
 use mec_workload::{ChainGenerator, ChainRequest, Horizon};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use vnfrel::chain::{run_chain_online, BackupMode, ChainGreedy, ChainPrimalDual};
+use vnfrel::chain::{run_chain_online, BackupMode, ChainGreedy, ChainPrimalDual, ChainScheduler};
 use vnfrel::ProblemInstance;
 use vnfrel_bench::{note, protection_hungry_catalog, quiet_from_args, MixedScenario};
 

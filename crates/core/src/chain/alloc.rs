@@ -27,8 +27,6 @@
 //!   `r(c_j) ≥ R`, infeasible otherwise. The stub returned `None`
 //!   unconditionally.
 
-use std::collections::HashMap;
-
 use mec_topology::Reliability;
 use mec_workload::VnfTypeId;
 
@@ -85,6 +83,10 @@ pub fn chain_availability(
 /// gain meets the target" scan, so one table serves every route of a
 /// chain, every cloudlet a greedy scheduler tries, and every later chain
 /// with the same stage tuple.
+///
+/// A table is built one stage at a time ([`ReplicaDp::extend`]), from
+/// the table of the empty tuple: a tuple's table is its prefix's table
+/// extended by its last stage.
 #[derive(Debug, Clone)]
 pub(crate) struct ReplicaDp {
     /// Whether every stage reliability was in `(0, 1]`; an out-of-domain
@@ -108,84 +110,87 @@ fn in_unit(v: f64) -> bool {
     v > 0.0 && v <= 1.0
 }
 
-/// Buffers a [`ReplicaDp`] build needs and its result does not keep.
-#[derive(Debug, Default)]
-struct DpBuildScratch {
-    /// Per-option log-availability gains, stage after stage.
-    gains: Vec<f64>,
-    option_counts: Vec<usize>,
-    /// The DP row being filled.
-    next: Vec<f64>,
-}
-
 impl ReplicaDp {
-    /// Builds the table for one stage tuple.
-    fn new(stages: &[(f64, u64)], scratch: &mut DpBuildScratch) -> Self {
-        if stages.iter().any(|&(r, _)| !in_unit(r)) {
+    /// The table of the empty tuple: gain 0 at cost 0, no choice rows.
+    fn empty() -> Self {
+        ReplicaDp {
+            valid: true,
+            dp: vec![0.0],
+            choice: Vec::new(),
+        }
+    }
+
+    /// Builds the table for one stage tuple: the empty table extended
+    /// stage after stage.
+    fn new(stages: &[(f64, u64)]) -> Self {
+        let mut gains = Vec::new();
+        stages.iter().fold(Self::empty(), |table, &stage| {
+            table.extend(stage, &mut gains)
+        })
+    }
+
+    /// The table of this table's tuple followed by one more stage
+    /// `(r, c)`; `gains` is scratch for the stage's options.
+    ///
+    /// After `K − 1` stages every reachable cost is below this table's
+    /// width, so a build over the whole tuple at once would hold, before
+    /// its last stage, exactly this `dp` padded with `-inf` and these
+    /// choice rows padded with `NO_CHOICE`. Its last pass would then
+    /// visit the same sources in the same order with the same tests. The
+    /// extension is therefore bit-identical to that build.
+    fn extend(&self, (r, c): (f64, u64), gains: &mut Vec<f64>) -> Self {
+        if !self.valid || !in_unit(r) {
             return ReplicaDp {
                 valid: false,
                 dp: Vec::new(),
                 choice: Vec::new(),
             };
         }
-        // Enumerate per-stage options (n, cost, gain). Every stage must in
-        // fact reach at least the end-to-end target on its own (the other
-        // factors are ≤ 1), and may need to go beyond it to compensate for
-        // weaker stages — so options run until the stage's availability
-        // saturates numerically (additional replicas cannot change the
-        // product any more). A perfect stage saturates at n = 1 with gain
-        // exactly 0.
-        let DpBuildScratch {
-            gains,
-            option_counts,
-            next,
-        } = scratch;
+        // The stage's options (n, cost, gain). Every stage must in fact
+        // reach at least the end-to-end target on its own (the other
+        // factors are ≤ 1), and may need to go beyond it to compensate
+        // for weaker stages — so options run until the stage's
+        // availability saturates numerically (additional replicas cannot
+        // change the product any more). A perfect stage saturates at
+        // n = 1 with gain exactly 0.
         gains.clear();
-        option_counts.clear();
-        let mut max_cost = 0u64;
-        for &(r, c) in stages {
-            let mut n = 1u32;
-            loop {
-                let avail = stage_availability_raw(r, n);
-                gains.push(avail.ln());
-                if 1.0 - avail < 1e-13 || n >= MAX_REPLICAS {
-                    break;
-                }
-                n += 1;
+        let mut n = 1u32;
+        loop {
+            let avail = stage_availability_raw(r, n);
+            gains.push(avail.ln());
+            if 1.0 - avail < 1e-13 || n >= MAX_REPLICAS {
+                break;
             }
-            option_counts.push(n as usize);
-            max_cost += u64::from(n) * c;
+            n += 1;
         }
 
-        // DP over integral compute cost.
-        let width = max_cost as usize + 1;
+        // The prefix's rows, widened by the new stage's largest cost.
+        let prefix_width = self.dp.len();
+        let width = prefix_width + (u64::from(n) * c) as usize;
+        let stages = self.choice.len() / prefix_width;
+        let mut choice = vec![NO_CHOICE; (stages + 1) * width];
+        let (rows, pick) = choice.split_at_mut(stages * width);
+        for (row, prefix_row) in rows
+            .chunks_exact_mut(width)
+            .zip(self.choice.chunks_exact(prefix_width))
+        {
+            row[..prefix_width].copy_from_slice(prefix_row);
+        }
+
+        // One push pass over the prefix's best gains.
         const NEG: f64 = f64::NEG_INFINITY;
         let mut dp = vec![NEG; width];
-        dp[0] = 0.0;
-        next.resize(width, NEG);
-        let mut choice = vec![NO_CHOICE; stages.len() * width];
-        let mut gains = gains.as_slice();
-        for ((&(_, c), &count), pick) in stages
-            .iter()
-            .zip(option_counts.iter())
-            .zip(choice.chunks_exact_mut(width))
-        {
-            let (opts, rest) = gains.split_at(count);
-            gains = rest;
-            next.fill(NEG);
-            for (cost, &gain) in dp.iter().enumerate() {
-                if gain == NEG {
-                    continue;
-                }
-                for (oi, &g) in opts.iter().enumerate() {
-                    let nc = cost + (oi + 1) * c as usize;
-                    if nc < width && gain + g > next[nc] {
-                        next[nc] = gain + g;
-                        pick[nc] = oi as u8;
-                    }
+        for (cost, &gain) in self.dp.iter().enumerate() {
+            if gain == NEG {
+                continue;
+            }
+            for (oi, &g) in gains.iter().enumerate() {
+                let nc = cost + (oi + 1) * c as usize;
+                if gain + g > dp[nc] {
+                    dp[nc] = gain + g;
+                    pick[nc] = oi as u8;
                 }
             }
-            dp.copy_from_slice(next);
         }
         ReplicaDp {
             valid: true,
@@ -263,35 +268,79 @@ impl ReplicaDp {
     }
 }
 
-/// [`ReplicaDp`] tables memoised by the chain's stage VNF ids, one memo
-/// per scheduler. A scheduler's catalog is fixed, so the ids determine
-/// the `(r(f_k), c(f_k))` tuple. Nothing is ever evicted: the memo is
-/// bounded by the number of distinct stage tuples the scheduler has seen
-/// (at most `Σ_K |catalog|^K` over the chain lengths in use — 258 for six
-/// types and lengths 1–3), each table a `dp` of 8 bytes and a `choice` of
-/// `K` bytes per unit of the tuple's largest useful compute.
-#[derive(Debug, Default)]
+/// [`ReplicaDp`] tables memoised as a trie over stage prefixes, one memo
+/// per scheduler. A scheduler's catalog is fixed, so the VNF ids
+/// determine the `(r(f_k), c(f_k))` tuple.
+///
+/// Node 0 is the empty tuple; a node's children are indexed by VNF id,
+/// so a lookup walks one array read per stage and hashes nothing. A node
+/// first reached is built from its parent's table by one
+/// [`ReplicaDp::extend`], so a tuple costs one stage's pass once its
+/// prefix is known, and chains that share a prefix share its table.
+/// Nothing is ever evicted: the memo holds one table per distinct stage
+/// prefix the scheduler has seen (at most `Σ_K |catalog|^K` over the
+/// chain lengths in use — 259 with the root for six types and lengths
+/// 1–3), each a `dp` of 8 bytes and a `choice` of `K` bytes per unit of
+/// the prefix's largest useful compute.
+#[derive(Debug)]
 pub(crate) struct ReplicaDpMemo {
-    index: HashMap<Box<[VnfTypeId]>, usize>,
-    tables: Vec<ReplicaDp>,
-    build: DpBuildScratch,
+    nodes: Vec<TrieNode>,
+    /// Option gains of the stage being added.
+    gains: Vec<f64>,
+}
+
+#[derive(Debug)]
+struct TrieNode {
+    table: ReplicaDp,
+    /// `children[vnf]`: the node of this tuple extended by `vnf`, `0`
+    /// where not built yet (the root is nobody's child).
+    children: Vec<u32>,
+}
+
+impl Default for ReplicaDpMemo {
+    fn default() -> Self {
+        ReplicaDpMemo {
+            nodes: vec![TrieNode {
+                table: ReplicaDp::empty(),
+                children: Vec::new(),
+            }],
+            gains: Vec::new(),
+        }
+    }
 }
 
 impl ReplicaDpMemo {
     /// Handle of the table for `vnfs`, whose resolved parameters are
-    /// `stages`; built on first sight.
+    /// `stages`; built on first sight, with any missing prefix.
     pub(crate) fn lookup(&mut self, vnfs: &[VnfTypeId], stages: &[(f64, u64)]) -> usize {
-        if let Some(&i) = self.index.get(vnfs) {
-            return i;
+        debug_assert_eq!(vnfs.len(), stages.len());
+        let mut node = 0;
+        for (&vnf, &stage) in vnfs.iter().zip(stages) {
+            let v = vnf.index();
+            node = match self.nodes[node].children.get(v) {
+                Some(&child) if child != 0 => child as usize,
+                _ => {
+                    let table = self.nodes[node].table.extend(stage, &mut self.gains);
+                    let child = self.nodes.len();
+                    self.nodes.push(TrieNode {
+                        table,
+                        children: Vec::new(),
+                    });
+                    let children = &mut self.nodes[node].children;
+                    if children.len() <= v {
+                        children.resize(v + 1, 0);
+                    }
+                    children[v] = child as u32;
+                    child
+                }
+            };
         }
-        self.tables.push(ReplicaDp::new(stages, &mut self.build));
-        self.index.insert(vnfs.into(), self.tables.len() - 1);
-        self.tables.len() - 1
+        node
     }
 
     /// The table behind a handle from [`ReplicaDpMemo::lookup`].
     pub(crate) fn table(&self, handle: usize) -> &ReplicaDp {
-        &self.tables[handle]
+        &self.nodes[handle].table
     }
 }
 
@@ -315,8 +364,8 @@ pub fn allocate_replicas_raw(
     req: f64,
 ) -> Option<ChainAllocation> {
     let mut replicas = Vec::new();
-    let (total_compute, availability) = ReplicaDp::new(stages, &mut DpBuildScratch::default())
-        .solve_into(stages, cloudlet, req, &mut replicas)?;
+    let (total_compute, availability) =
+        ReplicaDp::new(stages).solve_into(stages, cloudlet, req, &mut replicas)?;
     Some(ChainAllocation {
         replicas,
         total_compute,
@@ -627,6 +676,138 @@ mod tests {
             total_compute,
             availability,
         })
+    }
+
+    /// The stage table as it was built before tables were extended
+    /// prefix by prefix: every stage's options first, then one DP pass
+    /// per stage over the whole tuple's width. Test-only reference for
+    /// [`ReplicaDp::extend`].
+    fn build_in_one_pass(stages: &[(f64, u64)]) -> ReplicaDp {
+        if stages.iter().any(|&(r, _)| !in_unit(r)) {
+            return ReplicaDp {
+                valid: false,
+                dp: Vec::new(),
+                choice: Vec::new(),
+            };
+        }
+        let mut gains = Vec::new();
+        let mut option_counts = Vec::new();
+        let mut max_cost = 0u64;
+        for &(r, c) in stages {
+            let mut n = 1u32;
+            loop {
+                let avail = stage_availability_raw(r, n);
+                gains.push(avail.ln());
+                if 1.0 - avail < 1e-13 || n >= MAX_REPLICAS {
+                    break;
+                }
+                n += 1;
+            }
+            option_counts.push(n as usize);
+            max_cost += u64::from(n) * c;
+        }
+
+        let width = max_cost as usize + 1;
+        const NEG: f64 = f64::NEG_INFINITY;
+        let mut dp = vec![NEG; width];
+        dp[0] = 0.0;
+        let mut next = vec![NEG; width];
+        let mut choice = vec![NO_CHOICE; stages.len() * width];
+        let mut gains = gains.as_slice();
+        for ((&(_, c), &count), pick) in stages
+            .iter()
+            .zip(option_counts.iter())
+            .zip(choice.chunks_exact_mut(width))
+        {
+            let (opts, rest) = gains.split_at(count);
+            gains = rest;
+            next.fill(NEG);
+            for (cost, &gain) in dp.iter().enumerate() {
+                if gain == NEG {
+                    continue;
+                }
+                for (oi, &g) in opts.iter().enumerate() {
+                    let nc = cost + (oi + 1) * c as usize;
+                    if nc < width && gain + g > next[nc] {
+                        next[nc] = gain + g;
+                        pick[nc] = oi as u8;
+                    }
+                }
+            }
+            dp.copy_from_slice(&next);
+        }
+        ReplicaDp {
+            valid: true,
+            dp,
+            choice,
+        }
+    }
+
+    proptest! {
+        /// The trie builds every table from its prefix's table, in
+        /// whatever order tuples arrive. Over a four-type catalog with
+        /// perfect stages and, in half the cases, one out-of-domain type,
+        /// tuples of length 0–4 are looked up at random — so prefixes are
+        /// shared, revisited, and first built as part of a longer tuple.
+        /// Each table equals the one-pass build bit for bit, and each
+        /// solve equals the one-pass allocation.
+        #[test]
+        fn trie_tables_equal_the_one_pass_build(seed in 0u64..u64::MAX) {
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+            let mut catalog: Vec<(f64, u64)> = (0..4)
+                .map(|_| {
+                    let r = if rng.gen_range(0u32..4) == 0 {
+                        1.0
+                    } else {
+                        rng.gen_range(0.85f64..0.995)
+                    };
+                    (r, rng.gen_range(1u64..=3))
+                })
+                .collect();
+            if rng.gen_range(0u32..2) == 0 {
+                let bad = [0.0, 1.1, f64::NAN][rng.gen_range(0usize..3)];
+                catalog[rng.gen_range(0usize..4)].0 = bad;
+            }
+            let mut memo = ReplicaDpMemo::default();
+            let mut replicas = Vec::new();
+            for _ in 0..24 {
+                let len = rng.gen_range(0usize..=4);
+                let vnfs: Vec<VnfTypeId> =
+                    (0..len).map(|_| VnfTypeId(rng.gen_range(0usize..4))).collect();
+                let stages: Vec<(f64, u64)> = vnfs.iter().map(|v| catalog[v.index()]).collect();
+                let handle = memo.lookup(&vnfs, &stages);
+                let got = memo.table(handle);
+                let want = build_in_one_pass(&stages);
+                prop_assert_eq!(got.valid, want.valid, "{:?}", &stages);
+                prop_assert_eq!(
+                    got.dp.iter().map(|g| g.to_bits()).collect::<Vec<_>>(),
+                    want.dp.iter().map(|g| g.to_bits()).collect::<Vec<_>>(),
+                    "{:?}", &stages
+                );
+                prop_assert_eq!(&got.choice, &want.choice, "{:?}", &stages);
+                for _ in 0..4 {
+                    let gate = rng.gen_range(0.9f64..=1.0);
+                    let target = match rng.gen_range(0u32..3) {
+                        0 => gate,
+                        _ => rng.gen_range(0.85f64..0.96),
+                    };
+                    let got = got
+                        .solve_into(&stages, gate, target, &mut replicas)
+                        .map(|(total_compute, availability)| ChainAllocation {
+                            replicas: replicas.clone(),
+                            total_compute,
+                            availability,
+                        });
+                    let want = allocate_in_one_pass(&stages, gate, target);
+                    prop_assert_eq!(
+                        got.as_ref().map(|a| a.availability.to_bits()),
+                        want.as_ref().map(|a| a.availability.to_bits())
+                    );
+                    prop_assert_eq!(got, want, "gate {} target {}", gate, target);
+                }
+            }
+        }
     }
 
     proptest! {

@@ -43,15 +43,19 @@
 //! # Cost
 //!
 //! A decision costs what its own route search costs, whatever came
-//! before it. The replica DP's table is built once per stage tuple and
-//! memoised ([`ReplicaDpMemo`]); the beam runs over `Copy` labels in an
-//! arena, with the window prices hoisted per eligible cloudlet and
-//! distances read from the source label's [`PathTable`] row; the standby
-//! pool is visited one `(cloudlet, VNF)` bucket per stage; and every
-//! buffer lives in the scheduler, so a warm reject allocates nothing and
-//! an admit little beyond the [`ChainPlacement`] it returns. DESIGN §17
-//! (*Cost of a chain decision*) says what is computed per stage tuple,
-//! per chain and per route, and which orders are part of the result.
+//! before it. The replica DP's table is built once per stage prefix,
+//! from its prefix's table, and found through a trie keyed by VNF id
+//! ([`ReplicaDpMemo`]); the beam runs over `Copy` labels in an arena,
+//! with the window prices hoisted per eligible cloudlet and distances
+//! read from the source label's [`PathTable`] row; routes are evaluated
+//! cheapest label first, up to the first whose label cost (a lower bound
+//! on its dual cost) cannot beat the best; the standby pool is visited
+//! one `(cloudlet, VNF)` bucket per stage; and every buffer lives in the
+//! scheduler, so a warm reject allocates nothing and an admit little
+//! beyond the [`ChainPlacement`] it returns. DESIGN §17 (*Cost of a
+//! chain decision*) says what is computed per stage prefix, per chain
+//! and per route, why the route stop is exact, and which orders are
+//! part of the result.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -210,8 +214,18 @@ pub trait ChainScheduler {
 
     /// Decides admission for the next chain request, committing
     /// resources on success.
+    ///
+    /// Precondition: the chain's window lies inside
+    /// [`ledger().horizon()`](CapacityLedger::horizon). `decide_chain`
+    /// does not check it (the ledger's window reads assert it only in
+    /// debug builds), so a window past the horizon would be charged into
+    /// the next cloudlet's row. The drivers check it before calling:
+    /// [`run_chain_online`] and `MixedSimulation::new`.
     fn decide_chain(&mut self, request: &ChainRequest)
         -> Result<ChainPlacement, ChainRejectReason>;
+
+    /// The scheduler's capacity ledger.
+    fn ledger(&self) -> &CapacityLedger;
 }
 
 /// Feeds chain requests through a scheduler.
@@ -219,11 +233,14 @@ pub trait ChainScheduler {
 /// # Errors
 ///
 /// Returns [`VnfrelError::NonDenseRequestIds`] if ids are not dense in
-/// arrival order.
+/// arrival order, and [`VnfrelError::Workload`] for a chain whose window
+/// leaves the scheduler's horizon (one built against a longer horizon).
+/// Chains before the offending one have been decided.
 pub fn run_chain_online<S: ChainScheduler + ?Sized>(
     scheduler: &mut S,
     requests: &[ChainRequest],
 ) -> Result<ChainSchedule, VnfrelError> {
+    let horizon = scheduler.ledger().horizon();
     let mut schedule = ChainSchedule::new();
     for (i, r) in requests.iter().enumerate() {
         if r.id().index() != i {
@@ -231,6 +248,15 @@ pub fn run_chain_online<S: ChainScheduler + ?Sized>(
                 position: i,
                 found: r.id().index(),
             });
+        }
+        if !horizon.contains_window(r.arrival(), r.duration()) {
+            return Err(VnfrelError::Workload(
+                mec_workload::WorkloadError::WindowOutsideHorizon {
+                    arrival: r.arrival(),
+                    duration: r.duration(),
+                    horizon: horizon.len(),
+                },
+            ));
         }
         let decision = scheduler.decide_chain(r);
         schedule.record(r, decision);
@@ -414,7 +440,7 @@ pub struct ChainPrimalDual<'a, S: TraceSink = NoopSink> {
     paths: PathTable,
     /// Every cloudlet as `(id, node, r(c_j))`, in id order.
     all_hosts: Vec<(u32, NodeId, f64)>,
-    /// Replica DP tables by stage tuple (see [`ReplicaDpMemo`] for what
+    /// Replica DP tables by stage prefix (see [`ReplicaDpMemo`] for what
     /// bounds it).
     dp: ReplicaDpMemo,
     scratch: Scratch,
@@ -473,11 +499,6 @@ impl<'a, S: TraceSink> ChainPrimalDual<'a, S> {
             admitted: 0,
             revenue: 0.0,
         }
-    }
-
-    /// The scheduler's capacity ledger.
-    pub fn ledger(&self) -> &CapacityLedger {
-        &self.alg1.ledger
     }
 
     /// The shared standby pool.
@@ -858,16 +879,63 @@ impl<'a, S: TraceSink> ChainPrimalDual<'a, S> {
         }
         reason
     }
-}
 
-impl<S: TraceSink> ChainScheduler for ChainPrimalDual<'_, S> {
-    fn name(&self) -> &'static str {
-        "chain-primal-dual"
-    }
-
-    fn decide_chain(
+    /// Evaluates the complete `routes` with replica table `dp`, leaving
+    /// the one of least dual cost in `scratch.best` (the first of equals),
+    /// or returns why none is feasible.
+    ///
+    /// `routes` come cheapest label first, and a route's label cost is a
+    /// lower bound on its dual cost, bit for bit: both sum the same
+    /// window prices in stage order, `n_k ≥ 1` replicas cost at least
+    /// one, and a created standby only adds. So once a label costs at
+    /// least the best dual cost found, neither it nor any route after it
+    /// can win, and the loop stops there (DESIGN §17). The reason is read
+    /// only when no route was feasible, which no stop can change.
+    fn best_route(
         &mut self,
         request: &ChainRequest,
+        dp: usize,
+        routes: Range<usize>,
+    ) -> Result<(), ChainRejectReason> {
+        let mut have_best = false;
+        let mut saw_capacity_fail = false;
+        for route in routes {
+            if have_best && self.scratch.arena[route].cost >= self.scratch.best.dual_cost {
+                break;
+            }
+            match self.evaluate(request, dp, route) {
+                Ok(()) => {
+                    let Scratch { current, best, .. } = &mut self.scratch;
+                    if !have_best || current.dual_cost < best.dual_cost {
+                        std::mem::swap(current, best);
+                        have_best = true;
+                    }
+                }
+                Err(EvalFail::Capacity) => saw_capacity_fail = true,
+                Err(EvalFail::Reliability) => {}
+            }
+        }
+        if have_best {
+            Ok(())
+        } else if saw_capacity_fail {
+            Err(ChainRejectReason::CapacityGate)
+        } else {
+            Err(ChainRejectReason::ReliabilityInfeasible)
+        }
+    }
+
+    /// [`ChainScheduler::decide_chain`], with the route evaluation loop
+    /// supplied: `search` has the contract of
+    /// [`ChainPrimalDual::best_route`], which is what production passes.
+    fn decide_chain_by(
+        &mut self,
+        request: &ChainRequest,
+        search: impl FnOnce(
+            &mut Self,
+            &ChainRequest,
+            usize,
+            Range<usize>,
+        ) -> Result<(), ChainRejectReason>,
     ) -> Result<ChainPlacement, ChainRejectReason> {
         let instance = self.instance;
         let network = instance.network();
@@ -930,27 +998,7 @@ impl<S: TraceSink> ChainScheduler for ChainPrimalDual<'_, S> {
 
         // One replica table serves every route of the chain.
         let dp = self.dp.lookup(vnfs, &self.scratch.stages);
-        let mut have_best = false;
-        let mut saw_capacity_fail = false;
-        for route in routes {
-            match self.evaluate(request, dp, route) {
-                Ok(()) => {
-                    let Scratch { current, best, .. } = &mut self.scratch;
-                    if !have_best || current.dual_cost < best.dual_cost {
-                        std::mem::swap(current, best);
-                        have_best = true;
-                    }
-                }
-                Err(EvalFail::Capacity) => saw_capacity_fail = true,
-                Err(EvalFail::Reliability) => {}
-            }
-        }
-        if !have_best {
-            let reason = if saw_capacity_fail {
-                ChainRejectReason::CapacityGate
-            } else {
-                ChainRejectReason::ReliabilityInfeasible
-            };
+        if let Err(reason) = search(self, request, dp, routes) {
             return Err(self.emit_reject(request, reason, None, None));
         }
 
@@ -1100,6 +1148,23 @@ impl<S: TraceSink> ChainScheduler for ChainPrimalDual<'_, S> {
     }
 }
 
+impl<S: TraceSink> ChainScheduler for ChainPrimalDual<'_, S> {
+    fn name(&self) -> &'static str {
+        "chain-primal-dual"
+    }
+
+    fn decide_chain(
+        &mut self,
+        request: &ChainRequest,
+    ) -> Result<ChainPlacement, ChainRejectReason> {
+        self.decide_chain_by(request, Self::best_route)
+    }
+
+    fn ledger(&self) -> &CapacityLedger {
+        &self.alg1.ledger
+    }
+}
+
 /// Greedy chain baseline: hosts the whole chain at the most reliable
 /// cloudlet within the latency budget, dedicating no standbys and
 /// ignoring payments.
@@ -1109,7 +1174,7 @@ pub struct ChainGreedy<'a> {
     order: Vec<CloudletId>,
     ledger: CapacityLedger,
     paths: PathTable,
-    /// Replica DP tables by stage tuple: one table serves every cloudlet
+    /// Replica DP tables by stage prefix: one table serves every cloudlet
     /// a chain is tried at, and every later chain of the same types.
     dp: ReplicaDpMemo,
 }
@@ -1139,16 +1204,15 @@ impl<'a> ChainGreedy<'a> {
             dp: ReplicaDpMemo::default(),
         }
     }
-
-    /// The scheduler's capacity ledger.
-    pub fn ledger(&self) -> &CapacityLedger {
-        &self.ledger
-    }
 }
 
 impl ChainScheduler for ChainGreedy<'_> {
     fn name(&self) -> &'static str {
         "chain-greedy"
+    }
+
+    fn ledger(&self) -> &CapacityLedger {
+        &self.ledger
     }
 
     fn decide_chain(
@@ -1247,6 +1311,11 @@ mod tests {
 
     /// A line of access points, one cloudlet each, 1.0-latency links.
     fn instance(cloudlets: &[(u64, f64)]) -> ProblemInstance {
+        instance_over(cloudlets, Horizon::new(10))
+    }
+
+    /// [`instance`] over an explicit horizon.
+    fn instance_over(cloudlets: &[(u64, f64)], horizon: Horizon) -> ProblemInstance {
         let mut b = NetworkBuilder::new();
         let mut prev = None;
         for (i, &(cap, r)) in cloudlets.iter().enumerate() {
@@ -1257,7 +1326,7 @@ mod tests {
             prev = Some(ap);
             b.add_cloudlet(ap, cap, rel(r)).unwrap();
         }
-        ProblemInstance::new(b.build().unwrap(), VnfCatalog::standard(), Horizon::new(10)).unwrap()
+        ProblemInstance::new(b.build().unwrap(), VnfCatalog::standard(), horizon).unwrap()
     }
 
     fn chain(id: usize, stages: Vec<usize>, req: f64, pay: f64) -> ChainRequest {
@@ -1612,5 +1681,172 @@ mod tests {
             sa.revenue(),
             sg.revenue()
         );
+    }
+
+    #[test]
+    fn run_chain_online_refuses_a_window_past_the_schedulers_horizon() {
+        use mec_workload::WorkloadError;
+
+        // Two cloudlets over four slots; the chain was built against a
+        // ten-slot horizon and covers slots 2..=5. Decided unchecked, its
+        // slots 4..=5 would be charged to cloudlet 1's slots 0..=1.
+        let inst = instance_over(&[(10, 0.999), (10, 0.999)], Horizon::new(4));
+        let long = ChainRequest::new(
+            ChainRequestId(0),
+            vec![VnfTypeId(8)],
+            rel(0.9),
+            f64::INFINITY,
+            NodeId(0),
+            2,
+            4,
+            10.0,
+            Horizon::new(10),
+        )
+        .unwrap();
+        let mut schedulers: Vec<Box<dyn ChainScheduler>> = vec![
+            Box::new(ChainPrimalDual::new(&inst, BackupMode::None)),
+            Box::new(ChainPrimalDual::new(&inst, BackupMode::Dedicated)),
+            Box::new(ChainPrimalDual::new(&inst, BackupMode::Shared)),
+            Box::new(ChainGreedy::new(&inst)),
+        ];
+        for s in &mut schedulers {
+            let err = run_chain_online(s.as_mut(), std::slice::from_ref(&long)).unwrap_err();
+            assert_eq!(
+                err,
+                VnfrelError::Workload(WorkloadError::WindowOutsideHorizon {
+                    arrival: 2,
+                    duration: 4,
+                    horizon: 4,
+                }),
+                "{}",
+                s.name()
+            );
+            assert!(
+                s.ledger().used_grid().iter().all(|&u| u == 0.0),
+                "{} charged {:?}",
+                s.name(),
+                s.ledger().used_grid()
+            );
+        }
+    }
+
+    /// The route loop as it was before it stopped at the first route
+    /// that cannot win: every route is evaluated. Test-only reference
+    /// for [`ChainPrimalDual::best_route`]. `skipped` is set to the
+    /// number of routes the stop leaves unevaluated.
+    fn best_route_unpruned<S: TraceSink>(
+        alg: &mut ChainPrimalDual<'_, S>,
+        request: &ChainRequest,
+        dp: usize,
+        routes: Range<usize>,
+        skipped: &mut usize,
+    ) -> Result<(), ChainRejectReason> {
+        let mut have_best = false;
+        let mut saw_capacity_fail = false;
+        let mut stop = None;
+        for route in routes.clone() {
+            if stop.is_none()
+                && have_best
+                && alg.scratch.arena[route].cost >= alg.scratch.best.dual_cost
+            {
+                stop = Some(route);
+            }
+            match alg.evaluate(request, dp, route) {
+                Ok(()) => {
+                    let Scratch { current, best, .. } = &mut alg.scratch;
+                    if !have_best || current.dual_cost < best.dual_cost {
+                        assert!(stop.is_none(), "route {route} won past the stop");
+                        std::mem::swap(current, best);
+                        have_best = true;
+                    }
+                }
+                Err(EvalFail::Capacity) => saw_capacity_fail = true,
+                Err(EvalFail::Reliability) => {}
+            }
+        }
+        *skipped = stop.map_or(0, |s| routes.end - s);
+        if !have_best {
+            let reason = if saw_capacity_fail {
+                ChainRejectReason::CapacityGate
+            } else {
+                ChainRejectReason::ReliabilityInfeasible
+            };
+            return Err(reason);
+        }
+        Ok(())
+    }
+
+    /// Everything a decision can change, in a comparable form: ledger
+    /// and price grids by bits, and the pool's full state.
+    fn state_of<S: TraceSink>(alg: &ChainPrimalDual<'_, S>) -> (Vec<u64>, Vec<u64>, String) {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        (
+            bits(alg.alg1.ledger.used_grid()),
+            bits(alg.alg1.prices.values()),
+            format!("{:?}", alg.pool),
+        )
+    }
+
+    #[test]
+    fn route_stop_matches_the_unpruned_loop() {
+        use mec_topology::generators::CloudletPlacement;
+        use mec_topology::zoo;
+        use mec_workload::ChainGenerator;
+        use rand::SeedableRng;
+
+        // Pruned routes, payment-test rejects after a stop, admits after
+        // a stop.
+        let mut coverage = [0usize; 3];
+        for seed in 1..=4u64 {
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+            let placement = CloudletPlacement {
+                fraction: 0.75,
+                capacity: (12, 30),
+                reliability: (0.99, 0.9999),
+            };
+            let network = zoo::abilene().into_network(&placement, &mut rng).unwrap();
+            let inst =
+                ProblemInstance::new(network, VnfCatalog::standard(), Horizon::new(16)).unwrap();
+            let chains = ChainGenerator::new(inst.horizon(), inst.network().ap_count())
+                .length_band(1, 3)
+                .unwrap()
+                .reliability_band(0.9, 0.97)
+                .unwrap()
+                .latency_budget_band(3.0, 12.0)
+                .unwrap()
+                .payment_rate_band(1.0, 10.0)
+                .unwrap()
+                .generate(300, inst.catalog(), &mut rng)
+                .unwrap();
+            for mode in [BackupMode::None, BackupMode::Dedicated, BackupMode::Shared] {
+                let mut alg = ChainPrimalDual::with_sink(&inst, mode, RingSink::new(64));
+                let mut reference = ChainPrimalDual::with_sink(&inst, mode, RingSink::new(64));
+                for c in &chains {
+                    let got = alg.decide_chain(c);
+                    let mut skipped = 0;
+                    let want = reference.decide_chain_by(c, |alg, request, dp, routes| {
+                        best_route_unpruned(alg, request, dp, routes, &mut skipped)
+                    });
+                    let at = format!("seed {seed} {} chain {}", mode.as_str(), c.id().index());
+                    assert_eq!(got, want, "{at}");
+                    assert_eq!(
+                        alg.sink.total_recorded(),
+                        reference.sink.total_recorded(),
+                        "{at}"
+                    );
+                    assert!(alg.sink.events().eq(reference.sink.events()), "{at}");
+                    assert!(state_of(&alg) == state_of(&reference), "{at}");
+                    if skipped > 0 {
+                        coverage[0] += skipped;
+                        match want {
+                            Err(ChainRejectReason::PaymentTest) => coverage[1] += 1,
+                            Ok(_) => coverage[2] += 1,
+                            Err(_) => {}
+                        }
+                    }
+                }
+            }
+        }
+        assert!(coverage.iter().all(|&n| n > 100), "{coverage:?}");
     }
 }

@@ -211,6 +211,7 @@ mod chain_props {
     use vnfrel::chain::alloc::{allocate_replicas, chain_availability, chain_availability_raw};
     use vnfrel::chain::{
         run_chain_online, BackupMode, ChainGreedy, ChainPrimalDual, ChainRequest, ChainRequestId,
+        ChainScheduler,
     };
 
     proptest! {

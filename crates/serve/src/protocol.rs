@@ -437,7 +437,12 @@ pub fn encode_batch_reply_into(out: &mut String, seq: u64, codes: &[u8]) {
         if i > 0 {
             out.push(',');
         }
-        uint(out, c as usize);
+        // Every `BATCH_*` code is one digit; skip the formatter for it.
+        if c < 10 {
+            out.push(char::from(b'0' + c));
+        } else {
+            uint(out, c as usize);
+        }
     }
     out.push_str("]}");
 }
@@ -972,6 +977,21 @@ mod tests {
         let mut decoded = Vec::new();
         assert_eq!(parse_batch_reply_into(&line, &mut decoded).unwrap(), 42);
         assert_eq!(decoded, codes);
+    }
+
+    #[test]
+    fn batch_reply_codes_are_written_in_decimal() {
+        let codes: Vec<u8> = (0..=u8::MAX).collect();
+        let mut line = String::new();
+        encode_batch_reply_into(&mut line, 3, &codes);
+        let decimal: Vec<String> = codes.iter().map(u8::to_string).collect();
+        assert_eq!(
+            line,
+            format!(
+                "{{\"type\":\"batch-reply\",\"v\":3,\"b\":3,\"n\":256,\"codes\":[{}]}}",
+                decimal.join(",")
+            )
+        );
     }
 
     #[test]

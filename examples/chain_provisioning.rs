@@ -13,7 +13,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use vnfrel::chain::{
     alloc::allocate_replicas, run_chain_online, BackupMode, ChainGreedy, ChainPrimalDual,
-    ChainRequest, ChainRequestId,
+    ChainRequest, ChainRequestId, ChainScheduler,
 };
 use vnfrel::ProblemInstance;
 

@@ -15,6 +15,7 @@ use rand_chacha::ChaCha8Rng;
 use vnfrel::baselines::{DensityGreedy, RandomPlacement};
 use vnfrel::chain::{
     run_chain_online, BackupMode, ChainGreedy, ChainPrimalDual, ChainRequest, ChainRequestId,
+    ChainScheduler,
 };
 use vnfrel::onsite::offline::capacity_shadow_prices;
 use vnfrel::onsite::{CapacityPolicy, OnsiteGreedy, OnsitePrimalDual};
