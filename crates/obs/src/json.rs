@@ -1,21 +1,27 @@
-//! Hand-rolled JSONL serialization for [`TraceEvent`], plus a small
-//! generic [`JsonValue`] tree used by the `mec-serve` wire protocol and
-//! snapshot files.
+//! The workspace's one JSON layer: a streaming [`JsonWriter`], a
+//! [`JsonValue`] tree with a strict parser, a named-[`Field`] reader
+//! over that tree, and the [`TraceEvent`] JSONL codec built on them.
 //!
-//! The workspace deliberately carries no serde dependency, so the wire
-//! format is produced and consumed by a few hundred lines of plain std
-//! code. The schema is versioned by field names only; the round-trip
-//! test in `tests/trace_obs.rs` pins it for downstream tooling.
+//! The workspace deliberately carries no serde dependency. Every JSON
+//! line it writes — trace events, metrics JSONL, the `mec-serve` wire
+//! and replication frames, `/status` and snapshots — goes through
+//! [`JsonWriter`], and every object it reads goes through
+//! [`JsonValue::field`]. The schema is versioned by field names only;
+//! `tests/json_wire.rs` pins the bytes of every message for downstream
+//! tooling.
 //!
 //! Conventions:
-//! - one event per line, no pretty printing;
-//! - every object carries a `"type"` discriminator (see
+//! - one value per line, no pretty printing;
+//! - every trace object carries a `"type"` discriminator (see
 //!   [`TraceEvent::kind`]);
-//! - non-finite floats serialize as `null` (JSON has no NaN/Inf), and
-//!   `null` parses back as NaN for required float fields;
+//! - non-finite floats write as `null` (JSON has no NaN/Inf), and
+//!   `null` reads back as NaN from a required float field;
 //! - finite floats are written with `{:?}` — the shortest representation
 //!   that round-trips — so encode→parse restores the exact bit pattern
 //!   (this is what makes snapshot/restore byte-identical downstream).
+//!   [`JsonWriter::num`] additionally writes integral values without a
+//!   decimal point; it is the spelling of the serve wire, `/status` and
+//!   snapshots, while traces and metrics use [`JsonWriter::float`].
 
 use std::fmt::Write as _;
 
@@ -25,163 +31,318 @@ use crate::event::{
 };
 
 // ---------------------------------------------------------------------------
-// Serialization
+// Writing
 // ---------------------------------------------------------------------------
 
-fn push_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
-        // `{:?}` prints the shortest representation that round-trips.
-        let _ = write!(out, "{v:?}");
-    } else {
-        out.push_str("null");
-    }
+/// Streaming writer of compact JSON into a caller-owned `String`.
+///
+/// The caller states the structure — [`begin_obj`](Self::begin_obj),
+/// [`key`](Self::key), a value, [`end_obj`](Self::end_obj) — and the
+/// writer places the separators, escapes every string and spells every
+/// number. Nothing is buffered: each call appends to the string, so a
+/// connection can reuse one buffer across frames. Balance is the
+/// caller's responsibility.
+#[derive(Debug)]
+pub struct JsonWriter<'a> {
+    out: &'a mut String,
+    // Whether the next value or key needs a leading comma.
+    comma: bool,
 }
 
-fn push_opt_f64(out: &mut String, v: Option<f64>) {
-    match v {
-        Some(v) => push_f64(out, v),
-        None => out.push_str("null"),
+impl<'a> JsonWriter<'a> {
+    /// A writer appending to `out` (existing contents are kept).
+    pub fn new(out: &'a mut String) -> Self {
+        JsonWriter { out, comma: false }
     }
-}
 
-fn push_str(out: &mut String, s: &str) {
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+    /// Everything in the buffer so far, including what it held before
+    /// this writer was made (what a trailing checksum field covers).
+    pub fn written(&self) -> &str {
+        self.out
+    }
+
+    #[inline]
+    fn sep(&mut self) {
+        if self.comma {
+            self.out.push(',');
+        }
+        self.comma = true;
+    }
+
+    /// Opens an object.
+    #[inline]
+    pub fn begin_obj(&mut self) -> &mut Self {
+        self.sep();
+        self.out.push('{');
+        self.comma = false;
+        self
+    }
+
+    /// Closes the innermost object.
+    #[inline]
+    pub fn end_obj(&mut self) -> &mut Self {
+        self.out.push('}');
+        self.comma = true;
+        self
+    }
+
+    /// Opens an array.
+    #[inline]
+    pub fn begin_arr(&mut self) -> &mut Self {
+        self.sep();
+        self.out.push('[');
+        self.comma = false;
+        self
+    }
+
+    /// Closes the innermost array.
+    #[inline]
+    pub fn end_arr(&mut self) -> &mut Self {
+        self.out.push(']');
+        self.comma = true;
+        self
+    }
+
+    /// Writes an object key; the next call writes its value.
+    #[inline]
+    pub fn key(&mut self, key: &str) -> &mut Self {
+        if self.comma {
+            self.out.push(',');
+        }
+        self.comma = false;
+        push_escaped(self.out, key);
+        self.out.push(':');
+        self
+    }
+
+    /// Writes a string, escaped.
+    #[inline]
+    pub fn str(&mut self, v: &str) -> &mut Self {
+        self.sep();
+        push_escaped(self.out, v);
+        self
+    }
+
+    /// Writes an unsigned integer.
+    #[inline]
+    pub fn uint(&mut self, v: u64) -> &mut Self {
+        self.sep();
+        push_u64(self.out, v);
+        self
+    }
+
+    /// Writes a `usize` as an unsigned integer.
+    #[inline]
+    pub fn usize(&mut self, v: usize) -> &mut Self {
+        self.uint(v as u64)
+    }
+
+    /// Writes a float in its shortest round-tripping form (`4.0` stays
+    /// `4.0`); non-finite values write `null`.
+    #[inline]
+    pub fn float(&mut self, v: f64) -> &mut Self {
+        self.sep();
+        if v.is_finite() {
+            let _ = write!(self.out, "{v:?}");
+        } else {
+            self.out.push_str("null");
+        }
+        self
+    }
+
+    /// Writes a number the way [`JsonValue::Num`] encodes: an integral
+    /// value inside `i64` as an integer (`4.0` writes `4`), anything
+    /// else as [`float`](Self::float) does. The bit-pattern test keeps
+    /// `-0.0` on the float path, so every value round-trips exactly.
+    #[inline]
+    pub fn num(&mut self, v: f64) -> &mut Self {
+        let as_int = v as i64;
+        if v.to_bits() != (as_int as f64).to_bits() {
+            return self.float(v);
+        }
+        self.sep();
+        if as_int < 0 {
+            self.out.push('-');
+        }
+        push_u64(self.out, as_int.unsigned_abs());
+        self
+    }
+
+    /// Writes `true` or `false`.
+    #[inline]
+    pub fn bool(&mut self, v: bool) -> &mut Self {
+        self.sep();
+        self.out.push_str(if v { "true" } else { "false" });
+        self
+    }
+
+    /// Writes `null`.
+    #[inline]
+    pub fn null(&mut self) -> &mut Self {
+        self.sep();
+        self.out.push_str("null");
+        self
+    }
+
+    /// [`float`](Self::float), or `null` for `None`.
+    pub fn opt_float(&mut self, v: Option<f64>) -> &mut Self {
+        match v {
+            Some(v) => self.float(v),
+            None => self.null(),
+        }
+    }
+
+    /// [`usize`](Self::usize), or `null` for `None`.
+    pub fn opt_usize(&mut self, v: Option<usize>) -> &mut Self {
+        match v {
+            Some(v) => self.usize(v),
+            None => self.null(),
+        }
+    }
+
+    /// Writes an array of unsigned integers (a tight loop: the batch
+    /// reply's code array goes through here).
+    #[inline]
+    pub fn uints(&mut self, items: impl IntoIterator<Item = u64>) -> &mut Self {
+        self.begin_arr();
+        let out = &mut *self.out;
+        for (i, v) in items.into_iter().enumerate() {
+            if i > 0 {
+                out.push(',');
             }
-            c => out.push(c),
+            push_u64(out, v);
+        }
+        self.end_arr()
+    }
+
+    /// Writes an array of [`num`](Self::num)s.
+    pub fn nums(&mut self, items: &[f64]) -> &mut Self {
+        self.begin_arr();
+        for &v in items {
+            self.num(v);
+        }
+        self.end_arr()
+    }
+
+    /// Writes a value tree.
+    pub fn value(&mut self, v: &JsonValue) -> &mut Self {
+        match v {
+            JsonValue::Null => self.null(),
+            JsonValue::Bool(b) => self.bool(*b),
+            JsonValue::Num(n) => self.num(*n),
+            JsonValue::Str(s) => self.str(s),
+            JsonValue::Arr(items) => {
+                self.begin_arr();
+                for item in items {
+                    self.value(item);
+                }
+                self.end_arr()
+            }
+            JsonValue::Obj(fields) => {
+                self.begin_obj();
+                for (k, v) in fields {
+                    self.key(k).value(v);
+                }
+                self.end_obj()
+            }
         }
     }
+}
+
+/// Appends `s` as a JSON string literal, copying unescaped runs whole.
+#[inline]
+fn push_escaped(out: &mut String, s: &str) {
+    if !s.bytes().any(|b| b < 0x20 || b == b'"' || b == b'\\') {
+        // Room for both quotes and the `:` or `,` that usually follows.
+        out.reserve(s.len() + 3);
+        out.push('"');
+        out.push_str(s);
+        out.push('"');
+        return;
+    }
+    out.push('"');
+    let mut start = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        // Every byte matched above is ASCII, so `i` is a char boundary.
+        out.push_str(&s[start..i]);
+        if escape.is_empty() {
+            let _ = write!(out, "\\u{b:04x}");
+        } else {
+            out.push_str(escape);
+        }
+        start = i + 1;
+    }
+    out.push_str(&s[start..]);
     out.push('"');
 }
 
-fn push_opt_usize(out: &mut String, v: Option<usize>) {
-    match v {
-        Some(v) => {
-            let _ = write!(out, "{v}");
-        }
-        None => out.push_str("null"),
+/// Appends the decimal digits of `v` without going through `core::fmt`.
+/// A single digit (every batch reply code) is one inlined byte push.
+#[inline]
+fn push_u64(out: &mut String, v: u64) {
+    if v < 10 {
+        out.push(char::from(b'0' + v as u8));
+    } else {
+        push_digits(out, v);
     }
 }
 
-fn push_chain_stages(out: &mut String, stages: &[ChainStageTrace]) {
-    out.push('[');
-    for (i, s) in stages.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"vnf\":{},\"cloudlet\":{},\"replicas\":{},\"dual_cost\":",
-            s.vnf, s.cloudlet, s.replicas
-        );
-        push_f64(out, s.dual_cost);
-        out.push_str(",\"standby\":");
-        push_opt_usize(out, s.standby);
-        out.push_str(",\"backup_cloudlet\":");
-        push_opt_usize(out, s.backup_cloudlet);
-        out.push_str(",\"backup_shared\":");
-        match s.backup_shared {
-            Some(b) => out.push_str(if b { "true" } else { "false" }),
-            None => out.push_str("null"),
-        }
-        out.push('}');
+fn push_digits(out: &mut String, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    while v > 0 {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
     }
-    out.push(']');
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("decimal digits are ASCII"));
 }
 
-fn push_sites(out: &mut String, sites: &[SitePlacement]) {
-    out.push('[');
-    for (i, s) in sites.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"cloudlet\":{},\"instances\":{},\"dual_cost\":",
-            s.cloudlet, s.instances
-        );
-        push_f64(out, s.dual_cost);
-        out.push('}');
-    }
-    out.push(']');
-}
+// ---------------------------------------------------------------------------
+// Trace events
+// ---------------------------------------------------------------------------
 
 /// Serializes one event as a single JSON line (no trailing newline).
 pub fn to_json(event: &TraceEvent) -> String {
     let mut out = String::with_capacity(128);
+    write_event(&mut JsonWriter::new(&mut out), event);
+    out
+}
+
+/// Writes one decision as the object [`to_json`] gives its
+/// [`TraceEvent::Decision`], without wrapping (or cloning) it.
+pub fn write_decision(w: &mut JsonWriter<'_>, d: &DecisionEvent) {
+    w.begin_obj().key("type").str("decision");
+    decision_fields(w, d);
+    w.end_obj();
+}
+
+fn write_event(w: &mut JsonWriter<'_>, event: &TraceEvent) {
+    w.begin_obj().key("type").str(event.kind());
     match event {
-        TraceEvent::Decision(d) => {
-            out.push_str("{\"type\":\"decision\",\"request\":");
-            let _ = write!(out, "{}", d.request);
-            out.push_str(",\"algorithm\":");
-            push_str(&mut out, &d.algorithm);
-            out.push_str(",\"scheme\":");
-            push_str(&mut out, &d.scheme);
-            let _ = write!(out, ",\"slot\":{},\"payment\":", d.slot);
-            push_f64(&mut out, d.payment);
-            match &d.outcome {
-                Outcome::Admit {
-                    dual_cost,
-                    margin,
-                    sites,
-                } => {
-                    out.push_str(",\"outcome\":\"admit\",\"dual_cost\":");
-                    push_f64(&mut out, *dual_cost);
-                    out.push_str(",\"margin\":");
-                    push_f64(&mut out, *margin);
-                    out.push_str(",\"sites\":");
-                    push_sites(&mut out, sites);
-                }
-                Outcome::Reject {
-                    reason,
-                    dual_cost,
-                    margin,
-                } => {
-                    out.push_str(",\"outcome\":\"reject\",\"reason\":");
-                    push_str(&mut out, reason.as_str());
-                    out.push_str(",\"dual_cost\":");
-                    push_opt_f64(&mut out, *dual_cost);
-                    out.push_str(",\"margin\":");
-                    push_opt_f64(&mut out, *margin);
-                }
-            }
-            out.push('}');
-        }
-        TraceEvent::OutageStart { slot, cloudlet } => {
-            let _ = write!(
-                out,
-                "{{\"type\":\"outage-start\",\"slot\":{slot},\"cloudlet\":{cloudlet}}}"
-            );
-        }
-        TraceEvent::OutageEnd { slot, cloudlet } => {
-            let _ = write!(
-                out,
-                "{{\"type\":\"outage-end\",\"slot\":{slot},\"cloudlet\":{cloudlet}}}"
-            );
+        TraceEvent::Decision(d) => decision_fields(w, d),
+        TraceEvent::OutageStart { slot, cloudlet } | TraceEvent::OutageEnd { slot, cloudlet } => {
+            w.key("slot").usize(*slot).key("cloudlet").usize(*cloudlet);
         }
         TraceEvent::InstanceKill {
             slot,
             cloudlet,
             request,
         } => {
-            let _ = write!(
-                out,
-                "{{\"type\":\"instance-kill\",\"slot\":{slot},\"cloudlet\":{cloudlet},\"request\":{request}}}"
-            );
+            w.key("slot").usize(*slot).key("cloudlet").usize(*cloudlet);
+            w.key("request").usize(*request);
         }
         TraceEvent::SlaBreach { slot, request } => {
-            let _ = write!(
-                out,
-                "{{\"type\":\"sla-breach\",\"slot\":{slot},\"request\":{request}}}"
-            );
+            w.key("slot").usize(*slot).key("request").usize(*request);
         }
         TraceEvent::Recovery {
             slot,
@@ -189,227 +350,222 @@ pub fn to_json(event: &TraceEvent) -> String {
             success,
             cloudlets,
         } => {
-            let _ = write!(
-                out,
-                "{{\"type\":\"recovery\",\"slot\":{slot},\"request\":{request},\"success\":{success},\"cloudlets\":["
-            );
-            for (i, c) in cloudlets.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "{c}");
-            }
-            out.push_str("]}");
+            w.key("slot").usize(*slot).key("request").usize(*request);
+            w.key("success").bool(*success);
+            w.key("cloudlets")
+                .uints(cloudlets.iter().map(|&c| c as u64));
         }
         TraceEvent::DomainOutageStart {
             slot,
             domain,
             cloudlets,
         } => {
-            let _ = write!(
-                out,
-                "{{\"type\":\"domain-outage-start\",\"slot\":{slot},\"domain\":{domain},\"cloudlets\":["
-            );
-            for (i, c) in cloudlets.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "{c}");
-            }
-            out.push_str("]}");
+            w.key("slot").usize(*slot).key("domain").usize(*domain);
+            w.key("cloudlets")
+                .uints(cloudlets.iter().map(|&c| c as u64));
         }
         TraceEvent::DomainOutageEnd { slot, domain } => {
-            let _ = write!(
-                out,
-                "{{\"type\":\"domain-outage-end\",\"slot\":{slot},\"domain\":{domain}}}"
-            );
+            w.key("slot").usize(*slot).key("domain").usize(*domain);
         }
         TraceEvent::Cascade {
             slot,
             cloudlet,
             utilization,
         } => {
-            let _ = write!(
-                out,
-                "{{\"type\":\"cascade\",\"slot\":{slot},\"cloudlet\":{cloudlet},\"utilization\":"
-            );
-            push_f64(&mut out, *utilization);
-            out.push('}');
+            w.key("slot").usize(*slot).key("cloudlet").usize(*cloudlet);
+            w.key("utilization").float(*utilization);
         }
         TraceEvent::Eviction {
             slot,
             request,
             density,
         } => {
-            let _ = write!(
-                out,
-                "{{\"type\":\"eviction\",\"slot\":{slot},\"request\":{request},\"density\":"
-            );
-            push_f64(&mut out, *density);
-            out.push('}');
+            w.key("slot").usize(*slot).key("request").usize(*request);
+            w.key("density").float(*density);
         }
-        TraceEvent::DegradedEnter { slot } => {
-            let _ = write!(out, "{{\"type\":\"degraded-enter\",\"slot\":{slot}}}");
-        }
-        TraceEvent::DegradedExit { slot } => {
-            let _ = write!(out, "{{\"type\":\"degraded-exit\",\"slot\":{slot}}}");
+        TraceEvent::DegradedEnter { slot } | TraceEvent::DegradedExit { slot } => {
+            w.key("slot").usize(*slot);
         }
         TraceEvent::AuditViolation {
             slot,
             invariant,
             detail,
         } => {
-            let _ = write!(
-                out,
-                "{{\"type\":\"audit-violation\",\"slot\":{slot},\"invariant\":"
-            );
-            push_str(&mut out, invariant);
-            out.push_str(",\"detail\":");
-            push_str(&mut out, detail);
-            out.push('}');
+            w.key("slot").usize(*slot).key("invariant").str(invariant);
+            w.key("detail").str(detail);
         }
-        TraceEvent::Promotion { epoch, seq } => {
-            let _ = write!(
-                out,
-                "{{\"type\":\"promotion\",\"epoch\":{epoch},\"seq\":{seq}}}"
-            );
+        TraceEvent::Promotion { epoch, seq } | TraceEvent::ReplCatchup { epoch, seq } => {
+            w.key("epoch").uint(*epoch).key("seq").uint(*seq);
         }
         TraceEvent::Fenced { epoch, stale_epoch } => {
-            let _ = write!(
-                out,
-                "{{\"type\":\"fenced\",\"epoch\":{epoch},\"stale_epoch\":{stale_epoch}}}"
-            );
-        }
-        TraceEvent::ReplCatchup { epoch, seq } => {
-            let _ = write!(
-                out,
-                "{{\"type\":\"repl-catchup\",\"epoch\":{epoch},\"seq\":{seq}}}"
-            );
+            w.key("epoch")
+                .uint(*epoch)
+                .key("stale_epoch")
+                .uint(*stale_epoch);
         }
         TraceEvent::ChaosFault { family, detail } => {
-            out.push_str("{\"type\":\"chaos-fault\",\"family\":");
-            push_str(&mut out, family);
-            out.push_str(",\"detail\":");
-            push_str(&mut out, detail);
-            out.push('}');
+            w.key("family").str(family).key("detail").str(detail);
         }
         TraceEvent::ShardRestart { shard, replayed } => {
-            let _ = write!(
-                out,
-                "{{\"type\":\"shard-restart\",\"shard\":{shard},\"replayed\":{replayed}}}"
-            );
+            w.key("shard")
+                .usize(*shard)
+                .key("replayed")
+                .usize(*replayed);
         }
         TraceEvent::StageSample {
             shard,
             stage,
             nanos,
         } => {
-            let _ = write!(
-                out,
-                "{{\"type\":\"stage\",\"shard\":{shard},\"stage\":\"{}\",\"nanos\":{nanos}}}",
-                stage.as_str()
-            );
+            w.key("shard")
+                .usize(*shard)
+                .key("stage")
+                .str(stage.as_str());
+            w.key("nanos").uint(*nanos);
         }
-        TraceEvent::ChainDecision(d) => {
-            out.push_str("{\"type\":\"chain-decision\",\"chain\":");
-            let _ = write!(out, "{}", d.chain);
-            out.push_str(",\"algorithm\":");
-            push_str(&mut out, &d.algorithm);
-            let _ = write!(out, ",\"slot\":{},\"payment\":", d.slot);
-            push_f64(&mut out, d.payment);
-            match &d.outcome {
-                ChainOutcome::Admit {
-                    dual_cost,
-                    margin,
-                    latency,
-                    budget,
-                    availability,
-                    stages,
-                } => {
-                    out.push_str(",\"outcome\":\"admit\",\"dual_cost\":");
-                    push_f64(&mut out, *dual_cost);
-                    out.push_str(",\"margin\":");
-                    push_f64(&mut out, *margin);
-                    out.push_str(",\"latency\":");
-                    push_f64(&mut out, *latency);
-                    // `budget` may legitimately be +inf (unconstrained);
-                    // it encodes as null and parses back as +inf — the
-                    // one field where null does not mean NaN. Sound
-                    // because NaN budgets are rejected at construction.
-                    out.push_str(",\"budget\":");
-                    push_f64(&mut out, *budget);
-                    out.push_str(",\"availability\":");
-                    push_f64(&mut out, *availability);
-                    out.push_str(",\"stages\":");
-                    push_chain_stages(&mut out, stages);
-                }
-                ChainOutcome::Reject {
-                    reason,
-                    dual_cost,
-                    margin,
-                } => {
-                    out.push_str(",\"outcome\":\"reject\",\"reason\":");
-                    push_str(&mut out, reason.as_str());
-                    out.push_str(",\"dual_cost\":");
-                    push_opt_f64(&mut out, *dual_cost);
-                    out.push_str(",\"margin\":");
-                    push_opt_f64(&mut out, *margin);
-                }
-            }
-            out.push('}');
-        }
+        TraceEvent::ChainDecision(d) => chain_decision_fields(w, d),
         TraceEvent::ChainPath {
             chain,
             segment,
             nodes,
             latency,
         } => {
-            let _ = write!(
-                out,
-                "{{\"type\":\"chain-path\",\"chain\":{chain},\"segment\":{segment},\"nodes\":["
-            );
-            for (i, n) in nodes.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "{n}");
-            }
-            out.push_str("],\"latency\":");
-            push_f64(&mut out, *latency);
-            out.push('}');
+            w.key("chain").usize(*chain).key("segment").usize(*segment);
+            w.key("nodes").uints(nodes.iter().map(|&n| n as u64));
+            w.key("latency").float(*latency);
         }
     }
-    out
+    w.end_obj();
+}
+
+fn decision_fields(w: &mut JsonWriter<'_>, d: &DecisionEvent) {
+    w.key("request").usize(d.request);
+    w.key("algorithm").str(&d.algorithm);
+    w.key("scheme").str(&d.scheme);
+    w.key("slot").usize(d.slot).key("payment").float(d.payment);
+    match &d.outcome {
+        Outcome::Admit {
+            dual_cost,
+            margin,
+            sites,
+        } => {
+            w.key("outcome").str("admit");
+            w.key("dual_cost")
+                .float(*dual_cost)
+                .key("margin")
+                .float(*margin);
+            w.key("sites").begin_arr();
+            for s in sites {
+                w.begin_obj();
+                w.key("cloudlet").usize(s.cloudlet);
+                w.key("instances").uint(u64::from(s.instances));
+                w.key("dual_cost").float(s.dual_cost);
+                w.end_obj();
+            }
+            w.end_arr();
+        }
+        Outcome::Reject {
+            reason,
+            dual_cost,
+            margin,
+        } => {
+            w.key("outcome")
+                .str("reject")
+                .key("reason")
+                .str(reason.as_str());
+            w.key("dual_cost").opt_float(*dual_cost);
+            w.key("margin").opt_float(*margin);
+        }
+    }
+}
+
+fn chain_decision_fields(w: &mut JsonWriter<'_>, d: &ChainDecisionEvent) {
+    w.key("chain").usize(d.chain);
+    w.key("algorithm").str(&d.algorithm);
+    w.key("slot").usize(d.slot).key("payment").float(d.payment);
+    match &d.outcome {
+        ChainOutcome::Admit {
+            dual_cost,
+            margin,
+            latency,
+            budget,
+            availability,
+            stages,
+        } => {
+            w.key("outcome").str("admit");
+            w.key("dual_cost")
+                .float(*dual_cost)
+                .key("margin")
+                .float(*margin);
+            w.key("latency").float(*latency);
+            // `budget` may legitimately be +inf (unconstrained); it
+            // writes as null and reads back as +inf — the one field where
+            // null does not mean NaN. Sound because NaN budgets are
+            // rejected at construction.
+            w.key("budget").float(*budget);
+            w.key("availability").float(*availability);
+            w.key("stages").begin_arr();
+            for s in stages {
+                w.begin_obj();
+                w.key("vnf").usize(s.vnf).key("cloudlet").usize(s.cloudlet);
+                w.key("replicas").uint(u64::from(s.replicas));
+                w.key("dual_cost").float(s.dual_cost);
+                w.key("standby").opt_usize(s.standby);
+                w.key("backup_cloudlet").opt_usize(s.backup_cloudlet);
+                w.key("backup_shared");
+                match s.backup_shared {
+                    Some(b) => w.bool(b),
+                    None => w.null(),
+                };
+                w.end_obj();
+            }
+            w.end_arr();
+        }
+        ChainOutcome::Reject {
+            reason,
+            dual_cost,
+            margin,
+        } => {
+            w.key("outcome")
+                .str("reject")
+                .key("reason")
+                .str(reason.as_str());
+            w.key("dual_cost").opt_float(*dual_cost);
+            w.key("margin").opt_float(*margin);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
-// Parsing
+// Value tree and parser
 // ---------------------------------------------------------------------------
 
-/// Error produced while parsing a trace line.
+/// Error produced while reading JSON: malformed text, or a well-formed
+/// value missing a field or holding one of the wrong type.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
     /// Human-readable description of the failure.
     pub message: String,
-    /// Byte offset into the line where parsing stopped (best effort).
-    pub offset: usize,
+    /// Byte offset into the text where a syntax error stopped parsing;
+    /// `None` for field errors, which are not tied to a position.
+    pub offset: Option<usize>,
 }
 
 impl std::fmt::Display for ParseError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{} at byte {}", self.message, self.offset)
+        match self.offset {
+            Some(offset) => write!(f, "{} at byte {offset}", self.message),
+            None => f.write_str(&self.message),
+        }
     }
 }
 
 impl std::error::Error for ParseError {}
 
-/// A generic JSON value tree.
-///
-/// Originally the parser's private intermediate form; exposed so other
-/// crates (the `mec-serve` protocol and snapshot codec) can build and
-/// inspect ad-hoc JSON without a serde dependency. Object fields keep
-/// insertion order; duplicate keys are not rejected ([`JsonValue::get`]
-/// returns the first match).
+/// A generic JSON value tree: what [`parse_value`] returns, read
+/// through [`JsonValue::field`]. Object fields keep insertion order;
+/// duplicate keys are not rejected ([`JsonValue::get`] returns the first
+/// match).
 #[derive(Debug, Clone, PartialEq)]
 pub enum JsonValue {
     /// `null`.
@@ -426,8 +582,7 @@ pub enum JsonValue {
     Obj(Vec<(String, JsonValue)>),
 }
 
-/// Internal shorthand — the parser/decoder below predates the public
-/// name.
+/// Internal shorthand for the parser below.
 type Json = JsonValue;
 
 impl JsonValue {
@@ -437,6 +592,22 @@ impl JsonValue {
             Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
         }
+    }
+
+    /// The required field `key` of this object, for typed reading.
+    ///
+    /// # Errors
+    ///
+    /// A [`ParseError`] naming `key` when it is absent (or `self` is not
+    /// an object).
+    pub fn field<'a>(&'a self, key: &'a str) -> Result<Field<'a>, ParseError> {
+        self.opt_field(key)
+            .ok_or_else(|| field_error(format!("missing field '{key}'")))
+    }
+
+    /// The field `key` of this object when present, for optional fields.
+    pub fn opt_field<'a>(&'a self, key: &'a str) -> Option<Field<'a>> {
+        self.get(key).map(|value| Field { key, value })
     }
 
     /// The value as a finite-or-NaN float: numbers parse as themselves,
@@ -484,51 +655,10 @@ impl JsonValue {
         }
     }
 
-    /// Appends the compact (single-line) encoding of this value to `out`.
-    ///
-    /// Finite numbers use the shortest round-tripping representation;
-    /// non-finite numbers encode as `null` (and [`JsonValue::as_f64`]
-    /// turns `null` back into NaN), matching the trace-event codec.
+    /// Appends the compact (single-line) encoding of this value to `out`
+    /// (numbers as [`JsonWriter::num`] writes them).
     pub fn encode_into(&self, out: &mut String) {
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            // Integral values encode without a decimal point so count
-            // fields read as integers on the wire; the bit-pattern check
-            // keeps -0.0 (and anything outside i64) on the `{:?}` path,
-            // preserving the byte-exact round-trip guarantee.
-            Json::Num(n) => {
-                let as_int = *n as i64;
-                if n.to_bits() == (as_int as f64).to_bits() {
-                    let _ = write!(out, "{as_int}");
-                } else {
-                    push_f64(out, *n);
-                }
-            }
-            Json::Str(s) => push_str(out, s),
-            Json::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.encode_into(out);
-                }
-                out.push(']');
-            }
-            Json::Obj(fields) => {
-                out.push('{');
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    push_str(out, k);
-                    out.push(':');
-                    v.encode_into(out);
-                }
-                out.push('}');
-            }
-        }
+        JsonWriter::new(out).value(self);
     }
 
     /// The compact (single-line) encoding of this value.
@@ -539,9 +669,159 @@ impl JsonValue {
     }
 }
 
-/// Parses one complete JSON value, rejecting trailing garbage — the
-/// generic counterpart of [`parse_line`] for non-trace payloads (the
-/// `mec-serve` protocol and snapshot files).
+fn field_error(message: String) -> ParseError {
+    ParseError {
+        message,
+        offset: None,
+    }
+}
+
+/// One named value read out of a JSON object, or one element of a named
+/// array. Every typed read fails with a [`ParseError`] that names the
+/// field, so decoders state only which fields they need.
+#[derive(Debug, Clone, Copy)]
+pub struct Field<'a> {
+    key: &'a str,
+    value: &'a JsonValue,
+}
+
+impl<'a> Field<'a> {
+    fn wrong(self, what: &str) -> ParseError {
+        field_error(format!("field '{}' must be {what}", self.key))
+    }
+
+    /// The raw value.
+    pub fn value(self) -> &'a JsonValue {
+        self.value
+    }
+
+    /// A non-negative integer.
+    ///
+    /// # Errors
+    ///
+    /// When the value is anything else.
+    pub fn usize(self) -> Result<usize, ParseError> {
+        self.value
+            .as_usize()
+            .ok_or_else(|| self.wrong("a non-negative integer"))
+    }
+
+    /// A non-negative integer that fits a `u64`.
+    ///
+    /// # Errors
+    ///
+    /// When the value is anything else.
+    pub fn u64(self) -> Result<u64, ParseError> {
+        self.usize().map(|n| n as u64)
+    }
+
+    /// A non-negative integer that fits a `u32`.
+    ///
+    /// # Errors
+    ///
+    /// When the value is anything else.
+    pub fn u32(self) -> Result<u32, ParseError> {
+        u32::try_from(self.usize()?).map_err(|_| self.wrong("an integer below 2^32"))
+    }
+
+    /// A float; `null` reads as NaN (non-finite values write as `null`).
+    ///
+    /// # Errors
+    ///
+    /// When the value is neither a number nor `null`.
+    pub fn f64(self) -> Result<f64, ParseError> {
+        self.value.as_f64().ok_or_else(|| self.wrong("a number"))
+    }
+
+    /// A float, or `None` for `null`.
+    ///
+    /// # Errors
+    ///
+    /// When the value is neither a number nor `null`.
+    pub fn opt_f64(self) -> Result<Option<f64>, ParseError> {
+        match self.value {
+            Json::Null => Ok(None),
+            Json::Num(n) => Ok(Some(*n)),
+            _ => Err(self.wrong("a number or null")),
+        }
+    }
+
+    /// A non-negative integer, or `None` for `null`.
+    ///
+    /// # Errors
+    ///
+    /// When the value is neither a non-negative integer nor `null`.
+    pub fn opt_usize(self) -> Result<Option<usize>, ParseError> {
+        match self.value {
+            Json::Null => Ok(None),
+            _ => self.usize().map(Some),
+        }
+    }
+
+    /// A string.
+    ///
+    /// # Errors
+    ///
+    /// When the value is not a string.
+    pub fn str(self) -> Result<&'a str, ParseError> {
+        self.value.as_str().ok_or_else(|| self.wrong("a string"))
+    }
+
+    /// A bool.
+    ///
+    /// # Errors
+    ///
+    /// When the value is not a bool.
+    pub fn bool(self) -> Result<bool, ParseError> {
+        self.value.as_bool().ok_or_else(|| self.wrong("a bool"))
+    }
+
+    /// A bool, or `None` for `null`.
+    ///
+    /// # Errors
+    ///
+    /// When the value is neither a bool nor `null`.
+    pub fn opt_bool(self) -> Result<Option<bool>, ParseError> {
+        match self.value {
+            Json::Null => Ok(None),
+            _ => self.bool().map(Some),
+        }
+    }
+
+    /// An array's elements, each read under this field's name.
+    ///
+    /// # Errors
+    ///
+    /// When the value is not an array.
+    pub fn items(self) -> Result<impl Iterator<Item = Field<'a>>, ParseError> {
+        let key = self.key;
+        let items = self
+            .value
+            .as_array()
+            .ok_or_else(|| self.wrong("an array"))?;
+        Ok(items.iter().map(move |value| Field { key, value }))
+    }
+
+    /// An array of non-negative integers.
+    ///
+    /// # Errors
+    ///
+    /// When the value is not an array, or an element is not one.
+    pub fn usizes(self) -> Result<Vec<usize>, ParseError> {
+        self.items()?.map(Field::usize).collect()
+    }
+
+    /// An array of floats (`null` elements read as NaN).
+    ///
+    /// # Errors
+    ///
+    /// When the value is not an array, or an element is not a number.
+    pub fn f64s(self) -> Result<Vec<f64>, ParseError> {
+        self.items()?.map(Field::f64).collect()
+    }
+}
+
+/// Parses one complete JSON value, rejecting trailing garbage.
 ///
 /// # Errors
 ///
@@ -572,7 +852,7 @@ impl<'a> Parser<'a> {
     fn err<T>(&self, message: &str) -> Result<T, ParseError> {
         Err(ParseError {
             message: message.to_string(),
-            offset: self.pos,
+            offset: Some(self.pos),
         })
     }
 
@@ -679,7 +959,7 @@ impl<'a> Parser<'a> {
                     let rest =
                         std::str::from_utf8(&self.bytes[self.pos..]).map_err(|_| ParseError {
                             message: "invalid utf-8".to_string(),
-                            offset: self.pos,
+                            offset: Some(self.pos),
                         })?;
                     let ch = rest.chars().next().expect("non-empty");
                     out.push(ch);
@@ -743,305 +1023,214 @@ impl<'a> Parser<'a> {
     }
 }
 
-fn fail(message: impl Into<String>) -> ParseError {
-    ParseError {
-        message: message.into(),
-        offset: 0,
-    }
-}
-
-fn as_usize(v: &Json, field: &str) -> Result<usize, ParseError> {
-    match v {
-        Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 => Ok(*n as usize),
-        _ => Err(fail(format!(
-            "field '{field}' is not a non-negative integer"
-        ))),
-    }
-}
-
-fn as_f64(v: &Json, field: &str) -> Result<f64, ParseError> {
-    match v {
-        Json::Num(n) => Ok(*n),
-        Json::Null => Ok(f64::NAN),
-        _ => Err(fail(format!("field '{field}' is not a number"))),
-    }
-}
-
-fn as_opt_f64(v: &Json, field: &str) -> Result<Option<f64>, ParseError> {
-    match v {
-        Json::Num(n) => Ok(Some(*n)),
-        Json::Null => Ok(None),
-        _ => Err(fail(format!("field '{field}' is not a number or null"))),
-    }
-}
-
-fn as_str<'a>(v: &'a Json, field: &str) -> Result<&'a str, ParseError> {
-    match v {
-        Json::Str(s) => Ok(s),
-        _ => Err(fail(format!("field '{field}' is not a string"))),
-    }
-}
-
-fn required<'a>(obj: &'a Json, field: &str) -> Result<&'a Json, ParseError> {
-    obj.get(field)
-        .ok_or_else(|| fail(format!("missing field '{field}'")))
-}
-
 fn decision_from(obj: &Json) -> Result<DecisionEvent, ParseError> {
-    let outcome_tag = as_str(required(obj, "outcome")?, "outcome")?;
-    let outcome = match outcome_tag {
+    let outcome = match obj.field("outcome")?.str()? {
         "admit" => {
-            let sites_json = match required(obj, "sites")? {
-                Json::Arr(items) => items,
-                _ => return Err(fail("field 'sites' is not an array")),
-            };
-            let mut sites = Vec::with_capacity(sites_json.len());
-            for s in sites_json {
+            let mut sites = Vec::new();
+            for s in obj.field("sites")?.items()? {
+                let s = s.value();
                 sites.push(SitePlacement {
-                    cloudlet: as_usize(required(s, "cloudlet")?, "cloudlet")?,
-                    instances: as_usize(required(s, "instances")?, "instances")? as u32,
-                    dual_cost: as_f64(required(s, "dual_cost")?, "dual_cost")?,
+                    cloudlet: s.field("cloudlet")?.usize()?,
+                    instances: s.field("instances")?.u32()?,
+                    dual_cost: s.field("dual_cost")?.f64()?,
                 });
             }
             Outcome::Admit {
-                dual_cost: as_f64(required(obj, "dual_cost")?, "dual_cost")?,
-                margin: as_f64(required(obj, "margin")?, "margin")?,
+                dual_cost: obj.field("dual_cost")?.f64()?,
+                margin: obj.field("margin")?.f64()?,
                 sites,
             }
         }
         "reject" => {
-            let reason_str = as_str(required(obj, "reason")?, "reason")?;
-            let reason = RejectReason::from_wire(reason_str)
-                .ok_or_else(|| fail(format!("unknown rejection reason '{reason_str}'")))?;
+            let reason = obj.field("reason")?.str()?;
             Outcome::Reject {
-                reason,
-                dual_cost: as_opt_f64(required(obj, "dual_cost")?, "dual_cost")?,
-                margin: as_opt_f64(required(obj, "margin")?, "margin")?,
+                reason: RejectReason::from_wire(reason)
+                    .ok_or_else(|| field_error(format!("unknown rejection reason '{reason}'")))?,
+                dual_cost: obj.field("dual_cost")?.opt_f64()?,
+                margin: obj.field("margin")?.opt_f64()?,
             }
         }
-        other => return Err(fail(format!("unknown outcome '{other}'"))),
+        other => return Err(field_error(format!("unknown outcome '{other}'"))),
     };
     Ok(DecisionEvent {
-        request: as_usize(required(obj, "request")?, "request")?,
-        algorithm: as_str(required(obj, "algorithm")?, "algorithm")?.to_string(),
-        scheme: as_str(required(obj, "scheme")?, "scheme")?.to_string(),
-        slot: as_usize(required(obj, "slot")?, "slot")?,
-        payment: as_f64(required(obj, "payment")?, "payment")?,
+        request: obj.field("request")?.usize()?,
+        algorithm: obj.field("algorithm")?.str()?.to_string(),
+        scheme: obj.field("scheme")?.str()?.to_string(),
+        slot: obj.field("slot")?.usize()?,
+        payment: obj.field("payment")?.f64()?,
         outcome,
     })
 }
 
-fn as_opt_usize(v: &Json, field: &str) -> Result<Option<usize>, ParseError> {
-    match v {
-        Json::Null => Ok(None),
-        _ => Ok(Some(as_usize(v, field)?)),
-    }
-}
-
 fn chain_decision_from(obj: &Json) -> Result<ChainDecisionEvent, ParseError> {
-    let outcome_tag = as_str(required(obj, "outcome")?, "outcome")?;
-    let outcome = match outcome_tag {
+    let outcome = match obj.field("outcome")?.str()? {
         "admit" => {
-            let stages_json = match required(obj, "stages")? {
-                Json::Arr(items) => items,
-                _ => return Err(fail("field 'stages' is not an array")),
-            };
-            let mut stages = Vec::with_capacity(stages_json.len());
-            for s in stages_json {
-                let backup_shared = match required(s, "backup_shared")? {
-                    Json::Null => None,
-                    Json::Bool(b) => Some(*b),
-                    _ => return Err(fail("field 'backup_shared' is not a bool or null")),
-                };
+            let mut stages = Vec::new();
+            for s in obj.field("stages")?.items()? {
+                let s = s.value();
                 stages.push(ChainStageTrace {
-                    vnf: as_usize(required(s, "vnf")?, "vnf")?,
-                    cloudlet: as_usize(required(s, "cloudlet")?, "cloudlet")?,
-                    replicas: as_usize(required(s, "replicas")?, "replicas")? as u32,
-                    dual_cost: as_f64(required(s, "dual_cost")?, "dual_cost")?,
-                    standby: as_opt_usize(required(s, "standby")?, "standby")?,
-                    backup_cloudlet: as_opt_usize(
-                        required(s, "backup_cloudlet")?,
-                        "backup_cloudlet",
-                    )?,
-                    backup_shared,
+                    vnf: s.field("vnf")?.usize()?,
+                    cloudlet: s.field("cloudlet")?.usize()?,
+                    replicas: s.field("replicas")?.u32()?,
+                    dual_cost: s.field("dual_cost")?.f64()?,
+                    standby: s.field("standby")?.opt_usize()?,
+                    backup_cloudlet: s.field("backup_cloudlet")?.opt_usize()?,
+                    backup_shared: s.field("backup_shared")?.opt_bool()?,
                 });
             }
             // Unlike every other float field, a null budget means +inf
             // (unconstrained), not NaN — see the encoder comment.
-            let budget = match required(obj, "budget")? {
-                Json::Null => f64::INFINITY,
-                v => as_f64(v, "budget")?,
-            };
+            let budget = obj.field("budget")?.opt_f64()?.unwrap_or(f64::INFINITY);
             ChainOutcome::Admit {
-                dual_cost: as_f64(required(obj, "dual_cost")?, "dual_cost")?,
-                margin: as_f64(required(obj, "margin")?, "margin")?,
-                latency: as_f64(required(obj, "latency")?, "latency")?,
+                dual_cost: obj.field("dual_cost")?.f64()?,
+                margin: obj.field("margin")?.f64()?,
+                latency: obj.field("latency")?.f64()?,
                 budget,
-                availability: as_f64(required(obj, "availability")?, "availability")?,
+                availability: obj.field("availability")?.f64()?,
                 stages,
             }
         }
         "reject" => {
-            let reason_str = as_str(required(obj, "reason")?, "reason")?;
-            let reason = ChainRejectReason::from_wire(reason_str)
-                .ok_or_else(|| fail(format!("unknown chain rejection reason '{reason_str}'")))?;
+            let reason = obj.field("reason")?.str()?;
             ChainOutcome::Reject {
-                reason,
-                dual_cost: as_opt_f64(required(obj, "dual_cost")?, "dual_cost")?,
-                margin: as_opt_f64(required(obj, "margin")?, "margin")?,
+                reason: ChainRejectReason::from_wire(reason).ok_or_else(|| {
+                    field_error(format!("unknown chain rejection reason '{reason}'"))
+                })?,
+                dual_cost: obj.field("dual_cost")?.opt_f64()?,
+                margin: obj.field("margin")?.opt_f64()?,
             }
         }
-        other => return Err(fail(format!("unknown outcome '{other}'"))),
+        other => return Err(field_error(format!("unknown outcome '{other}'"))),
     };
     Ok(ChainDecisionEvent {
-        chain: as_usize(required(obj, "chain")?, "chain")?,
-        algorithm: as_str(required(obj, "algorithm")?, "algorithm")?.to_string(),
-        slot: as_usize(required(obj, "slot")?, "slot")?,
-        payment: as_f64(required(obj, "payment")?, "payment")?,
+        chain: obj.field("chain")?.usize()?,
+        algorithm: obj.field("algorithm")?.str()?.to_string(),
+        slot: obj.field("slot")?.usize()?,
+        payment: obj.field("payment")?.f64()?,
         outcome,
     })
 }
 
-/// Parses one JSONL trace line back into a [`TraceEvent`].
-pub fn parse_line(line: &str) -> Result<TraceEvent, ParseError> {
-    let mut parser = Parser::new(line);
-    let value = parser.value()?;
-    parser.skip_ws();
-    if parser.pos != parser.bytes.len() {
-        return parser.err("trailing garbage after JSON value");
-    }
-    let kind = as_str(required(&value, "type")?, "type")?;
-    match kind {
-        "decision" => Ok(TraceEvent::Decision(decision_from(&value)?)),
-        "outage-start" => Ok(TraceEvent::OutageStart {
-            slot: as_usize(required(&value, "slot")?, "slot")?,
-            cloudlet: as_usize(required(&value, "cloudlet")?, "cloudlet")?,
-        }),
-        "outage-end" => Ok(TraceEvent::OutageEnd {
-            slot: as_usize(required(&value, "slot")?, "slot")?,
-            cloudlet: as_usize(required(&value, "cloudlet")?, "cloudlet")?,
-        }),
-        "instance-kill" => Ok(TraceEvent::InstanceKill {
-            slot: as_usize(required(&value, "slot")?, "slot")?,
-            cloudlet: as_usize(required(&value, "cloudlet")?, "cloudlet")?,
-            request: as_usize(required(&value, "request")?, "request")?,
-        }),
-        "sla-breach" => Ok(TraceEvent::SlaBreach {
-            slot: as_usize(required(&value, "slot")?, "slot")?,
-            request: as_usize(required(&value, "request")?, "request")?,
-        }),
-        "recovery" => {
-            let cloudlets_json = match required(&value, "cloudlets")? {
-                Json::Arr(items) => items,
-                _ => return Err(fail("field 'cloudlets' is not an array")),
-            };
-            let mut cloudlets = Vec::with_capacity(cloudlets_json.len());
-            for c in cloudlets_json {
-                cloudlets.push(as_usize(c, "cloudlets[]")?);
-            }
-            let success = match required(&value, "success")? {
-                Json::Bool(b) => *b,
-                _ => return Err(fail("field 'success' is not a bool")),
-            };
-            Ok(TraceEvent::Recovery {
-                slot: as_usize(required(&value, "slot")?, "slot")?,
-                request: as_usize(required(&value, "request")?, "request")?,
-                success,
-                cloudlets,
-            })
-        }
-        "domain-outage-start" => {
-            let cloudlets_json = match required(&value, "cloudlets")? {
-                Json::Arr(items) => items,
-                _ => return Err(fail("field 'cloudlets' is not an array")),
-            };
-            let mut cloudlets = Vec::with_capacity(cloudlets_json.len());
-            for c in cloudlets_json {
-                cloudlets.push(as_usize(c, "cloudlets[]")?);
-            }
-            Ok(TraceEvent::DomainOutageStart {
-                slot: as_usize(required(&value, "slot")?, "slot")?,
-                domain: as_usize(required(&value, "domain")?, "domain")?,
-                cloudlets,
-            })
-        }
-        "domain-outage-end" => Ok(TraceEvent::DomainOutageEnd {
-            slot: as_usize(required(&value, "slot")?, "slot")?,
-            domain: as_usize(required(&value, "domain")?, "domain")?,
-        }),
-        "cascade" => Ok(TraceEvent::Cascade {
-            slot: as_usize(required(&value, "slot")?, "slot")?,
-            cloudlet: as_usize(required(&value, "cloudlet")?, "cloudlet")?,
-            utilization: as_f64(required(&value, "utilization")?, "utilization")?,
-        }),
-        "eviction" => Ok(TraceEvent::Eviction {
-            slot: as_usize(required(&value, "slot")?, "slot")?,
-            request: as_usize(required(&value, "request")?, "request")?,
-            density: as_f64(required(&value, "density")?, "density")?,
-        }),
-        "degraded-enter" => Ok(TraceEvent::DegradedEnter {
-            slot: as_usize(required(&value, "slot")?, "slot")?,
-        }),
-        "degraded-exit" => Ok(TraceEvent::DegradedExit {
-            slot: as_usize(required(&value, "slot")?, "slot")?,
-        }),
-        "audit-violation" => Ok(TraceEvent::AuditViolation {
-            slot: as_usize(required(&value, "slot")?, "slot")?,
-            invariant: as_str(required(&value, "invariant")?, "invariant")?.to_string(),
-            detail: as_str(required(&value, "detail")?, "detail")?.to_string(),
-        }),
-        "promotion" => Ok(TraceEvent::Promotion {
-            epoch: as_usize(required(&value, "epoch")?, "epoch")? as u64,
-            seq: as_usize(required(&value, "seq")?, "seq")? as u64,
-        }),
-        "fenced" => Ok(TraceEvent::Fenced {
-            epoch: as_usize(required(&value, "epoch")?, "epoch")? as u64,
-            stale_epoch: as_usize(required(&value, "stale_epoch")?, "stale_epoch")? as u64,
-        }),
-        "repl-catchup" => Ok(TraceEvent::ReplCatchup {
-            epoch: as_usize(required(&value, "epoch")?, "epoch")? as u64,
-            seq: as_usize(required(&value, "seq")?, "seq")? as u64,
-        }),
-        "chaos-fault" => Ok(TraceEvent::ChaosFault {
-            family: as_str(required(&value, "family")?, "family")?.to_string(),
-            detail: as_str(required(&value, "detail")?, "detail")?.to_string(),
-        }),
-        "shard-restart" => Ok(TraceEvent::ShardRestart {
-            shard: as_usize(required(&value, "shard")?, "shard")?,
-            replayed: as_usize(required(&value, "replayed")?, "replayed")?,
-        }),
+/// Reads a parsed trace object back into a [`TraceEvent`] — for callers
+/// that already hold the [`JsonValue`] (a wire reader dispatching on
+/// `"type"`), so the line is not parsed twice.
+///
+/// # Errors
+///
+/// A [`ParseError`] on an unknown `"type"` or a missing or mistyped
+/// field.
+pub fn event_from_value(v: &JsonValue) -> Result<TraceEvent, ParseError> {
+    let slot = || v.field("slot")?.usize();
+    let request = || v.field("request")?.usize();
+    let cloudlet = || v.field("cloudlet")?.usize();
+    let epoch = || v.field("epoch")?.u64();
+    Ok(match v.field("type")?.str()? {
+        "decision" => TraceEvent::Decision(decision_from(v)?),
+        "outage-start" => TraceEvent::OutageStart {
+            slot: slot()?,
+            cloudlet: cloudlet()?,
+        },
+        "outage-end" => TraceEvent::OutageEnd {
+            slot: slot()?,
+            cloudlet: cloudlet()?,
+        },
+        "instance-kill" => TraceEvent::InstanceKill {
+            slot: slot()?,
+            cloudlet: cloudlet()?,
+            request: request()?,
+        },
+        "sla-breach" => TraceEvent::SlaBreach {
+            slot: slot()?,
+            request: request()?,
+        },
+        "recovery" => TraceEvent::Recovery {
+            slot: slot()?,
+            request: request()?,
+            success: v.field("success")?.bool()?,
+            cloudlets: v.field("cloudlets")?.usizes()?,
+        },
+        "domain-outage-start" => TraceEvent::DomainOutageStart {
+            slot: slot()?,
+            domain: v.field("domain")?.usize()?,
+            cloudlets: v.field("cloudlets")?.usizes()?,
+        },
+        "domain-outage-end" => TraceEvent::DomainOutageEnd {
+            slot: slot()?,
+            domain: v.field("domain")?.usize()?,
+        },
+        "cascade" => TraceEvent::Cascade {
+            slot: slot()?,
+            cloudlet: cloudlet()?,
+            utilization: v.field("utilization")?.f64()?,
+        },
+        "eviction" => TraceEvent::Eviction {
+            slot: slot()?,
+            request: request()?,
+            density: v.field("density")?.f64()?,
+        },
+        "degraded-enter" => TraceEvent::DegradedEnter { slot: slot()? },
+        "degraded-exit" => TraceEvent::DegradedExit { slot: slot()? },
+        "audit-violation" => TraceEvent::AuditViolation {
+            slot: slot()?,
+            invariant: v.field("invariant")?.str()?.to_string(),
+            detail: v.field("detail")?.str()?.to_string(),
+        },
+        "promotion" => TraceEvent::Promotion {
+            epoch: epoch()?,
+            seq: v.field("seq")?.u64()?,
+        },
+        "fenced" => TraceEvent::Fenced {
+            epoch: epoch()?,
+            stale_epoch: v.field("stale_epoch")?.u64()?,
+        },
+        "repl-catchup" => TraceEvent::ReplCatchup {
+            epoch: epoch()?,
+            seq: v.field("seq")?.u64()?,
+        },
+        "chaos-fault" => TraceEvent::ChaosFault {
+            family: v.field("family")?.str()?.to_string(),
+            detail: v.field("detail")?.str()?.to_string(),
+        },
+        "shard-restart" => TraceEvent::ShardRestart {
+            shard: v.field("shard")?.usize()?,
+            replayed: v.field("replayed")?.usize()?,
+        },
         "stage" => {
-            let stage_str = as_str(required(&value, "stage")?, "stage")?;
-            let stage = crate::PipelineStage::from_wire(stage_str)
-                .ok_or_else(|| fail(format!("unknown pipeline stage '{stage_str}'")))?;
-            Ok(TraceEvent::StageSample {
-                shard: as_usize(required(&value, "shard")?, "shard")?,
-                stage,
-                nanos: as_usize(required(&value, "nanos")?, "nanos")? as u64,
-            })
-        }
-        "chain-decision" => Ok(TraceEvent::ChainDecision(chain_decision_from(&value)?)),
-        "chain-path" => {
-            let nodes_json = match required(&value, "nodes")? {
-                Json::Arr(items) => items,
-                _ => return Err(fail("field 'nodes' is not an array")),
-            };
-            let mut nodes = Vec::with_capacity(nodes_json.len());
-            for n in nodes_json {
-                nodes.push(as_usize(n, "nodes[]")?);
+            let stage = v.field("stage")?.str()?;
+            TraceEvent::StageSample {
+                shard: v.field("shard")?.usize()?,
+                stage: crate::PipelineStage::from_wire(stage)
+                    .ok_or_else(|| field_error(format!("unknown pipeline stage '{stage}'")))?,
+                nanos: v.field("nanos")?.u64()?,
             }
-            Ok(TraceEvent::ChainPath {
-                chain: as_usize(required(&value, "chain")?, "chain")?,
-                segment: as_usize(required(&value, "segment")?, "segment")?,
-                nodes,
-                latency: as_f64(required(&value, "latency")?, "latency")?,
-            })
         }
-        other => Err(fail(format!("unknown event type '{other}'"))),
-    }
+        "chain-decision" => TraceEvent::ChainDecision(chain_decision_from(v)?),
+        "chain-path" => TraceEvent::ChainPath {
+            chain: v.field("chain")?.usize()?,
+            segment: v.field("segment")?.usize()?,
+            nodes: v.field("nodes")?.usizes()?,
+            latency: v.field("latency")?.f64()?,
+        },
+        other => return Err(field_error(format!("unknown event type '{other}'"))),
+    })
+}
+
+/// Parses one JSONL trace line back into a [`TraceEvent`].
+///
+/// # Errors
+///
+/// A [`ParseError`] on malformed JSON or anything
+/// [`event_from_value`] refuses.
+pub fn parse_line(line: &str) -> Result<TraceEvent, ParseError> {
+    event_from_value(&parse_value(line)?)
 }
 
 /// Parses a whole JSONL document, skipping blank lines.
+///
+/// # Errors
+///
+/// The first line's [`ParseError`], its message prefixed with the
+/// 1-based line number.
 pub fn parse_trace(text: &str) -> Result<Vec<TraceEvent>, ParseError> {
     let mut events = Vec::new();
     for (i, line) in text.lines().enumerate() {
@@ -1418,5 +1607,95 @@ mod tests {
                 cloudlet: 1
             }]
         );
+    }
+
+    #[test]
+    fn writer_places_separators_and_spells_numbers() {
+        let mut out = String::from("prefix:");
+        let mut w = JsonWriter::new(&mut out);
+        w.begin_obj();
+        w.key("a").begin_arr().end_arr();
+        w.key("b").begin_obj().end_obj();
+        w.key("c")
+            .begin_arr()
+            .begin_arr()
+            .uint(0)
+            .end_arr()
+            .null()
+            .end_arr();
+        w.key("u").uints([9, 10, 1_000]).key("max").uint(u64::MAX);
+        w.key("num")
+            .nums(&[4.0, -3.0, -0.0, 0.5, f64::NAN, i64::MIN as f64, 1e21]);
+        w.key("float")
+            .begin_arr()
+            .float(4.0)
+            .float(-0.0)
+            .float(f64::INFINITY);
+        w.end_arr()
+            .key("opt")
+            .begin_arr()
+            .opt_float(None)
+            .opt_usize(Some(2));
+        w.end_arr().key("t").bool(true).key("k\"ey").str("v");
+        w.end_obj();
+        assert!(w.written().starts_with("prefix:{"));
+        assert_eq!(
+            out,
+            "prefix:{\"a\":[],\"b\":{},\"c\":[[0],null],\"u\":[9,10,1000],\
+             \"max\":18446744073709551615,\
+             \"num\":[4,-3,-0.0,0.5,null,-9223372036854775808,1e21],\
+             \"float\":[4.0,-0.0,null],\"opt\":[null,2],\"t\":true,\"k\\\"ey\":\"v\"}"
+        );
+        // `value` writes a tree exactly as its own encoder does.
+        let tree = parse_value(&out["prefix:".len()..]).unwrap();
+        let mut again = String::new();
+        JsonWriter::new(&mut again).value(&tree);
+        assert_eq!(again, tree.encode());
+    }
+
+    #[test]
+    fn every_control_character_is_escaped_and_read_back() {
+        let text: String = (0u8..0x20)
+            .map(char::from)
+            .chain("\"\\é✓".chars())
+            .collect();
+        let mut out = String::new();
+        JsonWriter::new(&mut out).str(&text);
+        assert!(!out.chars().any(char::is_control), "{out:?}");
+        assert_eq!(parse_value(&out).unwrap().as_str(), Some(text.as_str()));
+    }
+
+    #[test]
+    fn field_errors_name_the_field_and_carry_no_offset() {
+        let v = parse_value(
+            "{\"s\":\"x\",\"n\":[1,\"two\"],\"z\":null,\"big\":4294967296,\"b\":false}",
+        )
+        .unwrap();
+        let missing = v.field("absent").unwrap_err();
+        assert_eq!(missing.to_string(), "missing field 'absent'");
+        assert_eq!(missing.offset, None);
+        let wrong = v.field("s").unwrap().usize().unwrap_err();
+        assert_eq!(
+            wrong.to_string(),
+            "field 's' must be a non-negative integer"
+        );
+        let element = v.field("n").unwrap().usizes().unwrap_err();
+        assert_eq!(
+            element.to_string(),
+            "field 'n' must be a non-negative integer"
+        );
+        assert!(v.field("z").unwrap().f64().unwrap().is_nan());
+        assert_eq!(v.field("z").unwrap().opt_f64().unwrap(), None);
+        assert_eq!(v.field("z").unwrap().opt_usize().unwrap(), None);
+        assert_eq!(v.field("z").unwrap().opt_bool().unwrap(), None);
+        assert_eq!(v.field("b").unwrap().opt_bool().unwrap(), Some(false));
+        assert_eq!(v.field("big").unwrap().u64().unwrap(), 1 << 32);
+        assert!(v.field("big").unwrap().u32().is_err());
+        assert!(v.field("s").unwrap().items().is_err());
+        assert!(v.opt_field("absent").is_none());
+        // Syntax errors keep their position.
+        let syntax = parse_value("[1,").unwrap_err();
+        assert_eq!(syntax.offset, Some(3));
+        assert!(syntax.to_string().ends_with("at byte 3"), "{syntax}");
     }
 }

@@ -31,7 +31,10 @@ pub use event::{
     ChainDecisionEvent, ChainOutcome, ChainRejectReason, ChainStageTrace, DecisionEvent, Outcome,
     RejectReason, SitePlacement, TraceEvent,
 };
-pub use json::{parse_line, parse_trace, parse_value, to_json, JsonValue, ParseError};
+pub use json::{
+    event_from_value, parse_line, parse_trace, parse_value, to_json, write_decision, Field,
+    JsonValue, JsonWriter, ParseError,
+};
 pub use metrics::{
     DecisionMetricIds, MetricId, MetricsRegistry, MetricsShard, MetricsSink, DUAL_COST_BUCKETS,
 };

@@ -22,6 +22,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::event::{Outcome, RejectReason, TraceEvent};
+use crate::json::JsonWriter;
 use crate::sink::{NoopSink, TraceSink};
 
 /// Handle to a registered series. Cheap to copy; only valid for the
@@ -130,10 +131,16 @@ impl MetricsRegistry {
 
     /// Registers a histogram with the given ascending finite upper
     /// bounds; a `+Inf` bucket is always appended.
+    ///
+    /// # Panics
+    ///
+    /// When a bound is not finite or the bounds are not strictly
+    /// ascending: both exporters spell the last bucket's bound
+    /// themselves, so an infinite one would render twice.
     pub fn register_histogram(&mut self, name: &str, help: &str, bounds: &[f64]) -> MetricId {
         assert!(
-            bounds.windows(2).all(|w| w[0] < w[1]),
-            "histogram bounds must be strictly ascending"
+            bounds.iter().all(|b| b.is_finite()) && bounds.windows(2).all(|w| w[0] < w[1]),
+            "histogram bounds must be finite and strictly ascending"
         );
         self.register(name, help, Kind::Histogram, bounds.to_vec())
     }
@@ -367,62 +374,43 @@ impl MetricsRegistry {
         out
     }
 
-    /// Renders every series as one JSON object per line.
+    /// Renders every series as one JSON object per line: `value` for
+    /// counters and gauges; `le` (ending in `null` for the `+Inf`
+    /// bucket), `counts`, `sum` and `count` for histograms.
     pub fn to_jsonl(&self) -> String {
-        use std::fmt::Write as _;
         let mut out = String::new();
         for metric in &self.metrics {
-            let _ = write!(
-                out,
-                "{{\"name\":\"{}\",\"kind\":\"{}\"",
-                metric.name.replace('\\', "\\\\").replace('"', "\\\""),
-                metric.kind.as_str()
-            );
+            let mut w = JsonWriter::new(&mut out);
+            w.begin_obj();
+            w.key("name").str(&metric.name);
+            w.key("kind").str(metric.kind.as_str());
             match &metric.state {
                 State::Counter(v) => {
-                    let _ = write!(out, ",\"value\":{}", v.load(Ordering::Relaxed));
+                    w.key("value").uint(v.load(Ordering::Relaxed));
                 }
                 State::Gauge(bits) => {
-                    let v = f64::from_bits(bits.load(Ordering::Relaxed));
-                    if v.is_finite() {
-                        let _ = write!(out, ",\"value\":{v:?}");
-                    } else {
-                        let _ = write!(out, ",\"value\":null");
-                    }
+                    w.key("value")
+                        .float(f64::from_bits(bits.load(Ordering::Relaxed)));
                 }
                 State::Histogram {
                     buckets,
                     sum_bits,
                     count,
                 } => {
-                    let _ = write!(out, ",\"le\":[");
-                    for (i, b) in metric.bounds.iter().enumerate() {
-                        if i > 0 {
-                            let _ = write!(out, ",");
-                        }
-                        let _ = write!(out, "{b:?}");
+                    w.key("le").begin_arr();
+                    for &b in &metric.bounds {
+                        w.float(b);
                     }
-                    if !metric.bounds.is_empty() {
-                        let _ = write!(out, ",");
-                    }
-                    let _ = write!(out, "null],\"counts\":[");
-                    for (i, cell) in buckets.iter().enumerate() {
-                        if i > 0 {
-                            let _ = write!(out, ",");
-                        }
-                        let _ = write!(out, "{}", cell.load(Ordering::Relaxed));
-                    }
-                    let sum = f64::from_bits(sum_bits.load(Ordering::Relaxed));
-                    let _ = write!(out, "],\"sum\":");
-                    if sum.is_finite() {
-                        let _ = write!(out, "{sum:?}");
-                    } else {
-                        let _ = write!(out, "null");
-                    }
-                    let _ = write!(out, ",\"count\":{}", count.load(Ordering::Relaxed));
+                    w.null().end_arr();
+                    let counts = buckets.iter().map(|cell| cell.load(Ordering::Relaxed));
+                    w.key("counts").uints(counts);
+                    w.key("sum")
+                        .float(f64::from_bits(sum_bits.load(Ordering::Relaxed)));
+                    w.key("count").uint(count.load(Ordering::Relaxed));
                 }
             }
-            let _ = writeln!(out, "}}");
+            w.end_obj();
+            out.push('\n');
         }
         out
     }
@@ -747,6 +735,29 @@ mod tests {
         let text = reg.to_prometheus();
         assert_eq!(text.matches("# TYPE r_total counter").count(), 1, "{text}");
         assert!(text.contains("r_total{reason=\"a\"} 0"), "{text}");
+    }
+
+    #[test]
+    fn jsonl_escapes_every_name_character_json_requires() {
+        let mut reg = MetricsRegistry::new();
+        let name = "odd\tname{k=\"v\\w\"}\u{1}";
+        reg.register_counter(name, "control characters in a name");
+        let line = reg.to_jsonl();
+        let line = line.trim_end_matches('\n');
+        assert!(
+            !line.chars().any(char::is_control),
+            "raw control byte: {line:?}"
+        );
+        let v = crate::json::parse_value(line).unwrap();
+        assert_eq!(v.get("name").and_then(|n| n.as_str()), Some(name));
+    }
+
+    #[test]
+    #[should_panic(expected = "finite")]
+    fn infinite_histogram_bound_is_refused() {
+        // Both exporters add the +Inf bucket themselves; JSONL would
+        // otherwise write this bound as `inf`, which is not JSON.
+        MetricsRegistry::new().register_histogram("h", "h", &[1.0, f64::INFINITY]);
     }
 
     #[test]

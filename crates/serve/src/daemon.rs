@@ -34,8 +34,8 @@ use std::thread::{Scope, ScopedJoinHandle};
 use std::time::{Duration, Instant};
 
 use mec_obs::{
-    to_json, DecisionEvent, MetricsRegistry, Outcome, PipelineStage, RejectReason, StageClock,
-    TraceEvent,
+    write_decision, DecisionEvent, JsonWriter, MetricsRegistry, Outcome, PipelineStage,
+    RejectReason, StageClock, TraceEvent,
 };
 use mec_sim::obs::EngineMetrics;
 use mec_topology::Reliability;
@@ -1478,11 +1478,8 @@ pub(crate) fn decide_one<L: LaneSched>(
     let admitted = event.outcome.is_admit();
     let (line, event) = match keep {
         Keep::Line => {
-            let wrapped = TraceEvent::Decision(event);
-            let line = to_json(&wrapped);
-            let TraceEvent::Decision(event) = wrapped else {
-                unreachable!("wrapped two lines up");
-            };
+            let mut line = String::with_capacity(192);
+            write_decision(&mut JsonWriter::new(&mut line), &event);
             (Some(line), Some(event))
         }
         Keep::Event => (None, Some(event)),

@@ -2,6 +2,7 @@ use std::fmt;
 use std::io;
 use std::path::PathBuf;
 
+use mec_obs::ParseError;
 use vnfrel::VnfrelError;
 
 /// Errors surfaced by the serving daemon, snapshot store and load
@@ -103,5 +104,13 @@ impl From<io::Error> for ServeError {
 impl From<VnfrelError> for ServeError {
     fn from(e: VnfrelError) -> Self {
         ServeError::State(e)
+    }
+}
+
+/// Malformed JSON, or a frame missing a field or holding one of the
+/// wrong type, is a protocol error; snapshot decoding re-labels it.
+impl From<ParseError> for ServeError {
+    fn from(e: ParseError) -> Self {
+        ServeError::Protocol(e.to_string())
     }
 }

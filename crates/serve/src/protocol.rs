@@ -51,7 +51,10 @@
 //! appear exactly as produced by [`encode_batch_into`] /
 //! [`encode_batch_reply_into`].
 
-use mec_obs::{parse_line, parse_value, to_json, DecisionEvent, JsonValue, TraceEvent};
+use mec_obs::{
+    event_from_value, parse_value, write_decision, DecisionEvent, Field, JsonValue, JsonWriter,
+    TraceEvent,
+};
 
 use crate::error::ServeError;
 
@@ -256,60 +259,30 @@ pub enum ServerMsg {
     Error(String),
 }
 
-fn num(out: &mut String, v: f64) {
-    JsonValue::Num(v).encode_into(out);
-}
-
-fn uint(out: &mut String, v: usize) {
-    use std::fmt::Write as _;
-    let _ = write!(out, "{v}");
-}
-
 /// Encodes a client message as one line (no trailing newline).
 pub fn encode_client(msg: &ClientMsg) -> String {
     let mut out = String::with_capacity(128);
+    let mut w = JsonWriter::new(&mut out);
+    w.begin_obj();
     match msg {
         ClientMsg::Submit(s) => {
-            out.push_str("{\"type\":\"submit\",\"v\":2,\"id\":");
-            uint(&mut out, s.id);
-            out.push_str(",\"vnf\":");
-            uint(&mut out, s.vnf);
-            out.push_str(",\"reliability\":");
-            num(&mut out, s.reliability);
-            out.push_str(",\"arrival\":");
-            uint(&mut out, s.arrival);
-            out.push_str(",\"duration\":");
-            uint(&mut out, s.duration);
-            out.push_str(",\"payment\":");
-            num(&mut out, s.payment);
-            out.push('}');
+            w.key("type").str("submit").key("v").uint(2);
+            w.key("id").usize(s.id).key("vnf").usize(s.vnf);
+            w.key("reliability").num(s.reliability);
+            w.key("arrival").usize(s.arrival);
+            w.key("duration").usize(s.duration);
+            w.key("payment").num(s.payment);
         }
         ClientMsg::Control(a) => {
-            out.push_str("{\"type\":\"control\",\"v\":2,\"action\":\"");
-            out.push_str(a.as_str());
-            out.push('"');
+            w.key("type").str("control").key("v").uint(2);
+            w.key("action").str(a.as_str());
             if let ControlAction::ChaosPanic(shard) = a {
-                out.push_str(",\"shard\":");
-                uint(&mut out, *shard);
+                w.key("shard").usize(*shard);
             }
-            out.push('}');
         }
     }
+    w.end_obj();
     out
-}
-
-fn encode_stats(out: &mut String, s: &ServeStats) {
-    out.push_str("{\"decided\":");
-    num(out, s.decided as f64);
-    out.push_str(",\"admitted\":");
-    num(out, s.admitted as f64);
-    out.push_str(",\"rejected\":");
-    num(out, s.rejected as f64);
-    out.push_str(",\"overloaded\":");
-    num(out, s.overloaded as f64);
-    out.push_str(",\"revenue\":");
-    num(out, s.revenue);
-    out.push('}');
 }
 
 /// Encodes a server message as one line (no trailing newline).
@@ -324,54 +297,52 @@ pub fn encode_server(msg: &ServerMsg) -> String {
 /// allocating per reply.
 pub fn encode_server_into(out: &mut String, msg: &ServerMsg) {
     out.clear();
+    let mut w = JsonWriter::new(out);
+    let head = |w: &mut JsonWriter<'_>, kind: &str| {
+        w.begin_obj().key("type").str(kind).key("v").uint(2);
+    };
     match msg {
         ServerMsg::Decision(d) => {
-            out.push_str(&to_json(&TraceEvent::Decision(d.clone())));
+            write_decision(&mut w, d);
+            return;
         }
         ServerMsg::Overload(o) => {
-            out.push_str("{\"type\":\"overload\",\"v\":2,\"id\":");
-            uint(out, o.id);
-            out.push_str(",\"queue_depth\":");
-            uint(out, o.queue_depth);
-            out.push_str(",\"limit\":");
-            uint(out, o.limit);
-            out.push('}');
+            head(&mut w, "overload");
+            w.key("id").usize(o.id);
+            w.key("queue_depth").usize(o.queue_depth);
+            w.key("limit").usize(o.limit);
         }
         ServerMsg::Ack(a) => {
-            out.push_str("{\"type\":\"ack\",\"v\":2,\"action\":\"");
-            out.push_str(a.action.as_str());
-            out.push_str("\",\"slot\":");
-            uint(out, a.slot);
-            out.push_str(",\"epoch\":");
-            uint(out, a.epoch as usize);
-            out.push_str(",\"role\":\"");
-            out.push_str(&a.role);
-            out.push('"');
+            head(&mut w, "ack");
+            w.key("action").str(a.action.as_str());
+            w.key("slot").usize(a.slot);
+            w.key("epoch").uint(a.epoch);
+            w.key("role").str(&a.role);
             if let ControlAction::ChaosPanic(shard) = a.action {
-                out.push_str(",\"shard\":");
-                uint(out, shard);
+                w.key("shard").usize(shard);
             }
             if let Some(ms) = a.last_snapshot_unix_ms {
-                out.push_str(",\"last_snapshot_unix_ms\":");
-                uint(out, ms as usize);
+                w.key("last_snapshot_unix_ms").uint(ms);
             }
-            out.push_str(",\"stats\":");
-            encode_stats(out, &a.stats);
-            out.push('}');
+            let s = &a.stats;
+            w.key("stats").begin_obj();
+            w.key("decided").num(s.decided as f64);
+            w.key("admitted").num(s.admitted as f64);
+            w.key("rejected").num(s.rejected as f64);
+            w.key("overloaded").num(s.overloaded as f64);
+            w.key("revenue").num(s.revenue);
+            w.end_obj();
         }
         ServerMsg::NotPrimary { epoch, id } => {
-            out.push_str("{\"type\":\"not-primary\",\"v\":2,\"epoch\":");
-            uint(out, *epoch as usize);
-            out.push_str(",\"id\":");
-            uint(out, *id);
-            out.push('}');
+            head(&mut w, "not-primary");
+            w.key("epoch").uint(*epoch).key("id").usize(*id);
         }
         ServerMsg::Error(m) => {
-            out.push_str("{\"type\":\"error\",\"v\":2,\"message\":");
-            JsonValue::Str(m.clone()).encode_into(out);
-            out.push('}');
+            head(&mut w, "error");
+            w.key("message").str(m);
         }
     }
+    w.end_obj();
 }
 
 /// Encodes a batch submit frame into a caller-owned buffer (cleared
@@ -389,30 +360,18 @@ pub fn encode_batch_into(out: &mut String, seq: u64, reqs: &[SubmitRequest]) {
         reqs.len()
     );
     out.clear();
-    out.push_str("{\"type\":\"batch\",\"v\":3,\"b\":");
-    uint(out, seq as usize);
-    out.push_str(",\"n\":");
-    uint(out, reqs.len());
-    out.push_str(",\"reqs\":[");
-    for (i, r) in reqs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('[');
-        uint(out, r.id);
-        out.push(',');
-        uint(out, r.vnf);
-        out.push(',');
-        num(out, r.reliability);
-        out.push(',');
-        uint(out, r.arrival);
-        out.push(',');
-        uint(out, r.duration);
-        out.push(',');
-        num(out, r.payment);
-        out.push(']');
+    let mut w = JsonWriter::new(out);
+    w.begin_obj().key("type").str("batch").key("v").uint(3);
+    w.key("b").uint(seq).key("n").usize(reqs.len());
+    w.key("reqs").begin_arr();
+    for r in reqs {
+        w.begin_arr().usize(r.id).usize(r.vnf).num(r.reliability);
+        w.usize(r.arrival)
+            .usize(r.duration)
+            .num(r.payment)
+            .end_arr();
     }
-    out.push_str("]}");
+    w.end_arr().end_obj();
 }
 
 /// Encodes a batch reply into a caller-owned buffer (cleared first, no
@@ -428,55 +387,23 @@ pub fn encode_batch_reply_into(out: &mut String, seq: u64, codes: &[u8]) {
         codes.len()
     );
     out.clear();
-    out.push_str("{\"type\":\"batch-reply\",\"v\":3,\"b\":");
-    uint(out, seq as usize);
-    out.push_str(",\"n\":");
-    uint(out, codes.len());
-    out.push_str(",\"codes\":[");
-    for (i, &c) in codes.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        // Every `BATCH_*` code is one digit; skip the formatter for it.
-        if c < 10 {
-            out.push(char::from(b'0' + c));
-        } else {
-            uint(out, c as usize);
-        }
-    }
-    out.push_str("]}");
+    let mut w = JsonWriter::new(out);
+    w.begin_obj()
+        .key("type")
+        .str("batch-reply")
+        .key("v")
+        .uint(3);
+    w.key("b").uint(seq).key("n").usize(codes.len());
+    w.key("codes").uints(codes.iter().map(|&c| u64::from(c)));
+    w.end_obj();
 }
 
 fn perr(msg: impl Into<String>) -> ServeError {
     ServeError::Protocol(msg.into())
 }
 
-pub(crate) fn field<'a>(v: &'a JsonValue, key: &str) -> Result<&'a JsonValue, ServeError> {
-    v.get(key)
-        .ok_or_else(|| perr(format!("missing field '{key}'")))
-}
-
-pub(crate) fn field_usize(v: &JsonValue, key: &str) -> Result<usize, ServeError> {
-    field(v, key)?
-        .as_usize()
-        .ok_or_else(|| perr(format!("field '{key}' must be a non-negative integer")))
-}
-
-pub(crate) fn field_f64(v: &JsonValue, key: &str) -> Result<f64, ServeError> {
-    match field(v, key)? {
-        JsonValue::Num(n) => Ok(*n),
-        _ => Err(perr(format!("field '{key}' must be a number"))),
-    }
-}
-
-pub(crate) fn field_str<'a>(v: &'a JsonValue, key: &str) -> Result<&'a str, ServeError> {
-    field(v, key)?
-        .as_str()
-        .ok_or_else(|| perr(format!("field '{key}' must be a string")))
-}
-
 fn check_version(v: &JsonValue) -> Result<usize, ServeError> {
-    let version = field_usize(v, "v")?;
+    let version = v.field("v")?.usize()?;
     if !(MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION).contains(&version) {
         return Err(perr(format!(
             "unsupported protocol version {version} \
@@ -486,6 +413,22 @@ fn check_version(v: &JsonValue) -> Result<usize, ServeError> {
     Ok(version)
 }
 
+/// Reads `action` and, for `chaos-panic`, its optional `shard` (0 when
+/// absent).
+fn parse_action(v: &JsonValue) -> Result<ControlAction, ServeError> {
+    let name = v.field("action")?.str()?;
+    let mut action = ControlAction::from_wire(name)
+        .ok_or_else(|| perr(format!("unknown control action '{name}'")))?;
+    if let ControlAction::ChaosPanic(ref mut shard) = action {
+        *shard = v
+            .opt_field("shard")
+            .map(Field::usize)
+            .transpose()?
+            .unwrap_or(0);
+    }
+    Ok(action)
+}
+
 /// Parses one client line.
 ///
 /// # Errors
@@ -493,47 +436,25 @@ fn check_version(v: &JsonValue) -> Result<usize, ServeError> {
 /// [`ServeError::Protocol`] on malformed JSON, unknown type/action,
 /// version mismatch, or missing/mistyped fields.
 pub fn parse_client(line: &str) -> Result<ClientMsg, ServeError> {
-    let v = parse_value(line).map_err(|e| perr(e.to_string()))?;
-    match field_str(&v, "type")? {
+    let v = parse_value(line)?;
+    match v.field("type")?.str()? {
         "submit" => {
             check_version(&v)?;
             Ok(ClientMsg::Submit(SubmitRequest {
-                id: field_usize(&v, "id")?,
-                vnf: field_usize(&v, "vnf")?,
-                reliability: field_f64(&v, "reliability")?,
-                arrival: field_usize(&v, "arrival")?,
-                duration: field_usize(&v, "duration")?,
-                payment: field_f64(&v, "payment")?,
+                id: v.field("id")?.usize()?,
+                vnf: v.field("vnf")?.usize()?,
+                reliability: v.field("reliability")?.f64()?,
+                arrival: v.field("arrival")?.usize()?,
+                duration: v.field("duration")?.usize()?,
+                payment: v.field("payment")?.f64()?,
             }))
         }
         "control" => {
             check_version(&v)?;
-            let action = field_str(&v, "action")?;
-            let mut action = ControlAction::from_wire(action)
-                .ok_or_else(|| perr(format!("unknown control action '{action}'")))?;
-            if let ControlAction::ChaosPanic(ref mut shard) = action {
-                *shard = match v.get("shard") {
-                    Some(s) => s.as_usize().ok_or_else(|| {
-                        perr("field 'shard' must be a non-negative integer".to_string())
-                    })?,
-                    None => 0,
-                };
-            }
-            Ok(ClientMsg::Control(action))
+            Ok(ClientMsg::Control(parse_action(&v)?))
         }
         other => Err(perr(format!("unknown client message type '{other}'"))),
     }
-}
-
-fn parse_stats(v: &JsonValue) -> Result<ServeStats, ServeError> {
-    let as_u64 = |key: &str| -> Result<u64, ServeError> { Ok(field_usize(v, key)? as u64) };
-    Ok(ServeStats {
-        decided: as_u64("decided")?,
-        admitted: as_u64("admitted")?,
-        rejected: as_u64("rejected")?,
-        overloaded: as_u64("overloaded")?,
-        revenue: field_f64(v, "revenue")?,
-    })
 }
 
 /// Parses one server line.
@@ -543,71 +464,62 @@ fn parse_stats(v: &JsonValue) -> Result<ServeStats, ServeError> {
 /// [`ServeError::Protocol`] on malformed JSON, unknown type, version
 /// mismatch, or missing/mistyped fields.
 pub fn parse_server(line: &str) -> Result<ServerMsg, ServeError> {
-    let v = parse_value(line).map_err(|e| perr(e.to_string()))?;
-    match field_str(&v, "type")? {
-        "decision" => match parse_line(line).map_err(|e| perr(e.to_string()))? {
+    let v = parse_value(line)?;
+    match v.field("type")?.str()? {
+        "decision" => match event_from_value(&v)? {
             TraceEvent::Decision(d) => Ok(ServerMsg::Decision(d)),
-            other => Err(perr(format!(
-                "expected a decision event, got '{}'",
-                other.kind()
-            ))),
+            other => unreachable!("a decision line read as '{}'", other.kind()),
         },
         "overload" => {
             check_version(&v)?;
             Ok(ServerMsg::Overload(OverloadReject {
-                id: field_usize(&v, "id")?,
-                queue_depth: field_usize(&v, "queue_depth")?,
-                limit: field_usize(&v, "limit")?,
+                id: v.field("id")?.usize()?,
+                queue_depth: v.field("queue_depth")?.usize()?,
+                limit: v.field("limit")?.usize()?,
             }))
         }
         "ack" => {
             let version = check_version(&v)?;
-            let action = field_str(&v, "action")?;
-            let mut action = ControlAction::from_wire(action)
-                .ok_or_else(|| perr(format!("unknown ack action '{action}'")))?;
-            if let ControlAction::ChaosPanic(ref mut shard) = action {
-                *shard = match v.get("shard") {
-                    Some(s) => s.as_usize().ok_or_else(|| {
-                        perr("field 'shard' must be a non-negative integer".to_string())
-                    })?,
-                    None => 0,
-                };
-            }
             let (epoch, role) = if version >= 2 {
                 (
-                    field_usize(&v, "epoch")? as u64,
-                    field_str(&v, "role")?.to_string(),
+                    v.field("epoch")?.u64()?,
+                    v.field("role")?.str()?.to_string(),
                 )
             } else {
                 (1, "primary".to_string())
             };
             // Optional on the wire: acks from daemons predating the
             // flight-recorder work simply omit it.
-            let last_snapshot_unix_ms = match v.get("last_snapshot_unix_ms") {
-                Some(ms) => Some(ms.as_usize().ok_or_else(|| {
-                    perr("field 'last_snapshot_unix_ms' must be a non-negative integer".to_string())
-                })? as u64),
-                None => None,
-            };
+            let last_snapshot_unix_ms = v
+                .opt_field("last_snapshot_unix_ms")
+                .map(Field::u64)
+                .transpose()?;
+            let stats = v.field("stats")?.value();
             Ok(ServerMsg::Ack(ControlAck {
-                action,
-                slot: field_usize(&v, "slot")?,
+                action: parse_action(&v)?,
+                slot: v.field("slot")?.usize()?,
                 epoch,
                 role,
                 last_snapshot_unix_ms,
-                stats: parse_stats(field(&v, "stats")?)?,
+                stats: ServeStats {
+                    decided: stats.field("decided")?.u64()?,
+                    admitted: stats.field("admitted")?.u64()?,
+                    rejected: stats.field("rejected")?.u64()?,
+                    overloaded: stats.field("overloaded")?.u64()?,
+                    revenue: stats.field("revenue")?.f64()?,
+                },
             }))
         }
         "not-primary" => {
             check_version(&v)?;
             Ok(ServerMsg::NotPrimary {
-                epoch: field_usize(&v, "epoch")? as u64,
-                id: field_usize(&v, "id")?,
+                epoch: v.field("epoch")?.u64()?,
+                id: v.field("id")?.usize()?,
             })
         }
         "error" => {
             check_version(&v)?;
-            Ok(ServerMsg::Error(field_str(&v, "message")?.to_string()))
+            Ok(ServerMsg::Error(v.field("message")?.str()?.to_string()))
         }
         other => Err(perr(format!("unknown server message type '{other}'"))),
     }

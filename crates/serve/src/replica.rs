@@ -53,11 +53,11 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
-use mec_obs::{parse_value, JsonValue};
+use mec_obs::{parse_value, JsonWriter};
 
 use crate::daemon::{is_timeout, write_line, ClientConn};
 use crate::error::ServeError;
-use crate::protocol::{field_str, field_usize, MAX_LINE_BYTES};
+use crate::protocol::MAX_LINE_BYTES;
 
 /// One typed frame on the replication channel.
 #[derive(Debug, Clone, PartialEq)]
@@ -159,74 +159,58 @@ impl ReplMsg {
     }
 }
 
-fn uint(out: &mut String, v: u64) {
-    use std::fmt::Write as _;
-    let _ = write!(out, "{v}");
-}
-
 /// Encodes one replication frame as a line (no trailing newline).
 pub fn encode_repl(msg: &ReplMsg) -> String {
     let mut out = String::with_capacity(96);
-    let head = |out: &mut String, kind: &str, epoch: u64, seq_key: &str, seq: u64| {
-        out.push_str("{\"type\":\"");
-        out.push_str(kind);
-        out.push_str("\",\"v\":2,\"epoch\":");
-        uint(out, epoch);
-        out.push_str(",\"");
-        out.push_str(seq_key);
-        out.push_str("\":");
-        uint(out, seq);
+    let mut w = JsonWriter::new(&mut out);
+    let kind = match msg {
+        ReplMsg::Hello { .. } => "repl-hello",
+        ReplMsg::State { .. } => "repl-state",
+        ReplMsg::Snapshot { .. } => "repl-snapshot",
+        ReplMsg::Frame { .. } => "repl-frame",
+        ReplMsg::Advance { .. } => "repl-advance",
+        ReplMsg::Heartbeat { .. } => "repl-heartbeat",
+        ReplMsg::Ack { .. } => "repl-ack",
+        ReplMsg::Refused { .. } => "repl-refused",
+        ReplMsg::Fenced { .. } => "repl-fenced",
     };
+    w.begin_obj().key("type").str(kind).key("v").uint(2);
+    w.key("epoch").uint(msg.epoch());
     match msg {
-        ReplMsg::Hello { epoch, seq } => head(&mut out, "repl-hello", *epoch, "seq", *seq),
-        ReplMsg::State { epoch, seq } => head(&mut out, "repl-state", *epoch, "seq", *seq),
-        ReplMsg::Snapshot { epoch, seq, data } => {
-            head(&mut out, "repl-snapshot", *epoch, "seq", *seq);
-            out.push_str(",\"data\":");
-            JsonValue::Str(data.clone()).encode_into(&mut out);
+        ReplMsg::Hello { seq, .. }
+        | ReplMsg::State { seq, .. }
+        | ReplMsg::Heartbeat { seq, .. }
+        | ReplMsg::Ack { seq, .. } => {
+            w.key("seq").uint(*seq);
+        }
+        ReplMsg::Snapshot { seq, data, .. } => {
+            w.key("seq").uint(*seq).key("data").str(data);
         }
         ReplMsg::Frame {
-            epoch,
             seq,
             submit,
             decision,
+            ..
         } => {
-            head(&mut out, "repl-frame", *epoch, "seq", *seq);
-            out.push_str(",\"submit\":");
-            JsonValue::Str(submit.clone()).encode_into(&mut out);
-            out.push_str(",\"decision\":");
-            JsonValue::Str(decision.clone()).encode_into(&mut out);
+            w.key("seq").uint(*seq);
+            w.key("submit").str(submit).key("decision").str(decision);
         }
-        ReplMsg::Advance { epoch, seq, slot } => {
-            head(&mut out, "repl-advance", *epoch, "seq", *seq);
-            out.push_str(",\"slot\":");
-            uint(&mut out, *slot as u64);
+        ReplMsg::Advance { seq, slot, .. } => {
+            w.key("seq").uint(*seq).key("slot").usize(*slot);
         }
-        ReplMsg::Heartbeat { epoch, seq } => head(&mut out, "repl-heartbeat", *epoch, "seq", *seq),
-        ReplMsg::Ack { epoch, seq } => head(&mut out, "repl-ack", *epoch, "seq", *seq),
-        ReplMsg::Refused {
-            epoch,
-            expected,
-            got,
-        } => {
-            head(&mut out, "repl-refused", *epoch, "expected", *expected);
-            out.push_str(",\"got\":");
-            uint(&mut out, *got);
+        ReplMsg::Refused { expected, got, .. } => {
+            w.key("expected").uint(*expected).key("got").uint(*got);
         }
-        ReplMsg::Fenced { epoch, stale_epoch } => {
-            head(&mut out, "repl-fenced", *epoch, "stale_epoch", *stale_epoch);
+        ReplMsg::Fenced { stale_epoch, .. } => {
+            w.key("stale_epoch").uint(*stale_epoch);
         }
     }
-    out.push('}');
+    w.end_obj();
     out
 }
 
 fn perr(msg: impl Into<String>) -> ServeError {
     ServeError::Protocol(msg.into())
-}
-
-fn get_u64(v: &JsonValue, key: &str) -> Result<u64, ServeError> {
-    field_usize(v, key).map(|n| n as u64)
 }
 
 /// True when a line looks like a replication frame (used by the daemon
@@ -242,56 +226,45 @@ pub fn is_repl_line(line: &str) -> bool {
 /// [`ServeError::Protocol`] on malformed JSON, unknown type, version
 /// mismatch, or missing/mistyped fields.
 pub fn parse_repl(line: &str) -> Result<ReplMsg, ServeError> {
-    let v = parse_value(line).map_err(|e| perr(e.to_string()))?;
-    let kind = field_str(&v, "type")?.to_string();
-    let version = get_u64(&v, "v")?;
+    let v = parse_value(line)?;
+    let kind = v.field("type")?.str()?;
+    let version = v.field("v")?.u64()?;
     if version != 2 {
         return Err(perr(format!(
             "unsupported replication protocol version {version} (expected 2)"
         )));
     }
-    let epoch = get_u64(&v, "epoch")?;
-    Ok(match kind.as_str() {
-        "repl-hello" => ReplMsg::Hello {
-            epoch,
-            seq: get_u64(&v, "seq")?,
-        },
-        "repl-state" => ReplMsg::State {
-            epoch,
-            seq: get_u64(&v, "seq")?,
-        },
+    let epoch = v.field("epoch")?.u64()?;
+    let seq = || v.field("seq")?.u64();
+    Ok(match kind {
+        "repl-hello" => ReplMsg::Hello { epoch, seq: seq()? },
+        "repl-state" => ReplMsg::State { epoch, seq: seq()? },
         "repl-snapshot" => ReplMsg::Snapshot {
             epoch,
-            seq: get_u64(&v, "seq")?,
-            data: field_str(&v, "data")?.to_string(),
+            seq: seq()?,
+            data: v.field("data")?.str()?.to_string(),
         },
         "repl-frame" => ReplMsg::Frame {
             epoch,
-            seq: get_u64(&v, "seq")?,
-            submit: field_str(&v, "submit")?.to_string(),
-            decision: field_str(&v, "decision")?.to_string(),
+            seq: seq()?,
+            submit: v.field("submit")?.str()?.to_string(),
+            decision: v.field("decision")?.str()?.to_string(),
         },
         "repl-advance" => ReplMsg::Advance {
             epoch,
-            seq: get_u64(&v, "seq")?,
-            slot: get_u64(&v, "slot")? as usize,
+            seq: seq()?,
+            slot: v.field("slot")?.usize()?,
         },
-        "repl-heartbeat" => ReplMsg::Heartbeat {
-            epoch,
-            seq: get_u64(&v, "seq")?,
-        },
-        "repl-ack" => ReplMsg::Ack {
-            epoch,
-            seq: get_u64(&v, "seq")?,
-        },
+        "repl-heartbeat" => ReplMsg::Heartbeat { epoch, seq: seq()? },
+        "repl-ack" => ReplMsg::Ack { epoch, seq: seq()? },
         "repl-refused" => ReplMsg::Refused {
             epoch,
-            expected: get_u64(&v, "expected")?,
-            got: get_u64(&v, "got")?,
+            expected: v.field("expected")?.u64()?,
+            got: v.field("got")?.u64()?,
         },
         "repl-fenced" => ReplMsg::Fenced {
             epoch,
-            stale_epoch: get_u64(&v, "stale_epoch")?,
+            stale_epoch: v.field("stale_epoch")?.u64()?,
         },
         other => return Err(perr(format!("unknown replication frame type '{other}'"))),
     })

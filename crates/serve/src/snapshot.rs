@@ -26,11 +26,11 @@ use std::fs;
 use std::io::Write as _;
 use std::path::Path;
 
-use mec_obs::JsonValue;
+use mec_obs::{parse_value, Field, JsonWriter};
 use vnfrel::SchedulerState;
 
 use crate::error::ServeError;
-use crate::protocol::{field, field_f64, field_str, field_usize, ServeStats};
+use crate::protocol::ServeStats;
 
 /// Snapshot schema version, the only one that loads.
 pub const SNAPSHOT_VERSION: usize = 2;
@@ -71,85 +71,50 @@ pub struct Snapshot {
     pub recent: Vec<String>,
 }
 
-fn arr_f64(values: &[f64]) -> JsonValue {
-    JsonValue::Arr(values.iter().map(|&v| JsonValue::Num(v)).collect())
-}
-
-fn obj(fields: Vec<(&str, JsonValue)>) -> JsonValue {
-    JsonValue::Obj(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
-}
-
 fn serr(msg: impl Into<String>) -> ServeError {
     ServeError::Snapshot(msg.into())
-}
-
-fn field_f64_arr(v: &JsonValue, key: &str) -> Result<Vec<f64>, ServeError> {
-    let items = field(v, key)?
-        .as_array()
-        .ok_or_else(|| serr(format!("field '{key}' must be an array")))?;
-    items
-        .iter()
-        .map(|item| match item {
-            JsonValue::Num(n) => Ok(*n),
-            _ => Err(serr(format!("field '{key}' must contain only numbers"))),
-        })
-        .collect()
 }
 
 impl Snapshot {
     /// Encodes the snapshot as one JSON line (no trailing newline),
     /// ending in the `crc` checksum field.
     pub fn encode(&self) -> String {
-        let mut body = obj(vec![
-            ("type", JsonValue::Str("snapshot".into())),
-            ("v", JsonValue::Num(SNAPSHOT_VERSION as f64)),
-            ("algorithm", JsonValue::Str(self.algorithm.clone())),
-            ("config", JsonValue::Str(self.config.clone())),
-            ("next_id", JsonValue::Num(self.next_id as f64)),
-            ("slot", JsonValue::Num(self.slot as f64)),
-            ("decided", JsonValue::Num(self.stats.decided as f64)),
-            ("admitted", JsonValue::Num(self.stats.admitted as f64)),
-            ("rejected", JsonValue::Num(self.stats.rejected as f64)),
-            ("overloaded", JsonValue::Num(self.stats.overloaded as f64)),
-            ("revenue", JsonValue::Num(self.stats.revenue)),
-            ("sum_delta", JsonValue::Num(self.state.sum_delta)),
-            ("used", arr_f64(&self.state.used)),
-            ("lambda", arr_f64(&self.state.lambda)),
-            (
-                "counters",
-                JsonValue::Arr(
-                    self.state
-                        .counters
-                        .iter()
-                        .map(|&c| JsonValue::Num(c as f64))
-                        .collect(),
-                ),
-            ),
-            ("epoch", JsonValue::Num(self.epoch as f64)),
-            ("seq", JsonValue::Num(self.seq as f64)),
-            (
-                "recent",
-                JsonValue::Arr(
-                    self.recent
-                        .iter()
-                        .map(|line| JsonValue::Str(line.clone()))
-                        .collect(),
-                ),
-            ),
-        ])
-        .encode();
-        // The checksum covers every byte before the crc field itself:
-        // strip the closing brace, hash, re-append as the last field.
-        use std::fmt::Write as _;
-        body.pop();
-        let crc = fnv1a64(body.as_bytes());
-        let _ = write!(body, ",\"crc\":\"{crc:016x}\"}}");
-        body
+        let mut out = String::with_capacity(256 + 24 * (self.state.used.len() * 2));
+        let mut w = JsonWriter::new(&mut out);
+        w.begin_obj().key("type").str("snapshot");
+        w.key("v").usize(SNAPSHOT_VERSION);
+        w.key("algorithm").str(&self.algorithm);
+        w.key("config").str(&self.config);
+        w.key("next_id")
+            .usize(self.next_id)
+            .key("slot")
+            .usize(self.slot);
+        w.key("decided").num(self.stats.decided as f64);
+        w.key("admitted").num(self.stats.admitted as f64);
+        w.key("rejected").num(self.stats.rejected as f64);
+        w.key("overloaded").num(self.stats.overloaded as f64);
+        w.key("revenue").num(self.stats.revenue);
+        w.key("sum_delta").num(self.state.sum_delta);
+        w.key("used").nums(&self.state.used);
+        w.key("lambda").nums(&self.state.lambda);
+        w.key("counters").begin_arr();
+        for &c in &self.state.counters {
+            w.num(c as f64);
+        }
+        w.end_arr();
+        w.key("epoch")
+            .num(self.epoch as f64)
+            .key("seq")
+            .num(self.seq as f64);
+        w.key("recent").begin_arr();
+        for line in &self.recent {
+            w.str(line);
+        }
+        w.end_arr();
+        // The checksum covers every byte before the crc field itself.
+        let crc = format!("{:016x}", fnv1a64(w.written().as_bytes()));
+        w.key("crc").str(&crc).end_obj();
+        out
     }
 
     /// Decodes a snapshot line.
@@ -160,8 +125,6 @@ impl Snapshot {
     /// version other than [`SNAPSHOT_VERSION`], a checksum mismatch, or
     /// a missing or mistyped field.
     pub fn decode(text: &str) -> Result<Self, ServeError> {
-        // The field readers are the wire protocol's; what they find
-        // wrong with a snapshot is a snapshot error.
         Self::decode_fields(text.trim()).map_err(|e| match e {
             ServeError::Protocol(msg) => ServeError::Snapshot(msg),
             other => other,
@@ -169,19 +132,19 @@ impl Snapshot {
     }
 
     fn decode_fields(text: &str) -> Result<Self, ServeError> {
-        let v = mec_obs::parse_value(text).map_err(|e| serr(e.to_string()))?;
-        let ty = field_str(&v, "type")?;
+        let v = parse_value(text)?;
+        let ty = v.field("type")?.str()?;
         if ty != "snapshot" {
             return Err(serr(format!("expected a snapshot line, got '{ty}'")));
         }
-        let version = field_usize(&v, "v")?;
+        let version = v.field("v")?.usize()?;
         if version != SNAPSHOT_VERSION {
             return Err(serr(format!(
                 "unsupported snapshot version {version} (expected {SNAPSHOT_VERSION})"
             )));
         }
         // No other field is read before the checksum passes.
-        let want = field_str(&v, "crc")?;
+        let want = v.field("crc")?.str()?;
         let prefix_len = text
             .rfind(",\"crc\":\"")
             .ok_or_else(|| serr("snapshot must end in the crc field"))?;
@@ -192,46 +155,32 @@ impl Snapshot {
                  the file is corrupt or truncated"
             )));
         }
-        let counters = field(&v, "counters")?
-            .as_array()
-            .ok_or_else(|| serr("field 'counters' must be an array"))?
-            .iter()
-            .map(|item| {
-                item.as_usize()
-                    .map(|c| c as u64)
-                    .ok_or_else(|| serr("field 'counters' must contain non-negative integers"))
-            })
-            .collect::<Result<Vec<u64>, ServeError>>()?;
-        let recent = field(&v, "recent")?
-            .as_array()
-            .ok_or_else(|| serr("field 'recent' must be an array"))?
-            .iter()
-            .map(|item| {
-                item.as_str()
-                    .map(str::to_string)
-                    .ok_or_else(|| serr("field 'recent' must contain only strings"))
-            })
-            .collect::<Result<Vec<String>, ServeError>>()?;
+        let counters = v.field("counters")?.items()?.map(Field::u64);
+        let counters = counters.collect::<Result<_, _>>()?;
+        let recent = v.field("recent")?.items()?;
+        let recent = recent
+            .map(|line| line.str().map(str::to_string))
+            .collect::<Result<_, _>>()?;
         Ok(Snapshot {
-            algorithm: field_str(&v, "algorithm")?.to_string(),
-            config: field_str(&v, "config")?.to_string(),
-            next_id: field_usize(&v, "next_id")?,
-            slot: field_usize(&v, "slot")?,
+            algorithm: v.field("algorithm")?.str()?.to_string(),
+            config: v.field("config")?.str()?.to_string(),
+            next_id: v.field("next_id")?.usize()?,
+            slot: v.field("slot")?.usize()?,
             stats: ServeStats {
-                decided: field_usize(&v, "decided")? as u64,
-                admitted: field_usize(&v, "admitted")? as u64,
-                rejected: field_usize(&v, "rejected")? as u64,
-                overloaded: field_usize(&v, "overloaded")? as u64,
-                revenue: field_f64(&v, "revenue")?,
+                decided: v.field("decided")?.u64()?,
+                admitted: v.field("admitted")?.u64()?,
+                rejected: v.field("rejected")?.u64()?,
+                overloaded: v.field("overloaded")?.u64()?,
+                revenue: v.field("revenue")?.f64()?,
             },
             state: SchedulerState {
-                used: field_f64_arr(&v, "used")?,
-                lambda: field_f64_arr(&v, "lambda")?,
-                sum_delta: field_f64(&v, "sum_delta")?,
+                used: v.field("used")?.f64s()?,
+                lambda: v.field("lambda")?.f64s()?,
+                sum_delta: v.field("sum_delta")?.f64()?,
                 counters,
             },
-            epoch: field_usize(&v, "epoch")? as u64,
-            seq: field_usize(&v, "seq")? as u64,
+            epoch: v.field("epoch")?.u64()?,
+            seq: v.field("seq")?.u64()?,
             recent,
         })
     }

@@ -10,7 +10,7 @@ use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
-use mec_obs::{JsonValue, MetricsRegistry};
+use mec_obs::{JsonWriter, MetricsRegistry};
 
 use crate::daemon::Role;
 use crate::metrics::ServeMetricIds;
@@ -139,87 +139,62 @@ impl StatusShared {
     /// nodes that don't replicate), and the last-snapshot fingerprint.
     pub fn render_json(&self, registry: &MetricsRegistry, ids: &ServeMetricIds) -> String {
         let mut out = String::with_capacity(256);
-        out.push_str("{\"role\":\"");
-        out.push_str(self.role().as_str());
-        out.push_str("\",\"epoch\":");
-        push_u64(&mut out, self.epoch());
-        out.push_str(",\"uptime_seconds\":");
-        push_num(&mut out, self.uptime_seconds());
-        out.push_str(",\"slot\":");
-        push_num(&mut out, registry.gauge_value(ids.slot));
-        out.push_str(",\"shard_count\":");
-        push_u64(&mut out, self.shards as u64);
-        out.push_str(",\"shards\":[");
+        let mut w = JsonWriter::new(&mut out);
+        w.begin_obj().key("role").str(self.role().as_str());
+        w.key("epoch").uint(self.epoch());
+        w.key("uptime_seconds").num(self.uptime_seconds());
+        w.key("slot").num(registry.gauge_value(ids.slot));
+        w.key("shard_count").usize(self.shards);
+        w.key("shards").begin_arr();
         // One lane series per lane: `daemon::run` refuses any other ids.
         for s in 0..self.shards {
-            if s > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"shard\":");
-            push_u64(&mut out, s as u64);
-            out.push_str(",\"queue_depth\":");
-            push_num(&mut out, registry.gauge_value(ids.lanes.queue_depth[s]));
-            out.push_str(",\"shed\":");
-            push_num(&mut out, registry.counter_value(ids.lanes.shed[s]) as f64);
-            out.push_str(",\"backpressure\":");
-            push_num(&mut out, registry.gauge_value(ids.lanes.backpressure[s]));
-            out.push('}');
+            w.begin_obj().key("shard").usize(s);
+            w.key("queue_depth")
+                .num(registry.gauge_value(ids.lanes.queue_depth[s]));
+            w.key("shed")
+                .num(registry.counter_value(ids.lanes.shed[s]) as f64);
+            w.key("backpressure")
+                .num(registry.gauge_value(ids.lanes.backpressure[s]));
+            w.end_obj();
         }
-        out.push_str("],\"replication\":");
+        w.end_arr().key("replication");
         let repl = {
             let guard = self.repl.lock().unwrap_or_else(|e| e.into_inner());
             guard.clone()
         };
         match repl {
             Some(h) => {
-                out.push_str("{\"state\":\"");
-                out.push_str(h.link_state());
-                out.push_str("\",\"connected\":");
-                out.push_str(if h.connected.load(Ordering::Acquire) {
-                    "true"
-                } else {
-                    "false"
-                });
-                out.push_str(",\"last_error\":\"");
-                out.push_str(h.last_error_str());
-                out.push_str("\",\"retries\":");
-                push_u64(&mut out, h.connect_failures.load(Ordering::Acquire));
-                out.push_str(",\"reconnects\":");
-                push_u64(&mut out, h.reconnects.load(Ordering::Acquire));
-                out.push_str(",\"sent_seq\":");
-                push_u64(&mut out, h.sent_seq.load(Ordering::Acquire));
-                out.push_str(",\"acked_seq\":");
-                push_u64(&mut out, h.acked_seq.load(Ordering::Acquire));
-                out.push('}');
+                w.begin_obj().key("state").str(h.link_state());
+                w.key("connected").bool(h.connected.load(Ordering::Acquire));
+                w.key("last_error").str(h.last_error_str());
+                w.key("retries")
+                    .uint(h.connect_failures.load(Ordering::Acquire));
+                w.key("reconnects")
+                    .uint(h.reconnects.load(Ordering::Acquire));
+                w.key("sent_seq").uint(h.sent_seq.load(Ordering::Acquire));
+                w.key("acked_seq").uint(h.acked_seq.load(Ordering::Acquire));
+                w.end_obj();
             }
-            None => out.push_str("null"),
+            None => {
+                w.null();
+            }
         }
-        out.push_str(",\"last_snapshot_unix_ms\":");
+        w.key("last_snapshot_unix_ms");
         match self.last_snapshot_unix_ms() {
-            Some(ms) => push_u64(&mut out, ms),
-            None => out.push_str("null"),
-        }
-        out.push_str(",\"snapshot_fingerprint\":");
-        JsonValue::Str(self.fingerprint.clone()).encode_into(&mut out);
-        out.push('}');
+            Some(ms) => w.uint(ms),
+            None => w.null(),
+        };
+        w.key("snapshot_fingerprint").str(&self.fingerprint);
+        w.end_obj();
         out.push('\n');
         out
     }
 }
 
-fn push_u64(out: &mut String, v: u64) {
-    use std::fmt::Write as _;
-    let _ = write!(out, "{v}");
-}
-
-fn push_num(out: &mut String, v: f64) {
-    JsonValue::Num(v).encode_into(out);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mec_obs::parse_value;
+    use mec_obs::{parse_value, JsonValue};
 
     #[test]
     fn status_json_parses_and_carries_the_shard_table() {

@@ -124,7 +124,7 @@ proptest! {
         overloaded in 0usize..1_000,
         revenue in 0.0f64..1e7,
         epoch in 1u64..1_000,
-        standby in 0usize..2,
+        role in 0usize..3,
         snapshot_ms in 0u64..2_000_000_000_000,
         with_snapshot in 0usize..2,
     ) {
@@ -140,7 +140,8 @@ proptest! {
                 revenue,
             },
             epoch,
-            role: if standby == 1 { "standby" } else { "primary" }.to_string(),
+            // Any role string survives, quotes and backslashes included.
+            role: ["primary", "standby", "st\"and\\by"][role].to_string(),
             last_snapshot_unix_ms: (with_snapshot == 1).then_some(snapshot_ms),
         });
         prop_assert_eq!(parse_server(&encode_server(&msg)).unwrap(), msg);

@@ -158,6 +158,17 @@ fn garbage_json_errors_but_connection_survives() {
         .send_line("{\"type\":\"submit\",\"v\":2,\"id\":oops}")
         .unwrap();
     read_error(&mut client);
+    // `null` reads as NaN in every float field; the request check, not
+    // the parser, refuses it, and the refused id consumes no state.
+    let line = submit_line(&booted.reqs[0]);
+    for field in ["reliability", "payment"] {
+        let at = line.find(&format!("\"{field}\":")).unwrap() + field.len() + 3;
+        let end = at + line[at..].find([',', '}']).unwrap();
+        let null = format!("{}null{}", &line[..at], line[end..].trim_end());
+        client.send_line(&null).unwrap();
+        let msg = read_error(&mut client);
+        assert!(msg.starts_with("invalid "), "{field}: {msg}");
+    }
     // A complete-but-malformed line costs a reply, not the connection.
     submit_decides(&mut client, &booted.reqs[0]);
     booted.shuts_down(client);
