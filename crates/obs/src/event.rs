@@ -65,6 +65,13 @@ impl RejectReason {
         RejectReason::DoomedShortCircuit,
         RejectReason::UnknownVnf,
     ];
+
+    /// This reason's position in [`RejectReason::ALL`], for per-reason
+    /// tables.
+    #[inline]
+    pub fn index(self) -> usize {
+        self as usize
+    }
 }
 
 /// Why a chain request was rejected.
@@ -250,6 +257,35 @@ impl Outcome {
     /// True for [`Outcome::Admit`].
     pub fn is_admit(&self) -> bool {
         matches!(self, Outcome::Admit { .. })
+    }
+
+    /// The outcome without its explanation.
+    pub fn code(&self) -> DecisionCode {
+        match *self {
+            Outcome::Admit { dual_cost, .. } => DecisionCode::Admit { dual_cost },
+            Outcome::Reject { reason, .. } => DecisionCode::Reject(reason),
+        }
+    }
+}
+
+/// What a reader that only counts decisions needs of an [`Outcome`]:
+/// the admit bit, the reject reason and the admitted dual cost. Nothing
+/// in it is allocated.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum DecisionCode {
+    /// Admitted at this total dual cost.
+    Admit {
+        /// [`Outcome::Admit`]'s `dual_cost`.
+        dual_cost: f64,
+    },
+    /// Rejected for this reason.
+    Reject(RejectReason),
+}
+
+impl DecisionCode {
+    /// True for [`DecisionCode::Admit`].
+    pub fn is_admit(self) -> bool {
+        matches!(self, DecisionCode::Admit { .. })
     }
 }
 

@@ -28,8 +28,8 @@ pub mod sink;
 pub mod stage;
 
 pub use event::{
-    ChainDecisionEvent, ChainOutcome, ChainRejectReason, ChainStageTrace, DecisionEvent, Outcome,
-    RejectReason, SitePlacement, TraceEvent,
+    ChainDecisionEvent, ChainOutcome, ChainRejectReason, ChainStageTrace, DecisionCode,
+    DecisionEvent, Outcome, RejectReason, SitePlacement, TraceEvent,
 };
 pub use json::{
     event_from_value, parse_line, parse_trace, parse_value, to_json, write_decision, Field,

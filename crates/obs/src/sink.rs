@@ -17,7 +17,7 @@ use std::collections::VecDeque;
 use std::io::{self, Write};
 use std::rc::Rc;
 
-use crate::event::{DecisionEvent, Outcome, TraceEvent};
+use crate::event::{DecisionCode, DecisionEvent, Outcome, TraceEvent};
 use crate::json::to_json;
 
 /// A consumer of trace events.
@@ -86,11 +86,26 @@ impl TraceSink for TripwireSink {
 /// in `mec-serve`, this sink is `Send`, so a scheduler built over it can
 /// live inside a per-shard decide thread; the thread drains the event
 /// after each `decide()` call via the scheduler's `sink_mut()`.
+///
+/// A decision is kept by its parts, so a reader that only needs its
+/// code ([`LastEventSink::take_code`]) has nothing built for it; the
+/// [`DecisionEvent`] exists only once [`LastEventSink::take`] asks.
 #[derive(Debug, Clone, Default)]
 pub struct LastEventSink {
-    last: Option<TraceEvent>,
-    // A read event's two name strings, handed back to be refilled.
-    names: Option<(String, String)>,
+    last: Option<Last>,
+}
+
+#[derive(Debug, Clone)]
+enum Last {
+    Decision {
+        request: usize,
+        algorithm: &'static str,
+        scheme: &'static str,
+        slot: usize,
+        payment: f64,
+        outcome: Outcome,
+    },
+    Other(TraceEvent),
 }
 
 impl LastEventSink {
@@ -101,23 +116,43 @@ impl LastEventSink {
 
     /// Takes the most recent event, leaving the sink empty.
     pub fn take(&mut self) -> Option<TraceEvent> {
-        self.last.take()
+        Some(match self.last.take()? {
+            Last::Decision {
+                request,
+                algorithm,
+                scheme,
+                slot,
+                payment,
+                outcome,
+            } => TraceEvent::Decision(DecisionEvent {
+                request,
+                algorithm: algorithm.to_string(),
+                scheme: scheme.to_string(),
+                slot,
+                payment,
+                outcome,
+            }),
+            Last::Other(event) => event,
+        })
     }
 
-    /// Hands a taken decision event back once it has been read: the next
-    /// decision reuses its strings, so a caller that only needed the
-    /// outcome pays no allocation per decision.
-    pub fn recycle(&mut self, event: DecisionEvent) {
-        self.names = Some((event.algorithm, event.scheme));
+    /// Takes the most recent event's [`DecisionCode`], leaving the sink
+    /// empty; `None` unless that event is a decision.
+    pub fn take_code(&mut self) -> Option<DecisionCode> {
+        match self.last.take()? {
+            Last::Decision { outcome, .. } => Some(outcome.code()),
+            Last::Other(_) => None,
+        }
     }
 }
 
 impl TraceSink for LastEventSink {
     #[inline]
     fn record(&mut self, event: TraceEvent) {
-        self.last = Some(event);
+        self.last = Some(Last::Other(event));
     }
 
+    #[inline]
     fn record_decision(
         &mut self,
         request: usize,
@@ -127,19 +162,14 @@ impl TraceSink for LastEventSink {
         payment: f64,
         outcome: Outcome,
     ) {
-        let (mut algorithm_buf, mut scheme_buf) = self.names.take().unwrap_or_default();
-        algorithm_buf.clear();
-        algorithm_buf.push_str(algorithm);
-        scheme_buf.clear();
-        scheme_buf.push_str(scheme);
-        self.last = Some(TraceEvent::Decision(DecisionEvent {
+        self.last = Some(Last::Decision {
             request,
-            algorithm: algorithm_buf,
-            scheme: scheme_buf,
+            algorithm,
+            scheme,
             slot,
             payment,
             outcome,
-        }));
+        });
     }
 }
 
@@ -304,38 +334,49 @@ mod tests {
     }
 
     #[test]
-    fn last_event_sink_refills_recycled_names() {
-        let reject = || Outcome::Reject {
-            reason: crate::event::RejectReason::PaymentTest,
-            dual_cost: None,
-            margin: None,
+    fn last_event_sink_builds_the_event_only_when_taken() {
+        let admit = || Outcome::Admit {
+            dual_cost: 0.25,
+            margin: 1.25,
+            sites: vec![crate::event::SitePlacement {
+                cloudlet: 2,
+                instances: 1,
+                dual_cost: 0.25,
+            }],
         };
         let mut by_parts = LastEventSink::new();
-        by_parts.record_decision(7, "alg2-primal-dual", "offsite", 3, 1.5, reject());
-        let Some(TraceEvent::Decision(first)) = by_parts.take() else {
-            panic!("a decision was recorded");
-        };
+        by_parts.record_decision(7, "alg2-primal-dual", "offsite", 3, 1.5, admit());
         // Same event as the default (allocating) route builds.
         let mut ring = RingSink::new(1);
-        ring.record_decision(7, "alg2-primal-dual", "offsite", 3, 1.5, reject());
-        assert_eq!(ring.into_events(), [TraceEvent::Decision(first.clone())]);
+        ring.record_decision(7, "alg2-primal-dual", "offsite", 3, 1.5, admit());
+        assert_eq!(by_parts.take(), ring.into_events().pop());
+        assert_eq!(by_parts.take(), None, "take empties the sink");
 
-        // The next decision reuses the recycled strings.
-        let name_at = first.algorithm.as_ptr();
-        by_parts.recycle(first);
-        by_parts.record_decision(8, "alg1", "onsite", 4, 2.5, reject());
-        let Some(TraceEvent::Decision(second)) = by_parts.take() else {
-            panic!("a decision was recorded");
-        };
+        // The code of the same decision, and of a reject.
+        by_parts.record_decision(7, "alg2-primal-dual", "offsite", 3, 1.5, admit());
         assert_eq!(
-            (second.algorithm.as_str(), second.scheme.as_str()),
-            ("alg1", "onsite")
+            by_parts.take_code(),
+            Some(DecisionCode::Admit { dual_cost: 0.25 })
         );
-        assert_eq!(
-            second.algorithm.as_ptr(),
-            name_at,
-            "the string was reallocated"
-        );
+        assert_eq!(by_parts.take_code(), None, "take_code empties the sink");
+        for reason in crate::event::RejectReason::ALL {
+            let reject = Outcome::Reject {
+                reason,
+                dual_cost: Some(9.0),
+                margin: None,
+            };
+            assert_eq!(reject.code(), DecisionCode::Reject(reason));
+            by_parts.record_decision(8, "alg1", "onsite", 4, 2.5, reject);
+            assert_eq!(by_parts.take_code(), Some(DecisionCode::Reject(reason)));
+            assert_eq!(crate::event::RejectReason::ALL[reason.index()], reason);
+        }
+
+        // Any other event comes back whole, and has no code.
+        by_parts.record(breach(1));
+        assert_eq!(by_parts.take(), Some(breach(1)));
+        by_parts.record(breach(2));
+        assert_eq!(by_parts.take_code(), None);
+        assert_eq!(by_parts.take(), None);
     }
 
     #[test]

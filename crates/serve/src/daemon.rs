@@ -34,8 +34,8 @@ use std::thread::{Scope, ScopedJoinHandle};
 use std::time::{Duration, Instant};
 
 use mec_obs::{
-    write_decision, DecisionEvent, JsonWriter, MetricsRegistry, Outcome, PipelineStage,
-    RejectReason, StageClock, TraceEvent,
+    write_decision, DecisionCode, DecisionEvent, JsonWriter, MetricsRegistry, Outcome,
+    PipelineStage, RejectReason, StageClock, TraceEvent,
 };
 use mec_sim::obs::EngineMetrics;
 use mec_topology::Reliability;
@@ -342,8 +342,14 @@ pub(crate) trait LaneSched: Sized {
     fn sched(&mut self) -> &mut dyn OnlineScheduler;
     // The decision event the last `decide()` recorded.
     fn take_event(&mut self) -> Option<TraceEvent>;
-    // Hands back an event nobody will read, for its buffers.
-    fn recycle(&mut self, _event: DecisionEvent) {}
+    // The same decision's code, for a caller that reads nothing else; a
+    // lane whose sink keeps the decision by its parts builds no event.
+    fn take_code(&mut self) -> Option<DecisionCode> {
+        match self.take_event()? {
+            TraceEvent::Decision(event) => Some(event.outcome.code()),
+            _ => None,
+        }
+    }
     // Starts the decide threads of lanes 1..S: the one place that needs
     // `Send` lanes, which a caller-owned (`!Send`) lane never reaches.
     fn spawn_peers<'scope, 'env>(
@@ -368,18 +374,26 @@ impl LaneSched for CallerSched<'_> {
     }
 }
 
-// The one `decide()` call site, for live decisions and recovery replay.
+// The one `decide()` call site, for live decisions and recovery replay:
+// the decision's code, and its event unless `keep` reads only the code.
 fn decide_take<L: LaneSched>(
     sched: &mut L,
     request: &Request,
-) -> Result<DecisionEvent, ServeError> {
+    keep: Keep,
+) -> Result<(DecisionCode, Option<DecisionEvent>), ServeError> {
     sched.sched().decide(request);
-    match sched.take_event() {
-        Some(TraceEvent::Decision(event)) => Ok(event),
-        _ => Err(ServeError::Config(
+    let taken = match keep {
+        Keep::Code => sched.take_code().map(|code| (code, None)),
+        Keep::Event | Keep::Line => match sched.take_event() {
+            Some(TraceEvent::Decision(event)) => Some((event.outcome.code(), Some(event))),
+            _ => None,
+        },
+    };
+    taken.ok_or_else(|| {
+        ServeError::Config(
             "scheduler was not constructed with the daemon's DecisionTap sink".to_string(),
-        )),
-    }
+        )
+    })
 }
 
 // Decisions between recovery-base compactions; bounds the replay a
@@ -483,10 +497,11 @@ impl<L: LaneSched> LaneCore<L> {
             .expect("the recovery base came from this scheduler");
         self.next_id = self.base_next_id;
         for msg in &self.suffix {
+            // `decide_one` refused every id this sum would overflow.
             self.next_id = msg.id + lanes;
             let request = build_request(msg, horizon)
                 .expect("suffix requests were validated before their first decide");
-            let _ = decide_take(&mut self.sched, &request);
+            let _ = decide_take(&mut self.sched, &request, Keep::Code);
         }
         self.suffix.len()
     }
@@ -1383,7 +1398,7 @@ fn decide_code<L: LaneSched>(
 const BATCH_CODES: [u8; 2] = [BATCH_REJECT, BATCH_ADMIT];
 
 // What the caller of `decide_one` will read of a fresh decision; the
-// rest is not built, or goes back to the scheduler's sink for reuse.
+// rest is not built.
 #[derive(Clone, Copy)]
 pub(crate) enum Keep {
     // The admit/reject code only (a batch frame's reply).
@@ -1443,51 +1458,55 @@ pub(crate) fn decide_one<L: LaneSched>(
             msg.id, core.next_id
         ));
     }
+    // The lane's next id must exist: an id that wrapped it would let
+    // every id below it be decided again.
+    let Some(next_id) = msg.id.checked_add(lanes) else {
+        return refuse(format!(
+            "request id {} is too large (the largest accepted on {lanes} lane(s) is {})",
+            msg.id,
+            usize::MAX - lanes
+        ));
+    };
     let request = match build_request(msg, front.horizon) {
         Ok(request) => request,
         Err(text) => return refuse(text),
     };
-    core.next_id = msg.id + lanes;
-    let mut event = decide_take(&mut core.sched, &request)?;
+    core.next_id = next_id;
+    let (code, mut event) = decide_take(&mut core.sched, &request, keep)?;
     // Admit or reject, both mutate the scheduler: log it for replay.
     core.suffix.push(*msg);
     if core.suffix.len() >= RECOVERY_COMPACT {
         core.compact();
     }
-    if let Outcome::Admit { sites, .. } = &mut event.outcome {
+    core.stats.decided += 1;
+    match code {
+        DecisionCode::Admit { dual_cost } => {
+            core.stats.admitted += 1;
+            core.stats.revenue += request.payment();
+            tally.admitted += 1;
+            let dual_cost_series = front.ids.decisions.dual_cost;
+            front.registry.observe(dual_cost_series, dual_cost);
+        }
+        DecisionCode::Reject(reason) => {
+            core.stats.rejected += 1;
+            tally.rejected[reason.index()] += 1;
+        }
+    }
+    if let Some(Outcome::Admit { sites, .. }) = event.as_mut().map(|e| &mut e.outcome) {
         // Lane-local site ids to global ones: `global = local·S + s`.
         for site in sites {
             site.cloudlet = site.cloudlet * lanes + s;
         }
     }
-    core.stats.decided += 1;
-    match &event.outcome {
-        Outcome::Admit { dual_cost, .. } => {
-            core.stats.admitted += 1;
-            core.stats.revenue += event.payment;
-            tally.admitted += 1;
-            let dual_cost_series = front.ids.decisions.dual_cost;
-            front.registry.observe(dual_cost_series, *dual_cost);
-        }
-        Outcome::Reject { reason, .. } => {
-            core.stats.rejected += 1;
-            let i = RejectReason::ALL.iter().position(|r| r == reason);
-            tally.rejected[i.expect("reason in ALL")] += 1;
-        }
-    }
-    let admitted = event.outcome.is_admit();
-    let (line, event) = match keep {
-        Keep::Line => {
+    let line = match (keep, &event) {
+        (Keep::Line, Some(event)) => {
             let mut line = String::with_capacity(192);
-            write_decision(&mut JsonWriter::new(&mut line), &event);
-            (Some(line), Some(event))
+            write_decision(&mut JsonWriter::new(&mut line), event);
+            Some(line)
         }
-        Keep::Event => (None, Some(event)),
-        Keep::Code => {
-            core.sched.recycle(event);
-            (None, None)
-        }
+        _ => None,
     };
+    let admitted = code.is_admit();
     while core.recent.len() >= DEDUPE_WINDOW {
         core.recent.pop_front();
     }

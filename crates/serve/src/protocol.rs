@@ -542,6 +542,7 @@ pub fn is_batch_reply(line: &str) -> bool {
 /// with a typed [`ServeError::Protocol`] instead of panicking, so torn
 /// or hostile frames cost an error line, never the process.
 struct Scan<'a> {
+    line: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -549,6 +550,7 @@ struct Scan<'a> {
 impl<'a> Scan<'a> {
     fn new(line: &'a str) -> Self {
         Scan {
+            line,
             bytes: line.as_bytes(),
             pos: 0,
         }
@@ -572,14 +574,14 @@ impl<'a> Scan<'a> {
     fn uint(&mut self) -> Result<usize, ServeError> {
         let start = self.pos;
         let mut value: usize = 0;
-        while let Some(d) = self
-            .bytes
-            .get(self.pos)
-            .and_then(|b| (*b as char).to_digit(10))
-        {
+        while let Some(&b) = self.bytes.get(self.pos) {
+            let d = b.wrapping_sub(b'0');
+            if d >= 10 {
+                break;
+            }
             value = value
                 .checked_mul(10)
-                .and_then(|v| v.checked_add(d as usize))
+                .and_then(|v| v.checked_add(usize::from(d)))
                 .ok_or_else(|| perr("batch frame integer overflows".to_string()))?;
             self.pos += 1;
         }
@@ -603,15 +605,13 @@ impl<'a> Scan<'a> {
         {
             self.pos += 1;
         }
-        // Safety of the slice: we only advanced over single-byte ASCII.
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|tok| tok.parse::<f64>().ok())
-            .ok_or_else(|| {
-                perr(format!(
-                    "malformed batch frame: expected a number at byte {start}"
-                ))
-            })
+        // Only ASCII was skipped, so both ends are char boundaries of
+        // the frame's own `&str`.
+        self.line[start..self.pos].parse::<f64>().map_err(|_| {
+            perr(format!(
+                "malformed batch frame: expected a number at byte {start}"
+            ))
+        })
     }
 
     fn done(&self) -> Result<(), ServeError> {

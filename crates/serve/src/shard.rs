@@ -22,7 +22,7 @@ use std::net::SocketAddr;
 use std::sync::mpsc;
 use std::thread::{Scope, ScopedJoinHandle};
 
-use mec_obs::{DecisionEvent, LastEventSink, MetricsRegistry, TraceEvent};
+use mec_obs::{DecisionCode, LastEventSink, MetricsRegistry, TraceEvent};
 use mec_topology::NetworkBuilder;
 use vnfrel::offsite::OffsitePrimalDual;
 use vnfrel::onsite::{CapacityPolicy, OnsitePrimalDual};
@@ -59,7 +59,7 @@ pub struct ShardedReport {
 }
 
 // A lane's scheduler as `serve_sharded` builds it: `Send`, and its last
-// decision event readable without a shared tap.
+// decision readable without a shared tap, as a code or as an event.
 enum BuiltSched<'i> {
     Onsite(OnsitePrimalDual<'i, LastEventSink>),
     Offsite(OffsitePrimalDual<'i, LastEventSink>),
@@ -80,10 +80,10 @@ impl LaneSched for BuiltSched<'_> {
         }
     }
 
-    fn recycle(&mut self, event: DecisionEvent) {
+    fn take_code(&mut self) -> Option<DecisionCode> {
         match self {
-            BuiltSched::Onsite(s) => s.sink_mut().recycle(event),
-            BuiltSched::Offsite(s) => s.sink_mut().recycle(event),
+            BuiltSched::Onsite(s) => s.sink_mut().take_code(),
+            BuiltSched::Offsite(s) => s.sink_mut().take_code(),
         }
     }
 
