@@ -45,12 +45,14 @@ pub struct ProblemInstance {
 /// * `ln_coef[v·m + j] = ln(1 − r(f_v)·r(c_j))` — the off-site
 ///   linearization coefficient (Eq. 44), bit-identical to computing it
 ///   per request since the inputs are the same;
-/// * an *availability ladder* per (type, cloudlet): the on-site
-///   availability `A(n) = r(c_j)·(1 − (1 − r(f_v))^n)` (Eq. 2) tabulated
-///   for `n = 1, 2, …` until the residual failure mass `(1 − r_f)^n`
-///   drops below f64 resolution. `N_ij` for a concrete requirement is a
-///   short forward scan for the first rung meeting it — the minimal
-///   replica count of Eq. 3 without any logarithms.
+/// * an *availability table* per VNF type: the on-site availability
+///   `A(n) = r(c_j)·(1 − (1 − r(f_v))^n)` (Eq. 2) for `n = 1, 2, …` until
+///   the residual failure mass `(1 − r_f)^n` drops below f64 resolution.
+///   That length depends on `r(f_v)` alone, so the table is rung-major
+///   without padding: row `k` holds `A(k + 1)` of every cloudlet. `N_ij`
+///   for a concrete requirement, for all cloudlets at once, is the count
+///   of rungs below it — the minimal replica count of Eq. 3 without any
+///   logarithms.
 #[derive(Debug, Clone)]
 struct ReliabilityTables {
     cloudlets: usize,
@@ -58,14 +60,15 @@ struct ReliabilityTables {
     cloudlet_rel: Vec<f64>,
     /// `ln(1 − r_f·r_c)` per `(vnf · m + cloudlet)`; always negative.
     ln_coef: Vec<f64>,
-    /// CSR-style offsets into `ladder`: entry `v·m + j` spans
-    /// `ladder[off[v·m + j] .. off[v·m + j + 1]]`.
-    ladder_off: Vec<u32>,
-    /// Concatenated availability ladders; entry `i` of a span is `A(i+1)`.
-    ladder: Vec<f64>,
+    /// Offsets into `rungs`: VNF `v`'s table spans
+    /// `rungs[rung_off[v] .. rung_off[v + 1]]`, a whole number of rows.
+    rung_off: Vec<u32>,
+    /// Concatenated availability tables; entry `k·m + j` of VNF `v`'s
+    /// span is `A(k + 1)` at cloudlet `j`.
+    rungs: Vec<f64>,
 }
 
-/// Hard cap on ladder length; requirements between the last rung and
+/// Hard cap on table length; requirements between the last rung and
 /// `r(c_j)` fall back to the closed form of
 /// [`onsite_instances`](crate::reliability::onsite_instances).
 const MAX_LADDER: u32 = 64;
@@ -79,34 +82,35 @@ impl ReliabilityTables {
             .collect();
         let n_types = catalog.len();
         let mut ln_coef = Vec::with_capacity(n_types * m);
-        let mut ladder_off = Vec::with_capacity(n_types * m + 1);
-        let mut ladder = Vec::new();
-        ladder_off.push(0u32);
+        let mut rung_off = Vec::with_capacity(n_types + 1);
+        let mut rungs = Vec::new();
+        rung_off.push(0u32);
         for vnf in catalog.iter() {
             let rf = vnf.reliability();
             for cloudlet in network.cloudlets() {
-                let rc = cloudlet.reliability();
-                ln_coef.push(offsite_ln_coefficient(rf, rc));
-                let mut n = 1u32;
-                loop {
-                    // Same powi-based arithmetic as `onsite_availability`
-                    // so ladder rungs are bit-identical to the values the
-                    // pre-table code compared against.
-                    ladder.push(onsite_availability(rf, rc, n));
-                    if rf.failure().powi(n as i32) < 1e-18 || n >= MAX_LADDER {
-                        break;
-                    }
-                    n += 1;
-                }
-                ladder_off.push(ladder.len() as u32);
+                ln_coef.push(offsite_ln_coefficient(rf, cloudlet.reliability()));
             }
+            let mut n = 1u32;
+            loop {
+                for cloudlet in network.cloudlets() {
+                    // Same powi-based arithmetic as `onsite_availability`
+                    // so rungs are bit-identical to the values the
+                    // closed form compares against.
+                    rungs.push(onsite_availability(rf, cloudlet.reliability(), n));
+                }
+                if rf.failure().powi(n as i32) < 1e-18 || n >= MAX_LADDER {
+                    break;
+                }
+                n += 1;
+            }
+            rung_off.push(rungs.len() as u32);
         }
         ReliabilityTables {
             cloudlets: m,
             cloudlet_rel,
             ln_coef,
-            ladder_off,
-            ladder,
+            rung_off,
+            rungs,
         }
     }
 }
@@ -138,39 +142,53 @@ impl ProblemInstance {
         })
     }
 
-    /// Minimum on-site replica count `N_ij` (Eq. 3) for a request with
-    /// requirement `req`, from the precomputed availability ladder:
-    /// `None` when `r(c_j) ≤ R_i`, otherwise the first rung meeting the
-    /// requirement. Agrees with
-    /// [`onsite_instances`](crate::reliability::onsite_instances) but
-    /// does no logarithm work.
+    /// Minimum on-site replica counts `N_ij` (Eq. 3) of every cloudlet
+    /// for VNF type `vnf` under requirement `req`, written to
+    /// `out[j]`: 0 when `r(c_j) ≤ R_i` (no count suffices), otherwise the
+    /// index of the first rung meeting the requirement. It reads the
+    /// type's table one row (one rung of every cloudlet) at a time,
+    /// counting the rungs below `R_i`, and stops at the first row with
+    /// none below; rungs only rise, so that count is the minimum.
+    /// Agrees with [`onsite_instances`](crate::reliability::onsite_instances)
+    /// but does no logarithm work.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `vnf` is not in the catalog or `out` is shorter than the
+    /// cloudlet count.
     #[inline]
-    pub fn onsite_instances_for(
-        &self,
-        vnf: VnfTypeId,
-        cloudlet: CloudletId,
-        req: Reliability,
-    ) -> Option<u32> {
+    pub(crate) fn onsite_instances_row(&self, vnf: VnfTypeId, req: Reliability, out: &mut [u32]) {
         let t = &self.tables;
-        let j = cloudlet.index();
         let r = req.value();
-        if t.cloudlet_rel[j] <= r {
-            return None;
+        let out = &mut out[..t.cloudlets];
+        for (n, &rc) in out.iter_mut().zip(&t.cloudlet_rel) {
+            *n = u32::from(rc > r);
         }
-        let k = vnf.index() * t.cloudlets + j;
-        let lo = t.ladder_off[k] as usize;
-        let hi = t.ladder_off[k + 1] as usize;
-        for (i, &a) in t.ladder[lo..hi].iter().enumerate() {
-            if a >= r {
-                return Some(i as u32 + 1);
+        let v = vnf.index();
+        let table = &t.rungs[t.rung_off[v] as usize..t.rung_off[v + 1] as usize];
+        let mut rows = 0u32;
+        for row in table.chunks_exact(t.cloudlets) {
+            rows += 1;
+            let mut below = false;
+            for (n, &a) in out.iter_mut().zip(row) {
+                let step = (*n != 0) & (a < r);
+                *n += u32::from(step);
+                below |= step;
+            }
+            if !below {
+                return;
             }
         }
-        // The requirement sits between the last tabulated rung and
+        // Some requirement sits between the last tabulated rung and
         // r(c_j) (possible only for very failure-prone VNF types whose
-        // ladder hit MAX_LADDER): use the closed form.
-        let vnf_rel = self.catalog.get(vnf)?.reliability();
-        let cloudlet_rel = self.network.cloudlet(cloudlet)?.reliability();
-        onsite_instances(vnf_rel, cloudlet_rel, req)
+        // table hit MAX_LADDER): use the closed form there.
+        let vnf_rel = self.catalog.get(vnf).expect("vnf in catalog").reliability();
+        for (n, cloudlet) in out.iter_mut().zip(self.network.cloudlets()) {
+            if *n > rows {
+                *n = onsite_instances(vnf_rel, cloudlet.reliability(), req)
+                    .expect("eligible cloudlet");
+            }
+        }
     }
 
     /// Precomputed off-site linearization coefficient
@@ -348,10 +366,45 @@ mod tests {
         ProblemInstance::new(b.build().unwrap(), catalog, Horizon::new(4)).unwrap()
     }
 
+    /// `N_ij` of every cloudlet by the definition, 0 for ineligible.
+    fn by_search(inst: &ProblemInstance, vnf: VnfTypeId, req: Reliability) -> Vec<u32> {
+        use crate::reliability::onsite_instances_by_search;
+        let rf = inst.catalog().get(vnf).unwrap().reliability();
+        inst.network()
+            .cloudlets()
+            .map(|c| onsite_instances_by_search(rf, c.reliability(), req).unwrap_or(0))
+            .collect()
+    }
+
+    /// Every rung of every cloudlet exactly, one ulp either side of it,
+    /// and every `r(c_j)`: the requirements at which a lookup can be off
+    /// by one.
+    fn edge_requirements(inst: &ProblemInstance, vnf: VnfTypeId, rungs: u32) -> Vec<f64> {
+        let rf = inst.catalog().get(vnf).unwrap().reliability();
+        let mut reqs = Vec::new();
+        for c in inst.network().cloudlets() {
+            reqs.push(c.reliability().value());
+            for n in 1..=rungs {
+                let a = onsite_availability(rf, c.reliability(), n);
+                reqs.extend([a.next_down(), a, a.next_up()]);
+            }
+        }
+        reqs.retain(|&r| Reliability::new(r).is_ok());
+        reqs
+    }
+
+    /// The row lookup against the definition of `N_ij` and the closed
+    /// form, and the off-site coefficients against theirs.
     #[test]
     fn tables_match_closed_forms_on_standard_catalog() {
-        use crate::reliability::{offsite_ln_coefficient, onsite_instances};
-        let inst = instance_with(&[0.95, 0.99, 0.999, 0.9999], VnfCatalog::standard());
+        use crate::reliability::onsite_instances;
+        // Eligible and ineligible cloudlets side by side, needing
+        // different counts: a requirement between two r(c_j) leaves some
+        // cloudlets at 0 and others at several instances.
+        let rels = [0.95, 0.999, 0.93, 0.99, 0.9999, 0.97, 0.999];
+        let inst = instance_with(&rels, VnfCatalog::standard());
+        let mut row = vec![u32::MAX; rels.len()];
+        let mut mixed = 0;
         for vnf in inst.catalog().iter() {
             for c in inst.network().cloudlets() {
                 assert_eq!(
@@ -359,68 +412,81 @@ mod tests {
                     offsite_ln_coefficient(vnf.reliability(), c.reliability()),
                     "ln_coef table must be bit-identical"
                 );
-                for req in [0.9, 0.93, 0.95, 0.97, 0.99, 0.995, 0.9989] {
-                    let req = Reliability::new(req).unwrap();
-                    assert_eq!(
-                        inst.onsite_instances_for(vnf.id(), c.id(), req),
-                        onsite_instances(vnf.reliability(), c.reliability(), req),
-                        "ladder lookup must agree with the closed form \
-                         (vnf {:?}, cloudlet {:?}, req {})",
-                        vnf.id(),
-                        c.id(),
-                        req.value()
-                    );
-                }
+            }
+            let mut reqs = edge_requirements(&inst, vnf.id(), 12);
+            reqs.extend([0.5, 0.9, 0.93, 0.95, 0.97, 0.99, 0.995, 0.9989, 0.99989]);
+            for r in reqs {
+                let req = Reliability::new(r).unwrap();
+                inst.onsite_instances_row(vnf.id(), req, &mut row);
+                let want = by_search(&inst, vnf.id(), req);
+                assert_eq!(row, want, "vnf {:?}, req {r:e}", vnf.id());
+                let closed: Vec<u32> = inst
+                    .network()
+                    .cloudlets()
+                    .map(|c| onsite_instances(vnf.reliability(), c.reliability(), req).unwrap_or(0))
+                    .collect();
+                assert_eq!(row, closed, "closed form, vnf {:?}, req {r:e}", vnf.id());
+                let eligible = want.iter().filter(|&&n| n > 0).count();
+                let counts: std::collections::BTreeSet<u32> =
+                    want.iter().copied().filter(|&n| n > 0).collect();
+                mixed += usize::from(0 < eligible && eligible < rels.len() && counts.len() > 1);
             }
         }
+        assert!(
+            mixed > 100,
+            "{mixed} requirements mixing counts and ineligible cloudlets"
+        );
     }
 
     #[test]
     fn ladder_fallback_handles_failure_prone_vnfs() {
-        use crate::reliability::onsite_instances;
-        // A VNF with r_f = 0.3 needs a long ladder: (1 − 0.3)^64 ≈ 1e-10
+        // A VNF with r_f = 0.3 needs a long table: (1 − 0.3)^64 ≈ 1e-10
         // is still above the 1e-18 cutoff, so MAX_LADDER truncates it and
-        // requirements beyond the last rung exercise the closed-form
-        // fallback.
+        // requirements beyond the last rung take the closed form.
         let catalog = VnfCatalog::from_specs(vec![("Flaky", 1u64, 0.3f64)]).unwrap();
-        let inst = instance_with(&[0.999999], catalog);
-        let vnf = inst.catalog().iter().next().unwrap();
-        let c = CloudletId(0);
-        for req in [0.5, 0.9, 0.99, 0.9999, 0.99999, 0.999998] {
-            let req = Reliability::new(req).unwrap();
-            assert_eq!(
-                inst.onsite_instances_for(vnf.id(), c, req),
-                onsite_instances(
-                    vnf.reliability(),
-                    inst.network().cloudlet(c).unwrap().reliability(),
-                    req
-                ),
-                "fallback must agree with the closed form at req {}",
-                req.value()
-            );
+        let rels = [0.999999, 0.99, 0.9999999, 0.5];
+        let inst = instance_with(&rels, catalog);
+        let vnf = VnfTypeId(0);
+        let mut row = vec![u32::MAX; rels.len()];
+        let mut reqs = edge_requirements(&inst, vnf, MAX_LADDER + 8);
+        reqs.extend([0.3, 0.5, 0.9, 0.99, 0.9999, 0.99999, 0.999998]);
+        let mut past_table = 0;
+        for r in reqs {
+            let req = Reliability::new(r).unwrap();
+            inst.onsite_instances_row(vnf, req, &mut row);
+            let want = by_search(&inst, vnf, req);
+            assert_eq!(row, want, "req {r:e}");
+            past_table += usize::from(want.iter().any(|&n| n > MAX_LADDER));
         }
+        assert!(past_table > 10, "{past_table} requirements past the table");
     }
 
     proptest::proptest! {
-        /// The availability-ladder lookup agrees with the closed-form
-        /// `onsite_instances` across the realistic parameter space.
+        /// The row lookup agrees with the definition and with the closed
+        /// form across the realistic parameter space.
         #[test]
         fn ladder_matches_closed_form(
-            rc in 0.5f64..0.99999,
+            rc0 in 0.5f64..0.99999,
+            rc1 in 0.5f64..0.99999,
+            rc2 in 0.5f64..0.99999,
+            cloudlets in 1usize..4,
             req in 0.5f64..0.999,
             vnf_idx in 0usize..10,
         ) {
             use crate::reliability::onsite_instances;
-            let inst = instance_with(&[rc], VnfCatalog::standard());
+            let rels = &[rc0, rc1, rc2][..cloudlets];
+            let inst = instance_with(rels, VnfCatalog::standard());
             let vnf = inst.catalog().iter().nth(vnf_idx).unwrap();
             let req = Reliability::new(req).unwrap();
-            let got = inst.onsite_instances_for(vnf.id(), CloudletId(0), req);
-            let want = onsite_instances(
-                vnf.reliability(),
-                inst.network().cloudlet(CloudletId(0)).unwrap().reliability(),
-                req,
-            );
-            proptest::prop_assert_eq!(got, want);
+            let mut row = vec![u32::MAX; rels.len()];
+            inst.onsite_instances_row(vnf.id(), req, &mut row);
+            proptest::prop_assert_eq!(&row, &by_search(&inst, vnf.id(), req));
+            let closed: Vec<u32> = inst
+                .network()
+                .cloudlets()
+                .map(|c| onsite_instances(vnf.reliability(), c.reliability(), req).unwrap_or(0))
+                .collect();
+            proptest::prop_assert_eq!(row, closed);
         }
     }
 }

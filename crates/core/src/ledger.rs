@@ -216,8 +216,11 @@ impl CapacityLedger {
 
     /// [`CapacityLedger::fits_window`] over the one slot `slot`: the
     /// first cell of its scan, with the same holds and tolerance, as a
-    /// direct cell read. Algorithm 2 asks it of every priced cloudlet at
-    /// the arrival slot, so a cloudlet full there is never ordered.
+    /// direct cell read. Every capacity-first scan asks it at the arrival
+    /// slot before the window: Algorithm 2 of every priced cloudlet, so a
+    /// cloudlet full there is never ordered; Algorithm 1 of every
+    /// eligible cloudlet, so one full there is never a gate candidate;
+    /// both greedy baselines of each cloudlet they try.
     #[inline]
     pub(crate) fn fits_slot(&self, cloudlet: CloudletId, slot: TimeSlot, amount: f64) -> bool {
         let idx = cloudlet.index() * self.slots + slot;

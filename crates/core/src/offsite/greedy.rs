@@ -11,7 +11,7 @@ use crate::scheduler::OnlineScheduler;
 ///
 /// Scans cloudlets in decreasing reliability order, placing one instance
 /// in each cloudlet that still has residual capacity over the request's
-/// window, until the accumulated availability meets `R_i`; rejects if the
+/// window (asked of the arrival slot first, then of the whole window), until the accumulated availability meets `R_i`; rejects if the
 /// target is unreachable. Payments are ignored. As Section VI-C observes,
 /// this baseline exhausts the reliable cloudlets first and then "fails to
 /// admit any incoming requests in spite of existing lots of failure-prone
@@ -120,7 +120,9 @@ impl<S: TraceSink> OnlineScheduler for OffsiteGreedy<'_, S> {
         self.selected.clear();
         let mut ln_sum = 0.0;
         for &cid in &self.order {
-            if !self.ledger.fits_window(cid, first, last, compute) {
+            if !(self.ledger.fits_slot(cid, first, compute)
+                && self.ledger.fits_window(cid, first, last, compute))
+            {
                 continue;
             }
             ln_sum += self.instance.offsite_ln_coef(request.vnf(), cid);
@@ -271,5 +273,189 @@ mod tests {
         let reqs: Vec<Request> = (0..30).map(|i| request(i, 0.9, 1.0)).collect();
         run_online(&mut g, &reqs).unwrap();
         assert_eq!(g.ledger().max_overflow(), 0.0);
+    }
+
+    /// A test-only off-site greedy: one instance on each cloudlet, in
+    /// descending reliability order, whose window the ledger holds whole,
+    /// with the closed-form coefficient, until the target is met; events
+    /// into its own ring.
+    struct Reference<'a> {
+        instance: &'a ProblemInstance,
+        order: Vec<CloudletId>,
+        ledger: CapacityLedger,
+        sink: mec_obs::RingSink,
+    }
+
+    /// What the reference's decisions went through, summed over streams.
+    #[derive(Debug, Default)]
+    struct Coverage {
+        admits: usize,
+        /// Admissions that skipped a cloudlet with no room at the arrival
+        /// slot.
+        admits_after_full_slot: usize,
+        /// Rejects that had selected some cloudlets.
+        partial_rejects: usize,
+    }
+
+    impl<'a> Reference<'a> {
+        fn new(instance: &'a ProblemInstance) -> Self {
+            let mut order: Vec<CloudletId> =
+                instance.network().cloudlets().map(|c| c.id()).collect();
+            let rc = |c: CloudletId| instance.cloudlet_reliability(c);
+            order.sort_by(|&a, &b| rc(b).total_cmp(&rc(a)).then(a.cmp(&b)));
+            Reference {
+                instance,
+                order,
+                ledger: CapacityLedger::new(instance.network(), instance.horizon()),
+                sink: mec_obs::RingSink::new(1 << 12),
+            }
+        }
+
+        fn decide(&mut self, request: &Request, seen: &mut Coverage) -> Decision {
+            use crate::reliability::offsite_ln_coefficient;
+            let vnf = self.instance.catalog().get(request.vnf()).unwrap();
+            let compute = vnf.compute() as f64;
+            let ln_target = request.reliability_requirement().failure().ln();
+            let (first, last) = (request.arrival(), request.end_slot());
+            let (mut selected, mut ln_sum, mut full_slot) = (Vec::new(), 0.0, false);
+            for &c in &self.order {
+                if ln_sum <= ln_target + 1e-12 {
+                    break;
+                }
+                if self.ledger.fits_window(c, first, last, compute) {
+                    let rc = self.instance.network().cloudlet(c).unwrap().reliability();
+                    ln_sum += offsite_ln_coefficient(vnf.reliability(), rc);
+                    selected.push(c);
+                } else {
+                    full_slot |= !self.ledger.fits_window(c, first, first, compute);
+                }
+            }
+            let (outcome, decision) = if ln_sum <= ln_target + 1e-12 {
+                seen.admits += 1;
+                seen.admits_after_full_slot += usize::from(full_slot);
+                for &c in &selected {
+                    self.ledger.charge_window(c, first, last, compute);
+                }
+                let sites = selected
+                    .iter()
+                    .map(|c| SitePlacement {
+                        cloudlet: c.index(),
+                        instances: 1,
+                        dual_cost: 0.0,
+                    })
+                    .collect();
+                let outcome = Outcome::Admit {
+                    dual_cost: 0.0,
+                    margin: request.payment(),
+                    sites,
+                };
+                (
+                    outcome,
+                    Decision::Admit(Placement::OffSite {
+                        cloudlets: selected,
+                    }),
+                )
+            } else {
+                seen.partial_rejects += usize::from(!selected.is_empty());
+                let outcome = Outcome::Reject {
+                    reason: RejectReason::ReliabilityInfeasible,
+                    dual_cost: None,
+                    margin: None,
+                };
+                (outcome, Decision::Reject)
+            };
+            self.sink.record_decision(
+                request.id().index(),
+                "greedy-offsite",
+                "offsite",
+                request.arrival(),
+                request.payment(),
+                outcome,
+            );
+            decision
+        }
+    }
+
+    /// Runs a random stream through the greedy baseline and the
+    /// [`Reference`] in lockstep on small cloudlets, some loaded full at
+    /// arrival slots beforehand, with reliability twins. Decisions,
+    /// `used` bits and trace events must agree after every request.
+    fn matches_the_reference(seed: u64, seen: &mut Coverage) {
+        const T: usize = 10;
+        let inst = instance(&[
+            (4, 0.99),
+            (6, 0.999),
+            (3, 0.9999),
+            (6, 0.999),
+            (5, 0.97),
+            (2, 0.995),
+        ]);
+        let mut alg = OffsiteGreedy::with_sink(&inst, mec_obs::RingSink::new(1 << 12));
+        let mut reference = Reference::new(&inst);
+        let mut state = seed | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for _ in 0..6 {
+            let c = CloudletId((next() % 6) as usize);
+            let first = (next() % T as u64) as usize;
+            let last = first + (next() % (T - first) as u64) as usize;
+            let amount = alg.ledger().capacity(c) - (next() % 2) as f64;
+            alg.ledger_mut().charge_window(c, first, last, amount);
+            reference.ledger.charge_window(c, first, last, amount);
+        }
+        for id in 0..60 {
+            let first = (next() % T as u64) as usize;
+            let duration = 1 + (next() % (T - first).min(4) as u64) as usize;
+            let r = Request::new(
+                RequestId(id),
+                VnfTypeId((next() % 10) as usize),
+                rel([0.9, 0.99, 0.999, 0.99999, 0.9999999][(next() % 5) as usize]),
+                first,
+                duration,
+                (1 + next() % 40) as f64 / 4.0,
+                Horizon::new(T),
+            )
+            .unwrap();
+            let at = format!("seed {seed}, request {id}");
+            assert_eq!(alg.decide(&r), reference.decide(&r, seen), "{at}");
+            let bits = |grid: &[f64]| grid.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(alg.ledger().used_grid()),
+                bits(reference.ledger.used_grid()),
+                "{at}"
+            );
+            assert_eq!(
+                alg.sink.events().last(),
+                reference.sink.events().last(),
+                "{at}"
+            );
+        }
+        assert_eq!(alg.sink.total_recorded(), reference.sink.total_recorded());
+    }
+
+    #[test]
+    fn reference_streams_reach_every_outcome() {
+        let mut seen = Coverage::default();
+        for seed in 0..64 {
+            matches_the_reference(seed * 0x9E37_79B9 + 1, &mut seen);
+        }
+        assert!(seen.admits > 100, "{seen:?}");
+        assert!(seen.admits_after_full_slot > 100, "{seen:?}");
+        assert!(seen.partial_rejects > 100, "{seen:?}");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// The baseline — arrival slot asked first — decides, charges and
+        /// traces what the closed-form first fit does.
+        #[test]
+        fn lockstep_with_the_closed_form_first_fit(seed in 0u64..u64::MAX) {
+            matches_the_reference(seed, &mut Coverage::default());
+        }
     }
 }

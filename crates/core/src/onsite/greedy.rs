@@ -14,7 +14,7 @@ use crate::scheduler::OnlineScheduler;
 /// cloudlets are scanned in decreasing reliability order and the request
 /// is placed in the first one that is reliable enough (`r(c_j) > R_i`) and
 /// has residual capacity for all `N_ij` instances across the request's
-/// window. Payments are ignored entirely — which is exactly why the
+/// window (asked of the arrival slot first, then of the whole window). Payments are ignored entirely — which is exactly why the
 /// baseline underperforms once resources become scarce.
 #[derive(Debug)]
 pub struct OnsiteGreedy<'a, S: TraceSink = NoopSink> {
@@ -22,6 +22,9 @@ pub struct OnsiteGreedy<'a, S: TraceSink = NoopSink> {
     /// Cloudlet ids sorted by reliability, most reliable first.
     order: Vec<CloudletId>,
     ledger: CapacityLedger,
+    /// Scratch: `N_ij` per cloudlet for the current request, 0 where
+    /// `r(c_j) ≤ R_i`.
+    n_for: Vec<u32>,
     /// Decision-event consumer; `NoopSink` (the default) compiles the
     /// instrumentation away entirely.
     sink: S,
@@ -57,6 +60,7 @@ impl<'a, S: TraceSink> OnsiteGreedy<'a, S> {
         });
         OnsiteGreedy {
             instance,
+            n_for: vec![0; order.len()],
             order,
             ledger: CapacityLedger::new(instance.network(), instance.horizon()),
             sink,
@@ -111,21 +115,25 @@ impl<S: TraceSink> OnlineScheduler for OnsiteGreedy<'_, S> {
         };
         let first = request.arrival();
         let last = first + request.duration() - 1;
+        self.instance.onsite_instances_row(
+            request.vnf(),
+            request.reliability_requirement(),
+            &mut self.n_for,
+        );
         let mut any_eligible = false;
         let mut admitted: Option<(CloudletId, u32)> = None;
         for &cid in &self.order {
-            let Some(n) = self.instance.onsite_instances_for(
-                request.vnf(),
-                cid,
-                request.reliability_requirement(),
-            ) else {
-                // Sorted descending: once one cloudlet is too unreliable,
-                // all later ones are as well.
+            let n = self.n_for[cid.index()];
+            if n == 0 {
+                // Too unreliable (r(c_j) ≤ R_i). Sorted descending: once
+                // one cloudlet is, all later ones are as well.
                 break;
-            };
+            }
             any_eligible = true;
             let weight = f64::from(n) * compute;
-            if self.ledger.fits_window(cid, first, last, weight) {
+            if self.ledger.fits_slot(cid, first, weight)
+                && self.ledger.fits_window(cid, first, last, weight)
+            {
                 self.ledger.charge_window(cid, first, last, weight);
                 admitted = Some((cid, n));
                 break;
@@ -293,5 +301,211 @@ mod tests {
         assert_eq!(g.ledger().max_overflow(), 0.0);
         assert!(schedule.admitted_count() < 40, "capacity must bind");
         assert!(schedule.admitted_count() > 0);
+    }
+
+    /// A test-only on-site greedy: first fit over the cloudlets in
+    /// descending reliability order, `N_ij` from the closed form, the
+    /// window asked of the ledger whole, events into its own ring.
+    struct Reference<'a> {
+        instance: &'a ProblemInstance,
+        order: Vec<CloudletId>,
+        ledger: CapacityLedger,
+        sink: mec_obs::RingSink,
+    }
+
+    /// What the reference's decisions went through, summed over streams.
+    #[derive(Debug, Default)]
+    struct Coverage {
+        admits: usize,
+        /// Admissions after a reliable-enough cloudlet with no room at the
+        /// arrival slot.
+        admits_after_full_slot: usize,
+        capacity_gate: usize,
+        reliability_infeasible: usize,
+    }
+
+    impl<'a> Reference<'a> {
+        fn new(instance: &'a ProblemInstance) -> Self {
+            let mut order: Vec<CloudletId> =
+                instance.network().cloudlets().map(|c| c.id()).collect();
+            let rc = |c: CloudletId| instance.cloudlet_reliability(c);
+            order.sort_by(|&a, &b| rc(b).total_cmp(&rc(a)).then(a.cmp(&b)));
+            Reference {
+                instance,
+                order,
+                ledger: CapacityLedger::new(instance.network(), instance.horizon()),
+                sink: mec_obs::RingSink::new(1 << 12),
+            }
+        }
+
+        fn decide(&mut self, request: &Request, seen: &mut Coverage) -> Decision {
+            use crate::reliability::onsite_instances;
+            let vnf = self.instance.catalog().get(request.vnf()).unwrap();
+            let compute = vnf.compute() as f64;
+            let (first, last) = (request.arrival(), request.end_slot());
+            let mut eligible = false;
+            let mut full_slot = false;
+            let mut admitted = None;
+            for &c in &self.order {
+                let rc = self.instance.network().cloudlet(c).unwrap().reliability();
+                let Some(n) =
+                    onsite_instances(vnf.reliability(), rc, request.reliability_requirement())
+                else {
+                    continue;
+                };
+                eligible = true;
+                let weight = f64::from(n) * compute;
+                if self.ledger.fits_window(c, first, last, weight) {
+                    self.ledger.charge_window(c, first, last, weight);
+                    admitted = Some((c, n));
+                    break;
+                }
+                full_slot |= !self.ledger.fits_window(c, first, first, weight);
+            }
+            let (outcome, decision) = match admitted {
+                Some((c, n)) => {
+                    seen.admits += 1;
+                    seen.admits_after_full_slot += usize::from(full_slot);
+                    let sites = vec![SitePlacement {
+                        cloudlet: c.index(),
+                        instances: n,
+                        dual_cost: 0.0,
+                    }];
+                    (
+                        Outcome::Admit {
+                            dual_cost: 0.0,
+                            margin: request.payment(),
+                            sites,
+                        },
+                        Decision::Admit(Placement::OnSite {
+                            cloudlet: c,
+                            instances: n,
+                        }),
+                    )
+                }
+                None => {
+                    let reason = if eligible {
+                        seen.capacity_gate += 1;
+                        RejectReason::CapacityGate
+                    } else {
+                        seen.reliability_infeasible += 1;
+                        RejectReason::ReliabilityInfeasible
+                    };
+                    let outcome = Outcome::Reject {
+                        reason,
+                        dual_cost: None,
+                        margin: None,
+                    };
+                    (outcome, Decision::Reject)
+                }
+            };
+            self.sink.record_decision(
+                request.id().index(),
+                "greedy-onsite",
+                "onsite",
+                request.arrival(),
+                request.payment(),
+                outcome,
+            );
+            decision
+        }
+    }
+
+    /// Runs a random stream through the greedy baseline and the
+    /// [`Reference`] in lockstep on small cloudlets, some loaded full at
+    /// arrival slots beforehand, with reliability twins and requirements
+    /// between, above and exactly on the rungs of the cloudlets'
+    /// availability tables. Decisions, `used` bits and trace events must
+    /// agree after every request.
+    fn matches_the_reference(seed: u64, seen: &mut Coverage) {
+        const T: usize = 10;
+        let inst = instance(&[
+            (4, 0.99),
+            (6, 0.999),
+            (3, 0.9999),
+            (6, 0.999),
+            (5, 0.97),
+            (2, 0.995),
+        ]);
+        let mut alg = OnsiteGreedy::with_sink(&inst, mec_obs::RingSink::new(1 << 12));
+        let mut reference = Reference::new(&inst);
+        let mut state = seed | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for _ in 0..6 {
+            let c = CloudletId((next() % 6) as usize);
+            let first = (next() % T as u64) as usize;
+            let last = first + (next() % (T - first) as u64) as usize;
+            let amount = alg.ledger().capacity(c) - (next() % 2) as f64;
+            alg.ledger_mut().charge_window(c, first, last, amount);
+            reference.ledger.charge_window(c, first, last, amount);
+        }
+        for id in 0..60 {
+            let first = (next() % T as u64) as usize;
+            let duration = 1 + (next() % (T - first).min(4) as u64) as usize;
+            let vnf = VnfTypeId((next() % 10) as usize);
+            let requirement = match next() % 7 {
+                6 => {
+                    // Exactly on rung 1–3 of one of the cloudlets.
+                    let c = inst.network().cloudlet(CloudletId((next() % 6) as usize));
+                    let rf = inst.catalog().get(vnf).unwrap().reliability();
+                    let n = 1 + (next() % 3) as u32;
+                    crate::reliability::onsite_availability(rf, c.unwrap().reliability(), n)
+                }
+                k => [0.9, 0.96, 0.98, 0.993, 0.9995, 0.99995][k as usize],
+            };
+            let r = Request::new(
+                RequestId(id),
+                vnf,
+                rel(requirement),
+                first,
+                duration,
+                (1 + next() % 40) as f64 / 4.0,
+                Horizon::new(T),
+            )
+            .unwrap();
+            let at = format!("seed {seed}, request {id}");
+            assert_eq!(alg.decide(&r), reference.decide(&r, seen), "{at}");
+            let bits = |grid: &[f64]| grid.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(alg.ledger().used_grid()),
+                bits(reference.ledger.used_grid()),
+                "{at}"
+            );
+            assert_eq!(
+                alg.sink.events().last(),
+                reference.sink.events().last(),
+                "{at}"
+            );
+        }
+        assert_eq!(alg.sink.total_recorded(), reference.sink.total_recorded());
+    }
+
+    #[test]
+    fn reference_streams_reach_every_outcome() {
+        let mut seen = Coverage::default();
+        for seed in 0..64 {
+            matches_the_reference(seed * 0x9E37_79B9 + 1, &mut seen);
+        }
+        assert!(seen.admits > 100, "{seen:?}");
+        assert!(seen.admits_after_full_slot > 100, "{seen:?}");
+        assert!(seen.capacity_gate > 100, "{seen:?}");
+        assert!(seen.reliability_infeasible > 100, "{seen:?}");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// The baseline — table `N_ij`, arrival slot asked first —
+        /// decides, charges and traces what the closed-form first fit
+        /// does.
+        #[test]
+        fn lockstep_with_the_closed_form_first_fit(seed in 0u64..u64::MAX) {
+            matches_the_reference(seed, &mut Coverage::default());
+        }
     }
 }

@@ -77,9 +77,11 @@ pub struct OnsitePrimalDual<'a, S: TraceSink = NoopSink> {
     /// Σ δ_i accumulated over all processed requests.
     sum_delta: f64,
     rejections: RejectionCounters,
-    /// Scratch: `(dual cost, cloudlet)` keys for the current request.
+    /// Scratch: `(dual cost, cloudlet)` keys of the current request's
+    /// gate candidates.
     keys: Vec<(f64, u32)>,
-    /// Scratch: `N_ij` per cloudlet for the current request.
+    /// Scratch: `N_ij` per cloudlet for the current request, 0 where
+    /// `r(c_j) ≤ R_i`.
     n_for: Vec<u32>,
     /// Scratch: `a_ij = N_ij·c(f_i)` per cloudlet for the current request.
     weight_for: Vec<f64>,
@@ -236,37 +238,28 @@ impl<S: TraceSink> OnlineScheduler for OnsitePrimalDual<'_, S> {
         let first = request.arrival();
         let last = first + request.duration() - 1;
 
-        // Dual costs per eligible cloudlet (r(c_j) > R_i): `N_ij` from the
-        // precomputed availability ladder, the window sum of λ in O(1)
-        // from the prefix rows.
-        self.keys.clear();
+        // Dual costs per eligible cloudlet (r(c_j) > R_i): `N_ij` of every
+        // cloudlet from one read of the VNF's availability table (0 marks
+        // an ineligible one), the window sum of λ in O(1) from the prefix
+        // rows.
+        self.instance
+            .onsite_instances_row(request.vnf(), req_rel, &mut self.n_for);
         let mut best_unrestricted: Option<f64> = None; // min cost ignoring capacity
         for j in 0..self.prices.cloudlet_count() {
-            let Some(n) = self
-                .instance
-                .onsite_instances_for(request.vnf(), CloudletId(j), req_rel)
-            else {
+            let n = self.n_for[j];
+            if n == 0 {
                 continue;
-            };
+            }
             let weight = f64::from(n) * compute; // a_ij = N_ij · c(f_i)
             let cost = weight * self.prices.window_sum(j, first, last);
             if best_unrestricted.is_none_or(|c| cost < c) {
                 best_unrestricted = Some(cost);
             }
-            self.n_for[j] = n;
             self.weight_for[j] = weight;
             self.cost_for[j] = cost;
-            self.keys.push((cost, j as u32));
         }
 
-        // Dual bookkeeping: δ_i uses the capacity-unrestricted minimum so
-        // the accumulated dual stays feasible (Constraint 32) even when a
-        // capacity gate forces a rejection.
-        if let Some(min_cost) = best_unrestricted {
-            self.sum_delta += (request.payment() - min_cost).max(0.0);
-        }
-
-        if self.keys.is_empty() {
+        let Some(min_cost) = best_unrestricted else {
             self.rejections.no_eligible_cloudlet += 1;
             if S::ENABLED {
                 self.emit(
@@ -279,7 +272,12 @@ impl<S: TraceSink> OnlineScheduler for OnsitePrimalDual<'_, S> {
                 );
             }
             return Decision::Reject;
-        }
+        };
+
+        // Dual bookkeeping: δ_i uses the capacity-unrestricted minimum so
+        // the accumulated dual stays feasible (Constraint 32) even when a
+        // capacity gate forces a rejection.
+        self.sum_delta += (request.payment() - min_cost).max(0.0);
 
         // Any gate-passing candidate costs at least the unrestricted
         // minimum, so a payment that cannot beat that minimum fails the
@@ -287,48 +285,60 @@ impl<S: TraceSink> OnlineScheduler for OnsitePrimalDual<'_, S> {
         // skip the selection scan entirely. This changes only which
         // counter a doubly-doomed request lands in (payment_test instead
         // of capacity_gate), never the decision.
-        if let Some(min_cost) = best_unrestricted {
-            if request.payment() - min_cost <= 0.0 {
-                self.rejections.payment_test += 1;
-                if S::ENABLED {
-                    self.emit(
-                        request,
-                        Outcome::Reject {
-                            reason: RejectReason::DoomedShortCircuit,
-                            dual_cost: Some(min_cost),
-                            margin: Some(request.payment() - min_cost),
-                        },
-                    );
+        if request.payment() - min_cost <= 0.0 {
+            self.rejections.payment_test += 1;
+            if S::ENABLED {
+                self.emit(
+                    request,
+                    Outcome::Reject {
+                        reason: RejectReason::DoomedShortCircuit,
+                        dual_cost: Some(min_cost),
+                        margin: Some(request.payment() - min_cost),
+                    },
+                );
+            }
+            return Decision::Reject;
+        }
+
+        // The gate candidates: eligible cloudlets whose arrival slot can
+        // hold the gate amount. A cloudlet full there would fail the
+        // gate's window scan on its first cell, so dropping it leaves the
+        // selection below unchanged; without a gate nothing is dropped.
+        let policy = self.policy;
+        let gate = |weight: f64| match policy {
+            CapacityPolicy::Enforce => weight,
+            CapacityPolicy::AllowViolations => 0.0,
+            CapacityPolicy::Scaled(s) => weight * s,
+        };
+        self.keys.clear();
+        for j in 0..self.prices.cloudlet_count() {
+            if self.n_for[j] != 0 {
+                let amount = gate(self.weight_for[j]);
+                if amount <= 0.0 || self.ledger.fits_slot(CloudletId(j), first, amount) {
+                    self.keys.push((self.cost_for[j], j as u32));
                 }
-                return Decision::Reject;
             }
         }
 
         // Cheapest candidate passing the capacity gate, ties toward the
-        // lower id — `min_j` over the gated cloudlets. The unrestricted
+        // lower id — `min_j` over the gated cloudlets. The candidates'
         // minimum is asked first: on a clean admit that is the only
         // window scan. Only if the gate excludes it, one pass over the
         // other keys (ascending id) asks the gate of a candidate only
         // when its cost is strictly below the incumbent's, so the first
         // of several equally cheap fits is the one kept.
-        let policy = self.policy;
         let (ledger, weight_for) = (&self.ledger, &self.weight_for);
         let passes = |j: usize| {
-            let gate = match policy {
-                CapacityPolicy::Enforce => weight_for[j],
-                CapacityPolicy::AllowViolations => 0.0,
-                CapacityPolicy::Scaled(s) => weight_for[j] * s,
-            };
-            gate <= 0.0 || ledger.fits_window(CloudletId(j), first, last, gate)
+            let amount = gate(weight_for[j]);
+            amount <= 0.0 || ledger.fits_window(CloudletId(j), first, last, amount)
         };
-        let mut cheapest = self.keys[0];
-        for &key in &self.keys[1..] {
-            if key.0 < cheapest.0 {
-                cheapest = key;
-            }
-        }
-        let mut best = passes(cheapest.1 as usize).then_some(cheapest);
-        if best.is_none() {
+        let cheapest = self
+            .keys
+            .iter()
+            .copied()
+            .reduce(|c, k| if k.0 < c.0 { k } else { c });
+        let mut best = cheapest.filter(|c| passes(c.1 as usize));
+        if let (Some(cheapest), None) = (cheapest, best) {
             for &key in &self.keys {
                 if key.1 != cheapest.1 && best.is_none_or(|b| key.0 < b.0) && passes(key.1 as usize)
                 {
@@ -343,8 +353,8 @@ impl<S: TraceSink> OnlineScheduler for OnsitePrimalDual<'_, S> {
                     request,
                     Outcome::Reject {
                         reason: RejectReason::CapacityGate,
-                        dual_cost: best_unrestricted,
-                        margin: best_unrestricted.map(|c| request.payment() - c),
+                        dual_cost: Some(min_cost),
+                        margin: Some(request.payment() - min_cost),
                     },
                 );
             }
@@ -661,69 +671,142 @@ mod tests {
         }
     }
 
-    /// What the ascending `(cost, id)` draw decides for `request` on
-    /// `alg`'s current prices and ledger: sort the eligible keys, take
-    /// the first that passes the gate. Returns the decision, the
-    /// counters `decide` must show afterwards, and whether the selection
-    /// went past the unrestricted minimum or broke an exact cost tie.
-    fn ordered_draw(
-        alg: &OnsitePrimalDual<'_>,
-        request: &Request,
-    ) -> (Decision, RejectionCounters, bool, bool) {
-        let compute = alg.instance.catalog().get(request.vnf()).unwrap().compute() as f64;
-        let (first, last) = (request.arrival(), request.end_slot());
-        let mut keys: Vec<(f64, usize, u32, f64)> = (0..alg.instance.cloudlet_count())
-            .filter_map(|j| {
-                let n = alg.instance.onsite_instances_for(
-                    request.vnf(),
-                    CloudletId(j),
-                    request.reliability_requirement(),
-                )?;
-                let weight = f64::from(n) * compute;
-                Some((weight * alg.prices.window_sum(j, first, last), j, n, weight))
-            })
-            .collect();
-        keys.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        let mut counters = alg.rejections;
-        let Some(&(min_cost, ..)) = keys.first() else {
-            counters.no_eligible_cloudlet += 1;
-            return (Decision::Reject, counters, false, false);
-        };
-        if request.payment() - min_cost <= 0.0 {
-            counters.payment_test += 1;
-            return (Decision::Reject, counters, false, false);
+    /// A test-only Algorithm 1 over its own prices and ledger: `N_ij` by
+    /// the definition (linear search, not the instance's table), every
+    /// eligible key sorted by `(cost, id)`, the first one passing the gate
+    /// by the ledger's per-slot `fits`.
+    struct Reference<'a> {
+        instance: &'a ProblemInstance,
+        policy: CapacityPolicy,
+        prices: DualPrices,
+        ledger: CapacityLedger,
+        sum_delta: f64,
+        rejections: RejectionCounters,
+    }
+
+    /// What the reference's decisions went through, summed over streams.
+    #[derive(Debug, Default)]
+    struct Coverage {
+        /// Selections past the unrestricted minimum.
+        past_minimum: usize,
+        /// Selections that broke an exact cost tie.
+        ties: usize,
+        /// Selections after a cheaper key that had no room at the
+        /// arrival slot: the candidates the scheduler's filter drops.
+        dropped_cheaper: usize,
+    }
+
+    impl<'a> Reference<'a> {
+        fn new(instance: &'a ProblemInstance, policy: CapacityPolicy) -> Self {
+            Reference {
+                instance,
+                policy,
+                prices: DualPrices::new(instance.cloudlet_count(), instance.horizon().len()),
+                ledger: CapacityLedger::new(instance.network(), instance.horizon()),
+                sum_delta: 0.0,
+                rejections: RejectionCounters::default(),
+            }
         }
-        let drawn = keys.iter().position(|&(_, j, _, weight)| {
-            let gate = match alg.policy {
+
+        fn dual_objective(&self) -> f64 {
+            let lambda_part: f64 = (0..self.prices.cloudlet_count())
+                .map(|j| self.ledger.capacity(CloudletId(j)) * self.prices.row_total(j))
+                .sum();
+            lambda_part + self.sum_delta
+        }
+
+        /// Decides `request`. With the decision come, when the request
+        /// reached the capacity gate, the ids of the eligible cloudlets
+        /// with room at the arrival slot: the candidates the scheduler
+        /// must have kept.
+        fn decide(
+            &mut self,
+            request: &Request,
+            seen: &mut Coverage,
+        ) -> (Decision, Option<Vec<u32>>) {
+            use crate::reliability::onsite_instances_by_search;
+            let vnf = self.instance.catalog().get(request.vnf()).unwrap();
+            let compute = vnf.compute() as f64;
+            let (first, last) = (request.arrival(), request.end_slot());
+            let mut keys: Vec<(f64, usize, u32, f64)> = self
+                .instance
+                .network()
+                .cloudlets()
+                .filter_map(|c| {
+                    let n = onsite_instances_by_search(
+                        vnf.reliability(),
+                        c.reliability(),
+                        request.reliability_requirement(),
+                    )?;
+                    let (j, weight) = (c.id().index(), f64::from(n) * compute);
+                    Some((
+                        weight * self.prices.window_sum(j, first, last),
+                        j,
+                        n,
+                        weight,
+                    ))
+                })
+                .collect();
+            keys.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            let Some(&(min_cost, ..)) = keys.first() else {
+                self.rejections.no_eligible_cloudlet += 1;
+                return (Decision::Reject, None);
+            };
+            self.sum_delta += (request.payment() - min_cost).max(0.0);
+            if request.payment() - min_cost <= 0.0 {
+                self.rejections.payment_test += 1;
+                return (Decision::Reject, None);
+            }
+            let gate = |weight: f64| match self.policy {
                 CapacityPolicy::Enforce => weight,
                 CapacityPolicy::AllowViolations => 0.0,
                 CapacityPolicy::Scaled(s) => weight * s,
             };
-            gate <= 0.0 || alg.ledger.fits(CloudletId(j), first..=last, gate)
-        });
-        let Some(at) = drawn else {
-            counters.capacity_gate += 1;
-            return (Decision::Reject, counters, true, false);
-        };
-        let (cost, j, n, _) = keys[at];
-        let tie = keys.iter().filter(|k| k.0 == cost).count() > 1;
-        if request.payment() - cost <= 0.0 {
-            counters.payment_test += 1;
-            return (Decision::Reject, counters, at > 0, tie);
+            let ledger = &self.ledger;
+            let fits = |j: usize, slots: std::ops::RangeInclusive<usize>, weight: f64| {
+                gate(weight) <= 0.0 || ledger.fits(CloudletId(j), slots, gate(weight))
+            };
+            let mut candidates: Vec<u32> = keys
+                .iter()
+                .filter(|k| fits(k.1, first..=first, k.3))
+                .map(|k| k.1 as u32)
+                .collect();
+            candidates.sort_unstable();
+            let Some(at) = keys.iter().position(|k| fits(k.1, first..=last, k.3)) else {
+                self.rejections.capacity_gate += 1;
+                return (Decision::Reject, Some(candidates));
+            };
+            let (cost, j, n, weight) = keys[at];
+            seen.past_minimum += usize::from(at > 0);
+            seen.ties += usize::from(keys.iter().filter(|k| k.0 == cost).count() > 1);
+            seen.dropped_cheaper +=
+                usize::from(keys[..at].iter().any(|k| !fits(k.1, first..=first, k.3)));
+            if request.payment() - cost <= 0.0 {
+                self.rejections.payment_test += 1;
+                return (Decision::Reject, Some(candidates));
+            }
+            self.ledger.charge(CloudletId(j), first..=last, weight);
+            let cap = self.ledger.capacity(CloudletId(j));
+            let (d, pay) = (request.duration() as f64, request.payment());
+            self.prices.update_window(j, first, last, |l| {
+                l * (1.0 + weight / cap) + weight * pay / (d * cap)
+            });
+            let placement = Placement::OnSite {
+                cloudlet: CloudletId(j),
+                instances: n,
+            };
+            (Decision::Admit(placement), Some(candidates))
         }
-        let placement = Placement::OnSite {
-            cloudlet: CloudletId(j),
-            instances: n,
-        };
-        (Decision::Admit(placement), counters, at > 0, tie)
     }
 
-    /// Runs a random stream through Algorithm 1 on a partly saturated
-    /// ledger with price plateaus shared by twin cloudlets (exact cost
-    /// ties, at zero and above it), holding every decision and the
-    /// counters to [`ordered_draw`]. Returns how many selections went
-    /// past the unrestricted minimum and how many broke a tie.
-    fn selection_matches_ordered_draw(seed: u64, policy: CapacityPolicy) -> (usize, usize) {
+    /// Runs a random stream through Algorithm 1 and the [`Reference`] in
+    /// lockstep, on partly saturated ledgers (some cloudlets full at
+    /// arrival slots) with price plateaus shared by twin cloudlets (exact
+    /// cost ties, at zero and above it). After every request the
+    /// decision, the gate candidates, the counters, `dual_objective` and
+    /// the `λ` and `used` grids must agree to the bit. Some requirements sit exactly on a
+    /// rung of the availability table.
+    fn matches_the_reference(seed: u64, policy: CapacityPolicy, seen: &mut Coverage) {
         const T: usize = 24;
         // Twins (equal capacity and reliability, hence equal `N_ij`)
         // price alike until an admission tells them apart.
@@ -739,6 +822,7 @@ mod tests {
             T,
         );
         let mut alg = OnsitePrimalDual::new(&inst, policy).unwrap();
+        let mut reference = Reference::new(&inst, policy);
         let mut state = seed | 1;
         let mut next = move || {
             state ^= state << 13;
@@ -757,6 +841,9 @@ mod tests {
             let (first, last) = window(&mut next);
             let amount = (1 + next() % 8) as f64;
             alg.ledger.charge_window(CloudletId(j), first, last, amount);
+            reference
+                .ledger
+                .charge_window(CloudletId(j), first, last, amount);
         }
         for _ in 0..4 {
             let (first, last) = window(&mut next);
@@ -764,28 +851,58 @@ mod tests {
             let twins: &[usize] = if next() % 2 == 0 { &[0, 1, 5] } else { &[2, 3] };
             for &j in twins {
                 alg.prices.update_window(j, first, last, |_| price);
+                reference.prices.update_window(j, first, last, |_| price);
             }
         }
-        let (mut past_minimum, mut ties) = (0, 0);
         for id in 0..80 {
             let (first, last) = window(&mut next);
+            let vnf = VnfTypeId((next() % 10) as usize);
+            let requirement = match next() % 5 {
+                4 => {
+                    // Exactly on rung 1–3 of one of the cloudlets.
+                    let c = inst.network().cloudlet(CloudletId((next() % 6) as usize));
+                    let rf = inst.catalog().get(vnf).unwrap().reliability();
+                    let n = 1 + (next() % 3) as u32;
+                    crate::reliability::onsite_availability(rf, c.unwrap().reliability(), n)
+                }
+                k => [0.9, 0.96, 0.98, 0.996][k as usize],
+            };
             let r = Request::new(
                 RequestId(id),
-                VnfTypeId((next() % 10) as usize),
-                rel([0.9, 0.96, 0.98, 0.996][(next() % 4) as usize]),
+                vnf,
+                rel(requirement),
                 first,
                 last - first + 1,
                 (1 + next() % 40) as f64 / 4.0,
                 Horizon::new(T),
             )
             .unwrap();
-            let (decision, counters, past, tie) = ordered_draw(&alg, &r);
-            assert_eq!(alg.decide(&r), decision, "seed {seed} request {id}");
-            assert_eq!(alg.rejections(), counters, "seed {seed} request {id}");
-            past_minimum += usize::from(past);
-            ties += usize::from(tie);
+            let at = format!("seed {seed}, {policy:?}, request {id}");
+            let (decision, candidates) = reference.decide(&r, seen);
+            assert_eq!(alg.decide(&r), decision, "{at}");
+            if let Some(candidates) = candidates {
+                let mut kept: Vec<u32> = alg.keys.iter().map(|k| k.1).collect();
+                kept.sort_unstable();
+                assert_eq!(kept, candidates, "gate candidates, {at}");
+            }
+            assert_eq!(alg.rejections(), reference.rejections, "{at}");
+            assert_eq!(
+                alg.dual_objective().to_bits(),
+                reference.dual_objective().to_bits(),
+                "{at}"
+            );
+            let bits = |grid: &[f64]| grid.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(alg.prices.values()),
+                bits(reference.prices.values()),
+                "{at}"
+            );
+            assert_eq!(
+                bits(alg.ledger.used_grid()),
+                bits(reference.ledger.used_grid()),
+                "{at}"
+            );
         }
-        (past_minimum, ties)
     }
 
     const POLICIES: [CapacityPolicy; 3] = [
@@ -797,20 +914,17 @@ mod tests {
     #[test]
     fn selection_streams_reach_the_fallback_pass_and_exact_ties() {
         for policy in POLICIES {
-            let (mut past_minimum, mut ties) = (0, 0);
+            let mut seen = Coverage::default();
             for seed in 0..32 {
-                let (p, t) = selection_matches_ordered_draw(seed * 0x9E37_79B9 + 1, policy);
-                past_minimum += p;
-                ties += t;
+                matches_the_reference(seed * 0x9E37_79B9 + 1, policy, &mut seen);
             }
-            assert!(ties > 100, "{policy:?}: {ties} tied selections");
+            assert!(seen.ties > 100, "{policy:?}: {seen:?}");
             if policy == CapacityPolicy::AllowViolations {
-                assert_eq!(past_minimum, 0, "no gate, no second candidate");
+                assert_eq!(seen.past_minimum, 0, "no gate, no second candidate");
+                assert_eq!(seen.dropped_cheaper, 0, "no gate, nothing dropped");
             } else {
-                assert!(
-                    past_minimum > 100,
-                    "{policy:?}: {past_minimum} past the minimum"
-                );
+                assert!(seen.past_minimum > 100, "{policy:?}: {seen:?}");
+                assert!(seen.dropped_cheaper > 100, "{policy:?}: {seen:?}");
             }
         }
     }
@@ -818,15 +932,16 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
 
-        /// The argmin selection decides what the ascending `(cost, id)`
-        /// draw decides — decision, placement and rejection counters —
-        /// under every capacity policy.
+        /// Algorithm 1 — table `N_ij`, slot-filtered candidates, argmin
+        /// selection — decides what the sorted first fit over
+        /// definition `N_ij` decides, with the same counters, dual
+        /// objective and grids, under every capacity policy.
         #[test]
         fn selection_is_the_first_gated_key_in_cost_id_order(
             seed in 0u64..u64::MAX,
             policy in 0usize..3,
         ) {
-            selection_matches_ordered_draw(seed, POLICIES[policy]);
+            matches_the_reference(seed, POLICIES[policy], &mut Coverage::default());
         }
     }
 

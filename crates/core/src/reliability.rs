@@ -44,14 +44,33 @@ pub fn onsite_instances(vnf: Reliability, cloudlet: Reliability, req: Reliabilit
     // N = ⌈ ln(1 − R/r_c) / ln(1 − r_f) ⌉, both logs negative.
     let target = 1.0 - req.value() / cloudlet.value(); // in (0, 1)
     let n = (target.ln() / vnf.ln_failure()).ceil();
-    // Guard against the exact-boundary case where floating-point division
-    // lands a hair below the true integer; verify and bump if needed.
+    // The division can land a hair off the true integer either way: below
+    // it (too few instances: step up) or, when `req` sits exactly on a
+    // rung, above it (one too many: step down). Verify both ways.
     let mut n = n.max(1.0) as u32;
     while onsite_availability(vnf, cloudlet, n) < req.value() {
         n += 1;
         debug_assert!(n < 10_000, "runaway replica count");
     }
+    while n > 1 && onsite_availability(vnf, cloudlet, n - 1) >= req.value() {
+        n -= 1;
+    }
     Some(n)
+}
+
+/// [`onsite_instances`] by its definition: the least `n` with
+/// `onsite_availability(n) ≥ R`, found by linear search. The oracle the
+/// table lookups and the closed form are tested against.
+#[cfg(test)]
+pub(crate) fn onsite_instances_by_search(
+    vnf: Reliability,
+    cloudlet: Reliability,
+    req: Reliability,
+) -> Option<u32> {
+    if cloudlet.value() <= req.value() {
+        return None;
+    }
+    (1..).find(|&n| onsite_availability(vnf, cloudlet, n) >= req.value())
 }
 
 /// Availability of an off-site placement across the given cloudlets
@@ -136,6 +155,40 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn onsite_instances_is_minimal_on_a_rung() {
+        // r_f 0.995, r_c 0.99: the requirement equal to the 5-instance
+        // rung takes exactly 5 instances, not 6.
+        let (vnf, c) = (rel(0.995), rel(0.99));
+        let rung = rel(onsite_availability(vnf, c, 5));
+        assert_eq!(onsite_instances(vnf, c, rung), Some(5));
+        // Every rung 1–5 of the ten standard VNF types over 2 000 cloudlet
+        // reliabilities in [0.99, 0.9999), and one ulp either side.
+        let mut rung_cases = 0;
+        for vnf in mec_workload::VnfCatalog::standard().iter() {
+            let vnf = vnf.reliability();
+            for i in 0..2000 {
+                let c = rel(0.99 + 0.0099 * f64::from(i) / 2000.0);
+                for n in 1..=5 {
+                    let a = onsite_availability(vnf, c, n);
+                    for r in [a.next_down(), a, a.next_up()] {
+                        if let Ok(req) = Reliability::new(r) {
+                            assert_eq!(
+                                onsite_instances(vnf, c, req),
+                                onsite_instances_by_search(vnf, c, req),
+                                "r_f {}, r_c {}, R {r:e} (rung {n})",
+                                vnf.value(),
+                                c.value()
+                            );
+                            rung_cases += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(rung_cases, 300_000);
     }
 
     #[test]
