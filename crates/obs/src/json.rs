@@ -1,14 +1,17 @@
 //! The workspace's one JSON layer: a streaming [`JsonWriter`], a
 //! [`JsonValue`] tree with a strict parser, a named-[`Field`] reader
-//! over that tree, and the [`TraceEvent`] JSONL codec built on them.
+//! over that tree, a tree-free reader of one object's fields
+//! ([`visit_fields`]) over the same tokenizer, and the [`TraceEvent`]
+//! JSONL codec built on them.
 //!
 //! The workspace deliberately carries no serde dependency. Every JSON
 //! line it writes — trace events, metrics JSONL, the `mec-serve` wire
 //! and replication frames, `/status` and snapshots — goes through
 //! [`JsonWriter`], and every object it reads goes through
-//! [`JsonValue::field`]. The schema is versioned by field names only;
-//! `tests/json_wire.rs` pins the bytes of every message for downstream
-//! tooling.
+//! [`JsonValue::field`], except the serve wire's single submit line,
+//! which [`visit_fields`] reads without building a tree. The schema is
+//! versioned by field names only; `tests/json_wire.rs` pins the bytes
+//! of every message for downstream tooling.
 //!
 //! Conventions:
 //! - one value per line, no pretty printing;
@@ -23,6 +26,7 @@
 //!   decimal point; it is the spelling of the serve wire, `/status` and
 //!   snapshots, while traces and metrics use [`JsonWriter::float`].
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 use crate::event::{
@@ -602,7 +606,7 @@ impl JsonValue {
     /// an object).
     pub fn field<'a>(&'a self, key: &'a str) -> Result<Field<'a>, ParseError> {
         self.opt_field(key)
-            .ok_or_else(|| field_error(format!("missing field '{key}'")))
+            .ok_or_else(|| ParseError::missing_field(key))
     }
 
     /// The field `key` of this object when present, for optional fields.
@@ -621,12 +625,11 @@ impl JsonValue {
         }
     }
 
-    /// The value as a non-negative integer, rejecting fractional numbers.
+    /// The value as a non-negative integer, rejecting fractional numbers
+    /// and anything from `2^usize::BITS` up.
     pub fn as_usize(&self) -> Option<usize> {
         match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= usize::MAX as f64 => {
-                Some(*n as usize)
-            }
+            Json::Num(n) => float_usize(*n),
             _ => None,
         }
     }
@@ -676,6 +679,28 @@ fn field_error(message: String) -> ParseError {
     }
 }
 
+impl ParseError {
+    /// The error of a required field `key` that is absent, as every
+    /// field reader words it.
+    pub fn missing_field(key: &str) -> Self {
+        field_error(format!("missing field '{key}'"))
+    }
+
+    /// The error of a field `key` that is not `what`, as every field
+    /// reader words it.
+    pub fn wrong_type(key: &str, what: &str) -> Self {
+        field_error(format!("field '{key}' must be {what}"))
+    }
+}
+
+/// `2^usize::BITS`, exactly: `usize::MAX as f64` rounds up to it, so the
+/// bound on an integral float is strict.
+const USIZE_END: f64 = 2.0 * (1usize << (usize::BITS - 1)) as f64;
+
+fn float_usize(n: f64) -> Option<usize> {
+    (n >= 0.0 && n.fract() == 0.0 && n < USIZE_END).then_some(n as usize)
+}
+
 /// One named value read out of a JSON object, or one element of a named
 /// array. Every typed read fails with a [`ParseError`] that names the
 /// field, so decoders state only which fields they need.
@@ -687,7 +712,7 @@ pub struct Field<'a> {
 
 impl<'a> Field<'a> {
     fn wrong(self, what: &str) -> ParseError {
-        field_error(format!("field '{}' must be {what}", self.key))
+        ParseError::wrong_type(self.key, what)
     }
 
     /// The raw value.
@@ -829,23 +854,126 @@ impl<'a> Field<'a> {
 pub fn parse_value(text: &str) -> Result<JsonValue, ParseError> {
     let mut parser = Parser::new(text);
     let value = parser.value()?;
-    parser.skip_ws();
-    if parser.pos != parser.bytes.len() {
-        return parser.err("trailing garbage after JSON value");
-    }
+    parser.finish()?;
     Ok(value)
 }
 
+/// Reads one complete JSON value as [`parse_value`] does — the same
+/// grammar, the same syntax errors at the same offsets — but builds no
+/// tree: when the value is an object, `visit` gets each member's key
+/// and value in order, and nested containers are checked and skipped.
+/// A value that is not an object visits nothing. A well-formed line
+/// allocates nothing unless a key or string holds an escape.
+///
+/// # Errors
+///
+/// Returns a [`ParseError`] describing the first malformed byte; the
+/// members before it have been visited.
+pub fn visit_fields<'a>(
+    text: &'a str,
+    mut visit: impl FnMut(&str, Scalar<'a>),
+) -> Result<(), ParseError> {
+    let mut parser = Parser::new(text);
+    parser.skip_ws();
+    if parser.peek() == Some(b'{') {
+        parser.members(|p, key| {
+            visit(&key, p.skip()?);
+            Ok(())
+        })?;
+    } else {
+        parser.skip()?;
+    }
+    parser.finish()
+}
+
+/// A value as [`visit_fields`] hands it over: a scalar, decoded, or the
+/// kind of a container that was read and checked but not built.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Scalar<'a> {
+    /// `null`.
+    Null,
+    /// `true` / `false`.
+    Bool(bool),
+    /// A number token of digits only that fits a `u64`, read exactly.
+    Uint(u64),
+    /// Any other number token.
+    Num(f64),
+    /// A string, borrowed from the input unless it held an escape.
+    Str(Cow<'a, str>),
+    /// An array.
+    Arr,
+    /// An object.
+    Obj,
+}
+
+impl Scalar<'_> {
+    /// The value as a non-negative integer: a digits-only token exactly,
+    /// any other number under [`JsonValue::as_usize`]'s rule.
+    pub fn as_usize(&self) -> Option<usize> {
+        match self {
+            Scalar::Uint(n) => usize::try_from(*n).ok(),
+            Scalar::Num(n) => float_usize(*n),
+            _ => None,
+        }
+    }
+
+    /// The value as a float, `null` as NaN, as [`JsonValue::as_f64`].
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            // Correctly rounded, as parsing the token as `f64` is.
+            Scalar::Uint(n) => Some(*n as f64),
+            Scalar::Num(n) => Some(*n),
+            Scalar::Null => Some(f64::NAN),
+            _ => None,
+        }
+    }
+
+    /// The value as a string slice.
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            Scalar::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+}
+
+/// Reads the ASCII digits from `bytes[*pos]` on, advancing `pos` past
+/// each one read, and returns their value; `None` when it would not fit
+/// a `u64`, with `pos` left at the digit that overflowed. The one exact
+/// integer read: JSON number tokens and the v3 batch scanner both use it.
+#[inline]
+pub fn read_digits(bytes: &[u8], pos: &mut usize) -> Option<u64> {
+    let mut value = 0u64;
+    while let Some(&b) = bytes.get(*pos) {
+        let d = b.wrapping_sub(b'0');
+        if d >= 10 {
+            break;
+        }
+        value = value.checked_mul(10)?.checked_add(u64::from(d))?;
+        *pos += 1;
+    }
+    Some(value)
+}
+
+/// How deep arrays and objects may nest. Every message this workspace
+/// writes nests at most three levels.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Containers open at `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
     fn new(s: &'a str) -> Self {
         Parser {
+            text: s,
             bytes: s.as_bytes(),
             pos: 0,
+            depth: 0,
         }
     }
 
@@ -879,21 +1007,73 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self) -> Result<Json, ParseError> {
+    /// Only whitespace may follow the value.
+    fn finish(&mut self) -> Result<(), ParseError> {
+        self.skip_ws();
+        if self.pos != self.bytes.len() {
+            return self.err("trailing garbage after JSON value");
+        }
+        Ok(())
+    }
+
+    /// The next value's first token: a scalar, read whole, or the kind
+    /// of a container, whose opening bracket is left for
+    /// [`elements`](Self::elements) or [`members`](Self::members).
+    fn token(&mut self) -> Result<Scalar<'a>, ParseError> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
+            Some(b'{') => Ok(Scalar::Obj),
+            Some(b'[') => Ok(Scalar::Arr),
+            Some(b'"') => self.string().map(Scalar::Str),
+            Some(b't') => self.literal("true", Scalar::Bool(true)),
+            Some(b'f') => self.literal("false", Scalar::Bool(false)),
+            Some(b'n') => self.literal("null", Scalar::Null),
             Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
             _ => self.err("expected a JSON value"),
         }
     }
 
-    fn literal(&mut self, lit: &str, value: Json) -> Result<Json, ParseError> {
+    /// Reads one value into a tree.
+    fn value(&mut self) -> Result<Json, ParseError> {
+        Ok(match self.token()? {
+            Scalar::Null => Json::Null,
+            Scalar::Bool(b) => Json::Bool(b),
+            // Rounds as parsing the token as `f64` does.
+            Scalar::Uint(n) => Json::Num(n as f64),
+            Scalar::Num(n) => Json::Num(n),
+            Scalar::Str(s) => Json::Str(s.into_owned()),
+            Scalar::Arr => {
+                let mut items = Vec::new();
+                self.elements(|p| {
+                    items.push(p.value()?);
+                    Ok(())
+                })?;
+                Json::Arr(items)
+            }
+            Scalar::Obj => {
+                let mut fields = Vec::new();
+                self.members(|p, key| {
+                    fields.push((key.into_owned(), p.value()?));
+                    Ok(())
+                })?;
+                Json::Obj(fields)
+            }
+        })
+    }
+
+    /// Reads one value and builds nothing: a container is checked to its
+    /// end and comes back as its kind.
+    fn skip(&mut self) -> Result<Scalar<'a>, ParseError> {
+        let token = self.token()?;
+        match token {
+            Scalar::Arr => self.elements(|p| p.skip().map(drop))?,
+            Scalar::Obj => self.members(|p, _| p.skip().map(drop))?,
+            _ => {}
+        }
+        Ok(token)
+    }
+
+    fn literal(&mut self, lit: &str, value: Scalar<'a>) -> Result<Scalar<'a>, ParseError> {
         if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
             self.pos += lit.len();
             Ok(value)
@@ -902,8 +1082,10 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn number(&mut self) -> Result<Json, ParseError> {
+    fn number(&mut self) -> Result<Scalar<'a>, ParseError> {
         let start = self.pos;
+        let exact = read_digits(self.bytes, &mut self.pos);
+        let digits_end = self.pos;
         while let Some(b) = self.peek() {
             if b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E') {
                 self.pos += 1;
@@ -911,24 +1093,38 @@ impl<'a> Parser<'a> {
                 break;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii slice");
-        match text.parse::<f64>() {
-            Ok(v) => Ok(Json::Num(v)),
+        if self.pos == digits_end && digits_end > start {
+            if let Some(n) = exact {
+                return Ok(Scalar::Uint(n));
+            }
+        }
+        match self.text[start..self.pos].parse::<f64>() {
+            Ok(v) => Ok(Scalar::Num(v)),
             Err(_) => self.err("malformed number"),
         }
     }
 
-    fn string(&mut self) -> Result<String, ParseError> {
+    /// A string, borrowed from the input when it holds no escape.
+    fn string(&mut self) -> Result<Cow<'a, str>, ParseError> {
         self.expect(b'"')?;
+        // Every escape pushes a char, so `out` is empty until the first.
         let mut out = String::new();
         loop {
+            let run = self.run_end();
+            let plain = &self.text[self.pos..run];
+            self.pos = run;
             match self.peek() {
                 None => return self.err("unterminated string"),
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    if out.is_empty() {
+                        return Ok(Cow::Borrowed(plain));
+                    }
+                    out.push_str(plain);
+                    return Ok(Cow::Owned(out));
                 }
-                Some(b'\\') => {
+                Some(_) => {
+                    out.push_str(plain);
                     self.pos += 1;
                     match self.peek() {
                         Some(b'"') => out.push('"'),
@@ -954,31 +1150,46 @@ impl<'a> Parser<'a> {
                     }
                     self.pos += 1;
                 }
-                Some(_) => {
-                    // Consume one whole UTF-8 scalar.
-                    let rest =
-                        std::str::from_utf8(&self.bytes[self.pos..]).map_err(|_| ParseError {
-                            message: "invalid utf-8".to_string(),
-                            offset: Some(self.pos),
-                        })?;
-                    let ch = rest.chars().next().expect("non-empty");
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
-                }
             }
         }
     }
 
-    fn array(&mut self) -> Result<Json, ParseError> {
+    /// Where the unescaped run of a string starting here ends: at the
+    /// next quote or backslash, both ASCII and so on a char boundary, or
+    /// at the end of the input.
+    fn run_end(&self) -> usize {
+        self.bytes[self.pos..]
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\')
+            .map_or(self.bytes.len(), |i| self.pos + i)
+    }
+
+    /// Enters one more container. Reading recurses once per level, so
+    /// the depth is bounded: a line of a million `[` would otherwise
+    /// overflow the reading thread's stack and abort the process.
+    fn descend(&mut self) -> Result<(), ParseError> {
+        if self.depth == MAX_DEPTH {
+            return self.err(&format!("nested deeper than {MAX_DEPTH} levels"));
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
+    /// Reads an array, handing each element to `element` to read.
+    fn elements(
+        &mut self,
+        mut element: impl FnMut(&mut Self) -> Result<(), ParseError>,
+    ) -> Result<(), ParseError> {
+        self.descend()?;
         self.expect(b'[')?;
-        let mut items = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.pos += 1;
-            return Ok(Json::Arr(items));
+            self.depth -= 1;
+            return Ok(());
         }
         loop {
-            items.push(self.value()?);
+            element(self)?;
             self.skip_ws();
             match self.peek() {
                 Some(b',') => {
@@ -986,28 +1197,33 @@ impl<'a> Parser<'a> {
                 }
                 Some(b']') => {
                     self.pos += 1;
-                    return Ok(Json::Arr(items));
+                    self.depth -= 1;
+                    return Ok(());
                 }
                 _ => return self.err("expected ',' or ']'"),
             }
         }
     }
 
-    fn object(&mut self) -> Result<Json, ParseError> {
+    /// Reads an object, handing each key to `member` to read its value.
+    fn members(
+        &mut self,
+        mut member: impl FnMut(&mut Self, Cow<'a, str>) -> Result<(), ParseError>,
+    ) -> Result<(), ParseError> {
+        self.descend()?;
         self.expect(b'{')?;
-        let mut fields = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(Json::Obj(fields));
+            self.depth -= 1;
+            return Ok(());
         }
         loop {
             self.skip_ws();
             let key = self.string()?;
             self.skip_ws();
             self.expect(b':')?;
-            let value = self.value()?;
-            fields.push((key, value));
+            member(self, key)?;
             self.skip_ws();
             match self.peek() {
                 Some(b',') => {
@@ -1015,7 +1231,8 @@ impl<'a> Parser<'a> {
                 }
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(Json::Obj(fields));
+                    self.depth -= 1;
+                    return Ok(());
                 }
                 _ => return self.err("expected ',' or '}'"),
             }
@@ -1480,6 +1697,9 @@ mod tests {
         assert_eq!(back.get("type").unwrap().as_str(), Some("snapshot"));
         assert_eq!(back.get("missing"), None);
         assert_eq!(JsonValue::Num(1.5).as_usize(), None);
+        // `usize::MAX as f64` is 2^64 itself, so the bound is strict.
+        assert_eq!(JsonValue::Num(usize::MAX as f64).as_usize(), None);
+        assert_eq!(JsonValue::Num(2f64.powi(63)).as_usize(), Some(1 << 63));
         assert_eq!(JsonValue::Num(f64::NAN).encode(), "null");
         assert!(parse_value("{} extra").is_err());
         assert!(parse_value("[1,").is_err());
@@ -1663,6 +1883,71 @@ mod tests {
         JsonWriter::new(&mut out).str(&text);
         assert!(!out.chars().any(char::is_control), "{out:?}");
         assert_eq!(parse_value(&out).unwrap().as_str(), Some(text.as_str()));
+    }
+
+    #[test]
+    fn visit_fields_reads_what_parse_value_reads() {
+        let texts = [
+            "{\"a\":1,\"b\":\"x\\ny\",\"c\":[1,{\"d\":null}],\"e\":{},\"a\":-2.5e3}",
+            " { \"k\" : true , \"\\u0069d\" : 12.0 , \"n\" : null } ",
+            "[1,2]",
+            "\"top\"",
+            "{\"a\":1,}",
+            "{\"a\":[1,}",
+            "{\"a\":\"unterminated}",
+            "{\"a\":1} x",
+            "",
+        ];
+        for text in texts {
+            let mut seen = Vec::new();
+            let visited = visit_fields(text, |key, value| seen.push((key.to_string(), value)));
+            let tree = match parse_value(text) {
+                Ok(tree) => tree,
+                Err(e) => {
+                    assert_eq!(visited.unwrap_err(), e, "{text}");
+                    continue;
+                }
+            };
+            visited.unwrap();
+            let fields = match tree {
+                Json::Obj(fields) => fields,
+                _ => Vec::new(),
+            };
+            assert_eq!(seen.len(), fields.len(), "{text}");
+            for ((key, value), (tree_key, tree_value)) in seen.iter().zip(&fields) {
+                assert_eq!(key, tree_key);
+                match (value, tree_value) {
+                    (Scalar::Arr, Json::Arr(_)) | (Scalar::Obj, Json::Obj(_)) => {}
+                    (Scalar::Str(s), Json::Str(t)) => assert_eq!(s, t),
+                    (Scalar::Bool(b), Json::Bool(c)) => assert_eq!(b, c),
+                    (Scalar::Null, Json::Null) => {}
+                    (value, Json::Num(n)) => assert_eq!(value.as_f64(), Some(*n)),
+                    other => panic!("{text}: {other:?}"),
+                }
+            }
+        }
+        // Escape-free strings are borrowed; digits-only tokens are exact.
+        let mut seen = Vec::new();
+        let text = "{\"s\":\"plain\",\"e\":\"a\\tb\",\"big\":9007199254740993,\
+                    \"past\":18446744073709551616,\"f\":12.0}";
+        visit_fields(text, |_, value| seen.push(value)).unwrap();
+        assert!(matches!(&seen[0], Scalar::Str(Cow::Borrowed("plain"))));
+        assert!(matches!(&seen[1], Scalar::Str(Cow::Owned(s)) if s == "a\tb"));
+        assert_eq!(seen[2], Scalar::Uint(9_007_199_254_740_993));
+        assert_eq!(seen[2].as_usize(), Some(9_007_199_254_740_993));
+        assert_eq!(seen[3], Scalar::Num(18_446_744_073_709_551_616.0));
+        assert_eq!(seen[3].as_usize(), None);
+        assert_eq!(seen[4], Scalar::Num(12.0));
+        assert_eq!(seen[4].as_usize(), Some(12));
+    }
+
+    #[test]
+    fn read_digits_stops_at_the_first_non_digit_and_flags_overflow() {
+        let read = |bytes: &[u8], mut pos: usize| (read_digits(bytes, &mut pos), pos);
+        assert_eq!(read(b"x123,", 1), (Some(123), 4));
+        assert_eq!(read(b"", 0), (Some(0), 0));
+        assert_eq!(read(b"18446744073709551615]", 0), (Some(u64::MAX), 20));
+        assert_eq!(read(b"18446744073709551616]", 0), (None, 19));
     }
 
     #[test]

@@ -32,8 +32,8 @@ pub use event::{
     DecisionEvent, Outcome, RejectReason, SitePlacement, TraceEvent,
 };
 pub use json::{
-    event_from_value, parse_line, parse_trace, parse_value, to_json, write_decision, Field,
-    JsonValue, JsonWriter, ParseError,
+    event_from_value, parse_line, parse_trace, parse_value, read_digits, to_json, visit_fields,
+    write_decision, Field, JsonValue, JsonWriter, ParseError, Scalar,
 };
 pub use metrics::{
     DecisionMetricIds, MetricId, MetricsRegistry, MetricsShard, MetricsSink, DUAL_COST_BUCKETS,

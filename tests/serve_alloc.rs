@@ -12,9 +12,10 @@
 //! The second test carries the audit through a live daemon: the same
 //! frames through socket, worker, lane queue, `decide()` and reply
 //! buffer of an in-process one-lane daemon must allocate per *frame*,
-//! never per decision.
+//! never per decision. The third pins what one v2 single-request line
+//! costs through the same daemon.
 //!
-//! The two tests share one lock so neither allocates inside the other's
+//! The tests share one lock so none allocates inside another's
 //! measured window.
 
 #[path = "serve_common.rs"]
@@ -26,8 +27,9 @@ use std::sync::Mutex;
 
 use mec_obs::{record_stage, NoopSink, PipelineStage, StageClock};
 use mec_serve::{
-    encode_batch_into, encode_batch_reply_into, parse_batch_into, parse_batch_reply_into,
-    ControlAction, LineClient, SubmitRequest, BATCH_ADMIT, BATCH_OVERLOAD, BATCH_REJECT, MAX_BATCH,
+    encode_batch_into, encode_batch_reply_into, encode_client, parse_batch_into,
+    parse_batch_reply_into, ClientMsg, ControlAction, LineClient, SubmitRequest, BATCH_ADMIT,
+    BATCH_OVERLOAD, BATCH_REJECT, MAX_BATCH,
 };
 
 struct CountingAlloc;
@@ -136,6 +138,69 @@ fn steady_state_batch_codec_is_allocation_free() {
     );
 }
 
+/// A one-lane daemon whose fleet the same thousand requests, sent in
+/// max-size frames over and over, have filled: from here on it rejects
+/// every request. The warm-up is over once two whole frames were
+/// rejected, which also sizes every reusable buffer on both sides of
+/// the socket.
+struct FullDaemon {
+    conn: LineClient,
+    daemon: std::thread::JoinHandle<Result<mec_serve::ShardedReport, mec_serve::ServeError>>,
+    reqs: Vec<SubmitRequest>,
+    frame: String,
+    codes: Vec<u8>,
+    /// Sequence number of the next frame.
+    seq: u64,
+}
+
+impl FullDaemon {
+    fn start() -> Self {
+        let (instance, template) = common::scenario(MAX_BATCH, 90);
+        let (addr, daemon) =
+            common::spawn_sharded(instance, vnfrel::Scheme::OffSite, common::sharded_config(1));
+        let mut full = FullDaemon {
+            conn: LineClient::connect(addr).unwrap(),
+            daemon,
+            reqs: template.iter().map(SubmitRequest::from).collect(),
+            frame: String::new(),
+            codes: Vec::new(),
+            seq: 0,
+        };
+        let mut quiet = 0;
+        while quiet < 2 {
+            assert!(full.seq < 64, "the fleet never filled up");
+            quiet = if full.round_trip() == 0 { quiet + 1 } else { 0 };
+        }
+        full
+    }
+
+    /// One lock-step frame of the template's requests under the next
+    /// ids; returns how many were admitted.
+    fn round_trip(&mut self) -> usize {
+        let seq = self.seq;
+        self.seq += 1;
+        for (i, r) in self.reqs.iter_mut().enumerate() {
+            r.id = seq as usize * MAX_BATCH + i;
+        }
+        encode_batch_into(&mut self.frame, seq, &self.reqs);
+        self.conn.send_line(&self.frame).unwrap();
+        let reply = self.conn.read_line().expect("daemon hung up");
+        assert_eq!(parse_batch_reply_into(reply, &mut self.codes).unwrap(), seq);
+        assert!(self
+            .codes
+            .iter()
+            .all(|&c| c == BATCH_ADMIT || c == BATCH_REJECT));
+        self.codes.iter().filter(|&&c| c == BATCH_ADMIT).count()
+    }
+
+    /// Shuts the daemon down and checks it decided `decided` requests.
+    fn stop(mut self, decided: u64) {
+        self.conn.control(ControlAction::Shutdown).unwrap();
+        let report = self.daemon.join().unwrap().unwrap();
+        assert_eq!(report.stats.decided, decided);
+    }
+}
+
 /// A thousand max-size frames through an in-process S = 1 daemon, every
 /// request rejected (the fleet is full after the warm-up): the daemon
 /// may allocate per frame — the parsed request vector it hands its lane
@@ -145,47 +210,15 @@ fn steady_state_batch_codec_is_allocation_free() {
 #[test]
 fn a_one_lane_daemon_allocates_per_frame_not_per_decision() {
     let _alone = MEASURING.lock().unwrap_or_else(|e| e.into_inner());
-    let (instance, template) = common::scenario(MAX_BATCH, 90);
-    let (addr, daemon) =
-        common::spawn_sharded(instance, vnfrel::Scheme::OffSite, common::sharded_config(1));
-    let mut conn = LineClient::connect(addr).unwrap();
-
-    let mut reqs: Vec<SubmitRequest> = template.iter().map(SubmitRequest::from).collect();
-    let mut frame = String::new();
-    let mut codes: Vec<u8> = Vec::new();
-    // One lock-step round trip; returns how many requests were admitted.
-    let mut round_trip = |seq: u64| {
-        for (i, r) in reqs.iter_mut().enumerate() {
-            r.id = seq as usize * MAX_BATCH + i;
-        }
-        encode_batch_into(&mut frame, seq, &reqs);
-        conn.send_line(&frame).unwrap();
-        let reply = conn.read_line().expect("daemon hung up");
-        assert_eq!(parse_batch_reply_into(reply, &mut codes).unwrap(), seq);
-        assert!(codes.iter().all(|&c| c == BATCH_ADMIT || c == BATCH_REJECT));
-        codes.iter().filter(|&&c| c == BATCH_ADMIT).count()
-    };
-
-    // Warm-up: the same thousand requests over and over fill the fleet;
-    // it is over once two whole frames were rejected (which also sizes
-    // every reusable buffer on both sides of the socket).
-    let mut seq = 0;
-    let mut quiet = 0;
-    while quiet < 2 {
-        assert!(seq < 64, "the fleet never filled up");
-        quiet = if round_trip(seq) == 0 { quiet + 1 } else { 0 };
-        seq += 1;
-    }
+    let mut full = FullDaemon::start();
 
     const FRAMES: u64 = 1_000;
     let before = allocations();
-    let admitted: usize = (seq..seq + FRAMES).map(&mut round_trip).sum();
+    let admitted: usize = (0..FRAMES).map(|_| full.round_trip()).sum();
     let allocated = allocations() - before;
     assert_eq!(admitted, 0, "the measured window was not all-reject");
-
-    conn.control(ControlAction::Shutdown).unwrap();
-    let report = daemon.join().unwrap().unwrap();
-    assert_eq!(report.stats.decided, (seq + FRAMES) * MAX_BATCH as u64);
+    let decided = full.seq * MAX_BATCH as u64;
+    full.stop(decided);
 
     // O(frames): 0.2 per decision would be 205 per frame here; the front
     // end needs one (measured: exactly 1.00 in a release build). A debug
@@ -202,5 +235,55 @@ fn a_one_lane_daemon_allocates_per_frame_not_per_decision() {
         "{allocated} allocations over {FRAMES} frames of {MAX_BATCH} requests: \
          {per_frame:.1} per frame (budget {budget}), {:.4} per decision",
         per_frame / MAX_BATCH as f64
+    );
+}
+
+/// The v2 single-request path through the same full one-lane daemon:
+/// two thousand `submit` lines in lock-step, each answered with its
+/// reject decision line. The lines are encoded before the measured
+/// window, so what is counted is the daemon's: reading the line, the
+/// decision event and its reply.
+#[test]
+fn a_v2_submit_through_a_one_lane_daemon_has_a_pinned_allocation_count() {
+    let _alone = MEASURING.lock().unwrap_or_else(|e| e.into_inner());
+    let mut full = FullDaemon::start();
+
+    const SUBMITS: usize = 2_000;
+    let first = full.seq as usize * MAX_BATCH;
+    let lines: Vec<String> = (first..first + SUBMITS)
+        .map(|id| {
+            let mut msg = full.reqs[id % MAX_BATCH];
+            msg.id = id;
+            encode_client(&ClientMsg::Submit(msg))
+        })
+        .collect();
+    let mut rejected = 0;
+    let before = allocations();
+    for line in &lines {
+        full.conn.send_line(line).unwrap();
+        let reply = full.conn.read_line().expect("daemon hung up");
+        rejected += usize::from(reply.contains("\"outcome\":\"reject\""));
+    }
+    let allocated = allocations() - before;
+    assert_eq!(rejected, SUBMITS, "the measured window was not all-reject");
+    full.stop(first as u64 + SUBMITS as u64);
+
+    let per_decision = allocated as f64 / SUBMITS as f64;
+    println!("v2 single path: {per_decision:.2} allocations per decision");
+    // Measured in a release build: 17.00 while the submit line was read
+    // into a tree (an object vector and a `String` per key and string
+    // value), 5.00 since it is read without one. A debug build adds the
+    // recovery log's whole-state export (3 allocations) every 64
+    // decisions.
+    const PINNED: f64 = 5.0;
+    let budget = if cfg!(debug_assertions) {
+        PINNED + 3.0 / 64.0 + 0.1
+    } else {
+        PINNED + 0.1
+    };
+    assert!(
+        per_decision <= budget,
+        "{allocated} allocations over {SUBMITS} v2 submits: {per_decision:.2} per decision \
+         (budget {budget})"
     );
 }
