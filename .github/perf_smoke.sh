@@ -32,6 +32,12 @@
 # allocates more than three times as often) and the debug linear-time
 # tests in tests/serve_reader.rs (a quadratic string scan).
 #
+# `sched_batch` is also gated on a ceiling for `setup_s`, the history
+# value times (1 + bound × CI_HOST_ALLOWANCE) = 1.3× with that metric's
+# bound of 0.1: generating its two request streams is most of its
+# set-up, and a generator that sorts its stream again reads about 1.5×.
+# The decisions/s floors above are unchanged by it.
+#
 #   bash .github/perf_smoke.sh [seconds]
 set -euo pipefail
 
@@ -48,27 +54,32 @@ for workload in sched_batch serve_codec_sat serve_week_s2 chain_mixed serve_pace
 import json, sys
 
 workload, allowance, line = sys.argv[1], float(sys.argv[2]), json.loads(sys.argv[3])
-# A ceiling on the paced workload's CPU, a floor on every other rate.
+# A ceiling on the paced workload's CPU, a floor on every other rate, and
+# a ceiling on sched_batch's set-up beside its floor.
 paced = workload == "serve_paced"
-metric = "cpu_us_per_decision" if paced else "decisions_per_s"
+gates = [("cpu_us_per_decision", "ceiling")] if paced else [("decisions_per_s", "floor")]
+if workload == "sched_batch":
+    gates.append(("setup_s", "ceiling"))
 with open("BENCHMARK.json") as f:
-    bound = next(m["bound"] for m in json.load(f)["end_to_end"] if m["name"] == metric)
+    bounds = {m["name"]: m["bound"] for m in json.load(f)["end_to_end"]}
 with open("results/BENCH_history.jsonl") as f:
     last = json.loads([l for l in f if l.strip()][-1])
-base = last["workloads"][workload][metric]
-got = line["metrics"][metric]["value"]
-if paced:
-    limit = base * (1 + bound * allowance)
-    within = got <= limit
-    shown = f"{got:.2f} us/decision vs {base:.2f}", f"ceiling {limit:.2f}"
-else:
-    limit = base * (1 - bound * allowance)
-    within = got >= limit
-    shown = f"{got:,.0f} decisions/s vs {base:,.0f}", f"floor {limit:,.0f}"
-ok = line["correct"] and line["failed"] == 0 and within
-print(f"{workload}: {shown[0]} at PR {last['pr']} ({last['side']}), "
-      f"{shown[1]} (bound {bound} x {allowance:g}); correct={line['correct']} "
-      f"failed={line['failed']} -> {'ok' if ok else 'REGRESSED'}")
+ok = line["correct"] and line["failed"] == 0
+show = lambda v: f"{v:,.0f}" if v >= 1000 else f"{v:.4g}"
+for metric, kind in gates:
+    bound = bounds[metric]
+    base = last["workloads"][workload][metric]
+    got = line["metrics"][metric]["value"]
+    if kind == "ceiling":
+        limit = base * (1 + bound * allowance)
+        within = got <= limit
+    else:
+        limit = base * (1 - bound * allowance)
+        within = got >= limit
+    ok = ok and within
+    print(f"{workload}: {metric} {show(got)} vs {show(base)} at PR {last['pr']} ({last['side']}), "
+          f"{kind} {show(limit)} (bound {bound} x {allowance:g}) -> {'ok' if within else 'REGRESSED'}")
+print(f"{workload}: correct={line['correct']} failed={line['failed']} -> {'ok' if ok else 'REGRESSED'}")
 sys.exit(0 if ok else 1)
 PY
 done

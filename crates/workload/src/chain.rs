@@ -19,6 +19,7 @@ use mec_topology::{NodeId, Reliability};
 use rand::Rng;
 
 use crate::error::WorkloadError;
+use crate::placement::place_by_arrival;
 use crate::time::{Horizon, TimeSlot};
 use crate::vnf::{VnfCatalog, VnfTypeId};
 
@@ -204,7 +205,7 @@ impl fmt::Display for ChainRequest {
 /// [`RequestGenerator`](crate::RequestGenerator): every band is
 /// configurable, payments are drawn through a payment *rate* multiplied
 /// by duration and the chain's total per-slot compute demand, and the
-/// output is sorted by arrival with dense ids.
+/// output is in arrival order with dense ids.
 #[derive(Debug, Clone)]
 pub struct ChainGenerator {
     horizon: Horizon,
@@ -336,40 +337,167 @@ impl ChainGenerator {
             let rate = rng.gen_range(plo..=phi);
             drawn.push((arrival, duration, stages, rel, budget, rate, ingress));
         }
-        drawn.sort_by_key(|d| d.0);
-        let mut chains = Vec::with_capacity(count);
-        for (i, (arrival, duration, stages, rel, budget, rate, ingress)) in
-            drawn.into_iter().enumerate()
-        {
-            let total_compute: u64 = stages
-                .iter()
-                .map(|&s| catalog.require(s).map(|v| v.compute()))
-                .sum::<Result<u64, _>>()?;
-            let payment = rate * duration as f64 * total_compute as f64 * rel;
-            chains.push(ChainRequest::new(
-                ChainRequestId(i),
-                stages,
-                Reliability::new(rel)?,
-                budget,
-                NodeId(ingress),
-                arrival,
-                duration,
-                payment,
-                self.horizon,
-            )?);
-        }
-        Ok(chains)
+        // Holds each place until its chain is written over it; owns no
+        // stages, so filling costs no allocation.
+        let filler = ChainRequest {
+            id: ChainRequestId(0),
+            stages: Vec::new(),
+            reliability_req: Reliability::new(self.reliability_band.0)?,
+            latency_budget: self.latency_budget_band.0,
+            ingress: NodeId(0),
+            arrival: 0,
+            duration: 1,
+            payment: self.payment_rate_band.0,
+        };
+        place_by_arrival(
+            drawn,
+            |d| d.0,
+            self.horizon,
+            filler,
+            |(arrival, duration, stages, rel, budget, rate, ingress), id| {
+                let total_compute: u64 = stages
+                    .iter()
+                    .map(|&s| catalog.require(s).map(|v| v.compute()))
+                    .sum::<Result<u64, _>>()?;
+                let payment = rate * duration as f64 * total_compute as f64 * rel;
+                ChainRequest::new(
+                    ChainRequestId(id),
+                    stages,
+                    Reliability::new(rel)?,
+                    budget,
+                    NodeId(ingress),
+                    arrival,
+                    duration,
+                    payment,
+                    self.horizon,
+                )
+            },
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
     fn rel(v: f64) -> Reliability {
         Reliability::new(v).unwrap()
+    }
+
+    /// The sort-based generator the placement replaced, kept as the
+    /// oracle: every chain drawn in draw order, stably sorted by arrival,
+    /// then built with ids in sorted order.
+    fn sorting_oracle<R: Rng + ?Sized>(
+        g: &ChainGenerator,
+        count: usize,
+        catalog: &VnfCatalog,
+        rng: &mut R,
+    ) -> Vec<ChainRequest> {
+        let t = g.horizon.len();
+        let mut drawn = Vec::with_capacity(count);
+        for _ in 0..count {
+            let k = rng.gen_range(g.len_band.0..=g.len_band.1);
+            let stages: Vec<VnfTypeId> = (0..k)
+                .map(|_| VnfTypeId(rng.gen_range(0..catalog.len())))
+                .collect();
+            let duration = rng.gen_range(1..=g.max_duration.max(1).min(t));
+            let arrival = rng.gen_range(0..=t - duration);
+            let rel = rng.gen_range(g.reliability_band.0..=g.reliability_band.1);
+            let budget = rng.gen_range(g.latency_budget_band.0..=g.latency_budget_band.1);
+            let ingress = rng.gen_range(0..g.ingress_nodes);
+            let rate = rng.gen_range(g.payment_rate_band.0..=g.payment_rate_band.1);
+            drawn.push((arrival, duration, stages, rel, budget, rate, ingress));
+        }
+        drawn.sort_by_key(|d| d.0);
+        drawn
+            .into_iter()
+            .enumerate()
+            .map(
+                |(i, (arrival, duration, stages, rel, budget, rate, ingress))| {
+                    let total: u64 = stages
+                        .iter()
+                        .map(|&s| catalog.get(s).unwrap().compute())
+                        .sum();
+                    let payment = rate * duration as f64 * total as f64 * rel;
+                    ChainRequest::new(
+                        ChainRequestId(i),
+                        stages,
+                        Reliability::new(rel).unwrap(),
+                        budget,
+                        NodeId(ingress),
+                        arrival,
+                        duration,
+                        payment,
+                        g.horizon,
+                    )
+                    .unwrap()
+                },
+            )
+            .collect()
+    }
+
+    /// Bitwise view of a chain stream.
+    type Bits = (usize, Vec<VnfTypeId>, u64, u64, usize, usize, usize, u64);
+
+    fn bits(chains: &[ChainRequest]) -> Vec<Bits> {
+        chains
+            .iter()
+            .map(|c| {
+                (
+                    c.id().index(),
+                    c.stages().to_vec(),
+                    c.reliability_requirement().value().to_bits(),
+                    c.latency_budget().to_bits(),
+                    c.ingress().index(),
+                    c.arrival(),
+                    c.duration(),
+                    c.payment().to_bits(),
+                )
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(300))]
+
+        /// Placement writes the stream the sorting oracle sorts into, bit
+        /// for bit, and leaves the generator where the oracle leaves it,
+        /// over one-slot and longer horizons, empty and one-chain streams
+        /// and runs of equal arrivals.
+        #[test]
+        fn placement_matches_the_sorting_oracle(
+            seed in 0u64..1_000_000,
+            horizon_law in 0usize..4,
+            slots in 1usize..3_000,
+            count_law in 0usize..4,
+            count in 2usize..400,
+            len_lo in 1usize..4,
+            len_span in 0usize..3,
+            max_duration in 1usize..30,
+            ingress in 1usize..12,
+        ) {
+            let t = if horizon_law < 2 { slots % 8 + 1 } else { slots };
+            let count = match count_law {
+                0 => 0,
+                1 => 1,
+                _ => count,
+            };
+            let g = ChainGenerator::new(Horizon::new(t), ingress)
+                .length_band(len_lo, len_lo + len_span)
+                .unwrap()
+                .max_duration(max_duration)
+                .unwrap();
+            let cat = VnfCatalog::standard();
+            let (mut a, mut b) = (ChaCha8Rng::seed_from_u64(seed), ChaCha8Rng::seed_from_u64(seed));
+            let placed = g.generate(count, &cat, &mut a).unwrap();
+            let sorted = sorting_oracle(&g, count, &cat, &mut b);
+            prop_assert_eq!(bits(&placed), bits(&sorted));
+            prop_assert_eq!(placed.capacity(), placed.len());
+            prop_assert_eq!(a.gen::<u64>(), b.gen::<u64>());
+        }
     }
 
     #[test]

@@ -4,6 +4,7 @@ use mec_topology::Reliability;
 
 use crate::distributions::{poisson, BoundedPareto, Zipf};
 use crate::error::WorkloadError;
+use crate::placement::place_by_arrival;
 use crate::request::{Request, RequestId};
 use crate::time::Horizon;
 use crate::vnf::{VnfCatalog, VnfTypeId};
@@ -11,8 +12,14 @@ use crate::vnf::{VnfCatalog, VnfTypeId};
 /// How arrival slots are assigned to generated requests.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ArrivalProcess {
-    /// Each request's arrival is uniform over the slots where its window
-    /// still fits; matches the paper's "randomly generated" requests.
+    /// Each request's arrival is uniform over the whole horizon; matches
+    /// the paper's "randomly generated" requests. The duration is drawn
+    /// after the arrival and clamped to the slots left before the horizon
+    /// ends, so a request that arrives late gets a shortened window (21.9 %
+    /// of requests with durations uniform in `[1, 8]` over 16 slots).
+    /// [`ChainGenerator`](crate::ChainGenerator) draws the duration first
+    /// and the arrival over the slots where that window fits, so it never
+    /// shortens one.
     Uniform,
     /// Arrivals follow a per-slot Poisson process whose rate is scaled so
     /// the expected total matches the requested count; produces bursty,
@@ -186,7 +193,9 @@ impl RequestGenerator {
         self.payment_rate_band.1 / self.payment_rate_band.0
     }
 
-    /// Generates exactly `count` requests in arrival order.
+    /// Generates exactly `count` requests in arrival order, with ids dense
+    /// in that order; requests that arrive in the same slot keep the order
+    /// they were drawn in.
     ///
     /// # Errors
     ///
@@ -207,38 +216,45 @@ impl RequestGenerator {
             VnfSelection::Zipf(s) => Some(Zipf::new(catalog.len(), s)?),
             VnfSelection::Uniform => None,
         };
+        let (rlo, rhi) = self.reliability_band;
+        let (plo, phi) = self.payment_rate_band;
+        // Holds each place until its request is written over it.
+        let filler = Request::new(
+            RequestId(0),
+            VnfTypeId(0),
+            Reliability::new(rlo)?,
+            0,
+            1,
+            plo,
+            self.horizon,
+        )?;
         let arrivals = self.draw_arrivals(count, rng);
-        let mut requests = Vec::with_capacity(count);
-        for (i, arrival) in arrivals.into_iter().enumerate() {
-            let duration = self.draw_duration(arrival, rng)?;
-            let vnf_idx = match &zipf {
-                Some(z) => z.sample(rng),
-                None => rng.gen_range(0..catalog.len()),
-            };
-            let vnf = catalog.require(VnfTypeId(vnf_idx))?;
-            let (rlo, rhi) = self.reliability_band;
-            let rel = Reliability::new(rng.gen_range(rlo..=rhi))?;
-            let (plo, phi) = self.payment_rate_band;
-            let rate = rng.gen_range(plo..=phi);
-            let payment = rate * duration as f64 * vnf.compute() as f64 * rel.value();
-            requests.push(Request::new(
-                RequestId(i),
-                vnf.id(),
-                rel,
-                arrival,
-                duration,
-                payment,
-                self.horizon,
-            )?);
-        }
-        requests.sort_by_key(|r| (r.arrival(), r.id()));
-        // Re-number so ids follow arrival order, matching online
-        // processing; ids don't participate in any validated invariant,
-        // so the sorted stream is renumbered in place.
-        for (i, r) in requests.iter_mut().enumerate() {
-            r.set_id(RequestId(i));
-        }
-        Ok(requests)
+        place_by_arrival(
+            arrivals,
+            |&a| a,
+            self.horizon,
+            filler,
+            |arrival, id| {
+                let duration = self.draw_duration(arrival, rng)?;
+                let vnf_idx = match &zipf {
+                    Some(z) => z.sample(rng),
+                    None => rng.gen_range(0..catalog.len()),
+                };
+                let vnf = catalog.require(VnfTypeId(vnf_idx))?;
+                let rel = Reliability::new(rng.gen_range(rlo..=rhi))?;
+                let rate = rng.gen_range(plo..=phi);
+                let payment = rate * duration as f64 * vnf.compute() as f64 * rel.value();
+                Request::new(
+                    RequestId(id),
+                    vnf.id(),
+                    rel,
+                    arrival,
+                    duration,
+                    payment,
+                    self.horizon,
+                )
+            },
+        )
     }
 
     fn validate_durations(&self) -> Result<(), WorkloadError> {
@@ -263,26 +279,32 @@ impl RequestGenerator {
             ArrivalProcess::Uniform => (0..count).map(|_| rng.gen_range(0..t)).collect(),
             ArrivalProcess::Poisson { burstiness } => {
                 let rate = (count as f64 / t as f64) * burstiness.max(0.0);
-                let mut out = Vec::with_capacity(count);
+                // Arrivals per slot; read out in slot order, which is the
+                // order the rest of each request is then drawn in.
+                let mut per_slot = vec![0usize; t];
+                let mut drawn = 0;
                 'outer: loop {
-                    for slot in 0..t {
-                        let k = poisson(rate, rng);
-                        for _ in 0..k {
-                            out.push(slot);
-                            if out.len() == count {
-                                break 'outer;
-                            }
+                    for n in per_slot.iter_mut() {
+                        let k = poisson(rate, rng).min(count - drawn);
+                        *n += k;
+                        drawn += k;
+                        if k > 0 && drawn == count {
+                            break 'outer;
                         }
                     }
                     if rate == 0.0 {
                         // Degenerate rate: fall back to uniform fill.
-                        while out.len() < count {
-                            out.push(rng.gen_range(0..t));
+                        while drawn < count {
+                            per_slot[rng.gen_range(0..t)] += 1;
+                            drawn += 1;
                         }
                         break;
                     }
                 }
-                out.sort_unstable();
+                let mut out = Vec::with_capacity(count);
+                for (slot, &n) in per_slot.iter().enumerate() {
+                    out.extend(std::iter::repeat_n(slot, n));
+                }
                 out
             }
         }
@@ -309,11 +331,176 @@ impl RequestGenerator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
     fn rng(seed: u64) -> ChaCha8Rng {
         ChaCha8Rng::seed_from_u64(seed)
+    }
+
+    /// The sort-based generator the placement replaced, kept as the
+    /// oracle: every arrival drawn first (Poisson arrivals pushed per
+    /// slot and sorted), the rest of each request drawn in that order,
+    /// then a stable sort by `(arrival, draw index)` and ids renumbered.
+    fn sorting_oracle<R: Rng + ?Sized>(
+        g: &RequestGenerator,
+        count: usize,
+        catalog: &VnfCatalog,
+        rng: &mut R,
+    ) -> Result<Vec<Request>, WorkloadError> {
+        if catalog.is_empty() {
+            return Err(WorkloadError::UnknownVnfType(0));
+        }
+        g.validate_durations()?;
+        let zipf = match g.vnf_selection {
+            VnfSelection::Zipf(s) => Some(Zipf::new(catalog.len(), s)?),
+            VnfSelection::Uniform => None,
+        };
+        let t = g.horizon.len();
+        let arrivals: Vec<usize> = match g.arrivals {
+            ArrivalProcess::Uniform => (0..count).map(|_| rng.gen_range(0..t)).collect(),
+            ArrivalProcess::Poisson { burstiness } => {
+                let rate = (count as f64 / t as f64) * burstiness.max(0.0);
+                let mut out = Vec::with_capacity(count);
+                'outer: loop {
+                    for slot in 0..t {
+                        for _ in 0..poisson(rate, rng) {
+                            out.push(slot);
+                            if out.len() == count {
+                                break 'outer;
+                            }
+                        }
+                    }
+                    if rate == 0.0 {
+                        while out.len() < count {
+                            out.push(rng.gen_range(0..t));
+                        }
+                        break;
+                    }
+                }
+                out.sort_unstable();
+                out
+            }
+        };
+        let mut drawn = Vec::with_capacity(count);
+        for (i, arrival) in arrivals.into_iter().enumerate() {
+            let duration = g.draw_duration(arrival, rng)?;
+            let vnf_idx = match &zipf {
+                Some(z) => z.sample(rng),
+                None => rng.gen_range(0..catalog.len()),
+            };
+            let vnf = catalog.require(VnfTypeId(vnf_idx))?;
+            let (rlo, rhi) = g.reliability_band;
+            let rel = Reliability::new(rng.gen_range(rlo..=rhi))?;
+            let (plo, phi) = g.payment_rate_band;
+            let rate = rng.gen_range(plo..=phi);
+            let payment = rate * duration as f64 * vnf.compute() as f64 * rel.value();
+            drawn.push(Request::new(
+                RequestId(i),
+                vnf.id(),
+                rel,
+                arrival,
+                duration,
+                payment,
+                g.horizon,
+            )?);
+        }
+        drawn.sort_by_key(|r| (r.arrival(), r.id()));
+        drawn
+            .iter()
+            .enumerate()
+            .map(|(i, r)| {
+                Request::new(
+                    RequestId(i),
+                    r.vnf(),
+                    r.reliability_requirement(),
+                    r.arrival(),
+                    r.duration(),
+                    r.payment(),
+                    g.horizon,
+                )
+            })
+            .collect()
+    }
+
+    /// Bitwise view of a stream, so `-0.0`/`0.0` or a NaN cannot hide a
+    /// difference behind float equality.
+    fn bits(reqs: &[Request]) -> Vec<(usize, usize, u64, usize, usize, u64)> {
+        reqs.iter()
+            .map(|r| {
+                (
+                    r.id().index(),
+                    r.vnf().index(),
+                    r.reliability_requirement().value().to_bits(),
+                    r.arrival(),
+                    r.duration(),
+                    r.payment().to_bits(),
+                )
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(400))]
+
+        /// Placement writes the stream the sorting oracle sorts into, bit
+        /// for bit, and leaves the generator where the oracle leaves it —
+        /// over one-slot to week-long horizons, empty and one-request
+        /// streams, runs of equal arrivals, and every arrival, duration
+        /// and VNF law (Poisson at rates that wrap past the horizon and
+        /// at the degenerate zero rate).
+        #[test]
+        fn placement_matches_the_sorting_oracle(
+            seed in 0u64..1_000_000,
+            horizon_law in 0usize..4,
+            slots in 1usize..12_000,
+            count_law in 0usize..4,
+            count in 2usize..600,
+            arrival_law in 0usize..3,
+            burstiness in 0.05f64..5.0,
+            duration_law in 0usize..3,
+            lo in 1usize..12,
+            span in 0usize..40,
+            alpha in 0.3f64..2.5,
+            zipf_law in 0usize..2,
+            zipf_s in 0.2f64..2.5,
+        ) {
+            // Short horizons (1–8 slots) give long runs of equal arrivals.
+            let t = if horizon_law < 2 { slots % 8 + 1 } else { slots };
+            let count = match count_law {
+                0 => 0,
+                1 => 1,
+                _ => count,
+            };
+            let lo = lo.min(t);
+            let durations = match duration_law {
+                0 => DurationModel::Uniform { lo, hi: lo + span },
+                1 => DurationModel::Pareto { lo, hi: lo + span, alpha },
+                _ => DurationModel::Fixed(lo),
+            };
+            let arrivals = match arrival_law {
+                0 => ArrivalProcess::Uniform,
+                1 => ArrivalProcess::Poisson { burstiness },
+                _ => ArrivalProcess::Poisson { burstiness: 0.0 },
+            };
+            let selection = match zipf_law {
+                0 => VnfSelection::Uniform,
+                _ => VnfSelection::Zipf(zipf_s),
+            };
+            let g = RequestGenerator::new(Horizon::new(t))
+                .arrivals(arrivals)
+                .vnf_selection(selection)
+                .durations(durations)
+                .unwrap();
+            let cat = VnfCatalog::standard();
+            let (mut a, mut b) = (rng(seed), rng(seed));
+            let placed = g.generate(count, &cat, &mut a).unwrap();
+            let sorted = sorting_oracle(&g, count, &cat, &mut b).unwrap();
+            prop_assert_eq!(bits(&placed), bits(&sorted));
+            prop_assert_eq!(placed.capacity(), placed.len());
+            prop_assert_eq!(a.gen::<u64>(), b.gen::<u64>());
+        }
     }
 
     fn standard() -> (RequestGenerator, VnfCatalog) {

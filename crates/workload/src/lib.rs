@@ -39,6 +39,7 @@ mod chain;
 pub mod distributions;
 mod error;
 mod generator;
+mod placement;
 mod request;
 pub mod stats;
 mod time;

@@ -94,12 +94,6 @@ impl Request {
         self.id
     }
 
-    /// Re-numbers the request; every validated invariant is independent
-    /// of the id, so the generator renumbers sorted streams in place.
-    pub(crate) fn set_id(&mut self, id: RequestId) {
-        self.id = id;
-    }
-
     /// Requested VNF type `f_i`.
     #[inline]
     pub fn vnf(&self) -> VnfTypeId {
