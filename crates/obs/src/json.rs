@@ -29,6 +29,9 @@
 use std::borrow::Cow;
 use std::fmt::Write as _;
 
+mod number;
+pub use number::{read_digits, read_number};
+
 use crate::event::{
     ChainDecisionEvent, ChainOutcome, ChainRejectReason, ChainStageTrace, DecisionEvent, Outcome,
     RejectReason, SitePlacement, TraceEvent,
@@ -937,24 +940,6 @@ impl Scalar<'_> {
     }
 }
 
-/// Reads the ASCII digits from `bytes[*pos]` on, advancing `pos` past
-/// each one read, and returns their value; `None` when it would not fit
-/// a `u64`, with `pos` left at the digit that overflowed. The one exact
-/// integer read: JSON number tokens and the v3 batch scanner both use it.
-#[inline]
-pub fn read_digits(bytes: &[u8], pos: &mut usize) -> Option<u64> {
-    let mut value = 0u64;
-    while let Some(&b) = bytes.get(*pos) {
-        let d = b.wrapping_sub(b'0');
-        if d >= 10 {
-            break;
-        }
-        value = value.checked_mul(10)?.checked_add(u64::from(d))?;
-        *pos += 1;
-    }
-    Some(value)
-}
-
 /// How deep arrays and objects may nest. Every message this workspace
 /// writes nests at most three levels.
 const MAX_DEPTH: usize = 128;
@@ -1082,25 +1067,19 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// A digits-only token that fits a `u64` reads exactly as
+    /// [`Scalar::Uint`]; any other token as [`read_number`] reads it.
     fn number(&mut self) -> Result<Scalar<'a>, ParseError> {
         let start = self.pos;
-        let exact = read_digits(self.bytes, &mut self.pos);
-        let digits_end = self.pos;
-        while let Some(b) = self.peek() {
-            if b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-        if self.pos == digits_end && digits_end > start {
-            if let Some(n) = exact {
+        if let Some(n) = read_digits(self.bytes, &mut self.pos) {
+            if self.pos > start && !self.peek().is_some_and(number::is_number_byte) {
                 return Ok(Scalar::Uint(n));
             }
         }
-        match self.text[start..self.pos].parse::<f64>() {
-            Ok(v) => Ok(Scalar::Num(v)),
-            Err(_) => self.err("malformed number"),
+        self.pos = start;
+        match read_number(self.text, &mut self.pos) {
+            Some(v) => Ok(Scalar::Num(v)),
+            None => self.err("malformed number"),
         }
     }
 

@@ -25,7 +25,7 @@
 //! snapshots, slot clock, trace tee — is the `Node` riding lane 0.
 
 use std::collections::VecDeque;
-use std::io::{self, BufRead as _, BufReader, Write as _};
+use std::io::{self, BufRead as _, BufReader, Read as _, Write as _};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
@@ -962,29 +962,36 @@ fn handle_conn(stream: TcpStream, front: &Front<'_>) -> io::Result<()> {
         }
         // On a read timeout any partial line stays in `line` and the next
         // read_line call appends the rest — slow peers never tear lines.
-        let torn = match reader.read_line(&mut line) {
+        // The take stops a line one byte past the limit, whether or not
+        // its sender ever pauses.
+        let room = (MAX_LINE_BYTES + 1 - line.len()) as u64;
+        let torn = match reader.by_ref().take(room).read_line(&mut line) {
             Ok(0) => break Ok(()),
-            // No newline, no EOF-as-zero: the peer closed mid-line. The
-            // fragment never goes near the parser.
             Ok(_) => !line.ends_with('\n'),
             Err(e) if !is_timeout(&e) => break Err(e),
-            Err(_) if line.len() <= MAX_LINE_BYTES => continue,
-            Err(_) => false,
+            Err(_) => continue,
         };
-        if torn || line.len() > MAX_LINE_BYTES {
+        let oversized = line.len() > MAX_LINE_BYTES;
+        if oversized || torn {
             // Neither can be resynchronized (the frame boundary is lost):
-            // typed error (best effort), drop the connection.
-            let text = match torn {
+            // typed error (best effort), drop the connection. A line the
+            // take cut short lacks its newline too, so size goes first;
+            // any other line without one is the peer closing mid-line.
+            // The fragment never goes near the parser.
+            let text = match oversized {
                 true => format!(
-                    "torn frame: connection closed mid-line after {} bytes",
+                    "oversized frame: {} bytes exceeds the {MAX_LINE_BYTES} byte line limit",
                     line.len()
                 ),
                 false => format!(
-                    "oversized frame: {} bytes exceeds the {MAX_LINE_BYTES} byte line limit",
+                    "torn frame: connection closed mid-line after {} bytes",
                     line.len()
                 ),
             };
             let _ = front.protocol_error(&writer, text);
+            if oversized {
+                drain(&mut reader);
+            }
             break Ok(());
         }
         if first && line.starts_with("GET ") {
@@ -1005,6 +1012,14 @@ fn handle_conn(stream: TcpStream, front: &Front<'_>) -> io::Result<()> {
         let _ = front.queues[0].push(LaneItem::Node(NodeItem::ReplEof(writer)));
     }
     result
+}
+
+/// Reads and drops what an oversized line's sender still has in flight,
+/// up to one more line's worth or until it pauses. Closing a socket with
+/// unread bytes sends a reset, which can discard the error line before
+/// the peer reads it; a drained one closes behind that line.
+fn drain(reader: &mut impl io::Read) {
+    let _ = io::copy(&mut reader.take(MAX_LINE_BYTES as u64), &mut io::sink());
 }
 
 // Parses one frame and routes it: submits to lane `id mod S` (bounced

@@ -1,7 +1,7 @@
-//! Wire-level hardening: torn (half-written) frames, oversized lines,
-//! slow multi-write continuations, garbage JSON and invalid UTF-8 must
-//! never wedge or kill the daemon — at worst they cost the offending
-//! connection.
+//! Wire-level hardening: torn (half-written) frames, oversized lines
+//! (sent in one go or streamed without a pause), slow multi-write
+//! continuations, garbage JSON and invalid UTF-8 must never wedge or
+//! kill the daemon — at worst they cost the offending connection.
 
 #[path = "serve_common.rs"]
 mod common;
@@ -124,6 +124,56 @@ fn oversized_line_is_rejected_and_connection_dropped() {
         "error should state the limit: {msg}"
     );
     expect_closed(&mut hog);
+
+    booted.serves_then_shuts_down();
+}
+
+#[test]
+fn oversized_line_with_bytes_behind_it_still_closes_cleanly() {
+    let booted = boot(4, 41, "oversized-tail");
+
+    // The daemon stops reading one byte past the limit, which leaves
+    // this line's tail unread in the socket. Closing over unread bytes
+    // would reset the connection; the error line must still arrive,
+    // followed by an orderly close.
+    let mut hog = booted.connect();
+    write_bytes(&hog, &vec![b'x'; MAX_LINE_BYTES + (200 << 10)]);
+    let msg = read_error(&mut hog);
+    assert!(msg.contains("oversized"), "unexpected error: {msg}");
+    expect_closed(&mut hog);
+
+    booted.serves_then_shuts_down();
+}
+
+#[test]
+fn streaming_hog_is_cut_off_at_the_line_limit() {
+    let booted = boot(4, 40, "stream-hog");
+
+    // 64 MiB with no newline and no pause: the limit must hold while the
+    // bytes are still arriving, not only once the sender stops.
+    let mut hog = booted.connect();
+    let timeout = Some(Duration::from_secs(20));
+    hog.stream().set_read_timeout(timeout).unwrap();
+    let mut socket = hog.stream().try_clone().unwrap();
+    let streamer = std::thread::spawn(move || {
+        let chunk = vec![b'x'; 64 << 10];
+        let mut sent = 0usize;
+        while sent < 64 << 20 {
+            match socket.write(&chunk) {
+                Ok(n) => sent += n,
+                Err(_) => return (sent, true),
+            }
+        }
+        (sent, false)
+    });
+    let msg = read_error(&mut hog);
+    assert!(msg.contains("oversized"), "unexpected error: {msg}");
+    let (sent, failed) = streamer.join().unwrap();
+    assert!(failed, "the daemon took all {sent} bytes");
+    assert!(
+        sent < 16 << 20,
+        "{sent} bytes went out before the daemon dropped the hog"
+    );
 
     booted.serves_then_shuts_down();
 }
