@@ -35,6 +35,8 @@ pub enum TopologyError {
     InvalidFraction(f64),
     /// A capacity range was inverted (`lo > hi`).
     InvalidCapacityRange(u64, u64),
+    /// A link probability fell outside `[0, 1]` or was NaN.
+    InvalidProbability(f64),
 }
 
 impl fmt::Display for TopologyError {
@@ -73,6 +75,9 @@ impl fmt::Display for TopologyError {
             TopologyError::InvalidCapacityRange(lo, hi) => {
                 write!(f, "capacity range [{lo}, {hi}] is inverted")
             }
+            TopologyError::InvalidProbability(p) => {
+                write!(f, "link probability {p} is outside [0, 1]")
+            }
         }
     }
 }
@@ -100,6 +105,7 @@ mod tests {
             TopologyError::InvalidDomainRate(0.2),
             TopologyError::InvalidFraction(-1.0),
             TopologyError::InvalidCapacityRange(9, 3),
+            TopologyError::InvalidProbability(f64::NAN),
         ];
         for e in errs {
             let s = e.to_string();

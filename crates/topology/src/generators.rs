@@ -147,7 +147,8 @@ fn connect_components<R: Rng + ?Sized>(
 /// # Errors
 ///
 /// Propagates builder errors; returns [`TopologyError::EmptyNetwork`] when
-/// `n == 0`.
+/// `n == 0` and [`TopologyError::InvalidProbability`] when `p` is not in
+/// `[0, 1]` (NaN included).
 pub fn erdos_renyi<R: Rng + ?Sized>(
     n: usize,
     p: f64,
@@ -157,6 +158,9 @@ pub fn erdos_renyi<R: Rng + ?Sized>(
     if n == 0 {
         return Err(TopologyError::EmptyNetwork);
     }
+    if !(0.0..=1.0).contains(&p) {
+        return Err(TopologyError::InvalidProbability(p));
+    }
     let mut b = NetworkBuilder::new();
     for i in 0..n {
         b.add_ap(format!("er{i}"));
@@ -164,7 +168,7 @@ pub fn erdos_renyi<R: Rng + ?Sized>(
     let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
     for i in 0..n {
         for j in (i + 1)..n {
-            if rng.gen_bool(p.clamp(0.0, 1.0)) {
+            if rng.gen_bool(p) {
                 b.add_link(NodeId(i), NodeId(j), rng.gen_range(0.5..2.0))?;
                 adj[i].push(j);
                 adj[j].push(i);
@@ -267,7 +271,7 @@ pub fn waxman<R: Rng + ?Sized>(
         for j in (i + 1)..n {
             let d = ((pts[i].0 - pts[j].0).powi(2) + (pts[i].1 - pts[j].1).powi(2)).sqrt();
             let p = alpha * (-d / (beta * l)).exp();
-            if rng.gen_bool(p.clamp(0.0, 1.0)) {
+            if rng.gen_bool(p) {
                 b.add_link(NodeId(i), NodeId(j), 0.5 + d)?;
                 adj[i].push(j);
                 adj[j].push(i);
@@ -445,6 +449,22 @@ mod tests {
             assert_eq!(net.ap_count(), 40);
             assert!(net.cloudlet_count() >= 1);
         }
+    }
+
+    #[test]
+    fn erdos_renyi_refuses_a_probability_outside_the_unit_interval() {
+        for p in [f64::NAN, -0.1, 1.5, f64::INFINITY] {
+            let err = erdos_renyi(10, p, &place(), &mut rng(0)).unwrap_err();
+            assert!(
+                matches!(err, TopologyError::InvalidProbability(q) if q.to_bits() == p.to_bits()),
+                "p = {p}: {err:?}"
+            );
+        }
+        // The closed interval's ends are valid: no links, or all of them.
+        let empty = erdos_renyi(10, 0.0, &place(), &mut rng(0)).unwrap();
+        assert!(empty.is_connected());
+        let full = erdos_renyi(10, 1.0, &place(), &mut rng(0)).unwrap();
+        assert_eq!(full.link_count(), 10 * 9 / 2);
     }
 
     #[test]
