@@ -542,6 +542,7 @@ pub fn failures(
     let trace = match layer {
         None => FailureProcess::generate(network, &config, horizon, &mut failure_rng),
         Some(layer) => {
+            layer.config.validate().map_err(CliError::config)?;
             let domains = FailureDomainSet::zones(
                 network,
                 layer.domains,
