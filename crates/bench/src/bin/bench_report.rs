@@ -25,6 +25,12 @@
 //!   an outage trace with no events ÷ Σ `Simulation::run`, timed in the
 //!   same alternation: what the fault loop costs a run that has no
 //!   faults;
+//! * **scale**: decide() throughput of Algorithms 1 and 2 against the
+//!   cloudlet count `m` ∈ {4, 16, 64} on a chain of APs with one cloudlet
+//!   each (candidate pricing is O(m) per request), and of Algorithm 1
+//!   against the request window `d` ∈ {1, 4, 8} slots on the
+//!   eight-cloudlet chain (price updates and capacity checks walk the
+//!   window);
 //! * **end-to-end Figure 1 sweep** wall time of the harness at
 //!   `--threads 1` and `--threads N`;
 //! * **Monte-Carlo failure injection** trial throughput, serial vs the
@@ -54,6 +60,8 @@ use std::time::Instant;
 use mec_obs::{to_json, NoopSink, RingSink};
 use mec_sim::failure::{inject_failures, inject_failures_parallel};
 use mec_sim::{FailureConfig, FailureProcess, RecoveryPolicy, Simulation};
+use mec_topology::{NetworkBuilder, Reliability};
+use mec_workload::{DurationModel, Horizon, RequestGenerator, VnfCatalog};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use vnfrel::offsite::{OffsiteGreedy, OffsitePrimalDual};
@@ -67,6 +75,9 @@ const WEEK_REQUESTS: usize = 131_072;
 /// Requests of the week stream the engine-overhead figure replays: the
 /// prefix the repository benchmark's `sched_batch` runs.
 const ENGINE_PREFIX: usize = 6_144;
+
+/// Requests in each `scale` stream.
+const SCALE_REQUESTS: usize = 400;
 
 /// `--check` fails above this run ÷ decide ratio: clear of a run that
 /// costs what its decisions cost (1.45) and of one with the four
@@ -183,6 +194,44 @@ fn decide_throughput_week(scenario: &Scenario, reps: usize) -> Vec<(&'static str
             admitted_share(scenario, OffsitePrimalDual::new(&scenario.instance)),
         ),
     ]
+}
+
+/// A chain of `m` APs over 16 slots, each AP with one 10-unit cloudlet
+/// whose reliability falls by 10⁻⁵ a hop.
+fn chain_instance(m: usize) -> ProblemInstance {
+    let mut b = NetworkBuilder::new();
+    let mut prev = None;
+    for i in 0..m {
+        let ap = b.add_ap(format!("ap{i}"));
+        if let Some(p) = prev {
+            b.add_link(p, ap, 1.0).expect("a chain link is valid");
+        }
+        prev = Some(ap);
+        let reliability = Reliability::new(0.999 - 1e-5 * i as f64).expect("inside (0, 1)");
+        b.add_cloudlet(ap, 10, reliability)
+            .expect("one cloudlet per AP");
+    }
+    let network = b.build().expect("a chain is a valid network");
+    ProblemInstance::new(network, VnfCatalog::standard(), Horizon::new(16)).expect("valid instance")
+}
+
+/// [`SCALE_REQUESTS`] requests over the `m`-AP chain with requirements
+/// in [0.9, 0.95], each lasting `window` slots if given.
+fn chain_scenario(m: usize, window: Option<usize>, seed: u64) -> Scenario {
+    let instance = chain_instance(m);
+    let mut gen = RequestGenerator::new(instance.horizon())
+        .reliability_band(0.9, 0.95)
+        .expect("a valid band");
+    if let Some(d) = window {
+        gen = gen
+            .durations(DurationModel::Fixed(d))
+            .expect("a valid duration");
+    }
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let requests = gen
+        .generate(SCALE_REQUESTS, instance.catalog(), &mut rng)
+        .expect("a valid stream");
+    Scenario { instance, requests }
 }
 
 /// Best wall times, in seconds, of one scheduler over the engine-overhead
@@ -348,6 +397,29 @@ fn main() {
     }
     println!("  engine overhead {engine_ratio:.2}x, faulted over plain {faulted_ratio:.2}x");
 
+    // --- scale: decide() against m and against the window ---------------
+    // A 400-request run takes tens of microseconds: many reps.
+    let scale_reps = if quick { 100 } else { 400 };
+    let by_cloudlets = [4, 16, 64].map(|m| {
+        let s = chain_scenario(m, None, 7);
+        let alg2 = decide_rps(&s, scale_reps, OffsitePrimalDual::new);
+        (m, decide_rps(&s, scale_reps, fresh_alg1), alg2)
+    });
+    let by_window = [1, 4, 8].map(|d| {
+        (
+            d,
+            decide_rps(&chain_scenario(8, Some(d), 11), scale_reps, fresh_alg1),
+        )
+    });
+    println!("\nscale: decide() on a chain of m APs ({SCALE_REQUESTS} requests, seed 7):");
+    for (m, alg1, alg2) in &by_cloudlets {
+        println!("  m={m:<3} alg1 {alg1:>12.0} req/s   alg2 {alg2:>12.0} req/s");
+    }
+    println!("scale: alg1 against the window (m=8, {SCALE_REQUESTS} requests, seed 11):");
+    for (d, alg1) in &by_window {
+        println!("  d={d:<3} alg1 {alg1:>12.0} req/s");
+    }
+
     // --- optional decision-trace sample ---------------------------------
     if let Some(path) = &trace_sample_path {
         let mut alg = OnsitePrimalDual::with_sink(
@@ -485,6 +557,25 @@ fn main() {
     let _ = writeln!(
         json,
         "    \"run_over_decide\": {engine_ratio:.3},\n    \"check_limit\": {ENGINE_OVERHEAD_LIMIT},\n    \"faulted_over_plain\": {faulted_ratio:.3},\n    \"faulted_check_limit\": {FAULTED_OVER_PLAIN_LIMIT}\n  }},"
+    );
+    // Each block lists its rows first, so every row ends in a comma.
+    json.push_str("  \"scale\": {\n    \"cloudlets\": {\n");
+    for (m, alg1, alg2) in by_cloudlets {
+        let _ = writeln!(
+            json,
+            "      \"m{m}\": {{ \"alg1_rps\": {alg1:.1}, \"alg2_rps\": {alg2:.1} }},"
+        );
+    }
+    let _ = writeln!(
+        json,
+        "      \"scenario\": {{ \"topology\": \"chain\", \"slots\": 16, \"requests\": {SCALE_REQUESTS}, \"seed\": 7 }}\n    }},\n    \"window\": {{"
+    );
+    for (d, alg1) in by_window {
+        let _ = writeln!(json, "      \"d{d}\": {{ \"alg1_rps\": {alg1:.1} }},");
+    }
+    let _ = writeln!(
+        json,
+        "      \"scenario\": {{ \"topology\": \"chain\", \"cloudlets\": 8, \"slots\": 16, \"requests\": {SCALE_REQUESTS}, \"seed\": 11 }}\n    }}\n  }},"
     );
     json.push_str("  \"fig1_sweep\": {\n");
     let _ = writeln!(

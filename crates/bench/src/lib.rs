@@ -1,8 +1,8 @@
 //! Shared experiment harness for regenerating the paper's figures.
 //!
 //! Every figure binary (`fig1a`, `fig1b`, `fig2a`, `fig2b`,
-//! `ablation_scaling`, `failure_validation`) and every criterion bench
-//! builds its scenarios through this crate so parameters stay consistent
+//! `ablation_scaling`, `failure_validation`) and `bench_report` build
+//! their scenarios through this crate so parameters stay consistent
 //! with `DESIGN.md` §4:
 //!
 //! * topology: Abilene (Internet2) with cloudlets on half the APs,
