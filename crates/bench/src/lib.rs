@@ -183,6 +183,16 @@ impl Scenario {
     ///
     /// Panics on internal parameter errors, as [`Scenario::build`].
     pub fn week(requests: usize, seed: u64) -> Self {
+        Scenario::minutes(WEEK_SLOTS, requests, seed)
+    }
+
+    /// [`Scenario::week`]'s network and stream laws over `slots`
+    /// one-minute slots (1 440 is a day).
+    ///
+    /// # Panics
+    ///
+    /// Panics on internal parameter errors, as [`Scenario::build`].
+    pub fn minutes(slots: usize, requests: usize, seed: u64) -> Self {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let placement = CloudletPlacement {
             fraction: 1.0,
@@ -192,9 +202,8 @@ impl Scenario {
         let network = zoo::abilene()
             .into_network(&placement, &mut rng)
             .expect("abilene materializes");
-        let instance =
-            ProblemInstance::new(network, VnfCatalog::standard(), Horizon::new(WEEK_SLOTS))
-                .expect("valid instance");
+        let instance = ProblemInstance::new(network, VnfCatalog::standard(), Horizon::new(slots))
+            .expect("valid instance");
         let requests = RequestGenerator::new(instance.horizon())
             .durations(DurationModel::Uniform { lo: 5, hi: 120 })
             .expect("durations fit the horizon")
