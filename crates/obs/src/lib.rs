@@ -33,7 +33,7 @@ pub use event::{
 };
 pub use json::{
     event_from_value, parse_line, parse_trace, parse_value, read_digits, read_number, to_json,
-    visit_fields, write_decision, Field, JsonValue, JsonWriter, ParseError, Scalar,
+    visit_fields, write_decision, write_number, Field, JsonValue, JsonWriter, ParseError, Scalar,
 };
 pub use metrics::{
     DecisionMetricIds, MetricId, MetricsRegistry, MetricsShard, MetricsSink, DUAL_COST_BUCKETS,
