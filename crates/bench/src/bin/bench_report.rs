@@ -31,6 +31,12 @@
 //!   against the request window `d` ∈ {1, 4, 8} slots on the
 //!   eight-cloudlet chain (price updates and capacity checks walk the
 //!   window);
+//! * **rng**: ns per `ChaCha8Rng::next_u64`, and ns per request of
+//!   `RequestGenerator` streams on the benchmark's three single-VNF
+//!   horizons (16, 1 440 and 10 080 slots, with its bands) and of
+//!   `ChainGenerator` on its chain shape: what a stream costs before the
+//!   first decision. The block also carries the same rows measured at
+//!   the scalar one-block keystream, frozen as `before`;
 //! * **end-to-end Figure 1 sweep** wall time of the harness at
 //!   `--threads 1` and `--threads N`;
 //! * **Monte-Carlo failure injection** trial throughput, serial vs the
@@ -61,8 +67,8 @@ use mec_obs::{to_json, NoopSink, RingSink};
 use mec_sim::failure::{inject_failures, inject_failures_parallel};
 use mec_sim::{FailureConfig, FailureProcess, RecoveryPolicy, Simulation};
 use mec_topology::{NetworkBuilder, Reliability};
-use mec_workload::{DurationModel, Horizon, RequestGenerator, VnfCatalog};
-use rand::SeedableRng;
+use mec_workload::{ChainGenerator, DurationModel, Horizon, RequestGenerator, VnfCatalog};
+use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use vnfrel::offsite::{OffsiteGreedy, OffsitePrimalDual};
 use vnfrel::onsite::{CapacityPolicy, OnsiteGreedy, OnsitePrimalDual};
@@ -78,6 +84,34 @@ const ENGINE_PREFIX: usize = 6_144;
 
 /// Requests in each `scale` stream.
 const SCALE_REQUESTS: usize = 400;
+
+/// `ChaCha8Rng::next_u64` draws in the `rng` block's keystream row.
+const RNG_DRAWS: usize = 1 << 22;
+
+/// Requests in each `rng` block request stream: the week workload's
+/// stream length.
+const RNG_REQUESTS: usize = 131_072;
+
+/// Chains in the `rng` block's chain stream.
+const RNG_CHAINS: usize = 32_768;
+
+/// Slots of the chain stream's horizon (the benchmark's chain shape).
+const RNG_CHAIN_SLOTS: usize = 2_016;
+
+/// The `rng` block's rows measured at commit `042e771`, the last one
+/// whose keystream computed one 16-word block per refill in scalar code,
+/// by this binary's full run. Emitted verbatim so the before/after
+/// travels with the live numbers.
+const RNG_BEFORE: &str = r#"    "before": {
+      "commit": "042e771",
+      "kernel": "scalar, one block per refill",
+      "host": "Intel(R) Xeon(R) Processor, 2 vCPUs",
+      "stat": "median of 10 full runs alternating with the four-block kernel",
+      "next_u64_ns": 11.71,
+      "generate_ns_per_req": { "t16": 89.6, "t1440": 130.1, "t10080": 152.1 },
+      "chain_generate_ns_per_req": { "t2016": 298.2 }
+    }
+"#;
 
 /// `--check` fails above this run ÷ decide ratio: clear of a run that
 /// costs what its decisions cost (1.45) and of one with the four
@@ -154,6 +188,74 @@ fn decide_rps<'a, S: OnlineScheduler>(
 
 fn fresh_alg1(instance: &ProblemInstance) -> OnsitePrimalDual<'_> {
     OnsitePrimalDual::new(instance, CapacityPolicy::Enforce).expect("the enforce policy is valid")
+}
+
+/// The `rng` block: best-of-`reps` ns per `next_u64`, ns per request of
+/// a [`RNG_REQUESTS`]-request stream at each of the benchmark's
+/// single-VNF horizons, and ns per chain of its chain stream.
+struct RngCosts {
+    next_u64_ns: f64,
+    generate_ns: [(usize, f64); 3],
+    chain_ns: f64,
+}
+
+fn rng_costs(reps: usize) -> RngCosts {
+    let mut rng = ChaCha8Rng::seed_from_u64(1);
+    let next_u64_ns = best_of(reps, || {
+        let mut acc = 0u64;
+        for _ in 0..RNG_DRAWS {
+            acc ^= rng.next_u64();
+        }
+        std::hint::black_box(acc);
+    }) * 1e9
+        / RNG_DRAWS as f64;
+    let catalog = VnfCatalog::standard();
+    // The benchmark's scarce, day and week streams: its bands and
+    // duration laws.
+    let generate_ns = [16, 1_440, 10_080].map(|slots| {
+        let durations = if slots == 16 {
+            DurationModel::Uniform { lo: 1, hi: 8 }
+        } else {
+            DurationModel::Uniform { lo: 5, hi: 120 }
+        };
+        let generator = RequestGenerator::new(Horizon::new(slots))
+            .durations(durations)
+            .expect("durations fit the horizon")
+            .reliability_band(0.9, 0.95)
+            .expect("valid band")
+            .payment_rate_band(1.0, 10.0)
+            .expect("valid band");
+        let mut rng = ChaCha8Rng::seed_from_u64(1);
+        let secs = best_of(reps, || {
+            std::hint::black_box(
+                generator
+                    .generate(RNG_REQUESTS, &catalog, &mut rng)
+                    .expect("valid workload"),
+            );
+        });
+        (slots, secs * 1e9 / RNG_REQUESTS as f64)
+    });
+    // The benchmark's chain stream (its bands; 11 Abilene access points).
+    let chains = ChainGenerator::new(Horizon::new(RNG_CHAIN_SLOTS), 11)
+        .length_band(1, 3)
+        .and_then(|g| g.reliability_band(0.93, 0.97))
+        .and_then(|g| g.latency_budget_band(3.0, 12.0))
+        .and_then(|g| g.payment_rate_band(1.0, 10.0))
+        .and_then(|g| g.max_duration(12))
+        .expect("valid bands");
+    let mut rng = ChaCha8Rng::seed_from_u64(1);
+    let chain_secs = best_of(reps, || {
+        std::hint::black_box(
+            chains
+                .generate(RNG_CHAINS, &catalog, &mut rng)
+                .expect("valid workload"),
+        );
+    });
+    RngCosts {
+        next_u64_ns,
+        generate_ns,
+        chain_ns: chain_secs * 1e9 / RNG_CHAINS as f64,
+    }
 }
 
 /// decide() throughput of the four production schedulers, as
@@ -420,6 +522,21 @@ fn main() {
         println!("  d={d:<3} alg1 {alg1:>12.0} req/s");
     }
 
+    // --- rng: the keystream and the streams it feeds ---------------------
+    let rng = rng_costs(if quick { 5 } else { 15 });
+    println!("\nrng: ChaCha8Rng and the request generators (seed 1):");
+    println!(
+        "  next_u64       {:>8.2} ns   ({RNG_DRAWS} draws)",
+        rng.next_u64_ns
+    );
+    for (slots, ns) in &rng.generate_ns {
+        println!("  requests t{slots:<5} {ns:>7.1} ns/req ({RNG_REQUESTS} requests)");
+    }
+    println!(
+        "  chains t{RNG_CHAIN_SLOTS:<7} {:>7.1} ns/chain ({RNG_CHAINS} chains)",
+        rng.chain_ns
+    );
+
     // --- optional decision-trace sample ---------------------------------
     if let Some(path) = &trace_sample_path {
         let mut alg = OnsitePrimalDual::with_sink(
@@ -577,6 +694,24 @@ fn main() {
         json,
         "      \"scenario\": {{ \"topology\": \"chain\", \"cloudlets\": 8, \"slots\": 16, \"requests\": {SCALE_REQUESTS}, \"seed\": 11 }}\n    }}\n  }},"
     );
+    let _ = writeln!(
+        json,
+        "  \"rng\": {{\n    \"next_u64_ns\": {:.2},\n    \"draws\": {RNG_DRAWS},",
+        rng.next_u64_ns
+    );
+    json.push_str("    \"generate_ns_per_req\": {");
+    for (slots, ns) in &rng.generate_ns {
+        let _ = write!(json, " \"t{slots}\": {ns:.1},");
+    }
+    let _ = writeln!(json, " \"requests\": {RNG_REQUESTS} }},");
+    let _ = writeln!(
+        json,
+        "    \"chain_generate_ns_per_req\": {{ \"t{RNG_CHAIN_SLOTS}\": {:.1}, \"chains\": {RNG_CHAINS} }},",
+        rng.chain_ns
+    );
+    let _ = writeln!(json, "    \"seed\": 1,");
+    json.push_str(RNG_BEFORE);
+    json.push_str("  },\n");
     json.push_str("  \"fig1_sweep\": {\n");
     let _ = writeln!(
         json,

@@ -19,6 +19,9 @@ pub struct BoundedPareto {
     lo: f64,
     hi: f64,
     alpha: f64,
+    /// `lo^alpha` and `hi^alpha`, which every sample's inverse CDF reads.
+    lo_pow: f64,
+    hi_pow: f64,
 }
 
 impl BoundedPareto {
@@ -40,15 +43,20 @@ impl BoundedPareto {
                 "bounded pareto (lo, hi, alpha)",
             ));
         }
-        Ok(BoundedPareto { lo, hi, alpha })
+        Ok(BoundedPareto {
+            lo,
+            hi,
+            alpha,
+            lo_pow: lo.powf(alpha),
+            hi_pow: hi.powf(alpha),
+        })
     }
 
     /// Draws one sample via inverse-transform sampling.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         let u: f64 = rng.gen();
         // Inverse CDF of the bounded Pareto.
-        let la = self.lo.powf(self.alpha);
-        let ha = self.hi.powf(self.alpha);
+        let (la, ha) = (self.lo_pow, self.hi_pow);
         let x = (-(u * ha - u * la - ha) / (ha * la)).powf(-1.0 / self.alpha);
         x.clamp(self.lo, self.hi)
     }
@@ -104,9 +112,13 @@ impl Zipf {
 /// Samples a Poisson-distributed count with mean `lambda` (Knuth's method
 /// for small `lambda`, normal approximation above 30).
 ///
-/// Used for per-slot arrival counts.
+/// Used for per-slot arrival counts. A NaN or non-positive mean gives 0
+/// and draws nothing. The mean should be finite: an infinite one reads
+/// `usize::MAX` or 0, by the sign of its one normal draw.
 pub fn poisson<R: Rng + ?Sized>(lambda: f64, rng: &mut R) -> usize {
-    if lambda <= 0.0 {
+    // A NaN mean would make Knuth's bound `exp(-NaN)`, which no product
+    // ever falls below.
+    if lambda.is_nan() || lambda <= 0.0 {
         return 0;
     }
     if lambda > 30.0 {
@@ -137,7 +149,7 @@ pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
     fn rng(seed: u64) -> ChaCha8Rng {
@@ -223,6 +235,15 @@ mod tests {
         }
         assert_eq!(poisson(0.0, &mut r), 0);
         assert_eq!(poisson(-1.0, &mut r), 0);
+    }
+
+    #[test]
+    fn poisson_of_nan_is_zero() {
+        // Knuth's loop never ended on a NaN mean.
+        let mut r = rng(7);
+        let before = r.clone().next_u64();
+        assert_eq!(poisson(f64::NAN, &mut r), 0);
+        assert_eq!(r.next_u64(), before, "a NaN mean draws nothing");
     }
 
     #[test]

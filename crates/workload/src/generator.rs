@@ -55,6 +55,34 @@ pub enum DurationModel {
     Fixed(usize),
 }
 
+/// A [`DurationModel`] ready to draw from: the Pareto law is built once
+/// per stream, not once per request.
+enum DurationLaw {
+    Uniform { lo: usize, hi: usize },
+    Pareto(BoundedPareto),
+    Fixed(usize),
+}
+
+impl DurationLaw {
+    fn new(model: DurationModel) -> Result<Self, WorkloadError> {
+        Ok(match model {
+            DurationModel::Uniform { lo, hi } => DurationLaw::Uniform { lo, hi },
+            DurationModel::Pareto { lo, hi, alpha } => {
+                DurationLaw::Pareto(BoundedPareto::new(lo as f64, hi as f64 + 0.999, alpha)?)
+            }
+            DurationModel::Fixed(d) => DurationLaw::Fixed(d),
+        })
+    }
+
+    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
+        match self {
+            DurationLaw::Uniform { lo, hi } => rng.gen_range(*lo..=*hi),
+            DurationLaw::Pareto(dist) => dist.sample(rng).floor() as usize,
+            DurationLaw::Fixed(d) => *d,
+        }
+    }
+}
+
 /// How requested VNF types are drawn from the catalog.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum VnfSelection {
@@ -212,6 +240,7 @@ impl RequestGenerator {
             return Err(WorkloadError::UnknownVnfType(0));
         }
         self.validate_durations()?;
+        let durations = DurationLaw::new(self.durations)?;
         let zipf = match self.vnf_selection {
             VnfSelection::Zipf(s) => Some(Zipf::new(catalog.len(), s)?),
             VnfSelection::Uniform => None,
@@ -235,7 +264,7 @@ impl RequestGenerator {
             self.horizon,
             filler,
             |arrival, id| {
-                let duration = self.draw_duration(arrival, rng)?;
+                let duration = self.draw_duration(arrival, &durations, rng);
                 let vnf_idx = match &zipf {
                     Some(z) => z.sample(rng),
                     None => rng.gen_range(0..catalog.len()),
@@ -313,18 +342,11 @@ impl RequestGenerator {
     fn draw_duration<R: Rng + ?Sized>(
         &self,
         arrival: usize,
+        law: &DurationLaw,
         rng: &mut R,
-    ) -> Result<usize, WorkloadError> {
+    ) -> usize {
         let room = self.horizon.len() - arrival; // ≥ 1 since arrival < T
-        let d = match self.durations {
-            DurationModel::Uniform { lo, hi } => rng.gen_range(lo..=hi),
-            DurationModel::Pareto { lo, hi, alpha } => {
-                let dist = BoundedPareto::new(lo as f64, hi as f64 + 0.999, alpha)?;
-                dist.sample(rng).floor() as usize
-            }
-            DurationModel::Fixed(d) => d,
-        };
-        Ok(d.clamp(1, room))
+        law.sample(rng).clamp(1, room)
     }
 }
 
@@ -353,6 +375,7 @@ mod tests {
             return Err(WorkloadError::UnknownVnfType(0));
         }
         g.validate_durations()?;
+        let durations = DurationLaw::new(g.durations)?;
         let zipf = match g.vnf_selection {
             VnfSelection::Zipf(s) => Some(Zipf::new(catalog.len(), s)?),
             VnfSelection::Uniform => None,
@@ -385,7 +408,7 @@ mod tests {
         };
         let mut drawn = Vec::with_capacity(count);
         for (i, arrival) in arrivals.into_iter().enumerate() {
-            let duration = g.draw_duration(arrival, rng)?;
+            let duration = g.draw_duration(arrival, &durations, rng);
             let vnf_idx = match &zipf {
                 Some(z) => z.sample(rng),
                 None => rng.gen_range(0..catalog.len()),

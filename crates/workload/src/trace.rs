@@ -109,20 +109,21 @@ impl ClusterTrace {
     ///
     /// # Errors
     ///
-    /// Returns [`WorkloadError::UnknownVnfType`] for an empty catalog.
+    /// Returns [`WorkloadError::UnknownVnfType`] for an empty catalog, and
+    /// [`WorkloadError::InvalidParameter`] for a base rate that is not
+    /// finite and `≥ 0`.
     pub fn generate<R: Rng + ?Sized>(
         &self,
         catalog: &VnfCatalog,
         rng: &mut R,
     ) -> Result<Vec<Request>, WorkloadError> {
-        if catalog.is_empty() {
-            return Err(WorkloadError::UnknownVnfType(0));
-        }
+        let durations = self.prepare(catalog)?;
         let mut out = Vec::new();
         for t in self.horizon.slots() {
             let k = poisson(self.rate_at(t), rng);
             for _ in 0..k {
-                out.push(self.one_request(RequestId(out.len()), t, catalog, rng)?);
+                let id = RequestId(out.len());
+                out.push(self.one_request(id, t, durations.as_ref(), catalog, rng)?);
             }
         }
         Ok(out)
@@ -132,16 +133,14 @@ impl ClusterTrace {
     ///
     /// # Errors
     ///
-    /// Returns [`WorkloadError::UnknownVnfType`] for an empty catalog.
+    /// As [`ClusterTrace::generate`].
     pub fn generate_exact<R: Rng + ?Sized>(
         &self,
         count: usize,
         catalog: &VnfCatalog,
         rng: &mut R,
     ) -> Result<Vec<Request>, WorkloadError> {
-        if catalog.is_empty() {
-            return Err(WorkloadError::UnknownVnfType(0));
-        }
+        let durations = self.prepare(catalog)?;
         // Sample arrival slots proportional to the rate profile.
         let weights: Vec<f64> = self.horizon.slots().map(|t| self.rate_at(t)).collect();
         let total: f64 = weights.iter().sum();
@@ -161,24 +160,41 @@ impl ClusterTrace {
         arrivals
             .into_iter()
             .enumerate()
-            .map(|(i, t)| self.one_request(RequestId(i), t, catalog, rng))
+            .map(|(i, t)| self.one_request(RequestId(i), t, durations.as_ref(), catalog, rng))
             .collect()
+    }
+
+    /// Checks what both generators need, and builds the duration law
+    /// (`None`: every request lasts one slot).
+    fn prepare(&self, catalog: &VnfCatalog) -> Result<Option<BoundedPareto>, WorkloadError> {
+        if catalog.is_empty() {
+            return Err(WorkloadError::UnknownVnfType(0));
+        }
+        // A NaN rate hung `generate` in `poisson` and put every request of
+        // `generate_exact` in the last slot; an infinite one pushed
+        // requests until memory ran out.
+        if !self.base_rate.is_finite() || self.base_rate < 0.0 {
+            return Err(WorkloadError::InvalidParameter("base rate"));
+        }
+        let hi = self.max_duration.max(1) as f64;
+        if hi <= 1.0 {
+            return Ok(None);
+        }
+        BoundedPareto::new(1.0, hi + 0.999, self.duration_alpha).map(Some)
     }
 
     fn one_request<R: Rng + ?Sized>(
         &self,
         id: RequestId,
         arrival: usize,
+        durations: Option<&BoundedPareto>,
         catalog: &VnfCatalog,
         rng: &mut R,
     ) -> Result<Request, WorkloadError> {
         let room = self.horizon.len() - arrival;
-        let hi = self.max_duration.max(1) as f64;
-        let duration = if hi <= 1.0 {
-            1
-        } else {
-            let dist = BoundedPareto::new(1.0, hi + 0.999, self.duration_alpha)?;
-            (dist.sample(rng).floor() as usize).clamp(1, room)
+        let duration = match durations {
+            None => 1,
+            Some(dist) => (dist.sample(rng).floor() as usize).clamp(1, room),
         };
         let vnf = catalog.require(VnfTypeId(rng.gen_range(0..catalog.len())))?;
         let (rlo, rhi) = self.reliability_band;
@@ -227,6 +243,33 @@ mod tests {
             "{} requests",
             reqs.len()
         );
+    }
+
+    #[test]
+    fn generate_refuses_a_nan_base_rate() {
+        // Hung in `poisson` before the rate was checked.
+        let trace = ClusterTrace::new(Horizon::new(24), f64::NAN);
+        let err = trace.generate(&VnfCatalog::standard(), &mut rng(1));
+        assert_eq!(err, Err(WorkloadError::InvalidParameter("base rate")));
+    }
+
+    #[test]
+    fn generate_refuses_an_infinite_or_negative_base_rate() {
+        for rate in [f64::INFINITY, f64::NEG_INFINITY, -1.0] {
+            let trace = ClusterTrace::new(Horizon::new(24), rate);
+            let err = trace.generate(&VnfCatalog::standard(), &mut rng(1));
+            assert_eq!(err, Err(WorkloadError::InvalidParameter("base rate")));
+        }
+    }
+
+    #[test]
+    fn generate_exact_refuses_a_non_finite_base_rate() {
+        // A NaN rate put every request in the last slot.
+        for rate in [f64::NAN, f64::INFINITY, -0.5] {
+            let trace = ClusterTrace::new(Horizon::new(24), rate);
+            let err = trace.generate_exact(10, &VnfCatalog::standard(), &mut rng(1));
+            assert_eq!(err, Err(WorkloadError::InvalidParameter("base rate")));
+        }
     }
 
     #[test]
