@@ -6,18 +6,15 @@
 //! arrivals and durations as integers; reliabilities, budgets and
 //! payments by their IEEE-754 bits). The rows cover the four stream
 //! shapes the benchmark runs on (scarce, week, day and chain, with their
-//! bands), Poisson arrivals (including a rate that wraps past the
-//! horizon and the degenerate zero rate), Pareto, fixed and uniform
-//! durations, Zipf and uniform VNF selection, a one-slot horizon, empty
-//! and one-request streams, and chain streams, each at seeds 1–3. A
+//! bands), fixed and uniform durations, a one-slot horizon, empty and
+//! one-request streams, and chain streams, each at seeds 1–3. A
 //! change to either generator that moves one draw, one float or one id
 //! fails here with the row's label. After a deliberate change, empty
 //! the golden file and rerun: the row-count failure prints every row as
 //! the generators now produce them.
 
 use mec_workload::{
-    ArrivalProcess, ChainGenerator, ChainRequest, DurationModel, Horizon, Request,
-    RequestGenerator, VnfCatalog, VnfSelection,
+    ChainGenerator, ChainRequest, DurationModel, Horizon, Request, RequestGenerator, VnfCatalog,
 };
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -110,52 +107,10 @@ fn request_cases() -> Vec<(&'static str, RequestGenerator, VnfCatalog, usize)> {
             12_096,
         ),
         (
-            "poisson-1.0",
-            default(200).arrivals(ArrivalProcess::Poisson { burstiness: 1.0 }),
-            standard(),
-            4_000,
-        ),
-        (
-            "poisson-0.3-wraps",
-            default(50).arrivals(ArrivalProcess::Poisson { burstiness: 0.3 }),
-            standard(),
-            2_000,
-        ),
-        (
-            "poisson-0.0-uniform-fill",
-            default(50).arrivals(ArrivalProcess::Poisson { burstiness: 0.0 }),
-            standard(),
-            500,
-        ),
-        (
-            "poisson-4.0-large-rate",
-            default(100).arrivals(ArrivalProcess::Poisson { burstiness: 4.0 }),
-            standard(),
-            8_000,
-        ),
-        (
-            "pareto",
-            default(500)
-                .durations(DurationModel::Pareto {
-                    lo: 1,
-                    hi: 60,
-                    alpha: 1.1,
-                })
-                .unwrap(),
-            standard(),
-            5_000,
-        ),
-        (
             "fixed",
             default(40).durations(DurationModel::Fixed(7)).unwrap(),
             standard(),
             3_000,
-        ),
-        (
-            "zipf",
-            default(300).vnf_selection(VnfSelection::Zipf(1.3)),
-            standard(),
-            5_000,
         ),
         (
             "one-slot",
