@@ -357,7 +357,7 @@ impl ReplicaDpMemo {
 /// than failing.
 ///
 /// One-shot form: builds the stage table and solves it once. The chain
-/// schedulers keep the table (see [`ReplicaDpMemo`]) and only solve.
+/// schedulers keep the table (see `ReplicaDpMemo`) and only solve.
 pub fn allocate_replicas_raw(
     stages: &[(f64, u64)],
     cloudlet: f64,

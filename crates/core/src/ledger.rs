@@ -272,9 +272,10 @@ impl CapacityLedger {
     ///
     /// # Errors
     ///
-    /// Returns [`VnfrelError::ReleaseUnderflow`] when any touched cell
-    /// holds less than `amount` (within a `1e-9` tolerance) — i.e. the
-    /// caller is releasing capacity that was never charged.
+    /// Returns [`VnfrelError::ReleaseUnderflow`](crate::VnfrelError::ReleaseUnderflow)
+    /// when any touched cell holds less than `amount` (within a `1e-9`
+    /// tolerance) — i.e. the caller is releasing capacity that was never
+    /// charged.
     pub fn release<I>(
         &mut self,
         cloudlet: CloudletId,

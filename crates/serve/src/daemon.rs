@@ -9,7 +9,7 @@
 //! ```
 //!
 //! A decide thread works in bursts: it takes everything queued (up to
-//! [`LANE_CHUNK`] items) in one lock take, decides it, buffers each
+//! `LANE_CHUNK` items) in one lock take, decides it, buffers each
 //! reply per connection, and writes each connection once — always
 //! before it parks, blocks on another queue or hands a reply to anyone
 //! else (the flush-before-block rule, DESIGN.md §12).
@@ -203,7 +203,7 @@ pub struct ServeReport {
     pub role: Role,
 }
 
-/// A client socket's write half. [`ClientConn::send`] is the only way
+/// A client socket's write half. `ClientConn::send` is the only way
 /// the daemon puts bytes on a client socket, so per-connection order and
 /// what a failed write means are the same for every thread that answers:
 /// workers, decide threads, the node and the replication sender.

@@ -97,7 +97,7 @@ impl ChaosReport {
 }
 
 /// Runs the fault matrix: per scenario two golden runs (one lane, and
-/// [`DRILL_SHARDS`] lanes), then the network, disk and process cells.
+/// `DRILL_SHARDS` lanes), then the network, disk and process cells.
 /// `progress` hears what is starting; with a `flight_dir` the process
 /// cells dump their panicked lanes' rings into one subdirectory per
 /// scheme.

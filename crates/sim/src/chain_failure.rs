@@ -221,10 +221,13 @@ pub fn inject_chain_failures<R: Rng + ?Sized>(
 mod tests {
     use super::*;
     use mec_topology::generators::{self, CloudletPlacement};
-    use mec_workload::{ChainGenerator, Horizon, VnfCatalog};
+    use mec_topology::CloudletId;
+    use mec_workload::{ChainGenerator, Horizon, VnfCatalog, VnfTypeId};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
-    use vnfrel::chain::{run_chain_online, BackupMode, ChainPrimalDual};
+    use vnfrel::chain::{
+        run_chain_online, BackupMode, ChainPlacement, ChainPrimalDual, StagePlacement,
+    };
 
     fn instance(seed: u64) -> ProblemInstance {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -317,5 +320,46 @@ mod tests {
         let empty = ChainSchedule::new();
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         assert!(inject_chain_failures(&inst, &reqs, &empty, 10, &mut rng).is_err());
+    }
+
+    #[test]
+    fn malformed_placements_are_rejected() {
+        let inst = instance(3);
+        let reqs = chains(&inst, 1, 17);
+        let chain = &reqs[0];
+        let stage = |vnf, cloudlet| StagePlacement {
+            vnf,
+            cloudlet: CloudletId(cloudlet),
+            replicas: 1,
+            standby: None,
+            backup_shared: false,
+        };
+        let placement = |stages| ChainPlacement {
+            stages,
+            total_compute: 1,
+            latency: 0.0,
+            availability: 0.99,
+            segments: Vec::new(),
+        };
+        let valid: Vec<StagePlacement> = chain.stages().iter().map(|&f| stage(f, 0)).collect();
+        let mut extra = valid.clone();
+        extra.push(stage(chain.stages()[0], 0));
+        let mut far = valid.clone();
+        far[0].cloudlet = CloudletId(inst.cloudlet_count());
+        let mut unknown = valid;
+        unknown[0].vnf = VnfTypeId(inst.catalog().len());
+        for (stages, want) in [
+            (extra, "placement stage count mismatch"),
+            (far, "placement references unknown cloudlet"),
+            (unknown, "placement references unknown vnf type"),
+        ] {
+            let mut schedule = ChainSchedule::new();
+            schedule.record(chain, Ok(placement(stages)));
+            let mut rng = ChaCha8Rng::seed_from_u64(1);
+            assert_eq!(
+                inject_chain_failures(&inst, &reqs, &schedule, 10, &mut rng),
+                Err(SimError::Mismatch(want))
+            );
+        }
     }
 }

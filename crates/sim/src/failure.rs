@@ -218,7 +218,7 @@ const TRIAL_CHUNK: usize = 512;
 
 /// [`inject_failures`] fanned out over `threads` scoped worker threads.
 ///
-/// The campaign is split into fixed [`TRIAL_CHUNK`]-sized chunks; chunk
+/// The campaign is split into fixed `TRIAL_CHUNK`-sized chunks; chunk
 /// `c` draws from `ChaCha8Rng::seed_from_u64(seed)` on stream `c + 1`,
 /// and per-request survival counts are summed over chunks in chunk
 /// order. Results are a pure function of `(inputs, seed)` — **not** of

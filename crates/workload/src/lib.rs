@@ -13,11 +13,13 @@
 //! * [`Request`] — the request tuple with its activity window `V_i`,
 //! * [`Horizon`] — the slotted monitoring period `T = {1..T}` (0-indexed
 //!   internally),
-//! * [`RequestGenerator`] — seeded random workloads with explicit control
-//!   of the payment-rate ratio `H = pr_max / pr_min` (Figure 2(a) sweep),
-//! * [`trace`] — a Google-cluster-*like* synthetic trace (heavy-tailed
-//!   durations, bursty arrivals), substituting for the proprietary dataset
-//!   the paper samples from.
+//! * [`RequestGenerator`] — seeded random workloads: arrivals uniform
+//!   over the horizon, VNF types uniform over the catalog, durations
+//!   uniform in a band or fixed, and requirements and payment rates
+//!   uniform in bands, so the payment-rate ratio `H = pr_max / pr_min`
+//!   is set directly (Figure 2(a) sweep). These stand in for the Google
+//!   cluster data the paper samples from,
+//! * [`ChainGenerator`] — seeded service-function-chain workloads.
 //!
 //! # Example
 //!
@@ -36,19 +38,17 @@
 #![warn(missing_debug_implementations)]
 
 mod chain;
-pub mod distributions;
 mod error;
 mod generator;
 mod placement;
 mod request;
 pub mod stats;
 mod time;
-pub mod trace;
 mod vnf;
 
 pub use chain::{ChainGenerator, ChainRequest, ChainRequestId};
 pub use error::WorkloadError;
-pub use generator::{ArrivalProcess, DurationModel, RequestGenerator, VnfSelection};
+pub use generator::{DurationModel, RequestGenerator};
 pub use mec_topology::Reliability;
 pub use request::{Request, RequestId};
 pub use time::{Horizon, TimeSlot};

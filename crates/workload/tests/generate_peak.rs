@@ -14,9 +14,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use mec_workload::{
-    ArrivalProcess, ChainGenerator, DurationModel, Horizon, Request, RequestGenerator, VnfCatalog,
-};
+use mec_workload::{ChainGenerator, DurationModel, Horizon, Request, RequestGenerator, VnfCatalog};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -89,24 +87,18 @@ fn a_week_stream_peaks_at_one_stream_plus_linear_words() {
     let catalog = VnfCatalog::standard();
     let stream = COUNT * std::mem::size_of::<Request>();
     let budget = stream + WORDS_PER_ITEM * std::mem::size_of::<usize>() * (COUNT + WEEK);
-    for arrivals in [
-        ArrivalProcess::Uniform,
-        ArrivalProcess::Poisson { burstiness: 1.0 },
-    ] {
-        let gen = RequestGenerator::new(Horizon::new(WEEK))
-            .arrivals(arrivals)
-            .durations(DurationModel::Uniform { lo: 5, hi: 120 })
-            .unwrap();
-        let mut rng = ChaCha8Rng::seed_from_u64(1);
-        let (reqs, peak) = peak_during(|| gen.generate(COUNT, &catalog, &mut rng).unwrap());
-        assert_eq!(reqs.len(), COUNT);
-        assert_eq!(reqs.capacity(), reqs.len(), "{arrivals:?}: spare capacity");
-        assert!(
-            peak <= budget,
-            "{arrivals:?}: generate peaked at {peak} live bytes; the budget is {budget} \
-             (a {stream}-byte stream plus {WORDS_PER_ITEM} words per request and per slot)"
-        );
-    }
+    let gen = RequestGenerator::new(Horizon::new(WEEK))
+        .durations(DurationModel::Uniform { lo: 5, hi: 120 })
+        .unwrap();
+    let mut rng = ChaCha8Rng::seed_from_u64(1);
+    let (reqs, peak) = peak_during(|| gen.generate(COUNT, &catalog, &mut rng).unwrap());
+    assert_eq!(reqs.len(), COUNT);
+    assert_eq!(reqs.capacity(), reqs.len(), "spare capacity");
+    assert!(
+        peak <= budget,
+        "generate peaked at {peak} live bytes; the budget is {budget} \
+         (a {stream}-byte stream plus {WORDS_PER_ITEM} words per request and per slot)"
+    );
 
     let mut rng = ChaCha8Rng::seed_from_u64(1);
     let chains = ChainGenerator::new(Horizon::new(2_016), 11)

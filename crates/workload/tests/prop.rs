@@ -1,10 +1,8 @@
 //! Property-based tests for requests and workload generation.
 
 use mec_topology::Reliability;
-use mec_workload::trace::ClusterTrace;
 use mec_workload::{
-    ArrivalProcess, DurationModel, Horizon, Request, RequestGenerator, RequestId, VnfCatalog,
-    VnfSelection, VnfTypeId,
+    DurationModel, Horizon, Request, RequestGenerator, RequestId, VnfCatalog, VnfTypeId,
 };
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -75,39 +73,12 @@ proptest! {
         let cat = VnfCatalog::standard();
         let gen = RequestGenerator::new(Horizon::new(40))
             .payment_rate_band(lo, hi).unwrap()
-            .durations(DurationModel::Uniform { lo: 1, hi: 6 }).unwrap()
-            .vnf_selection(VnfSelection::Zipf(1.0));
+            .durations(DurationModel::Uniform { lo: 1, hi: 6 }).unwrap();
         let reqs = gen.generate(50, &cat, &mut rng).unwrap();
         for r in &reqs {
             let vnf = cat.get(r.vnf()).unwrap();
             let rate = r.payment_rate(vnf);
             prop_assert!(rate >= lo - 1e-9 && rate <= hi + 1e-9);
-        }
-    }
-
-    #[test]
-    fn poisson_arrivals_generate_exact_count(
-        seed in 0u64..100,
-        count in 1usize..200,
-        burst in 0.1f64..3.0,
-    ) {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let cat = VnfCatalog::standard();
-        let gen = RequestGenerator::new(Horizon::new(30))
-            .arrivals(ArrivalProcess::Poisson { burstiness: burst });
-        let reqs = gen.generate(count, &cat, &mut rng).unwrap();
-        prop_assert_eq!(reqs.len(), count);
-    }
-
-    #[test]
-    fn cluster_trace_exact_is_exact(seed in 0u64..100, count in 1usize..400) {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let cat = VnfCatalog::standard();
-        let trace = ClusterTrace::new(Horizon::new(50), 2.0);
-        let reqs = trace.generate_exact(count, &cat, &mut rng).unwrap();
-        prop_assert_eq!(reqs.len(), count);
-        for r in &reqs {
-            prop_assert!(r.end_slot() < 50);
         }
     }
 }
