@@ -387,19 +387,6 @@ impl MixedScenario {
     }
 }
 
-/// Averages a scenario metric over several seeds.
-pub fn mean_revenue<F>(params: &ScenarioParams, seeds: &[u64], f: F) -> f64
-where
-    F: Fn(&Scenario) -> f64,
-{
-    let mut total = 0.0;
-    for &seed in seeds {
-        let s = Scenario::build(&ScenarioParams { seed, ..*params });
-        total += f(&s);
-    }
-    total / seeds.len().max(1) as f64
-}
-
 /// Parses a `--quiet`/`-q` flag from the process arguments.
 ///
 /// The figure and ablation binaries keep result tables on stdout and

@@ -107,13 +107,6 @@ impl OnsiteBounds {
             + 1.0;
         self.a_max / (self.cap_min * (1.0 + self.a_min / self.cap_max).log2()) * inner.log2()
     }
-
-    /// `ξ` relative to the smallest capacity — an upper bound on the
-    /// ledger's [`max_overflow`](crate::CapacityLedger::max_overflow)
-    /// style relative violation.
-    pub fn xi_relative(&self) -> f64 {
-        self.xi() / self.cap_min
-    }
 }
 
 #[cfg(test)]
@@ -166,7 +159,6 @@ mod tests {
         assert_eq!(b.cap_min, 50.0);
         assert!(b.competitive_ratio() > 1.0);
         assert!(b.xi() > 0.0);
-        assert!(b.xi_relative() > 0.0);
     }
 
     #[test]

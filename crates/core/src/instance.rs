@@ -70,7 +70,7 @@ struct ReliabilityTables {
 
 /// Hard cap on table length; requirements between the last rung and
 /// `r(c_j)` fall back to the closed form of
-/// [`onsite_instances`](crate::reliability::onsite_instances).
+/// [`onsite_instances`].
 const MAX_LADDER: u32 = 64;
 
 impl ReliabilityTables {
@@ -149,7 +149,7 @@ impl ProblemInstance {
     /// type's table one row (one rung of every cloudlet) at a time,
     /// counting the rungs below `R_i`, and stops at the first row with
     /// none below; rungs only rise, so that count is the minimum.
-    /// Agrees with [`onsite_instances`](crate::reliability::onsite_instances)
+    /// Agrees with [`onsite_instances`]
     /// but does no logarithm work.
     ///
     /// # Panics

@@ -391,11 +391,6 @@ impl ChaosSnapshotIo {
         self.armed.store(false, Ordering::SeqCst);
     }
 
-    /// Resumes injecting.
-    pub fn arm(&self) {
-        self.armed.store(true, Ordering::SeqCst);
-    }
-
     /// Total faults injected so far.
     pub fn injected(&self) -> u64 {
         self.injected.load(Ordering::SeqCst)

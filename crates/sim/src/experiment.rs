@@ -8,15 +8,6 @@
 
 use std::fmt;
 
-/// One algorithm's value at one sweep point.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SeriesPoint {
-    /// Algorithm name (column).
-    pub algorithm: String,
-    /// Mean revenue (or other metric) across repetitions.
-    pub value: f64,
-}
-
 /// A full sweep: one row per x-value, one column per algorithm.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepTable {

@@ -10,7 +10,6 @@
 use std::io::{self, Write};
 
 use crate::engine::{FaultRunReport, RunReport};
-use crate::experiment::SweepTable;
 
 /// Streams the per-slot timeline as CSV (`slot,arrivals,admitted,active`).
 ///
@@ -92,33 +91,6 @@ pub fn write_sla_csv<W: Write>(out: &mut W, report: &FaultRunReport) -> io::Resu
     Ok(())
 }
 
-/// Streams a sweep table as CSV with the x-label as the first column.
-///
-/// # Errors
-///
-/// Returns the first IO error from `out`.
-pub fn write_sweep_csv<W: Write>(out: &mut W, table: &SweepTable) -> io::Result<()> {
-    out.write_all(table.x_label.as_bytes())?;
-    for c in &table.columns {
-        out.write_all(b",")?;
-        // Quote column names containing commas to keep the CSV parseable.
-        if c.contains(',') {
-            write!(out, "\"{}\"", c.replace('"', "\"\""))?;
-        } else {
-            out.write_all(c.as_bytes())?;
-        }
-    }
-    out.write_all(b"\n")?;
-    for (x, vals) in &table.rows {
-        write!(out, "{x}")?;
-        for v in vals {
-            write!(out, ",{v}")?;
-        }
-        out.write_all(b"\n")?;
-    }
-    Ok(())
-}
-
 /// Runs a streaming renderer into an in-memory buffer. Writes to a
 /// `Vec<u8>` cannot fail and everything written is UTF-8.
 fn into_string(render: impl FnOnce(&mut Vec<u8>) -> io::Result<()>) -> String {
@@ -138,8 +110,8 @@ mod tests {
     use vnfrel::onsite::OnsiteGreedy;
     use vnfrel::ProblemInstance;
 
-    #[test]
-    fn timeline_csv_has_one_row_per_slot() {
+    /// A greedy run of 10 generated requests over 6 slots.
+    fn six_slot_report() -> RunReport {
         let mut b = NetworkBuilder::new();
         let a = b.add_ap("a");
         b.add_cloudlet(a, 20, Reliability::new(0.99).unwrap())
@@ -152,9 +124,12 @@ mod tests {
             .generate(10, inst.catalog(), &mut rng)
             .unwrap();
         let sim = Simulation::new(&inst, &reqs).unwrap();
-        let mut g = OnsiteGreedy::new(&inst);
-        let report = sim.run(&mut g).unwrap();
-        let csv = timeline_csv(&report);
+        sim.run(&mut OnsiteGreedy::new(&inst)).unwrap()
+    }
+
+    #[test]
+    fn timeline_csv_has_one_row_per_slot() {
+        let csv = timeline_csv(&six_slot_report());
         let lines: Vec<&str> = csv.trim_end().lines().collect();
         assert_eq!(lines.len(), 7); // header + 6 slots
         assert_eq!(lines[0], "slot,arrivals,admitted,active");
@@ -228,15 +203,6 @@ mod tests {
     }
 
     #[test]
-    fn sweep_csv_quotes_commas() {
-        let mut t = SweepTable::new("x", "y", vec!["plain".into(), "with,comma".into()]);
-        t.push_row(1.0, vec![2.0, 3.0]);
-        let csv = into_string(|buf| write_sweep_csv(buf, &t));
-        assert!(csv.starts_with("x,plain,\"with,comma\"\n"));
-        assert!(csv.contains("1,2,3\n"));
-    }
-
-    #[test]
     fn streaming_writers_propagate_io_errors() {
         struct FailAfter(usize);
         impl Write for FailAfter {
@@ -253,11 +219,10 @@ mod tests {
             }
         }
 
-        let mut t = SweepTable::new("x", "y", vec!["a".into()]);
-        t.push_row(1.0, vec![2.0]);
+        let report = six_slot_report();
         // The header write succeeds, a later row write fails: the error
         // must reach the caller rather than vanish.
-        assert!(write_sweep_csv(&mut FailAfter(1), &t).is_err());
-        assert!(write_sweep_csv(&mut FailAfter(1000), &t).is_ok());
+        assert!(write_timeline_csv(&mut FailAfter(1), &report).is_err());
+        assert!(write_timeline_csv(&mut FailAfter(1000), &report).is_ok());
     }
 }

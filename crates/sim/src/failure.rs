@@ -116,8 +116,7 @@ fn prepare<'a>(
         .collect();
 
     // Resolve the VNF reliability and placement of every admitted request
-    // once, outside the hot trial loop (previously an O(trials × requests)
-    // stream of redundant catalog lookups).
+    // once, outside the hot trial loop.
     let mut placed: Vec<(f64, &Placement)> = Vec::with_capacity(admitted.len());
     for r in &admitted {
         let vnf = instance
@@ -275,59 +274,6 @@ pub fn inject_failures_parallel(
     Ok(assemble(&campaign, &survived, trials))
 }
 
-/// Like [`inject_failures`], but samples component states *per slot* and
-/// counts a request as served only when at least one instance is alive in
-/// **every** slot of its execution window.
-///
-/// The paper's `R_i` is an instantaneous availability target, so
-/// [`inject_failures`] is the faithful check; window survival is strictly
-/// harder (roughly `availability^d`) and quantifies what a "whole-session
-/// uptime" SLA would additionally require.
-///
-/// # Errors
-///
-/// Returns [`SimError`] for mismatched inputs, as [`inject_failures`].
-pub fn inject_failures_windowed<R: Rng + ?Sized>(
-    instance: &ProblemInstance,
-    requests: &[Request],
-    schedule: &Schedule,
-    trials: usize,
-    rng: &mut R,
-) -> Result<FailureReport, SimError> {
-    let campaign = prepare(instance, requests, schedule)?;
-    let cloudlet_rel = &campaign.cloudlet_rel;
-    let mut survived = vec![0usize; campaign.placed.len()];
-    for _ in 0..trials {
-        let placed = campaign.admitted.iter().zip(&campaign.placed);
-        for ((r, &(r_f, placement)), count) in placed.zip(&mut survived) {
-            // Independent component states per slot of the window.
-            let all_slots_alive = r.slots().all(|_t| match placement {
-                Placement::OnSite {
-                    cloudlet,
-                    instances,
-                } => {
-                    rng.gen_bool(cloudlet_rel[cloudlet.index()])
-                        && (0..*instances).any(|_| rng.gen_bool(r_f))
-                }
-                Placement::OffSite { cloudlets } => cloudlets
-                    .iter()
-                    .any(|j| rng.gen_bool(cloudlet_rel[j.index()]) && rng.gen_bool(r_f)),
-            });
-            if all_slots_alive {
-                *count += 1;
-            }
-        }
-    }
-
-    let mut report = assemble(&campaign, &survived, trials);
-    // The window target is the per-slot target compounded over the
-    // duration.
-    for (a, r) in report.requests.iter_mut().zip(&campaign.admitted) {
-        a.required = a.required.powi(r.duration() as i32);
-    }
-    Ok(report)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -426,31 +372,6 @@ mod tests {
     }
 
     #[test]
-    fn windowed_survival_meets_compounded_target() {
-        let inst = instance();
-        let mut rng = ChaCha8Rng::seed_from_u64(17);
-        let reqs = RequestGenerator::new(inst.horizon())
-            .reliability_band(0.9, 0.95)
-            .unwrap()
-            .generate(25, inst.catalog(), &mut rng)
-            .unwrap();
-        let mut alg = OnsitePrimalDual::new(&inst, CapacityPolicy::Enforce).unwrap();
-        let schedule = run_online(&mut alg, &reqs).unwrap();
-        let report = inject_failures_windowed(&inst, &reqs, &schedule, 20_000, &mut rng).unwrap();
-        // Per-slot availability ≥ R_i and independent slots ⇒ window
-        // survival ≥ R_i^d; no statistical violation expected.
-        let violations = report.statistical_violations(4.0);
-        assert!(violations.is_empty(), "violations: {violations:?}");
-        // Windowed survival is harder than instantaneous availability.
-        let plain = inject_failures(&inst, &reqs, &schedule, 20_000, &mut rng).unwrap();
-        for (w, p) in report.requests.iter().zip(&plain.requests) {
-            assert_eq!(w.request, p.request);
-            assert!(w.measured <= p.measured + 0.02, "{}", w.request);
-            assert!(w.required <= p.required + 1e-12);
-        }
-    }
-
-    #[test]
     fn parallel_injection_is_thread_count_invariant() {
         let inst = instance();
         let mut rng = ChaCha8Rng::seed_from_u64(21);
@@ -525,7 +446,6 @@ mod tests {
             .unwrap();
         let s = Schedule::new(); // empty ≠ 3 requests
         assert!(inject_failures(&inst, &reqs, &s, 10, &mut rng).is_err());
-        assert!(inject_failures_windowed(&inst, &reqs, &s, 10, &mut rng).is_err());
 
         // A placement on a cloudlet the instance does not have, on-site
         // or off-site, is rejected up front by every entry point rather
@@ -547,10 +467,6 @@ mod tests {
             let what = format!("{placement:?}");
             assert!(
                 inject_failures(&inst, one, &s, 10, &mut rng).is_err(),
-                "{what}"
-            );
-            assert!(
-                inject_failures_windowed(&inst, one, &s, 10, &mut rng).is_err(),
                 "{what}"
             );
             let parallel = inject_failures_parallel(&inst, one, &s, 10, 0, 1, None);

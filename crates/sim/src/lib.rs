@@ -36,7 +36,6 @@
 pub mod audit;
 pub mod chain_failure;
 mod chain_run;
-mod compare;
 mod engine;
 mod error;
 pub mod experiment;
@@ -51,7 +50,6 @@ pub mod recovery;
 pub use audit::{AuditInvariant, AuditReport, AuditViolation};
 pub use chain_failure::{inject_chain_failures, ChainFailureReport};
 pub use chain_run::{Demand, MixedReport, MixedSimulation};
-pub use compare::{compare, Comparison};
 pub use engine::{
     DegradationConfig, DegradationStats, FaultRunReport, IntraSlotOrder, RunReport, Simulation,
 };

@@ -34,12 +34,10 @@
 
 mod branch_bound;
 mod error;
-mod lp_format;
 mod model;
 mod simplex;
 
 pub use branch_bound::{solve_mip, BnbConfig, MipOutcome, MipSolution};
 pub use error::SolverError;
-pub use lp_format::to_lp_format;
 pub use model::{Cmp, Model, Sense, VarId, VarKind};
 pub use simplex::{solve_lp, LpOutcome, LpSolution};

@@ -38,14 +38,6 @@ impl LpOutcome {
             other => panic!("expected an optimal LP solution, got {other:?}"),
         }
     }
-
-    /// Borrows the optimal solution, if any.
-    pub fn as_optimal(&self) -> Option<&LpSolution> {
-        match self {
-            LpOutcome::Optimal(s) => Some(s),
-            _ => None,
-        }
-    }
 }
 
 /// An optimal LP solution.

@@ -1,6 +1,6 @@
 use std::collections::HashSet;
 
-use crate::cloudlet::{Cloudlet, CloudletSpec};
+use crate::cloudlet::Cloudlet;
 use crate::error::TopologyError;
 use crate::graph::{Link, Network};
 use crate::ids::{CloudletId, LinkId, NodeId};
@@ -91,12 +91,6 @@ impl NetworkBuilder {
         Ok(id)
     }
 
-    /// Whether a link between `a` and `b` already exists.
-    pub fn has_link(&self, a: NodeId, b: NodeId) -> bool {
-        let key = (a.index().min(b.index()), a.index().max(b.index()));
-        self.link_set.contains(&key)
-    }
-
     /// Attaches a cloudlet to an AP.
     ///
     /// # Errors
@@ -119,15 +113,6 @@ impl NetworkBuilder {
             .push(Cloudlet::new(id, node, capacity, reliability)?);
         self.cloudlet_at[node.index()] = Some(id);
         Ok(id)
-    }
-
-    /// Attaches a cloudlet described by a [`CloudletSpec`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`NetworkBuilder::add_cloudlet`].
-    pub fn add_cloudlet_spec(&mut self, spec: &CloudletSpec) -> Result<CloudletId, TopologyError> {
-        self.add_cloudlet(spec.node, spec.capacity, spec.reliability)
     }
 
     /// Finalizes the network.
@@ -191,8 +176,6 @@ mod tests {
             b.add_link(c, a, 2.0),
             Err(TopologyError::DuplicateLink(c, a))
         );
-        assert!(b.has_link(a, c));
-        assert!(b.has_link(c, a));
     }
 
     #[test]
@@ -240,16 +223,5 @@ mod tests {
         let c0 = b.add_cloudlet(ids[2], 4, rel(0.9)).unwrap();
         let c1 = b.add_cloudlet(ids[0], 4, rel(0.9)).unwrap();
         assert_eq!((c0, c1), (CloudletId(0), CloudletId(1)));
-    }
-
-    #[test]
-    fn spec_constructor_works() {
-        let mut b = NetworkBuilder::new();
-        let a = b.add_ap("a");
-        let spec = CloudletSpec::new(a, 16, 0.99).unwrap();
-        b.add_cloudlet_spec(&spec).unwrap();
-        let net = b.build().unwrap();
-        assert_eq!(net.cloudlet_count(), 1);
-        assert_eq!(net.cloudlet_at(a).unwrap().capacity(), 16);
     }
 }

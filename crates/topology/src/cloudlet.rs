@@ -85,39 +85,6 @@ impl fmt::Display for Cloudlet {
     }
 }
 
-/// A blueprint for a cloudlet used by builders and random generators.
-///
-/// Unlike [`Cloudlet`] it has no id yet; ids are assigned densely when the
-/// network is built.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CloudletSpec {
-    /// Access point hosting the cloudlet.
-    pub node: NodeId,
-    /// Capacity in computing units (must be positive).
-    pub capacity: u64,
-    /// Cloudlet reliability `r(c_j)`.
-    pub reliability: Reliability,
-}
-
-impl CloudletSpec {
-    /// Convenience constructor.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TopologyError::ZeroCapacity`] if `capacity == 0`, or a
-    /// reliability range error from [`Reliability::new`].
-    pub fn new(node: NodeId, capacity: u64, reliability: f64) -> Result<Self, TopologyError> {
-        if capacity == 0 {
-            return Err(TopologyError::ZeroCapacity);
-        }
-        Ok(CloudletSpec {
-            node,
-            capacity,
-            reliability: Reliability::new(reliability)?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -132,7 +99,6 @@ mod tests {
             Cloudlet::new(CloudletId(0), NodeId(0), 0, rel(0.9)),
             Err(TopologyError::ZeroCapacity)
         );
-        assert!(CloudletSpec::new(NodeId(0), 0, 0.9).is_err());
     }
 
     #[test]
@@ -150,12 +116,5 @@ mod tests {
         let s = c.to_string();
         assert!(s.contains("c1"));
         assert!(s.contains("n4"));
-    }
-
-    #[test]
-    fn spec_validates_reliability() {
-        assert!(CloudletSpec::new(NodeId(1), 5, 1.2).is_err());
-        let s = CloudletSpec::new(NodeId(1), 5, 0.95).unwrap();
-        assert_eq!(s.capacity, 5);
     }
 }

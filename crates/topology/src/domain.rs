@@ -11,10 +11,8 @@
 //! Domains can be given explicitly ([`FailureDomainSet::from_groups`]) or
 //! derived from the graph itself: [`FailureDomainSet::zones`] partitions
 //! cloudlets into hop-distance zones (shared power/aggregation risk of
-//! physical proximity), and [`FailureDomainSet::articulation`] groups each
-//! set of cloudlets whose connectivity hangs off a single articulation AP
-//! (shared uplink risk). Domains from different derivations may overlap —
-//! a cloudlet is down while *any* of its domains is down.
+//! physical proximity). Explicit groups may overlap — a cloudlet is down
+//! while *any* of its domains is down.
 
 use crate::error::TopologyError;
 use crate::graph::Network;
@@ -214,76 +212,6 @@ impl FailureDomainSet {
         Ok(FailureDomainSet { domains })
     }
 
-    /// Derives one domain per articulation AP whose removal disconnects
-    /// cloudlets from the main component.
-    ///
-    /// For each articulation point `v` (found by lowlink DFS), the domain
-    /// is the cloudlet at `v` (if any) plus every cloudlet in a component
-    /// of `G − v` other than the largest one — those cloudlets share `v`
-    /// as a single point of failure for their connectivity. Articulation
-    /// points that strand no cloudlet produce no domain; the result may
-    /// be empty (e.g. on a 2-connected graph).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TopologyError::InvalidDomainRate`] for a mean time that
-    /// is not finite and ≥ 1.
-    pub fn articulation(network: &Network, mttf: f64, mttr: f64) -> Result<Self, TopologyError> {
-        let n = network.ap_count();
-        let cut = articulation_points(network);
-        let mut domains = Vec::new();
-        for (v, &is_cut) in cut.iter().enumerate() {
-            if !is_cut {
-                continue;
-            }
-            // Components of G − v, in discovery (lowest-node-id) order.
-            let mut comp = vec![usize::MAX; n];
-            let mut sizes: Vec<usize> = Vec::new();
-            for s in 0..n {
-                if s == v || comp[s] != usize::MAX {
-                    continue;
-                }
-                let c = sizes.len();
-                sizes.push(0);
-                let mut stack = vec![s];
-                comp[s] = c;
-                while let Some(u) = stack.pop() {
-                    sizes[c] += 1;
-                    for &(w, _) in network.neighbors(NodeId(u)) {
-                        let w = w.index();
-                        if w != v && comp[w] == usize::MAX {
-                            comp[w] = c;
-                            stack.push(w);
-                        }
-                    }
-                }
-            }
-            let Some(core) = (0..sizes.len()).max_by_key(|&c| (sizes[c], usize::MAX - c)) else {
-                continue;
-            };
-            let mut members: Vec<CloudletId> = Vec::new();
-            if let Some(c) = network.cloudlet_at(NodeId(v)) {
-                members.push(c.id());
-            }
-            for c in network.cloudlets() {
-                let u = c.node().index();
-                if u != v && comp[u] != core {
-                    members.push(c.id());
-                }
-            }
-            if members.is_empty() {
-                continue;
-            }
-            domains.push(FailureDomain::new(
-                members,
-                mttf,
-                mttr,
-                format!("cut@ap{v}"),
-            )?);
-        }
-        Ok(FailureDomainSet { domains })
-    }
-
     /// The domains, in id order.
     pub fn domains(&self) -> &[FailureDomain] {
         &self.domains
@@ -310,57 +238,6 @@ impl FailureDomainSet {
     }
 }
 
-/// Articulation points by iterative lowlink DFS (handles disconnected
-/// graphs; the root of a DFS tree is an articulation point iff it has
-/// more than one child).
-fn articulation_points(network: &Network) -> Vec<bool> {
-    let n = network.ap_count();
-    let mut is_cut = vec![false; n];
-    let mut disc = vec![usize::MAX; n];
-    let mut low = vec![0usize; n];
-    let mut timer = 0usize;
-    for root in 0..n {
-        if disc[root] != usize::MAX {
-            continue;
-        }
-        // Stack frames: (node, parent, next-neighbor index).
-        let mut stack: Vec<(usize, usize, usize)> = vec![(root, usize::MAX, 0)];
-        disc[root] = timer;
-        low[root] = timer;
-        timer += 1;
-        let mut root_children = 0usize;
-        while let Some(frame) = stack.last_mut() {
-            let (v, parent) = (frame.0, frame.1);
-            let nbrs = network.neighbors(NodeId(v));
-            if frame.2 < nbrs.len() {
-                let w = nbrs[frame.2].0.index();
-                frame.2 += 1;
-                if disc[w] == usize::MAX {
-                    if v == root {
-                        root_children += 1;
-                    }
-                    disc[w] = timer;
-                    low[w] = timer;
-                    timer += 1;
-                    stack.push((w, v, 0));
-                } else if w != parent {
-                    low[v] = low[v].min(disc[w]);
-                }
-            } else {
-                stack.pop();
-                if let Some(&(p, _, _)) = stack.last() {
-                    low[p] = low[p].min(low[v]);
-                    if p != root && low[v] >= disc[p] {
-                        is_cut[p] = true;
-                    }
-                }
-            }
-        }
-        is_cut[root] = root_children > 1;
-    }
-    is_cut
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -378,20 +255,6 @@ mod tests {
             }
             prev = Some(ap);
             b.add_cloudlet(ap, 10, Reliability::new(0.99).unwrap())
-                .unwrap();
-        }
-        b.build().unwrap()
-    }
-
-    /// A 4-cycle (2-connected): no articulation points.
-    fn cycle4() -> Network {
-        let mut b = NetworkBuilder::new();
-        let aps: Vec<_> = (0..4).map(|i| b.add_ap(format!("c{i}"))).collect();
-        for i in 0..4 {
-            b.add_link(aps[i], aps[(i + 1) % 4], 1.0).unwrap();
-        }
-        for &ap in &aps {
-            b.add_cloudlet(ap, 10, Reliability::new(0.95).unwrap())
                 .unwrap();
         }
         b.build().unwrap()
@@ -469,38 +332,6 @@ mod tests {
         assert_eq!(one.domains()[0].members().len(), 6);
         let many = FailureDomainSet::zones(&net, 99, 25.0, 4.0).unwrap();
         assert_eq!(many.len(), 6);
-    }
-
-    #[test]
-    fn articulation_domains_on_a_chain() {
-        // On a 5-chain, ap1..ap3 are articulation points; each strands the
-        // shorter side plus itself.
-        let net = chain(5);
-        let set = FailureDomainSet::articulation(&net, 30.0, 5.0).unwrap();
-        assert_eq!(set.len(), 3);
-        let members: Vec<Vec<usize>> = set
-            .domains()
-            .iter()
-            .map(|d| {
-                let mut v: Vec<usize> = d.members().iter().map(|c| c.index()).collect();
-                v.sort_unstable();
-                v
-            })
-            .collect();
-        // Cutting ap1 strands {0}; domain = {1, 0}. Cutting ap2 splits
-        // into {0,1} and {3,4} — the size tie resolves to the first-
-        // discovered side as core, so the domain is {2, 3, 4}. Cutting
-        // ap3 strands {4}; domain = {3, 4}.
-        assert_eq!(members[0], vec![0, 1]);
-        assert_eq!(members[1], vec![2, 3, 4]);
-        assert_eq!(members[2], vec![3, 4]);
-        assert!(set.domains()[0].label().starts_with("cut@ap"));
-    }
-
-    #[test]
-    fn two_connected_graph_has_no_articulation_domains() {
-        let set = FailureDomainSet::articulation(&cycle4(), 30.0, 5.0).unwrap();
-        assert!(set.is_empty());
     }
 
     #[test]

@@ -319,63 +319,6 @@ pub fn grid<R: Rng + ?Sized>(
     b.build()
 }
 
-/// Generates a Watts–Strogatz small-world graph: a ring lattice where
-/// each node links to its `k/2` nearest neighbours on each side, with
-/// every link rewired to a uniform random endpoint with probability
-/// `beta`. Produces the "local clustering + short paths" structure of
-/// metro access networks.
-///
-/// # Errors
-///
-/// Returns [`TopologyError::EmptyNetwork`] when `n == 0`; `k` is clamped
-/// to `[2, n−1]` and rounded down to even internally.
-pub fn watts_strogatz<R: Rng + ?Sized>(
-    n: usize,
-    k: usize,
-    beta: f64,
-    placement: &CloudletPlacement,
-    rng: &mut R,
-) -> Result<Network, TopologyError> {
-    if n == 0 {
-        return Err(TopologyError::EmptyNetwork);
-    }
-    let mut b = NetworkBuilder::new();
-    for i in 0..n {
-        b.add_ap(format!("ws{i}"));
-    }
-    if n == 1 {
-        placement.apply(&mut b, rng)?;
-        return b.build();
-    }
-    // At least one ring step; never more than wraps around the ring.
-    let half = (k / 2).max(1).min((n - 1) / 2 + 1);
-    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for i in 0..n {
-        for step in 1..=half {
-            let mut j = (i + step) % n;
-            // Rewire with probability beta to a random non-duplicate
-            // endpoint.
-            if rng.gen_bool(beta.clamp(0.0, 1.0)) {
-                for _ in 0..n {
-                    let cand = rng.gen_range(0..n);
-                    if cand != i && !b.has_link(NodeId(i), NodeId(cand)) {
-                        j = cand;
-                        break;
-                    }
-                }
-            }
-            if i != j && !b.has_link(NodeId(i), NodeId(j)) {
-                b.add_link(NodeId(i), NodeId(j), rng.gen_range(0.5..2.0))?;
-                adj[i].push(j);
-                adj[j].push(i);
-            }
-        }
-    }
-    connect_components(&mut b, &mut adj, rng)?;
-    placement.apply(&mut b, rng)?;
-    b.build()
-}
-
 /// Generates a ring of `n` nodes.
 ///
 /// # Errors
@@ -398,30 +341,6 @@ pub fn ring<R: Rng + ?Sized>(
     }
     if n > 2 {
         b.add_link(NodeId(n - 1), NodeId(0), 1.0)?;
-    }
-    placement.apply(&mut b, rng)?;
-    b.build()
-}
-
-/// Generates a star: node 0 is the hub.
-///
-/// # Errors
-///
-/// Returns [`TopologyError::EmptyNetwork`] when `n == 0`.
-pub fn star<R: Rng + ?Sized>(
-    n: usize,
-    placement: &CloudletPlacement,
-    rng: &mut R,
-) -> Result<Network, TopologyError> {
-    if n == 0 {
-        return Err(TopologyError::EmptyNetwork);
-    }
-    let mut b = NetworkBuilder::new();
-    for i in 0..n {
-        b.add_ap(format!("s{i}"));
-    }
-    for i in 1..n {
-        b.add_link(NodeId(0), NodeId(i), 1.0)?;
     }
     placement.apply(&mut b, rng)?;
     b.build()
@@ -512,42 +431,6 @@ mod tests {
         assert_eq!(net.link_count(), 10);
         assert!(net.is_connected());
         assert_eq!(net.diameter_hops(), Some(5));
-
-        let net = star(10, &place(), &mut rng(4)).unwrap();
-        assert_eq!(net.link_count(), 9);
-        assert_eq!(net.diameter_hops(), Some(2));
-    }
-
-    #[test]
-    fn watts_strogatz_connected_and_clustered() {
-        for seed in 0..5 {
-            let net = watts_strogatz(40, 4, 0.1, &place(), &mut rng(seed)).unwrap();
-            assert!(net.is_connected(), "seed {seed}");
-            assert_eq!(net.ap_count(), 40);
-            // The lattice base gives ~2 links per node.
-            assert!(
-                net.link_count() >= 40,
-                "too few links: {}",
-                net.link_count()
-            );
-        }
-        // beta = 0 is a pure lattice with high clustering.
-        let lattice = watts_strogatz(30, 4, 0.0, &place(), &mut rng(1)).unwrap();
-        let s = crate::stats::NetworkStats::compute(&lattice);
-        assert!(s.clustering > 0.3, "lattice clustering {}", s.clustering);
-        // Full rewiring behaves like a random graph: much less clustered.
-        let random = watts_strogatz(30, 4, 1.0, &place(), &mut rng(1)).unwrap();
-        let sr = crate::stats::NetworkStats::compute(&random);
-        assert!(sr.clustering < s.clustering);
-    }
-
-    #[test]
-    fn watts_strogatz_degenerate() {
-        assert!(watts_strogatz(0, 4, 0.1, &place(), &mut rng(0)).is_err());
-        let one = watts_strogatz(1, 4, 0.1, &place(), &mut rng(0)).unwrap();
-        assert_eq!(one.ap_count(), 1);
-        let two = watts_strogatz(2, 4, 0.5, &place(), &mut rng(0)).unwrap();
-        assert!(two.is_connected());
     }
 
     #[test]

@@ -36,19 +36,6 @@ impl Link {
     pub fn latency(&self) -> f64 {
         self.latency
     }
-
-    /// Given one endpoint, returns the other.
-    ///
-    /// Returns `None` if `node` is not an endpoint of this link.
-    pub fn opposite(&self, node: NodeId) -> Option<NodeId> {
-        if node == self.endpoints.0 {
-            Some(self.endpoints.1)
-        } else if node == self.endpoints.1 {
-            Some(self.endpoints.0)
-        } else {
-            None
-        }
-    }
 }
 
 /// Outcome of a shortest-path query.
@@ -71,10 +58,10 @@ pub struct PathResult {
 pub struct Network {
     names: Vec<String>,
     links: Vec<Link>,
-    /// adjacency[v] = list of (neighbour, link) pairs.
+    /// `adjacency[v]` = list of (neighbour, link) pairs.
     adjacency: Vec<Vec<(NodeId, LinkId)>>,
     cloudlets: Vec<Cloudlet>,
-    /// cloudlet_at[v] = cloudlet hosted at node v, if any.
+    /// `cloudlet_at[v]` = cloudlet hosted at node `v`, if any.
     cloudlet_at: Vec<Option<CloudletId>>,
 }
 
@@ -272,20 +259,6 @@ impl Network {
         })
     }
 
-    /// Hop distance between a node and the nearest cloudlet-hosting node.
-    ///
-    /// Returns `None` if there are no cloudlets reachable from `node`.
-    pub fn nearest_cloudlet(&self, node: NodeId) -> Option<(CloudletId, usize)> {
-        let dist = self.hop_distances(node);
-        self.cloudlets
-            .iter()
-            .filter_map(|c| {
-                let d = dist[c.node().index()];
-                (d != usize::MAX).then_some((c.id(), d))
-            })
-            .min_by_key(|&(_, d)| d)
-    }
-
     /// Graph diameter in hops (longest shortest path over all pairs).
     ///
     /// Returns `None` for a disconnected network.
@@ -393,28 +366,6 @@ mod tests {
         assert!(!net.is_connected());
         assert!(net.shortest_path(a, c).is_none());
         assert_eq!(net.diameter_hops(), None);
-    }
-
-    #[test]
-    fn nearest_cloudlet_finds_closest() {
-        let net = triangle_plus_tail();
-        // Node 1 is 1 hop from cloudlet c0 (node 0) and 2 hops from c1 (node 3).
-        let (id, d) = net.nearest_cloudlet(NodeId(1)).unwrap();
-        assert_eq!(id.index(), 0);
-        assert_eq!(d, 1);
-        // Node 3 hosts c1 itself.
-        let (id, d) = net.nearest_cloudlet(NodeId(3)).unwrap();
-        assert_eq!(id.index(), 1);
-        assert_eq!(d, 0);
-    }
-
-    #[test]
-    fn link_opposite_endpoint() {
-        let net = triangle_plus_tail();
-        let l = net.link(crate::LinkId(0)).unwrap();
-        assert_eq!(l.opposite(NodeId(0)), Some(NodeId(1)));
-        assert_eq!(l.opposite(NodeId(1)), Some(NodeId(0)));
-        assert_eq!(l.opposite(NodeId(3)), None);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! * [`NetworkBuilder`] — incremental construction with validation,
 //! * [`zoo`] — real topologies embedded from the Internet Topology Zoo,
 //! * [`generators`] — random topologies (Erdős–Rényi, Barabási–Albert,
-//!   Waxman, grid, ring, star) for parameter sweeps,
+//!   Waxman, grid, ring) for parameter sweeps,
 //! * [`Reliability`] — a checked probability newtype shared by cloudlets
 //!   and (downstream) VNF types.
 //!
@@ -48,7 +48,7 @@ pub mod stats;
 pub mod zoo;
 
 pub use builder::NetworkBuilder;
-pub use cloudlet::{Cloudlet, CloudletSpec};
+pub use cloudlet::Cloudlet;
 pub use domain::{FailureDomain, FailureDomainSet};
 pub use error::TopologyError;
 pub use graph::{Link, Network, PathResult};

@@ -53,23 +53,6 @@ impl Reliability {
     pub fn ln_failure(self) -> f64 {
         self.failure().ln()
     }
-
-    /// Combined reliability of two components in *series*: both must be up.
-    ///
-    /// Used for a VNF instance inside a cloudlet: the instance serves only
-    /// while both the software and the hosting cloudlet are alive, i.e.
-    /// `r(f_i) · r(c_j)`.
-    pub fn in_series(self, other: Reliability) -> Reliability {
-        // The product of two values in (0,1) stays in (0,1).
-        Reliability(self.0 * other.0)
-    }
-
-    /// Combined reliability of two components in *parallel*: at least one up.
-    ///
-    /// `1 − (1 − a)(1 − b)`; used when replicas back each other up.
-    pub fn in_parallel(self, other: Reliability) -> Reliability {
-        Reliability(1.0 - self.failure() * other.failure())
-    }
 }
 
 impl Eq for Reliability {}
@@ -135,18 +118,6 @@ mod tests {
     fn ln_failure_is_negative() {
         let r = Reliability::new(0.9999).unwrap();
         assert!(r.ln_failure() < 0.0);
-    }
-
-    #[test]
-    fn series_reduces_parallel_increases() {
-        let a = Reliability::new(0.9).unwrap();
-        let b = Reliability::new(0.8).unwrap();
-        let s = a.in_series(b);
-        let p = a.in_parallel(b);
-        assert!(s < a && s < b);
-        assert!(p > a && p > b);
-        assert!((s.value() - 0.72).abs() < 1e-12);
-        assert!((p.value() - 0.98).abs() < 1e-12);
     }
 
     #[test]

@@ -24,18 +24,6 @@ proptest! {
     }
 
     #[test]
-    fn series_never_exceeds_parts(a in 0.01f64..0.99, b in 0.01f64..0.99) {
-        let ra = Reliability::new(a).unwrap();
-        let rb = Reliability::new(b).unwrap();
-        let s = ra.in_series(rb);
-        let p = ra.in_parallel(rb);
-        prop_assert!(s <= ra && s <= rb);
-        prop_assert!(p >= ra && p >= rb);
-        // Series then parallel with itself is still a valid probability.
-        prop_assert!(s.value() > 0.0 && p.value() < 1.0);
-    }
-
-    #[test]
     fn erdos_renyi_always_connected(n in 1usize..60, p in 0.0f64..0.3, seed in 0u64..1000) {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let net = generators::erdos_renyi(n, p, &placement(), &mut rng).unwrap();

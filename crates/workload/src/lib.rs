@@ -42,7 +42,6 @@ mod error;
 mod generator;
 mod placement;
 mod request;
-pub mod stats;
 mod time;
 mod vnf;
 

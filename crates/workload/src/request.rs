@@ -158,11 +158,6 @@ impl Request {
         );
         self.payment / (self.duration as f64 * vnf.compute() as f64 * self.reliability_req.value())
     }
-
-    /// Whether two requests overlap in time.
-    pub fn overlaps(&self, other: &Request) -> bool {
-        self.arrival <= other.end_slot() && other.arrival <= self.end_slot()
-    }
 }
 
 impl fmt::Display for Request {
@@ -267,18 +262,6 @@ mod tests {
         .unwrap();
         // pr = 8 / (4 * 1 * 0.5) = 4.
         assert!((r.payment_rate(vnf) - 4.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn overlap_detection() {
-        let a = request(0, 3); // [0,2]
-        let b = request(2, 3); // [2,4]
-        let c = request(3, 2); // [3,4]
-        assert!(a.overlaps(&b));
-        assert!(b.overlaps(&a));
-        assert!(!a.overlaps(&c));
-        assert!(b.overlaps(&c));
-        assert!(a.overlaps(&a));
     }
 
     #[test]

@@ -175,16 +175,6 @@ impl VnfCatalog {
     pub fn iter(&self) -> impl Iterator<Item = &VnfType> + '_ {
         self.types.iter()
     }
-
-    /// Largest compute demand across the catalog.
-    pub fn max_compute(&self) -> Option<u64> {
-        self.types.iter().map(|t| t.compute()).max()
-    }
-
-    /// Smallest compute demand across the catalog.
-    pub fn min_compute(&self) -> Option<u64> {
-        self.types.iter().map(|t| t.compute()).min()
-    }
 }
 
 #[cfg(test)]
@@ -201,8 +191,6 @@ mod tests {
             let r = v.reliability().value();
             assert!((0.9..=0.9999).contains(&r), "{} out of range", v.name());
         }
-        assert_eq!(cat.max_compute(), Some(3));
-        assert_eq!(cat.min_compute(), Some(1));
     }
 
     #[test]
